@@ -1,4 +1,4 @@
-.PHONY: build test check bench
+.PHONY: build test check bench bench-diff
 
 build:
 	go build ./...
@@ -11,5 +11,11 @@ test:
 check:
 	sh scripts/check.sh
 
+# The gated statement benchmark (bench/README.md): every workload, writes
+# bench/out/BENCH.json.
 bench:
-	go test -bench=. -benchmem
+	bash bench/run.sh
+
+# Row-by-row comparison of two BENCH.json files: make bench-diff A=old.json B=new.json
+bench-diff:
+	bash bench/run.sh -compare $(A) $(B)

@@ -4,7 +4,7 @@
 // parallel-scan sweep P8, the group-commit sweep P9, the MVCC reader sweep
 // P10, the networked commit sweep P11, the index-build comparison P12, the
 // prepared-statement sweep P13, and the aggregate-pushdown sweep P14 (P7 is
-// the BenchmarkScanBatchSize sweep; see EXPERIMENTS.md).
+// a recorded one-off with no runner; see EXPERIMENTS.md).
 //
 // Usage:
 //

@@ -394,8 +394,8 @@ func grtGetNext(ctx *mi.Context, sd *am.ScanDesc) (heap.RowID, []types.Datum, bo
 		return 0, nil, false, err
 	}
 	ext := temporal.Extent{
-		TTBegin: entry.Region.TTBegin, TTEnd: entry.Region.TTEnd,
-		VTBegin: entry.Region.VTBegin, VTEnd: entry.Region.VTEnd,
+		TTBegin: entry.Bound.TTBegin, TTEnd: entry.Bound.TTEnd,
+		VTBegin: entry.Bound.VTBegin, VTEnd: entry.Bound.VTEnd,
 	}
 	row := []types.Datum{types.Opaque{
 		TypeID: sd.Index.ColTypes[0].OpaqueID,
@@ -429,8 +429,8 @@ func grtGetMulti(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
 	for i := 0; i < n; i++ {
 		e := entries[i]
 		ext := temporal.Extent{
-			TTBegin: e.Region.TTBegin, TTEnd: e.Region.TTEnd,
-			VTBegin: e.Region.VTBegin, VTEnd: e.Region.VTEnd,
+			TTBegin: e.Bound.TTBegin, TTEnd: e.Bound.TTEnd,
+			VTBegin: e.Bound.VTBegin, VTEnd: e.Bound.VTEnd,
 		}
 		b.Append(heap.RowID(e.Payload()), []types.Datum{types.Opaque{
 			TypeID: typeID,
@@ -628,7 +628,7 @@ func grtStats(ctx *mi.Context, id *am.IndexDesc) (*am.IndexStats, error) {
 	lo := make([]float64, 0, ts.LeafEntries)
 	hi := make([]float64, 0, ts.LeafEntries)
 	err = st.tree.WalkLeaves(func(e grtree.Entry) error {
-		sh := e.Region.Resolve(st.ct)
+		sh := e.Bound.Resolve(st.ct)
 		lo = append(lo, float64(sh.VTBegin))
 		hi = append(hi, float64(sh.VTEnd))
 		return nil

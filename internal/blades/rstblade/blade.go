@@ -644,7 +644,7 @@ func rstDelete(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.Ro
 			return fmt.Errorf("rstblade: index %s has no entry for row %v: %w", id.Name, rid, am.ErrNoEntry)
 		}
 		if entry.Payload() == rstar.Payload(rid) {
-			removed, _, err := st.tree.Delete(entry.Rect, entry.Payload())
+			removed, _, err := st.tree.Delete(entry.Bound, entry.Payload())
 			if err != nil {
 				return err
 			}
@@ -743,8 +743,8 @@ func rstStats(ctx *mi.Context, id *am.IndexDesc) (*am.IndexStats, error) {
 	lo := make([]float64, 0, st.tree.Size())
 	hi := make([]float64, 0, st.tree.Size())
 	err = st.tree.WalkLeaves(func(e rstar.Entry) error {
-		lo = append(lo, float64(e.Rect.YMin))
-		hi = append(hi, float64(e.Rect.YMax))
+		lo = append(lo, float64(e.Bound.YMin))
+		hi = append(hi, float64(e.Bound.YMax))
 		return nil
 	})
 	if err != nil {

@@ -507,8 +507,9 @@ func RunT4(w io.Writer, root string) ([]T4Row, error) {
 		{"Bitemporal model: UC/NOW, six cases, region algebra", "internal/chronon + internal/temporal", count("internal/chronon") + count("internal/temporal")},
 		{"Defining the opaque type and its support functions", "internal/blades/grtblade (type part)", count("internal/blades/grtblade")},
 		{"Access-method purpose functions (the GR-tree blade)", "internal/blades/grtblade", count("internal/blades/grtblade")},
-		{"The GR-tree core (assumed pre-existing in the paper)", "internal/grtree", count("internal/grtree")},
-		{"The R*-tree baseline", "internal/rstar + internal/blades/rstblade", count("internal/rstar") + count("internal/blades/rstblade")},
+		{"The R*-tree kernel both trees run on (Section 7's generic tree)", "internal/rtree", count("internal/rtree")},
+		{"The GR-tree key class (the core the paper assumes pre-existing)", "internal/grtree", count("internal/grtree")},
+		{"The R*-tree baseline: key class and blade", "internal/rstar + internal/blades/rstblade", count("internal/rstar") + count("internal/blades/rstblade")},
 		{"BLOB manipulation (sbspace large objects)", "internal/sbspace + internal/nodestore", count("internal/sbspace") + count("internal/nodestore")},
 		{"Qualification descriptors and the VII framework", "internal/am", count("internal/am")},
 		{"The server substrate (storage, WAL, locks, SQL, engine)", "internal/{storage,wal,lock,heap,sql,engine,catalog,types,mi}", count("internal/storage") + count("internal/wal") + count("internal/lock") + count("internal/heap") + count("internal/sql") + count("internal/engine") + count("internal/catalog") + count("internal/types") + count("internal/mi")},

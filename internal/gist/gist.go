@@ -106,14 +106,22 @@ func (n *node) encode(buf []byte) error {
 	return nil
 }
 
+// decodeNode trusts nothing on the page: count and every key length come
+// from disk, so each is checked against the page before it bounds a slice.
 func decodeNode(id nodestore.NodeID, buf []byte) (*node, error) {
-	if binary.BigEndian.Uint32(buf[0:4]) != nodeMagic {
+	if len(buf) < nodeHeader || binary.BigEndian.Uint32(buf[0:4]) != nodeMagic {
 		return nil, fmt.Errorf("gist: node %d has bad magic", id)
 	}
 	n := &node{id: id, leaf: buf[4]&1 != 0, level: int(buf[5])}
 	count := int(binary.BigEndian.Uint16(buf[6:8]))
+	if nodeHeader+count*(2+8) > len(buf) {
+		return nil, fmt.Errorf("gist: node %d has impossible count %d", id, count)
+	}
 	off := nodeHeader
 	for i := 0; i < count; i++ {
+		if off+2 > len(buf) || off+2+int(binary.BigEndian.Uint16(buf[off:]))+8 > len(buf) {
+			return nil, fmt.Errorf("gist: node %d entry %d overruns the page", id, i)
+		}
 		kl := int(binary.BigEndian.Uint16(buf[off:]))
 		off += 2
 		key := append([]byte(nil), buf[off:off+kl]...)

@@ -1,8 +1,11 @@
 package gist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/chronon"
@@ -264,5 +267,58 @@ func TestGRKeyClassSplitQualityGap(t *testing.T) {
 	t.Logf("search reads: gist-GR %d, dedicated GR-tree %d (ratio %.2f)", g, d, float64(g)/float64(d))
 	if g < d/2 {
 		t.Fatalf("generic split unexpectedly beats the dedicated split by 2x: %d vs %d", g, d)
+	}
+}
+
+// TestDecodeNodeRejectsBadPages feeds the decoder truncated, foreign and
+// corrupt pages: count and key lengths come from disk, so every one must be
+// an error naming the node and none a panic (CHECK INDEX reports it; the
+// server survives it).
+func TestDecodeNodeRejectsBadPages(t *testing.T) {
+	good := make([]byte, nodestore.NodeSize)
+	n := &node{id: 7, leaf: true, entries: []Entry{{Key: IntervalKey(1, 5), Ref: 1}, {Key: IntervalKey(2, 9), Ref: 2}}}
+	if err := n.encode(good); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := decodeNode(7, good); err != nil || len(back.entries) != 2 {
+		t.Fatalf("good page: %v", err)
+	}
+	corrupt := func(edit func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		edit(b)
+		return b
+	}
+	firstKeyLen := nodeHeader
+	cases := map[string][]byte{
+		"empty":            nil,
+		"short header":     good[:10],
+		"foreign magic":    corrupt(func(b []byte) { b[0] ^= 0xff }),
+		"all ones":         bytes.Repeat([]byte{0xff}, nodestore.NodeSize),
+		"count too large":  corrupt(func(b []byte) { binary.BigEndian.PutUint16(b[6:8], 0xffff) }),
+		"count past data":  corrupt(func(b []byte) { binary.BigEndian.PutUint16(b[6:8], 400) })[:nodeHeader+30],
+		"key length 65535": corrupt(func(b []byte) { binary.BigEndian.PutUint16(b[firstKeyLen:], 0xffff) }),
+		"truncated key":    good[:nodeHeader+2+4],
+		"truncated ref":    good[:nodeHeader+2+len(n.entries[0].Key)+3],
+		"no second entry":  good[:nodeHeader+2+len(n.entries[0].Key)+8+1],
+	}
+	for name, page := range cases {
+		if got, err := decodeNode(7, page); err == nil {
+			t.Errorf("%s: decoded %d entries, want an error", name, len(got.entries))
+		} else if !strings.Contains(err.Error(), "node 7") {
+			t.Errorf("%s: error %q does not name the node", name, err)
+		}
+	}
+
+	// Through a tree: a garbage root page fails the search and the check.
+	store := nodestore.NewMem()
+	tr, err := Create(store, IntervalClass{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Write(tr.root, cases["key length 65535"]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Check(); err == nil {
+		t.Error("Check passed over a corrupt root page")
 	}
 }

@@ -2,7 +2,6 @@ package grtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/chronon"
@@ -145,73 +144,6 @@ func TestSearchSeesGrowth(t *testing.T) {
 	}
 }
 
-func TestDeleteAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ct := chronon.Instant(150)
-	tr := newTestTree(t, smallConfig())
-	model := make(map[Payload]temporal.Extent)
-	for i := 0; i < 300; i++ {
-		e := randomExtent(rng, ct)
-		p := Payload(i + 1)
-		if err := tr.Insert(e, p, ct); err != nil {
-			t.Fatal(err)
-		}
-		model[p] = e
-	}
-	// Delete a random half.
-	var ids []Payload
-	for p := range model {
-		ids = append(ids, p)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	for _, p := range ids[:150] {
-		removed, _, err := tr.Delete(model[p], p, ct)
-		if err != nil {
-			t.Fatalf("delete %d: %v", p, err)
-		}
-		if !removed {
-			t.Fatalf("delete %d: not found", p)
-		}
-		delete(model, p)
-	}
-	if tr.Size() != 150 {
-		t.Fatalf("size after deletes: %d", tr.Size())
-	}
-	if err := tr.Check(ct); err != nil {
-		t.Fatalf("check after deletes: %v", err)
-	}
-	// Deleting a missing entry reports not-found.
-	removed, _, err := tr.Delete(model[ids[200]], 99999, ct)
-	if err != nil || removed {
-		t.Fatalf("phantom delete: %v %v", removed, err)
-	}
-	// Survivors still searchable.
-	for trial := 0; trial < 20; trial++ {
-		q := randomExtent(rng, ct)
-		pred := Predicate{Op: OpOverlaps, Query: q}
-		got, err := tr.SearchAll(pred, ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !payloadSetEqual(got, bruteForce(model, pred, ct)) {
-			t.Fatalf("trial %d: post-delete search mismatch", trial)
-		}
-	}
-	// Delete everything; the tree must shrink back to a single leaf root.
-	for p, e := range model {
-		if ok, _, err := tr.Delete(e, p, ct); err != nil || !ok {
-			t.Fatalf("final delete %d: %v %v", p, ok, err)
-		}
-	}
-	if tr.Size() != 0 || tr.Height() != 1 {
-		t.Fatalf("empty tree: size %d height %d", tr.Size(), tr.Height())
-	}
-	if err := tr.Check(ct); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCheckOverTimeAfterMixedWorkload(t *testing.T) {
 	// The structural invariant must keep holding as the clock advances.
 	rng := rand.New(rand.NewSource(99))
@@ -278,121 +210,9 @@ func TestCheckOverTimeAfterMixedWorkload(t *testing.T) {
 	}
 }
 
-func TestBulkLoad(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ct := chronon.Instant(300)
-	var items []BulkItem
-	model := make(map[Payload]temporal.Extent)
-	for i := 0; i < 500; i++ {
-		e := randomExtent(rng, ct)
-		p := Payload(i + 1)
-		items = append(items, BulkItem{Extent: e, Payload: p})
-		model[p] = e
-	}
-	tr := newTestTree(t, smallConfig())
-	if err := tr.BulkLoad(items, ct); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Size() != 500 {
-		t.Fatalf("size %d", tr.Size())
-	}
-	if err := tr.Check(ct); err != nil {
-		t.Fatalf("check after bulk load: %v", err)
-	}
-	for trial := 0; trial < 25; trial++ {
-		q := randomExtent(rng, ct)
-		pred := Predicate{Op: OpOverlaps, Query: q}
-		got, err := tr.SearchAll(pred, ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !payloadSetEqual(got, bruteForce(model, pred, ct)) {
-			t.Fatalf("bulk search mismatch (trial %d)", trial)
-		}
-	}
-	// Bulk load into a non-empty tree fails.
-	if err := tr.BulkLoad(items, ct); err == nil {
-		t.Fatal("bulk load into non-empty tree must fail")
-	}
-	// Empty bulk load is a no-op.
-	tr2 := newTestTree(t, smallConfig())
-	if err := tr2.BulkLoad(nil, ct); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPersistenceAcrossOpen(t *testing.T) {
-	store := nodestore.NewMem()
-	cfg := smallConfig()
-	tr, err := Create(store, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := chronon.Instant(100)
-	rng := rand.New(rand.NewSource(3))
-	model := make(map[Payload]temporal.Extent)
-	for i := 0; i < 120; i++ {
-		e := randomExtent(rng, ct)
-		p := Payload(i + 1)
-		if err := tr.Insert(e, p, ct); err != nil {
-			t.Fatal(err)
-		}
-		model[p] = e
-	}
-	tr2, err := Open(store, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Size() != 120 || tr2.Height() != tr.Height() {
-		t.Fatalf("reopened tree: size %d height %d", tr2.Size(), tr2.Height())
-	}
-	if err := tr2.Check(ct); err != nil {
-		t.Fatal(err)
-	}
-	pred := Predicate{Op: OpOverlaps, Query: temporal.Extent{TTBegin: 0, TTEnd: chronon.UC, VTBegin: 0, VTEnd: chronon.NOW}}
-	got, err := tr2.SearchAll(pred, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !payloadSetEqual(got, bruteForce(model, pred, ct)) {
-		t.Fatal("reopened search mismatch")
-	}
-	// Open of a store without a tree fails.
-	if _, err := Open(nodestore.NewMem(), cfg); err == nil {
-		t.Fatal("open of empty store must fail")
-	}
-}
-
-func TestCursorRestartOnCondense(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	ct := chronon.Instant(150)
-	cfg := smallConfig()
-	cfg.DeletePolicy = RestartOnCondense
-	tr := newTestTree(t, cfg)
-	for i := 0; i < 200; i++ {
-		if err := tr.Insert(randomExtent(rng, ct), Payload(i+1), ct); err != nil {
-			t.Fatal(err)
-		}
-	}
-	everything := temporal.Extent{TTBegin: 0, TTEnd: chronon.UC, VTBegin: 0, VTEnd: chronon.NOW}
-	removed, restarts, err := tr.DeleteWhere(Predicate{Op: OpOverlaps, Query: everything}, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 200 {
-		t.Fatalf("DeleteWhere removed %d of 200", removed)
-	}
-	if restarts == 0 {
-		t.Fatal("mass deletion must condense and restart the cursor at least once")
-	}
-	if tr.Size() != 0 {
-		t.Fatalf("size %d", tr.Size())
-	}
-	if err := tr.Check(ct); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestDeletePolicies: DeleteWhere — scan, delete under the cursor, restart
+// when the tree condenses — empties the tree under each Section 5.5 policy.
+// (The cursor's no-duplicates guarantee is the kernel's test.)
 func TestDeletePolicies(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ct := chronon.Instant(150)
@@ -412,8 +232,8 @@ func TestDeletePolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
-		if removed != 150 {
-			t.Fatalf("%v: removed %d", pol, removed)
+		if removed != 150 || tr.Size() != 0 {
+			t.Fatalf("%v: removed %d, %d remain", pol, removed, tr.Size())
 		}
 		if err := tr.Check(ct); err != nil {
 			t.Fatalf("%v: %v", pol, err)
@@ -423,57 +243,14 @@ func TestDeletePolicies(t *testing.T) {
 			t.Fatal("policy string")
 		}
 	}
+	if restartCounts[RestartOnCondense] == 0 {
+		t.Fatal("mass deletion must condense and restart the cursor at least once")
+	}
 	if restartCounts[RestartAlways] < restartCounts[RestartOnCondense] {
 		t.Fatalf("restart-always (%d) must restart at least as often as restart-on-condense (%d)",
 			restartCounts[RestartAlways], restartCounts[RestartOnCondense])
 	}
 	_ = rng
-}
-
-func TestCursorResetAndRescan(t *testing.T) {
-	ct := chronon.Instant(100)
-	tr := newTestTree(t, smallConfig())
-	for i := 0; i < 50; i++ {
-		e := temporal.Extent{TTBegin: chronon.Instant(10 + i), TTEnd: chronon.UC, VTBegin: chronon.Instant(10 + i), VTEnd: chronon.NOW}
-		if err := tr.Insert(e, Payload(i+1), ct); err != nil {
-			t.Fatal(err)
-		}
-	}
-	everything := temporal.Extent{TTBegin: 0, TTEnd: chronon.UC, VTBegin: 0, VTEnd: chronon.NOW}
-	cur, err := tr.Search(Predicate{Op: OpOverlaps, Query: everything}, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for {
-		_, ok, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		count++
-	}
-	if count != 50 {
-		t.Fatalf("first scan: %d", count)
-	}
-	// grt_rescan: Reset rewinds and produces everything again.
-	cur.Reset()
-	count = 0
-	for {
-		_, ok, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		count++
-	}
-	if count != 50 {
-		t.Fatalf("rescan: %d", count)
-	}
 }
 
 func TestStatsAndDump(t *testing.T) {

@@ -1,0 +1,144 @@
+package grtree
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/chronon"
+	"repro/internal/nodestore"
+)
+
+// The structure pin: a seeded workload must leave byte-identical node pages,
+// return its answers in the same order and read the same number of nodes as
+// it did when the constants below were recorded (at the commit before the
+// shared R-tree kernel was extracted). It pins the on-disk format, the
+// ChooseSubtree/split/reinsert/STR tie-breaks and the traversal's I/O count;
+// a change that moves any of them on purpose re-records the constants and
+// says why.
+
+type pinned struct {
+	pages   string // SHA-256 over meta + every live node page in id order
+	height  int
+	nodes   int
+	answers string // SHA-256 over the payload lists of the seeded predicates
+	reads   uint64 // node reads those predicates cost
+}
+
+var grtPins = map[string]pinned{
+	"bulk/8":                        {"ae2582636aafc67a19f85264ccfc802ff11f7c6d03ecc9696b22eb1c3a9d218c", 5, 617, "f0c602bcb48753dc99bececd61f393b8e91579135b35eb11cb9db0a04f145819", 12016},
+	"bulk/85":                       {"71a38e321a9c35941891bffbaa446ac2f23c72b7a76eb08fdad583332a5375c7", 2, 50, "aed73371218daf4cb3ebeea9e8011bc40666a1276c84078dca5f23593d93aaef", 1210},
+	"insert/8/no-condense":          {"20b1ced014756111ba4449052985da36809527ed98be8100d89841b5e6fc72bc", 5, 698, "e3af0e40475d5265f492d7c7fc7b3acd03d02c8b36a0fdaaaf79b24f4ab678ed", 12396},
+	"insert/8/restart-always":       {"b568a73387657db79e19bfb94ec00598eb7c2ed6c8020ab9b3394da0ec23540d", 5, 562, "7167415c2e3522e0f1605393328e682cbbb1e1298b2bb04da518b7da1576f903", 10531},
+	"insert/8/restart-on-condense":  {"b568a73387657db79e19bfb94ec00598eb7c2ed6c8020ab9b3394da0ec23540d", 5, 562, "7167415c2e3522e0f1605393328e682cbbb1e1298b2bb04da518b7da1576f903", 10531},
+	"insert/85/no-condense":         {"e294f9bed569606bbcd1eb72defd91e2bd48686d9a6460718ec67681cec51d4c", 2, 51, "7f5104925567279b04cf5fa300540bf0063ae294e5c0e08457a396165a649859", 1151},
+	"insert/85/restart-always":      {"0184ea8d48c2cb3ccc41e7beee8e03164d5f3966ca099e2f7dd9fe39df8fbffd", 2, 41, "4809725b12ea528fa5d7ed461daf32d99c93cef83e7b217bef49c8063382196b", 925},
+	"insert/85/restart-on-condense": {"0184ea8d48c2cb3ccc41e7beee8e03164d5f3966ca099e2f7dd9fe39df8fbffd", 2, 41, "4809725b12ea528fa5d7ed461daf32d99c93cef83e7b217bef49c8063382196b", 925},
+}
+
+// pinStore digests a MemStore: meta, then each live page prefixed by its id.
+func pinStore(t *testing.T, st nodestore.Store) (string, int) {
+	t.Helper()
+	mem := st.(*nodestore.MemStore)
+	h := sha256.New()
+	meta, err := mem.Meta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(meta)
+	buf := make([]byte, nodestore.NodeSize)
+	nodes := mem.NodeCount()
+	for id, seen := nodestore.NodeID(1), 0; seen < nodes; id++ {
+		if err := mem.Read(id, buf); errors.Is(err, nodestore.ErrNoSuchNode) {
+			continue
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		seen++
+		binary.Write(h, binary.BigEndian, uint64(id))
+		h.Write(buf)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)), nodes
+}
+
+// pinTree measures everything a pinned record holds.
+func pinTree(t *testing.T, tr *Tree, ct chronon.Instant) pinned {
+	t.Helper()
+	if err := tr.Check(ct); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(99))
+	h := sha256.New()
+	before := tr.Store().Stats().NodeReads
+	for i := 0; i < 50; i++ {
+		pred := Predicate{Op: Op(i % 4), Query: randomExtent(rng, ct)}
+		at := ct + chronon.Instant(100*(i%3))
+		got, err := tr.SearchAll(pred, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.Write(h, binary.BigEndian, int64(len(got)))
+		for _, p := range got {
+			binary.Write(h, binary.BigEndian, uint64(p))
+		}
+	}
+	p := pinned{height: tr.Height(), answers: fmt.Sprintf("%x", h.Sum(nil))}
+	p.reads = tr.Store().Stats().NodeReads - before
+	p.pages, p.nodes = pinStore(t, tr.Store())
+	return p
+}
+
+func TestStructurePin(t *testing.T) {
+	got := make(map[string]pinned)
+	for _, maxEntries := range []int{8, Capacity} {
+		var items []BulkItem
+		var ct chronon.Instant
+		for _, policy := range []DeletePolicy{RestartOnCondense, RestartAlways, NoCondense} {
+			cfg := DefaultConfig()
+			cfg.MaxEntries = maxEntries
+			cfg.DeletePolicy = policy
+			tr := newTestTree(t, cfg)
+			rng := rand.New(rand.NewSource(7))
+			items = items[:0]
+			ct = 200
+			// 3000 inserts over four clock values, so bounds computed at one
+			// time are enlarged, split and re-bounded at later ones.
+			for i := 0; i < 3000; i++ {
+				if i > 0 && i%750 == 0 {
+					ct += 60
+				}
+				it := BulkItem{Extent: randomExtent(rng, ct), Payload: Payload(i + 1)}
+				if err := tr.Insert(it.Extent, it.Payload, ct); err != nil {
+					t.Fatal(err)
+				}
+				items = append(items, it)
+			}
+			ct += 45
+			for _, ix := range rng.Perm(len(items))[:900] {
+				removed, _, err := tr.Delete(items[ix].Extent, items[ix].Payload, ct)
+				if err != nil || !removed {
+					t.Fatalf("delete %d: removed=%v err=%v", ix, removed, err)
+				}
+			}
+			got[fmt.Sprintf("insert/%d/%v", maxEntries, policy)] = pinTree(t, tr, ct)
+		}
+		cfg := DefaultConfig()
+		cfg.MaxEntries = maxEntries
+		tr := newTestTree(t, cfg)
+		if err := tr.BulkLoad(items, ct); err != nil {
+			t.Fatal(err)
+		}
+		got[fmt.Sprintf("bulk/%d", maxEntries)] = pinTree(t, tr, ct)
+	}
+	for name, want := range grtPins {
+		if got[name] != want {
+			t.Errorf("%q: {%q, %d, %d, %q, %d},", name, got[name].pages, got[name].height, got[name].nodes, got[name].answers, got[name].reads)
+		}
+	}
+	if len(got) != len(grtPins) {
+		t.Errorf("%d scenarios ran, %d are pinned", len(got), len(grtPins))
+	}
+}

@@ -102,11 +102,23 @@ func (c *Compound) InternalMatch(bound temporal.Region, ct chronon.Instant) bool
 	return c.And
 }
 
+// at fixes a matcher's current time, as predAt does a predicate's.
+type at struct {
+	m  Matcher
+	ct chronon.Instant
+}
+
+func (a *at) Leaf(r temporal.Region) bool     { return a.m.LeafMatch(r, a.ct) }
+func (a *at) Internal(r temporal.Region) bool { return a.m.InternalMatch(r, a.ct) }
+
 // SearchMatcher creates a cursor over an arbitrary matcher (compound
 // qualifications).
 func (t *Tree) SearchMatcher(m Matcher, ct chronon.Instant) *Cursor {
-	return &Cursor{
-		t: t, match: m, ct: ct,
-		epoch: t.epoch, returned: make(map[Payload]bool),
-	}
+	return t.Tree.Search(&at{m, ct})
+}
+
+// ParallelScan offers the matcher a root fan-out partitioning; see
+// rtree.Tree.ParallelScan for when it declines (nil, no error).
+func (t *Tree) ParallelScan(m Matcher, ct chronon.Instant, degree int) (*ParallelScan, error) {
+	return t.Tree.ParallelScan(&at{m, ct}, degree)
 }

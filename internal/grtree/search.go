@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/chronon"
-	"repro/internal/nodestore"
 	"repro/internal/temporal"
 )
 
@@ -83,28 +82,18 @@ func (p Predicate) Match(e temporal.Extent, ct chronon.Instant) bool {
 	return leafTest(p.Op, e.Region(), p.Query.Region(), ct)
 }
 
-// Cursor stores a query predicate and tree-traversal information; qualifying
-// entries are retrieved by calling Next (Appendix A). Node contents are
-// snapshotted as visited, so in-node deletions by the owning scan are safe;
-// structural changes (splits, condensation) bump the tree epoch and make the
-// cursor restart, skipping already-returned entries (Section 5.5).
-type Cursor struct {
-	t     *Tree
-	match Matcher
+// predAt is a predicate as of one current time, its query region computed
+// once: the form in which the kernel, which has no notion of time, sees it.
+type predAt struct {
+	op    Op
+	query temporal.Region
 	ct    chronon.Instant
-
-	stack    []cursorFrame
-	epoch    uint64
-	started  bool
-	returned map[Payload]bool
-	restarts int
 }
 
-type cursorFrame struct {
-	entries []Entry
-	level   int
-	idx     int
-}
+func (p Predicate) at(ct chronon.Instant) *predAt { return &predAt{p.Op, p.Query.Region(), ct} }
+
+func (p *predAt) Leaf(r temporal.Region) bool     { return leafTest(p.op, r, p.query, p.ct) }
+func (p *predAt) Internal(r temporal.Region) bool { return internalTest(p.op, r, p.query, p.ct) }
 
 // Search creates a cursor for the predicate as of current time ct
 // (Tree.search() of Appendix A).
@@ -112,131 +101,7 @@ func (t *Tree) Search(pred Predicate, ct chronon.Instant) (*Cursor, error) {
 	if !pred.Query.Valid() {
 		return nil, fmt.Errorf("grtree: invalid query extent %v", pred.Query)
 	}
-	return t.SearchMatcher(pred, ct), nil
-}
-
-// Restarts reports how often the cursor restarted due to tree condensation
-// (experiment P4's measurement).
-func (c *Cursor) Restarts() int { return c.restarts }
-
-// Reset rewinds the cursor, forgetting returned-entry bookkeeping
-// (grt_rescan).
-func (c *Cursor) Reset() {
-	c.stack = nil
-	c.started = false
-	c.returned = make(map[Payload]bool)
-	c.epoch = c.t.epoch
-	c.restarts = 0
-}
-
-// restart re-seeds the traversal after a structural change, keeping the
-// returned set so qualifying entries are not produced twice.
-func (c *Cursor) restart() error {
-	c.stack = nil
-	c.started = false
-	c.epoch = c.t.epoch
-	c.restarts++
-	return nil
-}
-
-func (c *Cursor) push(id nodestore.NodeID) error {
-	n, err := c.t.readNode(id)
-	if err != nil {
-		return err
-	}
-	c.stack = append(c.stack, cursorFrame{entries: n.entries, level: n.level})
-	return nil
-}
-
-// Next returns the next qualifying entry (Cursor.next() of Appendix A).
-// ok is false when the scan is exhausted.
-func (c *Cursor) Next() (Entry, bool, error) {
-	if c.epoch != c.t.epoch {
-		if err := c.restart(); err != nil {
-			return Entry{}, false, err
-		}
-	}
-	if !c.started {
-		c.started = true
-		if err := c.push(c.t.root); err != nil {
-			return Entry{}, false, err
-		}
-	}
-	for len(c.stack) > 0 {
-		frame := &c.stack[len(c.stack)-1]
-		if frame.idx >= len(frame.entries) {
-			c.stack = c.stack[:len(c.stack)-1]
-			continue
-		}
-		e := frame.entries[frame.idx]
-		frame.idx++
-		if frame.level == 0 {
-			if c.match.LeafMatch(e.Region, c.ct) && !c.returned[e.Payload()] {
-				c.returned[e.Payload()] = true
-				return e, true, nil
-			}
-			continue
-		}
-		if c.match.InternalMatch(e.Region, c.ct) {
-			if err := c.push(e.Child()); err != nil {
-				return Entry{}, false, err
-			}
-			// Re-check epoch: push read a node; if the tree changed between
-			// frames (scan-interleaved deletes), restart cleanly.
-			if c.epoch != c.t.epoch {
-				if err := c.restart(); err != nil {
-					return Entry{}, false, err
-				}
-				if err := c.push(c.t.root); err != nil {
-					return Entry{}, false, err
-				}
-				c.started = true
-			}
-		}
-	}
-	return Entry{}, false, nil
-}
-
-// NextBatch fills dst with the next qualifying entries — the blade's
-// am_getmulti service. The matches of each visited leaf node are drained in
-// one pass over its snapshot (instead of re-entering the traversal per
-// entry); the slow path delegates to Next for descent, restart and
-// returned-entry bookkeeping. It returns the number filled; fewer than
-// len(dst) means the scan is exhausted.
-func (c *Cursor) NextBatch(dst []Entry) (int, error) {
-	n := 0
-	for n < len(dst) {
-		// Fast path: the top of the stack is a leaf frame and the tree has
-		// not changed shape — drain its matches in one visit.
-		if len(c.stack) > 0 && c.epoch == c.t.epoch {
-			frame := &c.stack[len(c.stack)-1]
-			if frame.level == 0 {
-				for frame.idx < len(frame.entries) && n < len(dst) {
-					e := frame.entries[frame.idx]
-					frame.idx++
-					if c.match.LeafMatch(e.Region, c.ct) && !c.returned[e.Payload()] {
-						c.returned[e.Payload()] = true
-						dst[n] = e
-						n++
-					}
-				}
-				if n == len(dst) {
-					return n, nil
-				}
-				// Frame exhausted; fall through to Next to pop and descend.
-			}
-		}
-		e, ok, err := c.Next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			break
-		}
-		dst[n] = e
-		n++
-	}
-	return n, nil
+	return t.Tree.Search(pred.at(ct)), nil
 }
 
 // SearchAll runs the predicate to completion and returns the payloads
@@ -246,15 +111,54 @@ func (t *Tree) SearchAll(pred Predicate, ct chronon.Instant) ([]Payload, error) 
 	if err != nil {
 		return nil, err
 	}
-	var out []Payload
-	for {
-		e, ok, err := cur.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, e.Payload())
+	return cur.All()
+}
+
+// AggCount counts the leaf entries satisfying pred at ct without visiting
+// tuples (am_aggregate). Subtrees whose bound the query contains are summed
+// whole when that implies every descendant leaf qualifies: it does for
+// Overlaps and ContainedIn (leaf ⊆ bound ⊆ query ⇒ leaf inside, hence
+// overlapping, the query); Equal and Contains carry no such implication. ok
+// is false when the query is invalid or the tree changed structurally during
+// the traversal.
+func (t *Tree) AggCount(pred Predicate, ct chronon.Instant) (int64, bool, error) {
+	if !pred.Query.Valid() {
+		return 0, false, nil
 	}
+	m := pred.at(ct)
+	var covered func(temporal.Region) bool
+	if pred.Op == OpOverlaps || pred.Op == OpContainedIn {
+		covered = func(bound temporal.Region) bool { return m.query.Contains(bound, ct) }
+	}
+	return t.Tree.AggCount(m, covered)
+}
+
+// regionKeyLess orders regions by the raw lexicographic instant key
+// (TTBegin, TTEnd, VTBegin, VTEnd). The chronon sentinels (NOW, UC, Forever)
+// are large int64 values, so now-relative extents deterministically sort
+// above all ground instants — the same total order the server's tuple-drain
+// comparator applies, which is what makes pushed MIN/MAX agree exactly with
+// the fallback.
+func regionKeyLess(a, b temporal.Region) bool {
+	if a.TTBegin != b.TTBegin {
+		return a.TTBegin < b.TTBegin
+	}
+	if a.TTEnd != b.TTEnd {
+		return a.TTEnd < b.TTEnd
+	}
+	if a.VTBegin != b.VTBegin {
+		return a.VTBegin < b.VTBegin
+	}
+	return a.VTEnd < b.VTEnd
+}
+
+// AggExtreme returns the minimum (wantMax=false) or maximum (wantMax=true)
+// qualifying leaf region under the raw lexicographic key. found is false when
+// no entry qualifies; ok is false when the query is invalid or the tree
+// changed structurally.
+func (t *Tree) AggExtreme(pred Predicate, ct chronon.Instant, wantMax bool) (temporal.Region, bool, bool, error) {
+	if !pred.Query.Valid() {
+		return temporal.Region{}, false, false, nil
+	}
+	return t.Tree.AggExtreme(pred.at(ct), regionKeyLess, wantMax)
 }

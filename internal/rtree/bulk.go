@@ -1,63 +1,44 @@
-package grtree
+package rtree
 
 import (
-	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/chronon"
-	"repro/internal/temporal"
 )
-
-// BulkItem is one (extent, payload) pair for bulk loading.
-type BulkItem struct {
-	Extent  temporal.Extent
-	Payload Payload
-}
 
 // BulkLoad builds the tree from scratch using sort-tile-recursive packing
 // (the "bulk loading algorithm" Section 5.5 recommends for vacuuming: drop
-// the index and recreate it in one pass). The tree must be empty.
-func (t *Tree) BulkLoad(items []BulkItem, ct chronon.Instant) error {
+// the index and recreate it in one pass): entries are sorted by the first
+// centre coordinate, tiled into √n slabs, each slab sorted by the second
+// coordinate and cut into node-sized runs. The tree must be empty.
+func BulkLoad[B comparable, S Shape[S]](t *Tree[B], k Keys[B, S], entries []Entry[B]) error {
 	if t.size != 0 {
-		return fmt.Errorf("grtree: bulk load into non-empty tree (%d entries)", t.size)
+		return t.errorf("bulk load into non-empty tree (%d entries)", t.size)
 	}
-	if len(items) == 0 {
+	if len(entries) == 0 {
 		return nil
 	}
-	horizon := ct + chronon.Instant(t.cfg.Bound.TimeParam)
 	fill := t.cfg.MaxEntries * 4 / 5 // pack to ~80%; even runs stay above min fill
 	if fill < 2 {
 		fill = 2
 	}
-
-	entries := make([]Entry, len(items))
-	for i, it := range items {
-		if !it.Extent.Valid() {
-			return fmt.Errorf("grtree: bulk item %d has invalid extent %v", i, it.Extent)
-		}
-		entries[i] = Entry{Region: it.Extent.Region(), Ref: uint64(it.Payload)}
-	}
-
-	oldRoot := t.root
-	level := 0
-	for {
-		nodes, err := t.packLevel(entries, level, fill, ct, horizon)
+	w := newWriter(t, k)
+	oldRoot, size := t.root, len(entries)
+	for level := 0; ; level++ {
+		parents, err := w.packLevel(entries, level, fill)
 		if err != nil {
 			return err
 		}
-		if len(nodes) == 1 {
-			t.root = nodes[0].Child()
+		if len(parents) == 1 {
+			t.root = parents[0].Child()
 			t.height = level + 1
-			t.size = len(items)
+			t.size = size
 			t.epoch++
 			if err := t.store.Free(oldRoot); err != nil {
 				return err
 			}
 			return t.saveMeta()
 		}
-		entries = nodes
-		level++
+		entries = parents
 	}
 }
 
@@ -82,14 +63,10 @@ func evenPartition(n, maxRun int) []int {
 
 // packLevel tiles the entries into nodes of the given level and returns the
 // parent entries for the next level up (sort-tile-recursive).
-func (t *Tree) packLevel(entries []Entry, level, fill int, ct, horizon chronon.Instant) ([]Entry, error) {
+func (w *writer[B, S]) packLevel(entries []Entry[B], level, fill int) ([]Entry[B], error) {
 	centres := make([][2]float64, len(entries))
 	for i, e := range entries {
-		bb := e.Region.Resolve(horizon).BoundingBox()
-		centres[i] = [2]float64{
-			float64(bb.TTBegin+bb.TTEnd) / 2,
-			float64(bb.VTBegin+bb.VTEnd) / 2,
-		}
+		centres[i][0], centres[i][1] = w.k.Centre(w.k.Resolve(e.Bound))
 	}
 	order := make([]int, len(entries))
 	for i := range order {
@@ -101,7 +78,7 @@ func (t *Tree) packLevel(entries []Entry, level, fill int, ct, horizon chronon.I
 	nSlabs := int(math.Ceil(math.Sqrt(float64(nNodes))))
 	slabSizes := evenPartition(len(entries), (len(entries)+nSlabs-1)/nSlabs)
 
-	var parents []Entry
+	var parents []Entry[B]
 	pos := 0
 	for _, slabLen := range slabSizes {
 		slab := append([]int(nil), order[pos:pos+slabLen]...)
@@ -109,19 +86,19 @@ func (t *Tree) packLevel(entries []Entry, level, fill int, ct, horizon chronon.I
 		sort.SliceStable(slab, func(a, b int) bool { return centres[slab[a]][1] < centres[slab[b]][1] })
 		r := 0
 		for _, runLen := range evenPartition(len(slab), fill) {
-			id, err := t.store.Alloc()
+			id, err := w.store.Alloc()
 			if err != nil {
 				return nil, err
 			}
-			n := &node{id: id, leaf: level == 0, level: level}
+			n := &node[B]{id: id, level: level}
 			for _, ix := range slab[r : r+runLen] {
 				n.entries = append(n.entries, entries[ix])
 			}
 			r += runLen
-			if err := t.writeNode(n); err != nil {
+			if err := w.writeNode(n); err != nil {
 				return nil, err
 			}
-			parents = append(parents, Entry{Region: t.bound(n, ct), Ref: uint64(id)})
+			parents = append(parents, w.parentEntry(n))
 		}
 	}
 	return parents, nil

@@ -1,10 +1,8 @@
-package grtree
+package rtree
 
 import (
-	"fmt"
 	"sync"
 
-	"repro/internal/chronon"
 	"repro/internal/nodestore"
 )
 
@@ -20,27 +18,26 @@ import (
 // does not apply here. A structural change under a live parallel scan is a
 // protocol violation and surfaces as an error (epoch check), never as a
 // silently wrong result.
-type ParallelScan struct {
-	t     *Tree
-	match Matcher
-	ct    chronon.Instant
+type ParallelScan[B comparable] struct {
+	t     *Tree[B]
+	match Matcher[B]
 
 	mu    sync.Mutex
 	queue []nodestore.NodeID // matching root-child subtrees awaiting a worker
 	epoch uint64
 
-	cursors []*PartCursor
+	cursors []*PartCursor[B]
 }
 
-// ParallelScan offers the matcher a root fan-out partitioning. It returns
-// nil (declining, no error) when the tree is too shallow or the qualification
-// prunes the root down to fewer than two matching children — a serial scan
-// is then at least as good.
-func (t *Tree) ParallelScan(m Matcher, ct chronon.Instant, degree int) (*ParallelScan, error) {
+// ParallelScan offers the qualification a root fan-out partitioning. It
+// returns nil (declining, no error) when the tree is too shallow or the
+// qualification prunes the root down to fewer than two matching children — a
+// serial scan is then at least as good.
+func (t *Tree[B]) ParallelScan(m Matcher[B], degree int) (*ParallelScan[B], error) {
 	if degree < 2 || t.height < 2 {
 		return nil, nil
 	}
-	ps := &ParallelScan{t: t, match: m, ct: ct}
+	ps := &ParallelScan[B]{t: t, match: m}
 	if err := ps.build(); err != nil {
 		return nil, err
 	}
@@ -52,7 +49,7 @@ func (t *Tree) ParallelScan(m Matcher, ct chronon.Instant, degree int) (*Paralle
 
 // build seeds the work queue with the root's matching children. Caller must
 // hold ps.mu (or be the only goroutine, at construction/rescan time).
-func (ps *ParallelScan) build() error {
+func (ps *ParallelScan[B]) build() error {
 	root, err := ps.t.readNode(ps.t.root)
 	if err != nil {
 		return err
@@ -64,7 +61,7 @@ func (ps *ParallelScan) build() error {
 		ps.queue = append(ps.queue, root.id)
 	} else {
 		for _, e := range root.entries {
-			if ps.match.InternalMatch(e.Region, ps.ct) {
+			if ps.match.Internal(e.Bound) {
 				ps.queue = append(ps.queue, e.Child())
 			}
 		}
@@ -75,15 +72,15 @@ func (ps *ParallelScan) build() error {
 
 // Parts returns the number of independent work units — the server caps the
 // worker count here (more workers than subtrees would idle).
-func (ps *ParallelScan) Parts() int {
+func (ps *ParallelScan[B]) Parts() int {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	return len(ps.queue)
 }
 
 // Cursor hands out one worker's partition cursor.
-func (ps *ParallelScan) Cursor() *PartCursor {
-	c := &PartCursor{ps: ps}
+func (ps *ParallelScan[B]) Cursor() *PartCursor[B] {
+	c := &PartCursor[B]{ps: ps}
 	ps.mu.Lock()
 	ps.cursors = append(ps.cursors, c)
 	ps.mu.Unlock()
@@ -91,7 +88,7 @@ func (ps *ParallelScan) Cursor() *PartCursor {
 }
 
 // claim pops one subtree from the shared queue.
-func (ps *ParallelScan) claim() (nodestore.NodeID, bool) {
+func (ps *ParallelScan[B]) claim() (nodestore.NodeID, bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if len(ps.queue) == 0 {
@@ -103,12 +100,13 @@ func (ps *ParallelScan) claim() (nodestore.NodeID, bool) {
 }
 
 // Reset re-seeds the work queue and rewinds every handed-out partition
-// cursor (grt_rescan). The server guarantees all workers have stopped.
-func (ps *ParallelScan) Reset() error {
+// cursor (am_rescan). The server guarantees all workers have stopped.
+func (ps *ParallelScan[B]) Reset() error {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for _, c := range ps.cursors {
-		c.reset()
+		c.unlatch()
+		c.stack = nil
 	}
 	return ps.build()
 }
@@ -118,54 +116,49 @@ func (ps *ParallelScan) Reset() error {
 // descent is read-latch crabbed: the child's latch is acquired before the
 // parent's is released, so a node is never decoded while a writer holds it.
 // All latches are released before NextBatch returns.
-type PartCursor struct {
-	ps    *ParallelScan
-	stack []cursorFrame
+type PartCursor[B comparable] struct {
+	ps    *ParallelScan[B]
+	stack []frame[B]
 	held  nodestore.NodeID // node whose read latch is currently held
 }
 
-// latchRead reads node id under the crabbing protocol and pushes its frame.
-func (c *PartCursor) push(id nodestore.NodeID) error {
-	lt := c.ps.t.latches
+// push reads node id under the crabbing protocol and pushes its frame.
+func (c *PartCursor[B]) push(id nodestore.NodeID) error {
+	t := c.ps.t
 	if c.held == nodestore.NilNode {
-		lt.RLock(id)
+		t.latches.RLock(id)
 	} else {
-		lt.Crab(c.held, id)
+		t.latches.Crab(c.held, id)
 	}
 	c.held = id
 	buf := make([]byte, nodestore.NodeSize)
-	if err := c.ps.t.store.Read(id, buf); err != nil {
-		c.unlatch()
-		return err
+	err := t.store.Read(id, buf)
+	var n *node[B]
+	if err == nil {
+		n, err = t.decode(id, buf)
 	}
-	n, err := decodeNode(id, buf)
 	if err != nil {
 		c.unlatch()
 		return err
 	}
-	c.stack = append(c.stack, cursorFrame{entries: n.entries, level: n.level})
+	c.stack = append(c.stack, frame[B]{entries: n.entries, level: n.level})
 	return nil
 }
 
-func (c *PartCursor) unlatch() {
+func (c *PartCursor[B]) unlatch() {
 	if c.held != nodestore.NilNode {
 		c.ps.t.latches.RUnlock(c.held)
 		c.held = nodestore.NilNode
 	}
 }
 
-func (c *PartCursor) reset() {
-	c.unlatch()
-	c.stack = nil
-}
-
 // NextBatch fills dst with the next qualifying entries from this worker's
 // partitions; fewer than len(dst) means the shared queue is drained and the
 // worker is done.
-func (c *PartCursor) NextBatch(dst []Entry) (int, error) {
+func (c *PartCursor[B]) NextBatch(dst []Entry[B]) (int, error) {
 	if c.ps.t.epoch != c.ps.epoch {
 		c.unlatch()
-		return 0, fmt.Errorf("grtree: tree reorganised under a parallel scan")
+		return 0, c.ps.t.errorf("tree reorganised under a parallel scan")
 	}
 	n := 0
 	for n < len(dst) {
@@ -180,25 +173,25 @@ func (c *PartCursor) NextBatch(dst []Entry) (int, error) {
 			}
 			continue
 		}
-		frame := &c.stack[len(c.stack)-1]
-		if frame.idx >= len(frame.entries) {
+		fr := &c.stack[len(c.stack)-1]
+		if fr.idx >= len(fr.entries) {
 			c.stack = c.stack[:len(c.stack)-1]
 			continue
 		}
-		if frame.level == 0 {
-			for frame.idx < len(frame.entries) && n < len(dst) {
-				e := frame.entries[frame.idx]
-				frame.idx++
-				if c.ps.match.LeafMatch(e.Region, c.ps.ct) {
+		if fr.level == 0 {
+			for fr.idx < len(fr.entries) && n < len(dst) {
+				e := fr.entries[fr.idx]
+				fr.idx++
+				if c.ps.match.Leaf(e.Bound) {
 					dst[n] = e
 					n++
 				}
 			}
 			continue
 		}
-		e := frame.entries[frame.idx]
-		frame.idx++
-		if c.ps.match.InternalMatch(e.Region, c.ps.ct) {
+		e := fr.entries[fr.idx]
+		fr.idx++
+		if c.ps.match.Internal(e.Bound) {
 			if err := c.push(e.Child()); err != nil {
 				return n, err
 			}

@@ -2,7 +2,8 @@
 # Static checks plus the race-sensitive packages under the race detector:
 # the sharded buffer pool, the version-chained heap and its page latches,
 # the lock manager's deadlock detection, the purpose-function framework,
-# the batched scan pipeline, the WAL group-commit flusher, the network
+# the batched scan pipeline, the shared R-tree kernel (parallel walk and
+# latch crabbing), the WAL group-commit flusher, the network
 # stack (wire framing, the session-multiplexing server, the client
 # library), the online index build (side-log capture, the tree blades'
 # STR bulk loaders, and the concurrent-DML/crash battery), the shared
@@ -19,7 +20,12 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
-echo "== go test -race (storage, heap, lock, wal, am, engine, grtree, rstar, blades, wire, server, client, plancache)"
-go test -race ./internal/storage/... ./internal/heap/... ./internal/lock/... ./internal/wal/... ./internal/am/... ./internal/engine/... ./internal/grtree/... ./internal/rstar/... ./internal/blades/... ./internal/wire/... ./internal/server/... ./internal/client/... ./internal/plancache/...
+echo "== go test -race (storage, heap, lock, wal, am, engine, rtree, grtree, rstar, blades, wire, server, client, plancache)"
+go test -race ./internal/storage/... ./internal/heap/... ./internal/lock/... ./internal/wal/... ./internal/am/... ./internal/engine/... ./internal/rtree/... ./internal/grtree/... ./internal/rstar/... ./internal/blades/... ./internal/wire/... ./internal/server/... ./internal/client/... ./internal/plancache/...
+
+# bench/ is a nested module, so ./... above never compiles it: an API break
+# in a package it imports would otherwise first show up in the benchmark gate.
+echo "== bench module: go vet + go test"
+(cd bench && go vet ./... && go test ./...)
 
 echo "ok"

@@ -23,12 +23,11 @@ import (
 
 	"repro/internal/am"
 	"repro/internal/blades/grtblade"
+	"repro/internal/blades/treeblade"
 	"repro/internal/engine"
 	"repro/internal/gist"
 	"repro/internal/heap"
 	"repro/internal/mi"
-	"repro/internal/nodestore"
-	"repro/internal/sbspace"
 	"repro/internal/types"
 )
 
@@ -79,43 +78,11 @@ func bindingFor(e *engine.Engine, opclass string) (*KeyBinding, error) {
 	return mk(e)
 }
 
-// RegistrationSQL registers the blade's SQL objects.
-const RegistrationSQL = `
-CREATE FUNCTION gist_create(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_create)' LANGUAGE c;
-CREATE FUNCTION gist_drop(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_drop)' LANGUAGE c;
-CREATE FUNCTION gist_open(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_open)' LANGUAGE c;
-CREATE FUNCTION gist_close(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_close)' LANGUAGE c;
-CREATE FUNCTION gist_beginscan(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_beginscan)' LANGUAGE c;
-CREATE FUNCTION gist_endscan(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_endscan)' LANGUAGE c;
-CREATE FUNCTION gist_rescan(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_rescan)' LANGUAGE c;
-CREATE FUNCTION gist_getnext(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_getnext)' LANGUAGE c;
-CREATE FUNCTION gist_getmulti(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_getmulti)' LANGUAGE c;
-CREATE FUNCTION gist_insert(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_insert)' LANGUAGE c;
-CREATE FUNCTION gist_delete(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_delete)' LANGUAGE c;
-CREATE FUNCTION gist_update(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_update)' LANGUAGE c;
-CREATE FUNCTION gist_check(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_check)' LANGUAGE c;
-CREATE FUNCTION gist_stats(pointer) RETURNING int EXTERNAL NAME 'usr/functions/gist.bld(gist_stats)' LANGUAGE c;
-
+// udrSQL is the blade's own registration SQL, run after the purpose functions
+// and the access method the scaffold generates.
+const udrSQL = `
 CREATE FUNCTION IntvOverlaps(Interval_t, Interval_t) RETURNING boolean EXTERNAL NAME 'usr/functions/gist.bld(IntvOverlaps)' LANGUAGE c;
 CREATE FUNCTION IntvContains(Interval_t, Interval_t) RETURNING boolean EXTERNAL NAME 'usr/functions/gist.bld(IntvContains)' LANGUAGE c;
-
-CREATE SECONDARY ACCESS_METHOD gist_am (
-	am_create = gist_create,
-	am_drop = gist_drop,
-	am_open = gist_open,
-	am_close = gist_close,
-	am_beginscan = gist_beginscan,
-	am_endscan = gist_endscan,
-	am_rescan = gist_rescan,
-	am_getnext = gist_getnext,
-	am_getmulti = gist_getmulti,
-	am_insert = gist_insert,
-	am_delete = gist_delete,
-	am_update = gist_update,
-	am_check = gist_check,
-	am_stats = gist_stats,
-	am_sptype = 'S'
-);
 
 CREATE OPCLASS gist_interval_ops FOR gist_am STRATEGIES(IntvOverlaps, IntvContains);
 CREATE OPCLASS gist_grt_ops FOR gist_am STRATEGIES(Overlaps, Equal, Contains, ContainedIn);
@@ -130,17 +97,8 @@ func Register(e *engine.Engine) error {
 	if err := RegisterTypes(e.Types()); err != nil {
 		return err
 	}
-	e.LoadLibrary(LibraryPath, Library(e))
 	registerBuiltinBindings()
-	if _, err := e.Catalog().AmByName(AmName); err == nil {
-		return nil
-	}
-	s := e.NewSession()
-	defer s.Close()
-	if _, err := s.ExecScript(RegistrationSQL); err != nil {
-		return fmt.Errorf("gistblade: registration: %w", err)
-	}
-	return nil
+	return grtblade.Install(e, "gistblade", AmName, "gist", LibraryPath, Library(e), udrSQL)
 }
 
 // RegisterTypes registers the demo Interval_t opaque type ("lo..hi").
@@ -232,23 +190,9 @@ func registerBuiltinBindings() {
 				if err != nil {
 					return nil, err
 				}
-				var gop gist.GROp
-				switch strings.ToLower(fn) {
-				case "overlaps":
-					gop = gist.GROverlaps
-				case "equal":
-					gop = gist.GREqual
-				case "contains":
-					gop = gist.GRContains
-					if !colFirst {
-						gop = gist.GRContainedIn
-					}
-				case "containedin":
-					gop = gist.GRContainedIn
-					if !colFirst {
-						gop = gist.GRContains
-					}
-				default:
+				gop, ok := treeblade.Strategy(fn, colFirst,
+					gist.GROverlaps, gist.GREqual, gist.GRContains, gist.GRContainedIn)
+				if !ok {
 					return nil, fmt.Errorf("gistblade: %q is not a gist_grt_ops strategy", fn)
 				}
 				return gist.GRQuery{Op: gop, Q: ext}, nil
@@ -257,235 +201,162 @@ func registerBuiltinBindings() {
 	})
 }
 
-// openState is the per-open-index blade state.
-type openState struct {
-	store      *nodestore.LOStore
-	tree       *gist.Tree
-	binding    *KeyBinding
-	rightAfter bool
+// open is the per-open-index blade state.
+type open struct {
+	treeblade.Storage
+	tree    *gist.Tree
+	binding *KeyBinding
 }
 
-func state(id *am.IndexDesc) (*openState, error) {
-	st, ok := id.UserData.(*openState)
-	if !ok || st == nil {
-		return nil, fmt.Errorf("gistblade: index %s is not open", id.Name)
+// Attach implements treeblade.Opened.
+func (o *open) Attach(ctx *mi.Context, id *am.IndexDesc, create bool) (err error) {
+	if create {
+		o.tree, err = gist.Create(o.Store, o.binding.Class)
+	} else {
+		o.tree, err = gist.Open(o.Store, o.binding.Class)
 	}
-	return st, nil
+	return err
 }
 
-// Library returns the blade's symbol table.
+// Library returns the blade's symbol table: the scaffold's storage lifecycle
+// plus the generic method's own scan and maintenance functions. (The scan
+// materialises its candidates; gist_am takes the scaffold's cursor scan, and
+// with it am_parallelscan, am_build and am_aggregate, when internal/gist is a
+// key class of the shared tree kernel.)
 func Library(e *engine.Engine) am.Library {
-	binding := func(id *am.IndexDesc) (*KeyBinding, error) { return bindingFor(e, id.OpClass) }
-	return am.Library{
-		"gist_create": am.AmIndexFunc(func(ctx *mi.Context, id *am.IndexDesc) error {
-			b, err := binding(id)
-			if err != nil {
-				return err
-			}
-			if len(id.ColTypes) != 1 {
-				return fmt.Errorf("gistblade: gist_am indexes exactly one column")
-			}
-			if id.SpaceName == "" {
-				return fmt.Errorf("gistblade: gist_am stores indexes in sbspaces; use IN <sbspace>")
-			}
-			space, err := id.Services.Space(id.SpaceName)
-			if err != nil {
-				return err
-			}
-			store, handle, err := nodestore.CreateLO(space, id.Services.TxID(), id.Services.Isolation(), nodestore.SingleLO)
-			if err != nil {
-				return err
-			}
-			tree, err := gist.Create(store, b.Class)
-			if err != nil {
-				return err
-			}
-			rec := make([]byte, sbspace.HandleSize)
-			handle.Encode(rec)
-			if err := id.Services.AMRecordPut(AmName, id.Name, rec); err != nil {
-				return err
-			}
-			id.UserData = &openState{store: store, tree: tree, binding: b, rightAfter: true}
-			return nil
-		}),
-		"gist_open": am.AmIndexFunc(func(ctx *mi.Context, id *am.IndexDesc) error {
-			if st, ok := id.UserData.(*openState); ok && st != nil && st.rightAfter {
-				st.rightAfter = false
-				return nil
-			}
-			b, err := binding(id)
-			if err != nil {
-				return err
-			}
-			rec, ok, err := id.Services.AMRecordGet(AmName, id.Name)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("gistblade: index %s has no access-method record", id.Name)
-			}
-			space, err := id.Services.Space(id.SpaceName)
-			if err != nil {
-				return err
-			}
-			mode := sbspace.ReadWrite
-			if id.ReadOnly {
-				mode = sbspace.ReadOnly
-			}
-			store, err := nodestore.OpenLO(space, id.Services.TxID(), id.Services.Isolation(), sbspace.DecodeHandle(rec), mode)
-			if err != nil {
-				return err
-			}
-			tree, err := gist.Open(store, b.Class)
-			if err != nil {
-				store.Close()
-				return err
-			}
-			id.UserData = &openState{store: store, tree: tree, binding: b}
-			return nil
-		}),
-		"gist_close": am.AmIndexFunc(func(ctx *mi.Context, id *am.IndexDesc) error {
-			st, err := state(id)
-			if err != nil {
-				return err
-			}
-			if err := st.store.Close(); err != nil {
-				return err
-			}
-			id.UserData = nil
-			return nil
-		}),
-		"gist_drop": am.AmIndexFunc(func(ctx *mi.Context, id *am.IndexDesc) error {
-			st, err := state(id)
-			if err != nil {
-				return err
-			}
-			if err := st.store.Drop(); err != nil {
-				return err
-			}
-			id.UserData = nil
-			return id.Services.AMRecordDelete(AmName, id.Name)
-		}),
-		"gist_beginscan": am.AmScanFunc(gistBeginScan),
-		"gist_endscan": am.AmScanFunc(func(ctx *mi.Context, sd *am.ScanDesc) error {
-			sd.UserData = nil
-			return nil
-		}),
-		"gist_rescan": am.AmScanFunc(func(ctx *mi.Context, sd *am.ScanDesc) error {
-			sc, ok := sd.UserData.(*scanState)
-			if !ok {
-				return fmt.Errorf("gistblade: rescan without a scan")
-			}
-			if sd.Batch != nil {
-				sd.Batch.Reset()
-			}
-			sc.pos = 0
-			return nil
-		}),
-		"gist_getnext": am.AmGetNextFunc(func(ctx *mi.Context, sd *am.ScanDesc) (heap.RowID, []types.Datum, bool, error) {
-			sc, ok := sd.UserData.(*scanState)
-			if !ok {
-				return 0, nil, false, fmt.Errorf("gistblade: getnext without beginscan")
-			}
-			if sc.pos >= len(sc.rows) {
-				return 0, nil, false, nil
-			}
-			rid := sc.rows[sc.pos]
-			sc.pos++
-			return rid, nil, true, nil
-		}),
-		// gist_getmulti: the batched companion — one dispatch hands the
-		// server a slice of the materialised candidate rowids (rows stay
-		// nil; the engine's WHERE re-filter restores exactness).
-		"gist_getmulti": am.AmGetMultiFunc(func(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
-			sc, ok := sd.UserData.(*scanState)
-			if !ok {
-				return 0, fmt.Errorf("gistblade: getmulti without beginscan")
-			}
-			b := sd.Batch
-			b.Reset()
-			for !b.Full() && sc.pos < len(sc.rows) {
-				b.Append(sc.rows[sc.pos], nil)
-				sc.pos++
-			}
-			return b.N, nil
-		}),
-		"gist_insert": am.AmMutateFunc(func(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.RowID) error {
-			st, err := state(id)
-			if err != nil {
-				return err
-			}
-			key, err := st.binding.KeyOf(row[0])
-			if err != nil {
-				return err
-			}
-			return st.tree.Insert(key, gist.Payload(rid))
-		}),
-		"gist_delete": am.AmMutateFunc(func(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.RowID) error {
-			st, err := state(id)
-			if err != nil {
-				return err
-			}
-			key, err := st.binding.KeyOf(row[0])
-			if err != nil {
-				return err
-			}
-			removed, err := st.tree.Delete(key, gist.Payload(rid))
-			if err != nil {
-				return err
-			}
-			if !removed {
-				return fmt.Errorf("gistblade: index %s has no entry for row %v: %w", id.Name, rid, am.ErrNoEntry)
-			}
-			return nil
-		}),
-		"gist_update": am.AmUpdateFunc(func(ctx *mi.Context, id *am.IndexDesc, oldRow []types.Datum, oldRid heap.RowID, newRow []types.Datum, newRid heap.RowID) error {
-			st, err := state(id)
-			if err != nil {
-				return err
-			}
-			okey, err := st.binding.KeyOf(oldRow[0])
-			if err != nil {
-				return err
-			}
-			removed, err := st.tree.Delete(okey, gist.Payload(oldRid))
-			if err != nil {
-				return err
-			}
-			if !removed {
-				return fmt.Errorf("gistblade: update of missing entry %v", oldRid)
-			}
-			nkey, err := st.binding.KeyOf(newRow[0])
-			if err != nil {
-				return err
-			}
-			return st.tree.Insert(nkey, gist.Payload(newRid))
-		}),
-		"gist_check": am.AmCheckFunc(func(ctx *mi.Context, id *am.IndexDesc) error {
-			st, err := state(id)
-			if err != nil {
-				return err
-			}
-			return st.tree.Check()
-		}),
-		// gist_stats: the generic method knows nothing about its keys'
-		// value domain, so it reports the entry count without histograms —
-		// the row-count fallback family of statistics-backed costing.
-		"gist_stats": am.AmStatsFunc(func(ctx *mi.Context, id *am.IndexDesc) (*am.IndexStats, error) {
-			st, err := state(id)
+	m := &treeblade.Method[*open]{
+		AmName: AmName, Prefix: "gist", Blade: "gistblade",
+		// The operator class selects the key class; the only parameter is the
+		// scaffold's storage placement.
+		Configure: func(ctx *mi.Context, id *am.IndexDesc, create bool) (*open, error) {
+			b, err := bindingFor(e, id.OpClass)
 			if err != nil {
 				return nil, err
 			}
-			return &am.IndexStats{
-				Summary: fmt.Sprintf("index %s: %d entries, height %d",
-					id.Name, st.tree.Size(), st.tree.Height()),
-				Entries: st.tree.Size(),
-			}, nil
-		}),
-
-		"IntvOverlaps": intervalUDR(func(a0, a1, b0, b1 int64) bool { return a0 <= b1 && b0 <= a1 }),
-		"IntvContains": intervalUDR(func(a0, a1, b0, b1 int64) bool { return a0 <= b0 && b1 <= a1 }),
+			if create && len(id.ColTypes) != 1 {
+				return nil, fmt.Errorf("gistblade: gist_am indexes exactly one column")
+			}
+			st := &open{binding: b}
+			for k, v := range id.Params {
+				if err := st.Param("gistblade", k, v); err != nil {
+					return nil, err
+				}
+			}
+			return st, nil
+		},
 	}
+	insert := func(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.RowID) error {
+		st, err := m.State(id)
+		if err != nil {
+			return err
+		}
+		key, err := st.binding.KeyOf(row[0])
+		if err != nil {
+			return err
+		}
+		return st.tree.Insert(key, gist.Payload(rid))
+	}
+	del := func(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.RowID) error {
+		st, err := m.State(id)
+		if err != nil {
+			return err
+		}
+		key, err := st.binding.KeyOf(row[0])
+		if err != nil {
+			return err
+		}
+		removed, err := st.tree.Delete(key, gist.Payload(rid))
+		if err != nil {
+			return err
+		}
+		if !removed {
+			return fmt.Errorf("gistblade: index %s has no entry for row %v: %w", id.Name, rid, am.ErrNoEntry)
+		}
+		return nil
+	}
+	lib := m.Library()
+	lib["gist_beginscan"] = am.AmScanFunc(func(ctx *mi.Context, sd *am.ScanDesc) error {
+		st, err := m.State(sd.Index)
+		if err != nil {
+			return err
+		}
+		return gistBeginScan(ctx, st, sd)
+	})
+	lib["gist_endscan"] = am.AmScanFunc(func(ctx *mi.Context, sd *am.ScanDesc) error {
+		sd.UserData = nil
+		return nil
+	})
+	lib["gist_rescan"] = am.AmScanFunc(func(ctx *mi.Context, sd *am.ScanDesc) error {
+		sc, ok := sd.UserData.(*scanState)
+		if !ok {
+			return fmt.Errorf("gistblade: rescan without a scan")
+		}
+		if sd.Batch != nil {
+			sd.Batch.Reset()
+		}
+		sc.pos = 0
+		return nil
+	})
+	lib["gist_getnext"] = am.AmGetNextFunc(func(ctx *mi.Context, sd *am.ScanDesc) (heap.RowID, []types.Datum, bool, error) {
+		sc, ok := sd.UserData.(*scanState)
+		if !ok {
+			return 0, nil, false, fmt.Errorf("gistblade: getnext without beginscan")
+		}
+		if sc.pos >= len(sc.rows) {
+			return 0, nil, false, nil
+		}
+		rid := sc.rows[sc.pos]
+		sc.pos++
+		return rid, nil, true, nil
+	})
+	// gist_getmulti: the batched companion — one dispatch hands the server a
+	// slice of the materialised candidate rowids (rows stay nil; the engine's
+	// WHERE re-filter restores exactness).
+	lib["gist_getmulti"] = am.AmGetMultiFunc(func(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
+		sc, ok := sd.UserData.(*scanState)
+		if !ok {
+			return 0, fmt.Errorf("gistblade: getmulti without beginscan")
+		}
+		b := sd.Batch
+		b.Reset()
+		for !b.Full() && sc.pos < len(sc.rows) {
+			b.Append(sc.rows[sc.pos], nil)
+			sc.pos++
+		}
+		return b.N, nil
+	})
+	lib["gist_insert"] = am.AmMutateFunc(insert)
+	lib["gist_delete"] = am.AmMutateFunc(del)
+	lib["gist_update"] = am.AmUpdateFunc(func(ctx *mi.Context, id *am.IndexDesc, oldRow []types.Datum, oldRid heap.RowID, newRow []types.Datum, newRid heap.RowID) error {
+		if err := del(ctx, id, oldRow, oldRid); err != nil {
+			return err
+		}
+		return insert(ctx, id, newRow, newRid)
+	})
+	lib["gist_check"] = am.AmCheckFunc(func(ctx *mi.Context, id *am.IndexDesc) error {
+		st, err := m.State(id)
+		if err != nil {
+			return err
+		}
+		return st.tree.Check()
+	})
+	// gist_stats: the generic method knows nothing about its keys' value
+	// domain, so it reports the entry count without histograms — the
+	// row-count fallback family of statistics-backed costing.
+	lib["gist_stats"] = am.AmStatsFunc(func(ctx *mi.Context, id *am.IndexDesc) (*am.IndexStats, error) {
+		st, err := m.State(id)
+		if err != nil {
+			return nil, err
+		}
+		return &am.IndexStats{
+			Summary: fmt.Sprintf("index %s: %d entries, height %d",
+				id.Name, st.tree.Size(), st.tree.Height()),
+			Entries: st.tree.Size(),
+		}, nil
+	})
+	lib["IntvOverlaps"] = intervalUDR(func(a0, a1, b0, b1 int64) bool { return a0 <= b1 && b0 <= a1 })
+	lib["IntvContains"] = intervalUDR(func(a0, a1, b0, b1 int64) bool { return a0 <= b0 && b1 <= a1 })
+	return lib
 }
 
 type scanState struct {
@@ -497,11 +368,7 @@ type scanState struct {
 // conjunctions and single leaves are pushed down (the candidate set is the
 // intersection-superset via the first leaf; the engine's WHERE re-filter
 // restores exactness); disjunctions run each branch and union.
-func gistBeginScan(ctx *mi.Context, sd *am.ScanDesc) error {
-	st, err := state(sd.Index)
-	if err != nil {
-		return err
-	}
+func gistBeginScan(ctx *mi.Context, st *open, sd *am.ScanDesc) error {
 	if sd.Qual == nil {
 		return fmt.Errorf("gistblade: scan without qualification")
 	}

@@ -27,24 +27,22 @@
 package grtblade
 
 import (
-	"encoding/binary"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/am"
+	"repro/internal/blades/treeblade"
 	"repro/internal/chronon"
 	"repro/internal/engine"
 	"repro/internal/grtree"
+	"repro/internal/heap"
 	"repro/internal/mi"
-	"repro/internal/nodestore"
-	"repro/internal/sbspace"
+	"repro/internal/rtree"
 	"repro/internal/temporal"
 	"repro/internal/types"
 )
-
-// TypeName is the opaque type's registered name.
-const TypeName = "GRT_TimeExtent_t"
 
 // LibraryPath is the "shared object" path used in EXTERNAL NAME clauses.
 const LibraryPath = "usr/functions/grtree.bld"
@@ -52,129 +50,34 @@ const LibraryPath = "usr/functions/grtree.bld"
 // AmName is the access method registered by the blade.
 const AmName = "grtree_am"
 
-// extent internal structure: 4 big-endian int64 timestamps (32 bytes).
-const extentSize = 32
-
-// EncodeExtent serialises a time extent to the opaque internal structure.
-func EncodeExtent(e temporal.Extent) []byte {
-	buf := make([]byte, extentSize)
-	binary.BigEndian.PutUint64(buf[0:8], uint64(e.TTBegin))
-	binary.BigEndian.PutUint64(buf[8:16], uint64(e.TTEnd))
-	binary.BigEndian.PutUint64(buf[16:24], uint64(e.VTBegin))
-	binary.BigEndian.PutUint64(buf[24:32], uint64(e.VTEnd))
-	return buf
+// purpose is the grt_* purpose-function set (Appendix A, Table 5): the
+// scaffold's, bound to what a GRT_TimeExtent_t key means.
+var purpose = &treeblade.Kernel[temporal.Region, temporal.Shape, *open]{
+	Method: treeblade.Method[*open]{AmName: AmName, Prefix: "grt", Blade: "grtblade", Configure: configure},
+	Rows:   true,
+	Value: func(id *am.IndexDesc, r temporal.Region) types.Datum {
+		return regionValue(id.ColTypes[0].OpaqueID, r)
+	},
 }
 
-// DecodeExtent deserialises the opaque internal structure.
-func DecodeExtent(data []byte) (temporal.Extent, error) {
-	if len(data) != extentSize {
-		return temporal.Extent{}, fmt.Errorf("grtblade: extent value has %d bytes, want %d", len(data), extentSize)
-	}
-	return temporal.Extent{
-		TTBegin: chronon.Instant(binary.BigEndian.Uint64(data[0:8])),
-		TTEnd:   chronon.Instant(binary.BigEndian.Uint64(data[8:16])),
-		VTBegin: chronon.Instant(binary.BigEndian.Uint64(data[16:24])),
-		VTEnd:   chronon.Instant(binary.BigEndian.Uint64(data[24:32])),
-	}, nil
+// Library returns the blade's shared-library symbol table. The engine loads
+// it under LibraryPath; the registration SQL binds the symbols to SQL names.
+func Library(e *engine.Engine) am.Library {
+	lib := purpose.Library()
+	lib["Overlaps"] = strategyUDR(e, grtree.OpOverlaps)
+	lib["Equal"] = strategyUDR(e, grtree.OpEqual)
+	lib["Contains"] = strategyUDR(e, grtree.OpContains)
+	lib["ContainedIn"] = strategyUDR(e, grtree.OpContainedIn)
+	lib["GRT_Union"] = unionUDR(e)
+	lib["GRT_Size"] = sizeUDR(e)
+	lib["GRT_Inter"] = interUDR(e)
+	return lib
 }
 
-// wire form: 4-byte version tag + internal structure (the binary
-// send/receive support functions, Section 6.3 item 2).
-var wireTag = []byte{'G', 'R', 'T', '1'}
-
-// SupportFuncs returns the type support functions for GRT_TimeExtent_t,
-// including the UC/NOW handling and constraint checking the paper added to
-// the generated skeletons (Section 6.3).
-func SupportFuncs() types.SupportFuncs {
-	input := func(text string) ([]byte, error) {
-		e, err := temporal.ParseExtent(text)
-		if err != nil {
-			return nil, err
-		}
-		if !e.Valid() {
-			return nil, fmt.Errorf("grtblade: %v violates the bitemporal constraints (case invalid)", e)
-		}
-		return EncodeExtent(e), nil
-	}
-	output := func(data []byte) (string, error) {
-		e, err := DecodeExtent(data)
-		if err != nil {
-			return "", err
-		}
-		return e.String(), nil
-	}
-	return types.SupportFuncs{
-		Input:  input,
-		Output: output,
-		Send: func(data []byte) ([]byte, error) {
-			if _, err := DecodeExtent(data); err != nil {
-				return nil, err
-			}
-			return append(append([]byte(nil), wireTag...), data...), nil
-		},
-		Receive: func(wire []byte) ([]byte, error) {
-			if len(wire) != len(wireTag)+extentSize || string(wire[:4]) != string(wireTag) {
-				return nil, fmt.Errorf("grtblade: malformed wire value (%d bytes)", len(wire))
-			}
-			return append([]byte(nil), wire[4:]...), nil
-		},
-		// Text-file import/export (the LOAD format) share the text forms —
-		// the code repetition BladeSmith generated is folded together here.
-		Import: input,
-		Export: output,
-		// Value ordering for MIN/MAX: the encoding is big-endian and the
-		// instants are signed, so raw bytewise comparison would misorder
-		// negative instants — decode and compare the four timestamps
-		// lexicographically instead. This is the same total order the
-		// GR-tree's AggExtreme uses, which is what makes a pushed MIN/MAX
-		// agree exactly with the server's tuple-drain fallback.
-		Compare: func(a, b []byte) (int, error) {
-			ea, err := DecodeExtent(a)
-			if err != nil {
-				return 0, err
-			}
-			eb, err := DecodeExtent(b)
-			if err != nil {
-				return 0, err
-			}
-			ka := [4]int64{int64(ea.TTBegin), int64(ea.TTEnd), int64(ea.VTBegin), int64(ea.VTEnd)}
-			kb := [4]int64{int64(eb.TTBegin), int64(eb.TTEnd), int64(eb.VTBegin), int64(eb.VTEnd)}
-			for i := range ka {
-				if ka[i] < kb[i] {
-					return -1, nil
-				}
-				if ka[i] > kb[i] {
-					return 1, nil
-				}
-			}
-			return 0, nil
-		},
-	}
-}
-
-// RegistrationSQL is the DataBlade's objects.sql analogue: the statements a
-// BladeManager-style installer runs to register the blade (Sections 4/6.1).
-const RegistrationSQL = `
--- purpose functions (Section 4, Step 2)
-CREATE FUNCTION grt_create(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_create)' LANGUAGE c;
-CREATE FUNCTION grt_drop(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_drop)' LANGUAGE c;
-CREATE FUNCTION grt_open(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_open)' LANGUAGE c;
-CREATE FUNCTION grt_close(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_close)' LANGUAGE c;
-CREATE FUNCTION grt_beginscan(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_beginscan)' LANGUAGE c;
-CREATE FUNCTION grt_endscan(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_endscan)' LANGUAGE c;
-CREATE FUNCTION grt_rescan(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_rescan)' LANGUAGE c;
-CREATE FUNCTION grt_getnext(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_getnext)' LANGUAGE c;
-CREATE FUNCTION grt_getmulti(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_getmulti)' LANGUAGE c;
-CREATE FUNCTION grt_build(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_build)' LANGUAGE c;
-CREATE FUNCTION grt_insert(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_insert)' LANGUAGE c;
-CREATE FUNCTION grt_delete(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_delete)' LANGUAGE c;
-CREATE FUNCTION grt_update(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_update)' LANGUAGE c;
-CREATE FUNCTION grt_scancost(pointer) RETURNING float EXTERNAL NAME 'usr/functions/grtree.bld(grt_scancost)' LANGUAGE c;
-CREATE FUNCTION grt_stats(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_stats)' LANGUAGE c;
-CREATE FUNCTION grt_check(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_check)' LANGUAGE c;
-CREATE FUNCTION grt_parallelscan(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_parallelscan)' LANGUAGE c;
-CREATE FUNCTION grt_aggregate(pointer) RETURNING int EXTERNAL NAME 'usr/functions/grtree.bld(grt_aggregate)' LANGUAGE c;
-
+// udrSQL is the blade's own part of its objects.sql analogue: the statements
+// a BladeManager-style installer runs after the purpose functions and the
+// access method (Sections 4/6.1), which the scaffold generates.
+const udrSQL = `
 -- strategy functions on the opaque type (Section 5.2)
 CREATE FUNCTION Overlaps(GRT_TimeExtent_t, GRT_TimeExtent_t) RETURNING boolean EXTERNAL NAME 'usr/functions/grtree.bld(Overlaps)' LANGUAGE c;
 CREATE FUNCTION Equal(GRT_TimeExtent_t, GRT_TimeExtent_t) RETURNING boolean EXTERNAL NAME 'usr/functions/grtree.bld(Equal)' LANGUAGE c;
@@ -186,171 +89,182 @@ CREATE FUNCTION GRT_Union(GRT_TimeExtent_t, GRT_TimeExtent_t) RETURNING GRT_Time
 CREATE FUNCTION GRT_Size(GRT_TimeExtent_t) RETURNING float EXTERNAL NAME 'usr/functions/grtree.bld(GRT_Size)' LANGUAGE c;
 CREATE FUNCTION GRT_Inter(GRT_TimeExtent_t, GRT_TimeExtent_t) RETURNING float EXTERNAL NAME 'usr/functions/grtree.bld(GRT_Inter)' LANGUAGE c;
 
--- the access method (Section 4, Step 3)
-CREATE SECONDARY ACCESS_METHOD grtree_am (
-	am_create = grt_create,
-	am_drop = grt_drop,
-	am_open = grt_open,
-	am_close = grt_close,
-	am_beginscan = grt_beginscan,
-	am_endscan = grt_endscan,
-	am_rescan = grt_rescan,
-	am_getnext = grt_getnext,
-	am_getmulti = grt_getmulti,
-	am_build = grt_build,
-	am_insert = grt_insert,
-	am_delete = grt_delete,
-	am_update = grt_update,
-	am_scancost = grt_scancost,
-	am_stats = grt_stats,
-	am_check = grt_check,
-	am_parallelscan = grt_parallelscan,
-	am_aggregate = grt_aggregate,
-	am_sptype = 'S'
-);
-
 -- the operator class (Section 4, Step 4)
 CREATE OPCLASS grt_opclass FOR grtree_am
 	STRATEGIES(Overlaps, Equal, Contains, ContainedIn)
 	SUPPORT(GRT_Union, GRT_Size, GRT_Inter);
 `
 
-// RegisterTypes registers the blade's opaque type; pass it as
-// engine.Options.Types when re-opening a database whose catalog already
-// references GRT_TimeExtent_t columns.
-func RegisterTypes(reg *types.Registry) error {
-	if _, ok := reg.Lookup(TypeName); ok {
-		return nil
-	}
-	_, err := reg.RegisterOpaque(TypeName, SupportFuncs())
-	return err
-}
-
 // Register installs the blade into an engine: the opaque type, the shared
-// library, and the registration script (the BladeManager flow). On a
-// re-opened database only the Go artefacts are re-installed; the SQL
-// objects already live in the catalog.
+// library, and the registration script.
 func Register(e *engine.Engine) error {
 	if err := RegisterTypes(e.Types()); err != nil {
 		return err
 	}
-	e.LoadLibrary(LibraryPath, Library(e))
-	if _, err := e.Catalog().AmByName(AmName); err == nil {
+	return Install(e, "grtblade", AmName, "grt", LibraryPath, Library(e), udrSQL)
+}
+
+// Install is the BladeManager flow, for this blade and the ones that index
+// its type under another access method: load the shared library, then run
+// the registration script — the purpose functions and access method the
+// scaffold generates from the library, followed by the blade's own objects.
+// On a re-opened database only the Go artefacts are re-installed; the SQL
+// objects already live in the catalog.
+func Install(e *engine.Engine, blade, amName, prefix, libraryPath string, lib am.Library, objects string) error {
+	e.LoadLibrary(libraryPath, lib)
+	if _, err := e.Catalog().AmByName(amName); err == nil {
 		return nil // already registered in a previous incarnation
 	}
 	s := e.NewSession()
 	defer s.Close()
-	if _, err := s.ExecScript(RegistrationSQL); err != nil {
-		return fmt.Errorf("grtblade: registration: %w", err)
+	if _, err := s.ExecScript(treeblade.RegistrationSQL(amName, prefix, libraryPath, lib) + objects); err != nil {
+		return fmt.Errorf("%s: registration: %w", blade, err)
 	}
 	return nil
 }
 
-// openState is the blade's per-open-index state stored in the index
-// descriptor (the Tree object plus the Cursor of Appendix A).
-type openState struct {
-	store      *nodestore.LOStore
-	tree       *grtree.Tree
-	cfg        config
-	ct         chronon.Instant
-	cursor     *grtree.Cursor
-	matcher    grtree.Matcher // the current scan's compiled qualification
-	rightAfter bool           // grt_open invoked right after grt_create no-ops
-}
-
-// config decodes the index parameters.
-type config struct {
-	placement nodestore.Placement
+// open is the blade's per-open-index state stored in the index descriptor:
+// the Tree object of Appendix A, the decoded index parameters, and the
+// statement's current time.
+type open struct {
+	treeblade.Storage
+	tree      *grtree.Tree
 	treeCfg   grtree.Config
 	perStmtCT bool
 	// dynamic switches leaf strategy evaluation from the hard-coded path to
 	// dynamic UDR resolution (the extensibility-vs-efficiency trade-off of
 	// Section 5.2; experiment P5).
 	dynamic bool
+	ct      chronon.Instant
 }
 
-func parseConfig(params map[string]string) (config, error) {
-	cfg := config{placement: nodestore.SingleLO, treeCfg: grtree.DefaultConfig()}
-	for k, v := range params {
-		switch strings.ToLower(k) {
-		case "placement":
-			switch {
-			case strings.EqualFold(v, "single"):
-				cfg.placement = nodestore.SingleLO
-			case strings.EqualFold(v, "pernode"):
-				cfg.placement = nodestore.PerNodeLO
-			case strings.HasPrefix(strings.ToLower(v), "subtree:"):
-				n, err := strconv.Atoi(v[len("subtree:"):])
-				if err != nil || n < 1 {
-					return cfg, fmt.Errorf("grtblade: bad placement %q", v)
-				}
-				cfg.placement = nodestore.PerSubtreeLO(n)
-			default:
-				return cfg, fmt.Errorf("grtblade: bad placement %q", v)
-			}
-		case "timeparam":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n < 1 {
-				return cfg, fmt.Errorf("grtblade: bad timeparam %q", v)
-			}
-			cfg.treeCfg.Bound.TimeParam = n
-		case "hidden":
-			cfg.treeCfg.Bound.AllowHidden = !strings.EqualFold(v, "off")
-		case "deletepolicy":
-			switch strings.ToLower(v) {
-			case "restart-on-condense":
-				cfg.treeCfg.DeletePolicy = grtree.RestartOnCondense
-			case "restart-always":
-				cfg.treeCfg.DeletePolicy = grtree.RestartAlways
-			case "no-condense":
-				cfg.treeCfg.DeletePolicy = grtree.NoCondense
-			default:
-				return cfg, fmt.Errorf("grtblade: bad deletepolicy %q", v)
-			}
-		case "maxentries":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 4 {
-				return cfg, fmt.Errorf("grtblade: bad maxentries %q", v)
-			}
-			cfg.treeCfg.MaxEntries = n
-		case "timepolicy":
-			switch strings.ToLower(v) {
-			case "transaction":
-				cfg.perStmtCT = false
-			case "statement":
-				cfg.perStmtCT = true
-			default:
-				return cfg, fmt.Errorf("grtblade: bad timepolicy %q", v)
-			}
-		case "dispatch":
-			switch strings.ToLower(v) {
-			case "hardcoded":
-				cfg.dynamic = false
-			case "dynamic":
-				cfg.dynamic = true
-			default:
-				return cfg, fmt.Errorf("grtblade: bad dispatch %q", v)
-			}
-		default:
-			return cfg, fmt.Errorf("grtblade: unknown index parameter %q", k)
+// configure implements grt_create steps 2–4 and, on grt_open, decodes the
+// index parameters again.
+func configure(ctx *mi.Context, id *am.IndexDesc, create bool) (*open, error) {
+	// Steps 2–3: column types and operator class must suit grtree_am.
+	if create {
+		if err := validateColumns(id); err != nil {
+			return nil, err
 		}
 	}
-	return cfg, nil
-}
-
-// amRecord is what grt_create stores in the table associated with the
-// access method (Appendix A step 6): the large-object handle of the index.
-func encodeAMRecord(h sbspace.Handle) []byte {
-	buf := make([]byte, sbspace.HandleSize)
-	h.Encode(buf)
-	return buf
-}
-
-func decodeAMRecord(data []byte) (sbspace.Handle, error) {
-	if len(data) != sbspace.HandleSize {
-		return sbspace.NilHandle, fmt.Errorf("grtblade: corrupt access-method record (%d bytes)", len(data))
+	st := &open{treeCfg: grtree.DefaultConfig()}
+	for k, v := range id.Params {
+		if err := st.param(k, v); err != nil {
+			return nil, err
+		}
 	}
-	return sbspace.DecodeHandle(data), nil
+	// Step 4: reject a duplicate index on the same columns with the same
+	// user-defined parameters.
+	if create {
+		if _, dup, err := id.Services.AMRecordGet(AmName, dupKey(id)); err != nil {
+			return nil, err
+		} else if dup {
+			return nil, fmt.Errorf("grtblade: an index using %s on %s(%s) with these parameters already exists",
+				AmName, id.TableName, strings.Join(id.Columns, ","))
+		}
+	}
+	return st, nil
+}
+
+func (o *open) param(k, v string) error {
+	switch strings.ToLower(k) {
+	case "timeparam":
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || n < 1 {
+			return fmt.Errorf("grtblade: bad timeparam %q", v)
+		}
+		o.treeCfg.Bound.TimeParam = n
+	case "hidden":
+		o.treeCfg.Bound.AllowHidden = !strings.EqualFold(v, "off")
+	case "deletepolicy":
+		switch strings.ToLower(v) {
+		case "restart-on-condense":
+			o.treeCfg.DeletePolicy = grtree.RestartOnCondense
+		case "restart-always":
+			o.treeCfg.DeletePolicy = grtree.RestartAlways
+		case "no-condense":
+			o.treeCfg.DeletePolicy = grtree.NoCondense
+		default:
+			return fmt.Errorf("grtblade: bad deletepolicy %q", v)
+		}
+	case "maxentries":
+		n, err := treeblade.MaxEntries("grtblade", v)
+		if err != nil {
+			return err
+		}
+		o.treeCfg.MaxEntries = n
+	case "timepolicy":
+		switch strings.ToLower(v) {
+		case "transaction":
+			o.perStmtCT = false
+		case "statement":
+			o.perStmtCT = true
+		default:
+			return fmt.Errorf("grtblade: bad timepolicy %q", v)
+		}
+	case "dispatch":
+		switch strings.ToLower(v) {
+		case "hardcoded":
+			o.dynamic = false
+		case "dynamic":
+			o.dynamic = true
+		default:
+			return fmt.Errorf("grtblade: bad dispatch %q", v)
+		}
+	default:
+		return o.Param("grtblade", k, v)
+	}
+	return nil
+}
+
+// validateColumns implements grt_create steps 2–3: the access method only
+// handles a single column of GRT_TimeExtent_t, and only its own operator
+// classes.
+func validateColumns(id *am.IndexDesc) error {
+	if len(id.ColTypes) != 1 {
+		return fmt.Errorf("grtblade: grtree_am indexes exactly one column, got %d", len(id.ColTypes))
+	}
+	if id.ColTypes[0].Kind != types.KOpaque || !strings.EqualFold(id.ColTypes[0].Name, TypeName) {
+		return fmt.Errorf("grtblade: grtree_am cannot handle column type %v", id.ColTypes[0])
+	}
+	if id.OpClass != "" && !strings.EqualFold(id.OpClass, "grt_opclass") {
+		return fmt.Errorf("grtblade: operator class %s cannot be used with grtree_am", id.OpClass)
+	}
+	return nil
+}
+
+// dupKey builds the duplicate-index detection key of grt_create step 4. The
+// parameters are sorted: the key must not depend on map iteration order, or
+// an identical second CREATE INDEX slips through and grt_drop misses the
+// record.
+func dupKey(id *am.IndexDesc) string {
+	params := make([]string, 0, len(id.Params))
+	for k, v := range id.Params {
+		params = append(params, strings.ToLower(k)+"="+strings.ToLower(v))
+	}
+	sort.Strings(params)
+	key := []string{"dup", strings.ToLower(id.TableName), strings.ToLower(strings.Join(id.Columns, ","))}
+	return strings.Join(append(key, params...), "|")
+}
+
+// Records implements treeblade.Opened: grt_drop deletes the dup record too.
+func (o *open) Records(id *am.IndexDesc) []string { return []string{dupKey(id)} }
+
+// Attach implements treeblade.Opened: the Tree object over the open BLOB,
+// and the statement's current time.
+func (o *open) Attach(ctx *mi.Context, id *am.IndexDesc, create bool) (err error) {
+	if create {
+		// The dup record carries the owning index's name so catalog recovery
+		// can purge it when a crash leaves a half-built index behind.
+		if err := id.Services.AMRecordPut(AmName, dupKey(id), []byte(strings.ToLower(id.Name))); err != nil {
+			return err
+		}
+		o.tree, err = grtree.Create(o.Store, o.treeCfg)
+	} else {
+		o.tree, err = grtree.Open(o.Store, o.treeCfg)
+	}
+	o.ct = currentTime(ctx, id.Services, o.perStmtCT)
+	return err
 }
 
 // currentTime implements Section 5.4: a constant current-time value for the
@@ -372,35 +286,167 @@ func currentTime(ctx *mi.Context, svc am.Services, perStatement bool) chronon.In
 	return ct
 }
 
-// state fetches the blade state from the descriptor.
-func state(id *am.IndexDesc) (*openState, error) {
-	st, ok := id.UserData.(*openState)
-	if !ok || st == nil {
-		return nil, fmt.Errorf("grtblade: index %s is not open", id.Name)
+// The binding (treeblade.Binding): what a GRT_TimeExtent_t key means.
+
+func (o *open) Tree() *rtree.Tree[temporal.Region] { return o.tree.Tree }
+
+func (o *open) Keys() rtree.Keys[temporal.Region, temporal.Shape] { return o.tree.Keys(o.ct) }
+
+// Key: an extent is indexed as its region; to be stored it must satisfy the
+// transaction-time constraints as of the current time.
+func (o *open) Key(id *am.IndexDesc, d types.Datum, store bool) (temporal.Region, error) {
+	ext, err := extentArg(d)
+	if err == nil && store && !ext.ValidAt(o.ct) {
+		err = fmt.Errorf("grtblade: extent %v violates the transaction-time constraints at current time %v", ext, o.ct)
 	}
-	return st, nil
+	return ext.Region(), err
 }
 
-// validateColumns implements grt_create steps 2–3: the access method only
-// handles a single column of GRT_TimeExtent_t, and only its own operator
-// classes.
-func validateColumns(id *am.IndexDesc) error {
-	if len(id.ColTypes) != 1 {
-		return fmt.Errorf("grtblade: grtree_am indexes exactly one column, got %d", len(id.ColTypes))
+func (o *open) Delete(id *am.IndexDesc, d types.Datum, rid heap.RowID) (removed, condensed bool, err error) {
+	ext, err := extentArg(d)
+	if err != nil {
+		return false, false, err
 	}
-	if id.ColTypes[0].Kind != types.KOpaque || !strings.EqualFold(id.ColTypes[0].Name, TypeName) {
-		return fmt.Errorf("grtblade: grtree_am cannot handle column type %v", id.ColTypes[0])
-	}
-	if id.OpClass != "" && !strings.EqualFold(id.OpClass, "grt_opclass") {
-		return fmt.Errorf("grtblade: operator class %s cannot be used with grtree_am", id.OpClass)
-	}
-	return nil
+	return o.tree.Delete(ext, grtree.Payload(rid), o.ct)
 }
 
-func extentArg(d types.Datum) (temporal.Extent, error) {
-	op, ok := d.(types.Opaque)
+func (o *open) Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (rtree.Matcher[temporal.Region], error) {
+	compound, err := compileQual(q)
+	if err != nil {
+		return nil, err
+	}
+	if err := compound.Validate(); err != nil {
+		return nil, err
+	}
+	var m grtree.Matcher = compound
+	if o.dynamic {
+		// Section 5.2's extensible alternative: leaf strategy functions are
+		// dynamically resolved and invoked as registered UDRs; only the
+		// internal-region functions stay hard-coded. Experiment P5 measures
+		// the overhead against the default.
+		m = &dynamicMatcher{
+			compound: compound, qual: q, ctx: ctx,
+			svc: id.Services, typeID: id.ColTypes[0].OpaqueID,
+		}
+	}
+	return grtree.At(m, o.ct), nil
+}
+
+// Window resolves the region at the blade's current time, so now-relative
+// extents contribute their geometry as of now.
+func (o *open) Window(r temporal.Region) (lo, hi float64, ok bool) {
+	sh := r.Resolve(o.ct)
+	return float64(sh.VTBegin), float64(sh.VTEnd), !sh.Empty()
+}
+
+// exact reports the predicate an aggregate's qualification is, when the
+// tree's hard-coded evaluation of it is the index's configured semantics.
+func (o *open) exact(q *am.Qual) (grtree.Predicate, bool) {
+	// Dynamic-dispatch indexes evaluate leaves through UDRs; the aggregate
+	// traversal hard-codes predicate evaluation, so decline rather than
+	// disagree with the configured semantics.
+	if o.dynamic {
+		return grtree.Predicate{}, false
+	}
+	compound, err := compileQual(q)
+	if err != nil {
+		return grtree.Predicate{}, false // not our strategy function: decline, don't fail
+	}
+	return *compound.Pred, true
+}
+
+func (o *open) Count(q *am.Qual) (int64, bool, error) {
+	pred, ok := o.exact(q)
 	if !ok {
-		return temporal.Extent{}, fmt.Errorf("grtblade: expected a %s value, got %T", TypeName, d)
+		return 0, false, nil
 	}
-	return DecodeExtent(op.Data)
+	return o.tree.AggCount(pred, o.ct)
+}
+
+func (o *open) Extreme(q *am.Qual, wantMax bool) (temporal.Region, bool, bool, error) {
+	pred, ok := o.exact(q)
+	if !ok {
+		return temporal.Region{}, false, false, nil
+	}
+	return o.tree.AggExtreme(pred, o.ct, wantMax)
+}
+
+func (o *open) Levels() ([]rtree.LevelStats, error) {
+	ts, err := o.tree.Stats(o.ct, 0, 0)
+	return ts.PerLevel, err
+}
+
+func (o *open) Check() error { return o.tree.Check(o.ct) }
+
+// compileQual hard-codes the strategy-function resolution (Section 5.2's
+// chosen alternative): qualification leaves are mapped directly to tree
+// operators instead of dynamically invoking registered UDRs.
+func compileQual(q *am.Qual) (*grtree.Compound, error) {
+	switch q.Op {
+	case am.QAnd, am.QOr:
+		kids := make([]*grtree.Compound, len(q.Children))
+		for i, c := range q.Children {
+			k, err := compileQual(c)
+			if err != nil {
+				return nil, err
+			}
+			kids[i] = k
+		}
+		if q.Op == am.QAnd {
+			return grtree.AndOf(kids...), nil
+		}
+		return grtree.OrOf(kids...), nil
+	case am.QFunc:
+		op, ok := treeblade.Strategy(q.Func, q.ColFirst,
+			grtree.OpOverlaps, grtree.OpEqual, grtree.OpContains, grtree.OpContainedIn)
+		if !ok {
+			return nil, fmt.Errorf("grtblade: %q is not a grt_opclass strategy function", q.Func)
+		}
+		ext, err := extentArg(q.Const)
+		if err != nil {
+			return nil, err
+		}
+		return grtree.Leaf(grtree.Predicate{Op: op, Query: ext}), nil
+	}
+	return nil, fmt.Errorf("grtblade: bad qualification node")
+}
+
+// dynamicMatcher evaluates leaf qualifications by invoking the registered
+// strategy UDRs (Overlaps, Equal, ...) per candidate entry.
+type dynamicMatcher struct {
+	compound *grtree.Compound
+	qual     *am.Qual
+	ctx      *mi.Context
+	svc      am.Services
+	typeID   uint32
+}
+
+// InternalMatch implements grtree.Matcher (hard-coded internal functions).
+func (m *dynamicMatcher) InternalMatch(bound temporal.Region, ct chronon.Instant) bool {
+	return m.compound.InternalMatch(bound, ct)
+}
+
+// LeafMatch implements grtree.Matcher through dynamic UDR invocation.
+func (m *dynamicMatcher) LeafMatch(r temporal.Region, ct chronon.Instant) bool {
+	colVal := regionValue(m.typeID, r)
+	ok, err := m.qual.Evaluate(func(l *am.Qual) (bool, error) {
+		args := []types.Datum{colVal, l.Const}
+		if !l.ColFirst {
+			args = []types.Datum{l.Const, colVal}
+		}
+		out, err := m.svc.InvokeUDR(l.Func, args)
+		if err != nil {
+			return false, err
+		}
+		b, okb := out.(bool)
+		if !okb {
+			return false, fmt.Errorf("grtblade: strategy %s returned %T", l.Func, out)
+		}
+		return b, nil
+	})
+	if err != nil {
+		m.ctx.Tracer().Tracef("grt", 1, "dynamic strategy dispatch failed: %v", err)
+		return false
+	}
+	return ok
 }

@@ -390,6 +390,25 @@ func (c *Catalog) IndexByName(name string) (*Index, error) {
 	return ix, nil
 }
 
+// SetIndexState publishes an index lifecycle transition. Sessions keep the
+// *Index entries they fetched and read State without a lock, so the live
+// entry is never written: a copy carrying the new state replaces it under
+// the catalog lock, in the same step as the generation bump that retires
+// plans made under the old state.
+func (c *Catalog) SetIndexState(name, state string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old, ok := c.Indices[key(name)]
+	if !ok {
+		return missing("index", name)
+	}
+	ix := *old
+	ix.State = state
+	c.Indices[key(name)] = &ix
+	c.gen.Add(1)
+	return nil
+}
+
 // DropIndex removes an index entry (and its collected statistics).
 func (c *Catalog) DropIndex(name string) error {
 	c.mu.Lock()

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/am"
@@ -42,10 +43,16 @@ func registerMemAM(t *testing.T, e *Engine, amName, prefix string, withGetMulti 
 // consults the cost function.
 func registerMemAMCosted(t *testing.T, e *Engine, amName, prefix string, withGetMulti, withScanCost bool) {
 	t.Helper()
+	// A real blade's readers and builders meet at the large object's lock;
+	// this store has only mu (TestPlanCacheDDLRace scans an index while its
+	// dropped-and-recreated namesake is being built).
+	var mu sync.Mutex
 	store := map[string][]memEntry{}
 
 	lib := am.Library{
 		prefix + "_create": am.AmIndexFunc(func(ctx *mi.Context, id *am.IndexDesc) error {
+			mu.Lock()
+			defer mu.Unlock()
 			store[id.Name] = nil
 			return nil
 		}),
@@ -56,6 +63,8 @@ func registerMemAMCosted(t *testing.T, e *Engine, amName, prefix string, withGet
 			if !ok {
 				return fmt.Errorf("memam: expected INTEGER key, got %T", row[0])
 			}
+			mu.Lock()
+			defer mu.Unlock()
 			store[id.Name] = append(store[id.Name], memEntry{key: k, rid: rid})
 			return nil
 		}),
@@ -72,6 +81,8 @@ func registerMemAMCosted(t *testing.T, e *Engine, amName, prefix string, withGet
 				return fmt.Errorf("memam: non-integer constant %T", leaves[0].Const)
 			}
 			sc := &memScan{}
+			mu.Lock()
+			defer mu.Unlock()
 			for _, en := range store[sd.Index.Name] {
 				if en.key == want {
 					sc.rids = append(sc.rids, en.rid)

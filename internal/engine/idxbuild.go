@@ -345,8 +345,12 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 	}
 	defer unlatch()
 
-	ix.State = catalog.IndexBuilding
 	if rebuild {
+		// The entry is live — other sessions are reading it — so the state
+		// changes through the catalog, not in place.
+		if err := s.e.cat.SetIndexState(ix.Name, catalog.IndexBuilding); err != nil {
+			return err
+		}
 		// Drop the old storage under the building transaction; the BUILDING
 		// state keeps the planner and DML maintenance away from the storage
 		// while it is gone. (A crash mid-rebuild therefore purges the index
@@ -358,6 +362,7 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 			return err
 		}
 	} else {
+		ix.State = catalog.IndexBuilding // not yet registered: still private
 		if err := s.e.cat.AddIndex(ix); err != nil {
 			return err
 		}
@@ -458,10 +463,12 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 	if err = s.commitTx(); err != nil {
 		return err
 	}
-	ix.State = catalog.IndexReady
-	// A new READY index must retire cached plans planned without it.
-	s.e.cat.BumpGeneration()
-	if err = s.e.cat.Save(); err != nil {
+	// A new READY index must retire cached plans planned without it: the
+	// state and the generation move together, under the catalog lock.
+	if err = s.e.cat.SetIndexState(ix.Name, catalog.IndexReady); err == nil {
+		err = s.e.cat.Save()
+	}
+	if err != nil {
 		s.beginTx(false)
 		return err
 	}
@@ -521,4 +528,3 @@ func (e *Engine) purgeBuildingIndexes() error {
 	}
 	return nil
 }
-

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/am"
+	"repro/internal/blades/treeblade"
 	"repro/internal/heap"
 	"repro/internal/mi"
 	"repro/internal/obs"
@@ -89,8 +90,7 @@ func registerParAM(t *testing.T, e *Engine, amName, prefix string) {
 			return out, nil
 		}),
 	}
-	registerAMScript(t, e, amName, prefix, "usr/functions/"+prefix+".bld", lib,
-		[]string{"create", "open", "close", "insert", "beginscan", "endscan", "getnext", "getmulti", "parallelscan"})
+	registerAMScript(t, e, amName, prefix, "usr/functions/"+prefix+".bld", lib)
 }
 
 func memQualKey(sd *am.ScanDesc) (int64, error) {
@@ -135,24 +135,16 @@ func memGetMulti(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
 	return b.N, nil
 }
 
-// registerAMScript runs the CREATE FUNCTION / ACCESS_METHOD / OPCLASS
-// boilerplate for a test access-method library.
-func registerAMScript(t *testing.T, e *Engine, amName, prefix, path string, lib am.Library, slots []string) {
+// registerAMScript loads a test access-method library and runs the blades'
+// own registration-SQL generator over it, plus the MemEq operator class.
+func registerAMScript(t *testing.T, e *Engine, amName, prefix, path string, lib am.Library) {
 	t.Helper()
 	e.LoadLibrary(path, lib)
 	s := e.NewSession()
 	defer s.Close()
-	var b strings.Builder
-	assigns := make([]string, 0, len(slots)+1)
-	for _, slot := range slots {
-		fmt.Fprintf(&b, "CREATE FUNCTION %s_%s(pointer) RETURNING int EXTERNAL NAME '%s(%s_%s)' LANGUAGE c;\n",
-			prefix, slot, path, prefix, slot)
-		assigns = append(assigns, fmt.Sprintf("am_%s = %s_%s", slot, prefix, slot))
-	}
-	assigns = append(assigns, "am_sptype = 'S'")
-	fmt.Fprintf(&b, "CREATE SECONDARY ACCESS_METHOD %s (%s);\n", amName, strings.Join(assigns, ", "))
-	fmt.Fprintf(&b, "CREATE OPCLASS %s_ops FOR %s STRATEGIES(MemEq);\n", prefix, amName)
-	if _, err := s.ExecScript(b.String()); err != nil {
+	script := treeblade.RegistrationSQL(amName, prefix, path, lib) +
+		fmt.Sprintf("CREATE OPCLASS %s_ops FOR %s STRATEGIES(MemEq);\n", prefix, amName)
+	if _, err := s.ExecScript(script); err != nil {
 		t.Fatalf("register %s: %v", amName, err)
 	}
 }
@@ -375,8 +367,7 @@ func TestParallelCancellation(t *testing.T) {
 			return out, nil
 		}),
 	}
-	registerAMScript(t, e, "inf_am", "inf", "usr/functions/inf.bld", lib,
-		[]string{"create", "open", "close", "insert", "beginscan", "endscan", "getnext", "getmulti", "parallelscan"})
+	registerAMScript(t, e, "inf_am", "inf", "usr/functions/inf.bld", lib)
 
 	s := e.NewSession()
 	defer s.Close()

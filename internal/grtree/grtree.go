@@ -194,7 +194,11 @@ func Open(store nodestore.Store, cfg Config) (*Tree, error) {
 	return cfg.wrap(rtree.Open(store, &format, cfg.kernel()))
 }
 
-func (t *Tree) keys(ct chronon.Instant) keys { return keys{pol: t.pol, ct: ct} }
+// Keys is the tree's key class as of current time ct, for callers that drive
+// the kernel's Insert, Delete and BulkLoad with entries of their own.
+func (t *Tree) Keys(ct chronon.Instant) rtree.Keys[temporal.Region, temporal.Shape] {
+	return keys{pol: t.pol, ct: ct}
+}
 
 // Insert adds an extent with its payload as of current time ct. The extent
 // must be one of the six valid combinations (Figure 2); the caller enforces
@@ -204,7 +208,7 @@ func (t *Tree) Insert(ext temporal.Extent, payload Payload, ct chronon.Instant) 
 	if !ext.Valid() {
 		return fmt.Errorf("grtree: invalid extent %v", ext)
 	}
-	return rtree.Insert(t.Tree, t.keys(ct), Entry{Bound: ext.Region(), Ref: uint64(payload)})
+	return rtree.Insert(t.Tree, t.Keys(ct), Entry{Bound: ext.Region(), Ref: uint64(payload)})
 }
 
 // Delete removes the leaf entry holding exactly this extent and payload, as
@@ -212,7 +216,7 @@ func (t *Tree) Insert(ext temporal.Extent, payload Payload, ct chronon.Instant) 
 // the tree was condensed — the signal grt_delete uses to decide whether the
 // scan cursor must be reset (Section 5.5, Table 5 step 5).
 func (t *Tree) Delete(ext temporal.Extent, payload Payload, ct chronon.Instant) (removed, condensed bool, err error) {
-	return rtree.Delete(t.Tree, t.keys(ct), ext.Region(), payload)
+	return rtree.Delete(t.Tree, t.Keys(ct), ext.Region(), payload)
 }
 
 // DeleteWhere removes every leaf entry matching the predicate, returning
@@ -230,7 +234,7 @@ func (t *Tree) DeleteWhere(pred Predicate, ct chronon.Instant) (removed int, res
 		if err != nil || !ok {
 			return removed, cur.Restarts(), err
 		}
-		ok, _, err = rtree.Delete(t.Tree, t.keys(ct), e.Bound, e.Payload())
+		ok, _, err = rtree.Delete(t.Tree, t.Keys(ct), e.Bound, e.Payload())
 		if err != nil {
 			return removed, cur.Restarts(), err
 		}
@@ -257,7 +261,7 @@ func (t *Tree) BulkLoad(items []BulkItem, ct chronon.Instant) error {
 		}
 		entries[i] = Entry{Bound: it.Extent.Region(), Ref: uint64(it.Payload)}
 	}
-	return rtree.BulkLoad(t.Tree, t.keys(ct), entries)
+	return rtree.BulkLoad(t.Tree, t.Keys(ct), entries)
 }
 
 // Check validates the tree's structural invariants at ct (am_check); a

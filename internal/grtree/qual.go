@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/chronon"
+	"repro/internal/rtree"
 	"repro/internal/temporal"
 )
 
@@ -111,14 +112,13 @@ type at struct {
 func (a *at) Leaf(r temporal.Region) bool     { return a.m.LeafMatch(r, a.ct) }
 func (a *at) Internal(r temporal.Region) bool { return a.m.InternalMatch(r, a.ct) }
 
-// SearchMatcher creates a cursor over an arbitrary matcher (compound
-// qualifications).
-func (t *Tree) SearchMatcher(m Matcher, ct chronon.Instant) *Cursor {
-	return t.Tree.Search(&at{m, ct})
-}
+// At fixes an arbitrary matcher (compound qualifications) at current time
+// ct: the form in which the kernel, which has no notion of time, searches
+// with it.
+func At(m Matcher, ct chronon.Instant) rtree.Matcher[temporal.Region] { return &at{m, ct} }
 
 // ParallelScan offers the matcher a root fan-out partitioning; see
 // rtree.Tree.ParallelScan for when it declines (nil, no error).
 func (t *Tree) ParallelScan(m Matcher, ct chronon.Instant, degree int) (*ParallelScan, error) {
-	return t.Tree.ParallelScan(&at{m, ct}, degree)
+	return t.Tree.ParallelScan(At(m, ct), degree)
 }

@@ -33,7 +33,7 @@ type TreeStats struct {
 func (t *Tree) Stats(ct chronon.Instant, deadSpaceSamples int, seed int64) (TreeStats, error) {
 	st := TreeStats{Height: t.Height()}
 	resolve := func(r temporal.Region) temporal.Shape { return r.Resolve(ct) }
-	levels, shapes, err := rtree.Levels(t.Tree, t.keys(ct).Bound, resolve)
+	levels, shapes, err := rtree.Levels(t.Tree, t.Keys(ct).Bound, resolve)
 	if err != nil {
 		return st, err
 	}

@@ -155,6 +155,10 @@ func (keys) Centre(r Rect) (x, y float64) {
 
 func (keys) SplitKeys(r Rect) [4]int64 { return [4]int64{r.XMin, r.XMax, r.YMin, r.YMax} }
 
+// Keys is the rectangle key class, for callers that drive the kernel's
+// Insert, Delete and BulkLoad with entries of their own.
+func Keys() rtree.Keys[Rect, Rect] { return keys{} }
+
 // Config tunes the R*-tree.
 type Config struct {
 	MaxEntries  int // default and max: Capacity

@@ -68,12 +68,21 @@ type query struct {
 func (m *query) Leaf(r Rect) bool     { return leafTest(m.op, r, m.q) }
 func (m *query) Internal(r Rect) bool { return internalTest(m.op, r, m.q) }
 
-// Search creates a cursor for op against the query rectangle.
-func (t *Tree) Search(op Op, q Rect) (*Cursor, error) {
+// Query returns the kernel matcher for op against the query rectangle.
+func Query(op Op, q Rect) (rtree.Matcher[Rect], error) {
 	if q.Empty() {
 		return nil, fmt.Errorf("rstar: empty query rectangle %v", q)
 	}
-	return t.Tree.Search(&query{op, q}), nil
+	return &query{op, q}, nil
+}
+
+// Search creates a cursor for op against the query rectangle.
+func (t *Tree) Search(op Op, q Rect) (*Cursor, error) {
+	m, err := Query(op, q)
+	if err != nil {
+		return nil, err
+	}
+	return t.Tree.Search(m), nil
 }
 
 // SearchAll runs the query to completion (tests and benchmarks).
@@ -83,16 +92,6 @@ func (t *Tree) SearchAll(op Op, q Rect) ([]Payload, error) {
 		return nil, err
 	}
 	return cur.All()
-}
-
-// ParallelScan offers the query a root fan-out partitioning; nil (no error)
-// declines when the query is empty, the tree is too shallow or fewer than two
-// root children match.
-func (t *Tree) ParallelScan(op Op, q Rect, degree int) (*ParallelScan, error) {
-	if q.Empty() {
-		return nil, nil
-	}
-	return t.Tree.ParallelScan(&query{op, q}, degree)
 }
 
 // AggCount counts qualifying leaf entries without visiting tuples

@@ -17,6 +17,7 @@ type Cursor[B comparable] struct {
 	started  bool
 	returned map[Payload]bool
 	restarts int
+	buf      []Entry[B] // Fill's batch buffer
 }
 
 type frame[B any] struct {
@@ -30,6 +31,11 @@ type frame[B any] struct {
 func (t *Tree[B]) Search(m Matcher[B]) *Cursor[B] {
 	return &Cursor[B]{t: t, match: m, epoch: t.epoch, returned: make(map[Payload]bool)}
 }
+
+// Matcher returns the qualification the cursor was created for, so that an
+// am_parallelscan offer arriving after am_beginscan can partition the same
+// search.
+func (c *Cursor[B]) Matcher() Matcher[B] { return c.match }
 
 // Restarts reports how often the cursor restarted due to tree condensation
 // (experiment P4's measurement).
@@ -153,6 +159,18 @@ func (c *Cursor[B]) NextBatch(dst []Entry[B]) (int, error) {
 		n++
 	}
 	return n, nil
+}
+
+// Fill is NextBatch into a buffer the cursor owns, allocated on the first
+// call and reused by every later one (am_getmulti is called once per batch,
+// with the same capacity, for the life of the scan). The entries are valid
+// until the next Fill.
+func (c *Cursor[B]) Fill(n int) ([]Entry[B], error) {
+	if cap(c.buf) < n {
+		c.buf = make([]Entry[B], n)
+	}
+	n, err := c.NextBatch(c.buf[:n])
+	return c.buf[:n], err
 }
 
 // All drains the cursor and returns the payloads in traversal order

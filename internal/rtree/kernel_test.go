@@ -84,7 +84,7 @@ func grtTree(t *grtree.Tree, err error) (tree[temporal.Region], error) {
 		},
 		check: func() error { return t.Check(grtCT) },
 		search: func(op int, q temporal.Region) *rtree.Cursor[temporal.Region] {
-			return t.SearchMatcher(pred(op, q), grtCT)
+			return t.Tree.Search(grtree.At(pred(op, q), grtCT))
 		},
 		parallel: func(op int, q temporal.Region, degree int) (*rtree.ParallelScan[temporal.Region], error) {
 			return t.ParallelScan(pred(op, q), grtCT, degree)
@@ -165,7 +165,11 @@ func rstTree(t *rstar.Tree, err error) (tree[rstar.Rect], error) {
 			return cur
 		},
 		parallel: func(op int, q rstar.Rect, degree int) (*rtree.ParallelScan[rstar.Rect], error) {
-			return t.ParallelScan(rstar.Op(op), q, degree)
+			m, err := rstar.Query(rstar.Op(op), q)
+			if err != nil {
+				return nil, err
+			}
+			return t.Tree.ParallelScan(m, degree)
 		},
 		count: func(op int, q rstar.Rect) (int64, bool, error) { return t.AggCount(rstar.Op(op), q) },
 		extreme: func(op int, q rstar.Rect, wantMax bool) (rstar.Rect, bool, bool, error) {

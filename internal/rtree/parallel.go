@@ -120,6 +120,7 @@ type PartCursor[B comparable] struct {
 	ps    *ParallelScan[B]
 	stack []frame[B]
 	held  nodestore.NodeID // node whose read latch is currently held
+	buf   []Entry[B]       // Fill's batch buffer
 }
 
 // push reads node id under the crabbing protocol and pushes its frame.
@@ -199,4 +200,13 @@ func (c *PartCursor[B]) NextBatch(dst []Entry[B]) (int, error) {
 	}
 	c.unlatch()
 	return n, nil
+}
+
+// Fill is NextBatch into a buffer the partition cursor owns; see Cursor.Fill.
+func (c *PartCursor[B]) Fill(n int) ([]Entry[B], error) {
+	if cap(c.buf) < n {
+		c.buf = make([]Entry[B], n)
+	}
+	n, err := c.NextBatch(c.buf[:n])
+	return c.buf[:n], err
 }

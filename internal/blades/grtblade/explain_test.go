@@ -96,12 +96,12 @@ func TestExplainDeleteRowAtATime(t *testing.T) {
 	defer s.Close()
 	setupEmpDep(t, s)
 
-	// The interleaved DELETE keeps the Section 5.5 row-at-a-time protocol
-	// even on an access method that binds am_getmulti.
+	// DELETE never calls am_delete (deferred maintenance), so its index
+	// scan runs on the batch protocol like a SELECT's.
 	res := exec(t, s, `EXPLAIN DELETE FROM Employees WHERE Overlaps(Time_Extent, '12/10/95, UC, 12/10/95, NOW')`)
 	got := planText(t, res)
 	if !strings.Contains(got, "DELETE on Employees") ||
-		!strings.Contains(got, "batch:       row-at-a-time (am_getnext protocol)") {
+		!strings.Contains(got, "batch:       64 rows per am_getmulti") {
 		t.Fatalf("delete plan:\n%s", got)
 	}
 

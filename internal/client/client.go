@@ -62,7 +62,7 @@ func Dial(addr string, reg *types.Registry) (*Conn, error) {
 	switch t := m.(type) {
 	case *wire.Welcome:
 		c.banner = t.Banner
-		c.caps = t.Caps // zero against a version-1 server
+		c.caps = t.Caps
 		return c, nil
 	case *wire.Error:
 		nc.Close()
@@ -75,8 +75,7 @@ func Dial(addr string, reg *types.Registry) (*Conn, error) {
 // Banner returns the server identification from the handshake.
 func (c *Conn) Banner() string { return c.banner }
 
-// Caps returns the server's capability bitmask from the handshake (zero
-// against a version-1 server).
+// Caps returns the server's capability bitmask from the handshake.
 func (c *Conn) Caps() uint32 { return c.caps }
 
 // Close sends Quit and closes the socket.
@@ -147,14 +146,10 @@ func (c *Conn) awaitHeader() (*Rows, error) {
 
 // Prepare registers a named prepared statement on the server and returns a
 // handle for executing it with bound arguments — the network analogue of
-// PREPARE ... AS. Requires a server advertising wire.CapPrepared; against an
-// older server it fails client-side with CodeFeature.
+// PREPARE ... AS.
 func (c *Conn) Prepare(name, src string) (*Stmt, error) {
 	if c.rows != nil {
 		return nil, &engine.Error{Code: engine.CodeSessionBusy, Msg: "a result stream is already open on this connection"}
-	}
-	if c.caps&wire.CapPrepared == 0 {
-		return nil, &engine.Error{Code: engine.CodeFeature, Msg: "server does not support prepared statements (protocol version 1)"}
 	}
 	if err := c.wc.Send(&wire.Parse{Name: name, SQL: src}); err != nil {
 		return nil, err

@@ -1,100 +1,12 @@
 package client
 
 import (
-	"bufio"
-	"encoding/binary"
-	"io"
-	"net"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
-
-// fakeV1Server speaks the protocol as it was before the version-2 bump: its
-// Welcome carries no capability word, and it only understands Exec and
-// Quit. Frames are hand-rolled bytes so the test cannot accidentally lean
-// on the upgraded wire package.
-func fakeV1Server(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer nc.Close()
-		r := bufio.NewReader(nc)
-		readFrame := func() (byte, bool) {
-			var hdr [5]byte
-			if _, err := io.ReadFull(r, hdr[:]); err != nil {
-				return 0, false
-			}
-			payload := make([]byte, binary.BigEndian.Uint32(hdr[:4]))
-			if _, err := io.ReadFull(r, payload); err != nil {
-				return 0, false
-			}
-			return hdr[4], true
-		}
-		writeFrame := func(mt wire.MsgType, payload []byte) {
-			var hdr [5]byte
-			binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-			hdr[4] = byte(mt)
-			nc.Write(hdr[:])
-			nc.Write(payload)
-		}
-		if mt, ok := readFrame(); !ok || mt != byte(wire.MsgHello) {
-			return
-		}
-		// A version-1 Welcome: u16 version, string banner — nothing after.
-		banner := "ancient tinybladed"
-		w := binary.BigEndian.AppendUint16(nil, 1)
-		w = binary.BigEndian.AppendUint32(w, uint32(len(banner)))
-		w = append(w, banner...)
-		writeFrame(wire.MsgWelcome, w)
-		for {
-			mt, ok := readFrame()
-			if !ok || mt != byte(wire.MsgExec) {
-				return
-			}
-			// Header with zero columns, zero types, and an empty plan string,
-			// then a Done with zero affected and empty message/profile — all
-			// zero bytes in the v1 encoding.
-			writeFrame(wire.MsgHeader, make([]byte, 12))
-			writeFrame(wire.MsgDone, make([]byte, 16))
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// Against a version-1 server the upgraded client degrades cleanly: the
-// handshake succeeds with zero capabilities, Exec still works, and Prepare
-// fails client-side with CodeFeature before any frame goes out.
-func TestClientAgainstV1Server(t *testing.T) {
-	addr := fakeV1Server(t)
-	c, err := Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Banner() != "ancient tinybladed" {
-		t.Fatalf("banner: %q", c.Banner())
-	}
-	if c.Caps() != 0 {
-		t.Fatalf("caps from v1 server: %#x", c.Caps())
-	}
-	if _, err := c.Prepare("q", `SELECT 1`); engine.ErrorCode(err) != engine.CodeFeature {
-		t.Fatalf("Prepare against v1 server: %v", err)
-	}
-	if _, err := c.Exec(`SELECT 1`); err != nil {
-		t.Fatalf("Exec against v1 server: %v", err)
-	}
-}
 
 // The prepared-statement client API end to end: Prepare, positional
 // execute, server-side Bind with zero-argument re-execute, Close, and

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -23,13 +22,21 @@ func (s *Session) catTable(name string) (*catalog.Table, error) {
 	return tb, nil
 }
 
-// lockTable takes a table-level lock for the statement (strict 2PL; held to
-// transaction end).
-func (s *Session) lockTable(tb *catalog.Table, mode lock.Mode) error {
-	if s.vars.Isolation() == lock.DirtyRead && mode == lock.Shared {
-		return nil
+// writeTable resolves a write statement's table and takes its exclusive
+// table lock (strict 2PL; held to transaction end).
+func (s *Session) writeTable(name string) (*catalog.Table, *heap.Table, error) {
+	tb, err := s.catTable(name)
+	if err != nil {
+		return nil, nil, err
 	}
-	return s.e.lm.Acquire(lock.TxID(s.tx), lock.Resource{Kind: lock.KindTable, A: uint64(tb.SpaceID)}, mode)
+	if err := s.e.lm.Acquire(lock.TxID(s.tx), lock.Resource{Kind: lock.KindTable, A: uint64(tb.SpaceID)}, lock.Exclusive); err != nil {
+		return nil, nil, err
+	}
+	table, err := s.e.Table(tb.Name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tb, table, nil
 }
 
 // openIndexes opens every index on a table for the statement (Figure 6:
@@ -71,14 +78,7 @@ func (s *Session) openIndexes(table string, readOnly bool) ([]openIndex, func(),
 // INSERT -----------------------------------------------------------------------
 
 func (s *Session) insert(t *sql.Insert) (*Result, error) {
-	tb, err := s.catTable(t.Table)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.lockTable(tb, lock.Exclusive); err != nil {
-		return nil, err
-	}
-	table, err := s.e.Table(tb.Name)
+	tb, table, err := s.writeTable(t.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -124,26 +124,40 @@ func (s *Session) insert(t *sql.Insert) (*Result, error) {
 			}
 			row[colIdx[j]] = cv
 		}
-		rid, err := table.Insert(s.tx, row)
-		if err != nil {
-			return nil, heapErr(err)
+		if err := s.insertRow(table, idxs, builds, row); err != nil {
+			return nil, err
 		}
-		s.recordWrite(table, rid, heap.StampBegin)
-		for _, oi := range idxs {
-			if oi.ps.Insert == nil {
-				return nil, errf(CodeFeature, "access method %s cannot insert", oi.ix.AmName)
-			}
-			s.amCall("am_insert", oi.desc.Name)
-			err := oi.ps.Insert(s.ctx, oi.desc, projectIndexed(oi.desc, row), rid)
-			s.ctx.EndFunction()
-			if err != nil {
-				return nil, err
-			}
-		}
-		s.captureSide(builds, true, rid, row)
 		inserted++
 	}
 	return &Result{Affected: inserted, Message: fmt.Sprintf("%d row(s) inserted", inserted)}, nil
+}
+
+// insertRow stores a new row version and indexes it.
+func (s *Session) insertRow(table *heap.Table, idxs []openIndex, builds []*indexBuild, row []types.Datum) error {
+	rid, err := table.Insert(s.tx, row)
+	if err != nil {
+		return heapErr(err)
+	}
+	s.recordWrite(table, rid, heap.StampBegin)
+	return s.indexInsert(idxs, builds, rid, row)
+}
+
+// indexInsert runs am_insert for a new version on every open index and
+// captures it for the side logs of index builds in flight (idxbuild.go).
+func (s *Session) indexInsert(idxs []openIndex, builds []*indexBuild, rid heap.RowID, row []types.Datum) error {
+	for _, oi := range idxs {
+		if oi.ps.Insert == nil {
+			return errf(CodeFeature, "access method %s cannot insert", oi.ix.AmName)
+		}
+		s.amCall("am_insert", oi.desc.Name)
+		err := oi.ps.Insert(s.ctx, oi.desc, projectIndexed(oi.desc, row), rid)
+		s.ctx.EndFunction()
+		if err != nil {
+			return err
+		}
+	}
+	s.captureSide(builds, true, rid, row)
+	return nil
 }
 
 // LOAD ------------------------------------------------------------------------
@@ -153,14 +167,7 @@ func (s *Session) insert(t *sql.Insert) (*Result, error) {
 // (Section 6.3, item 3) and inserted through the normal index-maintaining
 // path.
 func (s *Session) load(t *sql.Load) (*Result, error) {
-	tb, err := s.catTable(t.Table)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.lockTable(tb, lock.Exclusive); err != nil {
-		return nil, err
-	}
-	table, err := s.e.Table(tb.Name)
+	tb, table, err := s.writeTable(t.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -196,23 +203,9 @@ func (s *Session) load(t *sql.Load) (*Result, error) {
 			}
 			row[i] = v
 		}
-		rid, err := table.Insert(s.tx, row)
-		if err != nil {
-			return nil, heapErr(err)
+		if err := s.insertRow(table, idxs, builds, row); err != nil {
+			return nil, err
 		}
-		s.recordWrite(table, rid, heap.StampBegin)
-		for _, oi := range idxs {
-			if oi.ps.Insert == nil {
-				return nil, errf(CodeFeature, "access method %s cannot insert", oi.ix.AmName)
-			}
-			s.amCall("am_insert", oi.desc.Name)
-			err := oi.ps.Insert(s.ctx, oi.desc, projectIndexed(oi.desc, row), rid)
-			s.ctx.EndFunction()
-			if err != nil {
-				return nil, err
-			}
-		}
-		s.captureSide(builds, true, rid, row)
 		loaded++
 	}
 	return &Result{Affected: loaded, Message: fmt.Sprintf("%d row(s) loaded", loaded)}, nil
@@ -453,222 +446,76 @@ func (s *Session) constantTmpl(ex sql.Expr, fn string, colPos int, colFirst bool
 	return &qualTmpl{op: am.QFunc, fn: fn, colPos: colPos, colFirst: colFirst, constVal: cv}
 }
 
-// scanRows pulls the batched pipeline (source → WHERE filter, see iter.go)
-// and spills to one row at a time for callers that consume rows
-// individually. Index scans go through am_getmulti (or the am_getnext
-// adapter); heap scans through the batched sequential scanner.
-func (s *Session) scanRows(tb *catalog.Table, table *heap.Table, schema []types.Type, where sql.Expr,
-	path accessPath, snap *heap.Snapshot, fn func(rid heap.RowID, row []types.Datum) (bool, error)) error {
+// target is one row a DELETE or UPDATE acts on.
+type target struct {
+	rid heap.RowID
+	row []types.Datum
+}
 
-	it, err := s.openBatchScan(tb, table, schema, where, path, 1, snap)
+// scanRows is the target collector DELETE and UPDATE share: it captures the
+// statement's read view — a fresh committed one, taken after the table X
+// lock, so the versions a write targets are the latest committed ones — and
+// pulls the same batch pipeline a SELECT runs (source → WHERE filter, see
+// iter.go: am_getmulti or the am_getnext adapter for an index, page-at-a-time
+// for the heap). Every target is collected before the first is written, so
+// the scan never meets the statement's own end stamps or successor versions.
+// Write scans stay serial.
+func (s *Session) scanRows(tb *catalog.Table, table *heap.Table, where sql.Expr, path accessPath, plan *Plan) ([]target, error) {
+	snap := s.stmtSnapshot(true)
+	plan.SnapshotLSN = snap.ReadLSN
+	s.ec.SetSnapshot(snap.ReadLSN)
+	it, err := s.openBatchScan(tb, table, table.Schema(), where, path, 1, snap)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer it.close()
+	var targets []target
 	for {
 		rb, err := it.next()
-		if err != nil {
-			return err
-		}
-		if rb == nil {
-			return nil
+		if err != nil || rb == nil {
+			return targets, err
 		}
 		for i := range rb.rows {
-			cont, err := fn(rb.rids[i], rb.rows[i])
-			if err != nil {
-				return err
-			}
-			if !cont {
-				return nil
-			}
+			targets = append(targets, target{rb.rids[i], rb.rows[i]})
 		}
 	}
-}
-
-// scanRowsTuple drives the paper's original row-at-a-time index protocol
-// (Figure 6(b): am_beginscan, am_getnext*, am_endscan), applying the full
-// WHERE clause per fetched row. The interleaved DELETE stays on this path:
-// the Section 5.5 deletion procedure retrieves and deletes entries one by
-// one through the same scan, so batching ahead of the deletes would hand
-// the cursor stale rowids whenever the tree condenses under it.
-func (s *Session) scanRowsTuple(tb *catalog.Table, table *heap.Table, schema []types.Type, where sql.Expr,
-	oi *openIndex, qual *am.Qual, snap *heap.Snapshot, fn func(rid heap.RowID, row []types.Datum) (bool, error)) error {
-
-	sd := &am.ScanDesc{Index: oi.desc, Qual: qual, Obs: s.ec, Snapshot: snap}
-	if oi.ps.BeginScan != nil {
-		s.amCall("am_beginscan", oi.desc.Name)
-		if err := oi.ps.BeginScan(s.ctx, sd); err != nil {
-			s.ctx.EndFunction()
-			return err
-		}
-		s.ctx.EndFunction()
-	}
-	defer func() {
-		if oi.ps.EndScan != nil {
-			s.amCall("am_endscan", oi.desc.Name)
-			oi.ps.EndScan(s.ctx, sd)
-			s.ctx.EndFunction()
-		}
-	}()
-	for {
-		s.amCall("am_getnext", oi.desc.Name)
-		rid, _, ok, err := oi.ps.GetNext(s.ctx, sd)
-		s.ctx.EndFunction()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		s.ec.AddScanned(1)
-		row, visible, err := table.GetVersion(rid, sd.Snapshot)
-		if err != nil {
-			if errors.Is(err, heap.ErrNoSuchRow) {
-				continue // entry whose cell was reclaimed: dead by definition
-			}
-			return errf(CodeInternal, "index %s returned dangling %v: %w", oi.desc.Name, rid, err)
-		}
-		if !visible {
-			continue // version outside the scan's read view
-		}
-		if where != nil {
-			ok, err := s.evalBool(where, tb, schema, row)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
-		cont, err := fn(rid, row)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
-	}
-}
-
-// SELECT -----------------------------------------------------------------------
-
-func (s *Session) selectStmt(t *sql.Select) (*Result, error) {
-	if _, err := s.catTable(t.Table); err != nil {
-		// A real table shadows a virtual one; only unresolved names fall
-		// through to SYSPROFILE/SYSPTPROF.
-		if vtb, data, ok := s.virtualRows(t.Table); ok {
-			return s.selectVirtual(t, vtb, data)
-		}
-		return nil, err
-	}
-	// Batch-pull execution through the streaming cursor (stream.go): Exec
-	// materialises what ExecStream hands out batch by batch.
-	cur, err := s.openSelectCursor(t)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.close()
-	for {
-		rows, err := cur.nextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if rows == nil {
-			break
-		}
-		cur.res.Rows = append(cur.res.Rows, rows...)
-	}
-	return cur.finishResult(), nil
 }
 
 // DELETE -----------------------------------------------------------------------
 
-// deleteStmt reproduces the paper's deletion procedure (Section 5.5):
-// qualifying entries are retrieved and deleted one by one through the same
-// scan, so the access method's cursor/condense interplay (Table 5,
-// grt_delete step 5) is exercised for real.
+// deleteStmt end-stamps every version the WHERE clause selects. Index
+// maintenance is deferred: the entries stay so scans under older snapshots
+// (and index builds in flight) keep resolving the rowids — GetVersion's
+// visibility check decides per reader — and the vacuum removes entry and
+// cell together once no snapshot can see the version (snapshot.go
+// vacuumTable). DELETE therefore never calls am_delete, nothing condenses
+// the tree under its scan, and its targets come from the batch pipeline like
+// UPDATE's; Section 5.5's retrieve-and-delete interplay lives in the vacuum.
 func (s *Session) deleteStmt(t *sql.Delete) (*Result, error) {
-	tb, err := s.catTable(t.Table)
+	tb, table, err := s.writeTable(t.Table)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.lockTable(tb, lock.Exclusive); err != nil {
-		return nil, err
-	}
-	table, err := s.e.Table(tb.Name)
-	if err != nil {
-		return nil, err
-	}
-	schema := table.Schema()
-
-	idxs, closeAll, err := s.openIndexes(tb.Name, false)
+	_, closeAll, path, plan, err := s.planStmt("DELETE", t, tb, table.Schema(), t.Where, true)
 	if err != nil {
 		return nil, err
 	}
 	defer closeAll()
-
-	path, plan, err := s.planStmt("DELETE", t, tb, schema, t.Where, idxs)
+	targets, err := s.scanRows(tb, table, t.Where, path, plan)
 	if err != nil {
 		return nil, err
 	}
-	if path.index != nil {
-		plan.BatchCap = 1 // the interleaved DELETE stays row-at-a-time (Section 5.5)
-	}
-	// Write statements scan under a fresh committed view captured after the
-	// X lock, so the versions they target are the latest committed ones.
-	snap := s.stmtSnapshot(true)
-	plan.SnapshotLSN = snap.ReadLSN
-	s.ec.SetSnapshot(snap.ReadLSN)
-
 	deleted := 0
-	deleteRow := func(rid heap.RowID, row []types.Datum) error {
-		ended, err := table.Delete(s.tx, rid)
+	for _, tg := range targets {
+		ended, err := table.Delete(s.tx, tg.rid)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ended {
-			return nil // version already ended by this transaction
+			continue // version already ended by this transaction
 		}
-		s.recordWrite(table, rid, heap.StampEnd)
-		// Index maintenance is deferred: the entry stays so scans under
-		// older snapshots (and index builds in flight) keep resolving the
-		// rowid — GetVersion's visibility check decides per reader. The
-		// vacuum removes entry and cell together once no snapshot can see
-		// the version (snapshot.go vacuumTable).
+		s.recordWrite(table, tg.rid, heap.StampEnd)
 		deleted++
-		return nil
-	}
-
-	if path.index != nil {
-		// Interleaved scan-and-delete through the index, on the
-		// row-at-a-time am_getnext protocol (Section 5.5; see
-		// scanRowsTuple for why this path does not batch).
-		err = s.scanRowsTuple(tb, table, schema, t.Where, path.index, path.qual, snap, func(rid heap.RowID, row []types.Datum) (bool, error) {
-			return true, deleteRow(rid, row)
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Sequential path: materialise first (heap scans do not tolerate
-		// concurrent slot removal), then delete.
-		type victim struct {
-			rid heap.RowID
-			row []types.Datum
-		}
-		var victims []victim
-		err = s.scanRows(tb, table, schema, t.Where, path, snap, func(rid heap.RowID, row []types.Datum) (bool, error) {
-			victims = append(victims, victim{rid, row})
-			return true, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range victims {
-			if err := deleteRow(v.rid, v.row); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return &Result{Affected: deleted, Message: fmt.Sprintf("%d row(s) deleted", deleted), Plan: plan}, nil
 }
@@ -676,14 +523,7 @@ func (s *Session) deleteStmt(t *sql.Delete) (*Result, error) {
 // UPDATE -----------------------------------------------------------------------
 
 func (s *Session) update(t *sql.Update) (*Result, error) {
-	tb, err := s.catTable(t.Table)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.lockTable(tb, lock.Exclusive); err != nil {
-		return nil, err
-	}
-	table, err := s.e.Table(tb.Name)
+	tb, table, err := s.writeTable(t.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -698,31 +538,13 @@ func (s *Session) update(t *sql.Update) (*Result, error) {
 		setIdx[i] = ci
 	}
 
-	idxs, closeAll, err := s.openIndexes(tb.Name, false)
+	idxs, closeAll, path, plan, err := s.planStmt("UPDATE", t, tb, schema, t.Where, true)
 	if err != nil {
 		return nil, err
 	}
 	defer closeAll()
 	builds := s.e.activeBuilds(tb.Name)
-
-	path, plan, err := s.planStmt("UPDATE", t, tb, schema, t.Where, idxs)
-	if err != nil {
-		return nil, err
-	}
-	// Fresh committed view after the X lock (see deleteStmt).
-	snap := s.stmtSnapshot(true)
-	plan.SnapshotLSN = snap.ReadLSN
-	s.ec.SetSnapshot(snap.ReadLSN)
-
-	type target struct {
-		rid heap.RowID
-		row []types.Datum
-	}
-	var targets []target
-	err = s.scanRows(tb, table, schema, t.Where, path, snap, func(rid heap.RowID, row []types.Datum) (bool, error) {
-		targets = append(targets, target{rid, append([]types.Datum(nil), row...)})
-		return true, nil
-	})
+	targets, err := s.scanRows(tb, table, t.Where, path, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -751,21 +573,12 @@ func (s *Session) update(t *sql.Update) (*Result, error) {
 		// old version, newer ones skip it at rid resolution — and dies with
 		// its cell at vacuum time. (am_update's delete-then-insert contract
 		// would tear rows out from under older read views; the slot remains
-		// for access methods but the MVCC engine no longer drives it.)
-		for _, oi := range idxs {
-			if oi.ps.Insert == nil {
-				return nil, errf(CodeFeature, "access method %s cannot insert", oi.ix.AmName)
-			}
-			s.amCall("am_insert", oi.desc.Name)
-			err := oi.ps.Insert(s.ctx, oi.desc, projectIndexed(oi.desc, newRow), newRid)
-			s.ctx.EndFunction()
-			if err != nil {
-				return nil, err
-			}
+		// for access methods but the MVCC engine no longer drives it.) The
+		// side-log capture is likewise only the insert half: the old entry
+		// must stay in the built index for the same reason.
+		if err := s.indexInsert(idxs, builds, newRid, newRow); err != nil {
+			return nil, err
 		}
-		// Side-log capture: only the insert half — the old entry must stay
-		// in the built index for the same deferred-maintenance reason.
-		s.captureSide(builds, true, newRid, newRow)
 	}
 	return &Result{Affected: len(targets), Message: fmt.Sprintf("%d row(s) updated", len(targets)), Plan: plan}, nil
 }

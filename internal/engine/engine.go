@@ -718,14 +718,14 @@ type Session struct {
 	// statement currently executing.
 	stmtCtx context.Context
 
-	// stream is the in-flight ExecStream cursor, when one is open; a
-	// session runs one statement at a time, so a new statement cannot start
-	// until the stream is drained or closed.
+	// stream owns the statement scope currently open (beginStmt/Stream.end);
+	// a session runs one statement at a time, so a new statement cannot
+	// start until the stream is drained or closed.
 	stream *Stream
 
 	// ec is the profile of the statement currently executing (nil between
-	// statements); ExecStmt installs it and hands the finished Profile to the
-	// Result.
+	// statements); beginStmt installs it and Stream.end hands the finished
+	// Profile to the Result.
 	ec *obs.ExecContext
 
 	// MVCC read views (see snapshot.go): curSnap is statement-scoped,

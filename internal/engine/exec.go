@@ -103,34 +103,81 @@ func (s *Session) ExecStmt(st sql.Statement) (*Result, error) {
 	return s.ExecStmtCtx(context.Background(), st)
 }
 
-// ExecStmtCtx executes a parsed statement under a cancellation context. A
-// SELECT over a real table runs through the streaming path and is drained —
-// Exec is a thin wrapper over ExecStream, so the two can never diverge.
+// ExecStmtCtx executes a parsed statement under a cancellation context.
+// Exec is a thin wrapper over the streaming path — open the stream, then
+// Drain — so the two can never diverge.
 func (s *Session) ExecStmtCtx(ctx context.Context, st sql.Statement) (*Result, error) {
+	return drained(s.open(ctx, st, "", nil))
+}
+
+// drained materializes an opened stream (a failed open has none).
+func drained(str *Stream, err error) (*Result, error) {
+	if str == nil {
+		return nil, err
+	}
+	return str.Drain()
+}
+
+// open is the one statement path every entry point takes (Exec, ExecStream,
+// ExecutePrepared, ExecutePreparedStream, and SQL EXECUTE through either).
+// Session-state statements answer at once, outside any statement scope.
+// Everything else runs inside one scope (beginStmt … Stream.end): an
+// EXECUTE is resolved and bound first — its arguments evaluated exactly once
+// — and then a SELECT over a real table opens a cursor the Stream pulls,
+// while every other statement runs eagerly and is replayed. An API-level
+// EXECUTE (ExecutePrepared) passes no statement, the prepared name and its
+// argument vector. A statement that ran but whose auto-commit failed returns
+// its stream and the commit error; a failed statement returns no stream.
+func (s *Session) open(ctx context.Context, st sql.Statement, prep string, args []types.Datum) (*Stream, error) {
 	if s.stream != nil {
 		return nil, errf(CodeSessionBusy, "a result stream is already open on this session")
 	}
-	if sel, ok := st.(*sql.Select); ok {
-		if _, err := s.e.cat.TableByName(sel.Table); err == nil {
-			str, err := s.openStreamSelect(ctx, sel)
-			if err != nil {
-				return nil, err
+	if res, err := s.sessionStmt(st); res != nil || err != nil {
+		if err != nil {
+			return nil, err
+		}
+		return &Stream{res: res}, nil
+	}
+	str, err := s.beginStmt(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var exprs []sql.Expr
+	if ex, ok := st.(*sql.Execute); ok {
+		prep, exprs = ex.Name, ex.Args
+	}
+	if prep != "" {
+		st, err = s.bindPrepared(prep, args, exprs)
+	}
+	switch sel, isSelect := st.(*sql.Select); {
+	case err != nil:
+	case !isSelect:
+		str.res, err = s.run(st)
+	default:
+		var tb *catalog.Table
+		if tb, err = s.catTable(sel.Table); err == nil {
+			if str.cur, err = s.openSelectCursor(sel, tb); err == nil {
+				str.res = str.cur.res
+				return str, nil
 			}
-			return str.Drain()
+		} else if vtb, data, ok := s.virtualRows(sel.Table); ok {
+			// A real table shadows a virtual one; only unresolved names
+			// fall through to SYSPROFILE/SYSPTPROF.
+			str.res, err = s.selectVirtual(sel, vtb, data)
 		}
 	}
-	return s.execFull(ctx, st)
+	str.end(err)
+	if str.aborted {
+		return nil, err
+	}
+	return str, str.err
 }
 
-// execFull executes a statement eagerly, materializing its whole result:
-// session-state statements short-circuit, everything else runs inside the
-// statement's profile window and (possibly automatic) transaction.
-func (s *Session) execFull(ctx context.Context, st sql.Statement) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s.stmtCtx = ctx
-	defer func() { s.stmtCtx = nil }()
+// sessionStmt answers the statements that only read or set session state —
+// transaction control, SET, SHOW, PREPARE, DEALLOCATE. They run outside any
+// statement scope and carry no profile. A nil result and nil error mean st
+// is not one of them.
+func (s *Session) sessionStmt(st sql.Statement) (*Result, error) {
 	switch t := st.(type) {
 	case *sql.Begin:
 		if err := s.beginTx(true); err != nil {
@@ -193,43 +240,7 @@ func (s *Session) execFull(ctx context.Context, st sql.Statement) (*Result, erro
 		}
 		return &Result{Message: fmt.Sprintf("deallocated %q", strings.ToLower(t.Name))}, nil
 	}
-
-	// Profile the statement. The ExecContext opens before the (possibly
-	// automatic) transaction begins and finishes after it resolves, so
-	// transaction bookkeeping — wal.appends for BEGIN, wal.flushes for the
-	// auto-commit — lands in the statement that caused it.
-	ec := obs.NewExecContext(s.e.obs)
-	s.ec = ec
-	defer func() { s.ec = nil }()
-	// The statement-scoped read view (if the statement captures one) is
-	// released after the statement — and its auto-commit — resolves, so it
-	// pins the vacuum horizon for exactly the statement's lifetime.
-	defer s.releaseStmtSnap()
-	attach := func(res *Result) *Result {
-		if res != nil {
-			res.Stats = ec.Finish()
-		}
-		return res
-	}
-
-	auto := s.tx == 0
-	if auto {
-		if err := s.beginTx(false); err != nil {
-			return nil, err
-		}
-	}
-	res, err := s.run(st)
-	s.ctx.EndStatement()
-	if auto {
-		if err != nil {
-			s.rollbackTx()
-			return attach(res), err
-		}
-		if cerr := s.commitTx(); cerr != nil {
-			return attach(res), cerr
-		}
-	}
-	return attach(res), err
+	return nil, nil
 }
 
 // show serves SHOW ALL / SHOW <var>: the session's SET state as rows —
@@ -276,8 +287,6 @@ func (s *Session) run(st sql.Statement) (*Result, error) {
 		return s.alterIndexRebuild(t)
 	case *sql.Insert:
 		return s.insert(t)
-	case *sql.Select:
-		return s.selectStmt(t)
 	case *sql.Delete:
 		return s.deleteStmt(t)
 	case *sql.Update:
@@ -290,8 +299,6 @@ func (s *Session) run(st sql.Statement) (*Result, error) {
 		return s.load(t)
 	case *sql.Explain:
 		return s.explain(t)
-	case *sql.Execute:
-		return s.execExecute(t)
 	}
 	return nil, errf(CodeFeature, "unsupported statement %T", st)
 }

@@ -458,8 +458,8 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 	opened = false
 	// Commit mid-statement: the building transaction holds no table locks
 	// (the latch is its own transaction), so committing here only stamps and
-	// publishes the index page writes. The fresh transaction keeps execFull's
-	// auto-commit protocol intact.
+	// publishes the index page writes. The fresh transaction keeps the
+	// statement scope's auto-commit protocol intact.
 	if err = s.commitTx(); err != nil {
 		return err
 	}

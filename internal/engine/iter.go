@@ -11,13 +11,12 @@ import (
 	"repro/internal/types"
 )
 
-// The batch-pull pipeline: statements read rowBatches from a batchIterator
-// chain (source → WHERE filter) and spill to individual rows only at the
-// statement/client boundary. Index sources amortise the purpose-function
-// dispatch through am_getmulti; heap sources decode a page's tuples per
-// visit. The interleaved DELETE keeps the paper's row-at-a-time protocol
-// (scanRowsTuple) because its Section 5.5 cursor/delete interplay is
-// defined tuple by tuple.
+// The batch-pull pipeline: every statement that reads a table — SELECT and
+// the target scans of DELETE and UPDATE — reads rowBatches from a
+// batchIterator chain (source → WHERE filter) and spills to individual rows
+// only at the statement/client boundary. Index sources amortise the
+// purpose-function dispatch through am_getmulti; heap sources decode a
+// page's tuples per visit.
 
 // rowBatch is one unit flowing through the pipeline (parallel slices).
 type rowBatch struct {
@@ -73,10 +72,10 @@ type indexBatchIter struct {
 	closed bool
 }
 
-func (s *Session) newIndexBatchIter(oi *openIndex, table *heap.Table, qual *am.Qual, batch int, snap *heap.Snapshot) (*indexBatchIter, error) {
-	if batch < 1 {
-		batch = 1
-	}
+// beginScan builds the scan descriptor with the server's batch-capacity
+// proposal and runs am_beginscan, where the access method may adjust the
+// capacity (negotiation).
+func (s *Session) beginScan(oi *openIndex, qual *am.Qual, batch int, snap *heap.Snapshot) (*am.ScanDesc, error) {
 	sd := &am.ScanDesc{Index: oi.desc, Qual: qual, BatchCap: batch, Obs: s.ec, Snapshot: snap}
 	if oi.ps.BeginScan != nil {
 		s.amCall("am_beginscan", oi.desc.Name)
@@ -86,13 +85,13 @@ func (s *Session) newIndexBatchIter(oi *openIndex, table *heap.Table, qual *am.Q
 			return nil, err
 		}
 	}
-	return s.wrapIndexIter(oi, table, sd), nil
+	return sd, nil
 }
 
-// wrapIndexIter builds the serial iterator around a scan descriptor whose
-// am_beginscan has already run (the normal path, and the fallback when
+// newIndexBatchIter builds the serial iterator around a scan descriptor
+// whose am_beginscan has already run (the normal path, and the fallback when
 // am_parallelscan declines the degree offer).
-func (s *Session) wrapIndexIter(oi *openIndex, table *heap.Table, sd *am.ScanDesc) *indexBatchIter {
+func (s *Session) newIndexBatchIter(oi *openIndex, table *heap.Table, sd *am.ScanDesc) *indexBatchIter {
 	it := &indexBatchIter{s: s, oi: oi, table: table, sd: sd}
 	if oi.ps.GetMulti != nil {
 		it.native = true
@@ -133,27 +132,9 @@ func (it *indexBatchIter) next() (*rowBatch, error) {
 		if n == 0 {
 			return nil, nil
 		}
-		rb := &rowBatch{
-			rids: make([]heap.RowID, 0, n),
-			rows: make([][]types.Datum, 0, n),
-		}
-		// Resolve rowids against the heap under the scan's snapshot: versions
-		// the snapshot cannot see are dropped here (the index reflects write-time
-		// state; visibility is decided at rid→row resolution).
-		for i := 0; i < n; i++ {
-			rid := sd.Batch.RowIDs[i]
-			row, ok, err := it.table.GetVersion(rid, sd.Snapshot)
-			if err != nil {
-				if errors.Is(err, heap.ErrNoSuchRow) {
-					continue // entry whose cell was reclaimed: dead by definition
-				}
-				return nil, errf(CodeInternal, "index %s returned dangling %v: %w", it.oi.desc.Name, rid, err)
-			}
-			if !ok {
-				continue
-			}
-			rb.rids = append(rb.rids, rid)
-			rb.rows = append(rb.rows, row)
+		rb, err := resolveBatch(it.oi, it.table, sd, n)
+		if err != nil {
+			return nil, err
 		}
 		if len(rb.rows) > 0 {
 			return rb, nil
@@ -161,6 +142,32 @@ func (it *indexBatchIter) next() (*rowBatch, error) {
 		// Whole batch invisible: pull the next one.
 	}
 	return nil, nil
+}
+
+// resolveBatch resolves the n rowids a fill left in sd.Batch against the
+// heap under the scan's snapshot: versions the snapshot cannot see are
+// dropped here (the index reflects write-time state; visibility is decided at
+// rid→row resolution), and so are entries whose cell the vacuum reclaimed.
+// Serial iterators and parallel workers share it.
+func resolveBatch(oi *openIndex, table *heap.Table, sd *am.ScanDesc, n int) (*rowBatch, error) {
+	rb := &rowBatch{
+		rids: make([]heap.RowID, 0, n),
+		rows: make([][]types.Datum, 0, n),
+	}
+	for _, rid := range sd.Batch.RowIDs[:n] {
+		row, ok, err := table.GetVersion(rid, sd.Snapshot)
+		if err != nil {
+			if errors.Is(err, heap.ErrNoSuchRow) {
+				continue // entry whose cell was reclaimed: dead by definition
+			}
+			return nil, errf(CodeInternal, "index %s returned dangling %v: %w", oi.desc.Name, rid, err)
+		}
+		if ok {
+			rb.rids = append(rb.rids, rid)
+			rb.rows = append(rb.rows, row)
+		}
+	}
+	return rb, nil
 }
 
 func (it *indexBatchIter) close() {
@@ -244,17 +251,15 @@ func (s *Session) openBatchScan(tb *catalog.Table, table *heap.Table, schema []t
 	batch := s.e.opts.ScanBatchSize
 	var src batchIterator
 	if path.index != nil {
-		var it batchIterator
-		var err error
-		if workers > 1 {
-			it, err = s.newParallelIndexIter(path.index, table, path.qual, batch, workers, snap)
-		} else {
-			it, err = s.newIndexBatchIter(path.index, table, path.qual, batch, snap)
-		}
+		sd, err := s.beginScan(path.index, path.qual, batch, snap)
 		if err != nil {
 			return nil, err
 		}
-		src = it
+		if workers <= 1 {
+			src = s.newIndexBatchIter(path.index, table, sd)
+		} else if src, err = s.newParallelIndexIter(path.index, table, sd, workers); err != nil {
+			return nil, err
+		}
 	} else if workers > 1 {
 		src = s.newParallelHeapIter(table, batch, workers, snap)
 	} else {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/mi"
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/types"
 )
 
 // Intra-query parallel scans: when the session's SET PARALLEL degree allows
@@ -24,8 +22,7 @@ import (
 // protocol and a merger funnels their batches back into the ordinary
 // batchIterator pipeline, so everything downstream (WHERE re-filter,
 // projection, row-at-a-time spill) is unchanged. Only SELECT parallelises:
-// the interleaved DELETE keeps the paper's Section 5.5 row-at-a-time
-// cursor/delete interplay, which is defined tuple by tuple on one cursor.
+// the target scans of DELETE and UPDATE run serially.
 
 // parallelObs caches the parallel.* counters (registered in
 // registerCoreCounters so SYSPROFILE always lists them): fan-out volume,
@@ -190,21 +187,11 @@ func (it *parallelBatchIter) close() {
 	}
 }
 
-// newParallelIndexIter begins the parent scan, offers the access method the
-// degree through am_parallelscan, and fans the returned partitions out to
-// workers. A declined offer (nil or fewer than two partitions) falls back to
-// the serial batch protocol on the scan already begun.
-func (s *Session) newParallelIndexIter(oi *openIndex, table *heap.Table, qual *am.Qual, batch, workers int, snap *heap.Snapshot) (batchIterator, error) {
-	if batch < 1 {
-		batch = 1
-	}
-	sd := &am.ScanDesc{Index: oi.desc, Qual: qual, BatchCap: batch, Obs: s.ec, Snapshot: snap}
-	s.amCall("am_beginscan", oi.desc.Name)
-	err := oi.ps.BeginScan(s.ctx, sd)
-	s.ctx.EndFunction()
-	if err != nil {
-		return nil, err
-	}
+// newParallelIndexIter offers the access method the degree through
+// am_parallelscan on a parent scan already begun, and fans the returned
+// partitions out to workers. A declined offer (nil or fewer than two
+// partitions) falls back to the serial batch protocol on the parent scan.
+func (s *Session) newParallelIndexIter(oi *openIndex, table *heap.Table, sd *am.ScanDesc, workers int) (batchIterator, error) {
 	s.amCall("am_parallelscan", oi.desc.Name)
 	parts, err := oi.ps.ParallelScan(s.ctx, sd, workers)
 	s.ctx.EndFunction()
@@ -213,7 +200,7 @@ func (s *Session) newParallelIndexIter(oi *openIndex, table *heap.Table, qual *a
 		return nil, err
 	}
 	if len(parts) < 2 {
-		return s.wrapIndexIter(oi, table, sd), nil
+		return s.newIndexBatchIter(oi, table, sd), nil
 	}
 	run := func(it *parallelBatchIter, w int, wctx *mi.Context) error {
 		return s.runIndexWorker(it, parts[w], oi, table, wctx)
@@ -240,26 +227,11 @@ func (s *Session) runIndexWorker(it *parallelBatchIter, sd *am.ScanDesc, oi *ope
 		}
 		done := n < sd.Batch.Cap()
 		if n > 0 {
-			rb := &rowBatch{
-				rids: make([]heap.RowID, 0, n),
-				rows: make([][]types.Datum, 0, n),
-			}
 			// Workers share the statement's immutable snapshot: each rid the
 			// partition returns is resolved under it, invisible versions drop.
-			for i := 0; i < n; i++ {
-				rid := sd.Batch.RowIDs[i]
-				row, ok, err := table.GetVersion(rid, sd.Snapshot)
-				if err != nil {
-					if errors.Is(err, heap.ErrNoSuchRow) {
-						continue // entry whose cell was reclaimed: dead by definition
-					}
-					return errf(CodeInternal, "index %s returned dangling %v: %w", oi.desc.Name, rid, err)
-				}
-				if !ok {
-					continue
-				}
-				rb.rids = append(rb.rids, rid)
-				rb.rows = append(rb.rows, row)
+			rb, err := resolveBatch(oi, table, sd, n)
+			if err != nil {
+				return err
 			}
 			po.BusyNs.Add(uint64(time.Since(t0)))
 			if len(rb.rows) > 0 {

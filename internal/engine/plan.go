@@ -173,24 +173,10 @@ func (s *Session) explain(t *sql.Explain) (*Result, error) {
 	// EXPLAIN EXECUTE name (args): plan the prepared statement under the
 	// given binding, reporting whether the plan came from the shared cache.
 	if ex, ok := st.(*sql.Execute); ok {
-		p, err := s.lookupPrepared(ex.Name)
-		if err != nil {
+		var err error
+		if st, err = s.bindPrepared(ex.Name, nil, ex.Args); err != nil {
 			return nil, err
 		}
-		args := make([]types.Datum, len(ex.Args))
-		for i, a := range ex.Args {
-			v, err := s.evalExpr(a, nil, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		prevA, prevP := s.boundArgs, s.curPrep
-		if err := s.bindPrepared(p, args); err != nil {
-			return nil, err
-		}
-		defer func() { s.boundArgs, s.curPrep = prevA, prevP }()
-		st = p.stmt
 	}
 	var table string
 	var where sql.Expr
@@ -213,14 +199,11 @@ func (s *Session) explain(t *sql.Explain) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, closeAll, path, plan, err := s.planStmtRead(op, st, tb, hp.Schema(), where)
+	_, closeAll, path, plan, err := s.planStmt(op, st, tb, hp.Schema(), where, false)
 	if err != nil {
 		return nil, err
 	}
 	defer closeAll()
-	if op == "DELETE" && path.index != nil {
-		plan.BatchCap = 1 // the interleaved DELETE stays row-at-a-time (Section 5.5)
-	}
 	if op == "SELECT" {
 		plan.Workers = s.scanDegree(path, plan, hp)
 		// EXPLAIN takes no locks (reads are snapshot-isolated); render the

@@ -108,24 +108,36 @@ func (s *Session) lookupPrepared(name string) (*prepared, error) {
 	return p, nil
 }
 
-// bindPrepared checks the argument count and installs the binding the
-// statement's $n references read.
-func (s *Session) bindPrepared(p *prepared, args []types.Datum) error {
-	if len(args) != p.nparams {
-		return errf(CodeCardinality, "prepared statement %q wants %d argument(s), got %d", p.name, p.nparams, len(args))
+// bindPrepared is the one bind step every EXECUTE takes (SQL EXECUTE,
+// EXPLAIN EXECUTE, ExecutePrepared, the wire protocol's ExecutePrepared):
+// resolve the prepared statement, evaluate SQL EXECUTE's argument
+// expressions (exprs) — exactly once — or take the API's datums (args),
+// check the count, and install the binding the statement's $n references
+// read. It returns the statement to run; the binding lives until the
+// statement scope ends (Stream.end).
+func (s *Session) bindPrepared(name string, args []types.Datum, exprs []sql.Expr) (sql.Statement, error) {
+	p, err := s.lookupPrepared(name)
+	if err != nil {
+		return nil, err
 	}
-	s.boundArgs = args
-	s.curPrep = p
-	return nil
-}
-
-func (s *Session) clearBinding() {
-	s.boundArgs, s.curPrep = nil, nil
+	if exprs != nil {
+		args = make([]types.Datum, len(exprs))
+	}
+	if len(args) != p.nparams {
+		return nil, errf(CodeCardinality, "prepared statement %q wants %d argument(s), got %d", p.name, p.nparams, len(args))
+	}
+	for i, a := range exprs {
+		if args[i], err = s.evalExpr(a, nil, nil, nil); err != nil {
+			return nil, err
+		}
+	}
+	s.boundArgs, s.curPrep = args, p
+	return p.stmt, nil
 }
 
 // Prepare parses src (one statement) and registers it under name, returning
 // the statement's parameter count. This is the embedded/network entry point;
-// the SQL-level PREPARE ... AS arrives pre-parsed through execFull.
+// the SQL-level PREPARE ... AS arrives pre-parsed (exec.go sessionStmt).
 func (s *Session) Prepare(name, src string) (int, error) {
 	st, err := s.e.ParseSQL(src)
 	if err != nil {
@@ -164,100 +176,52 @@ func (s *Session) Deallocate(name string) error {
 // and materializes the result. No parsing happens on this path; with a plan
 // cache hit, no qualification extraction or am_scancost either.
 func (s *Session) ExecutePrepared(ctx context.Context, name string, args []types.Datum) (*Result, error) {
-	p, err := s.lookupPrepared(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.bindPrepared(p, args); err != nil {
-		return nil, err
-	}
-	res, err := s.ExecStmtCtx(ctx, p.stmt)
-	s.clearBinding()
-	return res, err
+	return drained(s.open(ctx, nil, name, args))
 }
 
 // ExecutePreparedStream is ExecutePrepared with streaming delivery: a
 // prepared SELECT's rows flow through the cursor protocol (the network
 // server's fast path). The parameter binding stays live until the stream
-// finishes, which clears it.
+// finishes.
 func (s *Session) ExecutePreparedStream(ctx context.Context, name string, args []types.Datum) (*Stream, error) {
-	p, err := s.lookupPrepared(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.bindPrepared(p, args); err != nil {
-		return nil, err
-	}
-	str, err := s.ExecStreamStmtCtx(ctx, p.stmt)
-	if err != nil {
-		s.clearBinding()
-		return nil, err
-	}
-	if str.cur == nil {
-		// Materialized replay (non-SELECT or virtual table): execution is
-		// already complete, so the binding has no further reader.
-		s.clearBinding()
-	}
-	return str, nil
+	return streamed(s.open(ctx, nil, name, args))
 }
 
-// streamExecute opens the streaming path for a SQL-level EXECUTE of a
-// prepared SELECT. false means "not streamable here" — the caller falls
-// through to the eager path, which re-raises whatever failed (argument
-// evaluation, arity) with the standard error shape.
-func (s *Session) streamExecute(ctx context.Context, p *prepared, ex *sql.Execute) (*Stream, bool) {
-	if len(ex.Args) != p.nparams {
-		return nil, false
-	}
-	args := make([]types.Datum, len(ex.Args))
-	for i, a := range ex.Args {
-		v, err := s.evalExpr(a, nil, nil, nil)
-		if err != nil {
-			return nil, false
-		}
-		args[i] = v
-	}
-	s.boundArgs, s.curPrep = args, p
-	str, err := s.openStreamSelect(ctx, p.stmt.(*sql.Select))
-	if err != nil {
-		s.clearBinding()
-		return nil, false
-	}
-	return str, true
-}
-
-// execExecute is the SQL-level EXECUTE: evaluate the argument expressions,
-// bind, and run the prepared statement through the normal dispatch. The
-// previous binding is restored on exit so EXECUTE composes with any caller
-// state.
-func (s *Session) execExecute(t *sql.Execute) (*Result, error) {
-	p, err := s.lookupPrepared(t.Name)
-	if err != nil {
-		return nil, err
-	}
-	args := make([]types.Datum, len(t.Args))
-	for i, a := range t.Args {
-		v, err := s.evalExpr(a, nil, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	prevA, prevP := s.boundArgs, s.curPrep
-	if err := s.bindPrepared(p, args); err != nil {
-		return nil, err
-	}
-	defer func() { s.boundArgs, s.curPrep = prevA, prevP }()
-	return s.run(p.stmt)
-}
-
-// planStmt is the planner entry for SELECT/DELETE/UPDATE: consult the shared
-// plan cache, bind on a hit, plan fresh (and publish) on a miss. op names
-// the statement kind; st is the statement being planned (used to derive the
-// auto-parameterization key for ad-hoc text).
-func (s *Session) planStmt(op string, st sql.Statement, tb *catalog.Table, schema []types.Type, where sql.Expr, idxs []openIndex) (accessPath, *Plan, error) {
+// planStmt is the one planner entry (SELECT, DELETE, UPDATE, and EXPLAIN of
+// each): consult the shared plan cache, bind on a hit, plan fresh (and
+// publish) on a miss. op names the statement kind; st is the statement
+// being planned (it derives the auto-parameterization key for ad-hoc text).
+// write decides only which indexes are opened, and the caller closes them:
+// DELETE and UPDATE open every index, for maintenance; a read opens only
+// what it scans — on a cache hit the chosen index, none for a cached
+// sequential scan, so a hot point query pays one am_open instead of one per
+// candidate — and the full candidate set only to plan fresh.
+//
+// sql.plan_ns books the planner's own work: the cache probe, the bind and
+// planAccess. am_open is not planning: it takes the index large object's
+// lock, and a reader queued behind a writer waits inside it — that wait
+// shows in the statement's elapsed time, not in sql.plan_ns.
+func (s *Session) planStmt(op string, st sql.Statement, tb *catalog.Table, schema []types.Type, where sql.Expr, write bool) ([]openIndex, func(), accessPath, *Plan, error) {
 	start := time.Now()
-	defer func() { s.e.planNs.Add(uint64(time.Since(start))) }()
+	var opening time.Duration
+	defer func() { s.e.planNs.Add(uint64(time.Since(start) - opening)) }()
+	var idxs []openIndex
+	var closeIdx func()
+	openIdx := func(cp *cachedPlan) (err error) {
+		t0 := time.Now()
+		if cp != nil {
+			idxs, closeIdx, err = s.openPlanIndexes(tb.Name, cp)
+		} else {
+			idxs, closeIdx, err = s.openIndexes(tb.Name, !write)
+		}
+		opening += time.Since(t0)
+		return err
+	}
+	if write {
+		if err := openIdx(nil); err != nil {
+			return nil, nil, accessPath{}, nil, err
+		}
+	}
 
 	key, autoArgs, pWhere, isAuto := s.planIntent(st, where)
 	if isAuto {
@@ -272,19 +236,31 @@ func (s *Session) planStmt(op string, st sql.Statement, tb *catalog.Table, schem
 	gen := s.e.cat.Generation()
 	if key != "" {
 		if v, ok := s.e.planCache.Get(key, gen); ok {
-			if path, plan, ok := s.bindCached(v.(*cachedPlan), tb, idxs); ok {
-				plan.Operation = op
-				return path, plan, nil
+			cp := v.(*cachedPlan)
+			if write || openIdx(cp) == nil {
+				if path, plan, ok := s.bindCached(cp, tb, idxs); ok {
+					plan.Operation = op
+					return idxs, closeIdx, path, plan, nil
+				}
+				if !write {
+					closeIdx()
+				}
 			}
-			// The entry survived the generation check but failed to bind
-			// against the just-opened indexes (DDL inside the Get→bind
-			// window, or an unbindable argument): replan fresh below; the
-			// Put overwrites the stale entry.
+			// The entry survived the generation check but its index is gone
+			// or no longer binds (DDL inside the Get→bind window, or an
+			// unbindable argument): replan fresh below; the Put overwrites
+			// the stale entry.
+		}
+	}
+	if !write {
+		if err := openIdx(nil); err != nil {
+			return nil, nil, accessPath{}, nil, err
 		}
 	}
 	path, plan, err := s.planAccess(tb, schema, where, idxs)
 	if err != nil {
-		return accessPath{}, nil, err
+		closeIdx()
+		return nil, nil, accessPath{}, nil, err
 	}
 	plan.Operation = op
 	// Publish only if no DDL ran while we planned — a stale publish would
@@ -292,57 +268,7 @@ func (s *Session) planStmt(op string, st sql.Statement, tb *catalog.Table, schem
 	if key != "" && s.e.cat.Generation() == gen {
 		s.e.planCache.Put(key, gen, s.cacheEntry(op, path, plan))
 	}
-	return path, plan, nil
-}
-
-// planStmtRead is the read-path planner entry (SELECT and EXPLAIN): unlike
-// planStmt it defers am_open until it knows which indexes the statement
-// scans. On a plan-cache hit only the chosen index is opened — none at all
-// for a cached sequential scan — so a hot point query pays one am_open
-// instead of one per candidate index. Only a miss (or a stale entry) opens
-// the full candidate set and plans fresh. The write paths keep planStmt:
-// DELETE and UPDATE open every index regardless, for maintenance.
-func (s *Session) planStmtRead(op string, st sql.Statement, tb *catalog.Table, schema []types.Type, where sql.Expr) ([]openIndex, func(), accessPath, *Plan, error) {
-	start := time.Now()
-	defer func() { s.e.planNs.Add(uint64(time.Since(start))) }()
-
-	key, autoArgs, pWhere, isAuto := s.planIntent(st, where)
-	if isAuto {
-		where = pWhere
-		prev := s.boundArgs
-		s.boundArgs = autoArgs
-		defer func() { s.boundArgs = prev }()
-	}
-	gen := s.e.cat.Generation()
-	if key != "" {
-		if v, ok := s.e.planCache.Get(key, gen); ok {
-			cp := v.(*cachedPlan)
-			if idxs, closeIdx, err := s.openPlanIndexes(tb.Name, cp); err == nil {
-				if path, plan, ok := s.bindCached(cp, tb, idxs); ok {
-					plan.Operation = op
-					return idxs, closeIdx, path, plan, nil
-				}
-				closeIdx()
-			}
-			// The entry survived the generation check but its index is gone
-			// or no longer binds: replan against the full candidate set; the
-			// Put below overwrites the stale entry.
-		}
-	}
-	idxs, closeAll, err := s.openIndexes(tb.Name, true)
-	if err != nil {
-		return nil, nil, accessPath{}, nil, err
-	}
-	path, plan, err := s.planAccess(tb, schema, where, idxs)
-	if err != nil {
-		closeAll()
-		return nil, nil, accessPath{}, nil, err
-	}
-	plan.Operation = op
-	if key != "" && s.e.cat.Generation() == gen {
-		s.e.planCache.Put(key, gen, s.cacheEntry(op, path, plan))
-	}
-	return idxs, closeAll, path, plan, nil
+	return idxs, closeIdx, path, plan, nil
 }
 
 // openPlanIndexes opens exactly the indexes a cached plan scans: the chosen

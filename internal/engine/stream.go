@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/am"
+	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/sql"
 	"repro/internal/types"
@@ -20,10 +21,10 @@ import (
 
 // selectCursor is an opened SELECT pipeline: planned access path, the
 // batch iterator chain, and the projection. It owns scan resources only —
-// transaction scope belongs to the Stream (or to selectStmt's caller).
+// the statement scope belongs to the Stream.
 type selectCursor struct {
 	s        *Session
-	res      *Result // header: Columns, ColTypes, Plan (Affected set at finish)
+	res      *Result       // header: Columns, ColTypes, Plan (Affected set at end)
 	it       batchIterator // nil: the aggregate was answered by am_aggregate
 	closeIdx func()        // am_close over the statement's opened indexes
 	projIdx  []int
@@ -34,14 +35,9 @@ type selectCursor struct {
 	closed   bool
 }
 
-// openSelectCursor plans and opens a SELECT over a real table — everything
-// selectStmt did up to its fetch loop. On error, every opened resource is
-// released before returning.
-func (s *Session) openSelectCursor(t *sql.Select) (*selectCursor, error) {
-	tb, err := s.catTable(t.Table)
-	if err != nil {
-		return nil, err
-	}
+// openSelectCursor plans and opens a SELECT over the real table tb. On
+// error, every opened resource is released before returning.
+func (s *Session) openSelectCursor(t *sql.Select, tb *catalog.Table) (*selectCursor, error) {
 	// No shared lock: reads run against an MVCC snapshot, so a SELECT never
 	// touches the lock manager and never blocks (or is blocked by) writers.
 	table, err := s.e.Table(tb.Name)
@@ -50,7 +46,7 @@ func (s *Session) openSelectCursor(t *sql.Select) (*selectCursor, error) {
 	}
 	schema := table.Schema()
 
-	_, closeAll, path, plan, err := s.planStmtRead("SELECT", t, tb, schema, t.Where)
+	_, closeAll, path, plan, err := s.planStmt("SELECT", t, tb, schema, t.Where, false)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +127,8 @@ func (s *Session) openSelectCursor(t *sql.Select) (*selectCursor, error) {
 		}
 		if ok {
 			return &selectCursor{
-				s:   s,
-				res: &Result{Columns: cols, ColTypes: colTypes, Plan: plan},
+				s:        s,
+				res:      &Result{Columns: cols, ColTypes: colTypes, Plan: plan},
 				closeIdx: closeAll, aggRow: row,
 			}, nil
 		}
@@ -209,30 +205,24 @@ func (c *selectCursor) close() {
 	c.closeIdx()
 }
 
-// finishResult seals the header result's tallies.
-func (c *selectCursor) finishResult() *Result {
-	c.res.Affected = c.count
-	return c.res
-}
-
 // Stream ----------------------------------------------------------------------
 
 // Stream is an incremental statement result. For a SELECT over a real table
 // it pulls projected row batches straight from the batch pipeline; for any
 // other statement it replays the already-materialized result. The stream
-// owns the statement's scope: its profile window, its read snapshot, and —
-// outside an explicit transaction — the auto-commit, all of which resolve
-// when the stream is exhausted or closed. A session runs one statement at a
-// time: until the stream finishes, starting another statement fails with
-// CodeSessionBusy.
+// owns the statement's scope (beginStmt/end): its profile window, its read
+// snapshot, its parameter binding and — outside an explicit transaction —
+// the auto-commit, all of which resolve when the stream is exhausted or
+// closed (at once, for a materialized statement). A session runs one
+// statement at a time: until the stream finishes, starting another statement
+// fails with CodeSessionBusy.
 type Stream struct {
 	s    *Session
 	cur  *selectCursor // nil = materialized replay
 	res  *Result
 	auto bool // the stream owns an auto-commit transaction
 
-	matDone bool // materialized rows were delivered
-	done    bool
+	done    bool // nothing more to deliver
 	aborted bool // the statement failed (vs finished, possibly with a commit error)
 	err     error
 }
@@ -254,69 +244,71 @@ func (s *Session) ExecStreamCtx(ctx context.Context, src string) (*Stream, error
 
 // ExecStreamStmtCtx executes a parsed statement as a stream.
 func (s *Session) ExecStreamStmtCtx(ctx context.Context, st sql.Statement) (*Stream, error) {
-	if s.stream != nil {
-		return nil, errf(CodeSessionBusy, "a result stream is already open on this session")
-	}
-	if sel, ok := st.(*sql.Select); ok {
-		if _, err := s.e.cat.TableByName(sel.Table); err == nil {
-			return s.openStreamSelect(ctx, sel)
-		}
-	}
-	// EXECUTE of a prepared SELECT over a real table streams like the SELECT
-	// itself would; any lookup or binding problem falls through to the eager
-	// path, which raises it with the standard error shape.
-	if ex, ok := st.(*sql.Execute); ok {
-		if p, err := s.lookupPrepared(ex.Name); err == nil {
-			if sel, ok := p.stmt.(*sql.Select); ok {
-				if _, err := s.e.cat.TableByName(sel.Table); err == nil {
-					if str, ok := s.streamExecute(ctx, p, ex); ok {
-						return str, nil
-					}
-				}
-			}
-		}
-	}
-	// No row stream for this statement: run it eagerly and replay.
-	res, err := s.execFull(ctx, st)
+	return streamed(s.open(ctx, st, "", nil))
+}
+
+// streamed hands a stream to a streaming caller, who learns of a failed
+// auto-commit at open (a cursor's commit error surfaces at exhaustion).
+func streamed(str *Stream, err error) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{res: res}, nil
+	return str, nil
 }
 
-// openStreamSelect opens the statement scope a streaming SELECT runs under:
-// the profile window, the (possibly auto-begun) transaction, and the
-// cursor. The Stream's finish path mirrors execFull's epilogue exactly —
-// EndStatement, auto-commit, stats attach, snapshot release — so a drained
-// stream is indistinguishable from Exec.
-func (s *Session) openStreamSelect(ctx context.Context, t *sql.Select) (*Stream, error) {
+// beginStmt opens a statement scope: the cancellation context, the profile
+// window — opened before the (possibly automatic) transaction begins and
+// finished after it resolves, so transaction bookkeeping (wal.appends for
+// BEGIN, wal.flushes for the auto-commit) lands in the statement that caused
+// it — and, outside an explicit transaction, the auto-commit transaction.
+// The returned Stream owns the scope; Stream.end closes it.
+func (s *Session) beginStmt(ctx context.Context) (*Stream, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.stmtCtx = ctx
 	s.ec = obs.NewExecContext(s.e.obs)
-	auto := s.tx == 0
-	if auto {
+	str := &Stream{s: s, auto: s.tx == 0}
+	if str.auto {
 		if err := s.beginTx(false); err != nil {
-			s.ec = nil
-			s.stmtCtx = nil
+			s.ec, s.stmtCtx = nil, nil
 			return nil, err
 		}
 	}
-	cur, err := s.openSelectCursor(t)
-	if err != nil {
-		s.ctx.EndStatement()
-		if auto {
-			s.rollbackTx()
-		}
-		s.releaseStmtSnap()
-		s.ec = nil
-		s.stmtCtx = nil
-		return nil, err
+	s.stream = str
+	return str, nil
+}
+
+// end closes the statement scope — the one epilogue every statement runs,
+// whether it finished, failed, or was abandoned mid-scan: release the scan,
+// end the statement window, commit (or, after a failure, roll back) the
+// auto transaction, attach the profile (after the commit, so its WAL
+// activity lands in the statement), release the statement's read snapshot,
+// and drop the parameter binding. err is the statement's own failure; a
+// commit error is recorded without marking the statement aborted.
+func (st *Stream) end(err error) {
+	s := st.s
+	if st.cur != nil {
+		st.cur.close()
+		st.res.Affected = st.cur.count
 	}
-	st := &Stream{s: s, cur: cur, res: cur.res, auto: auto}
-	s.stream = st
-	return st, nil
+	s.ctx.EndStatement()
+	st.aborted = err != nil
+	if st.auto {
+		if st.aborted {
+			s.rollbackTx()
+		} else {
+			err = s.commitTx()
+		}
+	}
+	stats := s.ec.Finish()
+	if st.res != nil {
+		st.res.Stats = stats
+	}
+	s.releaseStmtSnap()
+	s.boundArgs, s.curPrep = nil, nil
+	s.ec, s.stmtCtx, s.stream = nil, nil, nil
+	st.err = err
 }
 
 // Columns returns the result's column names (valid from open).
@@ -335,23 +327,17 @@ func (st *Stream) Next() ([][]types.Datum, error) {
 	if st.done {
 		return nil, nil
 	}
-	if st.cur == nil { // materialized replay
-		if !st.matDone {
-			st.matDone = true
-			if len(st.res.Rows) > 0 {
-				return st.res.Rows, nil
-			}
-		}
+	if st.cur == nil { // materialized replay: one batch, then exhaustion
 		st.done = true
+		if len(st.res.Rows) > 0 {
+			return st.res.Rows, nil
+		}
 		return nil, nil
 	}
 	rows, err := st.cur.nextBatch()
-	if err != nil {
-		st.fail(err)
-		return nil, err
-	}
-	if rows == nil {
-		st.finish()
+	if err != nil || rows == nil {
+		st.done = true
+		st.end(err)
 		return nil, st.err
 	}
 	return rows, nil
@@ -371,10 +357,9 @@ func (st *Stream) Err() error { return st.err }
 // returns the stream's terminal error.
 func (st *Stream) Close() error {
 	if !st.done {
-		if st.cur == nil {
-			st.done = true
-		} else {
-			st.finish()
+		st.done = true
+		if st.cur != nil {
+			st.end(nil)
 		}
 	}
 	return st.err
@@ -394,56 +379,12 @@ func (st *Stream) Drain() (*Result, error) {
 				return nil, err
 			}
 			// The statement finished but its epilogue (auto-commit) failed:
-			// hand back the result with the error, as execFull does.
+			// hand back the result with the error.
 			return st.res, err
 		}
 		if rows == nil {
-			break
+			return st.res, nil
 		}
 		st.res.Rows = append(st.res.Rows, rows...)
 	}
-	return st.res, nil
-}
-
-// finish resolves the statement scope after a complete (or abandoned) scan:
-// close the cursor, end the statement window, resolve the auto-commit,
-// attach the profile (after the commit, so its WAL activity lands in the
-// statement), and release the read snapshot.
-func (st *Stream) finish() {
-	st.done = true
-	s := st.s
-	st.cur.close()
-	st.cur.finishResult()
-	s.ctx.EndStatement()
-	if st.auto {
-		if cerr := s.commitTx(); cerr != nil {
-			st.err = cerr
-		}
-	}
-	st.res.Stats = s.ec.Finish()
-	s.releaseStmtSnap()
-	s.clearBinding()
-	s.ec = nil
-	s.stmtCtx = nil
-	s.stream = nil
-}
-
-// fail resolves the statement scope after a scan error: the auto
-// transaction rolls back, as execFull's error path does.
-func (st *Stream) fail(err error) {
-	st.done = true
-	st.aborted = true
-	st.err = err
-	s := st.s
-	st.cur.close()
-	s.ctx.EndStatement()
-	if st.auto {
-		s.rollbackTx()
-	}
-	st.res.Stats = s.ec.Finish()
-	s.releaseStmtSnap()
-	s.clearBinding()
-	s.ec = nil
-	s.stmtCtx = nil
-	s.stream = nil
 }

@@ -163,10 +163,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // conn is one client connection: its socket, its framing, its session, and
 // the in-flight statement's cancel hook.
 type conn struct {
-	srv   *Server
-	nc    net.Conn
-	wc    *wire.Conn
-	proto uint16 // negotiated protocol version (set by handshake)
+	srv *Server
+	nc  net.Conn
+	wc  *wire.Conn
 
 	mu        sync.Mutex
 	executing bool
@@ -228,22 +227,19 @@ func (c *conn) serve() {
 				return
 			}
 		case *wire.Parse:
-			if !c.requireV2(m) || !c.parse(sess, t) {
+			if !c.parse(sess, t) {
 				return
 			}
 		case *wire.Bind:
-			if !c.requireV2(m) || !c.bind(sess, t) {
+			if !c.bind(sess, t) {
 				return
 			}
 		case *wire.ExecutePrepared:
-			if !c.requireV2(m) {
-				return
-			}
 			if !c.execute(func(ctx context.Context) bool { return c.runPrepared(sess, ctx, t) }) {
 				return
 			}
 		case *wire.CloseStmt:
-			if !c.requireV2(m) || !c.closeStmt(sess, t) {
+			if !c.closeStmt(sess, t) {
 				return
 			}
 		case *wire.Quit:
@@ -255,7 +251,8 @@ func (c *conn) serve() {
 	}
 }
 
-// handshake validates the Hello and answers Welcome.
+// handshake validates the Hello and answers Welcome. Only the current
+// protocol version is spoken: every client in the tree sends it.
 func (c *conn) handshake() bool {
 	m, err := c.wc.Recv()
 	if err != nil {
@@ -263,35 +260,15 @@ func (c *conn) handshake() bool {
 		return false
 	}
 	h, ok := m.(*wire.Hello)
-	if !ok || h.Version < 1 || h.Version > wire.Version {
+	if !ok || h.Version != wire.Version {
 		c.srv.c.refused.Inc()
 		c.wc.Send(&wire.Error{
 			Code:    engine.CodeFeature,
-			Message: fmt.Sprintf("unsupported protocol (server speaks versions 1..%d)", wire.Version),
+			Message: fmt.Sprintf("unsupported protocol (server speaks version %d)", wire.Version),
 		})
 		return false
 	}
-	// Speak the client's version. Prepared-statement frames are only
-	// advertised — and only accepted — on version 2; a v1 client never sees
-	// the Caps word (its decoder ignores the trailing bytes).
-	c.proto = h.Version
-	w := &wire.Welcome{Version: h.Version, Banner: c.srv.opts.Banner}
-	if h.Version >= 2 {
-		w.Caps = wire.CapPrepared
-	}
-	return c.wc.Send(w) == nil
-}
-
-// requireV2 rejects prepared-statement frames on a version-1 connection:
-// the capability was never advertised there, so receiving one is a protocol
-// violation and the connection closes after the Error frame.
-func (c *conn) requireV2(m wire.Message) bool {
-	if c.proto >= 2 {
-		return true
-	}
-	c.wc.Send(&wire.Error{Code: engine.CodeFeature,
-		Message: fmt.Sprintf("%T requires protocol version 2 (connection negotiated %d)", m, c.proto)})
-	return false
+	return c.wc.Send(&wire.Welcome{Version: wire.Version, Banner: c.srv.opts.Banner, Caps: wire.CapPrepared}) == nil
 }
 
 // parse registers a named prepared statement on the session and acks with

@@ -30,11 +30,9 @@ import (
 	"repro/internal/types"
 )
 
-// Version is the protocol revision negotiated in Hello/Welcome. Version 2
-// added the prepared-statement frames (Parse/Bind/ExecutePrepared/CloseStmt)
-// and the Welcome capability bitmask; a version-1 peer interoperates — the
-// server accepts v1 Hellos, and a v1 client ignores the Welcome's trailing
-// capability bytes.
+// Version is the protocol revision sent in Hello/Welcome; the server speaks
+// only this one. Version 2 added the prepared-statement frames
+// (Parse/Bind/ExecutePrepared/CloseStmt) and the Welcome capability bitmask.
 const Version = 2
 
 // Capability bits advertised in Welcome.Caps.
@@ -60,7 +58,7 @@ const (
 	MsgDone
 	MsgError
 	MsgQuit
-	// Protocol version 2 (prepared statements):
+	// Prepared statements (added in version 2):
 	MsgParse
 	MsgPrepared
 	MsgBind
@@ -110,9 +108,9 @@ type Hello struct {
 }
 
 // Welcome acknowledges a Hello (server → client). Caps advertises optional
-// protocol features; it travels after the version-1 fields, so a version-1
-// client simply never reads it (decoders ignore trailing payload bytes) and
-// a version-1 server's Welcome decodes here with Caps == 0.
+// protocol features; it travels last, and a Welcome without it decodes with
+// Caps == 0 (decoders ignore trailing payload bytes, and tolerate their
+// absence here).
 type Welcome struct {
 	Version uint16
 	Banner  string
@@ -333,7 +331,7 @@ func (c *Conn) Recv() (Message, error) {
 		m = &Hello{Version: d.u16(), Banner: d.str()}
 	case MsgWelcome:
 		w := &Welcome{Version: d.u16(), Banner: d.str()}
-		// Caps is absent from a version-1 peer's Welcome; default zero.
+		// A Welcome may end before Caps; default zero.
 		if d.err == nil && d.pos < len(d.buf) {
 			w.Caps = d.u32()
 		}

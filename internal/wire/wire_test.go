@@ -128,21 +128,19 @@ func TestPreparedArgsOpaque(t *testing.T) {
 	_ = cliOT
 }
 
-// A version-1 Welcome — no capability word — must decode with Caps zero,
-// and a version-2 Welcome's Caps must survive the trip. This is the
-// compatibility hinge: decoders ignore trailing payload bytes, so each side
-// can be upgraded independently.
+// A Welcome's Caps must survive the trip, and a Welcome that ends before
+// the capability word must still decode, with Caps zero: the decoder
+// tolerates the field's absence.
 func TestWelcomeCapsCompat(t *testing.T) {
 	got := roundTrip(t, nil, nil, &Welcome{Version: 2, Banner: "d", Caps: CapPrepared}).(*Welcome)
 	if got.Caps != CapPrepared {
-		t.Fatalf("v2 Welcome caps: %#x", got.Caps)
+		t.Fatalf("Welcome caps: %#x", got.Caps)
 	}
 
-	// Hand-build the version-1 payload: u16 version, string banner, nothing
-	// after — exactly what a v1 peer's encoder emits.
+	// Hand-build the payload: u16 version, string banner, nothing after.
 	var e enc
-	e.u16(1)
-	e.str("old server")
+	e.u16(Version)
+	e.str("short welcome")
 	var buf bytes.Buffer
 	var hdr [5]byte
 	hdr[3] = byte(len(e.buf))
@@ -155,25 +153,11 @@ func TestWelcomeCapsCompat(t *testing.T) {
 	}{&buf, io.Discard}, nil)
 	m, err := c.Recv()
 	if err != nil {
-		t.Fatalf("v1 Welcome decode: %v", err)
+		t.Fatalf("Welcome without caps: %v", err)
 	}
 	w := m.(*Welcome)
-	if w.Version != 1 || w.Banner != "old server" || w.Caps != 0 {
-		t.Fatalf("v1 Welcome: %+v", w)
-	}
-
-	// The mirror direction: a v1 peer decoding a v2 Welcome must not choke
-	// on the trailing capability word — its decoder skips unread bytes. The
-	// shared dec already guarantees this (it only errors on underflow); prove
-	// it by decoding a v2 frame and checking no error even though a v1-shaped
-	// read (version + banner) leaves 4 bytes unread.
-	e = enc{}
-	e.u16(2)
-	e.str("new server")
-	e.u32(CapPrepared)
-	d := dec{buf: e.buf}
-	if v, b := d.u16(), d.str(); v != 2 || b != "new server" || d.err != nil {
-		t.Fatalf("v1-shaped read of v2 Welcome: %d %q %v", v, b, d.err)
+	if w.Version != Version || w.Banner != "short welcome" || w.Caps != 0 {
+		t.Fatalf("Welcome without caps: %+v", w)
 	}
 }
 

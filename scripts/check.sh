@@ -31,6 +31,13 @@ go test -race ./internal/storage/... ./internal/heap/... ./internal/lock/... ./i
 echo "== go test -race -count=10 TestPlanCacheDDLRace"
 go test -race -count=10 -run TestPlanCacheDDLRace ./internal/engine
 
+# The statement pipeline: one statement scope over every entry point (clean,
+# scan error, open error, bind error), and DELETE on the batch pipeline
+# agreeing with a sequential scan and an oracle for all three access methods.
+echo "== go test -race -count=5 statement scope + DELETE agreement"
+go test -race -count=5 -run TestStatementScopeEveryEntryPoint ./internal/engine
+go test -race -count=5 -run TestDeleteAgreesOnTheBatchPath ./internal/blades/treeblade
+
 # bench/ is a nested module, so ./... above never compiles it: an API break
 # in a package it imports would otherwise first show up in the benchmark gate.
 echo "== bench module: go vet + go test"

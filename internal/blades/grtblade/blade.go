@@ -315,21 +315,21 @@ func (o *open) Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (rtree.Mat
 	if err != nil {
 		return nil, err
 	}
-	if err := compound.Validate(); err != nil {
+	compiled, err := compound.Compile(o.ct)
+	if err != nil {
 		return nil, err
 	}
-	var m grtree.Matcher = compound
-	if o.dynamic {
-		// Section 5.2's extensible alternative: leaf strategy functions are
-		// dynamically resolved and invoked as registered UDRs; only the
-		// internal-region functions stay hard-coded. Experiment P5 measures
-		// the overhead against the default.
-		m = &dynamicMatcher{
-			compound: compound, qual: q, ctx: ctx,
-			svc: id.Services, typeID: id.ColTypes[0].OpaqueID,
-		}
+	if !o.dynamic {
+		return compiled, nil
 	}
-	return grtree.At(m, o.ct), nil
+	// Section 5.2's extensible alternative: leaf strategy functions are
+	// dynamically resolved and invoked as registered UDRs; only the
+	// internal-region functions stay hard-coded. Experiment P5 measures the
+	// overhead against the default.
+	return grtree.At(&dynamicMatcher{
+		compiled: compiled, qual: q, ctx: ctx,
+		svc: id.Services, typeID: id.ColTypes[0].OpaqueID,
+	}, o.ct), nil
 }
 
 // Window resolves the region at the blade's current time, so now-relative
@@ -414,7 +414,7 @@ func compileQual(q *am.Qual) (*grtree.Compound, error) {
 // dynamicMatcher evaluates leaf qualifications by invoking the registered
 // strategy UDRs (Overlaps, Equal, ...) per candidate entry.
 type dynamicMatcher struct {
-	compound *grtree.Compound
+	compiled *grtree.Compiled // compiled at the ct At fixes
 	qual     *am.Qual
 	ctx      *mi.Context
 	svc      am.Services
@@ -422,8 +422,8 @@ type dynamicMatcher struct {
 }
 
 // InternalMatch implements grtree.Matcher (hard-coded internal functions).
-func (m *dynamicMatcher) InternalMatch(bound temporal.Region, ct chronon.Instant) bool {
-	return m.compound.InternalMatch(bound, ct)
+func (m *dynamicMatcher) InternalMatch(bound temporal.Region, _ chronon.Instant) bool {
+	return m.compiled.Internal(bound)
 }
 
 // LeafMatch implements grtree.Matcher through dynamic UDR invocation.

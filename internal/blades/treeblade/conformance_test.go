@@ -57,11 +57,8 @@ const rows = 300
 func open(t *testing.T, opts engine.Options) *engine.Engine {
 	t.Helper()
 	opts.Clock = chronon.NewVirtualClock(chronon.MustParse("9/97"))
-	// No background daemons: the table is about the purpose protocol, and a
-	// checkpoint that fires during a few hundred single-row statements
-	// flushes large-object pages an index writer is copying into (an engine
-	// race the detector reports; ROADMAP, aim 3).
-	opts.CheckpointInterval, opts.VacuumInterval = -1, -1
+	// No vacuum daemon: the table is about the purpose protocol.
+	opts.VacuumInterval = -1
 	e, err := engine.Open(opts)
 	if err != nil {
 		t.Fatal(err)

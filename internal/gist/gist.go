@@ -108,6 +108,7 @@ func (n *node) encode(buf []byte) error {
 
 // decodeNode trusts nothing on the page: count and every key length come
 // from disk, so each is checked against the page before it bounds a slice.
+// Keys are copied out: the page is the store's, and is rewritten in place.
 func decodeNode(id nodestore.NodeID, buf []byte) (*node, error) {
 	if len(buf) < nodeHeader || binary.BigEndian.Uint32(buf[0:4]) != nodeMagic {
 		return nil, fmt.Errorf("gist: node %d has bad magic", id)
@@ -221,12 +222,15 @@ func (t *Tree) Height() int { return t.height }
 // MaxEntries returns the per-node fanout (derived from the key size).
 func (t *Tree) MaxEntries() int { return t.maxEntries }
 
+// readNode decodes node id from its page in place; decodeNode copies every
+// key out, so the node outlives the page.
 func (t *Tree) readNode(id nodestore.NodeID) (*node, error) {
-	buf := make([]byte, nodestore.NodeSize)
-	if err := t.store.Read(id, buf); err != nil {
-		return nil, err
-	}
-	return decodeNode(id, buf)
+	var n *node
+	err := t.store.View(id, func(page []byte) (err error) {
+		n, err = decodeNode(id, page)
+		return err
+	})
+	return n, err
 }
 
 func (t *Tree) writeNode(n *node) error {

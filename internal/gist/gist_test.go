@@ -322,3 +322,35 @@ func TestDecodeNodeRejectsBadPages(t *testing.T) {
 		t.Error("Check passed over a corrupt root page")
 	}
 }
+
+// TestDecodedKeysSurvivePageRewrite: a node is decoded from the store's page
+// in place, and that page is rewritten in place by the next write, so every
+// decoded key must be a copy.
+func TestDecodedKeysSurvivePageRewrite(t *testing.T) {
+	store := nodestore.NewMem()
+	tr, err := Create(store, IntervalClass{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 5; i++ {
+		if err := tr.Insert(IntervalKey(i, i+3), Payload(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := tr.readNode(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for _, e := range n.entries {
+		want = append(want, append([]byte(nil), e.Key...))
+	}
+	if err := store.Write(tr.root, bytes.Repeat([]byte{0xa5}, nodestore.NodeSize)); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range n.entries {
+		if !bytes.Equal(e.Key, want[i]) {
+			t.Fatalf("key %d became %x after its page was rewritten, want %x", i, e.Key, want[i])
+		}
+	}
+}

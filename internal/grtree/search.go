@@ -37,17 +37,18 @@ func (o Op) String() string {
 }
 
 // leafTest evaluates the predicate against a leaf region — the strategy
-// function proper, operating on exact geometry.
-func leafTest(op Op, entry, query temporal.Region, ct chronon.Instant) bool {
+// function proper, operating on exact geometry: the entry and the query
+// resolved at the same current time.
+func leafTest(op Op, entry, query temporal.Shape) bool {
 	switch op {
 	case OpOverlaps:
-		return entry.Overlaps(query, ct)
+		return entry.Overlaps(query)
 	case OpEqual:
-		return entry.Equal(query, ct)
+		return entry.EqualShape(query)
 	case OpContains:
-		return entry.Contains(query, ct)
+		return entry.ContainsShape(query)
 	case OpContainedIn:
-		return entry.ContainedIn(query, ct)
+		return query.ContainsShape(entry)
 	}
 	return false
 }
@@ -56,16 +57,16 @@ func leafTest(op Op, entry, query temporal.Region, ct chronon.Instant) bool {
 // the "internal" companion of each strategy function that Section 5.2
 // discusses (OverlapsInternal() etc., hard-coded in the prototype): it must
 // hold whenever any descendant leaf could satisfy the strategy function.
-func internalTest(op Op, bound, query temporal.Region, ct chronon.Instant) bool {
+func internalTest(op Op, bound, query temporal.Shape) bool {
 	switch op {
 	case OpOverlaps, OpContainedIn:
 		// A leaf overlapping (or inside) the query overlaps it, so its
 		// ancestors' bounds do too.
-		return bound.Overlaps(query, ct)
+		return bound.Overlaps(query)
 	case OpEqual, OpContains:
 		// A leaf equal to (or containing) the query contains it, so its
 		// ancestors' bounds contain it as well.
-		return bound.Contains(query, ct)
+		return bound.ContainsShape(query)
 	}
 	return false
 }
@@ -79,21 +80,8 @@ type Predicate struct {
 // Match evaluates the predicate against an extent at ct (the non-indexed
 // fallback the server uses when the optimizer skips the index).
 func (p Predicate) Match(e temporal.Extent, ct chronon.Instant) bool {
-	return leafTest(p.Op, e.Region(), p.Query.Region(), ct)
+	return p.LeafMatch(e.Region(), ct)
 }
-
-// predAt is a predicate as of one current time, its query region computed
-// once: the form in which the kernel, which has no notion of time, sees it.
-type predAt struct {
-	op    Op
-	query temporal.Region
-	ct    chronon.Instant
-}
-
-func (p Predicate) at(ct chronon.Instant) *predAt { return &predAt{p.Op, p.Query.Region(), ct} }
-
-func (p *predAt) Leaf(r temporal.Region) bool     { return leafTest(p.op, r, p.query, p.ct) }
-func (p *predAt) Internal(r temporal.Region) bool { return internalTest(p.op, r, p.query, p.ct) }
 
 // Search creates a cursor for the predicate as of current time ct
 // (Tree.search() of Appendix A).
@@ -101,7 +89,7 @@ func (t *Tree) Search(pred Predicate, ct chronon.Instant) (*Cursor, error) {
 	if !pred.Query.Valid() {
 		return nil, fmt.Errorf("grtree: invalid query extent %v", pred.Query)
 	}
-	return t.Tree.Search(pred.at(ct)), nil
+	return t.Tree.Search(pred.compile(ct)), nil
 }
 
 // SearchAll runs the predicate to completion and returns the payloads
@@ -125,10 +113,10 @@ func (t *Tree) AggCount(pred Predicate, ct chronon.Instant) (int64, bool, error)
 	if !pred.Query.Valid() {
 		return 0, false, nil
 	}
-	m := pred.at(ct)
+	m := pred.compile(ct)
 	var covered func(temporal.Region) bool
 	if pred.Op == OpOverlaps || pred.Op == OpContainedIn {
-		covered = func(bound temporal.Region) bool { return m.query.Contains(bound, ct) }
+		covered = m.covers
 	}
 	return t.Tree.AggCount(m, covered)
 }
@@ -160,5 +148,5 @@ func (t *Tree) AggExtreme(pred Predicate, ct chronon.Instant, wantMax bool) (tem
 	if !pred.Query.Valid() {
 		return temporal.Region{}, false, false, nil
 	}
-	return t.Tree.AggExtreme(pred.at(ct), regionKeyLess, wantMax)
+	return t.Tree.AggExtreme(pred.compile(ct), regionKeyLess, wantMax)
 }

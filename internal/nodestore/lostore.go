@@ -264,12 +264,17 @@ func (s *LOStore) Alloc() (NodeID, error) {
 	return id, s.persistHeader()
 }
 
-// Read implements Store.
-func (s *LOStore) Read(id NodeID, buf []byte) error {
+// View implements Store. A node is exactly one page of its large object, so
+// fn sees that page pinned in the buffer pool, under the frame's read latch.
+func (s *LOStore) View(id NodeID, fn func(page []byte) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.NodeReads++
-	return s.readRaw(id, buf[:NodeSize], 0)
+	lo, page, err := s.locate(id, s.mode)
+	if err != nil {
+		return err
+	}
+	return lo.View(page, fn)
 }
 
 // Write implements Store.
@@ -332,41 +337,38 @@ func (s *LOStore) ResetStats() {
 	s.stats = Stats{}
 }
 
-// readRaw reads len(buf) bytes from node id starting at off within the node.
-func (s *LOStore) readRaw(id NodeID, buf []byte, off int64) error {
+// locate returns the large object holding node id, opened in mode, and the
+// node's page within it: page id of the anchor under single-LO placement,
+// else its slot in its group's object. Caller holds s.mu.
+func (s *LOStore) locate(id NodeID, mode sbspace.OpenMode) (*sbspace.LargeObject, int64, error) {
 	if s.groupSize <= 0 {
-		_, err := s.anchor.ReadAt(buf, int64(id)*NodeSize+off)
-		return err
+		return s.anchor, int64(id), nil
 	}
 	group := int(id-1) / s.groupSize
-	idx := int64(id-1) % int64(s.groupSize)
 	if group >= len(s.dir) {
-		return fmt.Errorf("%w: %d (group %d of %d)", ErrNoSuchNode, id, group, len(s.dir))
+		return nil, 0, fmt.Errorf("%w: %d (group %d of %d)", ErrNoSuchNode, id, group, len(s.dir))
 	}
-	glo, err := s.openGroup(group, s.mode)
+	glo, err := s.openGroup(group, mode)
+	return glo, int64(id-1) % int64(s.groupSize), err
+}
+
+// readRaw reads len(buf) bytes from node id starting at off within the node.
+func (s *LOStore) readRaw(id NodeID, buf []byte, off int64) error {
+	lo, page, err := s.locate(id, s.mode)
 	if err != nil {
 		return err
 	}
-	_, err = glo.ReadAt(buf, idx*NodeSize+off)
+	_, err = lo.ReadAt(buf, page*NodeSize+off)
 	return err
 }
 
 func (s *LOStore) writeRaw(id NodeID, buf []byte) error { return s.writeRawAt(id, buf, 0) }
 
 func (s *LOStore) writeRawAt(id NodeID, buf []byte, off int64) error {
-	if s.groupSize <= 0 {
-		_, err := s.anchor.WriteAt(buf, int64(id)*NodeSize+off)
-		return err
-	}
-	group := int(id-1) / s.groupSize
-	idx := int64(id-1) % int64(s.groupSize)
-	if group >= len(s.dir) {
-		return fmt.Errorf("%w: %d", ErrNoSuchNode, id)
-	}
-	glo, err := s.openGroup(group, sbspace.ReadWrite)
+	lo, page, err := s.locate(id, sbspace.ReadWrite)
 	if err != nil {
 		return err
 	}
-	_, err = glo.WriteAt(buf, idx*NodeSize+off)
+	_, err = lo.WriteAt(buf, page*NodeSize+off)
 	return err
 }

@@ -31,8 +31,10 @@ const NodeSize = storage.PageSize
 type Store interface {
 	// Alloc returns a fresh node id backed by zeroed storage.
 	Alloc() (NodeID, error)
-	// Read fills buf (NodeSize bytes) with the node's contents.
-	Read(id NodeID, buf []byte) error
+	// View calls fn with the node's page (NodeSize bytes) in place: no copy
+	// is made, so fn decodes what it needs and must neither retain the page
+	// nor call back into the store.
+	View(id NodeID, fn func(page []byte) error) error
 	// Write stores buf (NodeSize bytes) as the node's contents.
 	Write(id NodeID, buf []byte) error
 	// Free releases the node.
@@ -67,6 +69,15 @@ func (s Stats) Sub(o Stats) Stats {
 		NodeAllocs: s.NodeAllocs - o.NodeAllocs,
 		NodeFrees:  s.NodeFrees - o.NodeFrees,
 	}
+}
+
+// Read copies a node's page into buf (NodeSize bytes) through View, for
+// tests that compare or digest whole pages.
+func Read(s Store, id NodeID, buf []byte) error {
+	return s.View(id, func(page []byte) error {
+		copy(buf, page)
+		return nil
+	})
 }
 
 // ErrNoSuchNode is returned for reads of unallocated nodes.
@@ -104,18 +115,21 @@ func (m *MemStore) Alloc() (NodeID, error) {
 	return id, nil
 }
 
-// Read implements Store.
-func (m *MemStore) Read(id NodeID, buf []byte) error {
+// View implements Store: fn sees the store's own slice, under the store's
+// mutex.
+func (m *MemStore) View(id NodeID, fn func(page []byte) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n, ok := m.nodes[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchNode, id)
 	}
-	copy(buf, n)
 	m.stats.NodeReads++
-	return nil
+	return fn(n)
 }
+
+// Read copies the node's page into buf (NodeSize bytes); see Read.
+func (m *MemStore) Read(id NodeID, buf []byte) error { return Read(m, id, buf) }
 
 // Write implements Store.
 func (m *MemStore) Write(id NodeID, buf []byte) error {

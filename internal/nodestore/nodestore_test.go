@@ -2,6 +2,8 @@ package nodestore
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/lock"
@@ -96,7 +98,7 @@ func TestStoreRoundTrip(t *testing.T) {
 			check := func(s Store) {
 				for i, id := range ids {
 					buf := make([]byte, NodeSize)
-					if err := s.Read(id, buf); err != nil {
+					if err := Read(s, id, buf); err != nil {
 						t.Fatal(err)
 					}
 					want := bytes.Repeat([]byte{byte(i + 1)}, NodeSize)
@@ -148,7 +150,7 @@ func TestStoreFreeReuse(t *testing.T) {
 				t.Fatalf("freed node not reused: got %d want %d", id3, id1)
 			}
 			buf := make([]byte, NodeSize)
-			if err := s.Read(id3, buf); err != nil {
+			if err := Read(s, id3, buf); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf, make([]byte, NodeSize)) {
@@ -166,7 +168,7 @@ func TestStoreStats(t *testing.T) {
 			id, _ := s.Alloc()
 			buf := make([]byte, NodeSize)
 			s.Write(id, buf)
-			s.Read(id, buf)
+			Read(s, id, buf)
 			st := s.Stats()
 			if st.NodeAllocs != 1 || st.NodeWrites < 1 || st.NodeReads < 1 {
 				t.Fatalf("stats: %+v", st)
@@ -196,10 +198,10 @@ func TestPerNodePlacementOpensPerAccess(t *testing.T) {
 	buf := make([]byte, NodeSize)
 	before := space.Stats()
 	for i := 0; i < 5; i++ {
-		if err := s.Read(id1, buf); err != nil {
+		if err := Read(s, id1, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Read(id2, buf); err != nil {
+		if err := Read(s, id2, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +214,7 @@ func TestPerNodePlacementOpensPerAccess(t *testing.T) {
 	// Repeated access to the same node reuses the cached open object.
 	mid := space.Stats()
 	for i := 0; i < 5; i++ {
-		if err := s.Read(id2, buf); err != nil {
+		if err := Read(s, id2, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +230,7 @@ func TestPerNodePlacementOpensPerAccess(t *testing.T) {
 	id3, _ := s2.Alloc()
 	before = space.Stats()
 	for i := 0; i < 5; i++ {
-		if err := s2.Read(id3, buf); err != nil {
+		if err := Read(s2, id3, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +249,54 @@ func TestMetaTooLarge(t *testing.T) {
 
 func TestReadMissingNode(t *testing.T) {
 	s := NewMem()
-	if err := s.Read(42, make([]byte, NodeSize)); err == nil {
+	if err := Read(s, 42, make([]byte, NodeSize)); err == nil {
 		t.Fatal("read of unallocated node must fail")
+	}
+}
+
+// TestConcurrentViews: scan workers view nodes from several goroutines at
+// once, and every view sees its page and is counted.
+func TestConcurrentViews(t *testing.T) {
+	for name, mk := range storesUnderTest(t) {
+		t.Run(name, func(t *testing.T) {
+			s, _ := mk()
+			var ids []NodeID
+			for i := 0; i < 8; i++ {
+				id, err := s.Alloc()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Write(id, bytes.Repeat([]byte{byte(id)}, NodeSize)); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			s.ResetStats()
+			const workers, views = 4, 200
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < views; i++ {
+						id := ids[(w+i)%len(ids)]
+						err := s.View(id, func(page []byte) error {
+							if page[0] != byte(id) || page[NodeSize-1] != byte(id) {
+								return fmt.Errorf("node %d viewed as %d", id, page[0])
+							}
+							return nil
+						})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if got := s.Stats().NodeReads; got != workers*views {
+				t.Fatalf("%d views counted, want %d", got, workers*views)
+			}
+		})
 	}
 }

@@ -30,47 +30,42 @@ func (t *Tree[B]) stable(traverse func() error) (bool, error) {
 // test and evaluate leaves exactly. ok is false when the tree changed
 // structurally during the traversal.
 func (t *Tree[B]) AggCount(m Matcher[B], covered func(B) bool) (count int64, ok bool, err error) {
-	var visit func(id nodestore.NodeID) error
-	visit = func(id nodestore.NodeID) error {
-		n, err := t.readNode(id)
+	r := t.newReader()
+	// countAll sums the leaf entries of a fully-covered subtree, skipping
+	// predicate evaluation entirely.
+	countAll := func(_ nodestore.NodeID, level int, entries []Entry[B]) error {
+		if level == 0 {
+			count += int64(len(entries))
+		}
+		return nil
+	}
+	var visit func(id nodestore.NodeID, depth int) error
+	visit = func(id nodestore.NodeID, depth int) error {
+		level, entries, err := r.read(id, depth)
 		if err != nil {
 			return err
 		}
-		for _, e := range n.entries {
+		for _, e := range entries {
 			switch {
-			case n.level == 0:
+			case level == 0:
 				if m.Leaf(e.Bound) {
 					count++
 				}
 			case !m.Internal(e.Bound):
 			case covered != nil && covered(e.Bound):
-				c, err := t.countAll(e.Child())
-				if err != nil {
+				if err := r.walk(e.Child(), depth+1, countAll); err != nil {
 					return err
 				}
-				count += c
 			default:
-				if err := visit(e.Child()); err != nil {
+				if err := visit(e.Child(), depth+1); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	}
-	ok, err = t.stable(func() error { return visit(t.root) })
+	ok, err = t.stable(func() error { return visit(t.root, 0) })
 	return count, ok, err
-}
-
-// countAll sums the leaf entries of a fully-covered subtree, skipping
-// predicate evaluation entirely.
-func (t *Tree[B]) countAll(id nodestore.NodeID) (count int64, err error) {
-	err = t.walk(id, func(_ nodestore.NodeID, level int, entries []Entry[B]) error {
-		if level == 0 {
-			count += int64(len(entries))
-		}
-		return nil
-	})
-	return count, err
 }
 
 // AggExtreme returns the minimum (wantMax=false) or maximum (wantMax=true)
@@ -79,16 +74,17 @@ func (t *Tree[B]) countAll(id nodestore.NodeID) (count int64, err error) {
 // agree exactly with the fallback. found is false when no entry qualifies; ok
 // is false when the tree changed structurally.
 func (t *Tree[B]) AggExtreme(m Matcher[B], less func(a, b B) bool, wantMax bool) (best B, found, ok bool, err error) {
-	var visit func(id nodestore.NodeID) error
-	visit = func(id nodestore.NodeID) error {
-		n, err := t.readNode(id)
+	r := t.newReader()
+	var visit func(id nodestore.NodeID, depth int) error
+	visit = func(id nodestore.NodeID, depth int) error {
+		level, entries, err := r.read(id, depth)
 		if err != nil {
 			return err
 		}
-		for _, e := range n.entries {
-			if n.level > 0 {
+		for _, e := range entries {
+			if level > 0 {
 				if m.Internal(e.Bound) {
-					if err := visit(e.Child()); err != nil {
+					if err := visit(e.Child(), depth+1); err != nil {
 						return err
 					}
 				}
@@ -98,7 +94,7 @@ func (t *Tree[B]) AggExtreme(m Matcher[B], less func(a, b B) bool, wantMax bool)
 		}
 		return nil
 	}
-	ok, err = t.stable(func() error { return visit(t.root) })
+	ok, err = t.stable(func() error { return visit(t.root, 0) })
 	return best, found, ok, err
 }
 

@@ -4,14 +4,15 @@ import "repro/internal/nodestore"
 
 // Cursor stores a query qualification and tree-traversal information;
 // qualifying entries are retrieved by calling Next (Appendix A). Node
-// contents are snapshotted as visited, so in-node deletions by the owning
-// scan are safe; structural changes (splits, condensation) bump the tree
-// epoch and make the cursor restart, skipping already-returned entries
-// (Section 5.5).
+// contents are decoded into the cursor's own per-depth buffers as visited, so
+// in-node deletions by the owning scan are safe; structural changes (splits,
+// condensation) bump the tree epoch and make the cursor restart, skipping
+// already-returned entries (Section 5.5).
 type Cursor[B comparable] struct {
 	t     *Tree[B]
 	match Matcher[B]
 
+	r        *reader[B]
 	stack    []frame[B]
 	epoch    uint64
 	started  bool
@@ -29,7 +30,7 @@ type frame[B any] struct {
 // Search creates a cursor for the qualification (Tree.search() of
 // Appendix A).
 func (t *Tree[B]) Search(m Matcher[B]) *Cursor[B] {
-	return &Cursor[B]{t: t, match: m, epoch: t.epoch, returned: make(map[Payload]bool)}
+	return &Cursor[B]{t: t, match: m, r: t.newReader(), epoch: t.epoch, returned: make(map[Payload]bool)}
 }
 
 // Matcher returns the qualification the cursor was created for, so that an
@@ -45,25 +46,26 @@ func (c *Cursor[B]) Restarts() int { return c.restarts }
 // (am_rescan).
 func (c *Cursor[B]) Reset() {
 	c.restart()
-	c.returned = make(map[Payload]bool)
+	clear(c.returned)
 	c.restarts = 0
 }
 
 // restart re-seeds the traversal after a structural change, keeping the
 // returned set so qualifying entries are not produced twice.
 func (c *Cursor[B]) restart() {
-	c.stack = nil
+	c.stack = c.stack[:0]
 	c.started = false
 	c.epoch = c.t.epoch
 	c.restarts++
 }
 
+// push reads node id into the buffer of the depth its frame takes.
 func (c *Cursor[B]) push(id nodestore.NodeID) error {
-	n, err := c.t.readNode(id)
+	level, entries, err := c.r.read(id, len(c.stack))
 	if err != nil {
 		return err
 	}
-	c.stack = append(c.stack, frame[B]{entries: n.entries, level: n.level})
+	c.stack = append(c.stack, frame[B]{entries: entries, level: level})
 	return nil
 }
 

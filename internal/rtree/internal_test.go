@@ -85,7 +85,7 @@ func TestDecodeRejectsBadPages(t *testing.T) {
 	}
 	good := make([]byte, nodestore.NodeSize)
 	tr.encode(&node[int64]{id: 7, entries: []Entry[int64]{{Bound: 3, Ref: 1}, {Bound: 9, Ref: 2}}}, good)
-	if n, err := tr.decode(7, good); err != nil || len(n.entries) != 2 || n.entries[1].Bound != 9 {
+	if _, es, err := tr.decode(7, good, nil); err != nil || len(es) != 2 || es[1].Bound != 9 {
 		t.Fatalf("good page: %v", err)
 	}
 	corrupt := func(edit func(b []byte)) []byte {
@@ -104,8 +104,8 @@ func TestDecodeRejectsBadPages(t *testing.T) {
 		"internal at level": corrupt(func(b []byte) { b[4] = 0 }),
 	}
 	for name, page := range cases {
-		if n, err := tr.decode(7, page); err == nil {
-			t.Errorf("%s: decoded %d entries, want an error", name, len(n.entries))
+		if _, es, err := tr.decode(7, page, nil); err == nil {
+			t.Errorf("%s: decoded %d entries, want an error", name, len(es))
 		} else if !strings.Contains(err.Error(), "spans: node 7") {
 			t.Errorf("%s: error %q does not name the tree and node", name, err)
 		}

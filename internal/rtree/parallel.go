@@ -80,7 +80,7 @@ func (ps *ParallelScan[B]) Parts() int {
 
 // Cursor hands out one worker's partition cursor.
 func (ps *ParallelScan[B]) Cursor() *PartCursor[B] {
-	c := &PartCursor[B]{ps: ps}
+	c := &PartCursor[B]{ps: ps, r: ps.t.newReader()}
 	ps.mu.Lock()
 	ps.cursors = append(ps.cursors, c)
 	ps.mu.Unlock()
@@ -106,7 +106,7 @@ func (ps *ParallelScan[B]) Reset() error {
 	defer ps.mu.Unlock()
 	for _, c := range ps.cursors {
 		c.unlatch()
-		c.stack = nil
+		c.stack = c.stack[:0]
 	}
 	return ps.build()
 }
@@ -115,9 +115,11 @@ func (ps *ParallelScan[B]) Reset() error {
 // worker owns one; distinct PartCursors are safe to drive concurrently. The
 // descent is read-latch crabbed: the child's latch is acquired before the
 // parent's is released, so a node is never decoded while a writer holds it.
-// All latches are released before NextBatch returns.
+// All latches are released before NextBatch returns. Like a Cursor, it
+// decodes nodes into its own per-depth buffers.
 type PartCursor[B comparable] struct {
 	ps    *ParallelScan[B]
+	r     *reader[B]
 	stack []frame[B]
 	held  nodestore.NodeID // node whose read latch is currently held
 	buf   []Entry[B]       // Fill's batch buffer
@@ -132,17 +134,12 @@ func (c *PartCursor[B]) push(id nodestore.NodeID) error {
 		t.latches.Crab(c.held, id)
 	}
 	c.held = id
-	buf := make([]byte, nodestore.NodeSize)
-	err := t.store.Read(id, buf)
-	var n *node[B]
-	if err == nil {
-		n, err = t.decode(id, buf)
-	}
+	level, entries, err := c.r.load(id, len(c.stack))
 	if err != nil {
 		c.unlatch()
 		return err
 	}
-	c.stack = append(c.stack, frame[B]{entries: n.entries, level: n.level})
+	c.stack = append(c.stack, frame[B]{entries: entries, level: level})
 	return nil
 }
 

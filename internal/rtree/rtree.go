@@ -261,34 +261,87 @@ func (t *Tree[B]) encode(n *node[B], buf []byte) {
 	t.f.Put(buf[HeaderSize:HeaderSize+len(n.entries)*t.f.EntrySize], n.entries)
 }
 
-// decode is the only reader of node pages: a page that is foreign, truncated
-// or corrupt is an error naming the node, never a panic.
-func (t *Tree[B]) decode(id nodestore.NodeID, buf []byte) (*node[B], error) {
-	if len(buf) < HeaderSize || binary.BigEndian.Uint32(buf[0:4]) != t.f.NodeMagic {
-		return nil, t.errorf("node %d has bad magic", id)
+// decode is the only reader of node pages: it decodes page's entries into
+// buf's storage (a new slice with room for MaxEntries when buf is too short)
+// and returns the node's level and entries. A page that is foreign,
+// truncated or corrupt is an error naming the node, never a panic.
+func (t *Tree[B]) decode(id nodestore.NodeID, page []byte, buf []Entry[B]) (int, []Entry[B], error) {
+	if len(page) < HeaderSize || binary.BigEndian.Uint32(page[0:4]) != t.f.NodeMagic {
+		return 0, buf, t.errorf("node %d has bad magic", id)
 	}
-	n := &node[B]{id: id, level: int(buf[5])}
-	if leaf := buf[4]&1 != 0; leaf != (n.level == 0) {
-		return nil, t.errorf("node %d leaf flag inconsistent with level %d", id, n.level)
+	level := int(page[5])
+	if leaf := page[4]&1 != 0; leaf != (level == 0) {
+		return 0, buf, t.errorf("node %d leaf flag inconsistent with level %d", id, level)
 	}
-	count := int(binary.BigEndian.Uint16(buf[6:8]))
-	if count > t.f.Capacity() || HeaderSize+count*t.f.EntrySize > len(buf) {
-		return nil, t.errorf("node %d has impossible count %d", id, count)
+	count := int(binary.BigEndian.Uint16(page[6:8]))
+	if count > t.f.Capacity() || HeaderSize+count*t.f.EntrySize > len(page) {
+		return 0, buf, t.errorf("node %d has impossible count %d", id, count)
 	}
-	n.entries = make([]Entry[B], count)
-	t.f.Get(buf[HeaderSize:], n.entries)
-	return n, nil
+	if cap(buf) < count {
+		buf = make([]Entry[B], max(count, t.cfg.MaxEntries))
+	}
+	entries := buf[:count]
+	t.f.Get(page[HeaderSize:], entries)
+	return level, entries, nil
 }
 
+// readNode decodes node id into a node its caller owns: the mutators edit
+// and rewrite what they read.
 func (t *Tree[B]) readNode(id nodestore.NodeID) (*node[B], error) {
+	n := &node[B]{id: id}
 	t.latches.RLock(id)
-	buf := make([]byte, nodestore.NodeSize)
-	err := t.store.Read(id, buf)
+	err := t.store.View(id, func(page []byte) (err error) {
+		n.level, n.entries, err = t.decode(id, page, nil)
+		return err
+	})
 	t.latches.RUnlock(id)
 	if err != nil {
 		return nil, err
 	}
-	return t.decode(id, buf)
+	return n, nil
+}
+
+// reader decodes the nodes of one traversal into an entry buffer per depth.
+// A depth-first traversal finishes with the node at depth d before it reads
+// the next one there, so each read may overwrite its depth's buffer, and a
+// node visit costs one pinned-page decode and no allocation once the buffers
+// have grown.
+type reader[B comparable] struct {
+	t    *Tree[B]
+	bufs [][]Entry[B]
+	// The node load is decoding, for decodeFn, which is built once so that
+	// passing it to Store.View allocates nothing.
+	id       nodestore.NodeID
+	depth    int
+	level    int
+	decodeFn func(page []byte) error
+}
+
+func (t *Tree[B]) newReader() *reader[B] {
+	r := &reader[B]{t: t}
+	r.decodeFn = func(page []byte) (err error) {
+		r.level, r.bufs[r.depth], err = t.decode(r.id, page, r.bufs[r.depth])
+		return err
+	}
+	return r
+}
+
+// load decodes node id into the buffer of depth; the caller holds the node's
+// read latch. The entries are valid until the next load at that depth.
+func (r *reader[B]) load(id nodestore.NodeID, depth int) (level int, entries []Entry[B], err error) {
+	for len(r.bufs) <= depth {
+		r.bufs = append(r.bufs, nil)
+	}
+	r.id, r.depth = id, depth
+	err = r.t.store.View(id, r.decodeFn)
+	return r.level, r.bufs[depth], err
+}
+
+// read is load under the node's read latch.
+func (r *reader[B]) read(id nodestore.NodeID, depth int) (int, []Entry[B], error) {
+	r.t.latches.RLock(id)
+	defer r.t.latches.RUnlock(id)
+	return r.load(id, depth)
 }
 
 func (t *Tree[B]) writeNode(n *node[B]) error {
@@ -302,21 +355,23 @@ func (t *Tree[B]) writeNode(n *node[B]) error {
 
 // Walk visits every node in pre-order (a node, then each child's subtree in
 // entry order). It is neither pruned nor epoch-checked: it serves whole-tree
-// reports (statistics, dumps), not answers.
+// reports (statistics, dumps), not answers. The entries passed to fn are
+// valid only during the call.
 func (t *Tree[B]) Walk(fn func(id nodestore.NodeID, level int, entries []Entry[B]) error) error {
-	return t.walk(t.root, fn)
+	return t.newReader().walk(t.root, 0, fn)
 }
 
-func (t *Tree[B]) walk(id nodestore.NodeID, fn func(nodestore.NodeID, int, []Entry[B]) error) error {
-	n, err := t.readNode(id)
+// walk visits the subtree at id, which sits at depth, in pre-order.
+func (r *reader[B]) walk(id nodestore.NodeID, depth int, fn func(nodestore.NodeID, int, []Entry[B]) error) error {
+	level, entries, err := r.read(id, depth)
 	if err != nil {
 		return err
 	}
-	if err := fn(id, n.level, n.entries); err != nil || n.level == 0 {
+	if err := fn(id, level, entries); err != nil || level == 0 {
 		return err
 	}
-	for _, e := range n.entries {
-		if err := t.walk(e.Child(), fn); err != nil {
+	for _, e := range entries {
+		if err := r.walk(e.Child(), depth+1, fn); err != nil {
 			return err
 		}
 	}

@@ -168,8 +168,10 @@ func (s *Space) nextLOID() (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
+		f.Latch()
 		binary.BigEndian.PutUint32(f.Data[0:4], spaceMetaMagic)
 		binary.BigEndian.PutUint32(f.Data[4:8], 1)
+		f.Unlatch()
 		s.bp.Unpin(f, true)
 	}
 	f, err := s.bp.Fetch(1)
@@ -182,8 +184,10 @@ func (s *Space) nextLOID() (uint32, error) {
 		s.bp.Unpin(f, false)
 		return 0, fmt.Errorf("sbspace: space %d has no metadata page", s.ID)
 	}
+	f.Latch()
 	id := binary.BigEndian.Uint32(f.Data[4:8])
 	binary.BigEndian.PutUint32(f.Data[4:8], id+1)
+	f.Unlatch()
 	s.bp.Unpin(f, true)
 	return id, nil
 }
@@ -199,8 +203,10 @@ func (s *Space) Create(tx lock.TxID) (Handle, error) {
 	if err != nil {
 		return NilHandle, err
 	}
+	f.Latch()
 	binary.BigEndian.PutUint32(f.Data[0:4], loMagic)
 	binary.BigEndian.PutUint32(f.Data[24:28], id)
+	f.Unlatch()
 	s.bp.Unpin(f, true)
 	h := Handle{Space: s.ID, Header: f.ID, ID: id}
 	if err := s.locks.Acquire(tx, h.resource(), lock.Exclusive); err != nil {
@@ -403,8 +409,35 @@ func (lo *LargeObject) ReadAt(buf []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// View calls fn with logical page idx of the object, pinned and under the
+// frame's read latch, without copying it. fn must not retain the page or call
+// back into the space. A page never written is an error.
+func (lo *LargeObject) View(idx int64, fn func(page []byte) error) error {
+	if lo.closed {
+		return ErrClosed
+	}
+	pid, err := lo.pageAt(idx, false)
+	if err != nil {
+		return err
+	}
+	if pid == storage.InvalidPage {
+		return fmt.Errorf("sbspace: %v has no page %d", lo.h, idx)
+	}
+	f, err := lo.space.bp.Fetch(pid)
+	if err != nil {
+		return err
+	}
+	f.RLatch()
+	err = fn(f.Data)
+	f.RUnlatch()
+	lo.space.bp.Unpin(f, false)
+	return err
+}
+
 // WriteAt writes buf at offset off, extending the object as needed. The
-// object must be open ReadWrite.
+// object must be open ReadWrite. Every write into a pinned frame's Data holds
+// the frame's write latch, so a checkpoint flushing the frame never copies a
+// half-written page; the journal is written outside the latch.
 func (lo *LargeObject) WriteAt(buf []byte, off int64) (int, error) {
 	if lo.closed {
 		return 0, ErrClosed
@@ -435,7 +468,9 @@ func (lo *LargeObject) WriteAt(buf []byte, off int64) (int, error) {
 				return written, err
 			}
 		}
+		f.Latch()
 		copy(f.Data[inPage:inPage+chunk], buf[written:written+chunk])
+		f.Unlatch()
 		lo.space.bp.Unpin(f, true)
 		written += chunk
 	}
@@ -445,12 +480,11 @@ func (lo *LargeObject) WriteAt(buf []byte, off int64) (int, error) {
 	if err != nil {
 		return written, err
 	}
-	if cur := int64(binary.BigEndian.Uint64(f.Data[4:12])); end > cur {
-		binary.BigEndian.PutUint64(f.Data[4:12], uint64(end))
-		lo.space.bp.Unpin(f, true)
-	} else {
-		lo.space.bp.Unpin(f, false)
+	grown := end > int64(binary.BigEndian.Uint64(f.Data[4:12]))
+	if grown {
+		put64(f, 4, uint64(end))
 	}
+	lo.space.bp.Unpin(f, grown)
 	return written, nil
 }
 
@@ -467,7 +501,7 @@ func (lo *LargeObject) Truncate(size int64) error {
 	if err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint64(f.Data[4:12], uint64(size))
+	put64(f, 4, uint64(size))
 	lo.space.bp.Unpin(f, true)
 	return nil
 }
@@ -535,10 +569,12 @@ func (lo *LargeObject) pageAt(idx int64, alloc bool) (storage.PageID, error) {
 		}
 		pid = nf.ID
 		bp.Unpin(nf, true)
+		f.Latch()
 		binary.BigEndian.PutUint64(f.Data[slot:], uint64(pid))
 		if uint32(idx)+1 > used {
 			binary.BigEndian.PutUint32(f.Data[20:24], uint32(idx)+1)
 		}
+		f.Unlatch()
 		bp.Unpin(f, true)
 		return pid, nil
 	}
@@ -565,7 +601,7 @@ func (lo *LargeObject) pageAt(idx int64, alloc bool) (storage.PageID, error) {
 		}
 		cur = nf.ID
 		bp.Unpin(nf, true)
-		binary.BigEndian.PutUint64(f.Data[12:20], uint64(cur))
+		put64(f, 12, uint64(cur))
 		bp.Unpin(f, true)
 	} else {
 		bp.Unpin(f, false)
@@ -589,7 +625,7 @@ func (lo *LargeObject) pageAt(idx int64, alloc bool) (storage.PageID, error) {
 			}
 			next = nf.ID
 			bp.Unpin(nf, true)
-			binary.BigEndian.PutUint64(fi.Data[0:8], uint64(next))
+			put64(fi, 0, uint64(next))
 			bp.Unpin(fi, true)
 		} else {
 			bp.Unpin(fi, false)
@@ -614,7 +650,14 @@ func (lo *LargeObject) pageAt(idx int64, alloc bool) (storage.PageID, error) {
 	}
 	pid = nf.ID
 	bp.Unpin(nf, true)
-	binary.BigEndian.PutUint64(fi.Data[slot:], uint64(pid))
+	put64(fi, int(slot), uint64(pid))
 	bp.Unpin(fi, true)
 	return pid, nil
+}
+
+// put64 stores v at off in a pinned frame under the frame's write latch.
+func put64(f *storage.Frame, off int, v uint64) {
+	f.Latch()
+	binary.BigEndian.PutUint64(f.Data[off:], v)
+	f.Unlatch()
 }

@@ -45,15 +45,17 @@ var ErrPoolFull = errors.New("storage: buffer pool exhausted (all frames pinned)
 // The embedded latch protects Data for components whose readers run without
 // any higher-level lock: MVCC heap scans read pages concurrently with
 // writers, so heap mutators hold the write latch over their Data edits and
-// heap readers the read latch over decoding. Components that serialise page
-// access externally (the tree blades under their large-object locks) may
-// skip the latch; the pool's own flusher takes the read latch so eviction
-// and checkpoint writes never race a latching writer.
+// heap readers the read latch over decoding; sbspace does the same for
+// large-object pages. The pool's own flusher takes the read latch, so
+// eviction and checkpoint writes never race a writer.
 type Frame struct {
 	ID    PageID
 	Data  []byte
 	pins  int
 	dirty bool
+	// elem is the frame's place in its shard's LRU list, set at its first
+	// unpin. A frame stays listed while pinned again (eviction skips it), so
+	// an unpin moves an element instead of allocating one.
 	elem  *list.Element
 	latch sync.RWMutex
 }
@@ -77,7 +79,7 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[PageID]*Frame
-	lru      *list.List // unpinned frames, most recent at front
+	lru      *list.List // frames by last unpin, most recent at front
 }
 
 // BufferPool caches pages of one Pager with pin-counted LRU replacement.
@@ -231,10 +233,6 @@ func (bp *BufferPool) Fetch(id PageID) (*Frame, error) {
 	if f, ok := sh.frames[id]; ok {
 		bp.hits.Add(1)
 		bp.obs.Hits.Inc()
-		if f.pins == 0 && f.elem != nil {
-			sh.lru.Remove(f.elem)
-			f.elem = nil
-		}
 		f.pins++
 		sh.mu.Unlock()
 		return f, nil
@@ -271,16 +269,24 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	if f.pins > 0 {
 		f.pins--
 	}
-	if f.pins == 0 {
+	if f.pins > 0 {
+		return
+	}
+	if f.elem == nil {
 		f.elem = sh.lru.PushFront(f)
+	} else {
+		sh.lru.MoveToFront(f.elem)
 	}
 }
 
-// ensureRoom evicts the least recently used unpinned frame when the shard
-// is at capacity. Caller holds sh.mu.
+// ensureRoom evicts the least recently unpinned frame that is not pinned
+// again when the shard is at capacity. Caller holds sh.mu.
 func (bp *BufferPool) ensureRoom(sh *shard) error {
 	for len(sh.frames) >= sh.capacity {
 		back := sh.lru.Back()
+		for back != nil && back.Value.(*Frame).pins > 0 {
+			back = back.Prev()
+		}
 		if back == nil {
 			return ErrPoolFull
 		}

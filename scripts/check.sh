@@ -1,6 +1,8 @@
 #!/bin/sh
 # Static checks plus the race-sensitive packages under the race detector:
 # the sharded buffer pool, the version-chained heap and its page latches,
+# sbspace's latched large-object pages, the node stores (concurrent views)
+# and the GiST,
 # the lock manager's deadlock detection, the purpose-function framework,
 # the batched scan pipeline, the shared R-tree kernel (parallel walk and
 # latch crabbing), the blades and the purpose-function scaffold under them
@@ -22,8 +24,14 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
-echo "== go test -race (storage, heap, lock, wal, am, engine, rtree, grtree, rstar, blades, wire, server, client, plancache)"
-go test -race ./internal/storage/... ./internal/heap/... ./internal/lock/... ./internal/wal/... ./internal/am/... ./internal/engine/... ./internal/rtree/... ./internal/grtree/... ./internal/rstar/... ./internal/blades/... ./internal/wire/... ./internal/server/... ./internal/client/... ./internal/plancache/...
+echo "== go test -race (storage, sbspace, nodestore, heap, lock, wal, am, engine, rtree, grtree, rstar, gist, blades, wire, server, client, plancache)"
+go test -race ./internal/storage/... ./internal/sbspace/... ./internal/nodestore/... ./internal/heap/... ./internal/lock/... ./internal/wal/... ./internal/am/... ./internal/engine/... ./internal/rtree/... ./internal/grtree/... ./internal/rstar/... ./internal/gist/... ./internal/blades/... ./internal/wire/... ./internal/server/... ./internal/client/... ./internal/plancache/...
+
+# The conformance table runs with the checkpointer on, and one test of it
+# checkpoints every millisecond while CREATE INDEX writes large-object pages
+# (it reported a race every run before sbspace latched its page writes).
+echo "== go test -race -count=3 conformance table, checkpointer on"
+go test -race -count=3 ./internal/blades/treeblade
 
 # The index publish step swaps the catalog entry under the catalog lock; one
 # pass of this test saw the old unlocked write about one run in three, so it

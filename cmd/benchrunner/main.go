@@ -1,10 +1,7 @@
 // Command benchrunner regenerates every table and figure of the paper
 // reproduction (DESIGN.md's experiment index): the functional experiments
-// T1–T5 and F2–F6 plus the performance-shape experiments P1–P6, the
-// parallel-scan sweep P8, the group-commit sweep P9, the MVCC reader sweep
-// P10, the networked commit sweep P11, the index-build comparison P12, the
-// prepared-statement sweep P13, and the aggregate-pushdown sweep P14 (P7 is
-// a recorded one-off with no runner; see EXPERIMENTS.md).
+// T1–T5 and F2–F6 plus the performance-shape experiments P1–P6. Features
+// beyond the paper are measured by the statement benchmark in bench/.
 //
 // Usage:
 //
@@ -25,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "comma-separated experiment ids (T1,F2,...,P9) or 'all'")
+		exp   = flag.String("exp", "all", "comma-separated experiment ids (T1,F2,...,P6) or 'all'")
 		quick = flag.Bool("quick", false, "run reduced workloads")
 		root  = flag.String("root", ".", "repository root for the T4 code inventory")
 	)

@@ -356,6 +356,63 @@ func TestStatisticsPlanFlip(t *testing.T) {
 	}
 }
 
+// Statistics collected while a table is tiny go stale as it grows: the
+// planner keeps the tiny seqscan estimate and drains the heap for a
+// selective COUNT. UPDATE STATISTICS restores the index plan, where the
+// residual-free COUNT pushes down to am_aggregate with the same answer.
+func TestStaleStatisticsRefreshRestoresIndexPlan(t *testing.T) {
+	e, _ := newDB(t)
+	s := e.NewSession()
+	defer s.Close()
+	exec(t, s, `CREATE SBSPACE spc`)
+	exec(t, s, `CREATE TABLE T (N INTEGER, X GRT_TimeExtent_t)`)
+	insert := func(from, to int) {
+		var b strings.Builder
+		b.WriteString(`INSERT INTO T VALUES `)
+		for i := from; i < to; i++ {
+			m, y := i%12+1, 90+i%6
+			if i > from {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, `(%d, '%d/%d, %d/%d, %d/%d, %d/%d')`, i, m, y, m, y+1, m, y, m, y+1)
+		}
+		exec(t, s, b.String())
+	}
+	insert(0, 100)
+	exec(t, s, `CREATE INDEX dix ON T(X) USING grtree_am IN spc`)
+	exec(t, s, `UPDATE STATISTICS FOR TABLE T`)
+	for from := 100; from < 2000; from += 100 {
+		insert(from, from+100)
+	}
+
+	const q = `SELECT COUNT(*) FROM T WHERE Overlaps(X, '1/92, 1/93, 1/92, 1/93')`
+	pushed := e.Obs().Counter("agg.pushed")
+
+	stale := planText(t, exec(t, s, `EXPLAIN `+q))
+	if !strings.Contains(stale, "sequential heap scan") {
+		t.Fatalf("stale statistics must keep the tiny seqscan estimate:\n%s", stale)
+	}
+	before := pushed.Load()
+	staleCount := exec(t, s, q).Rows[0][0]
+	if pushed.Load() != before {
+		t.Fatal("a seqscan-planned COUNT must not push down")
+	}
+
+	exec(t, s, `UPDATE STATISTICS FOR TABLE T`)
+	fresh := planText(t, exec(t, s, `EXPLAIN `+q))
+	if !strings.Contains(fresh, "index scan on dix") || !strings.Contains(fresh, "stats(age 0)") {
+		t.Fatalf("fresh statistics must restore the index plan:\n%s", fresh)
+	}
+	before = pushed.Load()
+	freshCount := exec(t, s, q).Rows[0][0]
+	if pushed.Load() == before {
+		t.Fatal("the index-planned COUNT did not push down")
+	}
+	if freshCount != staleCount {
+		t.Fatalf("plans disagree: seqscan %v, pushed %v", staleCount, freshCount)
+	}
+}
+
 // UPDATE STATISTICS FOR a single index reports the am_stats summary.
 func TestUpdateStatisticsForIndex(t *testing.T) {
 	e, _ := newDB(t)

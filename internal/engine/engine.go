@@ -103,8 +103,8 @@ type Engine struct {
 	// (deparsed, $n-parameterized) SQL text and stamped with the catalog
 	// generation that planned each entry. sqlParses/sqlParseNs count parser
 	// invocations and time; planNs counts planning time (fresh and cached
-	// bind alike) — the P13 benchmark reads planning cost per statement from
-	// these.
+	// bind alike) — bench/'s engine.plan_us_per_stmt reads planning cost per
+	// statement from these.
 	planCache  *plancache.Cache
 	sqlParses  *obs.Counter
 	sqlParseNs *obs.Counter

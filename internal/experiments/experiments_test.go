@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -289,28 +290,39 @@ func TestP6Runs(t *testing.T) {
 	}
 }
 
-// TestP8Runs smoke-tests the parallel-scan sweep at a tiny scale: every
-// degree must produce the same count (RunP8 fails internally on drift) and
-// the serial row anchors the speedup column at 1.0.
-func TestP8Runs(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := RunP8(&buf, 300, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 || rows[0].Workers != 1 || rows[0].Speedup != 1.0 {
-		t.Fatalf("P8 rows: %+v", rows)
-	}
-	for _, r := range rows[1:] {
-		if r.Utilization <= 0 {
-			t.Errorf("workers=%d: no busy time recorded (utilization %v)", r.Workers, r.Utilization)
-		}
-	}
-}
-
 func TestRunUnknownID(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run(&buf, "../..", true, "ZZ"); err == nil {
 		t.Fatal("unknown experiment id must fail")
+	}
+}
+
+// TestExperimentsDocMatchesRegistry: every "### <ID>" section of
+// EXPERIMENTS.md has a runner in All, and every runner has a section.
+func TestExperimentsDocMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections []string
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if rest, ok := strings.CutPrefix(line, "### "); ok {
+			id := strings.Fields(rest)[0]
+			sections = append(sections, id)
+			documented[id] = true
+		}
+	}
+	registered := map[string]bool{}
+	for _, r := range All("../..", true) {
+		registered[r.ID] = true
+		if !documented[r.ID] {
+			t.Errorf("runner %s has no ### section in EXPERIMENTS.md", r.ID)
+		}
+	}
+	for _, id := range sections {
+		if !registered[id] {
+			t.Errorf("EXPERIMENTS.md section ### %s has no runner in experiments.All", id)
+		}
 	}
 }

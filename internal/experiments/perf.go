@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/blades/grtblade"
@@ -255,22 +252,6 @@ func RunP3(w io.Writer, tuples int) ([]P3Row, error) {
 	return rows, nil
 }
 
-// NewPlacedGRTIndex builds a GR-tree stored in a fresh in-memory sbspace
-// under the given large-object placement (benchmark support for P3).
-func NewPlacedGRTIndex(p nodestore.Placement) (*grtree.Tree, *nodestore.LOStore, error) {
-	bp := storage.NewBufferPool(storage.NewMemPager(), 64)
-	space := sbspace.New(1, "spc", bp, lock.New())
-	store, _, err := nodestore.CreateLO(space, 1, lock.CommittedRead, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	tree, err := grtree.Create(store, grtree.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	return tree, store, nil
-}
-
 // P4Row is one row of the deletion-policy ablation.
 type P4Row struct {
 	Policy       string
@@ -445,602 +426,4 @@ func RunP6(w io.Writer) error {
 	fmt.Fprintln(w, "  per-transaction: both statements agree (stable reads);")
 	fmt.Fprintln(w, "  per-statement:   the second statement sees the grown stair.")
 	return nil
-}
-
-// P8Row records one degree of the intra-query parallel-scan sweep.
-type P8Row struct {
-	Workers  int
-	PerQuery time.Duration
-	RowsPerS float64
-	Speedup  float64 // vs the workers=1 row
-	// Utilization is the fraction of worker wall-time spent producing
-	// batches (parallel.busy_ns / (workers * elapsed)); the rest is
-	// scheduling and send-side backpressure.
-	Utilization float64
-}
-
-// RunP8 measures intra-query parallel scans: one broad timeslice COUNT(*)
-// over a GR-tree index, swept over SET PARALLEL 1/2/4/8. The degree offered
-// to am_parallelscan is capped at GOMAXPROCS, so the sweep temporarily
-// raises it; on a host with a single schedulable CPU the workers interleave
-// and the numbers measure the pool's overhead rather than speedup (the
-// worker-utilization column makes this visible).
-func RunP8(w io.Writer, tuples, queries int) ([]P8Row, error) {
-	degrees := []int{1, 2, 4, 8}
-	if cur := runtime.GOMAXPROCS(0); cur < degrees[len(degrees)-1] {
-		old := runtime.GOMAXPROCS(degrees[len(degrees)-1])
-		defer runtime.GOMAXPROCS(old)
-	}
-	clock := chronon.NewVirtualClock(chronon.MustParse("9/97"))
-	e, err := engine.Open(engine.Options{Clock: clock, NoWAL: true})
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	if err := grtblade.Register(e); err != nil {
-		return nil, err
-	}
-	s := e.NewSession()
-	defer s.Close()
-	if _, err := s.ExecScript(`CREATE SBSPACE spc;
-		CREATE TABLE T (N INTEGER, X GRT_TimeExtent_t);
-		CREATE INDEX ix ON T(X) USING grtree_am (maxentries=16) IN spc`); err != nil {
-		return nil, err
-	}
-	for i := 0; i < tuples; i++ {
-		m, y := i%12+1, 90+(i/12)%7 // 1/90 .. 12/96, before the 9/97 current time
-		if _, err := s.Exec(fmt.Sprintf(`INSERT INTO T VALUES (%d, '%d/%d, UC, %d/%d, NOW')`,
-			i, m, y, m, y)); err != nil {
-			return nil, err
-		}
-	}
-	// The residual N >= 0 (always true) keeps the qualification partial so
-	// the COUNT drains the scan pipeline — this experiment measures the
-	// parallel workers, not am_aggregate's zero-tuple shortcut (see P14).
-	q := `SELECT COUNT(*) FROM T WHERE Overlaps(X, '1/90, UC, 1/90, NOW') AND N >= 0`
-	busy := e.Obs().Counter("parallel.busy_ns")
-
-	fmt.Fprintf(w, "P8: intra-query parallel scan (tuples=%d, %d queries per degree, GOMAXPROCS=%d, NumCPU=%d)\n",
-		tuples, queries, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	var rows []P8Row
-	var want any
-	var base time.Duration
-	for _, deg := range degrees {
-		if _, err := s.Exec(fmt.Sprintf(`SET PARALLEL %d`, deg)); err != nil {
-			return nil, err
-		}
-		busy0 := busy.Load()
-		start := time.Now()
-		for i := 0; i < queries; i++ {
-			res, err := s.Exec(q)
-			if err != nil {
-				return nil, err
-			}
-			if want == nil {
-				want = res.Rows[0][0]
-			} else if res.Rows[0][0] != want {
-				return nil, fmt.Errorf("P8: count drifted at workers=%d: %v != %v", deg, res.Rows[0][0], want)
-			}
-		}
-		elapsed := time.Since(start)
-		per := elapsed / time.Duration(queries)
-		if deg == 1 {
-			base = per
-		}
-		row := P8Row{
-			Workers:  deg,
-			PerQuery: per,
-			RowsPerS: float64(want.(int64)) * float64(queries) / elapsed.Seconds(),
-			Speedup:  float64(base) / float64(per),
-		}
-		if deg > 1 {
-			row.Utilization = float64(busy.Load()-busy0) / (float64(deg) * float64(elapsed.Nanoseconds()))
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "  workers=%d %12v/query %12.0f rows/s  speedup %.2fx  utilization %.2f\n",
-			row.Workers, row.PerQuery, row.RowsPerS, row.Speedup, row.Utilization)
-	}
-	fmt.Fprintln(w, "  (speedup is bounded by schedulable CPUs; utilization near 1/workers means the host serialized the pool)")
-	return rows, nil
-}
-
-// P9Row records one cell of the commit-mode sweep.
-type P9Row struct {
-	Mode            string
-	Writers         int
-	PerCommit       time.Duration
-	CommitsPerS     float64
-	FsyncsPerCommit float64
-	// SpeedupVsSync compares commits/s against the SYNC row at the same
-	// writer count (1.0 for the SYNC rows themselves).
-	SpeedupVsSync float64
-}
-
-// RunP9 measures commit throughput through the full engine with a real
-// on-disk WAL: writers × {SYNC, GROUP, ASYNC} auto-commit inserts, each
-// writer into its own table. SYNC pays one private fsync per commit; GROUP
-// parks committers on the flusher so concurrent commits share fsyncs
-// (fsyncs/commit drops below 1); ASYNC returns at append time and is
-// bounded-loss. fsync coalescing is an I/O-wait effect, so the win is real
-// even on a single schedulable CPU.
-func RunP9(w io.Writer, commits int) ([]P9Row, error) {
-	modes := []string{"SYNC", "GROUP", "ASYNC"}
-	writerCounts := []int{1, 2, 4, 8}
-	fmt.Fprintf(w, "P9: group commit (commits=%d per cell, on-disk WAL, GOMAXPROCS=%d)\n",
-		commits, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%-6s %-8s %14s %12s %14s %10s\n",
-		"mode", "writers", "per-commit", "commits/s", "fsyncs/commit", "vs SYNC")
-	var rows []P9Row
-	syncBase := map[int]float64{}
-	for _, mode := range modes {
-		for _, writers := range writerCounts {
-			row, err := runP9Cell(mode, writers, commits)
-			if err != nil {
-				return nil, err
-			}
-			if mode == "SYNC" {
-				syncBase[writers] = row.CommitsPerS
-			}
-			if base := syncBase[writers]; base > 0 {
-				row.SpeedupVsSync = row.CommitsPerS / base
-			}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%-6s %-8d %14v %12.0f %14.2f %9.2fx\n",
-				row.Mode, row.Writers, row.PerCommit, row.CommitsPerS,
-				row.FsyncsPerCommit, row.SpeedupVsSync)
-		}
-	}
-	fmt.Fprintln(w, "  (ASYNC commits return at append time: bounded loss, no fsync wait;")
-	fmt.Fprintln(w, "   its fsyncs come from the flusher's 5ms cadence and checkpoints)")
-	return rows, nil
-}
-
-func runP9Cell(mode string, writers, commits int) (P9Row, error) {
-	dir, err := os.MkdirTemp("", "tinyblade-p9-*")
-	if err != nil {
-		return P9Row{}, err
-	}
-	defer os.RemoveAll(dir)
-	e, err := engine.Open(engine.Options{
-		Dir:   dir,
-		Clock: chronon.NewVirtualClock(chronon.MustParse("9/97")),
-	})
-	if err != nil {
-		return P9Row{}, err
-	}
-	defer e.Close()
-
-	// One table per writer: heap tables serialise at the session level.
-	setup := e.NewSession()
-	for i := 0; i < writers; i++ {
-		if _, err := setup.Exec(fmt.Sprintf(`CREATE TABLE c%d (a INTEGER)`, i)); err != nil {
-			setup.Close()
-			return P9Row{}, err
-		}
-	}
-	setup.Close()
-
-	sessions := make([]*engine.Session, writers)
-	for i := range sessions {
-		sessions[i] = e.NewSession()
-		if _, err := sessions[i].Exec("SET COMMIT " + mode); err != nil {
-			return P9Row{}, err
-		}
-		defer sessions[i].Close()
-	}
-
-	// Untimed warm-up: first-touch costs (catalog lookups, initial page
-	// allocation, the first flusher wake-ups) land outside the timed region
-	// so cells measure steady-state commit cost.
-	for i, s := range sessions {
-		for n := 0; n < 16; n++ {
-			if _, err := s.Exec(fmt.Sprintf(`INSERT INTO c%d VALUES (-1)`, i)); err != nil {
-				return P9Row{}, err
-			}
-		}
-	}
-
-	per := commits / writers
-	flushes := e.Obs().Counter("wal.flushes")
-	flushes0 := flushes.Load()
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	start := time.Now()
-	for i := range sessions {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := sessions[i]
-			for n := 0; n < per; n++ {
-				if _, err := s.Exec(fmt.Sprintf(`INSERT INTO c%d VALUES (%d)`, i, n)); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return P9Row{}, err
-		}
-	}
-	total := per * writers
-	return P9Row{
-		Mode:            mode,
-		Writers:         writers,
-		PerCommit:       elapsed / time.Duration(total),
-		CommitsPerS:     float64(total) / elapsed.Seconds(),
-		FsyncsPerCommit: float64(flushes.Load()-flushes0) / float64(total),
-	}, nil
-}
-
-// P10Row records one cell of the MVCC readers-vs-writers sweep.
-type P10Row struct {
-	Readers    int
-	Writers    int
-	ReadsPerS  float64
-	WritesPerS float64
-	// ReaderLockAcquires is the lock.acquires movement not accounted for by
-	// the writers' own table X locks — under snapshot-isolated reads it must
-	// be exactly zero.
-	ReaderLockAcquires uint64
-	VersionsCreated    uint64
-	VersionsSkipped    uint64
-	Vacuumed           int
-}
-
-// RunP10 measures the MVCC read path: reader sessions running snapshot
-// SELECTs concurrently with writer sessions committing single-row UPDATEs.
-// Readers acquire no locks at all (the lock.acquires delta is fully
-// explained by the writers' table X locks), so reader throughput is not
-// serialised against the writers and writers are never blocked behind
-// readers. Each UPDATE appends a version to the row's chain; the
-// versions_skipped column shows readers stepping over versions outside
-// their read view, and the final vacuum reclaims every superseded version
-// once no snapshot can see it.
-func RunP10(w io.Writer, selects, updates int) ([]P10Row, error) {
-	cells := []struct{ readers, writers int }{
-		{1, 0}, {4, 0}, {2, 1}, {4, 2}, {4, 4},
-	}
-	fmt.Fprintf(w, "P10: MVCC readers vs writers (selects=%d/reader, updates=%d/writer, GOMAXPROCS=%d)\n",
-		selects, updates, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%-8s %-8s %10s %10s %10s %10s %10s %9s\n",
-		"readers", "writers", "reads/s", "writes/s", "rdr-locks", "created", "skipped", "vacuumed")
-	var rows []P10Row
-	for _, c := range cells {
-		row, err := runP10Cell(c.readers, c.writers, selects, updates)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-8d %-8d %10.0f %10.0f %10d %10d %10d %9d\n",
-			row.Readers, row.Writers, row.ReadsPerS, row.WritesPerS,
-			row.ReaderLockAcquires, row.VersionsCreated, row.VersionsSkipped, row.Vacuumed)
-	}
-	fmt.Fprintln(w, "  (rdr-locks is lock.acquires minus the writers' own statement X locks: 0 = lock-free reads)")
-	return rows, nil
-}
-
-func runP10Cell(readers, writers, selects, updates int) (P10Row, error) {
-	// In-memory engine with the background vacuum disabled so the cell's
-	// lock arithmetic has exactly one source of acquisitions: the writers.
-	e, err := engine.Open(engine.Options{
-		Clock:          chronon.NewVirtualClock(chronon.MustParse("9/97")),
-		VacuumInterval: -1,
-	})
-	if err != nil {
-		return P10Row{}, err
-	}
-	defer e.Close()
-
-	const tableRows = 400
-	setup := e.NewSession()
-	if _, err := setup.Exec(`CREATE TABLE rw (a INTEGER, pad VARCHAR(64))`); err != nil {
-		setup.Close()
-		return P10Row{}, err
-	}
-	if _, err := setup.Exec(`BEGIN WORK`); err != nil {
-		setup.Close()
-		return P10Row{}, err
-	}
-	for i := 0; i < tableRows; i++ {
-		if _, err := setup.Exec(fmt.Sprintf(`INSERT INTO rw VALUES (%d, 'seed-%d')`, i, i)); err != nil {
-			setup.Close()
-			return P10Row{}, err
-		}
-	}
-	if _, err := setup.Exec(`COMMIT WORK`); err != nil {
-		setup.Close()
-		return P10Row{}, err
-	}
-	setup.Close()
-
-	acquires := e.Obs().Counter("lock.acquires")
-	created := e.Obs().Counter("mvcc.versions_created")
-	skipped := e.Obs().Counter("mvcc.versions_skipped")
-	acq0, cre0, skp0 := acquires.Load(), created.Load(), skipped.Load()
-
-	var wg sync.WaitGroup
-	errs := make([]error, readers+writers)
-	start := time.Now()
-	var readElapsed, writeElapsed time.Duration
-	var readMu sync.Mutex
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			s := e.NewSession()
-			defer s.Close()
-			t0 := time.Now()
-			for n := 0; n < selects; n++ {
-				if _, err := s.Exec(`SELECT COUNT(*) FROM rw WHERE a >= 0`); err != nil {
-					errs[slot] = err
-					return
-				}
-			}
-			readMu.Lock()
-			if d := time.Since(t0); d > readElapsed {
-				readElapsed = d
-			}
-			readMu.Unlock()
-		}(r)
-	}
-	for wr := 0; wr < writers; wr++ {
-		wg.Add(1)
-		go func(slot, id int) {
-			defer wg.Done()
-			s := e.NewSession()
-			defer s.Close()
-			t0 := time.Now()
-			for n := 0; n < updates; n++ {
-				stmt := fmt.Sprintf(`UPDATE rw SET pad = 'w%d-%d' WHERE a = %d`, id, n, n%tableRows)
-				if _, err := s.Exec(stmt); err != nil {
-					errs[slot] = err
-					return
-				}
-			}
-			readMu.Lock()
-			if d := time.Since(t0); d > writeElapsed {
-				writeElapsed = d
-			}
-			readMu.Unlock()
-		}(readers+wr, wr)
-	}
-	wg.Wait()
-	_ = time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return P10Row{}, err
-		}
-	}
-
-	writeStmts := uint64(writers * updates)
-	row := P10Row{
-		Readers:            readers,
-		Writers:            writers,
-		ReaderLockAcquires: acquires.Load() - acq0 - writeStmts,
-		VersionsCreated:    created.Load() - cre0,
-		VersionsSkipped:    skipped.Load() - skp0,
-	}
-	if readers > 0 && readElapsed > 0 {
-		row.ReadsPerS = float64(readers*selects) / readElapsed.Seconds()
-	}
-	if writers > 0 && writeElapsed > 0 {
-		row.WritesPerS = float64(writeStmts) / writeElapsed.Seconds()
-	}
-	// With every session closed no snapshot is live: the vacuum must
-	// reclaim exactly the superseded versions the updates created.
-	row.Vacuumed, err = e.VacuumNow()
-	if err != nil {
-		return P10Row{}, err
-	}
-	return row, nil
-}
-
-// P12Row records one cell of the online index build experiment.
-type P12Row struct {
-	Mode      string // "bulk" (STR am_build) or "insert" (row-at-a-time)
-	Rows      int
-	BuildTime time.Duration
-	RowsPerS  float64
-	RowsBulk  uint64 // idxbuild.rows_bulk movement for the build
-}
-
-// P12Online records the concurrent-writer cell: writer throughput with an
-// online build holding its side log open versus the idle baseline.
-type P12Online struct {
-	Inserts         int
-	IdlePerS        float64 // writers alone, no build in flight
-	DuringBuildPerS float64 // writers racing an online build's bulk phase
-	SideReplayed    uint64  // idxbuild.sidelog_replayed movement
-	PublishLatch    time.Duration
-}
-
-// p12Extent cycles through the valid Figure 2 tt/vt combinations at the
-// virtual clock's 9/97.
-func p12Extent(i int) string {
-	m := i%9 + 1
-	switch i % 4 {
-	case 0:
-		return fmt.Sprintf("%d/97, UC, %d/97, NOW", m, i%m+1)
-	case 1:
-		tt1, vt1 := i%5+1, i%6+1
-		return fmt.Sprintf("%d/97, %d/97, %d/97, %d/97", tt1, tt1+i%4, vt1, vt1+i%4)
-	case 2:
-		vt1 := i%7 + 1
-		return fmt.Sprintf("%d/97, UC, %d/97, %d/97", m, vt1, vt1+i%3)
-	default:
-		tt1 := i%5 + 2
-		return fmt.Sprintf("%d/97, %d/97, %d/97, NOW", tt1, tt1+i%3, i%tt1+1)
-	}
-}
-
-func p12Engine(rows int) (*engine.Engine, error) {
-	e, err := engine.Open(engine.Options{Clock: chronon.NewVirtualClock(chronon.MustParse("9/97"))})
-	if err != nil {
-		return nil, err
-	}
-	if err := grtblade.Register(e); err != nil {
-		e.Close()
-		return nil, err
-	}
-	s := e.NewSession()
-	defer s.Close()
-	for _, stmt := range []string{
-		`CREATE SBSPACE spc`,
-		`CREATE TABLE emp (name VARCHAR(16), ext GRT_TimeExtent_t)`,
-		`BEGIN WORK`,
-	} {
-		if _, err := s.Exec(stmt); err != nil {
-			e.Close()
-			return nil, err
-		}
-	}
-	for i := 0; i < rows; i++ {
-		if _, err := s.Exec(fmt.Sprintf(`INSERT INTO emp VALUES ('r%d', '%s')`, i, p12Extent(i))); err != nil {
-			e.Close()
-			return nil, err
-		}
-	}
-	if _, err := s.Exec(`COMMIT WORK`); err != nil {
-		e.Close()
-		return nil, err
-	}
-	return e, nil
-}
-
-func runP12BuildCell(mode string, rows int) (P12Row, error) {
-	e, err := p12Engine(rows)
-	if err != nil {
-		return P12Row{}, err
-	}
-	defer e.Close()
-	s := e.NewSession()
-	defer s.Close()
-	bulk0 := e.Obs().Snapshot().Get("idxbuild.rows_bulk")
-	start := time.Now()
-	_, err = s.Exec(fmt.Sprintf(
-		`CREATE INDEX ix ON emp(ext grt_opclass) USING grtree_am (build='%s') IN spc`, mode))
-	elapsed := time.Since(start)
-	if err != nil {
-		return P12Row{}, err
-	}
-	if _, err := s.Exec(`CHECK INDEX ix`); err != nil {
-		return P12Row{}, err
-	}
-	return P12Row{
-		Mode:      mode,
-		Rows:      rows,
-		BuildTime: elapsed,
-		RowsPerS:  float64(rows) / elapsed.Seconds(),
-		RowsBulk:  e.Obs().Snapshot().Get("idxbuild.rows_bulk") - bulk0,
-	}, nil
-}
-
-// runP12Writers measures auto-commit insert throughput for one writer
-// session, optionally while an online CREATE INDEX is parked in its
-// lock-free bulk phase (so every insert is captured by the side log).
-func runP12Writers(rows, inserts int, duringBuild bool) (P12Online, error) {
-	e, err := p12Engine(rows)
-	if err != nil {
-		return P12Online{}, err
-	}
-	defer e.Close()
-
-	res := P12Online{Inserts: inserts}
-	runWriters := func() (float64, error) {
-		s := e.NewSession()
-		defer s.Close()
-		start := time.Now()
-		for i := 0; i < inserts; i++ {
-			n := rows + i
-			if _, err := s.Exec(fmt.Sprintf(`INSERT INTO emp VALUES ('w%d', '%s')`, n, p12Extent(n))); err != nil {
-				return 0, err
-			}
-		}
-		return float64(inserts) / time.Since(start).Seconds(), nil
-	}
-
-	if !duringBuild {
-		perS, err := runWriters()
-		if err != nil {
-			return P12Online{}, err
-		}
-		res.IdlePerS = perS
-		return res, nil
-	}
-
-	side0 := e.Obs().Snapshot().Get("idxbuild.sidelog_replayed")
-	latch0 := e.Obs().Snapshot().Get("idxbuild.publish_latch_ns")
-	writerDone := make(chan struct{})
-	var writerPerS float64
-	var writerErr error
-	e.SetBuildHookForTesting(func(stage string) error {
-		if stage == "bulk" {
-			writerPerS, writerErr = runWriters()
-			close(writerDone)
-		}
-		return nil
-	})
-	defer e.SetBuildHookForTesting(nil)
-	b := e.NewSession()
-	defer b.Close()
-	if _, err := b.Exec(`CREATE INDEX ix ON emp(ext grt_opclass) USING grtree_am IN spc`); err != nil {
-		return P12Online{}, err
-	}
-	<-writerDone
-	if writerErr != nil {
-		return P12Online{}, writerErr
-	}
-	if _, err := b.Exec(`CHECK INDEX ix`); err != nil {
-		return P12Online{}, err
-	}
-	res.DuringBuildPerS = writerPerS
-	res.SideReplayed = e.Obs().Snapshot().Get("idxbuild.sidelog_replayed") - side0
-	res.PublishLatch = time.Duration(e.Obs().Snapshot().Get("idxbuild.publish_latch_ns") - latch0)
-	return res, nil
-}
-
-// RunP12 measures the online index build: the STR bulk-load fast path
-// versus row-at-a-time loading across table sizes, then writer throughput
-// while a build is in flight (the point of building online: DML is not
-// blocked for the duration, only captured and replayed).
-func RunP12(w io.Writer, rows int) ([]P12Row, error) {
-	fmt.Fprintf(w, "P12: online index build (grtree_am, GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%-8s %-8s %14s %12s %10s\n", "mode", "rows", "build-time", "rows/s", "rows_bulk")
-	var out []P12Row
-	for _, n := range []int{rows / 4, rows} {
-		var bulk, ins P12Row
-		var err error
-		if ins, err = runP12BuildCell("insert", n); err != nil {
-			return nil, err
-		}
-		if bulk, err = runP12BuildCell("bulk", n); err != nil {
-			return nil, err
-		}
-		for _, row := range []P12Row{ins, bulk} {
-			fmt.Fprintf(w, "%-8s %-8d %14v %12.0f %10d\n",
-				row.Mode, row.Rows, row.BuildTime, row.RowsPerS, row.RowsBulk)
-			out = append(out, row)
-		}
-		fmt.Fprintf(w, "  (STR bulk vs insert at %d rows: %.2fx)\n", n,
-			ins.BuildTime.Seconds()/bulk.BuildTime.Seconds())
-	}
-
-	inserts := rows / 4
-	idle, err := runP12Writers(rows, inserts, false)
-	if err != nil {
-		return nil, err
-	}
-	during, err := runP12Writers(rows, inserts, true)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "  writer throughput (%d auto-commit inserts): idle %.0f/s, during online build %.0f/s (%.2fx)\n",
-		inserts, idle.IdlePerS, during.DuringBuildPerS, during.DuringBuildPerS/idle.IdlePerS)
-	fmt.Fprintf(w, "  side-log ops replayed: %d; publish latch held: %v\n",
-		during.SideReplayed, during.PublishLatch)
-	return out, nil
 }

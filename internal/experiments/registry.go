@@ -63,35 +63,6 @@ func All(root string, quick bool) []Runner {
 			return err
 		}},
 		{"P6", "Current-time policy demonstration", RunP6},
-		{"P8", "Intra-query parallel scan sweep", func(w io.Writer) error {
-			_, err := RunP8(w, scale(4000, 800), scale(20, 5))
-			return err
-		}},
-		{"P9", "Group commit: mode × writers sweep", func(w io.Writer) error {
-			_, err := RunP9(w, scale(400, 120))
-			return err
-		}},
-		{"P10", "MVCC: lock-free readers vs writers", func(w io.Writer) error {
-			_, err := RunP10(w, scale(300, 60), scale(200, 40))
-			return err
-		}},
-		{"P11", "Networked group commit: remote writers over TCP", func(w io.Writer) error {
-			_, err := RunP11(w, scale(400, 120))
-			return err
-		}},
-		{"P12", "Online index build: STR bulk-load vs row-at-a-time, writer throughput", func(w io.Writer) error {
-			_, err := RunP12(w, scale(4000, 600))
-			return err
-		}},
-		{"P13", "Prepared statements vs per-statement parse/plan", func(w io.Writer) error {
-			_, err := RunP13(w, scale(2000, 400))
-			return err
-		}},
-		{"P14", "Aggregate pushdown: am_aggregate vs tuple drain", func(w io.Writer) error {
-			sizes := []int{scale(10000, 2000), scale(100000, 10000)}
-			_, err := RunP14(w, sizes, scale(5, 3))
-			return err
-		}},
 	}
 }
 

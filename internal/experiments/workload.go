@@ -2,8 +2,9 @@
 // one runnable reproduction for every table and figure of the paper (T1–T5,
 // F2–F6) plus the performance-shape experiments (P1–P6) that substantiate
 // the claim that the GR-tree DataBlade "aims to achieve better performance,
-// not just to add functionality". The benchrunner binary and the root-level
-// benchmarks drive these functions; EXPERIMENTS.md records their output.
+// not just to add functionality". The benchrunner binary drives these
+// functions and EXPERIMENTS.md records their output; features beyond the
+// paper are measured by the statement benchmark in bench/.
 package experiments
 
 import (

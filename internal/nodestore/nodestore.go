@@ -128,9 +128,6 @@ func (m *MemStore) View(id NodeID, fn func(page []byte) error) error {
 	return fn(n)
 }
 
-// Read copies the node's page into buf (NodeSize bytes); see Read.
-func (m *MemStore) Read(id NodeID, buf []byte) error { return Read(m, id, buf) }
-
 // Write implements Store.
 func (m *MemStore) Write(id NodeID, buf []byte) error {
 	m.mu.Lock()

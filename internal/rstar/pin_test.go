@@ -44,7 +44,7 @@ func pinStore(t *testing.T, st nodestore.Store) (string, int) {
 	buf := make([]byte, nodestore.NodeSize)
 	nodes := mem.NodeCount()
 	for id, seen := nodestore.NodeID(1), 0; seen < nodes; id++ {
-		if err := mem.Read(id, buf); errors.Is(err, nodestore.ErrNoSuchNode) {
+		if err := nodestore.Read(mem, id, buf); errors.Is(err, nodestore.ErrNoSuchNode) {
 			continue
 		} else if err != nil {
 			t.Fatal(err)

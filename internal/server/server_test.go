@@ -351,6 +351,51 @@ func TestServerConcurrentStress(t *testing.T) {
 	}
 }
 
+// GROUP commits arriving on separate connections, through the executor pool,
+// share fsyncs: four remote writers committing at once pay fewer WAL flushes
+// than they make commits.
+func TestServerGroupCommitSharesFsyncs(t *testing.T) {
+	h := startServer(t, Options{MaxExecutors: 4})
+	const writers, perWriter = 4, 40
+	conns := make([]*client.Conn, writers)
+	for i := range conns {
+		conns[i] = dial(t, h)
+		mustExec(t, conns[i], fmt.Sprintf(`CREATE TABLE g%d (id INTEGER)`, i))
+		mustExec(t, conns[i], `SET COMMIT GROUP`)
+	}
+
+	flushes := h.e.Obs().Counter("wal.flushes")
+	before := flushes.Load()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for i, c := range conns {
+		wg.Add(1)
+		go func(i int, c *client.Conn) {
+			defer wg.Done()
+			<-start
+			for k := 0; k < perWriter; k++ {
+				if _, err := c.Exec(fmt.Sprintf(`INSERT INTO g%d (id) VALUES (%d)`, i, k)); err != nil {
+					errs <- fmt.Errorf("writer %d commit %d: %w", i, k, err)
+					return
+				}
+			}
+		}(i, c)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	got := flushes.Load() - before
+	t.Logf("%d GROUP commits, %d fsyncs", writers*perWriter, got)
+	if got >= writers*perWriter {
+		t.Fatalf("%d GROUP commits over %d connections took %d fsyncs, want fewer than commits",
+			writers*perWriter, writers, got)
+	}
+}
+
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

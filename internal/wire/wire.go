@@ -565,10 +565,16 @@ func (d *dec) blob() []byte {
 	return v
 }
 
-// args decodes an argument vector.
+// args decodes an argument vector. Every datum takes at least its tag byte,
+// so a count beyond the bytes left is a bad frame, refused before it sizes
+// an allocation.
 func (d *dec) args(reg *types.Registry) []types.Datum {
 	n := d.u32()
 	if n == 0 || d.err != nil {
+		return nil
+	}
+	if uint64(n) > uint64(len(d.buf)-d.pos) {
+		d.err = fmt.Errorf("argument count %d exceeds the %d bytes left", n, len(d.buf)-d.pos)
 		return nil
 	}
 	out := make([]types.Datum, 0, n)

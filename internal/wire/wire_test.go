@@ -22,7 +22,7 @@ func pipeConn(t *testing.T) (client, server net.Conn) {
 // registerPair registers the same opaque type in two registries, with a
 // send/receive transform that actually changes the bytes (XOR), so the test
 // notices if either support function is skipped.
-func registerPair(t *testing.T) (srv, cli *types.Registry) {
+func registerPair(t testing.TB) (srv, cli *types.Registry) {
 	t.Helper()
 	srv, cli = types.NewRegistry(), types.NewRegistry()
 	for _, reg := range []*types.Registry{srv, cli} {
@@ -141,17 +141,7 @@ func TestWelcomeCapsCompat(t *testing.T) {
 	var e enc
 	e.u16(Version)
 	e.str("short welcome")
-	var buf bytes.Buffer
-	var hdr [5]byte
-	hdr[3] = byte(len(e.buf))
-	hdr[4] = byte(MsgWelcome)
-	buf.Write(hdr[:])
-	buf.Write(e.buf)
-	c := NewConn(struct {
-		io.Reader
-		io.Writer
-	}{&buf, io.Discard}, nil)
-	m, err := c.Recv()
+	m, err := decodeFrame(nil, append([]byte{0, 0, 0, byte(len(e.buf)), byte(MsgWelcome)}, e.buf...))
 	if err != nil {
 		t.Fatalf("Welcome without caps: %v", err)
 	}
@@ -226,44 +216,110 @@ func TestResolveColTypes(t *testing.T) {
 	}
 }
 
-// Corrupt frames must fail cleanly, not panic or block.
+// Corrupt frames must fail cleanly, not panic, block or exhaust memory.
 func TestMalformedFrames(t *testing.T) {
-	// Truncated payload relative to the declared length: reader sees EOF.
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 50, byte(MsgExec), 1, 2, 3})
-	c := NewConn(struct {
-		io.Reader
-		io.Writer
-	}{&buf, io.Discard}, nil)
-	if _, err := c.Recv(); err == nil {
-		t.Fatal("truncated frame must error")
-	}
-
-	// Oversized length word is rejected before allocation.
-	buf.Reset()
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, byte(MsgExec)})
-	if _, err := c.Recv(); err == nil {
-		t.Fatal("oversized frame must error")
-	}
-
-	// Unknown frame type.
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0, 99})
-	if _, err := c.Recv(); err == nil {
-		t.Fatal("unknown frame type must error")
-	}
-
 	// A declared row/column count larger than the payload must error out
 	// instead of looping: the sticky decoder error stops the loops.
-	var e enc
-	e.u32(1 << 30)
-	buf.Reset()
-	var hdr [5]byte
-	hdr[3] = byte(len(e.buf))
-	hdr[4] = byte(MsgRowBatch)
-	buf.Write(hdr[:])
-	buf.Write(e.buf)
-	if _, err := c.Recv(); err == nil {
-		t.Fatal("row count overflow must error")
+	var rows enc
+	rows.u32(1 << 30)
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{
+		// The declared length exceeds the bytes that follow: EOF.
+		{"truncated frame", []byte{0, 0, 0, 50, byte(MsgExec), 1, 2, 3}},
+		// The length word is rejected before allocation.
+		{"oversized frame", []byte{0xff, 0xff, 0xff, 0xff, byte(MsgExec)}},
+		{"unknown frame type", []byte{0, 0, 0, 0, 99}},
+		{"row count overflow", append([]byte{0, 0, 0, byte(len(rows.buf)), byte(MsgRowBatch)}, rows.buf...)},
+		// 17 bytes: a Bind whose argument count is 0xFFFFFFFF. The decoder
+		// used to size its argument slice from the count and asked the
+		// runtime for 64 GiB, an unrecoverable out-of-memory crash.
+		{"bind argument count overflow", []byte{
+			0, 0, 0, 12, byte(MsgBind),
+			0, 0, 0, 4, 's', 't', 'm', 't',
+			0xff, 0xff, 0xff, 0xff,
+		}},
+	} {
+		if _, err := decodeFrame(nil, c.frame); err == nil {
+			t.Errorf("%s must error", c.name)
+		}
 	}
+}
+
+// decodeFrame runs Conn.Recv over one frame's bytes.
+func decodeFrame(reg *types.Registry, frame []byte) (Message, error) {
+	return NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(frame), io.Discard}, reg).Recv()
+}
+
+// encodeFrame returns the bytes Conn.Send writes for m.
+func encodeFrame(reg *types.Registry, m Message) ([]byte, error) {
+	var buf bytes.Buffer
+	err := NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(nil), &buf}, reg).Send(m)
+	return buf.Bytes(), err
+}
+
+// FuzzDecodeFrame feeds arbitrary bytes to Conn.Recv. It must return a
+// message or an error, never panic or exhaust memory, and whatever it
+// accepts must re-encode to a frame that decodes and encodes to the same
+// bytes again.
+func FuzzDecodeFrame(f *testing.F) {
+	reg, _ := registerPair(f)
+	period, _ := reg.Lookup("period")
+	opaque := types.Opaque{TypeID: period.ID, Data: []byte("1/97-3/97")}
+	for _, m := range []Message{
+		&Hello{Version: Version, Banner: "tinyblade"},
+		&Welcome{Version: Version, Banner: "tinybladed", Caps: CapPrepared},
+		&Exec{SQL: "SELECT * FROM t"},
+		&Header{
+			Columns: []string{"id", "p"},
+			Types:   []ColType{{Kind: byte(types.KInt), Name: "INTEGER"}, {Kind: byte(types.KOpaque), Name: "period"}},
+			Plan:    "SELECT heap scan",
+		},
+		&RowBatch{Rows: [][]types.Datum{
+			{int64(-7), 2.5, "text", true, chronon.MustParse("9/97"), nil},
+			{opaque},
+		}},
+		&Done{Affected: 3, Message: "inserted", Profile: "elapsed=1ms"},
+		&Error{Code: "42P01", Message: "no such table"},
+		&Quit{},
+		&Parse{Name: "q1", SQL: "SELECT * FROM t WHERE id = $1"},
+		&Prepared{Name: "q1", NParams: 1},
+		&Bind{Name: "q1", Args: []types.Datum{int64(7), opaque}},
+		&ExecutePrepared{Name: "q1", Args: []types.Datum{"x", false}},
+		&CloseStmt{Name: "q1"},
+	} {
+		frame, err := encodeFrame(reg, m)
+		if err != nil {
+			f.Fatalf("seed %T: %v", m, err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		m, err := decodeFrame(reg, frame)
+		if err != nil {
+			return
+		}
+		once, err := encodeFrame(reg, m)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", m, err)
+		}
+		m2, err := decodeFrame(reg, once)
+		if err != nil {
+			t.Fatalf("re-encoded %T does not decode: %v", m, err)
+		}
+		twice, err := encodeFrame(reg, m2)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", m2, err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("%T is not stable across decode and encode:\n%x\n%x", m, once, twice)
+		}
+	})
 }

@@ -46,6 +46,15 @@ echo "== go test -race -count=5 statement scope + DELETE agreement"
 go test -race -count=5 -run TestStatementScopeEveryEntryPoint ./internal/engine
 go test -race -count=5 -run TestDeleteAgreesOnTheBatchPath ./internal/blades/treeblade
 
+# No test runs P5 or the benchrunner CLI itself; this runs every registered
+# experiment at CI scale.
+echo "== benchrunner -quick"
+go run ./cmd/benchrunner -quick >/dev/null
+
+# The wire decoder takes frames from the network: fuzz Conn.Recv briefly.
+echo "== fuzz FuzzDecodeFrame (10s)"
+go test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
+
 # bench/ is a nested module, so ./... above never compiles it: an API break
 # in a package it imports would otherwise first show up in the benchmark gate.
 echo "== bench module: go vet + go test"

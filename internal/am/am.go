@@ -117,6 +117,13 @@ type ScanDesc struct {
 	// allocates Batch to the agreed size afterwards. Zero means the server
 	// will use the row-at-a-time am_getnext protocol only.
 	BatchCap int
+	// Exact is the access method's promise, made in am_beginscan the way it
+	// negotiates BatchCap, that every entry it returns satisfies the
+	// qualification as the strategy functions would evaluate it on the
+	// fetched row. When the qualification is the whole WHERE clause the
+	// server then skips re-evaluating it (PostgreSQL's xs_recheck, inverted).
+	// False, the default, means the answers are candidates to re-check.
+	Exact bool
 	// Batch is the shared output buffer am_getmulti fills. The server
 	// owns the allocation; the access method must not retain references to
 	// it across calls.
@@ -135,9 +142,10 @@ type ScanDesc struct {
 }
 
 // ScanBatch is the am_getmulti output buffer: parallel slices of qualifying
-// rowids and their indexed-column values (a row entry may be nil when the
-// access method returns candidates for the server to re-qualify, as the
-// R*-tree baseline does).
+// rowids and their indexed-column values. Scans may leave a row entry nil
+// (the server fetches the row from the heap either way); am_build feeds fill
+// every one. Whether an entry needs re-checking is ScanDesc.Exact's business,
+// not the row's.
 type ScanBatch struct {
 	RowIDs []heap.RowID
 	Rows   [][]types.Datum
@@ -294,7 +302,8 @@ type (
 	// AmScanFunc is the signature of am_beginscan/endscan/rescan.
 	AmScanFunc func(ctx *mi.Context, sd *ScanDesc) error
 	// AmGetNextFunc returns the next qualifying rowid plus the indexed
-	// column values; ok=false ends the scan.
+	// column values (nil when the access method does not materialise them);
+	// ok=false ends the scan.
 	AmGetNextFunc func(ctx *mi.Context, sd *ScanDesc) (rid heap.RowID, row []types.Datum, ok bool, err error)
 	// AmGetMultiFunc is the batched variant of am_getnext: it resets and
 	// fills sd.Batch with up to sd.Batch.Cap() qualifying entries and

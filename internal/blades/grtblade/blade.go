@@ -54,7 +54,6 @@ const AmName = "grtree_am"
 // scaffold's, bound to what a GRT_TimeExtent_t key means.
 var purpose = &treeblade.Kernel[temporal.Region, temporal.Shape, *open]{
 	Method: treeblade.Method[*open]{AmName: AmName, Prefix: "grt", Blade: "grtblade", Configure: configure},
-	Rows:   true,
 	Value: func(id *am.IndexDesc, r temporal.Region) types.Datum {
 		return regionValue(id.ColTypes[0].OpaqueID, r)
 	},
@@ -310,17 +309,24 @@ func (o *open) Delete(id *am.IndexDesc, d types.Datum, rid heap.RowID) (removed,
 	return o.tree.Delete(ext, grtree.Payload(rid), o.ct)
 }
 
-func (o *open) Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (rtree.Matcher[temporal.Region], error) {
+// Matcher: the hard-coded leaf test is exact for every strategy function
+// (TestCompiledMatchesReference pins it to Region's own methods), so the
+// answer is exact whenever the tree's ct is the one the strategy UDRs see on
+// the fetched row. That holds under the transaction policy, where both read
+// grt_current_time (Section 5.4); a per-statement ct is the clock at grt_open,
+// and the UDR reads the clock again later. Dynamic dispatch asks the UDRs
+// themselves, and its answer is left to the server's re-check as before.
+func (o *open) Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (rtree.Matcher[temporal.Region], bool, error) {
 	compound, err := compileQual(q)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	compiled, err := compound.Compile(o.ct)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if !o.dynamic {
-		return compiled, nil
+		return compiled, !o.perStmtCT, nil
 	}
 	// Section 5.2's extensible alternative: leaf strategy functions are
 	// dynamically resolved and invoked as registered UDRs; only the
@@ -329,7 +335,7 @@ func (o *open) Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (rtree.Mat
 	return grtree.At(&dynamicMatcher{
 		compiled: compiled, qual: q, ctx: ctx,
 		svc: id.Services, typeID: id.ColTypes[0].OpaqueID,
-	}, o.ct), nil
+	}, o.ct), false, nil
 }
 
 // Window resolves the region at the blade's current time, so now-relative

@@ -50,12 +50,6 @@ var DefaultMaxTimestamp = chronon.FromDate(9999, 12, 31)
 // extent indexed as its substituted rectangle.
 var purpose = &treeblade.Kernel[rstar.Rect, rstar.Rect, *open]{
 	Method: treeblade.Method[*open]{AmName: AmName, Prefix: "rst", Blade: "rstblade", Configure: configure},
-	// Scans return candidate rowids (false positives under SubMax, missed
-	// grown tuples under SubAsOf — the recall loss experiment P1 reports).
-	// Exactness comes from the engine re-evaluating the WHERE clause on the
-	// fetched row through the registered strategy UDRs: the
-	// dynamic-resolution path of Section 5.2, whose overhead P5 measures.
-	Rows: false,
 	Value: func(id *am.IndexDesc, r rstar.Rect) types.Datum {
 		return types.Opaque{TypeID: id.ColTypes[0].OpaqueID, Data: grtblade.EncodeExtent(temporal.Extent{
 			TTBegin: chronon.Instant(r.XMin), TTEnd: chronon.Instant(r.XMax),
@@ -280,12 +274,18 @@ func (o *open) Delete(id *am.IndexDesc, d types.Datum, rid heap.RowID) (removed,
 	}
 }
 
-func (o *open) Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (rtree.Matcher[rstar.Rect], error) {
+// Matcher: scans return candidate rowids (false positives under SubMax,
+// missed grown tuples under SubAsOf — the recall loss experiment P1 reports),
+// so they are never exact. Exactness comes from the engine re-evaluating the
+// WHERE clause on the fetched row through the registered strategy UDRs: the
+// dynamic-resolution path of Section 5.2, whose overhead P5 measures.
+func (o *open) Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (rtree.Matcher[rstar.Rect], bool, error) {
 	qr, err := o.queryRect(q)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return rstar.Query(rstar.OpOverlaps, qr)
+	m, err := rstar.Query(rstar.OpOverlaps, qr)
+	return m, false, err
 }
 
 // queryRect maps a qualification's query extents to one conservative

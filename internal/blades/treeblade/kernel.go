@@ -27,8 +27,10 @@ type Binding[B comparable, S rtree.Shape[S]] interface {
 	// Delete locates and removes the entry of row value d at rid; removed is
 	// false when the index holds none.
 	Delete(id *am.IndexDesc, d types.Datum, rid heap.RowID) (removed, condensed bool, err error)
-	// Matcher compiles a scan qualification.
-	Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (rtree.Matcher[B], error)
+	// Matcher compiles a scan qualification. exact reports that the
+	// matcher's leaf test is the strategy functions' own answer on the row,
+	// so am_beginscan may tell the server to skip its re-check (ScanDesc.Exact).
+	Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (m rtree.Matcher[B], exact bool, err error)
 	// Window is the valid-time interval a bound covers now — what selectivity
 	// estimation and the am_stats histograms are over. ok is false when the
 	// bound covers nothing now.
@@ -47,12 +49,9 @@ type Binding[B comparable, S rtree.Shape[S]] interface {
 // whose tree runs on internal/rtree.
 type Kernel[B comparable, S rtree.Shape[S], T Binding[B, S]] struct {
 	Method[T]
-	// Value renders a stored bound as a value of the indexed column.
+	// Value renders a stored bound as a value of the indexed column (the
+	// answer of an am_aggregate MIN or MAX).
 	Value func(id *am.IndexDesc, b B) types.Datum
-	// Rows says a scan's entries are exact answers, delivered with their
-	// column value; when false they are candidates the server re-qualifies
-	// on the fetched row, and rows stay nil.
-	Rows bool
 }
 
 // MaxEntries parses the maxentries index parameter: the node fanout cap of a
@@ -68,13 +67,6 @@ func MaxEntries(blade, value string) (int, error) {
 // histogramBuckets is the equi-depth bucket count am_stats collects.
 const histogramBuckets = 32
 
-func (k *Kernel[B, S, T]) row(id *am.IndexDesc, b B) []types.Datum {
-	if !k.Rows {
-		return nil
-	}
-	return []types.Datum{k.Value(id, b)}
-}
-
 // BeginScan implements am_beginscan (Table 5, grt_beginscan): it creates the
 // Cursor object storing the query predicate and tree-traversal information.
 // The cursor is the whole scan state, and sd.UserData its only home.
@@ -86,18 +78,19 @@ func (k *Kernel[B, S, T]) BeginScan(ctx *mi.Context, sd *am.ScanDesc) error {
 	if sd.Qual == nil {
 		return fmt.Errorf("%s: scan without qualification (full scans go through the table)", k.Blade)
 	}
-	m, err := st.Matcher(ctx, sd.Index, sd.Qual)
+	m, exact, err := st.Matcher(ctx, sd.Index, sd.Qual)
 	if err != nil {
 		return err
 	}
 	sd.UserData = st.Tree().Search(m)
+	sd.Exact = exact
 	// Negotiate the am_getmulti batch capacity: the server proposes one
 	// before am_beginscan; the blade caps it at its own maximum (a larger
 	// buffer than this cannot help a tree whose leaves hold maxentries).
 	if maxBatch := 16 * st.Tree().Config().MaxEntries; sd.BatchCap > maxBatch {
 		sd.BatchCap = maxBatch
 	}
-	ctx.Tracer().Tracef(k.Prefix, 2, "beginscan %s: qual %s, batch %d", sd.Index.Name, sd.Qual, sd.BatchCap)
+	ctx.Tracer().Tracef(k.Prefix, 2, "beginscan %s: qual %s, batch %d, exact %v", sd.Index.Name, sd.Qual, sd.BatchCap, sd.Exact)
 	return nil
 }
 
@@ -161,7 +154,8 @@ func (k *Kernel[B, S, T]) EndScan(ctx *mi.Context, sd *am.ScanDesc) error {
 }
 
 // GetNext implements am_getnext (Table 5, grt_getnext): fetch the next
-// qualifying entry, form the rowid and the indexed-column values.
+// qualifying entry and form its rowid. The indexed-column value stays nil:
+// the server reads the row from the heap, never from the index.
 func (k *Kernel[B, S, T]) GetNext(ctx *mi.Context, sd *am.ScanDesc) (heap.RowID, []types.Datum, bool, error) {
 	cur, ok := sd.UserData.(*rtree.Cursor[B])
 	if !ok {
@@ -171,7 +165,7 @@ func (k *Kernel[B, S, T]) GetNext(ctx *mi.Context, sd *am.ScanDesc) (heap.RowID,
 	if err != nil || !ok {
 		return 0, nil, false, err
 	}
-	return heap.RowID(e.Payload()), k.row(sd.Index, e.Bound), true, nil
+	return heap.RowID(e.Payload()), nil, true, nil
 }
 
 // GetMulti implements am_getmulti, the batched companion of am_getnext: one
@@ -194,7 +188,7 @@ func (k *Kernel[B, S, T]) GetMulti(ctx *mi.Context, sd *am.ScanDesc) (int, error
 		return 0, err
 	}
 	for _, e := range entries {
-		b.Append(heap.RowID(e.Payload()), k.row(sd.Index, e.Bound))
+		b.Append(heap.RowID(e.Payload()), nil)
 	}
 	return b.N, nil
 }

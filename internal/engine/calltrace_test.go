@@ -35,13 +35,27 @@ type memScan struct {
 // withGetMulti the method also binds a native am_getmulti.
 func registerMemAM(t *testing.T, e *Engine, amName, prefix string, withGetMulti bool) {
 	t.Helper()
-	registerMemAMCosted(t, e, amName, prefix, withGetMulti, false)
+	registerMemAMWith(t, e, amName, prefix, memAM{getMulti: withGetMulti})
 }
 
 // registerMemAMCosted is registerMemAM with an optional am_scancost binding
 // (a flat cheap estimate), for tests that pin how often the optimizer
 // consults the cost function.
 func registerMemAMCosted(t *testing.T, e *Engine, amName, prefix string, withGetMulti, withScanCost bool) {
+	t.Helper()
+	registerMemAMWith(t, e, amName, prefix, memAM{getMulti: withGetMulti, scanCost: withScanCost})
+}
+
+// memAM selects the optional behaviour of a registered in-memory method.
+type memAM struct {
+	getMulti bool // bind a native am_getmulti
+	scanCost bool // bind am_scancost
+	// superset makes am_beginscan select every entry, whatever the
+	// qualification; exact makes it claim ScanDesc.Exact all the same.
+	superset, exact bool
+}
+
+func registerMemAMWith(t *testing.T, e *Engine, amName, prefix string, opt memAM) {
 	t.Helper()
 	// A real blade's readers and builders meet at the large object's lock;
 	// this store has only mu (TestPlanCacheDDLRace scans an index while its
@@ -84,11 +98,12 @@ func registerMemAMCosted(t *testing.T, e *Engine, amName, prefix string, withGet
 			mu.Lock()
 			defer mu.Unlock()
 			for _, en := range store[sd.Index.Name] {
-				if en.key == want {
+				if en.key == want || opt.superset {
 					sc.rids = append(sc.rids, en.rid)
 				}
 			}
 			sd.UserData = sc
+			sd.Exact = opt.exact
 			return nil
 		}),
 		prefix + "_endscan": am.AmScanFunc(func(ctx *mi.Context, sd *am.ScanDesc) error {
@@ -108,7 +123,7 @@ func registerMemAMCosted(t *testing.T, e *Engine, amName, prefix string, withGet
 			return rid, nil, true, nil
 		}),
 	}
-	if withGetMulti {
+	if opt.getMulti {
 		lib[prefix+"_getmulti"] = am.AmGetMultiFunc(func(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
 			sc, ok := sd.UserData.(*memScan)
 			if !ok {
@@ -123,7 +138,7 @@ func registerMemAMCosted(t *testing.T, e *Engine, amName, prefix string, withGet
 			return b.N, nil
 		})
 	}
-	if withScanCost {
+	if opt.scanCost {
 		lib[prefix+"_scancost"] = am.AmScanCostFunc(func(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (float64, error) {
 			return 0.1, nil
 		})
@@ -134,10 +149,10 @@ func registerMemAMCosted(t *testing.T, e *Engine, amName, prefix string, withGet
 	s := e.NewSession()
 	defer s.Close()
 	slots := []string{"create", "open", "close", "insert", "beginscan", "endscan", "getnext"}
-	if withGetMulti {
+	if opt.getMulti {
 		slots = append(slots, "getmulti")
 	}
-	if withScanCost {
+	if opt.scanCost {
 		slots = append(slots, "scancost")
 	}
 	var b strings.Builder

@@ -222,9 +222,10 @@ type accessPath struct {
 	qual  *am.Qual
 	tmpl  *qualTmpl
 	// full reports the qualification covers the entire WHERE clause (no
-	// residual predicate). The executor re-checks WHERE per row regardless;
-	// full's consumer is aggregate pushdown, which must not delegate a COUNT
-	// to the index while a residual filter would have rejected rows.
+	// residual predicate). Aggregate pushdown needs it, since it must not
+	// delegate a COUNT to the index while a residual filter would have
+	// rejected rows; and the executor skips the per-row WHERE re-check only
+	// when it holds and the access method answers exactly (exactAnswer).
 	full bool
 }
 

@@ -116,6 +116,9 @@ type Engine struct {
 	// index internal nodes (am_aggregate) vs drained tuple by tuple.
 	statsHits, statsStale  *obs.Counter
 	aggPushed, aggFallback *obs.Counter
+	// recheckSkipped counts index scans whose rows skipped the WHERE
+	// re-check because the access method's answer was exact (exactAnswer).
+	recheckSkipped *obs.Counter
 
 	// Checkpointer state: cpMu serialises checkpoints (daemon, Close, and
 	// explicit calls), cpLast is the log size at the last checkpoint (the
@@ -331,6 +334,7 @@ func (e *Engine) registerCoreCounters() {
 	e.statsStale = e.obs.Counter("planner.stats_stale")
 	e.aggPushed = e.obs.Counter("agg.pushed")
 	e.aggFallback = e.obs.Counter("agg.fallback")
+	e.recheckSkipped = e.obs.Counter("engine.recheck_skipped")
 }
 
 // Obs exposes the engine-wide metrics registry (SYSPROFILE's source;

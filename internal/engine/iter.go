@@ -190,8 +190,8 @@ func (s *Session) endScan(oi *openIndex, sd *am.ScanDesc) {
 
 // filterBatchIter re-evaluates the full WHERE clause over each batch,
 // compacting survivors in place: the index may return candidate supersets
-// (rstree_am, gist_am), and only part of the clause may have been pushed
-// down as a qualification.
+// (rstree_am, gist_am), only part of the clause may have been pushed down as
+// a qualification, and a sequential scan has pushed down nothing.
 type filterBatchIter struct {
 	src    batchIterator
 	s      *Session
@@ -245,7 +245,7 @@ func (it *filterBatchIter) close() { it.src.close() }
 // openBatchScan assembles the pipeline for a planned access path: source
 // (virtual index or heap sequential scan, fanned out to workers when the
 // statement was planned with a parallel degree > 1) plus the WHERE
-// re-filter.
+// re-filter, which an exact index answer does without (exactAnswer).
 func (s *Session) openBatchScan(tb *catalog.Table, table *heap.Table, schema []types.Type,
 	where sql.Expr, path accessPath, workers int, snap *heap.Snapshot) (batchIterator, error) {
 	batch := s.e.opts.ScanBatchSize
@@ -260,6 +260,10 @@ func (s *Session) openBatchScan(tb *catalog.Table, table *heap.Table, schema []t
 		} else if src, err = s.newParallelIndexIter(path.index, table, sd, workers); err != nil {
 			return nil, err
 		}
+		if exactAnswer(path, sd, snap) {
+			s.e.recheckSkipped.Inc()
+			return src, nil
+		}
 	} else if workers > 1 {
 		src = s.newParallelHeapIter(table, batch, workers, snap)
 	} else {
@@ -269,4 +273,18 @@ func (s *Session) openBatchScan(tb *catalog.Table, table *heap.Table, schema []t
 		return src, nil
 	}
 	return &filterBatchIter{src: src, s: s, tb: tb, schema: schema, where: where}, nil
+}
+
+// exactAnswer reports that an index scan's rows need no WHERE re-check. Three
+// things must hold. The qualification is the whole WHERE clause (path.full),
+// so no residual predicate is left. The access method promised at
+// am_beginscan that its entries satisfy that qualification (sd.Exact). And the
+// read view is a registered snapshot: the index's answer is about the version
+// an entry was made for, and a rowid names that version only while its slot
+// is not reused. The vacuum frees a slot only once no registered snapshot can
+// see the version in it, and a later version in the reused slot is too new
+// for every such snapshot; a DIRTY READ (or nil, latest-state) view has no
+// such guard, and could see a newer row at a rowid already in a batch.
+func exactAnswer(path accessPath, sd *am.ScanDesc, snap *heap.Snapshot) bool {
+	return path.full && sd.Exact && snap != nil && !snap.Dirty
 }

@@ -24,7 +24,9 @@ type Plan struct {
 	// am_beginscan (subject to negotiation); <= 1 means the row-at-a-time
 	// am_getnext protocol.
 	BatchCap int
-	// HasFilter reports whether a WHERE clause is re-checked per row.
+	// HasFilter reports whether a WHERE clause is re-checked per row. It is
+	// decided before am_beginscan: an index scan whose access method then
+	// reports an exact answer skips the re-check (exactAnswer, iter.go).
 	HasFilter bool
 	// Workers is the degree of parallelism the executor will offer the scan
 	// (SET PARALLEL capped by GOMAXPROCS and the access path's support);

@@ -27,7 +27,7 @@ type selectCursor struct {
 	res      *Result       // header: Columns, ColTypes, Plan (Affected set at end)
 	it       batchIterator // nil: the aggregate was answered by am_aggregate
 	closeIdx func()        // am_close over the statement's opened indexes
-	projIdx  []int
+	projIdx  []int         // nil: every column in table order, rows pass through
 	agg      *aggAcc       // non-nil: single-aggregate projection, drained at exhaustion
 	aggRow   []types.Datum // am_aggregate's answer; emitted once, no scan
 	emitted  bool          // aggregate: the single result row was produced
@@ -116,6 +116,10 @@ func (s *Session) openSelectCursor(t *sql.Select, tb *catalog.Table) (*selectCur
 		}
 	}
 
+	if identity(projIdx, len(schema)) {
+		projIdx = nil
+	}
+
 	// Aggregate pushdown: a residual-free index path plus a quiescent MVCC
 	// window lets am_aggregate answer from the index's internal nodes —
 	// no batch scan is opened and no tuple is fetched.
@@ -181,6 +185,11 @@ func (c *selectCursor) nextBatch() ([][]types.Datum, error) {
 			}
 			continue
 		}
+		if c.projIdx == nil {
+			// Every source decodes fresh rows per batch, so they can be
+			// handed on as they are.
+			return rb.rows, nil
+		}
 		out := make([][]types.Datum, len(rb.rows))
 		for r, row := range rb.rows {
 			prow := make([]types.Datum, len(c.projIdx))
@@ -191,6 +200,19 @@ func (c *selectCursor) nextBatch() ([][]types.Datum, error) {
 		}
 		return out, nil
 	}
+}
+
+// identity reports that a projection lists all n columns in table order.
+func identity(projIdx []int, n int) bool {
+	if len(projIdx) != n {
+		return false
+	}
+	for j, i := range projIdx {
+		if i != j {
+			return false
+		}
+	}
+	return true
 }
 
 // close releases the scan (iterator chain, then am_close). Idempotent.

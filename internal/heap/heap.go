@@ -460,47 +460,48 @@ func (t *Table) Insert(tx uint64, row []types.Datum) (RowID, error) {
 	return rid, nil
 }
 
-// readCell fetches the raw version cell at rid under the read latch,
-// returning the parsed header and a private copy of the row bytes.
-func (t *Table) readCell(rid RowID) (verHeader, []byte, error) {
+// readCell applies fn to the version cell at rid under the page's read
+// latch; the cell is the page's own bytes, valid only inside fn. A missing
+// page or slot is ErrNoSuchRow.
+func (t *Table) readCell(rid RowID, fn func(cell []byte) error) error {
 	f, err := t.bp.Fetch(rid.Page())
 	if err != nil {
-		return verHeader{}, nil, fmt.Errorf("%w: %v", ErrNoSuchRow, rid)
+		return fmt.Errorf("%w: %v", ErrNoSuchRow, rid)
 	}
 	f.RLatch()
 	p := storage.SlottedPage{Buf: f.Data}
-	raw, ok := p.Read(rid.Slot())
-	if !ok || len(raw) < verHeaderSize {
-		f.RUnlatch()
-		t.bp.Unpin(f, false)
-		return verHeader{}, nil, fmt.Errorf("%w: %v", ErrNoSuchRow, rid)
+	if raw, ok := p.Read(rid.Slot()); ok && len(raw) >= verHeaderSize {
+		err = fn(raw)
+	} else {
+		err = fmt.Errorf("%w: %v", ErrNoSuchRow, rid)
 	}
-	h := parseHeader(raw)
-	row := append([]byte(nil), raw[verHeaderSize:]...)
 	f.RUnlatch()
 	t.bp.Unpin(f, false)
-	return h, row, nil
+	return err
 }
 
 // GetVersion fetches the version at rid and applies the snapshot's
 // visibility predicate: ok reports whether the version is part of the read
 // view (a rowid obtained from an index may resolve to a version the
 // snapshot cannot see — too new, uncommitted, or deleted). A missing slot
-// is ErrNoSuchRow.
+// is ErrNoSuchRow. The row is decoded straight from the latched page;
+// DecodeRow copies whatever bytes it keeps.
 func (t *Table) GetVersion(rid RowID, snap *Snapshot) ([]types.Datum, bool, error) {
-	h, raw, err := t.readCell(rid)
+	var row []types.Datum
+	visible := false
+	err := t.readCell(rid, func(cell []byte) (err error) {
+		if visible = snap.visible(parseHeader(cell)); visible {
+			row, err = types.DecodeRow(t.schema, cell[verHeaderSize:])
+		}
+		return err
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	if !snap.visible(h) {
+	if !visible {
 		t.obs.VersionsSkipped.Inc()
-		return nil, false, nil
 	}
-	row, err := types.DecodeRow(t.schema, raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return row, true, nil
+	return row, visible, nil
 }
 
 // Get fetches the row at rid in latest state (nil-snapshot semantics: the
@@ -550,8 +551,8 @@ func (t *Table) Delete(tx uint64, rid RowID) (bool, error) {
 // distinct old and new rowids, per Table 5), the old version is ended by
 // tx, and its next link points at the successor.
 func (t *Table) Update(tx uint64, rid RowID, row []types.Datum) (RowID, error) {
-	h, _, err := t.readCell(rid)
-	if err != nil {
+	var h verHeader
+	if err := t.readCell(rid, func(cell []byte) error { h = parseHeader(cell); return nil }); err != nil {
 		return 0, err
 	}
 	if ended, _ := t.endedFor(tx, h.endTx, h.endLSN); ended {
@@ -649,7 +650,7 @@ func (t *Table) Vacuum(tx uint64, horizon uint64, active func(uint64) bool, recl
 				dead := h.endTx != 0 && h.endLSN != 0 && h.endLSN < horizon && !active(h.endTx)
 				aborted := h.beginLSN == 0 && !active(h.beginTx)
 				if dead || aborted {
-					row, err := types.DecodeRow(t.schema, append([]byte(nil), raw[verHeaderSize:]...))
+					row, err := types.DecodeRow(t.schema, raw[verHeaderSize:])
 					if err != nil {
 						return err
 					}

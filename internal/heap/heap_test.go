@@ -67,14 +67,16 @@ func TestUpdateCreatesNewVersion(t *testing.T) {
 	}
 	// The old version keeps its bytes and links to the successor, so a
 	// snapshot that predates the update still reads it.
-	h, raw, err := tb.readCell(rid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var h verHeader
+	var old []types.Datum
+	err = tb.readCell(rid, func(cell []byte) (err error) {
+		h = parseHeader(cell)
+		old, err = types.DecodeRow(tb.schema, cell[verHeaderSize:])
+		return err
+	})
 	if h.endTx != 1 || h.next != nrid {
 		t.Fatalf("old version header: %+v", h)
 	}
-	old, err := types.DecodeRow(tb.schema, raw)
 	if err != nil || old[1] != "short" {
 		t.Fatalf("old version row: %v %v", old, err)
 	}

@@ -404,7 +404,9 @@ func appendDatum(out []byte, t Type, d Datum) ([]byte, error) {
 	return nil, fmt.Errorf("unencodable kind %v", t.Kind)
 }
 
-// DecodeRow deserialises a row encoded by EncodeRow.
+// DecodeRow deserialises a row encoded by EncodeRow. The row shares no memory
+// with data (VARCHAR and opaque values are copied), so data may be a page's
+// own bytes, read under its latch.
 func DecodeRow(schema []Type, data []byte) ([]Datum, error) {
 	if len(data) < 1 {
 		return nil, errors.New("types: truncated row")

@@ -46,6 +46,14 @@ echo "== go test -race -count=5 statement scope + DELETE agreement"
 go test -race -count=5 -run TestStatementScopeEveryEntryPoint ./internal/engine
 go test -race -count=5 -run TestDeleteAgreesOnTheBatchPath ./internal/blades/treeblade
 
+# Exact index answers skip the WHERE re-check: a false exactness claim must be
+# caught by an agreement check, and every case that keeps the re-check (DIRTY
+# READ, per-statement time, dynamic dispatch, a partial WHERE, the superset
+# access methods) must agree with a sequential scan and an oracle.
+echo "== go test -race -count=5 exactness"
+go test -race -count=5 -run TestExactFlagIsTrustedOnlyWhereTrue ./internal/engine
+go test -race -count=5 -run TestRecheckRunsUnlessTheAnswerIsExact ./internal/blades/treeblade
+
 # No test runs P5 or the benchrunner CLI itself; this runs every registered
 # experiment at CI scale.
 echo "== benchrunner -quick"

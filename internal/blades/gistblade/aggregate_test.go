@@ -6,37 +6,38 @@ import (
 	"testing"
 )
 
-// The generic method binds no am_aggregate: every aggregate over a
-// gist-indexed qualification declines by omission and drains tuples. These
-// tests pin that fallback (counters and agreement), the prepared EXECUTE
-// path, and gist_stats' histogram-free row-count statistics.
+// gist_am binds the scaffold's am_aggregate, and its binding declines every
+// request: Consistent may over-approximate, so the index knows candidates,
+// not answers. These tests pin that the server asks, is refused, and drains
+// exactly (counters and agreement), the prepared EXECUTE path, and the
+// statistics gist_stats collects.
 
-func TestAggregateFallbackByOmission(t *testing.T) {
+func TestAggregateDeclinesAndDrains(t *testing.T) {
 	e, _ := newDB(t)
 	s := e.NewSession()
 	defer s.Close()
-	exec(t, s, `CREATE SBSPACE spc`)
-	exec(t, s, `CREATE TABLE Spans (N INTEGER, R Interval_t)`)
-	exec(t, s, `CREATE INDEX span_ix ON Spans(R gist_interval_ops) USING gist_am IN spc`)
-	for i := 0; i < 60; i++ {
-		lo := (i * 13) % 500
-		exec(t, s, fmt.Sprintf(`INSERT INTO Spans VALUES (%d, '%d..%d')`, i, lo, lo+25))
-	}
+	fill(t, s, "")
 
-	q := `SELECT COUNT(*) FROM Spans WHERE IntvOverlaps(R, '100..130')`
-	want := exec(t, s, q+` AND N >= 0`).Rows[0][0] // residual: unambiguous drain
-
-	fallback := e.Obs().Counter("agg.fallback").Load()
-	aggCalls := e.Obs().Counter("am.am_aggregate").Load()
-	got := exec(t, s, q).Rows[0][0]
-	if got != want {
-		t.Fatalf("COUNT(*) via gist fallback = %v, drain says %v", got, want)
+	counter := func(name string) func() uint64 {
+		c := e.Obs().Counter(name)
+		before := c.Load()
+		return func() uint64 { return c.Load() - before }
 	}
-	if e.Obs().Counter("agg.fallback").Load() == fallback {
-		t.Fatal("slotless gist_am did not advance agg.fallback")
-	}
-	if e.Obs().Counter("am.am_aggregate").Load() != aggCalls {
-		t.Fatal("am_aggregate was called on an AM that binds none")
+	for _, q := range []string{
+		`SELECT COUNT(*) FROM Spans WHERE IntvOverlaps(R, '100..130')`,
+		`SELECT COUNT(*) FROM T WHERE Overlaps(X, '5/97, 6/97, 5/97, 6/97')`,
+		`SELECT MIN(X) FROM T WHERE Overlaps(X, '1/90, UC, 1/90, NOW')`,
+		`SELECT MAX(X) FROM T WHERE ContainedIn(X, '1/97, UC, 1/96, NOW')`,
+	} {
+		want := exec(t, s, q+` AND N >= 0`).Rows[0][0] // residual: unambiguous drain
+		asked, pushed, fellBack := counter("am.am_aggregate"), counter("agg.pushed"), counter("agg.fallback")
+		got := exec(t, s, q).Rows[0][0]
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: %v via gist_am, drain says %v", q, got, want)
+		}
+		if asked() != 1 || pushed() != 0 || fellBack() != 1 {
+			t.Fatalf("%s: am_aggregate called %d, pushed %d, fell back %d; want 1, 0, 1", q, asked(), pushed(), fellBack())
+		}
 	}
 }
 

@@ -4,8 +4,10 @@
 // access method, gist_am, whose behaviour is selected entirely by the
 // operator class named in CREATE INDEX: the opclass name resolves to a
 // registered gist.KeyClass, so adding a new tree-based index to the server
-// means writing a key class (four primitive operations) and an opclass —
-// no new purpose functions.
+// means writing a key class and an opclass — no new purpose functions. The
+// purpose functions are the treeblade scaffold's, the tree is the kernel's
+// (internal/rtree), and this blade is the binding between them: a
+// column value becomes a key, a qualification a matcher over Consistent.
 //
 // Two operator classes ship: gist_interval_ops (one-dimensional intervals,
 // queried through IntvOverlaps/IntvContains UDRs on a small opaque
@@ -28,6 +30,8 @@ import (
 	"repro/internal/gist"
 	"repro/internal/heap"
 	"repro/internal/mi"
+	"repro/internal/rstar"
+	"repro/internal/rtree"
 	"repro/internal/types"
 )
 
@@ -47,7 +51,7 @@ type KeyBinding struct {
 	// Class is the GiST key class.
 	Class gist.KeyClass
 	// KeyOf converts an indexed column value to a leaf key.
-	KeyOf func(d types.Datum) ([]byte, error)
+	KeyOf func(d types.Datum) (string, error)
 	// QueryOf converts one qualification leaf to a GiST query.
 	QueryOf func(fn string, colFirst bool, constant types.Datum) (gist.Query, error)
 }
@@ -115,7 +119,7 @@ func RegisterTypes(reg *types.Registry) error {
 			if lo > hi {
 				return nil, fmt.Errorf("gistblade: reversed interval %q", text)
 			}
-			return gist.IntervalKey(lo, hi), nil
+			return []byte(gist.IntervalKey(lo, hi)), nil
 		},
 		Output: func(data []byte) (string, error) {
 			if len(data) != 16 {
@@ -133,12 +137,12 @@ func registerBuiltinBindings() {
 	RegisterOpClassBinding("gist_interval_ops", func(e *engine.Engine) (*KeyBinding, error) {
 		return &KeyBinding{
 			Class: gist.IntervalClass{},
-			KeyOf: func(d types.Datum) ([]byte, error) {
+			KeyOf: func(d types.Datum) (string, error) {
 				op, ok := d.(types.Opaque)
 				if !ok || len(op.Data) != 16 {
-					return nil, fmt.Errorf("gistblade: expected %s, got %T", IntervalTypeName, d)
+					return "", fmt.Errorf("gistblade: expected %s, got %T", IntervalTypeName, d)
 				}
-				return append([]byte(nil), op.Data...), nil
+				return string(op.Data), nil
 			},
 			QueryOf: func(fn string, colFirst bool, c types.Datum) (gist.Query, error) {
 				op, ok := c.(types.Opaque)
@@ -167,17 +171,17 @@ func registerBuiltinBindings() {
 		kc := gist.NewGRKeyClass(e.Clock())
 		return &KeyBinding{
 			Class: kc,
-			KeyOf: func(d types.Datum) ([]byte, error) {
+			KeyOf: func(d types.Datum) (string, error) {
 				op, ok := d.(types.Opaque)
 				if !ok {
-					return nil, fmt.Errorf("gistblade: expected %s, got %T", grtblade.TypeName, d)
+					return "", fmt.Errorf("gistblade: expected %s, got %T", grtblade.TypeName, d)
 				}
 				ext, err := grtblade.DecodeExtent(op.Data)
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				if !ext.ValidAt(e.Clock().Now()) {
-					return nil, fmt.Errorf("gistblade: extent %v violates the transaction-time constraints", ext)
+					return "", fmt.Errorf("gistblade: extent %v violates the transaction-time constraints", ext)
 				}
 				return gist.GRExtentKey(ext), nil
 			},
@@ -201,7 +205,7 @@ func registerBuiltinBindings() {
 	})
 }
 
-// open is the per-open-index blade state.
+// open is the per-open-index state; it is the index's treeblade.Binding.
 type open struct {
 	treeblade.Storage
 	tree    *gist.Tree
@@ -218,187 +222,137 @@ func (o *open) Attach(ctx *mi.Context, id *am.IndexDesc, create bool) (err error
 	return err
 }
 
-// Library returns the blade's symbol table: the scaffold's storage lifecycle
-// plus the generic method's own scan and maintenance functions. (The scan
-// materialises its candidates; gist_am takes the scaffold's cursor scan, and
-// with it am_parallelscan, am_build and am_aggregate, when internal/gist is a
-// key class of the shared tree kernel.)
+// Library returns the blade's symbol table: the scaffold's purpose functions
+// over the generic method's binding, and the interval UDRs.
 func Library(e *engine.Engine) am.Library {
-	m := &treeblade.Method[*open]{
-		AmName: AmName, Prefix: "gist", Blade: "gistblade",
-		// The operator class selects the key class; the only parameter is the
-		// scaffold's storage placement.
-		Configure: func(ctx *mi.Context, id *am.IndexDesc, create bool) (*open, error) {
-			b, err := bindingFor(e, id.OpClass)
-			if err != nil {
-				return nil, err
-			}
-			if create && len(id.ColTypes) != 1 {
-				return nil, fmt.Errorf("gistblade: gist_am indexes exactly one column")
-			}
-			st := &open{binding: b}
-			for k, v := range id.Params {
-				if err := st.Param("gistblade", k, v); err != nil {
+	k := &treeblade.Kernel[string, rstar.Rect, *open]{
+		Method: treeblade.Method[*open]{
+			AmName: AmName, Prefix: "gist", Blade: "gistblade",
+			// The operator class selects the key class; the only parameter is
+			// the scaffold's storage placement.
+			Configure: func(ctx *mi.Context, id *am.IndexDesc, create bool) (*open, error) {
+				b, err := bindingFor(e, id.OpClass)
+				if err != nil {
 					return nil, err
 				}
-			}
-			return st, nil
+				if create && len(id.ColTypes) != 1 {
+					return nil, fmt.Errorf("gistblade: gist_am indexes exactly one column")
+				}
+				st := &open{binding: b}
+				for k, v := range id.Params {
+					if err := st.Param("gistblade", k, v); err != nil {
+						return nil, err
+					}
+				}
+				return st, nil
+			},
 		},
+		// No Value: Extreme always declines, so am_aggregate never renders a
+		// key as a column value.
 	}
-	insert := func(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.RowID) error {
-		st, err := m.State(id)
-		if err != nil {
-			return err
-		}
-		key, err := st.binding.KeyOf(row[0])
-		if err != nil {
-			return err
-		}
-		return st.tree.Insert(key, gist.Payload(rid))
-	}
-	del := func(ctx *mi.Context, id *am.IndexDesc, row []types.Datum, rid heap.RowID) error {
-		st, err := m.State(id)
-		if err != nil {
-			return err
-		}
-		key, err := st.binding.KeyOf(row[0])
-		if err != nil {
-			return err
-		}
-		removed, err := st.tree.Delete(key, gist.Payload(rid))
-		if err != nil {
-			return err
-		}
-		if !removed {
-			return fmt.Errorf("gistblade: index %s has no entry for row %v: %w", id.Name, rid, am.ErrNoEntry)
-		}
-		return nil
-	}
-	lib := m.Library()
-	lib["gist_beginscan"] = am.AmScanFunc(func(ctx *mi.Context, sd *am.ScanDesc) error {
-		st, err := m.State(sd.Index)
-		if err != nil {
-			return err
-		}
-		return gistBeginScan(ctx, st, sd)
-	})
-	lib["gist_endscan"] = am.AmScanFunc(func(ctx *mi.Context, sd *am.ScanDesc) error {
-		sd.UserData = nil
-		return nil
-	})
-	lib["gist_rescan"] = am.AmScanFunc(func(ctx *mi.Context, sd *am.ScanDesc) error {
-		sc, ok := sd.UserData.(*scanState)
-		if !ok {
-			return fmt.Errorf("gistblade: rescan without a scan")
-		}
-		if sd.Batch != nil {
-			sd.Batch.Reset()
-		}
-		sc.pos = 0
-		return nil
-	})
-	lib["gist_getnext"] = am.AmGetNextFunc(func(ctx *mi.Context, sd *am.ScanDesc) (heap.RowID, []types.Datum, bool, error) {
-		sc, ok := sd.UserData.(*scanState)
-		if !ok {
-			return 0, nil, false, fmt.Errorf("gistblade: getnext without beginscan")
-		}
-		if sc.pos >= len(sc.rows) {
-			return 0, nil, false, nil
-		}
-		rid := sc.rows[sc.pos]
-		sc.pos++
-		return rid, nil, true, nil
-	})
-	// gist_getmulti: the batched companion — one dispatch hands the server a
-	// slice of the materialised candidate rowids (rows stay nil; the engine's
-	// WHERE re-filter restores exactness).
-	lib["gist_getmulti"] = am.AmGetMultiFunc(func(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
-		sc, ok := sd.UserData.(*scanState)
-		if !ok {
-			return 0, fmt.Errorf("gistblade: getmulti without beginscan")
-		}
-		b := sd.Batch
-		b.Reset()
-		for !b.Full() && sc.pos < len(sc.rows) {
-			b.Append(sc.rows[sc.pos], nil)
-			sc.pos++
-		}
-		return b.N, nil
-	})
-	lib["gist_insert"] = am.AmMutateFunc(insert)
-	lib["gist_delete"] = am.AmMutateFunc(del)
-	lib["gist_update"] = am.AmUpdateFunc(func(ctx *mi.Context, id *am.IndexDesc, oldRow []types.Datum, oldRid heap.RowID, newRow []types.Datum, newRid heap.RowID) error {
-		if err := del(ctx, id, oldRow, oldRid); err != nil {
-			return err
-		}
-		return insert(ctx, id, newRow, newRid)
-	})
-	lib["gist_check"] = am.AmCheckFunc(func(ctx *mi.Context, id *am.IndexDesc) error {
-		st, err := m.State(id)
-		if err != nil {
-			return err
-		}
-		return st.tree.Check()
-	})
-	// gist_stats: the generic method knows nothing about its keys' value
-	// domain, so it reports the entry count without histograms — the
-	// row-count fallback family of statistics-backed costing.
-	lib["gist_stats"] = am.AmStatsFunc(func(ctx *mi.Context, id *am.IndexDesc) (*am.IndexStats, error) {
-		st, err := m.State(id)
-		if err != nil {
-			return nil, err
-		}
-		return &am.IndexStats{
-			Summary: fmt.Sprintf("index %s: %d entries, height %d",
-				id.Name, st.tree.Size(), st.tree.Height()),
-			Entries: st.tree.Size(),
-		}, nil
-	})
+	lib := k.Library()
 	lib["IntvOverlaps"] = intervalUDR(func(a0, a1, b0, b1 int64) bool { return a0 <= b1 && b0 <= a1 })
 	lib["IntvContains"] = intervalUDR(func(a0, a1, b0, b1 int64) bool { return a0 <= b0 && b1 <= a1 })
 	return lib
 }
 
-type scanState struct {
-	rows []heap.RowID
-	pos  int
+// The binding (treeblade.Binding): what a key of the operator class's key
+// class means to the kernel.
+
+func (o *open) Tree() *rtree.Tree[string] { return o.tree.Tree }
+
+func (o *open) Keys() rtree.Keys[string, rstar.Rect] { return o.tree.Keys() }
+
+// Key: the binding maps the value to a key, which must have the class's size.
+func (o *open) Key(id *am.IndexDesc, d types.Datum, store bool) (string, error) {
+	key, err := o.binding.KeyOf(d)
+	if err != nil {
+		return "", err
+	}
+	return key, o.tree.CheckKey(key)
 }
 
-// gistBeginScan translates the qualification into GiST queries. Only
-// conjunctions and single leaves are pushed down (the candidate set is the
-// intersection-superset via the first leaf; the engine's WHERE re-filter
-// restores exactness); disjunctions run each branch and union.
-func gistBeginScan(ctx *mi.Context, st *open, sd *am.ScanDesc) error {
-	if sd.Qual == nil {
-		return fmt.Errorf("gistblade: scan without qualification")
+func (o *open) Delete(id *am.IndexDesc, d types.Datum, rid heap.RowID) (removed, condensed bool, err error) {
+	key, err := o.Key(id, d, false)
+	if err != nil {
+		return false, false, err
 	}
-	seen := map[heap.RowID]bool{}
-	var rows []heap.RowID
-	for _, leaf := range sd.Qual.Leaves() {
-		q, err := st.binding.QueryOf(leaf.Func, leaf.ColFirst, leaf.Const)
-		if err != nil {
-			return err
-		}
-		ps, err := st.tree.Search(q)
-		if err != nil {
-			return err
-		}
-		for _, p := range ps {
-			rid := heap.RowID(p)
-			if !seen[rid] {
-				seen[rid] = true
-				rows = append(rows, rid)
-			}
-		}
-		// For a pure conjunction the first leaf's candidates suffice.
-		if sd.Qual.Op == am.QAnd || sd.Qual.Op == am.QFunc {
-			break
-		}
-	}
-	sd.UserData = &scanState{rows: rows}
-	ctx.Tracer().Tracef("gist", 2, "gist_beginscan %s: %d candidates", sd.Index.Name, len(rows))
-	return nil
+	return rtree.Delete(o.tree.Tree, o.tree.Keys(), key, rtree.Payload(rid))
 }
+
+// Matcher compiles the qualification's AND/OR structure over the binding's
+// queries. Consistent is only required never to lose a match, so the answer
+// is never exact: the server re-checks every row.
+func (o *open) Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (rtree.Matcher[string], bool, error) {
+	m, err := o.compile(q)
+	return m, false, err
+}
+
+func (o *open) compile(q *am.Qual) (rtree.Matcher[string], error) {
+	if q.Op == am.QFunc {
+		gq, err := o.binding.QueryOf(q.Func, q.ColFirst, q.Const)
+		if err != nil {
+			return nil, err
+		}
+		return o.tree.Match(gq)
+	}
+	c := &clause{and: q.Op == am.QAnd}
+	for _, child := range q.Children {
+		m, err := o.compile(child)
+		if err != nil {
+			return nil, err
+		}
+		c.kids = append(c.kids, m)
+	}
+	return c, nil
+}
+
+// clause is the AND (or the OR) of its kids' tests.
+type clause struct {
+	and  bool
+	kids []rtree.Matcher[string]
+}
+
+func (c *clause) Leaf(key string) bool {
+	for _, m := range c.kids {
+		if m.Leaf(key) != c.and {
+			return !c.and
+		}
+	}
+	return c.and
+}
+
+func (c *clause) Internal(key string) bool {
+	for _, m := range c.kids {
+		if m.Internal(key) != c.and {
+			return !c.and
+		}
+	}
+	return c.and
+}
+
+// Window is the key's box on its second axis: valid time for GR keys, the
+// interval itself for interval keys.
+func (o *open) Window(key string) (lo, hi float64, ok bool) {
+	box := o.tree.Keys().Resolve(key)
+	return float64(box.YMin), float64(box.YMax), !box.Empty()
+}
+
+// Count and Extreme decline: the generic method knows its keys only through
+// Consistent, which may over-approximate, so its answers are candidates.
+func (o *open) Count(q *am.Qual) (int64, bool, error) { return 0, false, nil }
+
+func (o *open) Extreme(q *am.Qual, wantMax bool) (string, bool, bool, error) {
+	return "", false, false, nil
+}
+
+func (o *open) Levels() ([]rtree.LevelStats, error) {
+	k := o.tree.Keys()
+	levels, _, err := rtree.Levels(o.tree.Tree, k.Bound, k.Resolve)
+	return levels, err
+}
+
+func (o *open) Check() error { return o.tree.Check() }
 
 func intervalUDR(pred func(a0, a1, b0, b1 int64) bool) am.UDRFunc {
 	return func(ctx *mi.Context, args []types.Datum) (types.Datum, error) {

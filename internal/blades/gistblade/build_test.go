@@ -1,115 +1,34 @@
 package gistblade
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// TestOnlineBuildFallbackConcurrentDML covers the no-am_build path of the
-// online index build: gist_am exposes no bulk-load slot, so the builder
-// falls back to batched am_insert over the snapshot scan while writer
-// goroutines race it with inserts and deletes captured by the side log.
-// Run under -race by make check.
-func TestOnlineBuildFallbackConcurrentDML(t *testing.T) {
+// TestBulkBuildAgreesWithSeqscan: build='bulk' packs both operator classes'
+// trees through am_build (the kernel's STR load on the keys' boxes), and the
+// bulk-built indexes answer as a sequential scan does.
+func TestBulkBuildAgreesWithSeqscan(t *testing.T) {
 	e, _ := newDB(t)
 	s := e.NewSession()
 	defer s.Close()
-	exec(t, s, `CREATE SBSPACE spc`)
-	exec(t, s, `CREATE TABLE Spans (N INTEGER, R Interval_t)`)
-	for i := 0; i < 200; i++ {
-		lo := (i * 13) % 2000
-		exec(t, s, fmt.Sprintf(`INSERT INTO Spans VALUES (%d, '%d..%d')`, i, lo, lo+25))
-	}
-
-	const writers = 3
-	var wg sync.WaitGroup
-	writerErr := make(chan error, writers)
-	started := make(chan struct{})
-	e.SetBuildHookForTesting(func(stage string) error {
-		if stage == "bulk" {
-			close(started)
-			wg.Wait()
-		}
-		return nil
-	})
-	defer e.SetBuildHookForTesting(nil)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-started
-			ws := e.NewSession()
-			defer ws.Close()
-			for i := 0; i < 10; i++ {
-				n := 1000 + w*100 + i
-				lo := (n * 7) % 2000
-				if _, err := ws.Exec(fmt.Sprintf(`INSERT INTO Spans VALUES (%d, '%d..%d')`, n, lo, lo+40)); err != nil {
-					writerErr <- err
-					return
-				}
-				switch i % 3 {
-				case 0:
-					if _, err := ws.Exec(fmt.Sprintf(`DELETE FROM Spans WHERE N = %d`, n)); err != nil {
-						writerErr <- err
-						return
-					}
-				case 1:
-					if _, err := ws.Exec(fmt.Sprintf(`UPDATE Spans SET R = '%d..%d' WHERE N = %d`, lo+500, lo+530, n)); err != nil {
-						writerErr <- err
-						return
-					}
-				}
-			}
-		}(w)
-	}
-
 	builds := e.Obs().Snapshot().Get("am.am_build")
-	replayed := e.Obs().Snapshot().Get("idxbuild.sidelog_replayed")
-	exec(t, s, `CREATE INDEX span_ix ON Spans(R gist_interval_ops) USING gist_am IN spc`)
-	e.SetBuildHookForTesting(nil)
-	close(writerErr)
-	for err := range writerErr {
-		t.Fatal(err)
+	fill(t, s, "(build='bulk')")
+	if got := e.Obs().Snapshot().Get("am.am_build") - builds; got != 2 {
+		t.Fatalf("two bulk builds made %d am_build call(s)", got)
 	}
-	if e.Obs().Snapshot().Get("am.am_build") != builds {
-		t.Fatal("gist_am has no am_build slot; the fallback must not call one")
-	}
-	if e.Obs().Snapshot().Get("idxbuild.sidelog_replayed") == replayed {
-		t.Fatal("no side-log ops replayed: writers did not overlap the build")
-	}
-
 	exec(t, s, `CHECK INDEX span_ix`)
-	queries := []string{
-		`SELECT N FROM Spans WHERE IntvOverlaps(R, '100..130')`,
-		`SELECT N FROM Spans WHERE IntvOverlaps(R, '500..560')`,
-		`SELECT N FROM Spans WHERE IntvOverlaps(R, '0..2100')`,
-	}
-	withIndex := make([]string, len(queries))
-	for i, q := range queries {
-		withIndex[i] = strings.Join(rowInts(t, exec(t, s, q)), ",")
+	exec(t, s, `CHECK INDEX gix`)
+
+	viaIndex := make([]string, len(agreementQueries))
+	for i, q := range agreementQueries {
+		viaIndex[i] = strings.Join(rowInts(t, exec(t, s, q)), ",")
 	}
 	exec(t, s, `DROP INDEX span_ix`)
-	for i, q := range queries {
-		if seq := strings.Join(rowInts(t, exec(t, s, q)), ","); withIndex[i] != seq {
-			t.Fatalf("query %d: fallback-built index %q vs seqscan %q", i, withIndex[i], seq)
+	exec(t, s, `DROP INDEX gix`)
+	for i, q := range agreementQueries {
+		if seq := strings.Join(rowInts(t, exec(t, s, q)), ","); seq != viaIndex[i] {
+			t.Fatalf("query %d: bulk-built index %q vs seqscan %q", i, viaIndex[i], seq)
 		}
 	}
-}
-
-// TestBuildModeBulkRejectedWithoutSlot pins the build='bulk' contract: an
-// access method without am_build cannot honour an explicit bulk request.
-func TestBuildModeBulkRejectedWithoutSlot(t *testing.T) {
-	e, _ := newDB(t)
-	s := e.NewSession()
-	defer s.Close()
-	exec(t, s, `CREATE SBSPACE spc`)
-	exec(t, s, `CREATE TABLE Spans (N INTEGER, R Interval_t)`)
-	if _, err := s.Exec(`CREATE INDEX bx ON Spans(R gist_interval_ops) USING gist_am (build='bulk') IN spc`); err == nil {
-		t.Fatal("build='bulk' on an AM without am_build must fail")
-	}
-	// build='insert' is always available.
-	exec(t, s, `CREATE INDEX bx ON Spans(R gist_interval_ops) USING gist_am (build='insert') IN spc`)
-	exec(t, s, `CHECK INDEX bx`)
 }

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/chronon"
 	"repro/internal/engine"
 )
 
@@ -426,5 +428,46 @@ func TestUpdateStatisticsForIndex(t *testing.T) {
 	}
 	if _, err := s.Exec(`UPDATE STATISTICS FOR INDEX nosuch`); err == nil {
 		t.Fatal("UPDATE STATISTICS FOR INDEX over an unknown index must fail")
+	}
+}
+
+// TestAggregatePushedOnAReadOnlyTable: with the vacuum daemon at its
+// shortest interval, every aggregate on a table nobody writes is answered
+// from the index — agg.pushed moves once per aggregate and no
+// agg.fallback.<clause> counter moves at all.
+func TestAggregatePushedOnAReadOnlyTable(t *testing.T) {
+	e, err := engine.Open(engine.Options{Clock: chronon.NewVirtualClock(chronon.MustParse("9/97")), VacuumInterval: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	if err := Register(e); err != nil {
+		t.Fatal(err)
+	}
+	s := e.NewSession()
+	defer s.Close()
+	setupEmpDep(t, s)
+
+	fallbacks := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, m := range e.Obs().Snapshot() {
+			if strings.HasPrefix(m.Name, "agg.fallback") {
+				out[m.Name] = m.Value
+			}
+		}
+		return out
+	}
+	before, pushed := fallbacks(), e.Obs().Counter("agg.pushed").Load()
+	const runs = 200
+	for i := 0; i < runs; i++ {
+		exec(t, s, `SELECT COUNT(*) FROM Employees WHERE `+aggQual)
+	}
+	if got := e.Obs().Counter("agg.pushed").Load() - pushed; got != runs {
+		t.Errorf("agg.pushed moved %d for %d aggregates", got, runs)
+	}
+	for name, v := range fallbacks() {
+		if v != before[name] {
+			t.Errorf("%s moved by %d on a read-only table", name, v-before[name])
+		}
 	}
 }

@@ -47,9 +47,7 @@ var methods = []method{
 	{am: "rstree_am", prefix: "rst", opclass: "rst_opclass", path: rstblade.LibraryPath,
 		lib: func(*engine.Engine) am.Library { return rstblade.Library() }, slots: full, records: 1},
 	{am: "gist_am", prefix: "gist", opclass: "gist_grt_ops", path: gistblade.LibraryPath,
-		lib: gistblade.Library,
-		slots: []string{"create", "drop", "open", "close", "beginscan", "endscan", "rescan", "getnext",
-			"getmulti", "insert", "delete", "update", "check", "stats"}},
+		lib: gistblade.Library, slots: full},
 }
 
 const rows = 300

@@ -7,12 +7,12 @@
 // Layer 1, Method, is the storage lifecycle of any tree kept in an sbspace
 // large object: am_create, am_open, am_close, am_drop, the handle record in
 // the access method's bookkeeping table, the storage index parameter, and
-// the registration SQL. gistblade uses this layer only.
+// the registration SQL.
 //
 // Layer 2, Kernel, adds the scan and maintenance purpose functions of a tree
-// built on internal/rtree, generic over its bound type: grtblade and rstblade
-// each supply a Binding — how a column value becomes a key, a qualification a
-// matcher, an entry a row — and nothing else.
+// built on internal/rtree, generic over its bound type: grtblade, rstblade
+// and gistblade each supply a Binding — how a column value becomes a key, a
+// qualification a matcher, an entry a row — and nothing else.
 package treeblade
 
 import (

@@ -65,6 +65,30 @@ func (a *aggAcc) row() []types.Datum {
 	return []types.Datum{a.ext}
 }
 
+// The agg.fallback.<clause> counters split agg.fallback by the clause that
+// refused a pushdown: one per refusal in tryAggPushdown, aggGate and
+// aggGateHolds. The gate clauses are lettered as in aggGate's comment.
+const (
+	fallbackPath          = "agg.fallback.path"           // no index path, or a residual predicate
+	fallbackSlot          = "agg.fallback.slot"           // no am_aggregate, or no am_delete
+	fallbackColumn        = "agg.fallback.column"         // the aggregate's column is not the key
+	fallbackGateView      = "agg.fallback.gate_view"      // (f) no registered snapshot
+	fallbackGateDead      = "agg.fallback.gate_dead"      // (a) dead cells pending reclamation
+	fallbackGateOwnEnds   = "agg.fallback.gate_own_ends"  // (b) the session's own pending ends
+	fallbackGateViewTx    = "agg.fallback.gate_view_tx"   // (d) a foreign transaction in the view
+	fallbackGateActive    = "agg.fallback.gate_active"    // (c) a foreign transaction is active
+	fallbackGateReadPoint = "agg.fallback.gate_readpoint" // (e) a commit since the view's cut
+	fallbackDeclined      = "agg.fallback.declined"       // am_aggregate said no
+	fallbackHoldsActive   = "agg.fallback.holds_active"   // a foreign transaction began mid-walk
+	fallbackHoldsMoved    = "agg.fallback.holds_moved"    // a transaction or commit mid-walk
+)
+
+// aggFallbacks lists the clause counters, so SYSPROFILE shows each from the
+// start.
+var aggFallbacks = []string{fallbackPath, fallbackSlot, fallbackColumn, fallbackGateView,
+	fallbackGateDead, fallbackGateOwnEnds, fallbackGateViewTx, fallbackGateActive,
+	fallbackGateReadPoint, fallbackDeclined, fallbackHoldsActive, fallbackHoldsMoved}
+
 // tryAggPushdown offers the aggregate to the chosen index's am_aggregate
 // slot. (nil, false, nil) means the offer was declined somewhere along the
 // chain — no index path, residual predicate, unbound slot, MVCC gate
@@ -74,13 +98,20 @@ func (a *aggAcc) row() []types.Datum {
 // window invalidate the answer, because the index holds one entry per row
 // with no version stamps.
 func (s *Session) tryAggPushdown(a *aggAcc, tb *catalog.Table, table *heap.Table, path accessPath, snap *heap.Snapshot) ([]types.Datum, bool, error) {
+	refuse := func(clause string) ([]types.Datum, bool, error) {
+		s.e.aggFallback.Inc()
+		s.e.obs.Counter(clause).Inc()
+		return nil, false, nil
+	}
 	oi := path.index
-	if oi == nil || !path.full || oi.ps.Aggregate == nil || oi.ps.Delete == nil {
+	if oi == nil || !path.full {
+		return refuse(fallbackPath)
+	}
+	if oi.ps.Aggregate == nil || oi.ps.Delete == nil {
 		// An AM without am_delete cannot take part in deferred index
 		// maintenance: the vacuum leaves its dead entries dangling, so no
 		// entry-count answer from it can ever be trusted.
-		s.e.aggFallback.Inc()
-		return nil, false, nil
+		return refuse(fallbackSlot)
 	}
 	if a.col >= 0 {
 		// COUNT(col)/MIN(col)/MAX(col): the index answers only for its own
@@ -88,14 +119,12 @@ func (s *Session) tryAggPushdown(a *aggAcc, tb *catalog.Table, table *heap.Table
 		// boundary leaves bound exactly that column's values.
 		ci, err := tb.ColumnIndex(oi.desc.Columns[0])
 		if err != nil || ci != a.col {
-			s.e.aggFallback.Inc()
-			return nil, false, nil
+			return refuse(fallbackColumn)
 		}
 	}
-	fence, ok := s.e.aggGate(s, table, snap)
-	if !ok {
-		s.e.aggFallback.Inc()
-		return nil, false, nil
+	fence, refused := s.e.aggGate(s, table, snap)
+	if refused != "" {
+		return refuse(refused)
 	}
 	s.amCall("am_aggregate", oi.desc.Name)
 	res, ok, err := oi.ps.Aggregate(s.ctx, oi.desc, &am.AggRequest{Kind: a.kind, Qual: path.qual})
@@ -103,9 +132,11 @@ func (s *Session) tryAggPushdown(a *aggAcc, tb *catalog.Table, table *heap.Table
 	if err != nil {
 		return nil, false, err
 	}
-	if !ok || !s.e.aggGateHolds(s, snap, fence) {
-		s.e.aggFallback.Inc()
-		return nil, false, nil
+	if !ok {
+		return refuse(fallbackDeclined)
+	}
+	if refused := s.e.aggGateHolds(s, snap, fence); refused != "" {
+		return refuse(refused)
 	}
 	s.e.aggPushed.Inc()
 	if a.kind == am.AggCount {

@@ -334,6 +334,9 @@ func (e *Engine) registerCoreCounters() {
 	e.statsStale = e.obs.Counter("planner.stats_stale")
 	e.aggPushed = e.obs.Counter("agg.pushed")
 	e.aggFallback = e.obs.Counter("agg.fallback")
+	for _, clause := range aggFallbacks {
+		e.obs.Counter(clause)
+	}
 	e.recheckSkipped = e.obs.Counter("engine.recheck_skipped")
 }
 

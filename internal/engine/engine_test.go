@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/chronon"
 	"repro/internal/lock"
@@ -261,6 +262,57 @@ func TestCrashRecovery(t *testing.T) {
 	res := exec(t, s2, `SELECT b FROM t`)
 	if len(res.Rows) != 1 || res.Rows[0][0] != "keep" {
 		t.Fatalf("recovery: %v", res.Rows)
+	}
+}
+
+// TestCrashRecoveryWithASmallPool: redo writes through buffer pools too small
+// for the pages it touches, so its writes evict dirty pages, and each
+// eviction forces the log while recovery is still scanning it.
+func TestCrashRecoveryWithASmallPool(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Clock: chronon.NewVirtualClock(chronon.MustParse("9/97")),
+		PoolPages: 16, CheckpointInterval: -1, VacuumInterval: -1}
+	e, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.NewSession()
+	exec(t, s, `CREATE TABLE t (a INTEGER, pad VARCHAR(200))`)
+	const n = 2000
+	pad := strings.Repeat("x", 200)
+	for i := 0; i < n; i += 100 {
+		values := make([]string, 100)
+		for j := range values {
+			values[j] = fmt.Sprintf("(%d, '%s')", i+j, pad)
+		}
+		exec(t, s, `INSERT INTO t VALUES `+strings.Join(values, ", "))
+	}
+	e.CrashForTesting()
+
+	type opened struct {
+		e   *Engine
+		err error
+	}
+	done := make(chan opened, 1)
+	go func() {
+		e2, err := Open(opts)
+		done <- opened{e2, err}
+	}()
+	var e2 *Engine
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		e2 = o.e
+	case <-time.After(60 * time.Second):
+		t.Fatal("recovery deadlocked: an eviction's log flush waited on the redo scan")
+	}
+	defer e2.Close()
+	s2 := e2.NewSession()
+	defer s2.Close()
+	if res := exec(t, s2, `SELECT COUNT(*) FROM t`); res.Rows[0][0] != int64(n) {
+		t.Fatalf("after recovery: %v rows, want %d", res.Rows[0][0], n)
 	}
 }
 

@@ -641,3 +641,113 @@ func TestBuildingIndexInvisible(t *testing.T) {
 	exec(t, s, `CHECK INDEX vis_ix`)
 	exec(t, s, `DROP INDEX vis_ix`)
 }
+
+// TestOnlineBuildFallbackConcurrentDML covers the no-am_build path of the
+// online build: the builder falls back to batched am_insert over the
+// snapshot scan while writer goroutines race it with inserts, deletes and
+// updates captured by the side log. Run under -race by make check.
+func TestOnlineBuildFallbackConcurrentDML(t *testing.T) {
+	e := memEngine(t)
+	registerMemEq(t, e)
+	registerBuildMemAM(t, e, "fbam", "fb", false)
+	s := e.NewSession()
+	defer s.Close()
+	exec(t, s, `CREATE TABLE fb_t (a INTEGER)`)
+	for i := 0; i < 200; i++ {
+		exec(t, s, fmt.Sprintf(`INSERT INTO fb_t VALUES (%d)`, i%20))
+	}
+
+	const writers = 3
+	var wg sync.WaitGroup
+	writerErr := make(chan error, writers)
+	started := make(chan struct{})
+	e.SetBuildHookForTesting(func(stage string) error {
+		if stage == "bulk" {
+			close(started)
+			wg.Wait()
+		}
+		return nil
+	})
+	defer e.SetBuildHookForTesting(nil)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-started
+			ws := e.NewSession()
+			defer ws.Close()
+			for i := 0; i < 10; i++ {
+				k := 1000 + w*100 + i
+				stmts := []string{fmt.Sprintf(`INSERT INTO fb_t VALUES (%d)`, k)}
+				switch i % 3 {
+				case 0:
+					stmts = append(stmts, fmt.Sprintf(`DELETE FROM fb_t WHERE a = %d`, k))
+				case 1:
+					stmts = append(stmts, fmt.Sprintf(`UPDATE fb_t SET a = %d WHERE a = %d`, k+5000, k))
+				}
+				for _, stmt := range stmts {
+					if _, err := ws.Exec(stmt); err != nil {
+						writerErr <- err
+						return
+					}
+				}
+			}
+		}(w)
+	}
+
+	snap := e.Obs().Snapshot()
+	builds, replayed := snap.Get("am.am_build"), snap.Get("idxbuild.sidelog_replayed")
+	exec(t, s, `CREATE INDEX fb_ix ON fb_t(a) USING fbam`)
+	e.SetBuildHookForTesting(nil)
+	close(writerErr)
+	for err := range writerErr {
+		t.Fatal(err)
+	}
+	snap = e.Obs().Snapshot()
+	if snap.Get("am.am_build") != builds {
+		t.Fatal("fbam has no am_build slot; the fallback must not call one")
+	}
+	if snap.Get("idxbuild.sidelog_replayed") == replayed {
+		t.Fatal("no side-log ops replayed: writers did not overlap the build")
+	}
+
+	exec(t, s, `CHECK INDEX fb_ix`)
+	counts := map[int64]int{}
+	for _, row := range exec(t, s, `SELECT a FROM fb_t`).Rows {
+		counts[row[0].(int64)]++
+	}
+	for k, want := range counts {
+		if got := keysVia(t, s, "fb_t", int(k)); got != want {
+			t.Fatalf("key %d: %d via the fallback-built index, %d via seqscan", k, got, want)
+		}
+	}
+	// Keys deleted or updated away mid-build resolve to zero both ways.
+	for w := 0; w < writers; w++ {
+		for _, i := range []int{0, 1} {
+			if got := keysVia(t, s, "fb_t", 1000+w*100+i); got != 0 {
+				t.Fatalf("key %d left the table but is still in the index: %d", 1000+w*100+i, got)
+			}
+		}
+	}
+}
+
+// TestBuildModeBulkRejectedWithoutSlot pins the build='bulk' contract: an
+// access method without am_build cannot honour an explicit bulk request,
+// while build='insert' is always available.
+func TestBuildModeBulkRejectedWithoutSlot(t *testing.T) {
+	e := memEngine(t)
+	registerMemEq(t, e)
+	registerBuildMemAM(t, e, "nobulkam", "nbk", false)
+	s := e.NewSession()
+	defer s.Close()
+	exec(t, s, `CREATE TABLE nb_t (a INTEGER)`)
+	exec(t, s, `INSERT INTO nb_t VALUES (7)`)
+	if _, err := s.Exec(`CREATE INDEX nb_ix ON nb_t(a) USING nobulkam (build='bulk')`); err == nil {
+		t.Fatal("build='bulk' on an AM without am_build must fail")
+	}
+	exec(t, s, `CREATE INDEX nb_ix ON nb_t(a) USING nobulkam (build='insert')`)
+	exec(t, s, `CHECK INDEX nb_ix`)
+	if got := keysVia(t, s, "nb_t", 7); got != 1 {
+		t.Fatalf("key 7 via index: %d rows", got)
+	}
+}

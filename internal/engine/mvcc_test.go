@@ -444,6 +444,7 @@ func TestVacuumSparesSnapshotActiveWindow(t *testing.T) {
 	if _, err := e.log.CommitWith(tx, wal.CommitGroup); err != nil {
 		t.Fatal(err)
 	}
+	table.AddDead(1)                 // commitTx counts the ended version before mvccEnd
 	h := e.captureSnapshot(0, false) // captured inside the window
 	defer e.releaseSnapshot(h)
 	e.mvccEnd(tx)

@@ -444,3 +444,31 @@ func TestParallelStress(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestParallelOfferFallsBackToSerial: an access method that binds no
+// am_parallelscan keeps its scan serial under SET PARALLEL (no workers= line
+// in EXPLAIN) and returns the same answer — the degraded path of the VII
+// negotiation, not an error.
+func TestParallelOfferFallsBackToSerial(t *testing.T) {
+	forceParallel(t)
+	e := memEngine(t)
+	registerMemEq(t, e)
+	registerMemAM(t, e, "ser_am", "smem", true)
+	s := e.NewSession()
+	defer s.Close()
+	fillMemTable(t, s, "st", "ser_am", 200, 50)
+
+	const q = `SELECT b FROM st WHERE MemEq(a, 7)`
+	serial := sortedCol(exec(t, s, q))
+	if len(serial) != 50 {
+		t.Fatalf("serial answer has %d rows", len(serial))
+	}
+	exec(t, s, `SET PARALLEL 4`)
+	ex := exec(t, s, `EXPLAIN `+q)
+	if strings.Contains(ex.Plan.String(), "workers=") || ex.Plan.Workers > 1 {
+		t.Fatalf("an AM without am_parallelscan planned workers:\n%s", ex.Plan)
+	}
+	if par := sortedCol(exec(t, s, q)); strings.Join(par, ",") != strings.Join(serial, ",") {
+		t.Fatalf("the fallback changed the answer: %v vs %v", par, serial)
+	}
+}

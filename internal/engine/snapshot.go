@@ -198,49 +198,54 @@ func (s *Session) releaseTxSnap() {
 // after the index traversal, catching transactions that began (and possibly
 // inserted, or aborted leaving NoWAL residue) mid-walk — and the vacuum,
 // which runs under a transaction of its own, so the dead count checked here
-// cannot move unnoticed either.
-func (e *Engine) aggGate(s *Session, t *heap.Table, snap *heap.Snapshot) (uint64, bool) {
+// cannot move unnoticed either. refused names the clause that failed (its
+// agg.fallback.<clause> counter), or is "" when the gate holds.
+func (e *Engine) aggGate(s *Session, t *heap.Table, snap *heap.Snapshot) (fence uint64, refused string) {
 	if snap == nil || snap.Dirty || snap.ReadLSN == 0 {
-		return 0, false
+		return 0, fallbackGateView
 	}
 	if t.DeadCount() != 0 {
-		return 0, false
+		return 0, fallbackGateDead
 	}
 	for _, w := range s.writes {
 		if w.kind&heap.StampEnd != 0 && w.table == t {
-			return 0, false
+			return 0, fallbackGateOwnEnds
 		}
 	}
 	for id := range snap.Active {
 		if id != s.tx {
-			return 0, false
+			return 0, fallbackGateViewTx
 		}
 	}
 	e.mvccMu.Lock()
 	defer e.mvccMu.Unlock()
 	for id := range e.mvccActive {
 		if id != s.tx {
-			return 0, false
+			return 0, fallbackGateActive
 		}
 	}
 	if e.readPointLocked() != snap.ReadLSN {
-		return 0, false
+		return 0, fallbackGateReadPoint
 	}
-	return e.nextTx, true
+	return e.nextTx, ""
 }
 
 // aggGateHolds re-verifies the gate after the aggregate traversal: the
 // world must look exactly as it did at aggGate time — same read point, no
-// foreign activity, and no transaction allocated since the fence.
-func (e *Engine) aggGateHolds(s *Session, snap *heap.Snapshot, fence uint64) bool {
+// foreign activity, and no transaction allocated since the fence. It names
+// the refusing clause, or returns "".
+func (e *Engine) aggGateHolds(s *Session, snap *heap.Snapshot, fence uint64) string {
 	e.mvccMu.Lock()
 	defer e.mvccMu.Unlock()
 	for id := range e.mvccActive {
 		if id != s.tx {
-			return false
+			return fallbackHoldsActive
 		}
 	}
-	return e.nextTx == fence && e.readPointLocked() == snap.ReadLSN
+	if e.nextTx != fence || e.readPointLocked() != snap.ReadLSN {
+		return fallbackHoldsMoved
+	}
+	return ""
 }
 
 // recordWrite remembers a version the transaction created or ended, for
@@ -327,6 +332,12 @@ func (e *Engine) VacuumNow() (int, error) {
 	e.mu.Unlock()
 	total := 0
 	for _, t := range tables {
+		if t.DeadCount() == 0 {
+			// Nothing to reclaim. Skipping the pass keeps the vacuum's own
+			// transaction out of a read-only table's snapshots, where it
+			// would refuse every aggregate pushdown (aggGate's clause d).
+			continue
+		}
 		n, err := e.vacuumTable(t, horizon, isActive)
 		total += n
 		if err != nil {

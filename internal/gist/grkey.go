@@ -1,24 +1,22 @@
 package gist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"fmt"
-	"sort"
 
 	"repro/internal/chronon"
+	"repro/internal/rstar"
 	"repro/internal/temporal"
 )
 
 // GRKeyClass expresses the GR-tree as a GiST operator class: keys are
 // (possibly growing) bitemporal regions with the Rectangle and Hidden
 // flags, Union is the minimum-bounding-region computation of Section 3,
-// Penalty is the time-parameterised area enlargement, and Consistent
-// evaluates the bitemporal strategy predicates. This is the paper's
-// Section 7 suggestion made concrete: the specialized index becomes an
-// opclass over a generic method, trading some of the dedicated GR-tree's
-// split quality (PickSplit here is a simple sort-split, not the adapted R*
-// topological split) for a uniform extension interface.
+// and Consistent evaluates the bitemporal strategy predicates. This is the
+// paper's Section 7 suggestion made concrete: the specialized index becomes
+// an opclass over a generic method. The kernel's R* heuristics score a key
+// by its bounding box at the time-parameter horizon, where the dedicated
+// GR-tree scores the stair-shape itself — the split quality the uniform
+// extension interface gives up.
 type GRKeyClass struct {
 	// Clock supplies the current time for resolving UC and NOW.
 	Clock chronon.Clock
@@ -35,38 +33,33 @@ func NewGRKeyClass(clock chronon.Clock) *GRKeyClass {
 const grKeySize = 33
 
 // GRKey encodes a region as a key.
-func GRKey(r temporal.Region) []byte {
-	buf := make([]byte, grKeySize)
+func GRKey(r temporal.Region) string {
+	var buf [grKeySize]byte
 	binary.BigEndian.PutUint64(buf[0:8], uint64(r.TTBegin))
 	binary.BigEndian.PutUint64(buf[8:16], uint64(r.TTEnd))
 	binary.BigEndian.PutUint64(buf[16:24], uint64(r.VTBegin))
 	binary.BigEndian.PutUint64(buf[24:32], uint64(r.VTEnd))
-	var fl byte
 	if r.Rect {
-		fl |= 1
+		buf[32] |= 1
 	}
 	if r.Hidden {
-		fl |= 2
+		buf[32] |= 2
 	}
-	buf[32] = fl
-	return buf
+	return string(buf[:])
 }
 
 // GRExtentKey encodes a leaf extent as a key.
-func GRExtentKey(e temporal.Extent) []byte { return GRKey(e.Region()) }
+func GRExtentKey(e temporal.Extent) string { return GRKey(e.Region()) }
 
-func decodeGRKey(key []byte) (temporal.Region, error) {
-	if len(key) != grKeySize {
-		return temporal.Region{}, fmt.Errorf("gist: GR key has %d bytes", len(key))
-	}
+func decodeGRKey(key string) temporal.Region {
 	return temporal.Region{
-		TTBegin: chronon.Instant(binary.BigEndian.Uint64(key[0:8])),
-		TTEnd:   chronon.Instant(binary.BigEndian.Uint64(key[8:16])),
-		VTBegin: chronon.Instant(binary.BigEndian.Uint64(key[16:24])),
-		VTEnd:   chronon.Instant(binary.BigEndian.Uint64(key[24:32])),
+		TTBegin: chronon.Instant(binary.BigEndian.Uint64([]byte(key[0:8]))),
+		TTEnd:   chronon.Instant(binary.BigEndian.Uint64([]byte(key[8:16]))),
+		VTBegin: chronon.Instant(binary.BigEndian.Uint64([]byte(key[16:24]))),
+		VTEnd:   chronon.Instant(binary.BigEndian.Uint64([]byte(key[24:32]))),
 		Rect:    key[32]&1 != 0,
 		Hidden:  key[32]&2 != 0,
-	}, nil
+	}
 }
 
 // GROp is a bitemporal strategy operator.
@@ -89,117 +82,60 @@ type GRQuery struct {
 	Q  temporal.Extent
 }
 
+// Class implements Query.
+func (GRQuery) Class() string { return grName }
+
+const grName = "grt_gist_ops"
+
 // Name implements KeyClass.
-func (*GRKeyClass) Name() string { return "grt_gist_ops" }
+func (*GRKeyClass) Name() string { return grName }
 
-// MaxKeySize implements KeyClass.
-func (*GRKeyClass) MaxKeySize() int { return grKeySize }
+// KeySize implements KeyClass.
+func (*GRKeyClass) KeySize() int { return grKeySize }
 
-// Equal implements KeyClass.
-func (*GRKeyClass) Equal(a, b []byte) bool { return bytes.Equal(a, b) }
-
-// Consistent implements KeyClass: exact strategy tests on leaves, the
-// sound internal-pruning tests on unions (Section 5.2's Internal variants).
-func (c *GRKeyClass) Consistent(key []byte, q Query, leaf bool) (bool, error) {
-	r, err := decodeGRKey(key)
-	if err != nil {
-		return false, err
+// Consistent implements KeyClass: exact strategy tests on leaves, the sound
+// internal-pruning tests on unions (Section 5.2's Internal variants).
+func (c *GRKeyClass) Consistent(key string, q Query, leaf bool) bool {
+	gq, ok := q.(GRQuery)
+	if !ok {
+		return false
 	}
-	ct := c.Clock.Now()
-	switch t := q.(type) {
-	case GRQuery:
-		qr := t.Q.Region()
-		if leaf {
-			switch t.Op {
-			case GROverlaps:
-				return r.Overlaps(qr, ct), nil
-			case GREqual:
-				return r.Equal(qr, ct), nil
-			case GRContains:
-				return r.Contains(qr, ct), nil
-			case GRContainedIn:
-				return r.ContainedIn(qr, ct), nil
-			}
-			return false, fmt.Errorf("gist: bad GR operator %d", t.Op)
-		}
-		switch t.Op {
-		case GROverlaps, GRContainedIn:
-			return r.Overlaps(qr, ct), nil
-		case GREqual, GRContains:
-			return r.Contains(qr, ct), nil
-		}
-		return false, fmt.Errorf("gist: bad GR operator %d", t.Op)
-	case KeyQuery:
-		kr, err := decodeGRKey([]byte(t))
-		if err != nil {
-			return false, err
-		}
-		if leaf {
-			return c.Equal(key, []byte(t)), nil
-		}
-		return r.Contains(kr, ct), nil
+	r, qr, ct := decodeGRKey(key), gq.Q.Region(), c.Clock.Now()
+	switch {
+	case !leaf && (gq.Op == GROverlaps || gq.Op == GRContainedIn):
+		return r.Overlaps(qr, ct)
+	case !leaf:
+		return r.Contains(qr, ct)
+	case gq.Op == GROverlaps:
+		return r.Overlaps(qr, ct)
+	case gq.Op == GREqual:
+		return r.Equal(qr, ct)
+	case gq.Op == GRContains:
+		return r.Contains(qr, ct)
+	case gq.Op == GRContainedIn:
+		return r.ContainedIn(qr, ct)
 	}
-	return false, fmt.Errorf("gist: grt_gist_ops cannot evaluate %T", q)
+	return false
 }
 
 // Union implements KeyClass via the Section 3 minimum-bounding-region
 // computation (stairs, growing rectangles, hidden bounds and all).
-func (c *GRKeyClass) Union(keys [][]byte) ([]byte, error) {
+func (c *GRKeyClass) Union(keys []string) string {
 	regs := make([]temporal.Region, len(keys))
 	for i, k := range keys {
-		r, err := decodeGRKey(k)
-		if err != nil {
-			return nil, err
-		}
-		regs[i] = r
+		regs[i] = decodeGRKey(k)
 	}
-	return GRKey(temporal.Bound(regs, c.Clock.Now(), c.Policy)), nil
+	return GRKey(temporal.Bound(regs, c.Clock.Now(), c.Policy))
 }
 
-// Penalty implements KeyClass: time-parameterised area enlargement.
-func (c *GRKeyClass) Penalty(existing, newKey []byte) (float64, error) {
-	er, err := decodeGRKey(existing)
-	if err != nil {
-		return 0, err
-	}
-	nr, err := decodeGRKey(newKey)
-	if err != nil {
-		return 0, err
-	}
-	d, _ := er.Enlargement(nr, c.Clock.Now(), c.Policy)
-	return d, nil
+// Covers implements KeyClass: containment now.
+func (c *GRKeyClass) Covers(outer, inner string) bool {
+	return decodeGRKey(outer).Contains(decodeGRKey(inner), c.Clock.Now())
 }
 
-// PickSplit implements KeyClass: sort by resolved transaction-time begin at
-// the horizon and split in half — deliberately simpler than the dedicated
-// GR-tree's adapted R* split, which is the quality gap the paper's
-// Section 7 trade-off predicts.
-func (c *GRKeyClass) PickSplit(keys [][]byte) ([]int, []int, error) {
-	ct := c.Clock.Now()
-	horizon := ct + chronon.Instant(c.Policy.TimeParam)
-	type item struct {
-		idx int
-		k   int64
-	}
-	items := make([]item, len(keys))
-	for i, k := range keys {
-		r, err := decodeGRKey(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		sh := r.Resolve(horizon)
-		items[i] = item{i, sh.TTBegin + sh.VTBegin}
-	}
-	sort.SliceStable(items, func(a, b int) bool { return items[a].k < items[b].k })
-	mid := len(items) / 2
-	left := make([]int, 0, mid)
-	right := make([]int, 0, len(items)-mid)
-	for i, it := range items {
-		if i < mid {
-			left = append(left, it.idx)
-		} else {
-			right = append(right, it.idx)
-		}
-	}
-	return left, right, nil
+// Box implements KeyClass: the region's bounding box at the time-parameter
+// horizon, transaction time on the first axis.
+func (c *GRKeyClass) Box(key string) rstar.Rect {
+	bb := decodeGRKey(key).Resolve(c.Clock.Now() + chronon.Instant(c.Policy.TimeParam)).BoundingBox()
+	return rstar.Rect{XMin: bb.TTBegin, XMax: bb.TTEnd, YMin: bb.VTBegin, YMax: bb.VTEnd}
 }

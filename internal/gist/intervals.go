@@ -1,10 +1,10 @@
 package gist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"fmt"
-	"sort"
+	"math"
+
+	"repro/internal/rstar"
 )
 
 // IntervalClass is a one-dimensional closed-interval key class — the
@@ -13,19 +13,18 @@ import (
 type IntervalClass struct{}
 
 // IntervalKey encodes a closed interval [Lo, Hi].
-func IntervalKey(lo, hi int64) []byte {
-	buf := make([]byte, 16)
+func IntervalKey(lo, hi int64) string {
+	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[0:8], uint64(lo))
 	binary.BigEndian.PutUint64(buf[8:16], uint64(hi))
-	return buf
+	return string(buf[:])
 }
 
-func decodeInterval(key []byte) (lo, hi int64, err error) {
-	if len(key) != 16 {
-		return 0, 0, fmt.Errorf("gist: interval key has %d bytes", len(key))
-	}
-	return int64(binary.BigEndian.Uint64(key[0:8])), int64(binary.BigEndian.Uint64(key[8:16])), nil
+func decodeInterval(key string) (lo, hi int64) {
+	return int64(binary.BigEndian.Uint64([]byte(key[0:8]))), int64(binary.BigEndian.Uint64([]byte(key[8:16])))
 }
+
+const intervalName = "interval_ops"
 
 // IntervalOverlaps is the overlap query.
 type IntervalOverlaps struct{ Lo, Hi int64 }
@@ -33,95 +32,53 @@ type IntervalOverlaps struct{ Lo, Hi int64 }
 // IntervalContains finds intervals containing the query interval.
 type IntervalContains struct{ Lo, Hi int64 }
 
+// Class implements Query.
+func (IntervalOverlaps) Class() string { return intervalName }
+
+// Class implements Query.
+func (IntervalContains) Class() string { return intervalName }
+
 // Name implements KeyClass.
-func (IntervalClass) Name() string { return "interval_ops" }
+func (IntervalClass) Name() string { return intervalName }
 
-// MaxKeySize implements KeyClass.
-func (IntervalClass) MaxKeySize() int { return 16 }
-
-// Equal implements KeyClass.
-func (IntervalClass) Equal(a, b []byte) bool { return bytes.Equal(a, b) }
+// KeySize implements KeyClass.
+func (IntervalClass) KeySize() int { return 16 }
 
 // Consistent implements KeyClass.
-func (IntervalClass) Consistent(key []byte, q Query, leaf bool) (bool, error) {
-	lo, hi, err := decodeInterval(key)
-	if err != nil {
-		return false, err
-	}
+func (IntervalClass) Consistent(key string, q Query, leaf bool) bool {
+	lo, hi := decodeInterval(key)
 	switch t := q.(type) {
 	case IntervalOverlaps:
-		return lo <= t.Hi && t.Lo <= hi, nil
+		return lo <= t.Hi && t.Lo <= hi
 	case IntervalContains:
 		// A leaf containing [qlo,qhi] must itself contain it; a subtree
 		// union containing such a leaf also contains it.
-		return lo <= t.Lo && t.Hi <= hi, nil
-	case KeyQuery:
-		klo, khi, err := decodeInterval([]byte(t))
-		if err != nil {
-			return false, err
-		}
-		return lo <= klo && khi <= hi, nil
+		return lo <= t.Lo && t.Hi <= hi
 	}
-	return false, fmt.Errorf("gist: interval_ops cannot evaluate %T", q)
+	return false
 }
 
-// Union implements KeyClass.
-func (IntervalClass) Union(keys [][]byte) ([]byte, error) {
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("gist: union of no keys")
+// Union implements KeyClass; the union of no keys is the empty interval
+// [MaxInt64, MinInt64].
+func (IntervalClass) Union(keys []string) string {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, k := range keys {
+		l, h := decodeInterval(k)
+		lo, hi = min(lo, l), max(hi, h)
 	}
-	lo, hi, err := decodeInterval(keys[0])
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range keys[1:] {
-		l, h, err := decodeInterval(k)
-		if err != nil {
-			return nil, err
-		}
-		if l < lo {
-			lo = l
-		}
-		if h > hi {
-			hi = h
-		}
-	}
-	return IntervalKey(lo, hi), nil
+	return IntervalKey(lo, hi)
 }
 
-// Penalty implements KeyClass: length enlargement.
-func (IntervalClass) Penalty(existing, newKey []byte) (float64, error) {
-	lo, hi, err := decodeInterval(existing)
-	if err != nil {
-		return 0, err
-	}
-	nlo, nhi, err := decodeInterval(newKey)
-	if err != nil {
-		return 0, err
-	}
-	ulo, uhi := lo, hi
-	if nlo < ulo {
-		ulo = nlo
-	}
-	if nhi > uhi {
-		uhi = nhi
-	}
-	return float64(uhi-ulo) - float64(hi-lo), nil
+// Covers implements KeyClass.
+func (IntervalClass) Covers(outer, inner string) bool {
+	lo, hi := decodeInterval(outer)
+	ilo, ihi := decodeInterval(inner)
+	return lo <= ilo && ihi <= hi
 }
 
-// PickSplit implements KeyClass: sort by lower bound, split in half.
-func (IntervalClass) PickSplit(keys [][]byte) ([]int, []int, error) {
-	idx := make([]int, len(keys))
-	los := make([]int64, len(keys))
-	for i, k := range keys {
-		lo, _, err := decodeInterval(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		idx[i] = i
-		los[i] = lo
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return los[idx[a]] < los[idx[b]] })
-	mid := len(idx) / 2
-	return idx[:mid], idx[mid:], nil
+// Box implements KeyClass: [0,0]×[lo,hi], so the kernel's R* heuristics
+// score length enlargement and overlap on the one axis that varies.
+func (IntervalClass) Box(key string) rstar.Rect {
+	lo, hi := decodeInterval(key)
+	return rstar.Rect{YMin: lo, YMax: hi}
 }

@@ -214,7 +214,7 @@ func Open(path string) (*Log, error) {
 	l.size = 1 << 62
 	l.written = 1 << 62
 	end := int64(l.base)
-	err = l.scan(func(r Record) error {
+	err = l.Scan(func(r Record) error {
 		if _, ok := l.firstLSN[r.Tx]; !ok && r.Type != RecCheckpoint {
 			l.firstLSN[r.Tx] = r.LSN
 		}
@@ -464,16 +464,15 @@ func (l *Log) ReadRecord(lsn LSN) (Record, error) {
 
 // Scan iterates all valid records in log order, starting at the base (the
 // truncated prefix is gone). Iteration stops early if fn returns an error.
+// Each record is read under the mutex and fn runs without it, so fn may flush
+// the log: redo does, when its page write evicts a dirty page and the buffer
+// pool's flush hook forces the log first.
 func (l *Log) Scan(fn func(Record) error) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.scan(fn)
-}
-
-func (l *Log) scan(fn func(Record) error) error {
-	off := int64(l.base)
+	off := l.base
+	l.mu.Unlock()
 	for {
-		r, err := l.readAt(off)
+		r, err := l.ReadRecord(off)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, errTorn) {
 				return nil // clean end or torn tail
@@ -483,7 +482,7 @@ func (l *Log) scan(fn func(Record) error) error {
 		if err := fn(r); err != nil {
 			return err
 		}
-		off += int64(recordDiskSize(r))
+		off += LSN(recordDiskSize(r))
 	}
 }
 

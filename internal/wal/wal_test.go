@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -335,5 +336,60 @@ func TestRecTypeStrings(t *testing.T) {
 		if ty.String() == "" {
 			t.Fatal("empty type string")
 		}
+	}
+}
+
+// flushingStore forces the log before every page write, as the engine's
+// buffer pool does when a write evicts a dirty page.
+type flushingStore struct {
+	PageStore
+	l *Log
+}
+
+func (s flushingStore) WritePage(id uint64, buf []byte) error {
+	if err := s.l.Flush(); err != nil {
+		return err
+	}
+	return s.PageStore.WritePage(id, buf)
+}
+
+// TestRecoverRedoMayFlushTheLog: redo's page writes may flush the log, so the
+// scan that drives redo must not hold the log's mutex while it runs them.
+func TestRecoverRedoMayFlushTheLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p := testSpaces(t)
+	id, _ := p.Allocate()
+	l.Begin(1)
+	l.Update(1, 1, uint64(id), 10, make([]byte, 9), []byte("committed"))
+	l.Commit(1)
+	l.Close()
+
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaces := MapSpaces{1: flushingStore{PageStore: storage.WALStore{P: p}, l: l2}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Recover(l2, spaces)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("recovery deadlocked: a page write's log flush waited on the scan")
+	}
+	defer l2.Close()
+	got := make([]byte, storage.PageSize)
+	p.ReadPage(id, got)
+	if !bytes.Equal(got[10:19], []byte("committed")) {
+		t.Fatalf("redo missing: %q", got[10:19])
 	}
 }

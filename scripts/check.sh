@@ -1,11 +1,11 @@
 #!/bin/sh
 # Static checks plus the race-sensitive packages under the race detector:
 # the sharded buffer pool, the version-chained heap and its page latches,
-# sbspace's latched large-object pages, the node stores (concurrent views)
-# and the GiST,
+# sbspace's latched large-object pages, the node stores (concurrent views),
 # the lock manager's deadlock detection, the purpose-function framework,
 # the batched scan pipeline, the shared R-tree kernel (parallel walk and
-# latch crabbing), the blades and the purpose-function scaffold under them
+# latch crabbing) and the three key classes on it (GR-tree, R*-tree, GiST),
+# the blades and the purpose-function scaffold under them
 # (./internal/blades/... includes treeblade and its conformance table), the
 # WAL group-commit flusher, the network
 # stack (wire framing, the session-multiplexing server, the client
@@ -53,6 +53,13 @@ go test -race -count=5 -run TestDeleteAgreesOnTheBatchPath ./internal/blades/tre
 echo "== go test -race -count=5 exactness"
 go test -race -count=5 -run TestExactFlagIsTrustedOnlyWhereTrue ./internal/engine
 go test -race -count=5 -run TestRecheckRunsUnlessTheAnswerIsExact ./internal/blades/treeblade
+
+# Crash recovery: redo's page writes may evict dirty pages, whose flush hook
+# forces the log while the redo scan is reading it. Both regressions hung
+# before the scan released the log's mutex around its callback.
+echo "== go test -race -count=5 recovery regressions"
+go test -race -count=5 -timeout 120s -run TestRecoverRedoMayFlushTheLog ./internal/wal
+go test -race -count=5 -timeout 120s -run TestCrashRecoveryWithASmallPool ./internal/engine
 
 # No test runs P5 or the benchrunner CLI itself; this runs every registered
 # experiment at CI scale.

@@ -194,8 +194,7 @@ func registerBuiltinBindings() {
 				if err != nil {
 					return nil, err
 				}
-				gop, ok := treeblade.Strategy(fn, colFirst,
-					gist.GROverlaps, gist.GREqual, gist.GRContains, gist.GRContainedIn)
+				gop, ok := treeblade.Strategy(fn, colFirst)
 				if !ok {
 					return nil, fmt.Errorf("gistblade: %q is not a gist_grt_ops strategy", fn)
 				}
@@ -247,8 +246,8 @@ func Library(e *engine.Engine) am.Library {
 				return st, nil
 			},
 		},
-		// No Value: Extreme always declines, so am_aggregate never renders a
-		// key as a column value.
+		// No Value or Less: Aggregable always declines, so am_aggregate never
+		// renders a key as a column value.
 	}
 	lib := k.Library()
 	lib["IntvOverlaps"] = intervalUDR(func(a0, a1, b0, b1 int64) bool { return a0 <= b1 && b0 <= a1 })
@@ -338,21 +337,9 @@ func (o *open) Window(key string) (lo, hi float64, ok bool) {
 	return float64(box.YMin), float64(box.YMax), !box.Empty()
 }
 
-// Count and Extreme decline: the generic method knows its keys only through
+// Aggregable declines: the generic method knows its keys only through
 // Consistent, which may over-approximate, so its answers are candidates.
-func (o *open) Count(q *am.Qual) (int64, bool, error) { return 0, false, nil }
-
-func (o *open) Extreme(q *am.Qual, wantMax bool) (string, bool, bool, error) {
-	return "", false, false, nil
-}
-
-func (o *open) Levels() ([]rtree.LevelStats, error) {
-	k := o.tree.Keys()
-	levels, _, err := rtree.Levels(o.tree.Tree, k.Bound, k.Resolve)
-	return levels, err
-}
-
-func (o *open) Check() error { return o.tree.Check() }
+func (o *open) Aggregable(q *am.Qual) (rtree.Matcher[string], bool) { return nil, false }
 
 func intervalUDR(pred func(a0, a1, b0, b1 int64) bool) am.UDRFunc {
 	return func(ctx *mi.Context, args []types.Datum) (types.Datum, error) {

@@ -57,16 +57,17 @@ var purpose = &treeblade.Kernel[temporal.Region, temporal.Shape, *open]{
 	Value: func(id *am.IndexDesc, r temporal.Region) types.Datum {
 		return regionValue(id.ColTypes[0].OpaqueID, r)
 	},
+	Less: grtree.KeyLess,
 }
 
 // Library returns the blade's shared-library symbol table. The engine loads
 // it under LibraryPath; the registration SQL binds the symbols to SQL names.
 func Library(e *engine.Engine) am.Library {
 	lib := purpose.Library()
-	lib["Overlaps"] = strategyUDR(e, grtree.OpOverlaps)
-	lib["Equal"] = strategyUDR(e, grtree.OpEqual)
-	lib["Contains"] = strategyUDR(e, grtree.OpContains)
-	lib["ContainedIn"] = strategyUDR(e, grtree.OpContainedIn)
+	lib["Overlaps"] = strategyUDR(e, rtree.OpOverlaps)
+	lib["Equal"] = strategyUDR(e, rtree.OpEqual)
+	lib["Contains"] = strategyUDR(e, rtree.OpContains)
+	lib["ContainedIn"] = strategyUDR(e, rtree.OpContainedIn)
 	lib["GRT_Union"] = unionUDR(e)
 	lib["GRT_Size"] = sizeUDR(e)
 	lib["GRT_Inter"] = interUDR(e)
@@ -332,10 +333,10 @@ func (o *open) Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (rtree.Mat
 	// dynamically resolved and invoked as registered UDRs; only the
 	// internal-region functions stay hard-coded. Experiment P5 measures the
 	// overhead against the default.
-	return grtree.At(&dynamicMatcher{
+	return &dynamicMatcher{
 		compiled: compiled, qual: q, ctx: ctx,
 		svc: id.Services, typeID: id.ColTypes[0].OpaqueID,
-	}, o.ct), false, nil
+	}, false, nil
 }
 
 // Window resolves the region at the blade's current time, so now-relative
@@ -345,44 +346,22 @@ func (o *open) Window(r temporal.Region) (lo, hi float64, ok bool) {
 	return float64(sh.VTBegin), float64(sh.VTEnd), !sh.Empty()
 }
 
-// exact reports the predicate an aggregate's qualification is, when the
-// tree's hard-coded evaluation of it is the index's configured semantics.
-func (o *open) exact(q *am.Qual) (grtree.Predicate, bool) {
-	// Dynamic-dispatch indexes evaluate leaves through UDRs; the aggregate
-	// traversal hard-codes predicate evaluation, so decline rather than
-	// disagree with the configured semantics.
+// Aggregable: the hard-coded leaf test is the strategy function's answer on
+// a stored region, so aggregates push under either time policy. A
+// dynamic-dispatch index evaluates leaves through UDRs, which the aggregate
+// traversal would bypass: it declines rather than disagree with the
+// configured semantics.
+func (o *open) Aggregable(q *am.Qual) (rtree.Matcher[temporal.Region], bool) {
 	if o.dynamic {
-		return grtree.Predicate{}, false
+		return nil, false
 	}
 	compound, err := compileQual(q)
 	if err != nil {
-		return grtree.Predicate{}, false // not our strategy function: decline, don't fail
+		return nil, false // not our strategy function: decline, don't fail
 	}
-	return *compound.Pred, true
+	compiled, err := compound.Compile(o.ct)
+	return compiled, err == nil
 }
-
-func (o *open) Count(q *am.Qual) (int64, bool, error) {
-	pred, ok := o.exact(q)
-	if !ok {
-		return 0, false, nil
-	}
-	return o.tree.AggCount(pred, o.ct)
-}
-
-func (o *open) Extreme(q *am.Qual, wantMax bool) (temporal.Region, bool, bool, error) {
-	pred, ok := o.exact(q)
-	if !ok {
-		return temporal.Region{}, false, false, nil
-	}
-	return o.tree.AggExtreme(pred, o.ct, wantMax)
-}
-
-func (o *open) Levels() ([]rtree.LevelStats, error) {
-	ts, err := o.tree.Stats(o.ct, 0, 0)
-	return ts.PerLevel, err
-}
-
-func (o *open) Check() error { return o.tree.Check(o.ct) }
 
 // compileQual hard-codes the strategy-function resolution (Section 5.2's
 // chosen alternative): qualification leaves are mapped directly to tree
@@ -403,8 +382,7 @@ func compileQual(q *am.Qual) (*grtree.Compound, error) {
 		}
 		return grtree.OrOf(kids...), nil
 	case am.QFunc:
-		op, ok := treeblade.Strategy(q.Func, q.ColFirst,
-			grtree.OpOverlaps, grtree.OpEqual, grtree.OpContains, grtree.OpContainedIn)
+		op, ok := treeblade.Strategy(q.Func, q.ColFirst)
 		if !ok {
 			return nil, fmt.Errorf("grtblade: %q is not a grt_opclass strategy function", q.Func)
 		}
@@ -418,22 +396,21 @@ func compileQual(q *am.Qual) (*grtree.Compound, error) {
 }
 
 // dynamicMatcher evaluates leaf qualifications by invoking the registered
-// strategy UDRs (Overlaps, Equal, ...) per candidate entry.
+// strategy UDRs (Overlaps, Equal, ...) per candidate entry; the UDRs read
+// the current time themselves.
 type dynamicMatcher struct {
-	compiled *grtree.Compiled // compiled at the ct At fixes
+	compiled *grtree.Compiled // the hard-coded internal functions, at the open's ct
 	qual     *am.Qual
 	ctx      *mi.Context
 	svc      am.Services
 	typeID   uint32
 }
 
-// InternalMatch implements grtree.Matcher (hard-coded internal functions).
-func (m *dynamicMatcher) InternalMatch(bound temporal.Region, _ chronon.Instant) bool {
-	return m.compiled.Internal(bound)
-}
+// Internal implements rtree.Matcher (hard-coded internal functions).
+func (m *dynamicMatcher) Internal(bound temporal.Region) bool { return m.compiled.Internal(bound) }
 
-// LeafMatch implements grtree.Matcher through dynamic UDR invocation.
-func (m *dynamicMatcher) LeafMatch(r temporal.Region, ct chronon.Instant) bool {
+// Leaf implements rtree.Matcher through dynamic UDR invocation.
+func (m *dynamicMatcher) Leaf(r temporal.Region) bool {
 	colVal := regionValue(m.typeID, r)
 	ok, err := m.qual.Evaluate(func(l *am.Qual) (bool, error) {
 		args := []types.Datum{colVal, l.Const}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grtree"
 	"repro/internal/mi"
+	"repro/internal/rtree"
 	"repro/internal/temporal"
 	"repro/internal/types"
 )
@@ -25,7 +26,7 @@ func udrCurrentTime(ctx *mi.Context, e *engine.Engine) chronon.Instant {
 // strategyUDR builds the SQL-callable strategy functions (Overlaps, Equal,
 // Contains, ContainedIn) used when a statement is processed without the
 // index.
-func strategyUDR(e *engine.Engine, op grtree.Op) am.UDRFunc {
+func strategyUDR(e *engine.Engine, op rtree.Op) am.UDRFunc {
 	return func(ctx *mi.Context, args []types.Datum) (types.Datum, error) {
 		if len(args) != 2 {
 			return nil, fmt.Errorf("grtblade: strategy function needs 2 arguments")

@@ -56,6 +56,7 @@ var purpose = &treeblade.Kernel[rstar.Rect, rstar.Rect, *open]{
 			VTBegin: chronon.Instant(r.YMin), VTEnd: chronon.Instant(r.YMax),
 		})}
 	},
+	Less: rstar.KeyLess,
 }
 
 // Library returns the blade's symbol table.
@@ -334,43 +335,22 @@ func (o *open) Window(r rstar.Rect) (lo, hi float64, ok bool) {
 	return float64(r.YMin), float64(r.YMax), true
 }
 
-// exact reports the rectangle predicate an aggregate's qualification is. The
-// scan protocol returns candidates for the server to re-qualify, so in
-// general the index cannot answer an aggregate exactly — but when every
-// indexed extent is ground (no UC/NOW substitution ever happened, tracked by
-// the persisted ground flag) and the query extent is ground too, the stored
-// rectangles are the exact extents and the rectangle predicates coincide with
-// the strategy-function semantics. Anything else declines and the server
-// drains tuples.
-func (o *open) exact(q *am.Qual) (rstar.Op, rstar.Rect, bool) {
-	op, ok := treeblade.Strategy(q.Func, q.ColFirst,
-		rstar.OpOverlaps, rstar.OpEqual, rstar.OpContains, rstar.OpContainedIn)
+// Aggregable: the scan protocol returns candidates for the server to
+// re-qualify, so in general the index cannot answer an aggregate exactly —
+// but when every indexed extent is ground (no UC/NOW substitution ever
+// happened, tracked by the persisted ground flag) and the query extent is
+// ground too, the stored rectangles are the exact extents and the rectangle
+// predicates coincide with the strategy-function semantics. Anything else
+// declines and the server drains tuples.
+func (o *open) Aggregable(q *am.Qual) (rtree.Matcher[rstar.Rect], bool) {
+	op, ok := treeblade.Strategy(q.Func, q.ColFirst)
 	ext, err := extentOf(q.Const)
 	if !o.ground || !ok || err != nil || ext.NowRelative() || !ext.Valid() {
-		return op, rstar.Rect{}, false
+		return nil, false
 	}
-	return op, rstar.Rect{
+	m, err := rstar.Query(op, rstar.Rect{
 		XMin: int64(ext.TTBegin), XMax: int64(ext.TTEnd),
 		YMin: int64(ext.VTBegin), YMax: int64(ext.VTEnd),
-	}, true
+	})
+	return m, err == nil
 }
-
-func (o *open) Count(q *am.Qual) (int64, bool, error) {
-	op, query, ok := o.exact(q)
-	if !ok {
-		return 0, false, nil
-	}
-	return o.tree.AggCount(op, query)
-}
-
-func (o *open) Extreme(q *am.Qual, wantMax bool) (rstar.Rect, bool, bool, error) {
-	op, query, ok := o.exact(q)
-	if !ok {
-		return rstar.Rect{}, false, false, nil
-	}
-	return o.tree.AggExtreme(op, query, wantMax)
-}
-
-func (o *open) Levels() ([]rtree.LevelStats, error) { return o.tree.Stats() }
-
-func (o *open) Check() error { return o.tree.Check() }

@@ -13,9 +13,14 @@ import (
 	"repro/internal/blades/rstblade"
 	"repro/internal/chronon"
 	"repro/internal/engine"
+	"repro/internal/gist"
+	"repro/internal/grtree"
 	"repro/internal/heap"
 	"repro/internal/lock"
 	"repro/internal/mi"
+	"repro/internal/nodestore"
+	"repro/internal/rstar"
+	"repro/internal/rtree"
 	"repro/internal/sbspace"
 	"repro/internal/temporal"
 	"repro/internal/types"
@@ -539,5 +544,150 @@ func TestOneCopyCannotDisagreeWithItself(t *testing.T) {
 	err := ps.Update(ctx, id, ext("1/95, 2/95, 1/95, 2/95"), 7, ext("1/96, 2/96, 1/96, 2/96"), 8)
 	if !errors.Is(err, am.ErrNoEntry) {
 		t.Errorf("gist_update of a missing entry: %v", err)
+	}
+}
+
+// lying is a key class whose nodes get the bounds bound gives them: an
+// insertion through it rewrites the bound of every node on its path.
+type lying[B comparable, S rtree.Shape[S]] struct {
+	rtree.Keys[B, S]
+	bound func(es []rtree.Entry[B]) B
+}
+
+func (k lying[B, S]) Bound(es []rtree.Entry[B]) B { return k.bound(es) }
+
+func insertLying[B comparable, S rtree.Shape[S]](t *testing.T, tr *rtree.Tree[B], keys rtree.Keys[B, S], bound func([]rtree.Entry[B]) B, b B) {
+	t.Helper()
+	if err := rtree.Insert(tr, lying[B, S]{keys, bound}, rtree.Entry[B]{Bound: b, Ref: 1 << 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func firstBound[B comparable](es []rtree.Entry[B]) B { return es[0].Bound }
+
+// (i) CHECK INDEX holds every entry to its key class's Covers: a child that
+// escapes its parent's bound fails am_check in every method. The index's
+// large object is opened behind the blade's back and one entry inserted
+// through a key class that lies about bounds: for grtree_am a static
+// rectangle over a growing child, which contains it now but not later; for
+// the others a parent bound that is one of its children's.
+func TestCheckIndexCatchesAnEscapingChild(t *testing.T) {
+	each(t, func(t *testing.T, m method) {
+		e := open(t, engine.Options{})
+		s := populate(t, e, m, deep(m))
+		exec(t, s, `CHECK INDEX ix`)
+		rec, _ := e.Catalog().AMRecordGet(m.am, "ix")
+		space, _ := e.Space("spc")
+		store, err := nodestore.OpenLO(space, testTx, lock.CommittedRead, sbspace.DecodeHandle(rec), sbspace.ReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := e.Clock().Now()
+		growing := temporal.MustParseExtent("5/97, UC, 5/97, NOW")
+		switch m.am {
+		case "grtree_am":
+			cfg := grtree.DefaultConfig()
+			cfg.MaxEntries = 8
+			g, err := grtree.Open(store, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := g.Keys(ct)
+			static := func(es []rtree.Entry[temporal.Region]) temporal.Region {
+				bb := keys.Bound(es).Resolve(ct).BoundingBox()
+				return temporal.Region{
+					TTBegin: chronon.Instant(bb.TTBegin), TTEnd: chronon.Instant(bb.TTEnd),
+					VTBegin: chronon.Instant(bb.VTBegin), VTEnd: chronon.Instant(bb.VTEnd),
+				}
+			}
+			insertLying(t, g.Tree, keys, static, growing.Region())
+		case "rstree_am":
+			cfg := rstar.DefaultConfig()
+			cfg.MaxEntries = 8
+			r, err := rstar.Open(store, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rect := rstblade.MapExtent(growing, rstblade.SubMax, rstblade.DefaultMaxTimestamp, ct)
+			insertLying(t, r.Tree, rstar.Keys(), firstBound[rstar.Rect], rect)
+		case "gist_am":
+			g, err := gist.Open(store, gist.NewGRKeyClass(e.Clock()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			insertLying(t, g.Tree, g.Keys(), firstBound[string], gist.GRExtentKey(growing))
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e.LockManager().ReleaseAll(testTx)
+		if _, err := s.Exec(`CHECK INDEX ix`); err == nil || !strings.Contains(err.Error(), "escapes parent bound") {
+			t.Fatalf("CHECK INDEX after a child escaped its parent: %v", err)
+		}
+	})
+}
+
+// (j) am_aggregate pushes exactly where each binding's Aggregable says it may
+// (DESIGN.md, "One purpose-function set, three bindings"), read from
+// agg.pushed and agg.fallback.declined, and every answer, pushed or drained,
+// equals a sequential scan of an unindexed twin.
+func TestAggregateConformance(t *testing.T) {
+	configs := []struct {
+		name, am, opclass, params string
+		nowRelative, push         bool
+	}{
+		{name: "grtree_am", am: "grtree_am", opclass: "grt_opclass", nowRelative: true, push: true},
+		{name: "grtree_am dispatch=dynamic", am: "grtree_am", opclass: "grt_opclass", params: "(dispatch='dynamic')", nowRelative: true},
+		{name: "grtree_am timepolicy=statement", am: "grtree_am", opclass: "grt_opclass", params: "(timepolicy='statement')", nowRelative: true, push: true},
+		{name: "rstree_am ground", am: "rstree_am", opclass: "rst_opclass", push: true},
+		{name: "rstree_am now-relative", am: "rstree_am", opclass: "rst_opclass", nowRelative: true},
+		{name: "gist_am", am: "gist_am", opclass: "gist_grt_ops", nowRelative: true},
+	}
+	strategies := []string{
+		`Overlaps(X, '1/91, 1/95, 1/91, 1/95')`,
+		`Equal(X, '3/92, 3/93, 3/92, 3/93')`,
+		`Contains(X, '5/92, 6/92, 5/92, 6/92')`,
+		`ContainedIn(X, '1/91, 1/95, 1/91, 1/95')`,
+	}
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			e := open(t, engine.Options{})
+			s := e.NewSession()
+			defer s.Close()
+			var values []string
+			for i := 0; i < rows; i++ {
+				mo, y := i%12+1, 90+(i/12)%6
+				values = append(values, fmt.Sprintf("(%d, '%d/%d, %d/%d, %d/%d, %d/%d')", i, mo, y, mo, y+1, mo, y, mo, y+1))
+			}
+			exec(t, s, `CREATE SBSPACE spc`)
+			for _, table := range []string{"TI", "TS"} {
+				exec(t, s, fmt.Sprintf(`CREATE TABLE %s (N INTEGER, X GRT_TimeExtent_t)`, table))
+				exec(t, s, fmt.Sprintf(`INSERT INTO %s VALUES %s`, table, strings.Join(values, ", ")))
+			}
+			exec(t, s, fmt.Sprintf(`CREATE INDEX ix ON TI(X %s) USING %s %s IN spc`, c.opclass, c.am, c.params))
+			if c.nowRelative {
+				for _, table := range []string{"TI", "TS"} {
+					exec(t, s, fmt.Sprintf(`INSERT INTO %s VALUES (%d, '5/92, UC, 5/92, NOW')`, table, rows))
+				}
+			}
+			pushed, declined := e.Obs().Counter("agg.pushed"), e.Obs().Counter("agg.fallback.declined")
+			for _, where := range strategies {
+				for _, item := range []string{"COUNT(*)", "MIN(X)", "MAX(X)"} {
+					p, d := pushed.Load(), declined.Load()
+					got := exec(t, s, fmt.Sprintf(`SELECT %s FROM TI WHERE %s`, item, where)).Rows[0][0]
+					didPush, didDecline := pushed.Load() != p, declined.Load() != d
+					want := exec(t, s, fmt.Sprintf(`SELECT %s FROM TS WHERE %s`, item, where)).Rows[0][0]
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s WHERE %s: index %v, seqscan %v", item, where, got, want)
+					}
+					if want == nil || fmt.Sprint(want) == "0" {
+						t.Fatalf("%s WHERE %s is empty: agreement on it proves little", item, where)
+					}
+					if didPush != c.push || didDecline == c.push {
+						t.Errorf("%s WHERE %s: pushed %v, declined %v; want pushed %v", item, where, didPush, didDecline, c.push)
+					}
+				}
+			}
+		})
 	}
 }

@@ -18,7 +18,8 @@ type Binding[B comparable, S rtree.Shape[S]] interface {
 	Opened
 	// Tree is the open index's kernel tree.
 	Tree() *rtree.Tree[B]
-	// Keys is the tree's key class as of the statement's current time.
+	// Keys is the tree's key class as of the statement's current time; it
+	// also serves am_stats (rtree.Levels) and am_check (Tree.Check).
 	Keys() rtree.Keys[B, S]
 	// Key maps an indexed-column value to the bound its entry carries. store
 	// is set when the value is about to be indexed, and the blade's validity
@@ -31,27 +32,26 @@ type Binding[B comparable, S rtree.Shape[S]] interface {
 	// matcher's leaf test is the strategy functions' own answer on the row,
 	// so am_beginscan may tell the server to skip its re-check (ScanDesc.Exact).
 	Matcher(ctx *mi.Context, id *am.IndexDesc, q *am.Qual) (m rtree.Matcher[B], exact bool, err error)
+	// Aggregable returns a matcher for the single-predicate q whose leaf test
+	// on a stored bound is the strategy function's answer, so am_aggregate
+	// may answer from the tree, or declines. Unlike Matcher's exact, it does
+	// not depend on the clock a re-checking UDR would read.
+	Aggregable(q *am.Qual) (m rtree.Matcher[B], ok bool)
 	// Window is the valid-time interval a bound covers now — what selectivity
 	// estimation and the am_stats histograms are over. ok is false when the
 	// bound covers nothing now.
 	Window(b B) (lo, hi float64, ok bool)
-	// Count and Extreme answer a single-predicate COUNT or MIN/MAX from the
-	// stored bounds, or decline (ok false) when those would not be exact.
-	Count(q *am.Qual) (n int64, ok bool, err error)
-	Extreme(q *am.Qual, wantMax bool) (b B, found, ok bool, err error)
-	// Levels reports structure and goodness per level, leaves first.
-	Levels() ([]rtree.LevelStats, error)
-	// Check validates the tree's invariants.
-	Check() error
 }
 
 // Kernel is the scan and maintenance purpose-function set of an access method
 // whose tree runs on internal/rtree.
 type Kernel[B comparable, S rtree.Shape[S], T Binding[B, S]] struct {
 	Method[T]
-	// Value renders a stored bound as a value of the indexed column (the
-	// answer of an am_aggregate MIN or MAX).
+	// Value renders a stored bound as a value of the indexed column, and Less
+	// is the order of those values: the answer of an am_aggregate MIN or MAX.
+	// A blade whose Aggregable always declines sets neither.
 	Value func(id *am.IndexDesc, b B) types.Datum
+	Less  func(a, b B) bool
 }
 
 // MaxEntries parses the maxentries index parameter: the node fanout cap of a
@@ -338,7 +338,8 @@ func (k *Kernel[B, S, T]) Stats(ctx *mi.Context, id *am.IndexDesc) (*am.IndexSta
 	if err != nil {
 		return nil, err
 	}
-	levels, err := st.Levels()
+	keys := st.Keys()
+	levels, _, err := rtree.Levels(st.Tree(), keys.Bound, keys.Resolve)
 	if err != nil {
 		return nil, err
 	}
@@ -369,8 +370,8 @@ func (k *Kernel[B, S, T]) Stats(ctx *mi.Context, id *am.IndexDesc) (*am.IndexSta
 
 // Aggregate implements am_aggregate: COUNT is answered by the tree's
 // covered-subtree traversal without producing a single rowid, MIN/MAX by the
-// boundary leaf under the lexicographic key. Only single-predicate
-// qualifications are claimed — compound quals decline, and the server drains
+// boundary leaf under Less. Only single-predicate qualifications the binding
+// finds Aggregable are claimed — the rest decline, and the server drains
 // tuples instead. MVCC visibility is the server's problem (it only trusts
 // the answer when its gate proves every indexed entry visible).
 func (k *Kernel[B, S, T]) Aggregate(ctx *mi.Context, id *am.IndexDesc, req *am.AggRequest) (*am.AggResult, bool, error) {
@@ -381,16 +382,20 @@ func (k *Kernel[B, S, T]) Aggregate(ctx *mi.Context, id *am.IndexDesc, req *am.A
 	if req.Qual == nil || req.Qual.Op != am.QFunc {
 		return nil, false, nil
 	}
+	m, ok := st.Aggregable(req.Qual)
+	if !ok {
+		return nil, false, nil
+	}
 	switch req.Kind {
 	case am.AggCount:
-		n, ok, err := st.Count(req.Qual)
+		n, ok, err := st.Tree().AggCount(m)
 		if err != nil || !ok {
 			return nil, false, err
 		}
 		ctx.Tracer().Tracef(k.Prefix, 2, "aggregate %s: count=%d", id.Name, n)
 		return &am.AggResult{Count: n}, true, nil
 	case am.AggMin, am.AggMax:
-		b, found, ok, err := st.Extreme(req.Qual, req.Kind == am.AggMax)
+		b, found, ok, err := st.Tree().AggExtreme(m, k.Less, req.Kind == am.AggMax)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -403,13 +408,13 @@ func (k *Kernel[B, S, T]) Aggregate(ctx *mi.Context, id *am.IndexDesc, req *am.A
 	return nil, false, nil
 }
 
-// Check implements am_check.
+// Check implements am_check under the key class's Covers.
 func (k *Kernel[B, S, T]) Check(ctx *mi.Context, id *am.IndexDesc) error {
 	st, err := k.State(id)
 	if err != nil {
 		return err
 	}
-	return st.Check()
+	return st.Tree().Check(st.Keys().Covers)
 }
 
 // Library returns every purpose function of the access method under its

@@ -23,6 +23,7 @@ import (
 	"repro/internal/am"
 	"repro/internal/mi"
 	"repro/internal/nodestore"
+	"repro/internal/rtree"
 	"repro/internal/sbspace"
 )
 
@@ -257,27 +258,20 @@ func RegistrationSQL(amName, prefix, libraryPath string, lib am.Library) string 
 }
 
 // Strategy resolves a strategy function of the time-extent operator classes
-// — hard-coded resolution, Section 5.2's chosen alternative — to whichever
-// operator type the caller's tree evaluates. Argument order matters for the
-// asymmetric pair: Contains(const, column) is the commutator
-// ContainedIn(column, const).
-func Strategy[Op any](fn string, colFirst bool, overlaps, equal, contains, containedIn Op) (Op, bool) {
-	switch strings.ToLower(fn) {
+// — hard-coded resolution, Section 5.2's chosen alternative — to its
+// operator. Argument order matters for the asymmetric pair: Contains(const,
+// column) is the commutator ContainedIn(column, const).
+func Strategy(fn string, colFirst bool) (rtree.Op, bool) {
+	switch fn = strings.ToLower(fn); fn {
 	case "overlaps":
-		return overlaps, true
+		return rtree.OpOverlaps, true
 	case "equal":
-		return equal, true
-	case "contains":
-		if colFirst {
-			return contains, true
+		return rtree.OpEqual, true
+	case "contains", "containedin":
+		if (fn == "contains") == colFirst {
+			return rtree.OpContains, true
 		}
-		return containedIn, true
-	case "containedin":
-		if colFirst {
-			return containedIn, true
-		}
-		return contains, true
+		return rtree.OpContainedIn, true
 	}
-	var none Op
-	return none, false
+	return 0, false
 }

@@ -148,12 +148,12 @@ type Engine struct {
 	// stamped transaction id (every transaction appends more than one log
 	// byte; a NoWAL engine over persistent files has no such guard and is
 	// not restart-safe — it was never crash-safe to begin with).
-	mvccMu      sync.Mutex
-	nextTx      uint64
-	mvccActive  map[uint64]struct{}
-	mvccSnaps   map[uint64]*heap.Snapshot // registered snapshot id -> read view
-	mvccSnapSeq uint64
-	mvccClock   atomic.Uint64
+	mvccMu                                 sync.Mutex
+	nextTx                                 uint64
+	mvccActive                             map[uint64]struct{}
+	mvccSnaps                              map[uint64]*heap.Snapshot // registered snapshot id -> read view
+	mvccSnapSeq                            uint64
+	mvccClock                              atomic.Uint64
 	mvccCreated, mvccSkipped, mvccVacuumed *obs.Counter
 
 	// Version-vacuum daemon state (mirrors the checkpointer's).

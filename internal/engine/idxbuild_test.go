@@ -297,7 +297,7 @@ func TestOnlineBuildSideLogCapture(t *testing.T) {
 	for _, tc := range []struct{ key, want int }{
 		{100, 1}, {400, 1}, {200, 1}, // side-log inserts
 		{3, 0}, {7, 0}, // side-log delete and update-away
-		{300, 0},       // rolled back: never flushed
+		{300, 0},        // rolled back: never flushed
 		{0, 1}, {49, 1}, // bulk-scanned rows
 	} {
 		if got := keysVia(t, s, "side_t", tc.key); got != tc.want {

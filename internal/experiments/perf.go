@@ -13,6 +13,7 @@ import (
 	"repro/internal/nodestore"
 	"repro/internal/obs"
 	"repro/internal/rstar"
+	"repro/internal/rtree"
 	"repro/internal/sbspace"
 	"repro/internal/storage"
 	"repro/internal/temporal"
@@ -142,7 +143,8 @@ func RunP2(w io.Writer, cfg WorkloadConfig) ([]P2Row, error) {
 	if err := Replay(wl, mx); err != nil {
 		return nil, err
 	}
-	ls, err := mx.Tree.Stats()
+	keys := rstar.Keys()
+	ls, _, err := rtree.Levels(mx.Tree.Tree, keys.Bound, keys.Resolve)
 	if err != nil {
 		return nil, err
 	}

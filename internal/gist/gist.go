@@ -118,6 +118,8 @@ func (k keys) Union(a, b string) string { return k.kc.Union([]string{a, b}) }
 
 func (k keys) Contains(outer, inner string) bool { return k.kc.Covers(outer, inner) }
 
+func (k keys) Covers(parent, child string) bool { return k.kc.Covers(parent, child) }
+
 func (k keys) Resolve(b string) rstar.Rect { return k.kc.Box(b) }
 
 func (keys) Centre(r rstar.Rect) (x, y float64) { return rstar.Keys().Centre(r) }

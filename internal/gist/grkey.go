@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/rstar"
+	"repro/internal/rtree"
 	"repro/internal/temporal"
 )
 
@@ -62,23 +63,16 @@ func decodeGRKey(key string) temporal.Region {
 	}
 }
 
-// GROp is a bitemporal strategy operator.
-type GROp int
-
+// Aliases for the strategy operators that callers outside this package name;
+// the enum is rtree.Op.
 const (
-	// GROverlaps matches regions sharing a cell with the query.
-	GROverlaps GROp = iota
-	// GREqual matches regions equal to the query.
-	GREqual
-	// GRContains matches regions containing the query.
-	GRContains
-	// GRContainedIn matches regions inside the query.
-	GRContainedIn
+	GROverlaps    = rtree.OpOverlaps
+	GRContainedIn = rtree.OpContainedIn
 )
 
 // GRQuery is a bitemporal strategy predicate.
 type GRQuery struct {
-	Op GROp
+	Op rtree.Op
 	Q  temporal.Extent
 }
 
@@ -102,17 +96,17 @@ func (c *GRKeyClass) Consistent(key string, q Query, leaf bool) bool {
 	}
 	r, qr, ct := decodeGRKey(key), gq.Q.Region(), c.Clock.Now()
 	switch {
-	case !leaf && (gq.Op == GROverlaps || gq.Op == GRContainedIn):
+	case !leaf && (gq.Op == rtree.OpOverlaps || gq.Op == rtree.OpContainedIn):
 		return r.Overlaps(qr, ct)
 	case !leaf:
 		return r.Contains(qr, ct)
-	case gq.Op == GROverlaps:
+	case gq.Op == rtree.OpOverlaps:
 		return r.Overlaps(qr, ct)
-	case gq.Op == GREqual:
+	case gq.Op == rtree.OpEqual:
 		return r.Equal(qr, ct)
-	case gq.Op == GRContains:
+	case gq.Op == rtree.OpContains:
 		return r.Contains(qr, ct)
-	case gq.Op == GRContainedIn:
+	case gq.Op == rtree.OpContainedIn:
 		return r.ContainedIn(qr, ct)
 	}
 	return false

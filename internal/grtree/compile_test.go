@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/chronon"
+	"repro/internal/rtree"
 	"repro/internal/temporal"
 )
 
@@ -32,7 +33,7 @@ func randomRegion(rng *rand.Rand, ct chronon.Instant) temporal.Region {
 // randomCompound draws an AND/OR tree of predicates, depth at most depth.
 func randomCompound(rng *rand.Rand, ct chronon.Instant, depth int) *Compound {
 	if depth == 0 || rng.Intn(3) == 0 {
-		return Leaf(Predicate{Op: Op(rng.Intn(4)), Query: randomExtent(rng, ct)})
+		return Leaf(Predicate{Op: rtree.Op(rng.Intn(4)), Query: randomExtent(rng, ct)})
 	}
 	kids := make([]*Compound, 1+rng.Intn(3))
 	for i := range kids {
@@ -47,15 +48,15 @@ func randomCompound(rng *rand.Rand, ct chronon.Instant, depth int) *Compound {
 // regionLeafTest is the strategy function written with Region's own methods,
 // which resolve both sides at ct on every call: the definition leafTest must
 // agree with.
-func regionLeafTest(op Op, entry, query temporal.Region, ct chronon.Instant) bool {
+func regionLeafTest(op rtree.Op, entry, query temporal.Region, ct chronon.Instant) bool {
 	switch op {
-	case OpOverlaps:
+	case rtree.OpOverlaps:
 		return entry.Overlaps(query, ct)
-	case OpEqual:
+	case rtree.OpEqual:
 		return entry.Equal(query, ct)
-	case OpContains:
+	case rtree.OpContains:
 		return entry.Contains(query, ct)
-	case OpContainedIn:
+	case rtree.OpContainedIn:
 		return entry.ContainedIn(query, ct)
 	}
 	return false
@@ -99,6 +100,14 @@ func TestCompiledMatchesReference(t *testing.T) {
 					if got, want := m.covers(r), c.Pred.Query.Region().Contains(r, ct); got != want {
 						t.Fatalf("covers(%v) at %d = %v, reference %v", r, ct, got, want)
 					}
+					// The kernel sums a covered subtree whole only where that
+					// implies every leaf under it qualifies.
+					sums := c.Pred.Op == rtree.OpOverlaps || c.Pred.Op == rtree.OpContainedIn
+					if got, want := m.Covered(r), sums && m.covers(r); got != want {
+						t.Fatalf("%v Covered(%v) at %d = %v, want %v", c.Pred.Op, r, ct, got, want)
+					}
+				} else if m.Covered(r) {
+					t.Fatalf("Covered(%v) holds for a compound qualification", r)
 				}
 				cases++
 			}

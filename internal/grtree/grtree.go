@@ -118,6 +118,9 @@ func (k keys) Union(a, b temporal.Region) temporal.Region { return a.Union(b, k.
 
 func (k keys) Contains(outer, inner temporal.Region) bool { return outer.Contains(inner, k.ct) }
 
+// Covers: a child region must be covered by its parent now and in the future.
+func (k keys) Covers(parent, child temporal.Region) bool { return parent.CoversRegion(child, k.ct) }
+
 func (k keys) Resolve(r temporal.Region) temporal.Shape {
 	return r.Resolve(k.ct + chronon.Instant(k.pol.TimeParam))
 }
@@ -264,8 +267,5 @@ func (t *Tree) BulkLoad(items []BulkItem, ct chronon.Instant) error {
 	return rtree.BulkLoad(t.Tree, t.Keys(ct), entries)
 }
 
-// Check validates the tree's structural invariants at ct (am_check); a
-// child region must be covered by its parent entry now and in the future.
-func (t *Tree) Check(ct chronon.Instant) error {
-	return t.Tree.Check(func(parent, child temporal.Region) bool { return parent.CoversRegion(child, ct) })
-}
+// Check validates the tree's structural invariants at ct (am_check).
+func (t *Tree) Check(ct chronon.Instant) error { return t.Tree.Check(t.Keys(ct).Covers) }

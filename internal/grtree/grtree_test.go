@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/nodestore"
+	"repro/internal/rtree"
 	"repro/internal/temporal"
 )
 
@@ -101,7 +102,7 @@ func TestInsertSearchAgainstBruteForce(t *testing.T) {
 	for _, at := range []chronon.Instant{ct, ct + 50, ct + 500} {
 		for trial := 0; trial < 30; trial++ {
 			q := randomExtent(rng, ct)
-			for _, op := range []Op{OpOverlaps, OpEqual, OpContains, OpContainedIn} {
+			for _, op := range []rtree.Op{rtree.OpOverlaps, rtree.OpEqual, rtree.OpContains, rtree.OpContainedIn} {
 				pred := Predicate{Op: op, Query: q}
 				got, err := tr.SearchAll(pred, at)
 				if err != nil {
@@ -128,14 +129,14 @@ func TestSearchSeesGrowth(t *testing.T) {
 	}
 	// Query rectangle at tt,vt ∈ [150, 160].
 	q := temporal.Extent{TTBegin: 150, TTEnd: 160, VTBegin: 150, VTEnd: 160}
-	got, err := tr.SearchAll(Predicate{Op: OpOverlaps, Query: q}, ct)
+	got, err := tr.SearchAll(Predicate{Op: rtree.OpOverlaps, Query: q}, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
 		t.Fatal("region must not overlap the future query yet")
 	}
-	got, err = tr.SearchAll(Predicate{Op: OpOverlaps, Query: q}, 155)
+	got, err = tr.SearchAll(Predicate{Op: rtree.OpOverlaps, Query: q}, 155)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestCheckOverTimeAfterMixedWorkload(t *testing.T) {
 	// And searches remain correct far in the future.
 	for trial := 0; trial < 20; trial++ {
 		q := randomExtent(rng, ct)
-		pred := Predicate{Op: OpOverlaps, Query: q}
+		pred := Predicate{Op: rtree.OpOverlaps, Query: q}
 		at := ct + 500
 		got, err := tr.SearchAll(pred, at)
 		if err != nil {
@@ -228,7 +229,7 @@ func TestDeletePolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		removed, restarts, err := tr.DeleteWhere(Predicate{Op: OpOverlaps, Query: everything}, ct)
+		removed, restarts, err := tr.DeleteWhere(Predicate{Op: rtree.OpOverlaps, Query: everything}, ct)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -290,10 +291,10 @@ func TestInvalidInputs(t *testing.T) {
 	if err := tr.Insert(bad, 1, 100); err == nil {
 		t.Fatal("invalid extent must not insert")
 	}
-	if _, err := tr.Search(Predicate{Op: OpOverlaps, Query: bad}, 100); err == nil {
+	if _, err := tr.Search(Predicate{Op: rtree.OpOverlaps, Query: bad}, 100); err == nil {
 		t.Fatal("invalid query must fail")
 	}
-	for _, op := range []Op{OpOverlaps, OpEqual, OpContains, OpContainedIn, Op(99)} {
+	for _, op := range []rtree.Op{rtree.OpOverlaps, rtree.OpEqual, rtree.OpContains, rtree.OpContainedIn, rtree.Op(99)} {
 		_ = op.String()
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/chronon"
 	"repro/internal/nodestore"
+	"repro/internal/rtree"
 )
 
 // The structure pin: a seeded workload must leave byte-identical node pages,
@@ -74,7 +75,7 @@ func pinTree(t *testing.T, tr *Tree, ct chronon.Instant) pinned {
 	h := sha256.New()
 	before := tr.Store().Stats().NodeReads
 	for i := 0; i < 50; i++ {
-		pred := Predicate{Op: Op(i % 4), Query: randomExtent(rng, ct)}
+		pred := Predicate{Op: rtree.Op(i % 4), Query: randomExtent(rng, ct)}
 		at := ct + chronon.Instant(100*(i%3))
 		got, err := tr.SearchAll(pred, at)
 		if err != nil {

@@ -8,23 +8,14 @@ import (
 	"repro/internal/temporal"
 )
 
-// Matcher generalises the cursor's predicate: LeafMatch is the exact
-// strategy test on a data region; InternalMatch is the pruning test on a
-// bounding region and must hold whenever any descendant leaf could match.
-// Predicate and Compound implement it as the reference evaluation; the tree
-// searches with their Compiled form, and reaches any other Matcher through
-// At.
-type Matcher interface {
-	LeafMatch(r temporal.Region, ct chronon.Instant) bool
-	InternalMatch(bound temporal.Region, ct chronon.Instant) bool
-}
-
-// LeafMatch implements Matcher for a single predicate.
+// LeafMatch and InternalMatch are the reference evaluation of a predicate at
+// ct: LeafMatch is the exact strategy test on a data region, InternalMatch
+// the pruning test on a bounding region, which must hold whenever any
+// descendant leaf could match. The tree searches with the Compiled form.
 func (p Predicate) LeafMatch(r temporal.Region, ct chronon.Instant) bool {
 	return leafTest(p.Op, r.Resolve(ct), p.Query.Region().Resolve(ct))
 }
 
-// InternalMatch implements Matcher for a single predicate.
 func (p Predicate) InternalMatch(bound temporal.Region, ct chronon.Instant) bool {
 	return internalTest(p.Op, bound.Resolve(ct), p.Query.Region().Resolve(ct))
 }
@@ -70,7 +61,7 @@ func (c *Compound) Validate() error {
 	return nil
 }
 
-// LeafMatch implements Matcher.
+// LeafMatch is the reference leaf evaluation of the AND/OR tree at ct.
 func (c *Compound) LeafMatch(r temporal.Region, ct chronon.Instant) bool {
 	if c.Pred != nil {
 		return c.Pred.LeafMatch(r, ct)
@@ -87,9 +78,9 @@ func (c *Compound) LeafMatch(r temporal.Region, ct chronon.Instant) bool {
 	return c.And
 }
 
-// InternalMatch implements Matcher: a leaf satisfying an AND satisfies every
-// conjunct, so every conjunct's internal test must hold on the bound; for an
-// OR, some disjunct's internal test must hold.
+// InternalMatch is the reference pruning test at ct: a leaf satisfying an
+// AND satisfies every conjunct, so every conjunct's internal test must hold on
+// the bound; for an OR, some disjunct's internal test must hold.
 func (c *Compound) InternalMatch(bound temporal.Region, ct chronon.Instant) bool {
 	if c.Pred != nil {
 		return c.Pred.InternalMatch(bound, ct)
@@ -106,27 +97,12 @@ func (c *Compound) InternalMatch(bound temporal.Region, ct chronon.Instant) bool
 	return c.And
 }
 
-// at fixes a matcher's current time.
-type at struct {
-	m  Matcher
-	ct chronon.Instant
-}
-
-func (a *at) Leaf(r temporal.Region) bool     { return a.m.LeafMatch(r, a.ct) }
-func (a *at) Internal(r temporal.Region) bool { return a.m.InternalMatch(r, a.ct) }
-
-// At fixes an arbitrary matcher at current time ct, evaluating it entry by
-// entry: the form in which the kernel, which has no notion of time, searches
-// with a qualification that cannot be compiled (leaf strategy functions
-// dispatched as UDRs, Section 5.2).
-func At(m Matcher, ct chronon.Instant) rtree.Matcher[temporal.Region] { return &at{m, ct} }
-
 // Compiled is a qualification compiled at one current time. Section 5.4 fixes
 // the current time per transaction, so each predicate's query region resolves
 // to the same shape for every entry: Compile resolves it once, and Leaf,
-// Internal and the covered test of AggCount resolve only the entry. The
-// answers are the reference evaluation's by construction: both apply leafTest
-// and internalTest to the entry and the query resolved at ct.
+// Internal and Covered resolve only the entry. The answers are the reference
+// evaluation's by construction: both apply leafTest and internalTest to the
+// entry and the query resolved at ct.
 type Compiled struct {
 	ct   chronon.Instant
 	root clause
@@ -135,7 +111,7 @@ type Compiled struct {
 // clause is one node of a compiled qualification: a predicate, with its query
 // resolved, when kids is empty; otherwise the AND or OR of kids.
 type clause struct {
-	op    Op
+	op    rtree.Op
 	query temporal.Shape
 	and   bool
 	kids  []clause
@@ -175,10 +151,18 @@ func (m *Compiled) Leaf(r temporal.Region) bool { return m.root.leaf(r.Resolve(m
 // Internal implements rtree.Matcher: internalTest on the resolved bound.
 func (m *Compiled) Internal(r temporal.Region) bool { return m.root.internal(r.Resolve(m.ct)) }
 
-// covers is AggCount's covered test for a single predicate: the query
-// contains the bound.
+// covers reports whether the query of a single predicate contains the bound.
 func (m *Compiled) covers(bound temporal.Region) bool {
 	return m.root.query.ContainsShape(bound.Resolve(m.ct))
+}
+
+// Covered implements the kernel's covered-subtree probe for a single
+// Overlaps or ContainedIn predicate: when the query contains the bound, every
+// leaf under it lies inside, hence overlaps, the query. Equal and Contains
+// carry no such implication.
+func (m *Compiled) Covered(bound temporal.Region) bool {
+	op := m.root.op
+	return len(m.root.kids) == 0 && (op == rtree.OpOverlaps || op == rtree.OpContainedIn) && m.covers(bound)
 }
 
 func (c *clause) leaf(s temporal.Shape) bool {

@@ -4,50 +4,29 @@ import (
 	"fmt"
 
 	"repro/internal/chronon"
+	"repro/internal/rtree"
 	"repro/internal/temporal"
 )
 
-// Op is a query predicate operator — the strategy functions of the GR-tree
-// operator class (Section 5.2): Overlaps, Equal, Contains, ContainedIn.
-type Op int
-
+// Aliases for the strategy operators that callers outside this package name;
+// the enum is rtree.Op.
 const (
-	// OpOverlaps finds extents whose regions share a cell with the query.
-	OpOverlaps Op = iota
-	// OpEqual finds extents whose regions equal the query region.
-	OpEqual
-	// OpContains finds extents whose regions contain the query region.
-	OpContains
-	// OpContainedIn finds extents whose regions lie inside the query region.
-	OpContainedIn
+	OpOverlaps    = rtree.OpOverlaps
+	OpContainedIn = rtree.OpContainedIn
 )
-
-func (o Op) String() string {
-	switch o {
-	case OpOverlaps:
-		return "Overlaps"
-	case OpEqual:
-		return "Equal"
-	case OpContains:
-		return "Contains"
-	case OpContainedIn:
-		return "ContainedIn"
-	}
-	return "?"
-}
 
 // leafTest evaluates the predicate against a leaf region — the strategy
 // function proper, operating on exact geometry: the entry and the query
 // resolved at the same current time.
-func leafTest(op Op, entry, query temporal.Shape) bool {
+func leafTest(op rtree.Op, entry, query temporal.Shape) bool {
 	switch op {
-	case OpOverlaps:
+	case rtree.OpOverlaps:
 		return entry.Overlaps(query)
-	case OpEqual:
+	case rtree.OpEqual:
 		return entry.EqualShape(query)
-	case OpContains:
+	case rtree.OpContains:
 		return entry.ContainsShape(query)
-	case OpContainedIn:
+	case rtree.OpContainedIn:
 		return query.ContainsShape(entry)
 	}
 	return false
@@ -57,13 +36,13 @@ func leafTest(op Op, entry, query temporal.Shape) bool {
 // the "internal" companion of each strategy function that Section 5.2
 // discusses (OverlapsInternal() etc., hard-coded in the prototype): it must
 // hold whenever any descendant leaf could satisfy the strategy function.
-func internalTest(op Op, bound, query temporal.Shape) bool {
+func internalTest(op rtree.Op, bound, query temporal.Shape) bool {
 	switch op {
-	case OpOverlaps, OpContainedIn:
+	case rtree.OpOverlaps, rtree.OpContainedIn:
 		// A leaf overlapping (or inside) the query overlaps it, so its
 		// ancestors' bounds do too.
 		return bound.Overlaps(query)
-	case OpEqual, OpContains:
+	case rtree.OpEqual, rtree.OpContains:
 		// A leaf equal to (or containing) the query contains it, so its
 		// ancestors' bounds contain it as well.
 		return bound.ContainsShape(query)
@@ -73,7 +52,7 @@ func internalTest(op Op, bound, query temporal.Shape) bool {
 
 // Predicate is a search qualification: an operator and a query extent.
 type Predicate struct {
-	Op    Op
+	Op    rtree.Op
 	Query temporal.Extent
 }
 
@@ -103,31 +82,23 @@ func (t *Tree) SearchAll(pred Predicate, ct chronon.Instant) ([]Payload, error) 
 }
 
 // AggCount counts the leaf entries satisfying pred at ct without visiting
-// tuples (am_aggregate). Subtrees whose bound the query contains are summed
-// whole when that implies every descendant leaf qualifies: it does for
-// Overlaps and ContainedIn (leaf ⊆ bound ⊆ query ⇒ leaf inside, hence
-// overlapping, the query); Equal and Contains carry no such implication. ok
-// is false when the query is invalid or the tree changed structurally during
-// the traversal.
+// tuples (am_aggregate); see Compiled.Covered for the subtrees it sums whole.
+// ok is false when the query is invalid or the tree changed structurally
+// during the traversal.
 func (t *Tree) AggCount(pred Predicate, ct chronon.Instant) (int64, bool, error) {
 	if !pred.Query.Valid() {
 		return 0, false, nil
 	}
-	m := pred.compile(ct)
-	var covered func(temporal.Region) bool
-	if pred.Op == OpOverlaps || pred.Op == OpContainedIn {
-		covered = m.covers
-	}
-	return t.Tree.AggCount(m, covered)
+	return t.Tree.AggCount(pred.compile(ct))
 }
 
-// regionKeyLess orders regions by the raw lexicographic instant key
-// (TTBegin, TTEnd, VTBegin, VTEnd). The chronon sentinels (NOW, UC, Forever)
-// are large int64 values, so now-relative extents deterministically sort
-// above all ground instants — the same total order the server's tuple-drain
-// comparator applies, which is what makes pushed MIN/MAX agree exactly with
-// the fallback.
-func regionKeyLess(a, b temporal.Region) bool {
+// KeyLess orders regions by the raw lexicographic instant key (TTBegin,
+// TTEnd, VTBegin, VTEnd). The chronon sentinels (NOW, UC, Forever) are large
+// int64 values, so now-relative extents deterministically sort above all
+// ground instants — the same total order the server's tuple-drain comparator
+// applies, which is what makes pushed MIN/MAX agree exactly with the
+// fallback.
+func KeyLess(a, b temporal.Region) bool {
 	if a.TTBegin != b.TTBegin {
 		return a.TTBegin < b.TTBegin
 	}
@@ -141,12 +112,12 @@ func regionKeyLess(a, b temporal.Region) bool {
 }
 
 // AggExtreme returns the minimum (wantMax=false) or maximum (wantMax=true)
-// qualifying leaf region under the raw lexicographic key. found is false when
-// no entry qualifies; ok is false when the query is invalid or the tree
-// changed structurally.
+// qualifying leaf region under KeyLess. found is false when no entry
+// qualifies; ok is false when the query is invalid or the tree changed
+// structurally.
 func (t *Tree) AggExtreme(pred Predicate, ct chronon.Instant, wantMax bool) (temporal.Region, bool, bool, error) {
 	if !pred.Query.Valid() {
 		return temporal.Region{}, false, false, nil
 	}
-	return t.Tree.AggExtreme(pred.compile(ct), regionKeyLess, wantMax)
+	return t.Tree.AggExtreme(pred.compile(ct), KeyLess, wantMax)
 }

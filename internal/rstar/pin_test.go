@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/nodestore"
+	"repro/internal/rtree"
 )
 
 // The structure pin, as in grtree: a seeded workload must leave
@@ -82,7 +83,7 @@ func pinTree(t *testing.T, tr *Tree) pinned {
 	h := sha256.New()
 	before := tr.Store().Stats().NodeReads
 	for i := 0; i < 50; i++ {
-		got, err := tr.SearchAll(Op(i%4), pinRect(rng))
+		got, err := tr.SearchAll(rtree.Op(i%4), pinRect(rng))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -147,6 +147,8 @@ func (keys) Union(a, b Rect) Rect { return a.Union(b) }
 
 func (keys) Contains(outer, inner Rect) bool { return outer.Contains(inner) }
 
+func (keys) Covers(parent, child Rect) bool { return parent.Contains(child) }
+
 func (keys) Resolve(r Rect) Rect { return r }
 
 func (keys) Centre(r Rect) (x, y float64) {
@@ -174,7 +176,8 @@ func (c Config) kernel() rtree.Config {
 }
 
 // Tree is an R*-tree over a node store; see rtree.Tree for the concurrency
-// contract. Size, Height, Store and WalkLeaves are the kernel's.
+// contract. Size, Height, Store, WalkLeaves, AggCount and AggExtreme are the
+// kernel's.
 type Tree struct {
 	*rtree.Tree[Rect]
 }
@@ -230,4 +233,4 @@ func (t *Tree) BulkLoad(items []BulkItem) error {
 }
 
 // Check validates the structural invariants.
-func (t *Tree) Check() error { return t.Tree.Check(Rect.Contains) }
+func (t *Tree) Check() error { return t.Tree.Check(keys{}.Covers) }

@@ -6,54 +6,32 @@ import (
 	"repro/internal/rtree"
 )
 
-// Op is a query operator, matching the R-tree operator class strategy
-// functions Overlap(), Equal(), Contains(), Within() (Section 5.2).
-type Op int
-
+// Aliases for the strategy operators that callers outside this package name;
+// the enum is rtree.Op.
 const (
-	// OpOverlaps finds rectangles sharing a cell with the query.
-	OpOverlaps Op = iota
-	// OpEqual finds rectangles equal to the query.
-	OpEqual
-	// OpContains finds rectangles containing the query.
-	OpContains
-	// OpContainedIn finds rectangles inside the query (Within).
-	OpContainedIn
+	OpOverlaps    = rtree.OpOverlaps
+	OpContainedIn = rtree.OpContainedIn
 )
 
-func (o Op) String() string {
-	switch o {
-	case OpOverlaps:
-		return "Overlap"
-	case OpEqual:
-		return "Equal"
-	case OpContains:
-		return "Contains"
-	case OpContainedIn:
-		return "Within"
-	}
-	return "?"
-}
-
-func leafTest(op Op, r, q Rect) bool {
+func leafTest(op rtree.Op, r, q Rect) bool {
 	switch op {
-	case OpOverlaps:
+	case rtree.OpOverlaps:
 		return r.Overlaps(q)
-	case OpEqual:
+	case rtree.OpEqual:
 		return r == q
-	case OpContains:
+	case rtree.OpContains:
 		return r.Contains(q)
-	case OpContainedIn:
+	case rtree.OpContainedIn:
 		return q.Contains(r)
 	}
 	return false
 }
 
-func internalTest(op Op, bound, q Rect) bool {
+func internalTest(op rtree.Op, bound, q Rect) bool {
 	switch op {
-	case OpOverlaps, OpContainedIn:
+	case rtree.OpOverlaps, rtree.OpContainedIn:
 		return bound.Overlaps(q)
-	case OpEqual, OpContains:
+	case rtree.OpEqual, rtree.OpContains:
 		return bound.Contains(q)
 	}
 	return false
@@ -61,15 +39,21 @@ func internalTest(op Op, bound, q Rect) bool {
 
 // query is a search qualification: an operator and a query rectangle.
 type query struct {
-	op Op
+	op rtree.Op
 	q  Rect
 }
 
 func (m *query) Leaf(r Rect) bool     { return leafTest(m.op, r, m.q) }
 func (m *query) Internal(r Rect) bool { return internalTest(m.op, r, m.q) }
 
+// Covered is the kernel's covered-subtree probe: under Overlaps and
+// ContainedIn every rectangle inside a bound the query contains qualifies.
+func (m *query) Covered(bound Rect) bool {
+	return (m.op == rtree.OpOverlaps || m.op == rtree.OpContainedIn) && m.q.Contains(bound)
+}
+
 // Query returns the kernel matcher for op against the query rectangle.
-func Query(op Op, q Rect) (rtree.Matcher[Rect], error) {
+func Query(op rtree.Op, q Rect) (rtree.Matcher[Rect], error) {
 	if q.Empty() {
 		return nil, fmt.Errorf("rstar: empty query rectangle %v", q)
 	}
@@ -77,7 +61,7 @@ func Query(op Op, q Rect) (rtree.Matcher[Rect], error) {
 }
 
 // Search creates a cursor for op against the query rectangle.
-func (t *Tree) Search(op Op, q Rect) (*Cursor, error) {
+func (t *Tree) Search(op rtree.Op, q Rect) (*Cursor, error) {
 	m, err := Query(op, q)
 	if err != nil {
 		return nil, err
@@ -86,7 +70,7 @@ func (t *Tree) Search(op Op, q Rect) (*Cursor, error) {
 }
 
 // SearchAll runs the query to completion (tests and benchmarks).
-func (t *Tree) SearchAll(op Op, q Rect) ([]Payload, error) {
+func (t *Tree) SearchAll(op rtree.Op, q Rect) ([]Payload, error) {
 	cur, err := t.Search(op, q)
 	if err != nil {
 		return nil, err
@@ -94,28 +78,11 @@ func (t *Tree) SearchAll(op Op, q Rect) ([]Payload, error) {
 	return cur.All()
 }
 
-// AggCount counts qualifying leaf entries without visiting tuples
-// (am_aggregate). The rstblade only offers it when the index holds ground
-// (substitution-free) rectangles, so the stored geometry is exact. Subtrees
-// the query contains are summed whole for Overlap and Within, where that
-// implies every descendant leaf qualifies. ok is false when the query is
-// empty or the tree changed structurally mid-traversal.
-func (t *Tree) AggCount(op Op, q Rect) (int64, bool, error) {
-	if q.Empty() {
-		return 0, false, nil
-	}
-	var covered func(Rect) bool
-	if op == OpOverlaps || op == OpContainedIn {
-		covered = q.Contains
-	}
-	return t.Tree.AggCount(&query{op, q}, covered)
-}
-
-// rectKeyLess orders rectangles lexicographically by (XMin, XMax, YMin,
-// YMax) — the rstblade maps (TTBegin, TTEnd, VTBegin, VTEnd) onto these
-// coordinates, so this is the same total order the GR-tree and the server's
-// tuple-drain comparator use.
-func rectKeyLess(a, b Rect) bool {
+// KeyLess orders rectangles lexicographically by (XMin, XMax, YMin, YMax) —
+// the rstblade maps (TTBegin, TTEnd, VTBegin, VTEnd) onto these coordinates,
+// so this is the same total order the GR-tree and the server's tuple-drain
+// comparator use for MIN/MAX.
+func KeyLess(a, b Rect) bool {
 	if a.XMin != b.XMin {
 		return a.XMin < b.XMin
 	}
@@ -126,25 +93,4 @@ func rectKeyLess(a, b Rect) bool {
 		return a.YMin < b.YMin
 	}
 	return a.YMax < b.YMax
-}
-
-// AggExtreme returns the minimum (wantMax=false) or maximum (wantMax=true)
-// qualifying leaf rectangle under the lexicographic key. found is false when
-// nothing qualifies; ok is false when the query is empty or the tree changed
-// structurally.
-func (t *Tree) AggExtreme(op Op, q Rect, wantMax bool) (Rect, bool, bool, error) {
-	if q.Empty() {
-		return Rect{}, false, false, nil
-	}
-	return t.Tree.AggExtreme(&query{op, q}, rectKeyLess, wantMax)
-}
-
-// LevelStats aggregates one level for the goodness measures.
-type LevelStats = rtree.LevelStats
-
-// Stats walks the tree computing structure, area, and overlap per level,
-// leaves first.
-func (t *Tree) Stats() ([]LevelStats, error) {
-	levels, _, err := rtree.Levels(t.Tree, keys{}.Bound, keys{}.Resolve)
-	return levels, err
 }

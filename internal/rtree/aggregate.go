@@ -23,14 +23,13 @@ func (t *Tree[B]) stable(traverse func() error) (bool, error) {
 }
 
 // AggCount counts the leaf entries satisfying m without visiting tuples.
-// Subtrees for whose bound covered holds are summed without per-entry
-// evaluation — the key class passes a covered test only when "the query
-// contains the bound" implies every descendant leaf qualifies, and nil
-// otherwise; partially covered subtrees descend with the internal pruning
+// When m implements Covered, subtrees it covers are summed without
+// per-entry evaluation; other subtrees descend with the internal pruning
 // test and evaluate leaves exactly. ok is false when the tree changed
 // structurally during the traversal.
-func (t *Tree[B]) AggCount(m Matcher[B], covered func(B) bool) (count int64, ok bool, err error) {
+func (t *Tree[B]) AggCount(m Matcher[B]) (count int64, ok bool, err error) {
 	r := t.newReader()
+	covered, _ := m.(interface{ Covered(B) bool })
 	// countAll sums the leaf entries of a fully-covered subtree, skipping
 	// predicate evaluation entirely.
 	countAll := func(_ nodestore.NodeID, level int, entries []Entry[B]) error {
@@ -52,7 +51,7 @@ func (t *Tree[B]) AggCount(m Matcher[B], covered func(B) bool) (count int64, ok 
 					count++
 				}
 			case !m.Internal(e.Bound):
-			case covered != nil && covered(e.Bound):
+			case covered != nil && covered.Covered(e.Bound):
 				if err := r.walk(e.Child(), depth+1, countAll); err != nil {
 					return err
 				}

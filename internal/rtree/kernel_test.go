@@ -18,13 +18,14 @@ import (
 
 // The kernel's structural behaviour — packing, condensing, restarting,
 // partitioning, counting — is asserted once, here, and run over both key
-// classes. Each class reaches the kernel the way its callers do, through its
-// façade; what comes back (trees, cursors, partitionings) are kernel types.
+// classes. Each class reaches the kernel the way its callers do: through its
+// façade, or through the kernel's entry points with the class's matcher; what
+// comes back (trees, cursors, partitionings) are kernel types.
 // What is about a class's geometry (growing bounds, stair shapes, rectangle
 // algebra) is tested in its own package.
 
-// op numbers the four strategy functions as both façades do: Overlaps,
-// Equal, Contains, ContainedIn.
+// op numbers the four strategy functions as rtree.Op does: Overlaps, Equal,
+// Contains, ContainedIn.
 const nOps = 4
 
 // tree is one façade tree seen through kernel types.
@@ -62,7 +63,7 @@ func extentOf(r temporal.Region) temporal.Extent {
 
 func grtTree(t *grtree.Tree, err error) (tree[temporal.Region], error) {
 	pred := func(op int, q temporal.Region) grtree.Predicate {
-		return grtree.Predicate{Op: grtree.Op(op), Query: extentOf(q)}
+		return grtree.Predicate{Op: rtree.Op(op), Query: extentOf(q)}
 	}
 	if err != nil {
 		return tree[temporal.Region]{}, err
@@ -84,7 +85,7 @@ func grtTree(t *grtree.Tree, err error) (tree[temporal.Region], error) {
 		},
 		check: func() error { return t.Check(grtCT) },
 		search: func(op int, q temporal.Region) *rtree.Cursor[temporal.Region] {
-			return t.Tree.Search(grtree.At(pred(op, q), grtCT))
+			return t.Tree.Search(reference{pred(op, q)})
 		},
 		parallel: func(op int, q temporal.Region, degree int) (*rtree.ParallelScan[temporal.Region], error) {
 			return t.ParallelScan(pred(op, q), grtCT, degree)
@@ -95,6 +96,14 @@ func grtTree(t *grtree.Tree, err error) (tree[temporal.Region], error) {
 		},
 	}, nil
 }
+
+// reference searches with a GR-tree predicate's reference evaluation at
+// grtCT, entry by entry, as the kernel searches with any matcher that cannot
+// be compiled.
+type reference struct{ p grtree.Predicate }
+
+func (m reference) Leaf(r temporal.Region) bool     { return m.p.LeafMatch(r, grtCT) }
+func (m reference) Internal(r temporal.Region) bool { return m.p.InternalMatch(r, grtCT) }
 
 func grtConfig(cfg rtree.Config) grtree.Config {
 	return grtree.Config{
@@ -134,11 +143,21 @@ var grtClass = class[temporal.Region]{
 	random:     grtRandom,
 	everything: temporal.Extent{TTBegin: 0, TTEnd: chronon.UC, VTBegin: 0, VTEnd: chronon.NOW}.Region(),
 	match: func(op int, b, q temporal.Region) bool {
-		return grtree.Predicate{Op: grtree.Op(op), Query: extentOf(q)}.Match(extentOf(b), grtCT)
+		return grtree.Predicate{Op: rtree.Op(op), Query: extentOf(q)}.Match(extentOf(b), grtCT)
 	},
 	key: func(r temporal.Region) [4]int64 {
 		return [4]int64{int64(r.TTBegin), int64(r.TTEnd), int64(r.VTBegin), int64(r.VTEnd)}
 	},
+}
+
+// rstQuery is the kernel matcher of an R*-tree query; the classes draw no
+// empty query rectangles.
+func rstQuery(op int, q rstar.Rect) rtree.Matcher[rstar.Rect] {
+	m, err := rstar.Query(rtree.Op(op), q)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func rstTree(t *rstar.Tree, err error) (tree[rstar.Rect], error) {
@@ -158,22 +177,14 @@ func rstTree(t *rstar.Tree, err error) (tree[rstar.Rect], error) {
 		},
 		check: t.Check,
 		search: func(op int, q rstar.Rect) *rtree.Cursor[rstar.Rect] {
-			cur, err := t.Search(rstar.Op(op), q)
-			if err != nil {
-				panic(err) // the classes draw no empty queries
-			}
-			return cur
+			return t.Tree.Search(rstQuery(op, q))
 		},
 		parallel: func(op int, q rstar.Rect, degree int) (*rtree.ParallelScan[rstar.Rect], error) {
-			m, err := rstar.Query(rstar.Op(op), q)
-			if err != nil {
-				return nil, err
-			}
-			return t.Tree.ParallelScan(m, degree)
+			return t.Tree.ParallelScan(rstQuery(op, q), degree)
 		},
-		count: func(op int, q rstar.Rect) (int64, bool, error) { return t.AggCount(rstar.Op(op), q) },
+		count: func(op int, q rstar.Rect) (int64, bool, error) { return t.Tree.AggCount(rstQuery(op, q)) },
 		extreme: func(op int, q rstar.Rect, wantMax bool) (rstar.Rect, bool, bool, error) {
-			return t.AggExtreme(rstar.Op(op), q, wantMax)
+			return t.Tree.AggExtreme(rstQuery(op, q), rstar.KeyLess, wantMax)
 		},
 	}, nil
 }
@@ -196,12 +207,12 @@ var rstClass = class[rstar.Rect]{
 	},
 	everything: rstar.Rect{XMin: 0, XMax: 1 << 40, YMin: 0, YMax: 1 << 40},
 	match: func(op int, r, q rstar.Rect) bool {
-		switch rstar.Op(op) {
-		case rstar.OpOverlaps:
+		switch rtree.Op(op) {
+		case rtree.OpOverlaps:
 			return r.Overlaps(q)
-		case rstar.OpEqual:
+		case rtree.OpEqual:
 			return r == q
-		case rstar.OpContains:
+		case rtree.OpContains:
 			return r.Contains(q)
 		}
 		return q.Contains(r)
@@ -711,5 +722,17 @@ func testAggregates[B comparable](t *testing.T, c class[B]) {
 	leaves := 0
 	if err := tr.WalkLeaves(func(rtree.Entry[B]) error { leaves++; return nil }); err != nil || leaves != tr.Size() {
 		t.Fatalf("WalkLeaves visited %d of %d entries (%v)", leaves, tr.Size(), err)
+	}
+}
+
+// TestOpNames: every operator class names its strategy functions as SQL does.
+func TestOpNames(t *testing.T) {
+	for op, want := range map[rtree.Op]string{
+		rtree.OpOverlaps: "Overlaps", rtree.OpEqual: "Equal", rtree.OpContains: "Contains",
+		rtree.OpContainedIn: "ContainedIn", rtree.Op(-1): "?", rtree.Op(nOps): "?",
+	} {
+		if got := op.String(); got != want {
+			t.Errorf("Op(%d).String() = %q, want %q", int(op), got, want)
+		}
 	}
 }

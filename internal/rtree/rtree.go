@@ -1,20 +1,21 @@
-// Package rtree is the R*-tree kernel shared by the GR-tree (internal/grtree)
-// and the R*-tree (internal/rstar): the paper builds the GR-tree as an
-// R*-tree variant and closes (Section 7) by proposing one generic extensible
-// tree specialised by operator classes. The kernel owns everything the two
-// trees share — node page framing and latching, the meta page, the R* insert
-// skeleton (descend, overflow → forced reinsertion once per level → split →
-// grow root), deletion with the three Section 5.5 condense policies, the
-// epoch-restarting cursor, the root-fan-out parallel scan, STR bulk loading,
-// covered-subtree aggregation and the structural invariant check — and is
-// generic over the bound type B stored in node entries.
+// Package rtree is the R*-tree kernel under the GR-tree (internal/grtree),
+// the R*-tree (internal/rstar) and the GiST (internal/gist): the paper builds
+// the GR-tree as an R*-tree variant and closes (Section 7) by proposing one
+// generic extensible tree specialised by operator classes. The kernel owns
+// everything the trees share — node page framing and latching, the meta page,
+// the R* insert skeleton (descend, overflow → forced reinsertion once per
+// level → split → grow root), deletion with the three Section 5.5 condense
+// policies, the epoch-restarting cursor, the root-fan-out parallel scan, STR
+// bulk loading, covered-subtree aggregation, per-level statistics and the
+// structural invariant check — and is generic over the bound type B stored in
+// node entries.
 //
-// What differs between the trees is supplied per operation as a key class:
-// a Format (entry codec and magic numbers), Keys (bounding, containment and
-// the geometry ChooseSubtree, split, reinsertion and STR sort by) and a
-// Matcher (the leaf and internal qualification tests). The kernel has no
-// notion of time: the GR-tree builds its Keys and Matcher per call from the
-// current time, the R*-tree passes stateless ones.
+// What differs between the trees is supplied per operation as a key class: a
+// Format (entry codec and magic numbers), Keys (bounding, containment, the
+// check's Covers, and the geometry the R* heuristics score) and a Matcher
+// (the leaf and internal qualification tests over the strategy operators Op,
+// and optionally Covered). The kernel has no notion of time: the GR-tree
+// builds its Keys and Matcher per call from the current time.
 package rtree
 
 import (
@@ -61,6 +62,10 @@ type Keys[B any, S Shape[S]] interface {
 	// Contains reports whether outer contains inner (the descent test of a
 	// deletion looking for its leaf).
 	Contains(outer, inner B) bool
+	// Covers reports whether a parent bound covers a child bound: the
+	// invariant Check holds every entry to. It may be stricter than
+	// Contains, e.g. containment now and at every later time.
+	Covers(parent, child B) bool
 	// Resolve returns the shape a bound is scored by.
 	Resolve(b B) S
 	// Centre is the point forced reinsertion measures distances from and
@@ -73,10 +78,36 @@ type Keys[B any, S Shape[S]] interface {
 
 // Matcher is a search qualification: Leaf is the exact strategy test on a
 // data bound; Internal is the pruning test on a bounding entry and must hold
-// whenever any descendant leaf could match.
+// whenever any descendant leaf could match. A matcher may also implement
+// Covered(b B) bool, true only when every leaf under the bounding entry b
+// matches; AggCount then counts such a subtree without testing its leaves.
 type Matcher[B any] interface {
 	Leaf(b B) bool
 	Internal(b B) bool
+}
+
+// Op is a strategy operator: the four strategy functions of the operator
+// classes (Section 5.2). Each key class decides what they mean for its
+// bounds.
+type Op int
+
+const (
+	// OpOverlaps matches bounds sharing a cell with the query.
+	OpOverlaps Op = iota
+	// OpEqual matches bounds equal to the query.
+	OpEqual
+	// OpContains matches bounds containing the query.
+	OpContains
+	// OpContainedIn matches bounds inside the query.
+	OpContainedIn
+)
+
+// String returns the strategy function's SQL name.
+func (o Op) String() string {
+	if o < OpOverlaps || o > OpContainedIn {
+		return "?"
+	}
+	return [...]string{"Overlaps", "Equal", "Contains", "ContainedIn"}[o]
 }
 
 // Format is the on-page half of a key class. A node page is

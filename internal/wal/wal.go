@@ -123,7 +123,7 @@ type Log struct {
 	written  int64 // records below this are in the file
 	flushed  int64 // records below this are durable
 	pending  []byte
-	writing  []byte // owned by an in-flight flush (ioMu holder)
+	writing  []byte         // owned by an in-flight flush (ioMu holder)
 	lastLSN  map[uint64]LSN // per-transaction undo chain heads
 	firstLSN map[uint64]LSN // per-transaction first record (truncation floor)
 	nparked  int            // commits currently parked on the flusher

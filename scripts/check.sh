@@ -1,8 +1,8 @@
 #!/bin/sh
-# Static checks plus the race-sensitive packages under the race detector:
-# the sharded buffer pool, the version-chained heap and its page latches,
-# sbspace's latched large-object pages, the node stores (concurrent views),
-# the lock manager's deadlock detection, the purpose-function framework,
+# A gofmt gate, then static checks plus the race-sensitive packages under the
+# race detector: the sharded buffer pool, the version-chained heap and its page
+# latches, sbspace's latched large-object pages, the node stores (concurrent
+# views), the lock manager's deadlock detection, the purpose-function framework,
 # the batched scan pipeline, the shared R-tree kernel (parallel walk and
 # latch crabbing) and the three key classes on it (GR-tree, R*-tree, GiST),
 # the blades and the purpose-function scaffold under them
@@ -20,6 +20,14 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would rewrite:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
@@ -53,6 +61,14 @@ go test -race -count=5 -run TestDeleteAgreesOnTheBatchPath ./internal/blades/tre
 echo "== go test -race -count=5 exactness"
 go test -race -count=5 -run TestExactFlagIsTrustedOnlyWhereTrue ./internal/engine
 go test -race -count=5 -run TestRecheckRunsUnlessTheAnswerIsExact ./internal/blades/treeblade
+
+# am_check holds every entry to its key class's Covers, and am_aggregate pushes
+# exactly where each binding's Aggregable says: a child escaping its parent
+# must fail the kernel's check and CHECK INDEX in every key class, and every
+# aggregate, pushed or declined, must equal a sequential scan.
+echo "== go test -race -count=3 check invariant + aggregate conformance"
+go test -race -count=3 -run TestCheckCatchesAnEscapingChild ./internal/rtree
+go test -race -count=3 -run 'TestCheckIndexCatchesAnEscapingChild|TestAggregateConformance' ./internal/blades/treeblade
 
 # Crash recovery: redo's page writes may evict dirty pages, whose flush hook
 # forces the log while the redo scan is reading it. Both regressions hung

@@ -97,8 +97,8 @@ func (k *Kernel[B, S, T]) BeginScan(ctx *mi.Context, sd *am.ScanDesc) error {
 // ParallelScan implements am_parallelscan: offered a degree, it asks the tree
 // for a root fan-out partitioning of the scan's qualification and, when the
 // tree accepts, returns one partition ScanDesc per worker, each carrying its
-// own PartCursor. The parent descriptor's UserData is replaced by the
-// ParallelScan itself so am_rescan can re-seed the shared work queue and
+// own cursor over the shared work queue. The parent descriptor's UserData is
+// replaced by the ParallelScan itself so am_rescan can re-seed the queue and
 // am_endscan tears the whole partitioning down.
 func (k *Kernel[B, S, T]) ParallelScan(ctx *mi.Context, sd *am.ScanDesc, degree int) ([]*am.ScanDesc, error) {
 	st, err := k.State(sd.Index)
@@ -173,11 +173,9 @@ func (k *Kernel[B, S, T]) GetNext(ctx *mi.Context, sd *am.ScanDesc) (heap.RowID,
 // each visited leaf node's matches in a single pass — into the server's batch
 // buffer. Returning fewer entries than the batch holds signals exhaustion.
 func (k *Kernel[B, S, T]) GetMulti(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
-	// The descriptor holds either the serial cursor or, on a parallel
-	// partition descriptor, a PartCursor — both fill a buffer of their own.
-	cur, ok := sd.UserData.(interface {
-		Fill(int) ([]rtree.Entry[B], error)
-	})
+	// The descriptor holds the serial cursor or, on a parallel partition
+	// descriptor, a cursor over the partitioning's shared queue.
+	cur, ok := sd.UserData.(*rtree.Cursor[B])
 	if !ok {
 		return 0, fmt.Errorf("%s: getmulti without beginscan", k.Blade)
 	}

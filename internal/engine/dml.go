@@ -39,15 +39,20 @@ func (s *Session) writeTable(name string) (*catalog.Table, *heap.Table, error) {
 	return tb, table, nil
 }
 
-// openIndexes opens every index on a table for the statement (Figure 6:
-// am_open at statement start, am_close at the end) and returns a closer.
+// openIndex is one index opened for the statement.
 type openIndex struct {
 	ix   *catalog.Index
 	desc *am.IndexDesc
 	ps   *am.PurposeSet
 }
 
-func (s *Session) openIndexes(table string, readOnly bool) ([]openIndex, func(), error) {
+// openIndexes opens the ready indexes on a table for the statement (Figure 6:
+// am_open at statement start, am_close at the end) and returns a closer.
+// only, when set, names the one index to open: a cached plan's chosen index.
+// Its absence is an error — the plan cannot be honoured against the live
+// catalog (the index vanished inside the cache-probe window), and the caller
+// must plan fresh.
+func (s *Session) openIndexes(table string, readOnly bool, only string) ([]openIndex, func(), error) {
 	var opened []openIndex
 	closeAll := func() {
 		for i := len(opened) - 1; i >= 0; i-- {
@@ -58,6 +63,9 @@ func (s *Session) openIndexes(table string, readOnly bool) ([]openIndex, func(),
 		if !ix.Ready() {
 			// A BUILDING index is invisible: the planner cannot use it and
 			// DML maintenance flows through its side log only (idxbuild.go).
+			continue
+		}
+		if only != "" && !strings.EqualFold(ix.Name, only) {
 			continue
 		}
 		desc, ps, err := s.indexDesc(ix)
@@ -71,6 +79,9 @@ func (s *Session) openIndexes(table string, readOnly bool) ([]openIndex, func(),
 			return nil, nil, err
 		}
 		opened = append(opened, openIndex{ix: ix, desc: desc, ps: ps})
+	}
+	if only != "" && len(opened) == 0 {
+		return nil, nil, errf(CodeInternal, "cached plan's index %q is gone", only)
 	}
 	return opened, closeAll, nil
 }
@@ -100,7 +111,7 @@ func (s *Session) insert(t *sql.Insert) (*Result, error) {
 		}
 	}
 
-	idxs, closeAll, err := s.openIndexes(tb.Name, false)
+	idxs, closeAll, err := s.openIndexes(tb.Name, false, "")
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +167,7 @@ func (s *Session) indexInsert(idxs []openIndex, builds []*indexBuild, rid heap.R
 			return err
 		}
 	}
-	s.captureSide(builds, true, rid, row)
+	s.captureSide(builds, rid, row)
 	return nil
 }
 
@@ -177,7 +188,7 @@ func (s *Session) load(t *sql.Load) (*Result, error) {
 	if err != nil {
 		return nil, errf(CodeIOError, "LOAD: %w", err)
 	}
-	idxs, closeAll, err := s.openIndexes(tb.Name, false)
+	idxs, closeAll, err := s.openIndexes(tb.Name, false, "")
 	if err != nil {
 		return nil, err
 	}

@@ -71,10 +71,6 @@ type Options struct {
 	// TraceWriter receives mi trace output (SET TRACE; Section 6.4). Nil
 	// discards traces.
 	TraceWriter io.Writer
-	// PlanCacheSize bounds the shared plan cache (entries; default
-	// plancache.DefaultCap). The cache is engine-wide: prepared statements
-	// and auto-parameterized ad-hoc statements from every session share it.
-	PlanCacheSize int
 }
 
 // Engine is one database instance.
@@ -325,7 +321,7 @@ func (e *Engine) registerCoreCounters() {
 	e.sqlParses = e.obs.Counter("sql.parses")
 	e.sqlParseNs = e.obs.Counter("sql.parse_ns")
 	e.planNs = e.obs.Counter("sql.plan_ns")
-	e.planCache = plancache.New(e.opts.PlanCacheSize, plancache.Stats{
+	e.planCache = plancache.New(plancache.DefaultCap, plancache.Stats{
 		Hit:        e.obs.Counter("plan_cache.hits").Inc,
 		Miss:       e.obs.Counter("plan_cache.misses").Inc,
 		Invalidate: e.obs.Counter("plan_cache.invalidations").Inc,

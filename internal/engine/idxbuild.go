@@ -42,13 +42,14 @@ import (
 	"repro/internal/types"
 )
 
-// sideOp is one captured DML change relevant to a building index: the row
-// id plus the indexed-column projection (an UPDATE captures as a delete of
-// the old projection followed by an insert of the new one).
+// sideOp is one captured DML change relevant to a building index: a new
+// version's row id plus its indexed-column projection. INSERT, LOAD and the
+// new version of an UPDATE are captured; a DELETE or an UPDATE's old version
+// is not, because index maintenance is deferred — the entry stays until the
+// vacuum removes it, as it does in every ready index.
 type sideOp struct {
-	insert bool
-	rid    heap.RowID
-	vals   []types.Datum
+	rid  heap.RowID
+	vals []types.Datum
 }
 
 // indexBuild is one in-flight online build: the side log plus the
@@ -136,11 +137,11 @@ func (e *Engine) activeBuilds(table string) []*indexBuild {
 
 // captureSide queues one side-log entry on the session, to be flushed at
 // commit or dropped at rollback.
-func (s *Session) captureSide(builds []*indexBuild, insert bool, rid heap.RowID, row []types.Datum) {
+func (s *Session) captureSide(builds []*indexBuild, rid heap.RowID, row []types.Datum) {
 	for _, b := range builds {
 		s.pendingSide = append(s.pendingSide, pendingSideOp{
 			b:  b,
-			op: sideOp{insert: insert, rid: rid, vals: projectIndexed(b.desc, row)},
+			op: sideOp{rid: rid, vals: projectIndexed(b.desc, row)},
 		})
 	}
 }
@@ -271,26 +272,14 @@ func (s *Session) replaySide(b *indexBuild, ps *am.PurposeSet) (int, error) {
 			return n, nil
 		}
 		for _, op := range ops {
-			if op.insert {
-				if ps.Insert == nil {
-					return n, errf(CodeFeature, "access method %s cannot insert", b.desc.AmName)
-				}
-				s.amCall("am_insert", b.desc.Name)
-				err := ps.Insert(s.ctx, b.desc, op.vals, op.rid)
-				s.ctx.EndFunction()
-				if err != nil {
-					return n, err
-				}
-			} else {
-				if ps.Delete == nil {
-					return n, errf(CodeFeature, "access method %s cannot delete", b.desc.AmName)
-				}
-				s.amCall("am_delete", b.desc.Name)
-				err := ps.Delete(s.ctx, b.desc, op.vals, op.rid)
-				s.ctx.EndFunction()
-				if err != nil {
-					return n, err
-				}
+			if ps.Insert == nil {
+				return n, errf(CodeFeature, "access method %s cannot insert", b.desc.AmName)
+			}
+			s.amCall("am_insert", b.desc.Name)
+			err := ps.Insert(s.ctx, b.desc, op.vals, op.rid)
+			s.ctx.EndFunction()
+			if err != nil {
+				return n, err
 			}
 			n++
 		}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/am"
 	"repro/internal/catalog"
 	"repro/internal/heap"
+	"repro/internal/mi"
 	"repro/internal/obs"
 	"repro/internal/sql"
 	"repro/internal/types"
@@ -24,7 +25,7 @@ type rowBatch struct {
 	rows [][]types.Datum
 }
 
-// batchIterator is a pull-based batch source. next returns nil when the
+// batchIterator is a pull-based batch stream. next returns nil when the
 // scan is exhausted; close releases scan resources (am_endscan for index
 // scans) and must be called exactly once.
 type batchIterator interface {
@@ -32,44 +33,38 @@ type batchIterator interface {
 	close()
 }
 
-// heapBatchIter adapts the heap's batched sequential scanner.
-type heapBatchIter struct {
-	sc    *heap.Scanner
-	batch int
-	ec    *obs.ExecContext
+// source is one access path's row producer: each call returns the next
+// batch of visible rows, or nil at exhaustion. A serial scan pulls one on the
+// session's context; a parallel scan gives each worker one partition's source
+// and its own context (startParallel).
+type source func(*mi.Context) (*rowBatch, error)
+
+// serialIter pulls a source on the statement's own context.
+type serialIter struct {
+	ctx *mi.Context
+	src source
+	end func() // am_endscan of an index scan; nil for the heap
 }
 
-func newHeapBatchIter(table *heap.Table, batch int, ec *obs.ExecContext, snap *heap.Snapshot) *heapBatchIter {
-	return &heapBatchIter{sc: table.NewScanner(snap), batch: batch, ec: ec}
-}
+func (it *serialIter) next() (*rowBatch, error) { return it.src(it.ctx) }
 
-func (it *heapBatchIter) next() (*rowBatch, error) {
-	rb, err := it.sc.NextBatch(it.batch)
-	if err != nil || rb == nil {
-		return nil, err
+func (it *serialIter) close() {
+	if it.end != nil {
+		it.end()
+		it.end = nil
 	}
-	it.ec.AddScanned(len(rb.Rows))
-	return &rowBatch{rids: rb.RowIDs, rows: rb.Rows}, nil
 }
 
-func (it *heapBatchIter) close() {}
-
-// indexBatchIter drives the batched virtual-index protocol: am_beginscan,
-// am_getmulti* (or am_getnext* through the adapter when the access method
-// binds no am_getmulti), am_endscan. The server proposes the batch
-// capacity before am_beginscan; the access method may adjust it there
-// (negotiation), and the batch buffer is allocated to the agreed size on
-// the first fill. Returned rowids are resolved against the heap before the
-// batch moves downstream.
-type indexBatchIter struct {
-	s      *Session
-	oi     *openIndex
-	table  *heap.Table
-	sd     *am.ScanDesc
-	fill   am.AmGetMultiFunc
-	native bool
-	done   bool
-	closed bool
+// heapSource reads the heap's batched sequential scanner.
+func heapSource(sc *heap.Scanner, batch int, ec *obs.ExecContext) source {
+	return func(*mi.Context) (*rowBatch, error) {
+		rb, err := sc.NextBatch(batch)
+		if err != nil || rb == nil {
+			return nil, err
+		}
+		ec.AddScanned(len(rb.Rows))
+		return &rowBatch{rids: rb.RowIDs, rows: rb.Rows}, nil
+	}
 }
 
 // beginScan builds the scan descriptor with the server's batch-capacity
@@ -88,67 +83,62 @@ func (s *Session) beginScan(oi *openIndex, qual *am.Qual, batch int, snap *heap.
 	return sd, nil
 }
 
-// newIndexBatchIter builds the serial iterator around a scan descriptor
-// whose am_beginscan has already run (the normal path, and the fallback when
-// am_parallelscan declines the degree offer).
-func (s *Session) newIndexBatchIter(oi *openIndex, table *heap.Table, sd *am.ScanDesc) *indexBatchIter {
-	it := &indexBatchIter{s: s, oi: oi, table: table, sd: sd}
-	if oi.ps.GetMulti != nil {
-		it.native = true
-		it.fill = oi.ps.GetMulti
+// indexSource drives the batched virtual-index protocol on a descriptor
+// whose am_beginscan has run — the serial scan's, or one partition of a
+// parallel one: am_getmulti, or am_getnext through the adapter when the
+// access method binds no am_getmulti. The batch buffer is allocated to the
+// capacity agreed at am_beginscan on the first fill, and returned rowids are
+// resolved against the heap before the batch moves downstream.
+func (s *Session) indexSource(oi *openIndex, table *heap.Table, sd *am.ScanDesc) source {
+	name := oi.desc.Name
+	var fill am.AmGetMultiFunc
+	if getMulti := oi.ps.GetMulti; getMulti != nil {
+		fill = func(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
+			s.amCall("am_getmulti", name)
+			n, err := getMulti(ctx, sd)
+			ctx.EndFunction()
+			return n, err
+		}
 	} else {
 		// Getnext-only access method (only am_getnext is mandatory): the
 		// adapter fills the batch by repeated am_getnext calls, each traced
 		// individually so the legacy Figure 6(b) sequence stays observable.
-		it.fill = am.AdaptGetNext(oi.ps.GetNext,
-			func() { s.amCall("am_getnext", oi.desc.Name) },
+		fill = am.AdaptGetNext(oi.ps.GetNext,
+			func() { s.amCall("am_getnext", name) },
 			func() { s.ctx.EndFunction() })
 	}
-	return it
-}
-
-func (it *indexBatchIter) next() (*rowBatch, error) {
-	// Loop until a batch yields visible rows or the scan is exhausted —
-	// a loop, not a tail call, so a long run of dead or out-of-snapshot
-	// index entries (heavily updated, not-yet-vacuumed table) cannot grow
-	// the stack.
-	for !it.done {
-		sd := it.sd
-		var n int
-		var err error
-		if it.native {
-			it.s.amCall("am_getmulti", it.oi.desc.Name)
-			n, err = am.FillFrom(it.s.ctx, sd, it.fill)
-			it.s.ctx.EndFunction()
-		} else {
-			n, err = am.FillFrom(it.s.ctx, sd, it.fill)
+	done := false
+	return func(ctx *mi.Context) (*rowBatch, error) {
+		// Loop until a batch yields visible rows or the scan is exhausted —
+		// a loop, not a tail call, so a long run of dead or out-of-snapshot
+		// index entries (heavily updated, not-yet-vacuumed table) cannot grow
+		// the stack.
+		for !done {
+			n, err := am.FillFrom(ctx, sd, fill)
+			if err != nil {
+				return nil, err
+			}
+			done = n < sd.Batch.Cap() // a short batch signals exhaustion
+			if n == 0 {
+				break
+			}
+			rb, err := resolveBatch(oi, table, sd, n)
+			if err != nil {
+				return nil, err
+			}
+			if len(rb.rows) > 0 {
+				return rb, nil
+			}
+			// Whole batch invisible: pull the next one.
 		}
-		if err != nil {
-			return nil, err
-		}
-		if n < sd.Batch.Cap() {
-			it.done = true // a short batch signals exhaustion
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		rb, err := resolveBatch(it.oi, it.table, sd, n)
-		if err != nil {
-			return nil, err
-		}
-		if len(rb.rows) > 0 {
-			return rb, nil
-		}
-		// Whole batch invisible: pull the next one.
+		return nil, nil
 	}
-	return nil, nil
 }
 
 // resolveBatch resolves the n rowids a fill left in sd.Batch against the
 // heap under the scan's snapshot: versions the snapshot cannot see are
 // dropped here (the index reflects write-time state; visibility is decided at
 // rid→row resolution), and so are entries whose cell the vacuum reclaimed.
-// Serial iterators and parallel workers share it.
 func resolveBatch(oi *openIndex, table *heap.Table, sd *am.ScanDesc, n int) (*rowBatch, error) {
 	rb := &rowBatch{
 		rids: make([]heap.RowID, 0, n),
@@ -170,15 +160,7 @@ func resolveBatch(oi *openIndex, table *heap.Table, sd *am.ScanDesc, n int) (*ro
 	return rb, nil
 }
 
-func (it *indexBatchIter) close() {
-	if it.closed {
-		return
-	}
-	it.closed = true
-	it.s.endScan(it.oi, it.sd)
-}
-
-// endScan runs am_endscan on a descriptor (serial iterators and the parent
+// endScan runs am_endscan on a descriptor (a serial scan's, or the parent
 // descriptor of a parallel scan after its workers have exited).
 func (s *Session) endScan(oi *openIndex, sd *am.ScanDesc) {
 	if oi.ps.EndScan != nil {
@@ -255,19 +237,15 @@ func (s *Session) openBatchScan(tb *catalog.Table, table *heap.Table, schema []t
 		if err != nil {
 			return nil, err
 		}
-		if workers <= 1 {
-			src = s.newIndexBatchIter(path.index, table, sd)
-		} else if src, err = s.newParallelIndexIter(path.index, table, sd, workers); err != nil {
+		if src, err = s.indexScan(path.index, table, sd, workers); err != nil {
 			return nil, err
 		}
 		if exactAnswer(path, sd, snap) {
 			s.e.recheckSkipped.Inc()
 			return src, nil
 		}
-	} else if workers > 1 {
-		src = s.newParallelHeapIter(table, batch, workers, snap)
 	} else {
-		src = newHeapBatchIter(table, batch, s.ec, snap)
+		src = s.heapScan(table, batch, workers, snap)
 	}
 	if where == nil {
 		return src, nil

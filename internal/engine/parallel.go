@@ -18,9 +18,9 @@ import (
 // virtual index accepts through its optional am_parallelscan purpose
 // function, returning one partition ScanDesc per worker; the heap accepts by
 // splitting its data pages into contiguous ranges. A bounded pool of worker
-// goroutines then drives the partitions through the normal am_getmulti batch
-// protocol and a merger funnels their batches back into the ordinary
-// batchIterator pipeline, so everything downstream (WHERE re-filter,
+// goroutines then pulls one source per partition — the indexSource or
+// heapSource a serial scan pulls inline — and a merger funnels their batches
+// back into the ordinary batchIterator pipeline, so everything downstream (WHERE re-filter,
 // projection, row-at-a-time spill) is unchanged. Only SELECT parallelises:
 // the target scans of DELETE and UPDATE run serially.
 
@@ -104,33 +104,59 @@ type parallelBatchIter struct {
 	cleanup func() // parent-scan teardown (am_endscan), after workers exit
 }
 
-// startParallel launches one goroutine per worker, each with its own mi
-// context (mi contexts are single-threaded; the tracer they share is not),
-// plus a merger goroutine that closes the stream once every worker exits.
-func (s *Session) startParallel(workers int, run func(it *parallelBatchIter, w int, wctx *mi.Context) error, cleanup func()) *parallelBatchIter {
+// startParallel launches one worker goroutine per source, each with its own
+// mi context (mi contexts are single-threaded; the tracer they share is
+// not), plus a merger goroutine that closes the stream once every worker
+// exits.
+func (s *Session) startParallel(srcs []source, cleanup func()) *parallelBatchIter {
 	it := &parallelBatchIter{
 		s:       s,
-		out:     make(chan parMsg, workers),
+		out:     make(chan parMsg, len(srcs)),
 		stop:    make(chan struct{}),
 		cleanup: cleanup,
 	}
 	s.e.parObs.Scans.Inc()
-	s.e.parObs.Workers.Add(uint64(workers))
-	for w := 0; w < workers; w++ {
+	s.e.parObs.Workers.Add(uint64(len(srcs)))
+	for _, src := range srcs {
 		it.wg.Add(1)
-		wctx := mi.NewContext(s.id, s.e.tracer)
-		go func(w int, wctx *mi.Context) {
-			defer it.wg.Done()
-			if err := run(it, w, wctx); err != nil {
-				it.send(parMsg{err: err})
-			}
-		}(w, wctx)
+		go it.work(src, mi.NewContext(s.id, s.e.tracer))
 	}
 	go func() {
 		it.wg.Wait()
 		close(it.out)
 	}()
 	return it
+}
+
+// work is the worker loop: it pulls its source until exhaustion, an error
+// or the scan stopping, and sends every batch to the merger.
+func (it *parallelBatchIter) work(src source, ctx *mi.Context) {
+	defer it.wg.Done()
+	po := &it.s.e.parObs
+	for {
+		select {
+		case <-it.stop:
+			return
+		default:
+		}
+		t0 := time.Now()
+		rb, err := src(ctx)
+		po.BusyNs.Add(uint64(time.Since(t0)))
+		if err != nil {
+			it.send(parMsg{err: err})
+			return
+		}
+		if rb == nil {
+			return
+		}
+		po.Rows.Add(uint64(len(rb.rows)))
+		po.Batches.Inc()
+		ts := time.Now()
+		if !it.send(parMsg{rb: rb}) {
+			return
+		}
+		po.SendWaitNs.Add(uint64(time.Since(ts)))
+	}
 }
 
 // send delivers a message unless the scan is shutting down; false tells the
@@ -187,111 +213,46 @@ func (it *parallelBatchIter) close() {
 	}
 }
 
-// newParallelIndexIter offers the access method the degree through
-// am_parallelscan on a parent scan already begun, and fans the returned
-// partitions out to workers. A declined offer (nil or fewer than two
-// partitions) falls back to the serial batch protocol on the parent scan.
-func (s *Session) newParallelIndexIter(oi *openIndex, table *heap.Table, sd *am.ScanDesc, workers int) (batchIterator, error) {
-	s.amCall("am_parallelscan", oi.desc.Name)
-	parts, err := oi.ps.ParallelScan(s.ctx, sd, workers)
-	s.ctx.EndFunction()
-	if err != nil {
-		s.endScan(oi, sd)
-		return nil, err
-	}
-	if len(parts) < 2 {
-		return s.newIndexBatchIter(oi, table, sd), nil
-	}
-	run := func(it *parallelBatchIter, w int, wctx *mi.Context) error {
-		return s.runIndexWorker(it, parts[w], oi, table, wctx)
-	}
-	return s.startParallel(len(parts), run, func() { s.endScan(oi, sd) }), nil
-}
-
-// runIndexWorker drives one partition descriptor through am_getmulti until
-// the partition reports exhaustion (a short batch) or the scan stops.
-func (s *Session) runIndexWorker(it *parallelBatchIter, sd *am.ScanDesc, oi *openIndex, table *heap.Table, wctx *mi.Context) error {
-	po := s.e.parObs
-	for {
-		select {
-		case <-it.stop:
-			return nil
-		default:
-		}
-		t0 := time.Now()
-		s.amCall("am_getmulti", oi.desc.Name)
-		n, err := am.FillFrom(wctx, sd, oi.ps.GetMulti)
-		wctx.EndFunction()
+// indexScan pulls an index scan whose am_beginscan has run. Offered more
+// than one worker, the access method may accept through am_parallelscan: its
+// partitions then fan out to workers. A declined offer (nil or fewer than two
+// partitions) leaves the serial batch protocol on the parent scan.
+func (s *Session) indexScan(oi *openIndex, table *heap.Table, sd *am.ScanDesc, workers int) (batchIterator, error) {
+	end := func() { s.endScan(oi, sd) }
+	if workers > 1 {
+		s.amCall("am_parallelscan", oi.desc.Name)
+		parts, err := oi.ps.ParallelScan(s.ctx, sd, workers)
+		s.ctx.EndFunction()
 		if err != nil {
-			return err
+			end()
+			return nil, err
 		}
-		done := n < sd.Batch.Cap()
-		if n > 0 {
-			// Workers share the statement's immutable snapshot: each rid the
-			// partition returns is resolved under it, invisible versions drop.
-			rb, err := resolveBatch(oi, table, sd, n)
-			if err != nil {
-				return err
+		if len(parts) >= 2 {
+			srcs := make([]source, len(parts))
+			for w, part := range parts {
+				srcs[w] = s.indexSource(oi, table, part)
 			}
-			po.BusyNs.Add(uint64(time.Since(t0)))
-			if len(rb.rows) > 0 {
-				po.Rows.Add(uint64(len(rb.rows)))
-				po.Batches.Inc()
-				ts := time.Now()
-				if !it.send(parMsg{rb: rb}) {
-					return nil
-				}
-				po.SendWaitNs.Add(uint64(time.Since(ts)))
-			}
-		} else {
-			po.BusyNs.Add(uint64(time.Since(t0)))
-		}
-		if done {
-			return nil
+			return s.startParallel(srcs, end), nil
 		}
 	}
+	return &serialIter{ctx: s.ctx, src: s.indexSource(oi, table, sd), end: end}, nil
 }
 
-// newParallelHeapIter splits the table's data pages into one contiguous
-// range per worker (pages start at PageID 2; NewRangeScanner clamps the last
-// range to the current page count).
-func (s *Session) newParallelHeapIter(table *heap.Table, batch, workers int, snap *heap.Snapshot) batchIterator {
-	pages := table.Pages()
-	per := (pages + workers - 1) / workers
-	scanners := make([]*heap.Scanner, workers)
+// heapScan reads the heap in storage order. Given more than one worker, it
+// splits the table's data pages into one contiguous range per worker (pages
+// start at PageID 2; NewRangeScanner clamps the last range to the current
+// page count).
+func (s *Session) heapScan(table *heap.Table, batch, workers int, snap *heap.Snapshot) batchIterator {
+	if workers <= 1 {
+		return &serialIter{ctx: s.ctx, src: heapSource(table.NewScanner(snap), batch, s.ec)}
+	}
+	per := (table.Pages() + workers - 1) / workers
+	srcs := make([]source, workers)
 	start := storage.PageID(2)
-	for w := range scanners {
+	for w := range srcs {
 		end := start + storage.PageID(per)
-		scanners[w] = table.NewRangeScanner(snap, start, end)
+		srcs[w] = heapSource(table.NewRangeScanner(snap, start, end), batch, s.ec)
 		start = end
 	}
-	run := func(it *parallelBatchIter, w int, wctx *mi.Context) error {
-		po := s.e.parObs
-		sc := scanners[w]
-		for {
-			select {
-			case <-it.stop:
-				return nil
-			default:
-			}
-			t0 := time.Now()
-			rb, err := sc.NextBatch(batch)
-			if err != nil {
-				return err
-			}
-			if rb == nil {
-				return nil
-			}
-			s.ec.AddScanned(len(rb.Rows))
-			po.BusyNs.Add(uint64(time.Since(t0)))
-			po.Rows.Add(uint64(len(rb.Rows)))
-			po.Batches.Inc()
-			ts := time.Now()
-			if !it.send(parMsg{rb: &rowBatch{rids: rb.RowIDs, rows: rb.Rows}}) {
-				return nil
-			}
-			po.SendWaitNs.Add(uint64(time.Since(ts)))
-		}
-	}
-	return s.startParallel(workers, run, nil)
+	return s.startParallel(srcs, nil)
 }

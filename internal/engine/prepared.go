@@ -209,10 +209,13 @@ func (s *Session) planStmt(op string, st sql.Statement, tb *catalog.Table, schem
 	var closeIdx func()
 	openIdx := func(cp *cachedPlan) (err error) {
 		t0 := time.Now()
-		if cp != nil {
-			idxs, closeIdx, err = s.openPlanIndexes(tb.Name, cp)
-		} else {
-			idxs, closeIdx, err = s.openIndexes(tb.Name, !write)
+		switch {
+		case cp == nil:
+			idxs, closeIdx, err = s.openIndexes(tb.Name, !write, "")
+		case cp.index != "":
+			idxs, closeIdx, err = s.openIndexes(tb.Name, true, cp.index)
+		default:
+			idxs, closeIdx = nil, func() {} // a cached sequential scan opens none
 		}
 		opening += time.Since(t0)
 		return err
@@ -269,32 +272,6 @@ func (s *Session) planStmt(op string, st sql.Statement, tb *catalog.Table, schem
 		s.e.planCache.Put(key, gen, s.cacheEntry(op, path, plan))
 	}
 	return idxs, closeIdx, path, plan, nil
-}
-
-// openPlanIndexes opens exactly the indexes a cached plan scans: the chosen
-// one, or none for a cached sequential scan. An error means the plan cannot
-// be honoured against the live catalog (its index vanished inside the
-// cache-probe window) and the caller must replan fresh.
-func (s *Session) openPlanIndexes(table string, cp *cachedPlan) ([]openIndex, func(), error) {
-	if cp.index == "" {
-		return nil, func() {}, nil
-	}
-	for _, ix := range s.e.cat.IndexesOn(table) {
-		if !ix.Ready() || !strings.EqualFold(ix.Name, cp.index) {
-			continue
-		}
-		desc, ps, err := s.indexDesc(ix)
-		if err != nil {
-			return nil, nil, err
-		}
-		desc.ReadOnly = true
-		if err := s.callIndexFn("am_open", ps.Open, desc); err != nil {
-			return nil, nil, err
-		}
-		closer := func() { s.callIndexFn("am_close", ps.Close, desc) }
-		return []openIndex{{ix: ix, desc: desc, ps: ps}}, closer, nil
-	}
-	return nil, nil, errf(CodeInternal, "cached plan's index %q is gone", cp.index)
 }
 
 // planIntent derives the shared-cache key for the current statement: the

@@ -370,7 +370,7 @@ func (e *Engine) vacuumTable(t *heap.Table, horizon uint64, isActive func(uint64
 	vs.tx = tx
 	defer e.mvccEnd(tx)
 	defer e.lm.ReleaseAll(lock.TxID(tx))
-	idxs, closeAll, err := vs.openIndexes(t.Name, false)
+	idxs, closeAll, err := vs.openIndexes(t.Name, false, "")
 	if err != nil {
 		return 0, err
 	}

@@ -36,7 +36,7 @@ type (
 	// Entry is one node entry: its Bound is a region, its Ref a child node
 	// id (internal nodes) or a payload (leaves).
 	Entry = rtree.Entry[temporal.Region]
-	// Cursor is a serial scan (Appendix A).
+	// Cursor is a scan (Appendix A): serial, or a ParallelScan worker's.
 	Cursor = rtree.Cursor[temporal.Region]
 	// ParallelScan is a root-fan-out partitioned scan.
 	ParallelScan = rtree.ParallelScan[temporal.Region]

@@ -8,8 +8,8 @@ import "sync"
 const latchStripes = 64
 
 // LatchTable provides per-node read/write latches for concurrent tree
-// traversal — the crabbing protocol of the parallel scan path. Readers take
-// RLock on a node before decoding it and hold it until the child's latch is
+// traversal — the crabbing protocol of every tree cursor. Readers take RLock
+// on a node before decoding it and hold it until the child's latch is
 // acquired (latch-coupling), so a concurrent structural modification under
 // the write latch can never be observed half-applied.
 //
@@ -18,7 +18,7 @@ const latchStripes = 64
 // node ids may map to one stripe, a goroutine must never hold more than one
 // read latch except during the parent→child crab (parent and child on the
 // same stripe would self-deadlock under Lock, so writers latch one node at a
-// time, and the read-side crab uses TryRLock with a same-stripe fast path).
+// time, and the read-side crab compares stripes and keeps a shared one).
 type LatchTable struct {
 	stripes [latchStripes]sync.RWMutex
 }
@@ -30,38 +30,17 @@ func (lt *LatchTable) stripe(id NodeID) *sync.RWMutex {
 	return &lt.stripes[uint64(id)%latchStripes]
 }
 
-// RLock read-latches a node. The nil table is a no-op (serial scans skip
-// latching entirely).
-func (lt *LatchTable) RLock(id NodeID) {
-	if lt == nil {
-		return
-	}
-	lt.stripe(id).RLock()
-}
+// RLock read-latches a node.
+func (lt *LatchTable) RLock(id NodeID) { lt.stripe(id).RLock() }
 
 // RUnlock releases a read latch.
-func (lt *LatchTable) RUnlock(id NodeID) {
-	if lt == nil {
-		return
-	}
-	lt.stripe(id).RUnlock()
-}
+func (lt *LatchTable) RUnlock(id NodeID) { lt.stripe(id).RUnlock() }
 
 // Lock write-latches a node (structural modification).
-func (lt *LatchTable) Lock(id NodeID) {
-	if lt == nil {
-		return
-	}
-	lt.stripe(id).Lock()
-}
+func (lt *LatchTable) Lock(id NodeID) { lt.stripe(id).Lock() }
 
 // Unlock releases a write latch.
-func (lt *LatchTable) Unlock(id NodeID) {
-	if lt == nil {
-		return
-	}
-	lt.stripe(id).Unlock()
-}
+func (lt *LatchTable) Unlock(id NodeID) { lt.stripe(id).Unlock() }
 
 // Crab performs the read-latch crabbing step of a descent: it acquires the
 // child's read latch before releasing the parent's, so the reader never
@@ -69,9 +48,6 @@ func (lt *LatchTable) Unlock(id NodeID) {
 // child share a stripe the latch is simply retained (a stripe's RWMutex is
 // not re-entrant, and the shared stripe already covers both nodes).
 func (lt *LatchTable) Crab(parent, child NodeID) {
-	if lt == nil {
-		return
-	}
 	ps, cs := lt.stripe(parent), lt.stripe(child)
 	if ps == cs {
 		return // same stripe: the held read latch already covers the child

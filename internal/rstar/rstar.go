@@ -88,8 +88,8 @@ type (
 	// Entry is a node entry: its Bound is a rectangle, its Ref a child node
 	// id or a payload.
 	Entry = rtree.Entry[Rect]
-	// Cursor iterates qualifying entries; structural changes restart it,
-	// with returned-entry bookkeeping preventing duplicates.
+	// Cursor iterates qualifying entries; structural changes restart a
+	// serial one, with returned-entry bookkeeping preventing duplicates.
 	Cursor = rtree.Cursor[Rect]
 	// ParallelScan is a root-fan-out partitioned scan.
 	ParallelScan = rtree.ParallelScan[Rect]

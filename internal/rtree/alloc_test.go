@@ -41,8 +41,9 @@ func loTree(t *testing.T, n int) *grtree.Tree {
 }
 
 // TestNodeVisitsDoNotAllocate: a warm scan decodes every node it visits into
-// buffers it already owns, so the allocations of a Cursor drain, a PartCursor
-// drain and an AggCount do not grow with the number of nodes they read.
+// buffers it already owns, so the allocations of a serial Cursor drain, a
+// parallel scan's Cursor drain and an AggCount do not grow with the number of
+// nodes they read.
 func TestNodeVisitsDoNotAllocate(t *testing.T) {
 	all := grtree.Predicate{Op: grtree.OpOverlaps, Query: extentOf(grtClass.everything)}
 	const batch = 16

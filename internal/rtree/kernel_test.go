@@ -500,6 +500,57 @@ func testCursorRestarts[B comparable](t *testing.T, c class[B]) {
 	}
 }
 
+// TestCursorRestartsOnSplits: inserts that split nodes between Next calls
+// restart a serial cursor as condensation does. Every entry present when the
+// cursor was created comes back exactly once, and no payload comes back
+// twice. The cursor holds no latch between calls: a leaked read latch would
+// self-deadlock the inserts' write latches.
+func TestCursorRestartsOnSplits(t *testing.T) {
+	both(t, testCursorRestartsOnSplits[temporal.Region], testCursorRestartsOnSplits[rstar.Rect])
+}
+
+func testCursorRestartsOnSplits[B comparable](t *testing.T, c class[B]) {
+	rng := rand.New(rand.NewSource(13))
+	es := entries(c, rng, 200)
+	tr := mustCreate(t, c, small)
+	insertAll(t, tr, es)
+	more := entries(c, rng, 400)
+	for i := range more {
+		more[i].Ref += uint64(len(es))
+	}
+	height := tr.Height()
+	cur := tr.search(0, c.everything)
+	seen := make(map[rtree.Payload]bool)
+	for {
+		e, ok, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if seen[e.Payload()] {
+			t.Fatalf("payload %d returned twice", e.Payload())
+		}
+		seen[e.Payload()] = true
+		n := min(2, len(more))
+		insertAll(t, tr, more[:n])
+		more = more[n:]
+	}
+	for _, e := range es {
+		if !seen[e.Payload()] {
+			t.Fatalf("payload %d, present when the cursor was created, never came back", e.Payload())
+		}
+	}
+	if tr.Height() <= height {
+		t.Fatalf("400 inserts left the tree at height %d", tr.Height())
+	}
+	if cur.Restarts() == 0 {
+		t.Fatal("splits under the cursor must restart it")
+	}
+	t.Logf("%d restarts, %d payloads returned", cur.Restarts(), len(seen))
+}
+
 // TestCursorBatchesAndRescans: NextBatch at any batch size produces what Next
 // produces, in the same order; an exhausted cursor stays exhausted; Reset
 // (am_rescan) produces everything again.
@@ -614,7 +665,7 @@ func testParallelScan[B comparable](t *testing.T, c class[B]) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := make([]*rtree.PartCursor[B], 4)
+	workers := make([]*rtree.Cursor[B], 4)
 	for i := range workers {
 		workers[i] = ps.Cursor()
 	}
@@ -623,7 +674,7 @@ func testParallelScan[B comparable](t *testing.T, c class[B]) {
 		var wg sync.WaitGroup
 		for i, w := range workers {
 			wg.Add(1)
-			go func(i int, w *rtree.PartCursor[B]) {
+			go func(i int, w *rtree.Cursor[B]) {
 				defer wg.Done()
 				buf := make([]rtree.Entry[B], 16)
 				for {

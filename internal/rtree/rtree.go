@@ -5,10 +5,10 @@
 // everything the trees share — node page framing and latching, the meta page,
 // the R* insert skeleton (descend, overflow → forced reinsertion once per
 // level → split → grow root), deletion with the three Section 5.5 condense
-// policies, the epoch-restarting cursor, the root-fan-out parallel scan, STR
-// bulk loading, covered-subtree aggregation, per-level statistics and the
-// structural invariant check — and is generic over the bound type B stored in
-// node entries.
+// policies, the one latch-crabbing cursor (serial and epoch-restarting, or a
+// worker of a root-fan-out parallel scan), STR bulk loading, covered-subtree
+// aggregation, per-level statistics and the structural invariant check — and
+// is generic over the bound type B stored in node entries.
 //
 // What differs between the trees is supplied per operation as a key class: a
 // Format (entry codec and magic numbers), Keys (bounding, containment, the
@@ -198,7 +198,7 @@ func (c *Config) normalise(capacity int) {
 // concurrent use; the engine serialises access through the sbspace
 // large-object locks (Section 5.3), exactly as the paper's DataBlade had to.
 // Read-only traversal is additionally protected by a per-node latch table so
-// a parallel scan's workers may descend concurrently (ParallelScan).
+// cursors, a parallel scan's workers among them, may descend concurrently.
 type Tree[B comparable] struct {
 	store   nodestore.Store
 	f       *Format[B]

@@ -70,6 +70,13 @@ echo "== go test -race -count=3 check invariant + aggregate conformance"
 go test -race -count=3 -run TestCheckCatchesAnEscapingChild ./internal/rtree
 go test -race -count=3 -run 'TestCheckIndexCatchesAnEscapingChild|TestAggregateConformance' ./internal/blades/treeblade
 
+# Serial and parallel scans run one cursor: the serial one restarts on the
+# splits of inserts between its calls and releases every latch before it
+# returns (a leaked read latch self-deadlocks the inserts), and the
+# partition cursors crab concurrently over one shared work queue.
+echo "== go test -race -count=5 cursor restarts + parallel partitions"
+go test -race -count=5 -run 'TestCursorRestartsOnSplits|TestParallelScanPartitions' ./internal/rtree
+
 # Crash recovery: redo's page writes may evict dirty pages, whose flush hook
 # forces the log while the redo scan is reading it. Both regressions hung
 # before the scan released the log's mutex around its callback.

@@ -560,25 +560,3 @@ func FillFrom(ctx *mi.Context, sd *ScanDesc, getMulti AmGetMultiFunc) (int, erro
 	}
 	return n, err
 }
-
-// OpClass is an operator class (Step 4): the strategy functions that make
-// the optimizer consider the access method, and the support functions the
-// access method resolves internally.
-type OpClass struct {
-	Name       string
-	AmName     string
-	Strategies []string
-	Support    []string
-	Default    bool
-}
-
-// HasStrategy reports whether fn (SQL name) is a strategy function of the
-// class.
-func (oc *OpClass) HasStrategy(fn string) bool {
-	for _, s := range oc.Strategies {
-		if strings.EqualFold(s, fn) {
-			return true
-		}
-	}
-	return false
-}

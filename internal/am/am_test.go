@@ -218,14 +218,3 @@ func TestAdaptGetNext(t *testing.T) {
 		t.Fatal("error must propagate")
 	}
 }
-
-func TestOpClass(t *testing.T) {
-	oc := &OpClass{
-		Name: "grt_opclass", AmName: "grtree_am",
-		Strategies: []string{"grt_overlap", "grt_contains", "grt_containedin", "grt_equal"},
-		Support:    []string{"grt_union", "grt_size", "grt_intersection"},
-	}
-	if !oc.HasStrategy("GRT_OVERLAP") || oc.HasStrategy("grt_union") {
-		t.Fatal("strategy lookup")
-	}
-}

@@ -37,7 +37,6 @@ type Conn struct {
 	wc     *wire.Conn
 	reg    *types.Registry
 	banner string
-	caps   uint32
 	rows   *Rows // open streaming result, if any
 }
 
@@ -62,7 +61,6 @@ func Dial(addr string, reg *types.Registry) (*Conn, error) {
 	switch t := m.(type) {
 	case *wire.Welcome:
 		c.banner = t.Banner
-		c.caps = t.Caps
 		return c, nil
 	case *wire.Error:
 		nc.Close()
@@ -74,9 +72,6 @@ func Dial(addr string, reg *types.Registry) (*Conn, error) {
 
 // Banner returns the server identification from the handshake.
 func (c *Conn) Banner() string { return c.banner }
-
-// Caps returns the server's capability bitmask from the handshake.
-func (c *Conn) Caps() uint32 { return c.caps }
 
 // Close sends Quit and closes the socket.
 func (c *Conn) Close() error {
@@ -145,7 +140,7 @@ func (c *Conn) awaitHeader() (*Rows, error) {
 }
 
 // Prepare registers a named prepared statement on the server and returns a
-// handle for executing it with bound arguments — the network analogue of
+// handle for executing it with arguments — the network analogue of
 // PREPARE ... AS.
 func (c *Conn) Prepare(name, src string) (*Stmt, error) {
 	if c.rows != nil {
@@ -173,7 +168,6 @@ type Stmt struct {
 	c       *Conn
 	name    string
 	nparams int
-	bound   bool
 }
 
 // Name returns the statement's registered name.
@@ -182,39 +176,13 @@ func (s *Stmt) Name() string { return s.name }
 // NumParams returns the statement's parameter count.
 func (s *Stmt) NumParams() int { return s.nparams }
 
-// Bind stores an argument vector server-side, so subsequent zero-argument
-// Query/Exec calls re-execute the same binding without re-shipping datums.
-func (s *Stmt) Bind(args ...types.Datum) error {
-	c := s.c
-	if c.rows != nil {
-		return &engine.Error{Code: engine.CodeSessionBusy, Msg: "a result stream is already open on this connection"}
-	}
-	if err := c.wc.Send(&wire.Bind{Name: s.name, Args: args}); err != nil {
-		return err
-	}
-	m, err := c.wc.Recv()
-	if err != nil {
-		return err
-	}
-	switch t := m.(type) {
-	case *wire.Done:
-		s.bound = true
-		return nil
-	case *wire.Error:
-		return wireErr(t)
-	}
-	return errors.New("client: unexpected reply to Bind")
-}
-
 // Query executes the prepared statement and returns a streaming result.
-// With no args and a prior Bind, the server substitutes the stored vector.
 func (s *Stmt) Query(args ...types.Datum) (*Rows, error) {
 	c := s.c
 	if c.rows != nil {
 		return nil, &engine.Error{Code: engine.CodeSessionBusy, Msg: "a result stream is already open on this connection"}
 	}
-	ep := &wire.ExecutePrepared{Name: s.name, Args: args, UseBound: len(args) == 0 && s.bound}
-	if err := c.wc.Send(ep); err != nil {
+	if err := c.wc.Send(&wire.ExecutePrepared{Name: s.name, Args: args}); err != nil {
 		return nil, err
 	}
 	return c.awaitHeader()
@@ -255,7 +223,6 @@ func (s *Stmt) Close() error {
 	}
 	switch t := m.(type) {
 	case *wire.Done:
-		s.bound = false
 		return nil
 	case *wire.Error:
 		return wireErr(t)

@@ -5,12 +5,10 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
 
 // The prepared-statement client API end to end: Prepare, positional
-// execute, server-side Bind with zero-argument re-execute, Close, and
-// agreement with the embedded session on every result.
+// execute, Close, and agreement with the embedded session on every result.
 func TestClientPreparedRoundTrip(t *testing.T) {
 	e, addr := startServer(t)
 	c, err := Dial(addr, bladedRegistry(t))
@@ -18,9 +16,6 @@ func TestClientPreparedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Caps()&wire.CapPrepared == 0 {
-		t.Fatalf("server caps: %#x", c.Caps())
-	}
 	if _, err := c.Exec(empDepDDL); err != nil {
 		t.Fatal(err)
 	}
@@ -67,26 +62,6 @@ func TestClientPreparedRoundTrip(t *testing.T) {
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
-	}
-
-	// Bind stores the vector server-side; zero-argument executes reuse it.
-	if err := stmt.Bind("Tom"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := stmt.Exec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0] != "Toy" {
-		t.Fatalf("bound execute: %#v", res.Rows)
-	}
-	// Inline args still win over the stored binding.
-	res, err = stmt.Exec("Rita")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0] != "Shoe" {
-		t.Fatalf("inline-args execute: %#v", res.Rows)
 	}
 
 	if err := stmt.Close(); err != nil {
@@ -168,9 +143,6 @@ func TestClientPreparedErrorMatrix(t *testing.T) {
 	if _, err := c.Prepare("q", `SELECT id FROM pm`); engine.ErrorCode(err) != engine.CodeInvalidParameter {
 		t.Fatalf("duplicate Prepare: %v", err)
 	}
-	if err := stmt.Bind(); engine.ErrorCode(err) != engine.CodeCardinality {
-		t.Fatalf("Bind arity: %v", err)
-	}
 	if _, err := stmt.Exec(int64(1), int64(2)); engine.ErrorCode(err) != engine.CodeCardinality {
 		t.Fatalf("Exec arity: %v", err)
 	}
@@ -180,8 +152,8 @@ func TestClientPreparedErrorMatrix(t *testing.T) {
 	if _, err := c.Exec(`DEALLOCATE q`); err != nil {
 		t.Fatal(err)
 	}
-	if err := stmt.Bind(int64(1)); engine.ErrorCode(err) != engine.CodeUndefinedObject {
-		t.Fatalf("Bind after SQL DEALLOCATE: %v", err)
+	if _, err := stmt.Exec(int64(1)); engine.ErrorCode(err) != engine.CodeUndefinedObject {
+		t.Fatalf("Exec after SQL DEALLOCATE: %v", err)
 	}
 
 	// The connection stayed healthy through the whole matrix.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/storage"
@@ -44,40 +45,40 @@ func (e *Engine) Checkpoint() error {
 	return nil
 }
 
-// startCheckpointer launches the background checkpoint daemon: every
-// CheckpointInterval it checks whether the log grew past
-// CheckpointThreshold since the last checkpoint and, if so, checkpoints. A
-// negative interval disables the daemon (tests drive Checkpoint directly).
-func (e *Engine) startCheckpointer() {
-	if e.opts.CheckpointInterval < 0 {
-		return
+// checkpointIfDue is the checkpoint daemon's tick: it checkpoints once the
+// log has grown past CheckpointThreshold since the last checkpoint.
+func (e *Engine) checkpointIfDue() {
+	if e.log.Size()-e.cpLast.Load() >= e.opts.CheckpointThreshold {
+		// Errors here are sticky in the WAL and will surface to the next
+		// committing session; the daemon just keeps its cadence.
+		_ = e.Checkpoint()
 	}
-	e.cpQuit = make(chan struct{})
-	e.cpDone = make(chan struct{})
+}
+
+// daemon calls tick every interval on its own goroutine until the returned
+// stop is called. stop waits for the goroutine to exit and is idempotent. A
+// negative interval starts nothing (tests drive the work directly).
+func daemon(interval time.Duration, tick func()) (stop func()) {
+	if interval < 0 {
+		return func() {}
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer close(e.cpDone)
-		tick := time.NewTicker(e.opts.CheckpointInterval)
-		defer tick.Stop()
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
 		for {
 			select {
-			case <-e.cpQuit:
+			case <-quit:
 				return
-			case <-tick.C:
-			}
-			if e.log.Size()-e.cpLast.Load() >= e.opts.CheckpointThreshold {
-				// Errors here are sticky in the WAL and will surface to the
-				// next committing session; the daemon just keeps its cadence.
-				_ = e.Checkpoint()
+			case <-t.C:
+				tick()
 			}
 		}
 	}()
-}
-
-// stopCheckpointer stops the daemon and waits for it to exit. Idempotent.
-func (e *Engine) stopCheckpointer() {
-	if e.cpQuit == nil {
-		return
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(quit) })
+		<-done
 	}
-	e.cpStop.Do(func() { close(e.cpQuit) })
-	<-e.cpDone
 }

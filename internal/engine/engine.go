@@ -121,9 +121,6 @@ type Engine struct {
 	// threshold baseline), walCheckpoints/commitLat feed SYSPROFILE.
 	cpMu           sync.Mutex
 	cpLast         atomic.Int64
-	cpQuit         chan struct{}
-	cpDone         chan struct{}
-	cpStop         sync.Once
 	walCheckpoints *obs.Counter
 	commitLat      *obs.Histogram
 	closed         atomic.Bool
@@ -152,10 +149,12 @@ type Engine struct {
 	mvccClock                              atomic.Uint64
 	mvccCreated, mvccSkipped, mvccVacuumed *obs.Counter
 
-	// Version-vacuum daemon state (mirrors the checkpointer's).
-	vacQuit chan struct{}
-	vacDone chan struct{}
-	vacStop sync.Once
+	// The background daemons (see daemon): every CheckpointInterval, a
+	// checkpoint once the log grew past CheckpointThreshold; every
+	// VacuumInterval, a version-vacuum pass reclaiming cells no live
+	// snapshot can see (the MVCC analogue of log truncation). Each stop
+	// waits for its goroutine and is idempotent.
+	stopCheckpointer, stopVacuum func()
 
 	// Online index builds (see idxbuild.go): the registry writer statements
 	// consult (after their table X lock) to capture side-log ops, the
@@ -266,16 +265,18 @@ func Open(opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("engine: recovery: %w", err)
 		}
 	}
+	e.stopCheckpointer = func() {}
 	if e.log != nil {
 		e.cpLast.Store(e.log.Size())
-		e.startCheckpointer()
+		e.stopCheckpointer = daemon(e.opts.CheckpointInterval, e.checkpointIfDue)
 		// Seed the transaction-id space above every id a previous
 		// incarnation can have stamped into version headers: each
 		// transaction appends at least one multi-byte record, so the old
 		// maximum id is strictly below the log's logical size.
 		e.nextTx = uint64(e.log.Size())
 	}
-	e.startVacuum()
+	// Busy tables are skipped, and errors retried at the next tick.
+	e.stopVacuum = daemon(e.opts.VacuumInterval, func() { e.VacuumNow() })
 	return e, nil
 }
 
@@ -683,7 +684,7 @@ func (b bufStore) WritePage(id uint64, buf []byte) error {
 
 // EnsurePages implements wal.PageStore.
 func (b bufStore) EnsurePages(n uint64) error {
-	return storage.WALStore{P: b.bp.Pager()}.EnsurePages(n)
+	return b.bp.Pager().EnsurePages(n)
 }
 
 // PageSize implements wal.PageStore.

@@ -123,11 +123,11 @@ func drained(str *Stream, err error) (*Result, error) {
 // Session-state statements answer at once, outside any statement scope.
 // Everything else runs inside one scope (beginStmt … Stream.end): an
 // EXECUTE is resolved and bound first — its arguments evaluated exactly once
-// — and then a SELECT over a real table opens a cursor the Stream pulls,
-// while every other statement runs eagerly and is replayed. An API-level
-// EXECUTE (ExecutePrepared) passes no statement, the prepared name and its
-// argument vector. A statement that ran but whose auto-commit failed returns
-// its stream and the commit error; a failed statement returns no stream.
+// — and then a SELECT opens a cursor the Stream pulls, while every other
+// statement runs eagerly and is replayed. An API-level EXECUTE
+// (ExecutePrepared) passes no statement, the prepared name and its argument
+// vector. A statement that ran but whose auto-commit failed returns its
+// stream and the commit error; a failed statement returns no stream.
 func (s *Session) open(ctx context.Context, st sql.Statement, prep string, args []types.Datum) (*Stream, error) {
 	if s.stream != nil {
 		return nil, errf(CodeSessionBusy, "a result stream is already open on this session")
@@ -154,16 +154,9 @@ func (s *Session) open(ctx context.Context, st sql.Statement, prep string, args 
 	case !isSelect:
 		str.res, err = s.run(st)
 	default:
-		var tb *catalog.Table
-		if tb, err = s.catTable(sel.Table); err == nil {
-			if str.cur, err = s.openSelectCursor(sel, tb); err == nil {
-				str.res = str.cur.res
-				return str, nil
-			}
-		} else if vtb, data, ok := s.virtualRows(sel.Table); ok {
-			// A real table shadows a virtual one; only unresolved names
-			// fall through to SYSPROFILE/SYSPTPROF.
-			str.res, err = s.selectVirtual(sel, vtb, data)
+		if str.cur, err = s.openSelectCursor(sel); err == nil {
+			str.res = str.cur.res
+			return str, nil
 		}
 	}
 	str.end(err)
@@ -194,40 +187,20 @@ func (s *Session) sessionStmt(st sql.Statement) (*Result, error) {
 			return nil, err
 		}
 		return &Result{Message: "rolled back"}, nil
-	case *sql.SetIsolation:
-		if err := s.vars.Set("isolation", t.Level); err != nil {
+	case *sql.Set:
+		msg, err := s.vars.Set(t.Name, t.Value)
+		if err != nil {
 			return nil, err
 		}
-		return &Result{Message: "isolation set to " + t.Level}, nil
-	case *sql.SetTrace:
-		if t.Level < 0 {
-			return nil, errf(CodeInvalidParameter, "trace level %d is negative", t.Level)
-		}
-		s.vars.SetTrace(t.Class, t.Level)
 		// Trace output remains engine-wide: blade messages from any session
 		// honour the level (the tracer is shared), while the vars record
 		// what this session asked for.
-		s.e.tracer.SetLevel(t.Class, t.Level)
-		return &Result{Message: fmt.Sprintf("trace class %q set to level %d", t.Class, t.Level)}, nil
-	case *sql.SetParallel:
-		deg := s.vars.SetParallel(t.Degree)
-		if deg < 2 {
-			return &Result{Message: "parallel scans disabled"}, nil
+		if class, ok := traceClass(t.Name); ok {
+			s.e.tracer.SetLevel(class, s.vars.TraceLevel(class))
 		}
-		return &Result{Message: fmt.Sprintf("parallel degree set to %d", deg)}, nil
-	case *sql.SetCommit:
-		if err := s.vars.Set("commit", t.Mode); err != nil {
-			return nil, err
-		}
-		return &Result{Message: "commit mode set to " + s.vars.Commit().String()}, nil
+		return &Result{Message: msg}, nil
 	case *sql.Show:
 		return s.show(t)
-	case *sql.SetPlanCache:
-		s.vars.SetPlanCache(t.On)
-		if t.On {
-			return &Result{Message: "plan cache on"}, nil
-		}
-		return &Result{Message: "plan cache off"}, nil
 	case *sql.Prepare:
 		p, err := s.registerPrepared(t.Name, t.Stmt)
 		if err != nil {

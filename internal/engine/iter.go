@@ -67,6 +67,19 @@ func heapSource(sc *heap.Scanner, batch int, ec *obs.ExecContext) source {
 	}
 }
 
+// rowsSource serves materialised rows — a virtual table's — as one batch.
+func rowsSource(rows [][]types.Datum, ec *obs.ExecContext) source {
+	return func(*mi.Context) (*rowBatch, error) {
+		if len(rows) == 0 {
+			return nil, nil
+		}
+		rb := &rowBatch{rids: make([]heap.RowID, len(rows)), rows: rows}
+		rows = nil
+		ec.AddScanned(len(rb.rows))
+		return rb, nil
+	}
+}
+
 // beginScan builds the scan descriptor with the server's batch-capacity
 // proposal and runs am_beginscan, where the access method may adjust the
 // capacity (negotiation).

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/chronon"
+	"repro/internal/types"
 )
 
 // These tests pin the per-statement observability contract: Result.Stats
@@ -301,5 +302,80 @@ func TestExplainSelect(t *testing.T) {
 	}
 	if !strings.Contains(joined, "sequential heap scan") {
 		t.Fatalf("unqualified plan should seqscan:\n%s", joined)
+	}
+}
+
+// A SELECT over a virtual table runs the SELECT cursor: Exec and a stream
+// drained batch by batch return the same columns, rows and names (counter
+// values move between statements, so only the name column is compared), the
+// open stream holds the session like any SELECT, and a stream closed after
+// its first batch leaves the session usable.
+func TestVirtualTableStreams(t *testing.T) {
+	e := memEngine(t)
+	s := e.NewSession()
+	defer s.Close()
+	exec(t, s, `CREATE TABLE pt (a INTEGER)`)
+	exec(t, s, `INSERT INTO pt VALUES (1)`)
+
+	for _, q := range []string{
+		`SELECT * FROM sysprofile`,
+		`SELECT name FROM sysprofile`,
+		`SELECT name, value FROM sysprofile WHERE name = 'wal.appends'`,
+		`SELECT COUNT(*) FROM sysprofile`,
+		`SELECT COUNT(*) FROM sysprofile WHERE name = 'wal.appends'`,
+		`SELECT * FROM sysptprof`,
+		`SELECT partition, fetches FROM sysptprof`,
+		`SELECT partition FROM sysptprof WHERE kind = 'table'`,
+		`SELECT COUNT(*) FROM sysptprof`,
+		`SELECT COUNT(*) FROM sysptprof WHERE kind = 'table'`,
+	} {
+		want := exec(t, s, q)
+		if len(want.Rows) == 0 {
+			t.Fatalf("%s: no rows", q)
+		}
+		str, err := s.ExecStream(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var got [][]types.Datum
+		for {
+			b, err := str.Next()
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if b == nil {
+				break
+			}
+			got = append(got, b...)
+		}
+		if strings.Join(str.Columns(), ",") != strings.Join(want.Columns, ",") {
+			t.Fatalf("%s: stream columns %v, Exec columns %v", q, str.Columns(), want.Columns)
+		}
+		if len(got) != len(want.Rows) || str.Result().Affected != want.Affected {
+			t.Fatalf("%s: stream %d rows (affected %d), Exec %d (affected %d)",
+				q, len(got), str.Result().Affected, len(want.Rows), want.Affected)
+		}
+		for i := range got {
+			if got[i][0] != want.Rows[i][0] {
+				t.Fatalf("%s row %d: stream %v, Exec %v", q, i, got[i][0], want.Rows[i][0])
+			}
+		}
+	}
+
+	str, err := s.ExecStream(`SELECT * FROM sysprofile`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := str.Next(); err != nil || len(b) == 0 {
+		t.Fatalf("first batch: %d rows, %v", len(b), err)
+	}
+	if _, err := s.Exec(`SELECT COUNT(*) FROM sysprofile`); ErrorCode(err) != CodeSessionBusy {
+		t.Fatalf("statement during an open virtual-table stream: %v", err)
+	}
+	if err := str.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res := exec(t, s, `SELECT COUNT(*) FROM pt`); res.Rows[0][0] != int64(1) {
+		t.Fatalf("after Close: %v", res.Rows)
 	}
 }

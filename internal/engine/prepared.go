@@ -150,17 +150,6 @@ func (s *Session) Prepare(name, src string) (int, error) {
 	return p.nparams, nil
 }
 
-// PreparedParams reports a prepared statement's parameter count. The server
-// uses it to reject a Bind against an unknown name or a wrong-arity vector
-// before storing it.
-func (s *Session) PreparedParams(name string) (int, error) {
-	p, err := s.lookupPrepared(name)
-	if err != nil {
-		return 0, err
-	}
-	return p.nparams, nil
-}
-
 // Deallocate drops a prepared statement. The shared cache entry (if any)
 // stays — other sessions may share it; LRU or DDL retires it.
 func (s *Session) Deallocate(name string) error {

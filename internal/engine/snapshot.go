@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/am"
 	"repro/internal/heap"
@@ -255,39 +254,6 @@ func (s *Session) recordWrite(table *heap.Table, rid heap.RowID, kind uint8) {
 }
 
 // Version vacuum ------------------------------------------------------------
-
-// startVacuum launches the background version vacuum: a daemon that
-// periodically reclaims version cells no live snapshot can see (the MVCC
-// analogue of the checkpointer's log truncation).
-func (e *Engine) startVacuum() {
-	if e.opts.VacuumInterval < 0 {
-		return
-	}
-	e.vacQuit = make(chan struct{})
-	e.vacDone = make(chan struct{})
-	go func() {
-		defer close(e.vacDone)
-		t := time.NewTicker(e.opts.VacuumInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-e.vacQuit:
-				return
-			case <-t.C:
-				e.VacuumNow() // busy tables are skipped, errors retried next tick
-			}
-		}
-	}()
-}
-
-// stopVacuum stops the daemon and waits for it to exit. Idempotent.
-func (e *Engine) stopVacuum() {
-	if e.vacQuit == nil {
-		return
-	}
-	e.vacStop.Do(func() { close(e.vacQuit) })
-	<-e.vacDone
-}
 
 // VacuumNow runs one version-vacuum pass over every table and returns how
 // many version cells were reclaimed. The horizon is the oldest registered

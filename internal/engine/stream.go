@@ -15,9 +15,8 @@ import (
 // above all) can encode row batches as they are produced instead of
 // materializing Rows [][]types.Datum for the whole result. Exec remains a
 // thin wrapper that drains the stream. Statements with no row stream
-// (DML, DDL, SET, EXPLAIN, virtual-table reads) execute eagerly and the
-// Stream replays their materialized result, so callers handle every
-// statement uniformly.
+// (DML, DDL, SET, EXPLAIN) execute eagerly and the Stream replays their
+// materialized result, so callers handle every statement uniformly.
 
 // selectCursor is an opened SELECT pipeline: planned access path, the
 // batch iterator chain, and the projection. It owns scan resources only —
@@ -26,7 +25,7 @@ type selectCursor struct {
 	s        *Session
 	res      *Result       // header: Columns, ColTypes, Plan (Affected set at end)
 	it       batchIterator // nil: the aggregate was answered by am_aggregate
-	closeIdx func()        // am_close over the statement's opened indexes
+	closeIdx func()        // am_close over the statement's opened indexes; nil for a virtual table
 	projIdx  []int         // nil: every column in table order, rows pass through
 	agg      *aggAcc       // non-nil: single-aggregate projection, drained at exhaustion
 	aggRow   []types.Datum // am_aggregate's answer; emitted once, no scan
@@ -35,9 +34,18 @@ type selectCursor struct {
 	closed   bool
 }
 
-// openSelectCursor plans and opens a SELECT over the real table tb. On
-// error, every opened resource is released before returning.
-func (s *Session) openSelectCursor(t *sql.Select, tb *catalog.Table) (*selectCursor, error) {
+// openSelectCursor plans and opens a SELECT. The name resolves to a real
+// table first, then to a virtual one, so a real table shadows a virtual table
+// of the same name. On error, every opened resource is released before
+// returning.
+func (s *Session) openSelectCursor(t *sql.Select) (*selectCursor, error) {
+	tb, err := s.catTable(t.Table)
+	if err != nil {
+		if vtb, rows, ok := s.virtualRows(t.Table); ok {
+			return s.openVirtualCursor(t, vtb, rows)
+		}
+		return nil, err
+	}
 	// No shared lock: reads run against an MVCC snapshot, so a SELECT never
 	// touches the lock manager and never blocks (or is blocked by) writers.
 	table, err := s.e.Table(tb.Name)
@@ -55,70 +63,12 @@ func (s *Session) openSelectCursor(t *sql.Select, tb *catalog.Table) (*selectCur
 	plan.SnapshotLSN = snap.ReadLSN
 	s.ec.SetSnapshot(snap.ReadLSN)
 
-	// Projection, with typed column metadata alongside the names. A single
-	// aggregate item switches the cursor to aggregate mode.
-	var agg *aggAcc
-	var projIdx []int
-	var cols []string
-	var colTypes []types.Type
-	if len(t.Items) == 1 && (t.Items[0].CountStar || t.Items[0].Agg != "") {
-		item := t.Items[0]
-		if item.CountStar {
-			agg = &aggAcc{kind: am.AggCount, col: -1}
-			cols = []string{"count"}
-			colTypes = []types.Type{types.Builtin(types.KInt)}
-		} else {
-			ci, err := tb.ColumnIndex(item.Column)
-			if err != nil {
-				closeAll()
-				return nil, errf(CodeUndefinedObject, "%w", err)
-			}
-			switch item.Agg {
-			case "count":
-				agg = &aggAcc{kind: am.AggCount, col: ci}
-				cols = []string{"count"}
-				colTypes = []types.Type{types.Builtin(types.KInt)}
-			case "min":
-				agg = &aggAcc{kind: am.AggMin, col: ci}
-				cols = []string{"min"}
-				colTypes = []types.Type{schema[ci]}
-			case "max":
-				agg = &aggAcc{kind: am.AggMax, col: ci}
-				cols = []string{"max"}
-				colTypes = []types.Type{schema[ci]}
-			default:
-				closeAll()
-				return nil, errf(CodeFeature, "aggregate %s is not supported", item.Agg)
-			}
-		}
-	} else {
-		for _, item := range t.Items {
-			switch {
-			case item.Star:
-				for i, c := range tb.Columns {
-					projIdx = append(projIdx, i)
-					cols = append(cols, c.Name)
-					colTypes = append(colTypes, schema[i])
-				}
-			case item.CountStar, item.Agg != "":
-				closeAll()
-				return nil, errf(CodeFeature, "aggregates cannot be mixed with columns")
-			default:
-				i, err := tb.ColumnIndex(item.Column)
-				if err != nil {
-					closeAll()
-					return nil, errf(CodeUndefinedObject, "%w", err)
-				}
-				projIdx = append(projIdx, i)
-				cols = append(cols, tb.Columns[i].Name)
-				colTypes = append(colTypes, schema[i])
-			}
-		}
+	res, projIdx, agg, err := projection(t.Items, tb, schema)
+	if err != nil {
+		closeAll()
+		return nil, err
 	}
-
-	if identity(projIdx, len(schema)) {
-		projIdx = nil
-	}
+	res.Plan = plan
 
 	// Aggregate pushdown: a residual-free index path plus a quiescent MVCC
 	// window lets am_aggregate answer from the index's internal nodes —
@@ -130,11 +80,7 @@ func (s *Session) openSelectCursor(t *sql.Select, tb *catalog.Table) (*selectCur
 			return nil, err
 		}
 		if ok {
-			return &selectCursor{
-				s:        s,
-				res:      &Result{Columns: cols, ColTypes: colTypes, Plan: plan},
-				closeIdx: closeAll, aggRow: row,
-			}, nil
+			return &selectCursor{s: s, res: res, closeIdx: closeAll, aggRow: row}, nil
 		}
 	}
 
@@ -144,11 +90,88 @@ func (s *Session) openSelectCursor(t *sql.Select, tb *catalog.Table) (*selectCur
 		return nil, err
 	}
 	return &selectCursor{
-		s:   s,
-		res: &Result{Columns: cols, ColTypes: colTypes, Plan: plan},
-		it:  it, closeIdx: closeAll,
+		s: s, res: res, it: it, closeIdx: closeAll,
 		projIdx: projIdx, agg: agg,
 	}, nil
+}
+
+// openVirtualCursor opens a SELECT over a virtual table's materialised rows:
+// one batch through the same WHERE filter and projection as a heap scan, with
+// no plan, snapshot or index.
+func (s *Session) openVirtualCursor(t *sql.Select, tb *catalog.Table, rows [][]types.Datum) (*selectCursor, error) {
+	if len(t.Items) == 1 && t.Items[0].Agg != "" {
+		return nil, errf(CodeFeature, "aggregates are not supported over virtual tables")
+	}
+	schema, err := s.e.tableSchema(tb)
+	if err != nil {
+		return nil, err
+	}
+	res, projIdx, agg, err := projection(t.Items, tb, schema)
+	if err != nil {
+		return nil, err
+	}
+	var it batchIterator = &serialIter{ctx: s.ctx, src: rowsSource(rows, s.ec)}
+	if t.Where != nil {
+		it = &filterBatchIter{src: it, s: s, tb: tb, schema: schema, where: t.Where}
+	}
+	return &selectCursor{s: s, res: res, it: it, projIdx: projIdx, agg: agg}, nil
+}
+
+// projection resolves a SELECT list against tb: the result header with typed
+// column metadata, and either the table ordinals to emit (nil: every column
+// in table order, rows pass through) or, for a single aggregate item, its
+// accumulator.
+func projection(items []sql.SelectItem, tb *catalog.Table, schema []types.Type) (*Result, []int, *aggAcc, error) {
+	res := &Result{}
+	if len(items) == 1 && (items[0].CountStar || items[0].Agg != "") {
+		item := items[0]
+		if item.CountStar {
+			res.Columns, res.ColTypes = []string{"count"}, []types.Type{types.Builtin(types.KInt)}
+			return res, nil, &aggAcc{kind: am.AggCount, col: -1}, nil
+		}
+		ci, err := tb.ColumnIndex(item.Column)
+		if err != nil {
+			return nil, nil, nil, errf(CodeUndefinedObject, "%w", err)
+		}
+		agg := &aggAcc{col: ci}
+		res.Columns, res.ColTypes = []string{item.Agg}, []types.Type{schema[ci]}
+		switch item.Agg {
+		case "count":
+			agg.kind, res.ColTypes[0] = am.AggCount, types.Builtin(types.KInt)
+		case "min":
+			agg.kind = am.AggMin
+		case "max":
+			agg.kind = am.AggMax
+		default:
+			return nil, nil, nil, errf(CodeFeature, "aggregate %s is not supported", item.Agg)
+		}
+		return res, nil, agg, nil
+	}
+	var projIdx []int
+	for _, item := range items {
+		switch {
+		case item.Star:
+			for i := range tb.Columns {
+				projIdx = append(projIdx, i)
+			}
+		case item.CountStar, item.Agg != "":
+			return nil, nil, nil, errf(CodeFeature, "aggregates cannot be mixed with columns")
+		default:
+			i, err := tb.ColumnIndex(item.Column)
+			if err != nil {
+				return nil, nil, nil, errf(CodeUndefinedObject, "%w", err)
+			}
+			projIdx = append(projIdx, i)
+		}
+	}
+	for _, i := range projIdx {
+		res.Columns = append(res.Columns, tb.Columns[i].Name)
+		res.ColTypes = append(res.ColTypes, schema[i])
+	}
+	if identity(projIdx, len(schema)) {
+		projIdx = nil
+	}
+	return res, projIdx, nil, nil
 }
 
 // nextBatch produces the next projected row batch, or nil at exhaustion.
@@ -224,13 +247,14 @@ func (c *selectCursor) close() {
 	if c.it != nil {
 		c.it.close()
 	}
-	c.closeIdx()
+	if c.closeIdx != nil {
+		c.closeIdx()
+	}
 }
 
 // Stream ----------------------------------------------------------------------
 
-// Stream is an incremental statement result. For a SELECT over a real table
-// it pulls projected row batches straight from the batch pipeline; for any
+// Stream is an incremental statement result. For a SELECT it pulls projected row batches straight from the batch pipeline; for any
 // other statement it replays the already-materialized result. The stream
 // owns the statement's scope (beginStmt/end): its profile window, its read
 // snapshot, its parameter binding and — outside an explicit transaction —

@@ -51,13 +51,6 @@ func (v *SessionVars) Isolation() lock.IsolationLevel {
 	return v.iso
 }
 
-// SetIsolation sets the isolation level.
-func (v *SessionVars) SetIsolation(l lock.IsolationLevel) {
-	v.mu.Lock()
-	v.iso = l
-	v.mu.Unlock()
-}
-
 // ParseIsolation maps a SET ISOLATION level name to its level.
 func ParseIsolation(name string) (lock.IsolationLevel, bool) {
 	switch strings.ToUpper(strings.TrimSpace(name)) {
@@ -80,13 +73,6 @@ func (v *SessionVars) Commit() wal.CommitMode {
 	return v.commit
 }
 
-// SetCommit sets the commit durability mode.
-func (v *SessionVars) SetCommit(m wal.CommitMode) {
-	v.mu.Lock()
-	v.commit = m
-	v.mu.Unlock()
-}
-
 // Parallel returns the SET PARALLEL degree (0/1 = serial scans).
 func (v *SessionVars) Parallel() int {
 	v.mu.Lock()
@@ -94,36 +80,11 @@ func (v *SessionVars) Parallel() int {
 	return v.parallel
 }
 
-// SetParallel sets the parallel scan degree, capped at GOMAXPROCS — the
-// session never offers more workers than the host can run. It returns the
-// effective degree.
-func (v *SessionVars) SetParallel(deg int) int {
-	if deg < 0 {
-		deg = 0
-	}
-	if max := runtime.GOMAXPROCS(0); deg > max {
-		deg = max
-	}
-	v.mu.Lock()
-	v.parallel = deg
-	v.mu.Unlock()
-	return deg
-}
-
 // PlanCache reports whether plan caching is enabled for the session.
 func (v *SessionVars) PlanCache() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.planCache
-}
-
-// SetPlanCache switches plan caching. OFF makes the session bypass the
-// shared plan cache and replan every EXECUTE — the A/B knob for measuring
-// planning cost.
-func (v *SessionVars) SetPlanCache(on bool) {
-	v.mu.Lock()
-	v.planCache = on
-	v.mu.Unlock()
 }
 
 // TraceLevel returns the session's requested level for a trace class (0
@@ -147,86 +108,139 @@ func (v *SessionVars) SetTrace(class string, level int) {
 	v.mu.Unlock()
 }
 
-// Set assigns a variable by name: "isolation", "commit", "parallel", or
-// "trace.<class>". Values are the same spellings the SET statements accept.
-// This is the uniform mutation path under the SQL surface — SET statements,
-// the server's session bootstrap, and tests all resolve here.
-func (v *SessionVars) Set(name, value string) error {
-	key := strings.ToLower(strings.TrimSpace(name))
-	switch {
-	case key == "isolation":
-		l, ok := ParseIsolation(value)
-		if !ok {
-			return errf(CodeInvalidParameter, "unknown isolation level %q", value)
-		}
-		v.SetIsolation(l)
-	case key == "commit":
-		m, ok := wal.ParseCommitMode(strings.ToUpper(strings.TrimSpace(value)))
-		if !ok {
-			return errf(CodeInvalidParameter, "unknown commit mode %q (want SYNC, GROUP or ASYNC)", value)
-		}
-		v.SetCommit(m)
-	case key == "parallel":
-		deg, err := strconv.Atoi(strings.TrimSpace(value))
-		if err != nil || deg < 0 {
-			return errf(CodeInvalidParameter, "bad parallel degree %q", value)
-		}
-		v.SetParallel(deg)
-	case key == "plan_cache":
-		switch strings.ToUpper(strings.TrimSpace(value)) {
-		case "ON":
-			v.SetPlanCache(true)
-		case "OFF":
-			v.SetPlanCache(false)
-		default:
-			return errf(CodeInvalidParameter, "bad plan_cache value %q (want ON or OFF)", value)
-		}
-	case strings.HasPrefix(key, "trace."):
-		lvl, err := strconv.Atoi(strings.TrimSpace(value))
-		if err != nil || lvl < 0 {
-			return errf(CodeInvalidParameter, "bad trace level %q", value)
-		}
-		v.SetTrace(strings.TrimPrefix(key, "trace."), lvl)
-	default:
-		return errf(CodeInvalidParameter, "unknown session variable %q", name)
+// sessionVar is one fixed variable: how SHOW reads it, and how SET assigns
+// it from the statement's value words, returning SET's confirmation message.
+type sessionVar struct {
+	name string
+	get  func(*SessionVars) string
+	set  func(v *SessionVars, value string) (string, error)
+}
+
+// sessionVars lists the fixed variables in name order, SHOW ALL's order.
+// Trace classes ("trace.<class>") are not listed: any class name is valid.
+var sessionVars = []sessionVar{
+	{"commit", func(v *SessionVars) string { return v.Commit().String() },
+		func(v *SessionVars, value string) (string, error) {
+			m, ok := wal.ParseCommitMode(strings.ToUpper(value))
+			if !ok {
+				return "", errf(CodeInvalidParameter, "unknown commit mode %q (want SYNC, GROUP or ASYNC)", value)
+			}
+			v.mu.Lock()
+			v.commit = m
+			v.mu.Unlock()
+			return "commit mode set to " + m.String(), nil
+		}},
+	{"isolation", func(v *SessionVars) string { return v.Isolation().String() },
+		func(v *SessionVars, value string) (string, error) {
+			l, ok := ParseIsolation(value)
+			if !ok {
+				return "", errf(CodeInvalidParameter, "unknown isolation level %q", value)
+			}
+			v.mu.Lock()
+			v.iso = l
+			v.mu.Unlock()
+			return "isolation set to " + l.String(), nil
+		}},
+	// The degree is capped at GOMAXPROCS: the session never offers more scan
+	// workers than the host can run. Below 2, scans are serial.
+	{"parallel", func(v *SessionVars) string { return strconv.Itoa(v.Parallel()) },
+		func(v *SessionVars, value string) (string, error) {
+			deg, err := strconv.Atoi(value)
+			if err != nil || deg < 0 {
+				return "", errf(CodeInvalidParameter, "bad parallel degree %q", value)
+			}
+			deg = min(deg, runtime.GOMAXPROCS(0))
+			v.mu.Lock()
+			v.parallel = deg
+			v.mu.Unlock()
+			if deg < 2 {
+				return "parallel scans disabled", nil
+			}
+			return fmt.Sprintf("parallel degree set to %d", deg), nil
+		}},
+	// OFF makes the session bypass the shared plan cache and replan every
+	// EXECUTE — the A/B knob for measuring planning cost.
+	{"plan_cache", func(v *SessionVars) string { return onOff(v.PlanCache()) },
+		func(v *SessionVars, value string) (string, error) {
+			on := strings.EqualFold(value, "ON")
+			if !on && !strings.EqualFold(value, "OFF") {
+				return "", errf(CodeInvalidParameter, "bad plan_cache value %q (want ON or OFF)", value)
+			}
+			v.mu.Lock()
+			v.planCache = on
+			v.mu.Unlock()
+			return "plan cache " + strings.ToLower(onOff(on)), nil
+		}},
+}
+
+func onOff(on bool) string {
+	if on {
+		return "ON"
 	}
-	return nil
+	return "OFF"
+}
+
+// lookupVar finds a fixed variable by name, case-insensitively.
+func lookupVar(name string) (*sessionVar, error) {
+	for i := range sessionVars {
+		if strings.EqualFold(sessionVars[i].name, name) {
+			return &sessionVars[i], nil
+		}
+	}
+	return nil, errf(CodeInvalidParameter, "unknown session variable %q", name)
+}
+
+// traceClass splits a "trace.<class>" name (any case).
+func traceClass(name string) (string, bool) {
+	const prefix = "trace."
+	if len(name) < len(prefix) || !strings.EqualFold(name[:len(prefix)], prefix) {
+		return "", false
+	}
+	return name[len(prefix):], true
+}
+
+// Set assigns a variable by name — a fixed variable or "trace.<class>" — and
+// returns the confirmation message SET prints. Values are the spellings the
+// SET statement passes: words, identifiers upper-cased. It is the only place
+// that knows the names and checks the values; an unknown name or a bad value
+// is CodeInvalidParameter.
+func (v *SessionVars) Set(name, value string) (string, error) {
+	name, value = strings.TrimSpace(name), strings.TrimSpace(value)
+	if class, ok := traceClass(name); ok {
+		lvl, err := strconv.Atoi(value)
+		if err != nil || lvl < 0 {
+			return "", errf(CodeInvalidParameter, "bad trace level %q", value)
+		}
+		v.SetTrace(class, lvl)
+		return fmt.Sprintf("trace class %q set to level %d", class, lvl), nil
+	}
+	sv, err := lookupVar(name)
+	if err != nil {
+		return "", err
+	}
+	return sv.set(v, value)
 }
 
 // Get returns a variable's value by name (same names Set accepts).
 func (v *SessionVars) Get(name string) (string, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	switch {
-	case key == "isolation":
-		return v.Isolation().String(), nil
-	case key == "commit":
-		return v.Commit().String(), nil
-	case key == "parallel":
-		return strconv.Itoa(v.Parallel()), nil
-	case key == "plan_cache":
-		if v.PlanCache() {
-			return "ON", nil
-		}
-		return "OFF", nil
-	case strings.HasPrefix(key, "trace."):
-		return strconv.Itoa(v.TraceLevel(strings.TrimPrefix(key, "trace."))), nil
+	name = strings.TrimSpace(name)
+	if class, ok := traceClass(name); ok {
+		return strconv.Itoa(v.TraceLevel(class)), nil
 	}
-	return "", errf(CodeInvalidParameter, "unknown session variable %q", name)
+	sv, err := lookupVar(name)
+	if err != nil {
+		return "", err
+	}
+	return sv.get(v), nil
 }
 
 // List returns every variable as name/value pairs, sorted by name — the
-// fixed knobs first, then any trace classes the session touched. SHOW ALL
-// renders exactly this.
+// fixed variables first, then any trace classes the session touched. SHOW
+// ALL renders exactly this.
 func (v *SessionVars) List() []Var {
-	pc := "OFF"
-	if v.PlanCache() {
-		pc = "ON"
-	}
-	out := []Var{
-		{"commit", v.Commit().String()},
-		{"isolation", v.Isolation().String()},
-		{"parallel", strconv.Itoa(v.Parallel())},
-		{"plan_cache", pc},
+	out := make([]Var, 0, len(sessionVars))
+	for _, sv := range sessionVars {
+		out = append(out, Var{sv.name, sv.get(v)})
 	}
 	v.mu.Lock()
 	classes := make([]string, 0, len(v.trace))

@@ -25,7 +25,7 @@ func TestSessionVarsGetSet(t *testing.T) {
 		{"TRACE.GRT", "3", "3"}, // names are case-insensitive
 	}
 	for _, c := range cases {
-		if err := v.Set(c.name, c.set); err != nil {
+		if _, err := v.Set(c.name, c.set); err != nil {
 			t.Fatalf("Set(%s, %s): %v", c.name, c.set, err)
 		}
 		got, err := v.Get(c.name)
@@ -43,7 +43,7 @@ func TestSessionVarsGetSet(t *testing.T) {
 		{"trace.grt", "-1"},
 		{"bogus", "1"},
 	} {
-		err := v.Set(bad[0], bad[1])
+		_, err := v.Set(bad[0], bad[1])
 		if ErrorCode(err) != CodeInvalidParameter {
 			t.Fatalf("Set(%s, %s): err %v, want CodeInvalidParameter", bad[0], bad[1], err)
 		}
@@ -102,5 +102,51 @@ func TestShowStatement(t *testing.T) {
 
 	if _, err := s.Exec(`SHOW WIDGETS`); ErrorCode(err) != CodeInvalidParameter {
 		t.Fatalf("SHOW WIDGETS: %v", err)
+	}
+}
+
+// Every SET spelling answers with its confirmation message; an unknown name
+// or a value its variable does not accept is CodeInvalidParameter, and a SET
+// with no value does not parse.
+func TestSetStatementMessages(t *testing.T) {
+	forceParallel(t)
+	e := memEngine(t)
+	s := e.NewSession()
+	defer s.Close()
+
+	for _, c := range []struct{ sql, msg string }{
+		{`SET ISOLATION TO REPEATABLE READ`, "isolation set to REPEATABLE READ"},
+		{`SET ISOLATION dirty read`, "isolation set to DIRTY READ"},
+		{`SET ISOLATION SNAPSHOT`, "isolation set to SNAPSHOT"},
+		{`SET COMMIT TO sync`, "commit mode set to SYNC"},
+		{`SET COMMIT GROUP`, "commit mode set to GROUP"},
+		{`SET PARALLEL TO 2`, "parallel degree set to 2"},
+		{`SET PARALLEL 1`, "parallel scans disabled"},
+		{`SET PLAN_CACHE OFF`, "plan cache off"},
+		{`SET PLAN_CACHE TO on`, "plan cache on"},
+		{`SET TRACE grt TO 2`, `trace class "grt" set to level 2`},
+		{`SET TRACE Idx 0`, `trace class "Idx" set to level 0`},
+	} {
+		if res := exec(t, s, c.sql); res.Message != c.msg {
+			t.Errorf("%s: message %q, want %q", c.sql, res.Message, c.msg)
+		}
+	}
+	for _, bad := range []string{
+		`SET PARALLEL TO x`,
+		`SET PARALLEL 2.5`,
+		`SET FOO TO 1`,
+		`SET ISOLATION TO bogus`,
+		`SET COMMIT EVENTUALLY`,
+		`SET PLAN_CACHE maybe`,
+		`SET TRACE grt TO high`,
+	} {
+		if _, err := s.Exec(bad); ErrorCode(err) != CodeInvalidParameter {
+			t.Errorf("%s: %v, want %s", bad, err, CodeInvalidParameter)
+		}
+	}
+	for _, bad := range []string{`SET ISOLATION TO`, `SET PARALLEL -1`} {
+		if _, err := s.Exec(bad); err == nil || ErrorCode(err) != "" {
+			t.Errorf("%s: %v, want a syntax error", bad, err)
+		}
 	}
 }

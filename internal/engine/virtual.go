@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -15,7 +14,8 @@ import (
 // obs registry, SYSPTPROF serves per-partition (table/sbspace) buffer-pool
 // I/O counters. They are served from live counters on every read — never
 // stored — and are shadowed by a real user table of the same name, should
-// one exist.
+// one exist. A SELECT over one runs the ordinary SELECT cursor over a
+// one-batch source of these rows (openVirtualCursor).
 
 // virtualRows resolves a virtual table by name and materialises its rows.
 func (s *Session) virtualRows(name string) (*catalog.Table, [][]types.Datum, bool) {
@@ -88,73 +88,4 @@ func (e *Engine) ptprofRows() [][]types.Datum {
 		}
 	}
 	return rows
-}
-
-// selectVirtual executes a SELECT over a materialised virtual table,
-// supporting the same projection/WHERE/COUNT(*) surface as heap SELECTs.
-func (s *Session) selectVirtual(t *sql.Select, tb *catalog.Table, data [][]types.Datum) (*Result, error) {
-	schema, err := s.e.tableSchema(tb)
-	if err != nil {
-		return nil, err
-	}
-	countStar := len(t.Items) == 1 && t.Items[0].CountStar
-	var projIdx []int
-	var cols []string
-	var colTypes []types.Type
-	if countStar {
-		cols = []string{"count"}
-		colTypes = []types.Type{types.Builtin(types.KInt)}
-	} else {
-		for _, item := range t.Items {
-			switch {
-			case item.Star:
-				for i, c := range tb.Columns {
-					projIdx = append(projIdx, i)
-					cols = append(cols, c.Name)
-					colTypes = append(colTypes, schema[i])
-				}
-			case item.CountStar:
-				return nil, errf(CodeFeature, "COUNT(*) cannot be mixed with columns")
-			case item.Agg != "":
-				return nil, errf(CodeFeature, "aggregates are not supported over virtual tables")
-			default:
-				i, err := tb.ColumnIndex(item.Column)
-				if err != nil {
-					return nil, errf(CodeUndefinedObject, "%w", err)
-				}
-				projIdx = append(projIdx, i)
-				cols = append(cols, tb.Columns[i].Name)
-				colTypes = append(colTypes, schema[i])
-			}
-		}
-	}
-	res := &Result{Columns: cols, ColTypes: colTypes}
-	count := 0
-	for _, row := range data {
-		if t.Where != nil {
-			ok, err := s.evalBool(t.Where, tb, schema, row)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		count++
-		if countStar {
-			continue
-		}
-		out := make([]types.Datum, len(projIdx))
-		for j, i := range projIdx {
-			out[j] = row[i]
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	if countStar {
-		res.Rows = [][]types.Datum{{int64(count)}}
-	}
-	res.Affected = count
-	s.ec.AddScanned(len(data))
-	s.ec.AddReturned(count)
-	return res, nil
 }

@@ -78,8 +78,6 @@ type ResourceKind uint8
 const (
 	// KindTable locks a whole table.
 	KindTable ResourceKind = iota + 1
-	// KindRow locks a single row.
-	KindRow
 	// KindLargeObject locks an sbspace large object.
 	KindLargeObject
 	// KindNamed locks an arbitrary named resource.
@@ -89,7 +87,7 @@ const (
 // Resource identifies a lockable object.
 type Resource struct {
 	Kind ResourceKind
-	A, B uint64 // kind-specific (table id / page+slot / LO handle / hash)
+	A, B uint64 // kind-specific (table id / LO handle / hash)
 }
 
 func (r Resource) String() string {

@@ -236,7 +236,7 @@ func TestIsolationLevelString(t *testing.T) {
 	if Shared.String() != "S" || Exclusive.String() != "X" {
 		t.Fatal("mode strings")
 	}
-	if (Resource{Kind: KindRow, A: 1, B: 2}).String() == "" {
+	if (Resource{Kind: KindTable, A: 1, B: 2}).String() == "" {
 		t.Fatal("resource string")
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/types"
 	"repro/internal/wire"
 )
 
@@ -170,11 +169,6 @@ type conn struct {
 	mu        sync.Mutex
 	executing bool
 	cancel    context.CancelFunc
-
-	// bound holds argument vectors stored by Bind frames, keyed by the
-	// lower-cased prepared-statement name. Only the handler goroutine
-	// touches it.
-	bound map[string][]types.Datum
 }
 
 // interruptIfIdle closes the socket when no statement is executing, kicking
@@ -230,10 +224,6 @@ func (c *conn) serve() {
 			if !c.parse(sess, t) {
 				return
 			}
-		case *wire.Bind:
-			if !c.bind(sess, t) {
-				return
-			}
 		case *wire.ExecutePrepared:
 			if !c.execute(func(ctx context.Context) bool { return c.runPrepared(sess, ctx, t) }) {
 				return
@@ -268,7 +258,7 @@ func (c *conn) handshake() bool {
 		})
 		return false
 	}
-	return c.wc.Send(&wire.Welcome{Version: wire.Version, Banner: c.srv.opts.Banner, Caps: wire.CapPrepared}) == nil
+	return c.wc.Send(&wire.Welcome{Version: wire.Version, Banner: c.srv.opts.Banner}) == nil
 }
 
 // parse registers a named prepared statement on the session and acks with
@@ -281,30 +271,11 @@ func (c *conn) parse(sess *engine.Session, t *wire.Parse) bool {
 	return c.wc.Send(&wire.Prepared{Name: t.Name, NParams: uint16(n)}) == nil
 }
 
-// bind stores an argument vector for later ExecutePrepared{UseBound} frames,
-// rejecting unknown names and wrong arity up front.
-func (c *conn) bind(sess *engine.Session, t *wire.Bind) bool {
-	n, err := sess.PreparedParams(t.Name)
-	if err != nil {
-		return c.sendErr(err)
-	}
-	if len(t.Args) != n {
-		return c.sendErr(engine.Errf(engine.CodeCardinality,
-			"prepared statement %q wants %d argument(s), got %d", t.Name, n, len(t.Args)))
-	}
-	if c.bound == nil {
-		c.bound = make(map[string][]types.Datum)
-	}
-	c.bound[strings.ToLower(t.Name)] = t.Args
-	return c.wc.Send(&wire.Done{Message: fmt.Sprintf("bound %d argument(s)", len(t.Args))}) == nil
-}
-
-// closeStmt deallocates a prepared statement and its stored binding.
+// closeStmt deallocates a prepared statement.
 func (c *conn) closeStmt(sess *engine.Session, t *wire.CloseStmt) bool {
 	if err := sess.Deallocate(t.Name); err != nil {
 		return c.sendErr(err)
 	}
-	delete(c.bound, strings.ToLower(t.Name))
 	return c.wc.Send(&wire.Done{Message: fmt.Sprintf("deallocated %q", strings.ToLower(t.Name))}) == nil
 }
 
@@ -364,15 +335,10 @@ func (c *conn) runExec(sess *engine.Session, ctx context.Context, src string) bo
 	return c.streamResult(str)
 }
 
-// runPrepared executes a prepared statement — the zero-parse hot path. With
-// UseBound set the stored Bind vector substitutes for inline args.
+// runPrepared executes a prepared statement — the zero-parse hot path.
 func (c *conn) runPrepared(sess *engine.Session, ctx context.Context, t *wire.ExecutePrepared) bool {
 	c.srv.c.stmts.Inc()
-	args := t.Args
-	if t.UseBound {
-		args = c.bound[strings.ToLower(t.Name)]
-	}
-	str, err := sess.ExecutePreparedStream(ctx, t.Name, args)
+	str, err := sess.ExecutePreparedStream(ctx, t.Name, t.Args)
 	if err != nil {
 		return c.sendErr(err)
 	}

@@ -48,9 +48,9 @@ func TestServerRefusesUnknownVersion(t *testing.T) {
 }
 
 // The full prepared-statement conversation at the frame level: Parse acks
-// with the parameter count, Bind stores a vector, ExecutePrepared with
-// UseBound substitutes it, CloseStmt drops the statement, and running it
-// afterwards reports CodeUndefinedObject — with the connection surviving.
+// with the parameter count, ExecutePrepared binds its inline arguments,
+// CloseStmt drops the statement, and running it afterwards reports
+// CodeUndefinedObject — with the connection surviving.
 func TestServerPreparedFrameConversation(t *testing.T) {
 	h := startServer(t, Options{})
 	c := dial(t, h)
@@ -61,9 +61,8 @@ func TestServerPreparedFrameConversation(t *testing.T) {
 	if err := wc.Send(&wire.Hello{Version: wire.Version}); err != nil {
 		t.Fatal(err)
 	}
-	w := recvMsg(t, wc).(*wire.Welcome)
-	if w.Caps&wire.CapPrepared == 0 {
-		t.Fatalf("v2 Welcome caps: %#x", w.Caps)
+	if _, ok := recvMsg(t, wc).(*wire.Welcome); !ok {
+		t.Fatal("handshake not answered with Welcome")
 	}
 
 	if err := wc.Send(&wire.Parse{Name: "byid", SQL: `SELECT name FROM pf WHERE id = $1`}); err != nil {
@@ -74,14 +73,7 @@ func TestServerPreparedFrameConversation(t *testing.T) {
 		t.Fatalf("Parse ack: %#v", p)
 	}
 
-	if err := wc.Send(&wire.Bind{Name: "byid", Args: []types.Datum{int64(2)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := recvMsg(t, wc).(*wire.Done); !ok {
-		t.Fatal("Bind not acked with Done")
-	}
-
-	if err := wc.Send(&wire.ExecutePrepared{Name: "byid", UseBound: true}); err != nil {
+	if err := wc.Send(&wire.ExecutePrepared{Name: "byid", Args: []types.Datum{int64(2)}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := recvMsg(t, wc).(*wire.Header); !ok {

@@ -123,31 +123,14 @@ type Commit struct{}
 // Rollback is ROLLBACK [WORK].
 type Rollback struct{}
 
-// SetIsolation is SET ISOLATION TO level.
-type SetIsolation struct{ Level string }
-
-// SetTrace is SET TRACE class [TO] level — the mi trace machinery's SQL
-// switch (Section 6.4: tracing is enabled selectively by class and level).
-type SetTrace struct {
-	Class string
-	Level int
-}
-
-// SetParallel is SET PARALLEL [TO] n: the session's intra-query parallelism
-// knob. 0 disables parallel scans; n > 1 lets the server offer up to n scan
-// workers (capped by GOMAXPROCS) through the am_parallelscan slot.
-type SetParallel struct{ Degree int }
-
-// SetCommit is SET COMMIT [TO] {SYNC|GROUP|ASYNC}: the session's commit
-// durability mode. SYNC forces a private log fsync per commit, GROUP
-// (default) coalesces concurrent commits into one fsync, ASYNC returns at
-// append time with bounded loss.
-type SetCommit struct{ Mode string }
-
-// SetPlanCache is SET PLAN_CACHE {ON|OFF}: the session's shared-plan-cache
-// switch. OFF bypasses the engine-wide plan cache and forces EXECUTE to
-// replan on every invocation, so planning cost can be A/B measured.
-type SetPlanCache struct{ On bool }
+// Set is SET <name> [TO] <value>: one assignment to the session's state
+// (SessionVars) — SET ISOLATION (Section 5.3), SET COMMIT, SET PARALLEL,
+// SET PLAN_CACHE. SET TRACE <class> [TO] <level>, the mi trace machinery's
+// switch (Section 6.4: tracing is enabled selectively by class and level), is
+// Name "trace.<class>". Name is lower-cased, except that a trace class keeps
+// its spelling; Value is the value's words, identifiers upper-cased, joined
+// by single spaces. The engine, not the parser, checks both.
+type Set struct{ Name, Value string }
 
 // Prepare is PREPARE name AS <stmt>: parse once, register the statement
 // under name in the session, and plan it lazily at first EXECUTE. Text
@@ -217,11 +200,7 @@ func (*Update) stmt()             {}
 func (*Begin) stmt()              {}
 func (*Commit) stmt()             {}
 func (*Rollback) stmt()           {}
-func (*SetIsolation) stmt()       {}
-func (*SetTrace) stmt()           {}
-func (*SetParallel) stmt()        {}
-func (*SetCommit) stmt()          {}
-func (*SetPlanCache) stmt()       {}
+func (*Set) stmt()                {}
 func (*Prepare) stmt()            {}
 func (*Execute) stmt()            {}
 func (*Deallocate) stmt()         {}
@@ -263,7 +242,7 @@ type Binary struct {
 type Not struct{ X Expr }
 
 // Param is a parameter placeholder: `?` (ordinal assigned left to right) or
-// `$n` (explicit 1-based ordinal). Bound to a datum at EXECUTE/Bind time.
+// `$n` (explicit 1-based ordinal). Bound to a datum at EXECUTE time.
 type Param struct{ Ord int }
 
 func (*Literal) expr()   {}

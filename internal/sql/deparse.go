@@ -170,19 +170,11 @@ func deparseStmt(b *strings.Builder, st Statement) {
 		b.WriteString("COMMIT")
 	case *Rollback:
 		b.WriteString("ROLLBACK")
-	case *SetIsolation:
-		fmt.Fprintf(b, "SET ISOLATION TO %s", t.Level)
-	case *SetTrace:
-		fmt.Fprintf(b, "SET TRACE %s TO %d", t.Class, t.Level)
-	case *SetParallel:
-		fmt.Fprintf(b, "SET PARALLEL TO %d", t.Degree)
-	case *SetCommit:
-		fmt.Fprintf(b, "SET COMMIT TO %s", t.Mode)
-	case *SetPlanCache:
-		if t.On {
-			b.WriteString("SET PLAN_CACHE ON")
+	case *Set:
+		if cls, ok := strings.CutPrefix(t.Name, "trace."); ok {
+			fmt.Fprintf(b, "SET TRACE %s TO %s", cls, t.Value)
 		} else {
-			b.WriteString("SET PLAN_CACHE OFF")
+			fmt.Fprintf(b, "SET %s TO %s", t.Name, t.Value)
 		}
 	case *Show:
 		if t.All {

@@ -19,6 +19,11 @@ func FuzzParse(f *testing.F) {
 		`EXECUTE byemp ('Sales', 7)`,
 		`DEALLOCATE PREPARE byemp`,
 		`SET PLAN_CACHE OFF`,
+		`SET TRACE grt TO 2`,
+		`SET PARALLEL 4`,
+		`SET COMMIT TO sync`,
+		`SET ISOLATION TO REPEATABLE READ`,
+		`SET widgets TO 1`,
 		`INSERT INTO t VALUES ($1, $2, NULL)`,
 		`UPDATE t SET a = $1 WHERE b = $2`,
 		`DELETE FROM t WHERE ContainedIn(x, $9)`,
@@ -37,6 +42,14 @@ func FuzzParse(f *testing.F) {
 		`EXPLAIN SELECT COUNT(*) FROM t WHERE Overlaps(x, $1)`,
 		`$1 $$ ?? SELECT $`,
 		"SELECT -- comment\n1",
+		// A byte the lexer reads as a letter but that is not UTF-8: case
+		// folding must leave it alone, or the deparse does not lex.
+		"SET \xe8 0",
+		"SET ISOLATION \xe8",
+		"SHOW \xc0",
+		"CREATE INDEX ix ON t(x) USING am (\xc0=1)",
+		"CREATE SECONDARY ACCESS_METHOD a (\xc0 = g)",
+		"CREATE FUNCTION f(int) RETURNING int EXTERNAL NAME 'x' LANGUAGE \xc0",
 		`'unterminated`,
 	} {
 		f.Add(seed)

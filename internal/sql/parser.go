@@ -104,6 +104,21 @@ func (p *parser) ident() (string, error) {
 	return t.Text, nil
 }
 
+// foldASCII maps the ASCII letters from..from+25 of an identifier to
+// to..to+25 ('A','a' lower-cases; 'a','A' upper-cases) and leaves every other
+// byte alone. Unicode case mapping could turn bytes the lexer took for
+// letters into bytes it rejects, and a folded identifier must lex again when
+// its statement is deparsed.
+func foldASCII(s string, from, to byte) string {
+	b := []byte(s)
+	for i, c := range b {
+		if from <= c && c < from+26 {
+			b[i] = c - from + to
+		}
+	}
+	return string(b)
+}
+
 func (p *parser) statement() (Statement, error) {
 	switch {
 	case p.acceptKw("CREATE"):
@@ -195,66 +210,30 @@ func (p *parser) statement() (Statement, error) {
 		}
 		return &Deallocate{Name: name}, nil
 	case p.acceptKw("SET"):
-		if p.acceptKw("TRACE") {
-			class, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			p.acceptKw("TO")
-			if p.peek().Kind != TNumber {
-				return nil, p.errf("expected trace level")
-			}
-			lvl, err := strconv.Atoi(p.next().Text)
-			if err != nil {
-				return nil, p.errf("bad trace level")
-			}
-			return &SetTrace{Class: class, Level: lvl}, nil
-		}
-		if p.acceptKw("PARALLEL") {
-			p.acceptKw("TO")
-			if p.peek().Kind != TNumber {
-				return nil, p.errf("expected parallel degree")
-			}
-			deg, err := strconv.Atoi(p.next().Text)
-			if err != nil || deg < 0 {
-				return nil, p.errf("bad parallel degree")
-			}
-			return &SetParallel{Degree: deg}, nil
-		}
-		if p.acceptKw("COMMIT") {
-			p.acceptKw("TO")
-			mode, err := p.ident()
-			if err != nil {
-				return nil, p.errf("expected commit mode")
-			}
-			return &SetCommit{Mode: strings.ToUpper(mode)}, nil
-		}
-		if p.acceptKw("PLAN_CACHE") {
-			p.acceptKw("TO")
-			mode, err := p.ident()
-			if err != nil {
-				return nil, p.errf("expected ON or OFF")
-			}
-			switch strings.ToUpper(mode) {
-			case "ON":
-				return &SetPlanCache{On: true}, nil
-			case "OFF":
-				return &SetPlanCache{On: false}, nil
-			}
-			return nil, p.errf("expected ON or OFF, got %q", mode)
-		}
-		if err := p.expectKw("ISOLATION"); err != nil {
+		// SET TRACE <class> [TO] <level> | SET <name> [TO] <words>.
+		trace := p.acceptKw("TRACE")
+		name, err := p.ident()
+		if err != nil {
 			return nil, err
 		}
-		p.acceptKw("TO") // SET ISOLATION [TO] level
+		if trace {
+			name = "trace." + name
+		} else {
+			name = foldASCII(name, 'A', 'a')
+		}
+		p.acceptKw("TO")
 		var words []string
-		for p.peek().Kind == TIdent {
-			words = append(words, strings.ToUpper(p.next().Text))
+		for t := p.peek(); t.Kind == TIdent || t.Kind == TNumber; t = p.peek() {
+			w := p.next().Text
+			if t.Kind == TIdent {
+				w = foldASCII(w, 'a', 'A')
+			}
+			words = append(words, w)
 		}
 		if len(words) == 0 {
-			return nil, p.errf("expected isolation level")
+			return nil, p.errf("expected a value for %s", name)
 		}
-		return &SetIsolation{Level: strings.Join(words, " ")}, nil
+		return &Set{Name: name, Value: strings.Join(words, " ")}, nil
 	case p.acceptKw("SHOW"):
 		if p.acceptKw("ALL") {
 			return &Show{All: true}, nil
@@ -263,10 +242,10 @@ func (p *parser) statement() (Statement, error) {
 		if err != nil {
 			return nil, p.errf("expected ALL or a session variable name")
 		}
-		name = strings.ToLower(name)
+		name = foldASCII(name, 'A', 'a')
 		// SHOW TRACE <class> addresses one trace class's level.
 		if name == "trace" && p.peek().Kind == TIdent {
-			name += "." + strings.ToLower(p.next().Text)
+			name += "." + foldASCII(p.next().Text, 'A', 'a')
 		}
 		return &Show{Name: name}, nil
 	case p.acceptKw("CHECK"):
@@ -449,7 +428,7 @@ func (p *parser) createFunction() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.Language = strings.ToLower(lang)
+	st.Language = foldASCII(lang, 'A', 'a')
 	return st, nil
 }
 
@@ -477,7 +456,7 @@ func (p *parser) createAccessMethod() (Statement, error) {
 		default:
 			return nil, p.errf("expected slot value")
 		}
-		st.Slots[strings.ToLower(slot)] = val
+		st.Slots[foldASCII(slot, 'A', 'a')] = val
 		if p.acceptPunct(",") {
 			continue
 		}
@@ -601,7 +580,7 @@ func (p *parser) createIndex() (Statement, error) {
 					return nil, p.errf("expected parameter value")
 				}
 				p.next()
-				st.Params[strings.ToLower(k)] = t.Text
+				st.Params[foldASCII(k, 'A', 'a')] = t.Text
 				if p.acceptPunct(",") {
 					continue
 				}

@@ -174,8 +174,8 @@ func TestTransactionsAndMisc(t *testing.T) {
 	if _, ok := mustParse(t, `ROLLBACK WORK`).(*Rollback); !ok {
 		t.Fatal("rollback")
 	}
-	iso := mustParse(t, `SET ISOLATION TO REPEATABLE READ`).(*SetIsolation)
-	if iso.Level != "REPEATABLE READ" {
+	iso := mustParse(t, `SET ISOLATION TO REPEATABLE READ`).(*Set)
+	if iso.Name != "isolation" || iso.Value != "REPEATABLE READ" {
 		t.Fatalf("%+v", iso)
 	}
 	// Golden coverage for every level the engine accepts; the TO keyword is
@@ -187,17 +187,17 @@ func TestTransactionsAndMisc(t *testing.T) {
 		`SET ISOLATION SNAPSHOT`:          "SNAPSHOT",
 		`SET ISOLATION dirty read`:        "DIRTY READ",
 	} {
-		got := mustParse(t, stmt).(*SetIsolation)
-		if got.Level != want {
-			t.Fatalf("%s: level %q, want %q", stmt, got.Level, want)
+		got := mustParse(t, stmt).(*Set)
+		if got.Value != want {
+			t.Fatalf("%s: level %q, want %q", stmt, got.Value, want)
 		}
 	}
-	sc := mustParse(t, `SET COMMIT TO group`).(*SetCommit)
-	if sc.Mode != "GROUP" {
+	sc := mustParse(t, `SET COMMIT TO group`).(*Set)
+	if sc.Name != "commit" || sc.Value != "GROUP" {
 		t.Fatalf("%+v", sc)
 	}
-	sc = mustParse(t, `SET COMMIT ASYNC`).(*SetCommit)
-	if sc.Mode != "ASYNC" {
+	sc = mustParse(t, `SET COMMIT ASYNC`).(*Set)
+	if sc.Value != "ASYNC" {
 		t.Fatalf("%+v", sc)
 	}
 	ci := mustParse(t, `CHECK INDEX grt_index`).(*CheckIndex)

@@ -76,6 +76,15 @@ func TestPreparedDeparseRoundTrip(t *testing.T) {
 		`DEALLOCATE byemp`,
 		`SET PLAN_CACHE ON`,
 		`SET PLAN_CACHE OFF`,
+		`SET TRACE grt TO 2`,
+		`SET TRACE GRT 3`,
+		`SET PARALLEL 4`,
+		`SET PARALLEL TO 0`,
+		`SET COMMIT TO sync`,
+		`SET COMMIT GROUP`,
+		`SET ISOLATION TO COMMITTED READ`,
+		`SET ISOLATION dirty read`,
+		`SET widgets TO 1`,
 		`SELECT a FROM t WHERE Overlaps(x, $1) OR Equal(x, $2)`,
 	} {
 		d1 := Deparse(mustParse(t, src))

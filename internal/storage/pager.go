@@ -43,6 +43,9 @@ type Pager interface {
 	// NumPages returns the number of pages ever allocated (upper bound on
 	// live pages).
 	NumPages() uint64
+	// EnsurePages extends the store so every page below n exists (recovery
+	// may replay updates to pages whose allocation was lost in a crash).
+	EnsurePages(n uint64) error
 	// Sync forces durable storage, where applicable.
 	Sync() error
 	// Close releases the pager.

@@ -44,18 +44,7 @@ func (w WALStore) ReadPage(id uint64, buf []byte) error { return w.P.ReadPage(Pa
 func (w WALStore) WritePage(id uint64, buf []byte) error { return w.P.WritePage(PageID(id), buf) }
 
 // EnsurePages implements wal.PageStore.
-func (w WALStore) EnsurePages(n uint64) error {
-	type extender interface{ EnsurePages(uint64) error }
-	if e, ok := w.P.(extender); ok {
-		return e.EnsurePages(n)
-	}
-	for w.P.NumPages() < n {
-		if _, err := w.P.Allocate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (w WALStore) EnsurePages(n uint64) error { return w.P.EnsurePages(n) }
 
 // PageSize implements wal.PageStore.
 func (w WALStore) PageSize() int { return PageSize }

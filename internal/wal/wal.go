@@ -297,31 +297,6 @@ func (l *Log) Base() LSN {
 	return l.base
 }
 
-// ActiveTxs returns a copy of the live-transaction table (tx -> last LSN).
-func (l *Log) ActiveTxs() map[uint64]LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[uint64]LSN, len(l.lastLSN))
-	for tx, lsn := range l.lastLSN {
-		out[tx] = lsn
-	}
-	return out
-}
-
-// OldestActive returns the smallest first-record LSN among live
-// transactions, or NilLSN when none are live. Truncation must not pass it.
-func (l *Log) OldestActive() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	min := NilLSN
-	for _, lsn := range l.firstLSN {
-		if min == NilLSN || lsn < min {
-			min = lsn
-		}
-	}
-	return min
-}
-
 // Append buffers the record (filling in LSN and PrevLSN) and returns its
 // LSN. No syscall happens here: the record reaches the file on the next
 // flush (the flusher's cadence, a commit, or an explicit Flush).

@@ -31,16 +31,10 @@ import (
 )
 
 // Version is the protocol revision sent in Hello/Welcome; the server speaks
-// only this one. Version 2 added the prepared-statement frames
-// (Parse/Bind/ExecutePrepared/CloseStmt) and the Welcome capability bitmask.
-const Version = 2
-
-// Capability bits advertised in Welcome.Caps.
-const (
-	// CapPrepared: the server accepts Parse, Bind, ExecutePrepared, and
-	// CloseStmt frames.
-	CapPrepared uint32 = 1 << 0
-)
+// only this one. Version 2 added the prepared-statement frames; version 3
+// passes EXECUTE arguments only inline (the Bind frame and the Welcome
+// capability bitmask are gone, which renumbers the frames after Prepared).
+const Version = 3
 
 // MaxFrame bounds a frame payload (defense against corrupt length words).
 const MaxFrame = 64 << 20
@@ -58,10 +52,9 @@ const (
 	MsgDone
 	MsgError
 	MsgQuit
-	// Prepared statements (added in version 2):
+	// Prepared statements:
 	MsgParse
 	MsgPrepared
-	MsgBind
 	MsgExecutePrepared
 	MsgCloseStmt
 )
@@ -88,8 +81,6 @@ func (t MsgType) String() string {
 		return "Parse"
 	case MsgPrepared:
 		return "Prepared"
-	case MsgBind:
-		return "Bind"
 	case MsgExecutePrepared:
 		return "ExecutePrepared"
 	case MsgCloseStmt:
@@ -107,14 +98,10 @@ type Hello struct {
 	Banner  string
 }
 
-// Welcome acknowledges a Hello (server → client). Caps advertises optional
-// protocol features; it travels last, and a Welcome without it decodes with
-// Caps == 0 (decoders ignore trailing payload bytes, and tolerate their
-// absence here).
+// Welcome acknowledges a Hello (server → client).
 type Welcome struct {
 	Version uint16
 	Banner  string
-	Caps    uint32
 }
 
 // Exec submits SQL text — one statement or a semicolon-separated script
@@ -158,7 +145,7 @@ type Error struct {
 type Quit struct{}
 
 // Parse asks the server to parse and register a named prepared statement
-// (client → server, requires CapPrepared). The server answers Prepared or
+// (client → server). The server answers Prepared or
 // Error.
 type Parse struct {
 	Name string
@@ -171,26 +158,15 @@ type Prepared struct {
 	NParams uint16
 }
 
-// Bind stores an argument vector against a prepared statement on the
-// server's connection state, so repeated executions of the same binding
-// need not re-ship the datums. The server answers Done or Error.
-type Bind struct {
+// ExecutePrepared runs a prepared statement, its Args binding positionally.
+// The reply stream is the same Header/RowBatch.../Done shape Exec produces.
+type ExecutePrepared struct {
 	Name string
 	Args []types.Datum
 }
 
-// ExecutePrepared runs a prepared statement. With UseBound set the server
-// substitutes the argument vector last Bind-ed for this statement name;
-// otherwise the inline Args bind positionally. The reply stream is the same
-// Header/RowBatch.../Done shape Exec produces.
-type ExecutePrepared struct {
-	Name     string
-	UseBound bool
-	Args     []types.Datum
-}
-
-// CloseStmt deallocates a prepared statement and drops any stored binding.
-// The server answers Done or Error.
+// CloseStmt deallocates a prepared statement. The server answers Done or
+// Error.
 type CloseStmt struct{ Name string }
 
 func (*Hello) msgType() MsgType           { return MsgHello }
@@ -203,7 +179,6 @@ func (*Error) msgType() MsgType           { return MsgError }
 func (*Quit) msgType() MsgType            { return MsgQuit }
 func (*Parse) msgType() MsgType           { return MsgParse }
 func (*Prepared) msgType() MsgType        { return MsgPrepared }
-func (*Bind) msgType() MsgType            { return MsgBind }
 func (*ExecutePrepared) msgType() MsgType { return MsgExecutePrepared }
 func (*CloseStmt) msgType() MsgType       { return MsgCloseStmt }
 
@@ -233,7 +208,6 @@ func (c *Conn) Send(m Message) error {
 	case *Welcome:
 		e.u16(t.Version)
 		e.str(t.Banner)
-		e.u32(t.Caps)
 	case *Exec:
 		e.str(t.SQL)
 	case *Parse:
@@ -242,18 +216,8 @@ func (c *Conn) Send(m Message) error {
 	case *Prepared:
 		e.str(t.Name)
 		e.u16(t.NParams)
-	case *Bind:
-		e.str(t.Name)
-		if err := e.args(c.reg, t.Args); err != nil {
-			return err
-		}
 	case *ExecutePrepared:
 		e.str(t.Name)
-		if t.UseBound {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
 		if err := e.args(c.reg, t.Args); err != nil {
 			return err
 		}
@@ -330,22 +294,15 @@ func (c *Conn) Recv() (Message, error) {
 	case MsgHello:
 		m = &Hello{Version: d.u16(), Banner: d.str()}
 	case MsgWelcome:
-		w := &Welcome{Version: d.u16(), Banner: d.str()}
-		// A Welcome may end before Caps; default zero.
-		if d.err == nil && d.pos < len(d.buf) {
-			w.Caps = d.u32()
-		}
-		m = w
+		m = &Welcome{Version: d.u16(), Banner: d.str()}
 	case MsgExec:
 		m = &Exec{SQL: d.str()}
 	case MsgParse:
 		m = &Parse{Name: d.str(), SQL: d.str()}
 	case MsgPrepared:
 		m = &Prepared{Name: d.str(), NParams: d.u16()}
-	case MsgBind:
-		m = &Bind{Name: d.str(), Args: d.args(c.reg)}
 	case MsgExecutePrepared:
-		m = &ExecutePrepared{Name: d.str(), UseBound: d.u8() != 0, Args: d.args(c.reg)}
+		m = &ExecutePrepared{Name: d.str(), Args: d.args(c.reg)}
 	case MsgCloseStmt:
 		m = &CloseStmt{Name: d.str()}
 	case MsgHeader:

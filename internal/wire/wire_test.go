@@ -89,15 +89,13 @@ func TestControlFrames(t *testing.T) {
 	}
 }
 
-// The version-2 prepared-statement frames round-trip, argument vectors
-// included.
+// The prepared-statement frames round-trip, argument vectors included.
 func TestPreparedFrames(t *testing.T) {
 	for _, m := range []Message{
 		&Parse{Name: "q1", SQL: "SELECT * FROM t WHERE id = $1"},
 		&Prepared{Name: "q1", NParams: 3},
-		&Bind{Name: "q1", Args: []types.Datum{int64(7), "x", true}},
 		&ExecutePrepared{Name: "q1", Args: []types.Datum{int64(7), 2.5, chronon.MustParse("9/97")}},
-		&ExecutePrepared{Name: "q1", UseBound: true},
+		&ExecutePrepared{Name: "q1"},
 		&CloseStmt{Name: "q1"},
 	} {
 		got := roundTrip(t, nil, nil, m)
@@ -126,29 +124,6 @@ func TestPreparedArgsOpaque(t *testing.T) {
 		t.Fatalf("opaque arg round trip: %+v", op)
 	}
 	_ = cliOT
-}
-
-// A Welcome's Caps must survive the trip, and a Welcome that ends before
-// the capability word must still decode, with Caps zero: the decoder
-// tolerates the field's absence.
-func TestWelcomeCapsCompat(t *testing.T) {
-	got := roundTrip(t, nil, nil, &Welcome{Version: 2, Banner: "d", Caps: CapPrepared}).(*Welcome)
-	if got.Caps != CapPrepared {
-		t.Fatalf("Welcome caps: %#x", got.Caps)
-	}
-
-	// Hand-build the payload: u16 version, string banner, nothing after.
-	var e enc
-	e.u16(Version)
-	e.str("short welcome")
-	m, err := decodeFrame(nil, append([]byte{0, 0, 0, byte(len(e.buf)), byte(MsgWelcome)}, e.buf...))
-	if err != nil {
-		t.Fatalf("Welcome without caps: %v", err)
-	}
-	w := m.(*Welcome)
-	if w.Version != Version || w.Banner != "short welcome" || w.Caps != 0 {
-		t.Fatalf("Welcome without caps: %+v", w)
-	}
 }
 
 // Every datum kind must survive the trip; opaque values must pass through
@@ -232,11 +207,11 @@ func TestMalformedFrames(t *testing.T) {
 		{"oversized frame", []byte{0xff, 0xff, 0xff, 0xff, byte(MsgExec)}},
 		{"unknown frame type", []byte{0, 0, 0, 0, 99}},
 		{"row count overflow", append([]byte{0, 0, 0, byte(len(rows.buf)), byte(MsgRowBatch)}, rows.buf...)},
-		// 17 bytes: a Bind whose argument count is 0xFFFFFFFF. The decoder
-		// used to size its argument slice from the count and asked the
-		// runtime for 64 GiB, an unrecoverable out-of-memory crash.
-		{"bind argument count overflow", []byte{
-			0, 0, 0, 12, byte(MsgBind),
+		// 17 bytes: an ExecutePrepared whose argument count is 0xFFFFFFFF.
+		// The decoder used to size its argument slice from the count and
+		// asked the runtime for 64 GiB, an unrecoverable out-of-memory crash.
+		{"argument count overflow", []byte{
+			0, 0, 0, 12, byte(MsgExecutePrepared),
 			0, 0, 0, 4, 's', 't', 'm', 't',
 			0xff, 0xff, 0xff, 0xff,
 		}},
@@ -275,7 +250,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	opaque := types.Opaque{TypeID: period.ID, Data: []byte("1/97-3/97")}
 	for _, m := range []Message{
 		&Hello{Version: Version, Banner: "tinyblade"},
-		&Welcome{Version: Version, Banner: "tinybladed", Caps: CapPrepared},
+		&Welcome{Version: Version, Banner: "tinybladed"},
 		&Exec{SQL: "SELECT * FROM t"},
 		&Header{
 			Columns: []string{"id", "p"},
@@ -291,7 +266,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		&Quit{},
 		&Parse{Name: "q1", SQL: "SELECT * FROM t WHERE id = $1"},
 		&Prepared{Name: "q1", NParams: 1},
-		&Bind{Name: "q1", Args: []types.Datum{int64(7), opaque}},
+		&ExecutePrepared{Name: "q1", Args: []types.Datum{int64(7), opaque}},
 		&ExecutePrepared{Name: "q1", Args: []types.Datum{"x", false}},
 		&CloseStmt{Name: "q1"},
 	} {

@@ -48,10 +48,12 @@ echo "== go test -race -count=10 TestPlanCacheDDLRace"
 go test -race -count=10 -run TestPlanCacheDDLRace ./internal/engine
 
 # The statement pipeline: one statement scope over every entry point (clean,
-# scan error, open error, bind error), and DELETE on the batch pipeline
-# agreeing with a sequential scan and an oracle for all three access methods.
-echo "== go test -race -count=5 statement scope + DELETE agreement"
-go test -race -count=5 -run TestStatementScopeEveryEntryPoint ./internal/engine
+# scan error, open error, bind error), a virtual-table SELECT streamed through
+# the same cursor (and abandoned after one batch), and DELETE on the batch
+# pipeline agreeing with a sequential scan and an oracle for all three access
+# methods.
+echo "== go test -race -count=5 statement scope + virtual-table streams + DELETE agreement"
+go test -race -count=5 -run 'TestStatementScopeEveryEntryPoint|TestVirtualTableStreams' ./internal/engine
 go test -race -count=5 -run TestDeleteAgreesOnTheBatchPath ./internal/blades/treeblade
 
 # Exact index answers skip the WHERE re-check: a false exactness claim must be
@@ -89,9 +91,13 @@ go test -race -count=5 -timeout 120s -run TestCrashRecoveryWithASmallPool ./inte
 echo "== benchrunner -quick"
 go run ./cmd/benchrunner -quick >/dev/null
 
-# The wire decoder takes frames from the network: fuzz Conn.Recv briefly.
+# The wire decoder takes frames from the network: fuzz Conn.Recv briefly. The
+# parser takes SQL text from the network too, and the plan cache keys on its
+# deparse, which must re-parse to itself.
 echo "== fuzz FuzzDecodeFrame (10s)"
 go test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
+echo "== fuzz FuzzParse (10s)"
+go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 
 # bench/ is a nested module, so ./... above never compiles it: an API break
 # in a package it imports would otherwise first show up in the benchmark gate.

@@ -91,62 +91,69 @@ func sortStrings(in []string) []string {
 // TestIndexCrashRecovery: a committed index mutation survives a crash (WAL
 // redo over the sbspace pages); an uncommitted one is undone.
 func TestIndexCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	clock := chronon.NewVirtualClock(chronon.MustParse("9/97"))
-	e, err := engine.Open(engine.Options{Dir: dir, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Register(e); err != nil {
-		t.Fatal(err)
-	}
-	s := e.NewSession()
-	if _, err := s.ExecScript(`CREATE SBSPACE spc;
-		CREATE TABLE T (N INTEGER, X GRT_TimeExtent_t);
-		CREATE INDEX ix ON T(X) USING grtree_am IN spc`); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if _, err := s.Exec(fmt.Sprintf(`INSERT INTO T VALUES (%d, '%d/97, UC, %d/97, NOW')`, i, i%9+1, i%9+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// An uncommitted transaction that dirties heap and index, then a
-	// simulated crash: flush everything except running recovery.
-	if _, err := s.Exec(`BEGIN WORK`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(`INSERT INTO T VALUES (999, '9/97, UC, 9/97, NOW')`); err != nil {
-		t.Fatal(err)
-	}
-	e.CrashForTesting()
+	for name, crash := range map[string]func(*engine.Engine){
+		"written back": (*engine.Engine).CrashForTesting,
+		"pages lost":   (*engine.Engine).CrashLosingPagesForTesting,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			clock := chronon.NewVirtualClock(chronon.MustParse("9/97"))
+			e, err := engine.Open(engine.Options{Dir: dir, Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Register(e); err != nil {
+				t.Fatal(err)
+			}
+			s := e.NewSession()
+			if _, err := s.ExecScript(`CREATE SBSPACE spc;
+				CREATE TABLE T (N INTEGER, X GRT_TimeExtent_t);
+				CREATE INDEX ix ON T(X) USING grtree_am IN spc`); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 30; i++ {
+				if _, err := s.Exec(fmt.Sprintf(`INSERT INTO T VALUES (%d, '%d/97, UC, %d/97, NOW')`, i, i%9+1, i%9+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// An uncommitted transaction that dirties heap and index, then a
+			// simulated crash, with every pool written back or none.
+			if _, err := s.Exec(`BEGIN WORK`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Exec(`INSERT INTO T VALUES (999, '9/97, UC, 9/97, NOW')`); err != nil {
+				t.Fatal(err)
+			}
+			crash(e)
 
-	e2, err := engine.Open(engine.Options{Dir: dir, Clock: clock, Types: RegisterTypes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	if err := Register(e2); err != nil {
-		t.Fatal(err)
-	}
-	s2 := e2.NewSession()
-	defer s2.Close()
-	res, err := s2.Exec(`SELECT COUNT(*) FROM T WHERE Overlaps(X, '1/97, UC, 1/97, NOW')`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].(int64) != 30 {
-		t.Fatalf("recovered count: %v (uncommitted insert must be undone)", res.Rows[0][0])
-	}
-	if _, err := s2.Exec(`CHECK INDEX ix`); err != nil {
-		t.Fatalf("recovered index inconsistent: %v", err)
-	}
-	// The database is fully usable after recovery.
-	if _, err := s2.Exec(`INSERT INTO T VALUES (31, '9/97, UC, 9/97, NOW')`); err != nil {
-		t.Fatal(err)
-	}
-	res, _ = s2.Exec(`SELECT COUNT(*) FROM T`)
-	if res.Rows[0][0].(int64) != 31 {
-		t.Fatalf("post-recovery insert: %v", res.Rows[0][0])
+			e2, err := engine.Open(engine.Options{Dir: dir, Clock: clock, Types: RegisterTypes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			if err := Register(e2); err != nil {
+				t.Fatal(err)
+			}
+			s2 := e2.NewSession()
+			defer s2.Close()
+			res, err := s2.Exec(`SELECT COUNT(*) FROM T WHERE Overlaps(X, '1/97, UC, 1/97, NOW')`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows[0][0].(int64) != 30 {
+				t.Fatalf("recovered count: %v (uncommitted insert must be undone)", res.Rows[0][0])
+			}
+			if _, err := s2.Exec(`CHECK INDEX ix`); err != nil {
+				t.Fatalf("recovered index inconsistent: %v", err)
+			}
+			// The database is fully usable after recovery.
+			if _, err := s2.Exec(`INSERT INTO T VALUES (31, '9/97, UC, 9/97, NOW')`); err != nil {
+				t.Fatal(err)
+			}
+			res, _ = s2.Exec(`SELECT COUNT(*) FROM T`)
+			if res.Rows[0][0].(int64) != 31 {
+				t.Fatalf("post-recovery insert: %v", res.Rows[0][0])
+			}
+		})
 	}
 }

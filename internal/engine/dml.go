@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/am"
@@ -86,6 +87,19 @@ func (s *Session) openIndexes(table string, readOnly bool, only string) ([]openI
 	return opened, closeAll, nil
 }
 
+// targetColumn resolves an INSERT or UPDATE target column to its ordinal,
+// refusing one already among the statement's earlier targets.
+func targetColumn(tb *catalog.Table, name string, earlier []int) (int, error) {
+	i, err := tb.ColumnIndex(name)
+	if err != nil {
+		return 0, errf(CodeUndefinedObject, "%w", err)
+	}
+	if slices.Contains(earlier, i) {
+		return 0, errf(CodeDuplicateColumn, "column %q specified more than once", name)
+	}
+	return i, nil
+}
+
 // INSERT -----------------------------------------------------------------------
 
 func (s *Session) insert(t *sql.Insert) (*Result, error) {
@@ -103,9 +117,9 @@ func (s *Session) insert(t *sql.Insert) (*Result, error) {
 		}
 	} else {
 		for _, c := range t.Columns {
-			i, err := tb.ColumnIndex(c)
+			i, err := targetColumn(tb, c, colIdx)
 			if err != nil {
-				return nil, errf(CodeUndefinedObject, "%w", err)
+				return nil, err
 			}
 			colIdx = append(colIdx, i)
 		}
@@ -541,13 +555,13 @@ func (s *Session) update(t *sql.Update) (*Result, error) {
 	}
 	schema := table.Schema()
 
-	setIdx := make([]int, len(t.Sets))
-	for i, sc := range t.Sets {
-		ci, err := tb.ColumnIndex(sc.Column)
+	setIdx := make([]int, 0, len(t.Sets))
+	for _, sc := range t.Sets {
+		ci, err := targetColumn(tb, sc.Column, setIdx)
 		if err != nil {
-			return nil, errf(CodeUndefinedObject, "%w", err)
+			return nil, err
 		}
-		setIdx[i] = ci
+		setIdx = append(setIdx, ci)
 	}
 
 	idxs, closeAll, path, plan, err := s.planStmt("UPDATE", t, tb, schema, t.Where, true)

@@ -254,17 +254,6 @@ func Open(opts Options) (*Engine, error) {
 	if err := e.openStorage(); err != nil {
 		return nil, err
 	}
-	if e.log != nil && !e.mem {
-		stores := make(wal.MapSpaces)
-		e.mu.Lock()
-		for id, bp := range e.spacePools {
-			stores[id] = bufStore{bp}
-		}
-		e.mu.Unlock()
-		if _, err := wal.Recover(e.log, stores); err != nil {
-			return nil, fmt.Errorf("engine: recovery: %w", err)
-		}
-	}
 	e.stopCheckpointer = func() {}
 	if e.log != nil {
 		e.cpLast.Store(e.log.Size())
@@ -341,27 +330,46 @@ func (e *Engine) registerCoreCounters() {
 // benchmarks take Snapshot deltas across workload phases).
 func (e *Engine) Obs() *obs.Registry { return e.obs }
 
-// openStorage attaches pagers for every catalogued table and sbspace.
+// openStorage opens a pool for every catalogued table and sbspace, brings
+// the pools to a transaction-consistent state from the log, and only then
+// opens the heaps and spaces over them: heap.Open reads its header and
+// counts dead cells, and both must see recovered pages.
 func (e *Engine) openStorage() error {
 	for _, tb := range e.cat.Tables {
-		if err := e.attachTable(tb, false); err != nil {
+		if _, err := e.newPool("table_"+tb.Name, tb.SpaceID); err != nil {
 			return err
 		}
 	}
 	for _, sp := range e.cat.Sbspaces {
-		if err := e.attachSbspace(sp, false); err != nil {
+		if _, err := e.newPool("sbspace_"+sp.Name, sp.ID); err != nil {
 			return err
 		}
+	}
+	if e.log != nil && !e.mem {
+		if _, err := wal.Recover(e.log, e.mapStores()); err != nil {
+			return fmt.Errorf("engine: recovery: %w", err)
+		}
+	}
+	for _, tb := range e.cat.Tables {
+		if err := e.attachTable(tb, e.spacePools[tb.SpaceID], false); err != nil {
+			return err
+		}
+	}
+	for _, sp := range e.cat.Sbspaces {
+		e.attachSbspace(sp, e.spacePools[sp.ID])
 	}
 	return nil
 }
 
-func (e *Engine) newPool(name string, create bool) (*storage.BufferPool, error) {
+// newPool opens the buffer pool of space id over its pager and registers it.
+// The pool forces the log before writing a page back, and journals every
+// Edit to the log under space id.
+func (e *Engine) newPool(name string, id uint32) (*storage.BufferPool, error) {
 	var pager storage.Pager
 	if e.mem {
 		pager = storage.NewMemPager()
 	} else {
-		p, err := storage.OpenFilePager(filepath.Join(e.opts.Dir, name+".dat"))
+		p, err := storage.OpenFilePager(filepath.Join(e.opts.Dir, strings.ToLower(name)+".dat"))
 		if err != nil {
 			return nil, err
 		}
@@ -371,29 +379,27 @@ func (e *Engine) newPool(name string, create bool) (*storage.BufferPool, error) 
 	bp.SetObs(e.bpObs)
 	if e.log != nil {
 		bp.FlushHook = func(storage.PageID, []byte) error { return e.log.Flush() }
+		bp.Journal = func(tx uint64, page storage.PageID, off int, before, after []byte) error {
+			_, err := e.log.Update(tx, id, uint64(page), uint16(off), before, after)
+			return err
+		}
 	}
-	_ = create
+	e.mu.Lock()
+	e.spacePools[id] = bp
+	e.mu.Unlock()
 	return bp, nil
 }
 
-func (e *Engine) attachTable(tb *catalog.Table, create bool) error {
-	bp, err := e.newPool("table_"+strings.ToLower(tb.Name), create)
-	if err != nil {
-		return err
-	}
+func (e *Engine) attachTable(tb *catalog.Table, bp *storage.BufferPool, create bool) error {
 	schema, err := e.tableSchema(tb)
 	if err != nil {
 		return err
 	}
-	var j heap.Journal
-	if e.log != nil {
-		j = engineJournal{e}
-	}
 	var t *heap.Table
 	if create {
-		t, err = heap.Create(tb.Name, tb.SpaceID, bp, schema, j)
+		t, err = heap.Create(tb.Name, tb.SpaceID, bp, schema)
 	} else {
-		t, err = heap.Open(tb.Name, tb.SpaceID, bp, schema, j)
+		t, err = heap.Open(tb.Name, tb.SpaceID, bp, schema)
 	}
 	if err != nil {
 		return err
@@ -406,16 +412,11 @@ func (e *Engine) attachTable(tb *catalog.Table, create bool) error {
 	t.SetTxLive(e.txLive)
 	e.mu.Lock()
 	e.tables[strings.ToLower(tb.Name)] = t
-	e.spacePools[tb.SpaceID] = bp
 	e.mu.Unlock()
 	return nil
 }
 
-func (e *Engine) attachSbspace(sp *catalog.Sbspace, create bool) error {
-	bp, err := e.newPool("sbspace_"+strings.ToLower(sp.Name), create)
-	if err != nil {
-		return err
-	}
+func (e *Engine) attachSbspace(sp *catalog.Sbspace, bp *storage.BufferPool) {
 	s := sbspace.New(sp.ID, sp.Name, bp, e.lm)
 	s.SetObs(sbspace.ObsCounters{
 		Creates: e.obs.Counter("sbspace.lo_creates"),
@@ -423,14 +424,9 @@ func (e *Engine) attachSbspace(sp *catalog.Sbspace, create bool) error {
 		Closes:  e.obs.Counter("sbspace.lo_closes"),
 		Drops:   e.obs.Counter("sbspace.lo_drops"),
 	})
-	if e.log != nil {
-		s.SetJournal(engineJournal{e})
-	}
 	e.mu.Lock()
 	e.spaces[strings.ToLower(sp.Name)] = s
-	e.spacePools[sp.ID] = bp
 	e.mu.Unlock()
-	return nil
 }
 
 // tableSchema resolves a catalog table's column types. Opaque column types
@@ -488,20 +484,33 @@ func (e *Engine) Close() error {
 	return first
 }
 
-// CrashForTesting simulates a crash: every buffer pool is flushed (so dirty
-// pages of possibly-uncommitted transactions reach the pagers, the worst
-// case for recovery), the log and catalog are made durable, and the engine
-// is abandoned WITHOUT transaction cleanup. The background daemons are
-// stopped so the abandoned engine does not keep flushing (or leak
+// CrashForTesting simulates a crash in which every buffer pool was written
+// back: dirty pages of possibly-uncommitted transactions reach the pagers
+// (the worst case for undo), the log and catalog are made durable, and the
+// engine is abandoned WITHOUT transaction cleanup. The background daemons
+// are stopped so the abandoned engine does not keep flushing (or leak
 // goroutines), but no checkpoint is taken and no session state is cleaned
 // up. Only tests call this.
-func (e *Engine) CrashForTesting() {
+func (e *Engine) CrashForTesting() { e.crash(true) }
+
+// CrashLosingPagesForTesting simulates a crash in which no dirty page was
+// written back: like CrashForTesting it makes the log and catalog durable,
+// but it drops every buffer pool unwritten, so the pagers keep only what
+// eviction and checkpoints wrote (the worst case for redo). Only tests call
+// this.
+func (e *Engine) CrashLosingPagesForTesting() { e.crash(false) }
+
+func (e *Engine) crash(writeBack bool) {
 	e.closed.Store(true) // a later Close must not checkpoint the "dead" engine
 	e.stopVacuum()
 	e.stopCheckpointer()
 	e.mu.Lock()
 	for _, bp := range e.spacePools {
-		bp.FlushAll()
+		if writeBack {
+			bp.FlushAll()
+		} else {
+			bp.Pager().Close()
+		}
 	}
 	e.mu.Unlock()
 	if e.log != nil {
@@ -638,65 +647,14 @@ func (s *Session) amCall(fn, index string) {
 	s.ec.Slot(fn)
 }
 
-// engineJournal adapts the WAL to the heap/sbspace Journal interfaces.
-type engineJournal struct{ e *Engine }
-
-// LogUpdate implements heap.Journal and sbspace.Journal.
-func (j engineJournal) LogUpdate(tx uint64, space uint32, page uint64, off uint16, before, after []byte) error {
-	if j.e.log == nil || tx == 0 {
-		return nil
-	}
-	_, err := j.e.log.Update(tx, space, page, off, before, after)
-	return err
-}
-
-// bufStore adapts a buffer pool to wal.PageStore so recovery and rollback
-// stay cache-coherent.
-type bufStore struct{ bp *storage.BufferPool }
-
-// ReadPage implements wal.PageStore. Frame latches keep rollback's page
-// reads coherent against lock-free snapshot scans of other tables' pages
-// sharing the pool machinery.
-func (b bufStore) ReadPage(id uint64, buf []byte) error {
-	f, err := b.bp.Fetch(storage.PageID(id))
-	if err != nil {
-		return err
-	}
-	f.RLatch()
-	copy(buf, f.Data)
-	f.RUnlatch()
-	b.bp.Unpin(f, false)
-	return nil
-}
-
-// WritePage implements wal.PageStore.
-func (b bufStore) WritePage(id uint64, buf []byte) error {
-	f, err := b.bp.Fetch(storage.PageID(id))
-	if err != nil {
-		return err
-	}
-	f.Latch()
-	copy(f.Data, buf)
-	f.Unlatch()
-	b.bp.Unpin(f, true)
-	return nil
-}
-
-// EnsurePages implements wal.PageStore.
-func (b bufStore) EnsurePages(n uint64) error {
-	return b.bp.Pager().EnsurePages(n)
-}
-
-// PageSize implements wal.PageStore.
-func (b bufStore) PageSize() int { return storage.PageSize }
-
-// mapStores snapshots the space-id → store mapping for rollback.
-func (e *Engine) mapStores() wal.MapSpaces {
+// mapStores snapshots the space-id → pool mapping for recovery and
+// rollback.
+func (e *Engine) mapStores() map[uint32]wal.PageStore {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(wal.MapSpaces, len(e.spacePools))
+	out := make(map[uint32]wal.PageStore, len(e.spacePools))
 	for id, bp := range e.spacePools {
-		out[id] = bufStore{bp}
+		out[id] = bp
 	}
 	return out
 }

@@ -42,6 +42,9 @@ const (
 	CodeInvalidParameter = "22023"
 	// CodeDatatype (42804): a value cannot be coerced to the column type.
 	CodeDatatype = "42804"
+	// CodeDuplicateColumn (42701): an INSERT column list or UPDATE SET list
+	// names a column twice.
+	CodeDuplicateColumn = "42701"
 	// CodeActiveTx (25001): BEGIN WORK inside an open transaction.
 	CodeActiveTx = "25001"
 	// CodeNoActiveTx (25P01): COMMIT/ROLLBACK with no open transaction.
@@ -62,13 +65,6 @@ const (
 func errf(code string, format string, args ...any) error {
 	err := fmt.Errorf(format, args...)
 	return &Error{Code: code, Msg: err.Error(), Err: errors.Unwrap(err)}
-}
-
-// Errf builds a typed engine error for callers outside the package — the
-// network server raises protocol-level failures under the same SQLSTATE
-// convention so clients dispatch uniformly.
-func Errf(code string, format string, args ...any) error {
-	return errf(code, format, args...)
 }
 
 // heapErr maps heap-layer sentinels onto typed engine errors at the DML

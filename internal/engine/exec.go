@@ -289,7 +289,11 @@ func (s *Session) createTable(t *sql.CreateTable) (*Result, error) {
 	if err := s.e.cat.AddTable(tb); err != nil {
 		return nil, err
 	}
-	if err := s.e.attachTable(tb, true); err != nil {
+	bp, err := s.e.newPool("table_"+tb.Name, tb.SpaceID)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.e.attachTable(tb, bp, true); err != nil {
 		return nil, err
 	}
 	if err := s.e.cat.Save(); err != nil {
@@ -365,9 +369,11 @@ func (s *Session) createSbspace(t *sql.CreateSbspace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.e.attachSbspace(sp, true); err != nil {
+	bp, err := s.e.newPool("sbspace_"+sp.Name, sp.ID)
+	if err != nil {
 		return nil, err
 	}
+	s.e.attachSbspace(sp, bp)
 	if err := s.e.cat.Save(); err != nil {
 		return nil, err
 	}

@@ -245,46 +245,50 @@ func TestOwnWritesVisible(t *testing.T) {
 // TestVersionChainCrashRecovery: committed version chains survive a crash;
 // an in-flight transaction's versions are rolled back by recovery.
 func TestVersionChainCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	clock := chronon.NewVirtualClock(chronon.MustParse("9/97"))
-	e, err := Open(Options{Dir: dir, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := e.NewSession()
-	seedRows(t, s, 20)
-	exec(t, s, `UPDATE mv SET pad = 'v2' WHERE a < 5`)
-	exec(t, s, `DELETE FROM mv WHERE a >= 15`)
-	// Leave a transaction in flight at the crash: it must disappear.
-	exec(t, s, `BEGIN WORK`)
-	exec(t, s, `INSERT INTO mv VALUES (999, 'loser')`)
-	exec(t, s, `UPDATE mv SET pad = 'loser' WHERE a = 6`)
-	e.CrashForTesting()
+	for _, mode := range crashModes {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			clock := chronon.NewVirtualClock(chronon.MustParse("9/97"))
+			e, err := Open(Options{Dir: dir, Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := e.NewSession()
+			seedRows(t, s, 20)
+			exec(t, s, `UPDATE mv SET pad = 'v2' WHERE a < 5`)
+			exec(t, s, `DELETE FROM mv WHERE a >= 15`)
+			// Leave a transaction in flight at the crash: it must disappear.
+			exec(t, s, `BEGIN WORK`)
+			exec(t, s, `INSERT INTO mv VALUES (999, 'loser')`)
+			exec(t, s, `UPDATE mv SET pad = 'loser' WHERE a = 6`)
+			mode.crash(e)
 
-	e2, err := Open(Options{Dir: dir, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	s2 := e2.NewSession()
-	defer s2.Close()
-	res := exec(t, s2, `SELECT COUNT(*) FROM mv`)
-	if got := res.Rows[0][0].(int64); got != 15 {
-		t.Fatalf("recovered count %d, want 15", got)
-	}
-	res = exec(t, s2, `SELECT COUNT(*) FROM mv WHERE pad = 'v2'`)
-	if got := res.Rows[0][0].(int64); got != 5 {
-		t.Fatalf("recovered updated rows %d, want 5", got)
-	}
-	res = exec(t, s2, `SELECT COUNT(*) FROM mv WHERE pad = 'loser'`)
-	if got := res.Rows[0][0].(int64); got != 0 {
-		t.Fatalf("loser transaction visible after recovery: %d", got)
-	}
-	// The recovered heap accepts new versions on the existing chains.
-	exec(t, s2, `UPDATE mv SET pad = 'v3' WHERE a = 0`)
-	res = exec(t, s2, `SELECT pad FROM mv WHERE a = 0`)
-	if len(res.Rows) != 1 || res.Rows[0][0].(string) != "v3" {
-		t.Fatalf("post-recovery update: %+v", res.Rows)
+			e2, err := Open(Options{Dir: dir, Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			s2 := e2.NewSession()
+			defer s2.Close()
+			res := exec(t, s2, `SELECT COUNT(*) FROM mv`)
+			if got := res.Rows[0][0].(int64); got != 15 {
+				t.Fatalf("recovered count %d, want 15", got)
+			}
+			res = exec(t, s2, `SELECT COUNT(*) FROM mv WHERE pad = 'v2'`)
+			if got := res.Rows[0][0].(int64); got != 5 {
+				t.Fatalf("recovered updated rows %d, want 5", got)
+			}
+			res = exec(t, s2, `SELECT COUNT(*) FROM mv WHERE pad = 'loser'`)
+			if got := res.Rows[0][0].(int64); got != 0 {
+				t.Fatalf("loser transaction visible after recovery: %d", got)
+			}
+			// The recovered heap accepts new versions on the existing chains.
+			exec(t, s2, `UPDATE mv SET pad = 'v3' WHERE a = 0`)
+			res = exec(t, s2, `SELECT pad FROM mv WHERE a = 0`)
+			if len(res.Rows) != 1 || res.Rows[0][0].(string) != "v3" {
+				t.Fatalf("post-recovery update: %+v", res.Rows)
+			}
+		})
 	}
 }
 

@@ -246,12 +246,20 @@ func TestTypedErrorCodes(t *testing.T) {
 		{`SELECT * FROM nosuch`, CodeUndefinedTable},
 		{`CREATE TABLE bad (a NOSUCHTYPE)`, CodeUndefinedObject},
 		{`COMMIT`, CodeNoActiveTx},
+		{`INSERT INTO dup (a, a) VALUES (1, 2)`, CodeDuplicateColumn},
+		{`UPDATE dup SET a = 1, a = 2`, CodeDuplicateColumn},
 	}
+	exec(t, s, `CREATE TABLE dup (a INTEGER, b INTEGER)`)
+	exec(t, s, `INSERT INTO dup VALUES (0, 0)`)
 	for _, c := range cases {
 		_, err := s.Exec(c.sql)
 		if got := ErrorCode(err); got != c.code {
 			t.Fatalf("%s: code %q (err %v), want %s", c.sql, got, err, c.code)
 		}
+	}
+	// The refused statements wrote nothing.
+	if res := exec(t, s, `SELECT a FROM dup`); len(res.Rows) != 1 || res.Rows[0][0] != int64(0) {
+		t.Fatalf("dup after refused writes: %v", res.Rows)
 	}
 
 	exec(t, s, `BEGIN WORK`)

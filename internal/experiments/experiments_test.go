@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blades/rstblade"
 	"repro/internal/chronon"
 	"repro/internal/grtree"
 	"repro/internal/rstar"
@@ -121,7 +122,7 @@ func TestAdaptersAgreeWithTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mx, err := NewRSTIndex(rstar.DefaultConfig(), SubMax, chronon.FromDate(9999, 12, 31))
+	mx, err := NewRSTIndex(rstar.DefaultConfig(), rstblade.SubMax, chronon.FromDate(9999, 12, 31))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/blades/grtblade"
+	"repro/internal/blades/rstblade"
 	"repro/internal/chronon"
 	"repro/internal/engine"
 	"repro/internal/grtree"
@@ -47,11 +48,11 @@ func RunP1(w io.Writer, cfg WorkloadConfig) ([]P1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		mx, err := NewRSTIndex(rstar.DefaultConfig(), SubMax, chronon.FromDate(9999, 12, 31))
+		mx, err := NewRSTIndex(rstar.DefaultConfig(), rstblade.SubMax, chronon.FromDate(9999, 12, 31))
 		if err != nil {
 			return nil, err
 		}
-		ct, err2 := NewRSTIndex(rstar.DefaultConfig(), SubAsOf, chronon.FromDate(9999, 12, 31))
+		ct, err2 := NewRSTIndex(rstar.DefaultConfig(), rstblade.SubAsOf, chronon.FromDate(9999, 12, 31))
 		if err2 != nil {
 			return nil, err2
 		}
@@ -136,7 +137,7 @@ func RunP2(w io.Writer, cfg WorkloadConfig) ([]P2Row, error) {
 	rows = append(rows, P2Row{Index: "GR-tree", Overlap: gOverlap, Area: gArea,
 		DeadSpace: gs.DeadSpaceRatio, LeafNodes: gLeaf, TreeHeight: gs.Height})
 
-	mx, err := NewRSTIndex(rstar.DefaultConfig(), SubMax, chronon.FromDate(9999, 12, 31))
+	mx, err := NewRSTIndex(rstar.DefaultConfig(), rstblade.SubMax, chronon.FromDate(9999, 12, 31))
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/blades/rstblade"
 	"repro/internal/chronon"
 	"repro/internal/grtree"
 	"repro/internal/nodestore"
@@ -210,22 +211,11 @@ func (g *GRTIndex) NodeReads() uint64 { return g.store.Stats().NodeReads }
 // ResetReads implements Index.
 func (g *GRTIndex) ResetReads() { g.store.ResetStats() }
 
-// NowSub mirrors the rstblade substitution policies without importing the
-// blade (the experiments run at the tree level).
-type NowSub int
-
-const (
-	// SubMax substitutes the maximum timestamp for UC/NOW.
-	SubMax NowSub = iota
-	// SubAsOf resolves UC/NOW at insertion time (frozen rectangles).
-	SubAsOf
-)
-
 // RSTIndex adapts an R*-tree under a substitution policy.
 type RSTIndex struct {
 	Tree   *rstar.Tree
 	store  nodestore.Store
-	Sub    NowSub
+	Sub    rstblade.NowSub
 	MaxTS  chronon.Instant
 	rects  map[uint64]rstar.Rect // payload -> stored rect (delete support)
 	label  string
@@ -233,14 +223,14 @@ type RSTIndex struct {
 }
 
 // NewRSTIndex builds an empty in-memory R*-tree baseline.
-func NewRSTIndex(cfg rstar.Config, sub NowSub, maxTS chronon.Instant) (*RSTIndex, error) {
+func NewRSTIndex(cfg rstar.Config, sub rstblade.NowSub, maxTS chronon.Instant) (*RSTIndex, error) {
 	store := nodestore.NewMem()
 	tr, err := rstar.Create(store, cfg)
 	if err != nil {
 		return nil, err
 	}
 	label := "R*-MX"
-	if sub == SubAsOf {
+	if sub == rstblade.SubAsOf {
 		label = "R*-CT"
 	}
 	return &RSTIndex{Tree: tr, store: store, Sub: sub, MaxTS: maxTS, rects: make(map[uint64]rstar.Rect), label: label}, nil
@@ -249,26 +239,9 @@ func NewRSTIndex(cfg rstar.Config, sub NowSub, maxTS chronon.Instant) (*RSTIndex
 // Name implements Index.
 func (r *RSTIndex) Name() string { return r.label }
 
-func (r *RSTIndex) mapExtent(e temporal.Extent, ct chronon.Instant) rstar.Rect {
-	tte, vte := e.TTEnd, e.VTEnd
-	switch r.Sub {
-	case SubMax:
-		if tte == chronon.UC {
-			tte = r.MaxTS
-		}
-		if vte == chronon.NOW {
-			vte = r.MaxTS
-		}
-		return rstar.Rect{XMin: int64(e.TTBegin), XMax: int64(tte), YMin: int64(e.VTBegin), YMax: int64(vte)}
-	default:
-		sh := e.Region().Resolve(ct).BoundingBox()
-		return rstar.Rect{XMin: sh.TTBegin, XMax: sh.TTEnd, YMin: sh.VTBegin, YMax: sh.VTEnd}
-	}
-}
-
 // Insert implements Index.
 func (r *RSTIndex) Insert(e temporal.Extent, p uint64, ct chronon.Instant) error {
-	rect := r.mapExtent(e, ct)
+	rect := rstblade.MapExtent(e, r.Sub, r.MaxTS, ct)
 	r.rects[p] = rect
 	return r.Tree.Insert(rect, rstar.Payload(p))
 }
@@ -303,7 +276,7 @@ func (r *RSTIndex) SearchCandidates(q temporal.Extent, ct chronon.Instant) (exac
 }
 
 func (r *RSTIndex) searchCount(q temporal.Extent, ct chronon.Instant, candidates *int) (int, error) {
-	qr := r.mapExtent(q, ct)
+	qr := rstblade.MapExtent(q, r.Sub, r.MaxTS, ct)
 	// Cover the query's current resolution too (ground query over grown
 	// data under SubMax).
 	sh := q.Region().Resolve(ct).BoundingBox()
@@ -334,10 +307,6 @@ func (r *RSTIndex) searchCount(q temporal.Extent, ct chronon.Instant, candidates
 		}
 	}
 }
-
-// exactExtents lets the adapter re-filter candidates exactly (stands in for
-// the heap fetch).
-var _ = fmt.Sprintf
 
 // ExactSource supplies true extents for re-filtering.
 type ExactSource map[uint64]temporal.Extent

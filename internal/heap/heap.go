@@ -55,11 +55,6 @@ func (r RowID) Slot() int { return int(r & maxSlot) }
 
 func (r RowID) String() string { return fmt.Sprintf("rid(%d:%d)", r.Page(), r.Slot()) }
 
-// Journal receives physical page-update images (the WAL).
-type Journal interface {
-	LogUpdate(tx uint64, space uint32, page uint64, offset uint16, before, after []byte) error
-}
-
 // ErrNoSuchRow is returned for missing rowids.
 var ErrNoSuchRow = errors.New("heap: no such row")
 
@@ -179,12 +174,11 @@ type Table struct {
 	Name    string
 	SpaceID uint32
 
-	bp      *storage.BufferPool
-	journal Journal
-	schema  []types.Type
-	last    storage.PageID // insertion hint
-	obs     Obs
-	txLive  func(uint64) bool // engine's active-transaction probe (nil = unknown)
+	bp     *storage.BufferPool
+	schema []types.Type
+	last   storage.PageID // insertion hint
+	obs    Obs
+	txLive func(uint64) bool // engine's active-transaction probe (nil = unknown)
 
 	// dead counts version cells that are reclaimable-in-principle: ended by
 	// a committed transaction, or garbage left by an aborted NoWAL creator.
@@ -197,26 +191,31 @@ type Table struct {
 	dead atomic.Int64
 }
 
-// Create initialises a table in an empty buffer pool.
-func Create(name string, spaceID uint32, bp *storage.BufferPool, schema []types.Type, journal Journal) (*Table, error) {
-	t := &Table{Name: name, SpaceID: spaceID, bp: bp, journal: journal, schema: schema}
+// Create initialises a table in an empty buffer pool. The header page is
+// formatted redo-only (transaction 0): a table whose creation is rolled
+// back keeps a valid header, because the catalog entry is not logged.
+func Create(name string, spaceID uint32, bp *storage.BufferPool, schema []types.Type) (*Table, error) {
 	f, err := bp.Allocate() // page 1: header
 	if err != nil {
 		return nil, err
 	}
+	bp.Unpin(f, true)
 	if f.ID != 1 {
-		bp.Unpin(f, false)
 		return nil, fmt.Errorf("heap: table pager not empty (header at %d)", f.ID)
 	}
-	f.Latch()
-	binary.BigEndian.PutUint32(f.Data[0:4], tableMagic)
-	f.Unlatch()
-	bp.Unpin(f, true)
-	return t, nil
+	err = bp.Edit(0, 1, func(page []byte) error {
+		binary.BigEndian.PutUint32(page[0:4], tableMagic)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Table{Name: name, SpaceID: spaceID, bp: bp, schema: schema}, nil
 }
 
-// Open attaches to an existing table.
-func Open(name string, spaceID uint32, bp *storage.BufferPool, schema []types.Type, journal Journal) (*Table, error) {
+// Open attaches to an existing table. Its pool must already be recovered:
+// Open reads the header and seeds the dead count from the pages.
+func Open(name string, spaceID uint32, bp *storage.BufferPool, schema []types.Type) (*Table, error) {
 	f, err := bp.Fetch(1)
 	if err != nil {
 		return nil, fmt.Errorf("heap: open %s: %w", name, err)
@@ -228,7 +227,7 @@ func Open(name string, spaceID uint32, bp *storage.BufferPool, schema []types.Ty
 	if magic != tableMagic {
 		return nil, fmt.Errorf("heap: %s is not a heap table", name)
 	}
-	t := &Table{Name: name, SpaceID: spaceID, bp: bp, journal: journal, schema: schema}
+	t := &Table{Name: name, SpaceID: spaceID, bp: bp, schema: schema}
 	n, err := t.countDead()
 	if err != nil {
 		return nil, fmt.Errorf("heap: open %s: %w", name, err)
@@ -327,53 +326,6 @@ func (t *Table) Count() (int, error) {
 	return n, err
 }
 
-// modifyPage applies fn to the page under the WAL: the changed byte range
-// is logged with before/after images before the page is marked dirty. The
-// frame's write latch is held across fn so lock-free snapshot readers never
-// observe a half-applied edit; it is released before the frame re-enters
-// the pool (no latch is ever held across a shard mutex).
-func (t *Table) modifyPage(tx uint64, id storage.PageID, fn func(buf []byte) error) error {
-	f, err := t.bp.Fetch(id)
-	if err != nil {
-		return err
-	}
-	f.Latch()
-	var before []byte
-	if t.journal != nil {
-		before = append([]byte(nil), f.Data...)
-	}
-	if err := fn(f.Data); err != nil {
-		f.Unlatch()
-		t.bp.Unpin(f, false)
-		return err
-	}
-	if t.journal != nil {
-		lo, hi := diffRange(before, f.Data)
-		if lo < hi {
-			if err := t.journal.LogUpdate(tx, t.SpaceID, uint64(id), uint16(lo), before[lo:hi], f.Data[lo:hi]); err != nil {
-				f.Unlatch()
-				t.bp.Unpin(f, true)
-				return err
-			}
-		}
-	}
-	f.Unlatch()
-	t.bp.Unpin(f, true)
-	return nil
-}
-
-func diffRange(a, b []byte) (int, int) {
-	lo := 0
-	for lo < len(a) && a[lo] == b[lo] {
-		lo++
-	}
-	hi := len(a)
-	for hi > lo && a[hi-1] == b[hi-1] {
-		hi--
-	}
-	return lo, hi
-}
-
 // Insert stores the row as a new version created by tx and returns its
 // rowid. The version's commit stamp stays zero until the engine stamps it
 // at commit (StampVersion).
@@ -392,7 +344,7 @@ func (t *Table) Insert(tx uint64, row []types.Datum) (RowID, error) {
 	tryPage := func(id storage.PageID) (RowID, bool, error) {
 		var rid RowID
 		ok := false
-		err := t.modifyPage(tx, id, func(buf []byte) error {
+		err := t.bp.Edit(tx, id, func(buf []byte) error {
 			p := storage.SlottedPage{Buf: buf}
 			if p.FreeSpace() < len(cell) {
 				return nil
@@ -439,15 +391,16 @@ func (t *Table) Insert(tx uint64, row []types.Datum) (RowID, error) {
 		}
 		break // only probe the most recent page before extending
 	}
+	// A fresh page is formatted redo-only, like the allocation itself.
 	f, err := t.bp.Allocate()
 	if err != nil {
 		return 0, err
 	}
 	id := f.ID
-	f.Latch()
-	storage.InitSlotted(f.Data)
-	f.Unlatch()
 	t.bp.Unpin(f, true)
+	if err := t.bp.Edit(0, id, func(page []byte) error { storage.InitSlotted(page); return nil }); err != nil {
+		return 0, err
+	}
 	t.last = id
 	rid, ok, err := tryPage(id)
 	if err != nil {
@@ -525,7 +478,7 @@ func (t *Table) Get(rid RowID) ([]types.Datum, error) {
 // writers until the next vacuum tick.
 func (t *Table) Delete(tx uint64, rid RowID) (bool, error) {
 	deleted := false
-	err := t.modifyPage(tx, rid.Page(), func(buf []byte) error {
+	err := t.bp.Edit(tx, rid.Page(), func(buf []byte) error {
 		p := storage.SlottedPage{Buf: buf}
 		raw, ok := p.Read(rid.Slot())
 		if !ok || len(raw) < verHeaderSize {
@@ -564,7 +517,7 @@ func (t *Table) Update(tx uint64, rid RowID, row []types.Datum) (RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	err = t.modifyPage(tx, rid.Page(), func(buf []byte) error {
+	err = t.bp.Edit(tx, rid.Page(), func(buf []byte) error {
 		p := storage.SlottedPage{Buf: buf}
 		raw, ok := p.Read(rid.Slot())
 		if !ok || len(raw) < verHeaderSize {
@@ -586,7 +539,7 @@ func (t *Table) Update(tx uint64, rid RowID, row []types.Datum) (RowID, error) {
 // commit record is appended, so the stamps are WAL-protected under the same
 // transaction.
 func (t *Table) StampVersion(tx uint64, rid RowID, kind uint8, stamp uint64) error {
-	return t.modifyPage(tx, rid.Page(), func(buf []byte) error {
+	return t.bp.Edit(tx, rid.Page(), func(buf []byte) error {
 		p := storage.SlottedPage{Buf: buf}
 		raw, ok := p.Read(rid.Slot())
 		if !ok || len(raw) < verHeaderSize {
@@ -693,7 +646,7 @@ func (t *Table) Vacuum(tx uint64, horizon uint64, active func(uint64) bool, recl
 		if len(refs) == 0 {
 			continue
 		}
-		err := t.modifyPage(tx, id, func(buf []byte) error {
+		err := t.bp.Edit(tx, id, func(buf []byte) error {
 			p := storage.SlottedPage{Buf: buf}
 			for _, r := range refs {
 				if r.slot < 0 { // repair marker

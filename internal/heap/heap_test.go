@@ -14,7 +14,7 @@ var schema = []types.Type{types.Builtin(types.KInt), types.Builtin(types.KVarcha
 func newTable(t *testing.T) *Table {
 	t.Helper()
 	bp := storage.NewBufferPool(storage.NewMemPager(), 128)
-	tb, err := Create("emp", 1, bp, schema, nil)
+	tb, err := Create("emp", 1, bp, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestRandomisedAgainstModel(t *testing.T) {
 
 type countJournal struct{ n int }
 
-func (c *countJournal) LogUpdate(tx uint64, space uint32, page uint64, off uint16, before, after []byte) error {
+func (c *countJournal) LogUpdate(tx uint64, page storage.PageID, off int, before, after []byte) error {
 	c.n++
 	if len(before) != len(after) {
 		return fmt.Errorf("image length mismatch")
@@ -384,7 +384,8 @@ func (c *countJournal) LogUpdate(tx uint64, space uint32, page uint64, off uint1
 func TestJournalledMutations(t *testing.T) {
 	bp := storage.NewBufferPool(storage.NewMemPager(), 64)
 	j := &countJournal{}
-	tb, err := Create("emp", 1, bp, schema, j)
+	bp.Journal = j.LogUpdate
+	tb, err := Create("emp", 1, bp, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,9 +438,9 @@ func TestRowIDPacking(t *testing.T) {
 
 func TestOpenExisting(t *testing.T) {
 	bp := storage.NewBufferPool(storage.NewMemPager(), 64)
-	tb, _ := Create("emp", 1, bp, schema, nil)
+	tb, _ := Create("emp", 1, bp, schema)
 	rid, _ := tb.Insert(1, []types.Datum{int64(5), "persist"})
-	tb2, err := Open("emp", 1, bp, schema, nil)
+	tb2, err := Open("emp", 1, bp, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +450,7 @@ func TestOpenExisting(t *testing.T) {
 	}
 	// Open of a non-table fails.
 	bp2 := storage.NewBufferPool(storage.NewMemPager(), 64)
-	if _, err := Open("x", 1, bp2, schema, nil); err == nil {
+	if _, err := Open("x", 1, bp2, schema); err == nil {
 		t.Fatal("open of empty pager must fail")
 	}
 }

@@ -79,12 +79,6 @@ const (
 	ReadWrite
 )
 
-// Journal receives physical before/after images of page updates; the engine
-// wires the WAL here. A nil journal disables logging.
-type Journal interface {
-	LogUpdate(tx uint64, space uint32, page uint64, offset uint16, before, after []byte) error
-}
-
 // Stats counts sbspace operations; experiment P3 reports them.
 type Stats struct {
 	Creates uint64
@@ -124,12 +118,11 @@ type Space struct {
 	ID   uint32
 	Name string
 
-	mu      sync.Mutex
-	bp      *storage.BufferPool
-	locks   *lock.Manager
-	journal Journal
-	stats   Stats
-	obs     ObsCounters
+	mu    sync.Mutex
+	bp    *storage.BufferPool
+	locks *lock.Manager
+	stats Stats
+	obs   ObsCounters
 }
 
 // ObsCounters mirrors the space's large-object operation counters into an
@@ -143,12 +136,11 @@ type ObsCounters struct {
 func (s *Space) SetObs(o ObsCounters) { s.obs = o }
 
 // New creates a space over the buffer pool with the given lock manager.
+// Every page change goes through the pool's Edit, so the pool's journal, if
+// any, logs it.
 func New(id uint32, name string, bp *storage.BufferPool, locks *lock.Manager) *Space {
 	return &Space{ID: id, Name: name, bp: bp, locks: locks}
 }
-
-// SetJournal attaches a WAL journal; subsequent writes are logged.
-func (s *Space) SetJournal(j Journal) { s.journal = j }
 
 // Pool returns the space's buffer pool (I/O statistics live there).
 func (s *Space) Pool() *storage.BufferPool { return s.bp }
@@ -161,35 +153,36 @@ func (s *Space) Stats() Stats {
 }
 
 // nextLOID mints a space-unique large-object id, persisted in the space
-// metadata page so dangling handles are detected across restarts.
+// metadata page so dangling handles are detected across restarts. The page
+// is formatted and the counter advanced redo-only (transaction 0): a
+// generation stamp never goes back, so a rolled-back creation cannot undo
+// the advance of a concurrent one.
 func (s *Space) nextLOID() (uint32, error) {
 	if s.bp.Pager().NumPages() < 2 {
 		f, err := s.bp.Allocate() // becomes page 1
 		if err != nil {
 			return 0, err
 		}
-		f.Latch()
-		binary.BigEndian.PutUint32(f.Data[0:4], spaceMetaMagic)
-		binary.BigEndian.PutUint32(f.Data[4:8], 1)
-		f.Unlatch()
 		s.bp.Unpin(f, true)
+		err = s.bp.Edit(0, f.ID, func(page []byte) error {
+			binary.BigEndian.PutUint32(page[0:4], spaceMetaMagic)
+			binary.BigEndian.PutUint32(page[4:8], 1)
+			return nil
+		})
+		if err != nil {
+			return 0, err
+		}
 	}
-	f, err := s.bp.Fetch(1)
-	if err != nil {
-		return 0, err
-	}
-	if binary.BigEndian.Uint32(f.Data[0:4]) != spaceMetaMagic {
-		// Page 1 predates this space's metadata (or belongs to another
-		// structure); fall back to an in-memory counter page claim.
-		s.bp.Unpin(f, false)
-		return 0, fmt.Errorf("sbspace: space %d has no metadata page", s.ID)
-	}
-	f.Latch()
-	id := binary.BigEndian.Uint32(f.Data[4:8])
-	binary.BigEndian.PutUint32(f.Data[4:8], id+1)
-	f.Unlatch()
-	s.bp.Unpin(f, true)
-	return id, nil
+	var id uint32
+	err := s.bp.Edit(0, 1, func(page []byte) error {
+		if binary.BigEndian.Uint32(page[0:4]) != spaceMetaMagic {
+			return fmt.Errorf("sbspace: space %d has no metadata page", s.ID)
+		}
+		id = binary.BigEndian.Uint32(page[4:8])
+		binary.BigEndian.PutUint32(page[4:8], id+1)
+		return nil
+	})
+	return id, err
 }
 
 // Create allocates a new, empty large object owned by tx (exclusively
@@ -203,11 +196,15 @@ func (s *Space) Create(tx lock.TxID) (Handle, error) {
 	if err != nil {
 		return NilHandle, err
 	}
-	f.Latch()
-	binary.BigEndian.PutUint32(f.Data[0:4], loMagic)
-	binary.BigEndian.PutUint32(f.Data[24:28], id)
-	f.Unlatch()
 	s.bp.Unpin(f, true)
+	err = s.bp.Edit(uint64(tx), f.ID, func(page []byte) error {
+		binary.BigEndian.PutUint32(page[0:4], loMagic)
+		binary.BigEndian.PutUint32(page[24:28], id)
+		return nil
+	})
+	if err != nil {
+		return NilHandle, err
+	}
 	h := Handle{Space: s.ID, Header: f.ID, ID: id}
 	if err := s.locks.Acquire(tx, h.resource(), lock.Exclusive); err != nil {
 		return NilHandle, err
@@ -435,9 +432,8 @@ func (lo *LargeObject) View(idx int64, fn func(page []byte) error) error {
 }
 
 // WriteAt writes buf at offset off, extending the object as needed. The
-// object must be open ReadWrite. Every write into a pinned frame's Data holds
-// the frame's write latch, so a checkpoint flushing the frame never copies a
-// half-written page; the journal is written outside the latch.
+// object must be open ReadWrite. Data pages and the size field change
+// through the pool's Edit under the object's transaction.
 func (lo *LargeObject) WriteAt(buf []byte, off int64) (int, error) {
 	if lo.closed {
 		return 0, ErrClosed
@@ -457,35 +453,21 @@ func (lo *LargeObject) WriteAt(buf []byte, off int64) (int, error) {
 		if err != nil {
 			return written, err
 		}
-		f, err := lo.space.bp.Fetch(pid)
+		err = lo.edit(pid, func(page []byte) {
+			copy(page[inPage:inPage+chunk], buf[written:written+chunk])
+		})
 		if err != nil {
 			return written, err
 		}
-		if j := lo.space.journal; j != nil {
-			before := append([]byte(nil), f.Data[inPage:inPage+chunk]...)
-			if err := j.LogUpdate(uint64(lo.tx), lo.space.ID, uint64(pid), uint16(inPage), before, buf[written:written+chunk]); err != nil {
-				lo.space.bp.Unpin(f, false)
-				return written, err
-			}
-		}
-		f.Latch()
-		copy(f.Data[inPage:inPage+chunk], buf[written:written+chunk])
-		f.Unlatch()
-		lo.space.bp.Unpin(f, true)
 		written += chunk
 	}
 	// Extend the logical size.
-	end := off + int64(len(buf))
-	f, err := lo.space.bp.Fetch(lo.h.Header)
-	if err != nil {
-		return written, err
-	}
-	grown := end > int64(binary.BigEndian.Uint64(f.Data[4:12]))
-	if grown {
-		put64(f, 4, uint64(end))
-	}
-	lo.space.bp.Unpin(f, grown)
-	return written, nil
+	end := uint64(off + int64(len(buf)))
+	return written, lo.edit(lo.h.Header, func(page []byte) {
+		if end > binary.BigEndian.Uint64(page[4:12]) {
+			binary.BigEndian.PutUint64(page[4:12], end)
+		}
+	})
 }
 
 // Truncate sets the logical size (shrinking does not free pages; vacuuming
@@ -497,13 +479,14 @@ func (lo *LargeObject) Truncate(size int64) error {
 	if lo.mode != ReadWrite {
 		return fmt.Errorf("sbspace: truncate of read-only large object")
 	}
-	f, err := lo.space.bp.Fetch(lo.h.Header)
-	if err != nil {
-		return err
-	}
-	put64(f, 4, uint64(size))
-	lo.space.bp.Unpin(f, true)
-	return nil
+	return lo.edit(lo.h.Header, func(page []byte) {
+		binary.BigEndian.PutUint64(page[4:12], uint64(size))
+	})
+}
+
+// edit changes page id of the object under the object's transaction.
+func (lo *LargeObject) edit(id storage.PageID, fn func(page []byte)) error {
+	return lo.space.bp.Edit(uint64(lo.tx), id, func(page []byte) error { fn(page); return nil })
 }
 
 // firstIndirect returns the first indirect page id.
@@ -548,116 +531,46 @@ func (lo *LargeObject) dataPages() ([]storage.PageID, error) {
 }
 
 // pageAt maps a logical page index to a data page, optionally allocating.
+// Direct slots live in the header; the rest in a chain of indirect pages.
 func (lo *LargeObject) pageAt(idx int64, alloc bool) (storage.PageID, error) {
-	bp := lo.space.bp
 	if idx < directSlots {
-		f, err := bp.Fetch(lo.h.Header)
-		if err != nil {
-			return storage.InvalidPage, err
-		}
-		used := binary.BigEndian.Uint32(f.Data[20:24])
-		slot := loHeaderFixed + 8*idx
-		pid := storage.PageID(binary.BigEndian.Uint64(f.Data[slot:]))
-		if pid != storage.InvalidPage || !alloc {
-			bp.Unpin(f, false)
-			return pid, nil
-		}
-		nf, err := bp.Allocate()
-		if err != nil {
-			bp.Unpin(f, false)
-			return storage.InvalidPage, err
-		}
-		pid = nf.ID
-		bp.Unpin(nf, true)
-		f.Latch()
-		binary.BigEndian.PutUint64(f.Data[slot:], uint64(pid))
-		if uint32(idx)+1 > used {
-			binary.BigEndian.PutUint32(f.Data[20:24], uint32(idx)+1)
-		}
-		f.Unlatch()
-		bp.Unpin(f, true)
-		return pid, nil
+		return lo.link(lo.h.Header, loHeaderFixed+8*int(idx), alloc, uint32(idx)+1)
 	}
-
-	// Walk (allocating, if requested) the indirect chain.
 	rel := idx - directSlots
-	hop := rel / indirectSlots
-	slotIdx := rel % indirectSlots
+	cur, err := lo.link(lo.h.Header, 12, alloc, 0)
+	for hop := rel / indirectSlots; hop > 0 && err == nil && cur != storage.InvalidPage; hop-- {
+		cur, err = lo.link(cur, 0, alloc, 0)
+	}
+	if err != nil || cur == storage.InvalidPage {
+		return storage.InvalidPage, err
+	}
+	return lo.link(cur, 8+8*int(rel%indirectSlots), alloc, 0)
+}
 
-	f, err := bp.Fetch(lo.h.Header)
+// link reads the page id stored at off of page id. When it is unset and
+// alloc is true, link allocates a page and stores its id there; used, when
+// nonzero, is the header's new minimum count of direct slots in use.
+func (lo *LargeObject) link(id storage.PageID, off int, alloc bool, used uint32) (storage.PageID, error) {
+	bp := lo.space.bp
+	f, err := bp.Fetch(id)
 	if err != nil {
 		return storage.InvalidPage, err
 	}
-	cur := storage.PageID(binary.BigEndian.Uint64(f.Data[12:20]))
-	if cur == storage.InvalidPage {
-		if !alloc {
-			bp.Unpin(f, false)
-			return storage.InvalidPage, nil
-		}
-		nf, err := bp.Allocate()
-		if err != nil {
-			bp.Unpin(f, false)
-			return storage.InvalidPage, err
-		}
-		cur = nf.ID
-		bp.Unpin(nf, true)
-		put64(f, 12, uint64(cur))
-		bp.Unpin(f, true)
-	} else {
-		bp.Unpin(f, false)
-	}
-
-	for h := int64(0); h < hop; h++ {
-		fi, err := bp.Fetch(cur)
-		if err != nil {
-			return storage.InvalidPage, err
-		}
-		next := storage.PageID(binary.BigEndian.Uint64(fi.Data[0:8]))
-		if next == storage.InvalidPage {
-			if !alloc {
-				bp.Unpin(fi, false)
-				return storage.InvalidPage, nil
-			}
-			nf, err := bp.Allocate()
-			if err != nil {
-				bp.Unpin(fi, false)
-				return storage.InvalidPage, err
-			}
-			next = nf.ID
-			bp.Unpin(nf, true)
-			put64(fi, 0, uint64(next))
-			bp.Unpin(fi, true)
-		} else {
-			bp.Unpin(fi, false)
-		}
-		cur = next
-	}
-
-	fi, err := bp.Fetch(cur)
-	if err != nil {
-		return storage.InvalidPage, err
-	}
-	slot := 8 + 8*slotIdx
-	pid := storage.PageID(binary.BigEndian.Uint64(fi.Data[slot:]))
+	pid := storage.PageID(binary.BigEndian.Uint64(f.Data[off:]))
+	bp.Unpin(f, false)
 	if pid != storage.InvalidPage || !alloc {
-		bp.Unpin(fi, false)
 		return pid, nil
 	}
 	nf, err := bp.Allocate()
 	if err != nil {
-		bp.Unpin(fi, false)
 		return storage.InvalidPage, err
 	}
 	pid = nf.ID
 	bp.Unpin(nf, true)
-	put64(fi, int(slot), uint64(pid))
-	bp.Unpin(fi, true)
-	return pid, nil
-}
-
-// put64 stores v at off in a pinned frame under the frame's write latch.
-func put64(f *storage.Frame, off int, v uint64) {
-	f.Latch()
-	binary.BigEndian.PutUint64(f.Data[off:], v)
-	f.Unlatch()
+	return pid, lo.edit(id, func(page []byte) {
+		binary.BigEndian.PutUint64(page[off:], uint64(pid))
+		if used > binary.BigEndian.Uint32(page[20:24]) {
+			binary.BigEndian.PutUint32(page[20:24], used)
+		}
+	})
 }

@@ -283,7 +283,7 @@ func TestStatsCounting(t *testing.T) {
 
 type captureJournal struct{ records int }
 
-func (c *captureJournal) LogUpdate(tx uint64, space uint32, page uint64, off uint16, before, after []byte) error {
+func (c *captureJournal) LogUpdate(tx uint64, page storage.PageID, off int, before, after []byte) error {
 	c.records++
 	return nil
 }
@@ -292,7 +292,7 @@ func TestJournalReceivesWrites(t *testing.T) {
 	s, lm := newTestSpace(t)
 	defer lm.ReleaseAll(1)
 	j := &captureJournal{}
-	s.SetJournal(j)
+	s.Pool().Journal = j.LogUpdate
 	h, _ := s.Create(1)
 	lo, _ := s.Open(1, h, ReadWrite, lock.CommittedRead)
 	lo.WriteAt([]byte("logged"), 0)
@@ -325,4 +325,81 @@ func TestTruncate(t *testing.T) {
 	if n != 4 || string(buf[:4]) != "0123" {
 		t.Fatalf("read after truncate: %d %q", n, buf[:n])
 	}
+}
+
+// Every byte a space writes reaches the pool's journal: replaying only the
+// after-images, in order, onto an empty pager rebuilds every large object,
+// its size, page map and indirect chain included.
+func TestJournalAfterImagesRebuildTheSpace(t *testing.T) {
+	s, lm := newTestSpace(t)
+	defer lm.ReleaseAll(1)
+	type image struct {
+		page uint64
+		off  uint16
+		img  []byte
+	}
+	var log []image
+	s.Pool().Journal = func(tx uint64, page storage.PageID, off int, before, after []byte) error {
+		log = append(log, image{uint64(page), uint16(off), append([]byte(nil), after...)})
+		return nil
+	}
+	rng := rand.New(rand.NewSource(1))
+	var handles []Handle
+	for i := 0; i < 3; i++ {
+		h, err := s.Create(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, err := s.Open(1, h, ReadWrite, lock.CommittedRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range []int64{0, 5000, int64(directSlots+3) * storage.PageSize} {
+			buf := make([]byte, 100+rng.Intn(6000))
+			rng.Read(buf)
+			if _, err := lo.WriteAt(buf, off+int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i == 1 {
+			if err := lo.Truncate(7000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo.Close()
+		handles = append(handles, h)
+	}
+
+	replayed := storage.NewMemPager()
+	for _, r := range log {
+		if err := (storage.WALStore{P: replayed}).Apply(r.page, r.off, r.img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twin := New(1, "spc", storage.NewBufferPool(replayed, 256), lm)
+	for _, h := range handles {
+		want, got := readAll(t, s, h), readAll(t, twin, h)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v: replayed object has %d bytes, differing from the original's %d", h, len(got), len(want))
+		}
+	}
+}
+
+// readAll returns a large object's whole contents.
+func readAll(t *testing.T, s *Space, h Handle) []byte {
+	t.Helper()
+	lo, err := s.Open(1, h, ReadOnly, lock.CommittedRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lo.Close()
+	size, err := lo.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	if _, err := lo.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
@@ -44,15 +45,18 @@ var ErrPoolFull = errors.New("storage: buffer pool exhausted (all frames pinned)
 //
 // The embedded latch protects Data for components whose readers run without
 // any higher-level lock: MVCC heap scans read pages concurrently with
-// writers, so heap mutators hold the write latch over their Data edits and
-// heap readers the read latch over decoding; sbspace does the same for
-// large-object pages. The pool's own flusher takes the read latch, so
-// eviction and checkpoint writes never race a writer.
+// writers, so every change to Data goes through BufferPool.Edit, which holds
+// the write latch, and readers hold the read latch over decoding. The pool's
+// own flusher takes the read latch, so eviction and checkpoint writes never
+// race a writer.
 type Frame struct {
-	ID    PageID
-	Data  []byte
-	pins  int
-	dirty bool
+	ID   PageID
+	Data []byte
+	pins int
+	// dirty is atomic because Edit sets it under the frame's latch, before
+	// the edit's journal record exists, while the flusher reads it under
+	// the shard mutex.
+	dirty atomic.Bool
 	// elem is the frame's place in its shard's LRU list, set at its first
 	// unpin. A frame stays listed while pinned again (eviction skips it), so
 	// an unpin moves an element instead of allocating one.
@@ -105,6 +109,13 @@ type BufferPool struct {
 	// written back; the WAL installs itself here to honour write-ahead
 	// ordering. Set it before the pool sees concurrent use.
 	FlushHook func(id PageID, data []byte) error
+
+	// Journal, when set, receives every change Edit makes: the editing
+	// transaction, the page, and the changed byte range with its before and
+	// after images. The engine attaches the WAL here for the pool's space.
+	// Transaction 0 marks a redo-only edit (formatting a freshly allocated
+	// page). Set it before the pool sees concurrent use.
+	Journal func(tx uint64, id PageID, off int, before, after []byte) error
 }
 
 // ObsCounters mirrors the pool's I/O counters into an obs registry, so an
@@ -217,7 +228,8 @@ func (bp *BufferPool) Allocate() (*Frame, error) {
 	if err := bp.ensureRoom(sh); err != nil {
 		return nil, err
 	}
-	f := &Frame{ID: id, Data: make([]byte, PageSize), pins: 1, dirty: true}
+	f := &Frame{ID: id, Data: make([]byte, PageSize), pins: 1}
+	f.dirty.Store(true)
 	sh.frames[id] = f
 	return f, nil
 }
@@ -264,7 +276,7 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if dirty {
-		f.dirty = true
+		f.dirty.Store(true)
 	}
 	if f.pins > 0 {
 		f.pins--
@@ -277,6 +289,81 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	} else {
 		sh.lru.MoveToFront(f.elem)
 	}
+}
+
+// Edit is the one way to change a page: it applies fn to page id's bytes
+// under the frame's write latch, so lock-free readers never see a
+// half-applied edit, journals the changed byte range under tx, and leaves
+// the page dirty. fn must return its error before it touches the page: a
+// failed edit changes nothing and journals nothing.
+func (bp *BufferPool) Edit(tx uint64, id PageID, fn func(page []byte) error) error {
+	return bp.edit(tx, id, bp.Journal, fn)
+}
+
+// Apply writes img at off of page id, extending the pager when the page's
+// allocation was lost in a crash. It is redo and undo's page write and
+// journals nothing, because recovery logs its own compensation records.
+func (bp *BufferPool) Apply(id uint64, off uint16, img []byte) error {
+	if err := bp.pager.EnsurePages(id + 1); err != nil {
+		return err
+	}
+	return bp.edit(0, PageID(id), nil, func(page []byte) error { return applyImage(page, id, off, img) })
+}
+
+// applyImage copies a logged image into page. The image is input read from
+// the log, so one that overflows the page is refused, not trusted.
+func applyImage(page []byte, id uint64, off uint16, img []byte) error {
+	if int(off)+len(img) > len(page) {
+		return fmt.Errorf("storage: image overflows page %d (offset %d, len %d)", id, off, len(img))
+	}
+	copy(page[off:], img)
+	return nil
+}
+
+func (bp *BufferPool) edit(tx uint64, id PageID, journal func(uint64, PageID, int, []byte, []byte) error, fn func([]byte) error) error {
+	f, err := bp.Fetch(id)
+	if err != nil {
+		return err
+	}
+	f.Latch()
+	var before []byte
+	if journal != nil {
+		before = append([]byte(nil), f.Data...)
+	}
+	if err = fn(f.Data); err == nil {
+		// Dirty before the record exists: a checkpoint cut after the record
+		// then finds the page dirty and writes it before truncating the log.
+		f.dirty.Store(true)
+		if journal != nil {
+			if lo, hi := diffRange(before, f.Data); lo < hi {
+				err = journal(tx, id, lo, before[lo:hi], f.Data[lo:hi])
+			}
+		}
+	}
+	f.Unlatch()
+	bp.Unpin(f, false)
+	return err
+}
+
+// diffRange returns the smallest [lo, hi) outside which a and b agree. Most
+// edits change a few bytes of a page, so equal 64-byte blocks are skipped
+// with bytes.Equal before the byte loops.
+func diffRange(a, b []byte) (int, int) {
+	const block = 64
+	lo, hi := 0, len(a)
+	for lo+block <= hi && bytes.Equal(a[lo:lo+block], b[lo:lo+block]) {
+		lo += block
+	}
+	for lo < hi && a[lo] == b[lo] {
+		lo++
+	}
+	for hi-block >= lo && bytes.Equal(a[hi-block:hi], b[hi-block:hi]) {
+		hi -= block
+	}
+	for hi > lo && a[hi-1] == b[hi-1] {
+		hi--
+	}
+	return lo, hi
 }
 
 // ensureRoom evicts the least recently unpinned frame that is not pinned
@@ -293,7 +380,7 @@ func (bp *BufferPool) ensureRoom(sh *shard) error {
 		victim := back.Value.(*Frame)
 		sh.lru.Remove(back)
 		victim.elem = nil
-		if victim.dirty {
+		if victim.dirty.Load() {
 			if err := bp.flushLocked(victim); err != nil {
 				return err
 			}
@@ -323,7 +410,7 @@ func (bp *BufferPool) flushLocked(f *Frame) error {
 	if err := bp.pager.WritePage(f.ID, f.Data); err != nil {
 		return err
 	}
-	f.dirty = false
+	f.dirty.Store(false)
 	bp.unsynced.Store(true)
 	return nil
 }
@@ -335,7 +422,7 @@ func (bp *BufferPool) FlushAll() error {
 	for _, sh := range bp.shards {
 		sh.mu.Lock()
 		for _, f := range sh.frames {
-			if f.dirty {
+			if f.dirty.Load() {
 				if err := bp.flushLocked(f); err != nil {
 					sh.mu.Unlock()
 					return err

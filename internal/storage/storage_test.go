@@ -465,3 +465,89 @@ func BenchmarkSlottedInsert(b *testing.B) {
 }
 
 var _ = fmt.Sprintf // keep fmt import if unused in some build configs
+
+// loggedEdit is one Journal call.
+type loggedEdit struct {
+	tx            uint64
+	id            PageID
+	off           int
+	before, after string
+}
+
+// Edit journals exactly the changed byte range with both images, nothing for
+// an edit that changes nothing or fails, and Apply journals nothing.
+func TestEditJournalsTheChangedRange(t *testing.T) {
+	bp := NewBufferPool(NewMemPager(), 8)
+	var log []loggedEdit
+	bp.Journal = func(tx uint64, id PageID, off int, before, after []byte) error {
+		log = append(log, loggedEdit{tx, id, off, string(before), string(after)})
+		return nil
+	}
+	f, err := bp.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.ID
+	bp.Unpin(f, true)
+	page := func() string {
+		f, err := bp.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bp.Unpin(f, false)
+		return string(f.Data)
+	}
+
+	if err := bp.Edit(7, id, func(p []byte) error { copy(p[100:], "abc"); p[110] = 'z'; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	want := loggedEdit{7, id, 100, "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00", "abc\x00\x00\x00\x00\x00\x00\x00z"}
+	if len(log) != 1 || log[0] != want {
+		t.Fatalf("journal after one edit: %q, want %q", log, want)
+	}
+	if err := bp.Edit(7, id, func(p []byte) error { copy(p[100:], "abc"); return nil }); err != nil || len(log) != 1 {
+		t.Fatalf("an edit that changes nothing journaled %d records (err %v)", len(log)-1, err)
+	}
+	before := page()
+	failure := fmt.Errorf("refused")
+	if err := bp.Edit(7, id, func(p []byte) error { return failure }); err != failure {
+		t.Fatalf("failed edit returned %v", err)
+	}
+	if len(log) != 1 || page() != before {
+		t.Fatal("a failed edit changed the page or the journal")
+	}
+	if err := bp.Apply(uint64(id), 200, []byte("redo")); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 1 || page()[200:204] != "redo" {
+		t.Fatalf("Apply journaled %d records or missed the page", len(log)-1)
+	}
+	if err := bp.Apply(uint64(id), PageSize-2, []byte("long")); err == nil {
+		t.Fatal("an image overflowing the page was applied")
+	}
+	if err := bp.Apply(uint64(id)+3, 0, []byte("x")); err != nil || bp.Pager().NumPages() != uint64(id)+4 {
+		t.Fatalf("Apply past the pager's end: %v, %d pages", err, bp.Pager().NumPages())
+	}
+}
+
+// diffRange finds the exact changed range wherever the change falls relative
+// to its 64-byte blocks.
+func TestDiffRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a := make([]byte, PageSize)
+	rng.Read(a)
+	b := append([]byte(nil), a...)
+	if lo, hi := diffRange(a, b); lo != hi {
+		t.Fatalf("equal pages: [%d, %d)", lo, hi)
+	}
+	for i := 0; i < 2000; i++ {
+		lo := rng.Intn(PageSize)
+		hi := lo + 1 + rng.Intn(PageSize-lo)
+		copy(b, a)
+		b[lo] ^= 1
+		b[hi-1] ^= 0x80
+		if l, h := diffRange(a, b); l != lo || h != hi {
+			t.Fatalf("change [%d, %d): got [%d, %d)", lo, hi, l, h)
+		}
+	}
+}

@@ -33,18 +33,21 @@ func (p *FilePager) EnsurePages(n uint64) error {
 	return p.writeHeader()
 }
 
-// WALStore adapts a Pager to the wal.PageStore interface (structurally; this
-// package does not import the wal package).
+// WALStore adapts a bare Pager to the wal.PageStore interface (structurally;
+// this package does not import the wal package), for replay with no pool.
 type WALStore struct{ P Pager }
 
-// ReadPage implements wal.PageStore.
-func (w WALStore) ReadPage(id uint64, buf []byte) error { return w.P.ReadPage(PageID(id), buf) }
-
-// WritePage implements wal.PageStore.
-func (w WALStore) WritePage(id uint64, buf []byte) error { return w.P.WritePage(PageID(id), buf) }
-
-// EnsurePages implements wal.PageStore.
-func (w WALStore) EnsurePages(n uint64) error { return w.P.EnsurePages(n) }
-
-// PageSize implements wal.PageStore.
-func (w WALStore) PageSize() int { return PageSize }
+// Apply implements wal.PageStore: it writes img at off of page id.
+func (w WALStore) Apply(id uint64, off uint16, img []byte) error {
+	if err := w.P.EnsurePages(id + 1); err != nil {
+		return err
+	}
+	buf := make([]byte, PageSize)
+	if err := w.P.ReadPage(PageID(id), buf); err != nil {
+		return err
+	}
+	if err := applyImage(buf, id, off, img); err != nil {
+		return err
+	}
+	return w.P.WritePage(PageID(id), buf)
+}

@@ -4,30 +4,11 @@ import (
 	"fmt"
 )
 
-// SpaceSet resolves space IDs to page stores during recovery and rollback.
-type SpaceSet interface {
-	// SpacePager returns the page store for a space ID.
-	SpacePager(space uint32) (PageStore, bool)
-}
-
-// PageStore is the minimal page access recovery needs.
+// PageStore is the page write recovery and rollback need: write img at off
+// of page, extending the store when a crash lost the page's allocation. The
+// engine's buffer pools implement it, so redo and undo stay cache-coherent.
 type PageStore interface {
-	ReadPage(id uint64, buf []byte) error
-	WritePage(id uint64, buf []byte) error
-	// EnsurePages extends the store so pages below n exist (a crash may have
-	// lost an allocation whose update survived in the log).
-	EnsurePages(n uint64) error
-	// PageSize returns the store's page size.
-	PageSize() int
-}
-
-// MapSpaces is a SpaceSet backed by a map.
-type MapSpaces map[uint32]PageStore
-
-// SpacePager implements SpaceSet.
-func (m MapSpaces) SpacePager(space uint32) (PageStore, bool) {
-	p, ok := m[space]
-	return p, ok
+	Apply(page uint64, off uint16, img []byte) error
 }
 
 // RecoveryReport summarises a recovery run.
@@ -41,7 +22,8 @@ type RecoveryReport struct {
 // Recover brings the page stores to a transaction-consistent state after a
 // crash: redo history in log order, then undo every loser transaction in
 // reverse order, appending compensation records and a final ABORT for each.
-func Recover(l *Log, spaces SpaceSet) (RecoveryReport, error) {
+// Updates under transaction 0 are redo-only: redone, never undone.
+func Recover(l *Log, spaces map[uint32]PageStore) (RecoveryReport, error) {
 	var rep RecoveryReport
 
 	// Analysis: find loser transactions (begun, neither committed nor
@@ -62,6 +44,9 @@ func Recover(l *Log, spaces SpaceSet) (RecoveryReport, error) {
 			delete(undoNext, r.Tx)
 			done[r.Tx] = true
 		case RecUpdate:
+			if r.Tx == 0 {
+				break // redo-only: never undone
+			}
 			losers[r.Tx] = r.LSN
 			undoNext[r.Tx] = r.LSN
 		case RecCLR:
@@ -117,7 +102,7 @@ func Recover(l *Log, spaces SpaceSet) (RecoveryReport, error) {
 
 // Rollback undoes a live transaction at run time: applies before-images back
 // through the undo chain, writes CLRs, and appends ABORT.
-func Rollback(l *Log, spaces SpaceSet, tx uint64) error {
+func Rollback(l *Log, spaces map[uint32]PageStore, tx uint64) error {
 	if _, err := undoChain(l, spaces, tx, l.LastLSN(tx)); err != nil {
 		return err
 	}
@@ -125,7 +110,7 @@ func Rollback(l *Log, spaces SpaceSet, tx uint64) error {
 	return err
 }
 
-func undoChain(l *Log, spaces SpaceSet, tx uint64, from LSN) (int, error) {
+func undoChain(l *Log, spaces map[uint32]PageStore, tx uint64, from LSN) (int, error) {
 	undone := 0
 	lsn := from
 	for lsn != NilLSN {
@@ -155,24 +140,13 @@ func undoChain(l *Log, spaces SpaceSet, tx uint64, from LSN) (int, error) {
 	return undone, nil
 }
 
-func applyImage(spaces SpaceSet, space uint32, page uint64, offset uint16, img []byte) error {
+func applyImage(spaces map[uint32]PageStore, space uint32, page uint64, offset uint16, img []byte) error {
 	if len(img) == 0 {
 		return nil
 	}
-	ps, ok := spaces.SpacePager(space)
+	ps, ok := spaces[space]
 	if !ok {
 		return fmt.Errorf("wal: unknown space %d in log", space)
 	}
-	if err := ps.EnsurePages(page + 1); err != nil {
-		return err
-	}
-	buf := make([]byte, ps.PageSize())
-	if err := ps.ReadPage(page, buf); err != nil {
-		return err
-	}
-	if int(offset)+len(img) > len(buf) {
-		return fmt.Errorf("wal: image overflows page %d (offset %d, len %d)", page, offset, len(img))
-	}
-	copy(buf[offset:], img)
-	return ps.WritePage(page, buf)
+	return ps.Apply(page, offset, img)
 }

@@ -215,14 +215,7 @@ func Open(path string) (*Log, error) {
 	l.written = 1 << 62
 	end := int64(l.base)
 	err = l.Scan(func(r Record) error {
-		if _, ok := l.firstLSN[r.Tx]; !ok && r.Type != RecCheckpoint {
-			l.firstLSN[r.Tx] = r.LSN
-		}
-		l.lastLSN[r.Tx] = r.LSN
-		if r.Type == RecCommit || r.Type == RecAbort {
-			delete(l.lastLSN, r.Tx)
-			delete(l.firstLSN, r.Tx)
-		}
+		l.chain(r)
 		end = int64(r.LSN) + int64(recordDiskSize(r))
 		return nil
 	})
@@ -326,11 +319,19 @@ func (l *Log) appendLocked(r Record) LSN {
 	l.size += int64(n)
 	l.obs.Appends.Inc()
 	l.obs.Bytes.Add(uint64(n))
-	switch r.Type {
-	case RecCommit, RecAbort:
+	l.chain(r)
+	return r.LSN
+}
+
+// chain keeps the per-transaction chains current for record r. Transaction
+// 0's updates are redo-only: they get no undo chain, and they never hold
+// back truncation. Caller holds mu (or owns the log during Open).
+func (l *Log) chain(r Record) {
+	switch {
+	case r.Type == RecCommit || r.Type == RecAbort:
 		delete(l.lastLSN, r.Tx)
 		delete(l.firstLSN, r.Tx)
-	case RecCheckpoint:
+	case r.Type == RecCheckpoint || r.Tx == 0:
 		// no chain bookkeeping
 	default:
 		l.lastLSN[r.Tx] = r.LSN
@@ -338,7 +339,6 @@ func (l *Log) appendLocked(r Record) LSN {
 			l.firstLSN[r.Tx] = r.LSN
 		}
 	}
-	return r.LSN
 }
 
 // Begin appends a BEGIN record for tx.
@@ -348,7 +348,7 @@ func (l *Log) Begin(tx uint64) (LSN, error) {
 
 // Update appends a physical byte-range update record. The images are copied
 // exactly once, into the tail buffer, before Update returns — callers may
-// reuse their slices immediately.
+// reuse their slices immediately. Transaction 0 marks a redo-only update.
 func (l *Log) Update(tx uint64, space uint32, page uint64, offset uint16, before, after []byte) (LSN, error) {
 	return l.Append(Record{
 		Type: RecUpdate, Tx: tx, Space: space, Page: page, Offset: offset,

@@ -21,10 +21,10 @@ func openTestLog(t *testing.T) (*Log, string) {
 	return l, path
 }
 
-func testSpaces(t *testing.T) (MapSpaces, *storage.MemPager) {
+func testSpaces(t *testing.T) (map[uint32]PageStore, *storage.MemPager) {
 	t.Helper()
 	p := storage.NewMemPager()
-	return MapSpaces{1: storage.WALStore{P: p}}, p
+	return map[uint32]PageStore{1: storage.WALStore{P: p}}, p
 }
 
 func TestAppendScanRoundTrip(t *testing.T) {
@@ -239,6 +239,52 @@ func TestRecoverUndoLoser(t *testing.T) {
 	}
 }
 
+// Transaction 0's updates are redo-only: recovery redoes them, undoes only
+// the real loser beside them, and a checkpoint's truncation cutoff is not
+// held back by them.
+func TestRedoOnlyUpdatesAreNeverUndone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaces, p := testSpaces(t)
+	id, _ := p.Allocate()
+	l.Update(0, 1, uint64(id), 0, make([]byte, 6), []byte("format"))
+	l.Begin(2)
+	l.Update(2, 1, uint64(id), 10, make([]byte, 5), []byte("loser"))
+	l.Update(0, 1, uint64(id), 20, make([]byte, 7), []byte("counter"))
+	cp, cutoff, err := l.CheckpointCut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := l.firstLSN[2]; cutoff != first || cutoff >= cp {
+		t.Fatalf("cutoff %d, want loser 2's first record %d (checkpoint %d)", cutoff, first, cp)
+	}
+	l.Close()
+
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	rep, err := Recover(l2, spaces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.UndoneTx) != 1 || rep.UndoneTx[0] != 2 || rep.UndoneRecords != 1 {
+		t.Fatalf("report: %+v", rep)
+	}
+	got := make([]byte, storage.PageSize)
+	p.ReadPage(id, got)
+	if string(got[0:6]) != "format" || string(got[20:27]) != "counter" {
+		t.Fatalf("redo-only images undone: %q %q", got[0:6], got[20:27])
+	}
+	if !bytes.Equal(got[10:15], make([]byte, 5)) {
+		t.Fatalf("loser not undone: %q", got[10:15])
+	}
+}
+
 func TestRecoverIdempotent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, err := Open(path)
@@ -326,7 +372,7 @@ func TestUnknownSpaceError(t *testing.T) {
 	l.Begin(1)
 	l.Update(1, 42, 1, 0, []byte("x"), []byte("y"))
 	l.Flush()
-	if _, err := Recover(l, MapSpaces{}); err == nil {
+	if _, err := Recover(l, map[uint32]PageStore{}); err == nil {
 		t.Fatal("recovery with unknown space must fail")
 	}
 }
@@ -346,11 +392,11 @@ type flushingStore struct {
 	l *Log
 }
 
-func (s flushingStore) WritePage(id uint64, buf []byte) error {
+func (s flushingStore) Apply(id uint64, off uint16, img []byte) error {
 	if err := s.l.Flush(); err != nil {
 		return err
 	}
-	return s.PageStore.WritePage(id, buf)
+	return s.PageStore.Apply(id, off, img)
 }
 
 // TestRecoverRedoMayFlushTheLog: redo's page writes may flush the log, so the
@@ -372,7 +418,7 @@ func TestRecoverRedoMayFlushTheLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaces := MapSpaces{1: flushingStore{PageStore: storage.WALStore{P: p}, l: l2}}
+	spaces := map[uint32]PageStore{1: flushingStore{PageStore: storage.WALStore{P: p}, l: l2}}
 	done := make(chan error, 1)
 	go func() {
 		_, err := Recover(l2, spaces)

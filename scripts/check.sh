@@ -13,8 +13,12 @@
 # STR bulk loaders, and the concurrent-DML/crash battery), the shared
 # plan cache (LRU + generation invalidation under concurrent DDL), and the
 # aggregate-pushdown/vacuum batteries (am_aggregate agreement under
-# concurrent DML with interleaved VacuumNow, deferred index maintenance).
-# Tier-1
+# concurrent DML with interleaved VacuumNow, deferred index maintenance),
+# and recovery after a crash that writes no dirty page back (the lost-pages
+# battery TestLostPagesRecovery over all three access methods, cases
+# TestPushedCountAfterLostDelete and TestCreateTableSurvivesLostPages, and the
+# redo-only regression guards TestRolledBackCreateTableReopens and
+# TestFailedFirstBuildLeavesTheSpaceUsable). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -85,6 +89,14 @@ go test -race -count=5 -run 'TestCursorRestartsOnSplits|TestParallelScanPartitio
 echo "== go test -race -count=5 recovery regressions"
 go test -race -count=5 -timeout 120s -run TestRecoverRedoMayFlushTheLog ./internal/wal
 go test -race -count=5 -timeout 120s -run TestCrashRecoveryWithASmallPool ./internal/engine
+
+# A crash that writes no dirty page back must be recovered from the log alone:
+# every page edit is journaled, and Open recovers the pools before it opens
+# the heaps. Formatting a fresh page is redo-only, so a rolled-back CREATE
+# TABLE or a failed first CREATE INDEX in a fresh sbspace leaves usable pages.
+echo "== go test -race -count=3 lost-pages recovery + redo-only guards"
+go test -race -count=3 -timeout 600s -run 'TestLostPagesRecovery|TestPushedCountAfterLostDelete|TestFailedFirstBuildLeavesTheSpaceUsable' ./internal/blades/treeblade
+go test -race -count=3 -timeout 120s -run 'TestCreateTableSurvivesLostPages|TestRolledBackCreateTableReopens' ./internal/engine
 
 # No test runs P5 or the benchrunner CLI itself; this runs every registered
 # experiment at CI scale.

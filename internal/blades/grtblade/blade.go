@@ -254,8 +254,7 @@ func (o *open) Records(id *am.IndexDesc) []string { return []string{dupKey(id)} 
 // and the statement's current time.
 func (o *open) Attach(ctx *mi.Context, id *am.IndexDesc, create bool) (err error) {
 	if create {
-		// The dup record carries the owning index's name so catalog recovery
-		// can purge it when a crash leaves a half-built index behind.
+		// The dup record carries the owning index's name.
 		if err := id.Services.AMRecordPut(AmName, dupKey(id), []byte(strings.ToLower(id.Name))); err != nil {
 			return err
 		}

@@ -172,8 +172,7 @@ func (o *open) param(k, v string) error {
 	return nil
 }
 
-// groundKey is the bookkeeping record carrying the ground flag. The
-// "ground|"+name shape matches the catalog's per-index record purge.
+// groundKey is the bookkeeping record carrying the ground flag.
 func groundKey(indexName string) string { return "ground|" + strings.ToLower(indexName) }
 
 // Records implements treeblade.Opened: rst_drop deletes the ground flag too.

@@ -10,8 +10,6 @@ package catalog
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -103,7 +101,9 @@ type Sbspace struct {
 	ID   uint32
 }
 
-// Catalog is the full system catalog. It is safe for concurrent use.
+// Catalog is the full system catalog. It is safe for concurrent use. The
+// engine keeps its image in a large object and writes it through the log;
+// this in-memory form is the cache it reloads from that image (Replace).
 type Catalog struct {
 	mu sync.RWMutex
 
@@ -130,15 +130,11 @@ type Catalog struct {
 	// generation at collection so plan-cache entries and EXPLAIN can tell
 	// fresh statistics from stale ones.
 	Stats map[string]*TableStats
-
-	NextSpaceID uint32
-
-	path string // persistence file; empty = memory only
 }
 
-// New returns an empty catalog, persisted under dir when dir is non-empty.
-func New(dir string) *Catalog {
-	c := &Catalog{
+// New returns an empty catalog.
+func New() *Catalog {
+	return &Catalog{
 		Tables:   make(map[string]*Table),
 		Procs:    make(map[string]*Procedure),
 		Ams:      make(map[string]*AccessMethod),
@@ -148,50 +144,31 @@ func New(dir string) *Catalog {
 
 		AmRecords: make(map[string][]byte),
 		Stats:     make(map[string]*TableStats),
-
-		NextSpaceID: 1,
 	}
-	if dir != "" {
-		c.path = filepath.Join(dir, "catalog.json")
-	}
-	return c
 }
 
-// Load reads the catalog from dir (or returns an empty one when absent).
-func Load(dir string) (*Catalog, error) {
-	c := New(dir)
-	if c.path == "" {
-		return c, nil
-	}
-	raw, err := os.ReadFile(c.path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(raw, c); err != nil {
-		return nil, fmt.Errorf("catalog: corrupt %s: %w", c.path, err)
-	}
-	return c, nil
-}
-
-// Save persists the catalog (a no-op for memory catalogs).
-func (c *Catalog) Save() error {
+// Image encodes the catalog for storage.
+func (c *Catalog) Image() ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.path == "" {
-		return nil
+	return json.Marshal(c)
+}
+
+// Replace makes the catalog the one encoded in raw (empty raw is an empty
+// catalog) and bumps the generation.
+func (c *Catalog) Replace(raw []byte) error {
+	n := New()
+	if len(raw) > 0 {
+		if err := json.Unmarshal(raw, n); err != nil {
+			return fmt.Errorf("catalog: corrupt image: %w", err)
+		}
 	}
-	raw, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := c.path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, c.path)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.Tables, c.Procs, c.Ams, c.OpCls = n.Tables, n.Procs, n.Ams, n.OpCls
+	c.Indices, c.Sbspaces, c.AmRecords, c.Stats = n.Indices, n.Sbspaces, n.AmRecords, n.Stats
+	c.gen.Add(1)
+	return nil
 }
 
 func key(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
@@ -213,29 +190,38 @@ func (c *Catalog) BumpGeneration() { c.gen.Add(1) }
 func exists(kind, name string) error  { return fmt.Errorf("catalog: %s %q already exists", kind, name) }
 func missing(kind, name string) error { return fmt.Errorf("catalog: %s %q does not exist", kind, name) }
 
-// tables --------------------------------------------------------------------
+// lookup fetches name from the catalog map *m under the read lock.
+func lookup[T any](c *Catalog, m *map[string]T, kind, name string) (T, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	v, ok := (*m)[key(name)]
+	if !ok {
+		return v, missing(kind, name)
+	}
+	return v, nil
+}
 
-// AddTable registers a table.
-func (c *Catalog) AddTable(t *Table) error {
+// insert enters v under name into the catalog map *m, unless the name is
+// taken, and bumps the generation.
+func insert[T any](c *Catalog, m *map[string]T, kind, name string, v T) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.Tables[key(t.Name)]; dup {
-		return exists("table", t.Name)
+	if _, dup := (*m)[key(name)]; dup {
+		return exists(kind, name)
 	}
-	c.Tables[key(t.Name)] = t
+	(*m)[key(name)] = v
 	c.gen.Add(1)
 	return nil
 }
 
+// tables --------------------------------------------------------------------
+
+// AddTable registers a table.
+func (c *Catalog) AddTable(t *Table) error { return insert(c, &c.Tables, "table", t.Name, t) }
+
 // TableByName fetches a table.
 func (c *Catalog) TableByName(name string) (*Table, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.Tables[key(name)]
-	if !ok {
-		return nil, missing("table", name)
-	}
-	return t, nil
+	return lookup(c, &c.Tables, "table", name)
 }
 
 // DropTable removes a table; indexes on it must already be gone.
@@ -270,50 +256,24 @@ func (t *Table) ColumnIndex(col string) (int, error) {
 
 // AddProcedure registers a UDR (CREATE FUNCTION).
 func (c *Catalog) AddProcedure(p *Procedure) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.Procs[key(p.Name)]; dup {
-		return exists("function", p.Name)
-	}
-	c.Procs[key(p.Name)] = p
-	c.gen.Add(1)
-	return nil
+	return insert(c, &c.Procs, "function", p.Name, p)
 }
 
 // ProcByName fetches a UDR.
 func (c *Catalog) ProcByName(name string) (*Procedure, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	p, ok := c.Procs[key(name)]
-	if !ok {
-		return nil, missing("function", name)
-	}
-	return p, nil
+	return lookup(c, &c.Procs, "function", name)
 }
 
 // access methods --------------------------------------------------------------
 
 // AddAccessMethod registers an access method (SYSAMS).
 func (c *Catalog) AddAccessMethod(a *AccessMethod) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.Ams[key(a.Name)]; dup {
-		return exists("access method", a.Name)
-	}
-	c.Ams[key(a.Name)] = a
-	c.gen.Add(1)
-	return nil
+	return insert(c, &c.Ams, "access method", a.Name, a)
 }
 
 // AmByName fetches an access method.
 func (c *Catalog) AmByName(name string) (*AccessMethod, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	a, ok := c.Ams[key(name)]
-	if !ok {
-		return nil, missing("access method", name)
-	}
-	return a, nil
+	return lookup(c, &c.Ams, "access method", name)
 }
 
 // op classes -------------------------------------------------------------------
@@ -344,13 +304,7 @@ func (c *Catalog) AddOpClass(o *OpClass) error {
 
 // OpClassByName fetches an operator class.
 func (c *Catalog) OpClassByName(name string) (*OpClass, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	o, ok := c.OpCls[key(name)]
-	if !ok {
-		return nil, missing("operator class", name)
-	}
-	return o, nil
+	return lookup(c, &c.OpCls, "operator class", name)
 }
 
 // DefaultOpClass returns the access method's default operator class.
@@ -368,26 +322,11 @@ func (c *Catalog) DefaultOpClass(amName string) (*OpClass, error) {
 // indices -----------------------------------------------------------------------
 
 // AddIndex registers an index (SYSINDICES).
-func (c *Catalog) AddIndex(ix *Index) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.Indices[key(ix.Name)]; dup {
-		return exists("index", ix.Name)
-	}
-	c.Indices[key(ix.Name)] = ix
-	c.gen.Add(1)
-	return nil
-}
+func (c *Catalog) AddIndex(ix *Index) error { return insert(c, &c.Indices, "index", ix.Name, ix) }
 
 // IndexByName fetches an index.
 func (c *Catalog) IndexByName(name string) (*Index, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ix, ok := c.Indices[key(name)]
-	if !ok {
-		return nil, missing("index", name)
-	}
-	return ix, nil
+	return lookup(c, &c.Indices, "index", name)
 }
 
 // SetIndexState publishes an index lifecycle transition. Sessions keep the
@@ -423,53 +362,6 @@ func (c *Catalog) DropIndex(name string) error {
 	delete(c.Indices, key(name))
 	c.gen.Add(1)
 	return nil
-}
-
-// PurgeBuildingIndexes removes every index left in the BUILDING state by a
-// crash, together with the access-method records that belong to it: the
-// "am|index" bookkeeping row plus any auxiliary record (e.g. a blade's
-// duplicate-suppression marker) whose value names the index. The on-disk
-// index storage itself is garbage the crashed build's transaction never
-// committed; recovery rolls it back. Returns the purged index names,
-// sorted.
-func (c *Catalog) PurgeBuildingIndexes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var names []string
-	for k, ix := range c.Indices {
-		if !ix.Ready() {
-			names = append(names, ix.Name)
-			delete(c.Indices, k)
-		}
-	}
-	for _, name := range names {
-		c.purgeAMRecordsLocked(name)
-	}
-	if len(names) > 0 {
-		c.gen.Add(1)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// AMRecordsPurgeIndex removes every access-method record belonging to one
-// index: the "am|index" bookkeeping row plus any auxiliary record (e.g. a
-// blade's duplicate-suppression marker) whose value names the index. Failed
-// index builds use it to clean up after am_create has already persisted
-// records.
-func (c *Catalog) AMRecordsPurgeIndex(index string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.purgeAMRecordsLocked(index)
-}
-
-func (c *Catalog) purgeAMRecordsLocked(index string) {
-	lk := key(index)
-	for rk, v := range c.AmRecords {
-		if strings.HasSuffix(rk, "|"+lk) || string(v) == lk {
-			delete(c.AmRecords, rk)
-		}
-	}
 }
 
 // IndexesOn lists the indexes on a table, name-sorted.
@@ -509,9 +401,6 @@ type TableStats struct {
 func (c *Catalog) StatsPut(table string, ts *TableStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.Stats == nil {
-		c.Stats = make(map[string]*TableStats)
-	}
 	ts.Collected = c.gen.Add(1)
 	c.Stats[key(table)] = ts
 }
@@ -542,9 +431,6 @@ func (c *Catalog) IndexStats(table, index string) *am.IndexStats {
 func (c *Catalog) AMRecordPut(amName, index string, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.AmRecords == nil {
-		c.AmRecords = make(map[string][]byte)
-	}
 	c.AmRecords[key(amName)+"|"+key(index)] = append([]byte(nil), data...)
 }
 
@@ -563,39 +449,18 @@ func (c *Catalog) AMRecordDelete(amName, index string) {
 	delete(c.AmRecords, key(amName)+"|"+key(index))
 }
 
-// AllocSpaceID mints a WAL space id (tables and sbspaces share the
-// namespace).
-func (c *Catalog) AllocSpaceID() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := c.NextSpaceID
-	c.NextSpaceID++
-	return id
-}
-
-// AddSbspace registers an sbspace and assigns its id.
-func (c *Catalog) AddSbspace(name string) (*Sbspace, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.Sbspaces[key(name)]; dup {
-		return nil, exists("sbspace", name)
+// AddSbspace registers an sbspace under the space id the engine minted.
+func (c *Catalog) AddSbspace(name string, id uint32) (*Sbspace, error) {
+	s := &Sbspace{Name: name, ID: id}
+	if err := insert(c, &c.Sbspaces, "sbspace", name, s); err != nil {
+		return nil, err
 	}
-	s := &Sbspace{Name: name, ID: c.NextSpaceID}
-	c.NextSpaceID++
-	c.Sbspaces[key(name)] = s
-	c.gen.Add(1)
 	return s, nil
 }
 
 // SbspaceByName fetches an sbspace.
 func (c *Catalog) SbspaceByName(name string) (*Sbspace, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s, ok := c.Sbspaces[key(name)]
-	if !ok {
-		return nil, missing("sbspace", name)
-	}
-	return s, nil
+	return lookup(c, &c.Sbspaces, "sbspace", name)
 }
 
 // VirtualTables describes the onstat-style virtual catalog tables the

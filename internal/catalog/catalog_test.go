@@ -5,7 +5,7 @@ import (
 )
 
 func TestTablesAndColumns(t *testing.T) {
-	c := New("")
+	c := New()
 	tb := &Table{Name: "Employees", Columns: []Column{{"Name", "VARCHAR"}, {"Time_Extent", "GRT_TimeExtent_t"}}}
 	if err := c.AddTable(tb); err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestTablesAndColumns(t *testing.T) {
 }
 
 func TestDropTableWithIndex(t *testing.T) {
-	c := New("")
+	c := New()
 	c.AddTable(&Table{Name: "t"})
 	c.AddIndex(&Index{Name: "ix", TableName: "t"})
 	if err := c.DropTable("t"); err == nil {
@@ -46,7 +46,7 @@ func TestDropTableWithIndex(t *testing.T) {
 }
 
 func TestProcedures(t *testing.T) {
-	c := New("")
+	c := New()
 	p := &Procedure{Name: "grt_open", ArgTypes: []string{"pointer"}, Returns: "int",
 		External: "usr/functions/grtree.bld(grt_open)", Language: "c"}
 	if err := c.AddProcedure(p); err != nil {
@@ -70,7 +70,7 @@ func TestProcedures(t *testing.T) {
 }
 
 func TestAmsAndOpClasses(t *testing.T) {
-	c := New("")
+	c := New()
 	if err := c.AddAccessMethod(&AccessMethod{Name: "grtree_am", Slots: map[string]string{"am_getnext": "grt_getnext"}, SpType: "S"}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAmsAndOpClasses(t *testing.T) {
 }
 
 func TestIndexesOn(t *testing.T) {
-	c := New("")
+	c := New()
 	c.AddIndex(&Index{Name: "b_ix", TableName: "emp"})
 	c.AddIndex(&Index{Name: "a_ix", TableName: "emp"})
 	c.AddIndex(&Index{Name: "c_ix", TableName: "other"})
@@ -119,16 +119,16 @@ func TestIndexesOn(t *testing.T) {
 }
 
 func TestSbspaces(t *testing.T) {
-	c := New("")
-	s1, err := c.AddSbspace("spc")
+	c := New()
+	s1, err := c.AddSbspace("spc", 1)
 	if err != nil || s1.ID != 1 {
 		t.Fatalf("%v %v", s1, err)
 	}
-	s2, _ := c.AddSbspace("spc2")
+	s2, _ := c.AddSbspace("spc2", 2)
 	if s2.ID != 2 {
-		t.Fatal("space ids must increment")
+		t.Fatal("the sbspace must keep the id it was given")
 	}
-	if _, err := c.AddSbspace("SPC"); err == nil {
+	if _, err := c.AddSbspace("SPC", 3); err == nil {
 		t.Fatal("duplicate sbspace")
 	}
 	if _, err := c.SbspaceByName("spc"); err != nil {
@@ -136,38 +136,5 @@ func TestSbspaces(t *testing.T) {
 	}
 	if _, err := c.SbspaceByName("zzz"); err == nil {
 		t.Fatal("missing sbspace")
-	}
-}
-
-func TestPersistence(t *testing.T) {
-	dir := t.TempDir()
-	c := New(dir)
-	c.AddTable(&Table{Name: "emp", Columns: []Column{{"n", "INT"}}})
-	c.AddSbspace("spc")
-	c.AddAccessMethod(&AccessMethod{Name: "am1", Slots: map[string]string{"am_getnext": "g"}})
-	if err := c.Save(); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.TableByName("emp"); err != nil {
-		t.Fatal("table lost")
-	}
-	if s, err := c2.SbspaceByName("spc"); err != nil || s.ID != 1 {
-		t.Fatal("sbspace lost")
-	}
-	if c2.NextSpaceID != 2 {
-		t.Fatalf("space counter %d", c2.NextSpaceID)
-	}
-	// Memory catalog Save is a no-op.
-	if err := New("").Save(); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh dir loads empty.
-	c3, err := Load(t.TempDir())
-	if err != nil || len(c3.Tables) != 0 {
-		t.Fatal("fresh load")
 	}
 }

@@ -3,8 +3,6 @@ package engine
 import (
 	"sync"
 	"time"
-
-	"repro/internal/storage"
 )
 
 // Checkpoint takes a fuzzy checkpoint and truncates the log: it appends a
@@ -26,13 +24,7 @@ func (e *Engine) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	pools := make([]*storage.BufferPool, 0, len(e.spacePools))
-	for _, bp := range e.spacePools {
-		pools = append(pools, bp)
-	}
-	e.mu.Unlock()
-	for _, bp := range pools {
+	for _, bp := range e.pools() {
 		if err := bp.FlushAll(); err != nil {
 			return err
 		}

@@ -36,7 +36,6 @@ func crashHard(e *Engine) {
 		e.log.Flush()
 		e.log.Close()
 	}
-	e.cat.Save()
 }
 
 func TestCheckpointShrinksLogAndRecovers(t *testing.T) {

@@ -9,6 +9,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -79,11 +80,16 @@ type Engine struct {
 	mem   bool
 	clock chronon.Clock
 
-	cat  *catalog.Catalog
-	reg  *types.Registry
-	lm   *lock.Manager
-	log  *wal.Log
-	tmpd string // temp dir holding the WAL for memory engines
+	// cat is the catalog cache; its image lives in the large object
+	// catHandle of catSpace, the system sbspace (space 0), and loadCatalog
+	// reloads the cache from it. catSpace is nil on a NoWAL memory engine,
+	// which can never read an image back and keeps none.
+	cat      *catalog.Catalog
+	catSpace *sbspace.Space
+	reg      *types.Registry
+	lm       *lock.Manager
+	log      *wal.Log
+	tmpd     string // temp dir holding the WAL for memory engines
 
 	// obs is the engine-wide metrics registry; every subsystem counter
 	// (bufferpool.*, wal.*, lock.*, sbspace.*, am.*) lives here and SYSPROFILE
@@ -205,6 +211,7 @@ func Open(opts Options) (*Engine, error) {
 		tables:     make(map[string]*heap.Table),
 		libs:       make(map[string]am.Library),
 		amCache:    make(map[string]*am.PurposeSet),
+		cat:        catalog.New(),
 		mvccActive: make(map[uint64]struct{}),
 		mvccSnaps:  make(map[uint64]*heap.Snapshot),
 	}
@@ -220,16 +227,6 @@ func Open(opts Options) (*Engine, error) {
 		}
 	}
 	var err error
-	e.cat, err = catalog.Load(opts.Dir)
-	if err != nil {
-		return nil, err
-	}
-	// A crashed online build leaves its index in the BUILDING state; purge
-	// it (and its AM records) before anything can see it. The storage the
-	// build wrote is uncommitted — recovery below rolls it back.
-	if err := e.purgeBuildingIndexes(); err != nil {
-		return nil, err
-	}
 	if !opts.NoWAL {
 		logDir := opts.Dir
 		if e.mem {
@@ -250,6 +247,11 @@ func Open(opts Options) (*Engine, error) {
 			TruncatedBytes: e.obs.Counter("wal.truncated_bytes"),
 			GroupSize:      e.obs.Histogram("wal.group_size"),
 		})
+		// Seed the transaction-id space above every id a previous
+		// incarnation can have stamped into version headers: each
+		// transaction appends at least one multi-byte record, so the old
+		// maximum id is strictly below the log's logical size.
+		e.nextTx = uint64(e.log.Size())
 	}
 	if err := e.openStorage(); err != nil {
 		return nil, err
@@ -258,11 +260,6 @@ func Open(opts Options) (*Engine, error) {
 	if e.log != nil {
 		e.cpLast.Store(e.log.Size())
 		e.stopCheckpointer = daemon(e.opts.CheckpointInterval, e.checkpointIfDue)
-		// Seed the transaction-id space above every id a previous
-		// incarnation can have stamped into version headers: each
-		// transaction appends at least one multi-byte record, so the old
-		// maximum id is strictly below the log's logical size.
-		e.nextTx = uint64(e.log.Size())
 	}
 	// Busy tables are skipped, and errors retried at the next tick.
 	e.stopVacuum = daemon(e.opts.VacuumInterval, func() { e.VacuumNow() })
@@ -330,48 +327,161 @@ func (e *Engine) registerCoreCounters() {
 // benchmarks take Snapshot deltas across workload phases).
 func (e *Engine) Obs() *obs.Registry { return e.obs }
 
-// openStorage opens a pool for every catalogued table and sbspace, brings
-// the pools to a transaction-consistent state from the log, and only then
-// opens the heaps and spaces over them: heap.Open reads its header and
+// catHandle is the catalog image's large object: the first object of the
+// system sbspace, so page 1 is the space's metadata and page 2 the object's
+// header. SQL cannot name the space: it is not among e.spaces.
+var catHandle = sbspace.Handle{Space: 0, Header: 2, ID: 1}
+
+// openStorage opens a pool for every space file, so every space in the log
+// has one, and recovers the pools. Only then does it read the catalog and
+// attach heaps and spaces (loadCatalog): heap.Open reads its header and
 // counts dead cells, and both must see recovered pages.
 func (e *Engine) openStorage() error {
+	if !e.mem {
+		if _, err := os.Stat(filepath.Join(e.opts.Dir, "catalog.json")); err == nil {
+			return fmt.Errorf("engine: %s holds catalog.json, a database of an older format: the catalog now lives in space_0.dat, and this format cannot be read", e.opts.Dir)
+		}
+		files, err := filepath.Glob(filepath.Join(e.opts.Dir, "space_*.dat"))
+		if err != nil {
+			return err
+		}
+		for _, f := range files {
+			var id uint32
+			if _, err := fmt.Sscanf(filepath.Base(f), "space_%d.dat", &id); err != nil {
+				return fmt.Errorf("engine: unexpected space file %s", f)
+			}
+			if _, _, err := e.newPool(id); err != nil {
+				return err
+			}
+		}
+		if e.log != nil {
+			if _, err := wal.Recover(e.log, e.mapStores()); err != nil {
+				return fmt.Errorf("engine: recovery: %w", err)
+			}
+		}
+	}
+	if e.mem && e.log == nil {
+		return nil
+	}
+	for {
+		_, bp, err := e.newPool(0)
+		if err != nil {
+			return err
+		}
+		e.catSpace = sbspace.New(0, "", bp, e.lm)
+		n := bp.Pager().NumPages()
+		if err := e.loadCatalog(); err == nil || n > uint64(catHandle.Header)+1 {
+			// A catalog that ever held an image has a data page past its
+			// header: it is never bootstrapped again.
+			return err
+		}
+		if n <= 1 {
+			break
+		}
+		// A bootstrap that crashed before its commit: nothing was ever
+		// committed, so space 0 starts afresh (Open runs alone).
+		delete(e.spacePools, 0)
+		if err := errors.Join(bp.Close(), os.Remove(filepath.Join(e.opts.Dir, "space_0.dat"))); err != nil {
+			return err
+		}
+	}
+	// A fresh database: the empty catalog object, under a transaction of
+	// its own.
+	s := e.NewSession()
+	if err := s.beginTx(false); err != nil {
+		return err
+	}
+	if h, err := e.catSpace.Create(lock.TxID(s.tx)); err != nil || h != catHandle {
+		return fmt.Errorf("engine: catalog object created at %v, want %v (%v)", h, catHandle, err)
+	}
+	if err := s.commitTx(); err != nil {
+		return err
+	}
+	return e.loadCatalog()
+}
+
+// loadCatalog is the one reload of the catalog cache from its image, at Open
+// and after an undo that holds the catalog lock: attached heaps and sbspaces
+// the image keeps stay, missing ones are attached, cached purpose functions
+// go. Only the lock's holder changes the cache, so no catalog mutex is held.
+func (e *Engine) loadCatalog() error {
+	lo, err := e.catSpace.Open(0, catHandle, sbspace.ReadOnly, lock.DirtyRead)
+	if err != nil {
+		return fmt.Errorf("engine: catalog: %w", err)
+	}
+	size, err := lo.Size()
+	raw := make([]byte, size)
+	if err == nil {
+		_, err = lo.ReadAt(raw, 0)
+	}
+	lo.Close()
+	if err == nil {
+		err = e.cat.Replace(raw)
+	}
+	if err != nil {
+		return err
+	}
+	var newTables []*catalog.Table
+	var newSpaces []*catalog.Sbspace
+	e.mu.Lock()
+	kept := make(map[string]*heap.Table)
 	for _, tb := range e.cat.Tables {
-		if _, err := e.newPool("table_"+tb.Name, tb.SpaceID); err != nil {
-			return err
+		if t := e.tables[strings.ToLower(tb.Name)]; t != nil && t.SpaceID == tb.SpaceID {
+			kept[strings.ToLower(tb.Name)] = t
+		} else {
+			newTables = append(newTables, tb)
 		}
 	}
+	keptSpaces := make(map[string]*sbspace.Space)
 	for _, sp := range e.cat.Sbspaces {
-		if _, err := e.newPool("sbspace_"+sp.Name, sp.ID); err != nil {
+		if s := e.spaces[strings.ToLower(sp.Name)]; s != nil && s.ID == sp.ID {
+			keptSpaces[strings.ToLower(sp.Name)] = s
+		} else {
+			newSpaces = append(newSpaces, sp)
+		}
+	}
+	e.tables, e.spaces, e.amCache = kept, keptSpaces, make(map[string]*am.PurposeSet)
+	e.mu.Unlock()
+	for _, tb := range newTables {
+		if err := e.attachTable(tb, false); err != nil {
 			return err
 		}
 	}
-	if e.log != nil && !e.mem {
-		if _, err := wal.Recover(e.log, e.mapStores()); err != nil {
-			return fmt.Errorf("engine: recovery: %w", err)
-		}
-	}
-	for _, tb := range e.cat.Tables {
-		if err := e.attachTable(tb, e.spacePools[tb.SpaceID], false); err != nil {
+	for _, sp := range newSpaces {
+		if err := e.attachSbspace(sp); err != nil {
 			return err
 		}
-	}
-	for _, sp := range e.cat.Sbspaces {
-		e.attachSbspace(sp, e.spacePools[sp.ID])
 	}
 	return nil
 }
 
-// newPool opens the buffer pool of space id over its pager and registers it.
-// The pool forces the log before writing a page back, and journals every
-// Edit to the log under space id.
-func (e *Engine) newPool(name string, id uint32) (*storage.BufferPool, error) {
+// anySpace asks newPool for a fresh space id: one above every id the engine
+// knows, dropped and rolled-back spaces included, so no id is reused.
+const anySpace = ^uint32(0)
+
+// newPool opens the buffer pool of space id over its pager, the file
+// space_<id>.dat on a file-backed engine, and registers it; an open pool is
+// returned as it is. The pool forces the log before writing a page back, and
+// journals every Edit to the log under space id.
+func (e *Engine) newPool(id uint32) (uint32, *storage.BufferPool, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if id == anySpace {
+		id = 1
+		for known := range e.spacePools {
+			id = max(id, known+1)
+		}
+	}
+	if bp := e.spacePools[id]; bp != nil {
+		return id, bp, nil
+	}
 	var pager storage.Pager
 	if e.mem {
 		pager = storage.NewMemPager()
 	} else {
-		p, err := storage.OpenFilePager(filepath.Join(e.opts.Dir, strings.ToLower(name)+".dat"))
+		p, err := storage.OpenFilePager(filepath.Join(e.opts.Dir, fmt.Sprintf("space_%d.dat", id)))
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		pager = p
 	}
@@ -384,14 +494,18 @@ func (e *Engine) newPool(name string, id uint32) (*storage.BufferPool, error) {
 			return err
 		}
 	}
-	e.mu.Lock()
 	e.spacePools[id] = bp
-	e.mu.Unlock()
-	return bp, nil
+	return id, bp, nil
 }
 
-func (e *Engine) attachTable(tb *catalog.Table, bp *storage.BufferPool, create bool) error {
+// attachTable opens (or, with create, formats) a catalogued table's heap
+// over its space's pool and registers it.
+func (e *Engine) attachTable(tb *catalog.Table, create bool) error {
 	schema, err := e.tableSchema(tb)
+	if err != nil {
+		return err
+	}
+	_, bp, err := e.newPool(tb.SpaceID)
 	if err != nil {
 		return err
 	}
@@ -416,7 +530,13 @@ func (e *Engine) attachTable(tb *catalog.Table, bp *storage.BufferPool, create b
 	return nil
 }
 
-func (e *Engine) attachSbspace(sp *catalog.Sbspace, bp *storage.BufferPool) {
+// attachSbspace opens a catalogued sbspace over its space's pool and
+// registers it.
+func (e *Engine) attachSbspace(sp *catalog.Sbspace) error {
+	_, bp, err := e.newPool(sp.ID)
+	if err != nil {
+		return err
+	}
 	s := sbspace.New(sp.ID, sp.Name, bp, e.lm)
 	s.SetObs(sbspace.ObsCounters{
 		Creates: e.obs.Counter("sbspace.lo_creates"),
@@ -427,6 +547,7 @@ func (e *Engine) attachSbspace(sp *catalog.Sbspace, bp *storage.BufferPool) {
 	e.mu.Lock()
 	e.spaces[strings.ToLower(sp.Name)] = s
 	e.mu.Unlock()
+	return nil
 }
 
 // tableSchema resolves a catalog table's column types. Opaque column types
@@ -459,13 +580,7 @@ func (e *Engine) Close() error {
 			first = err
 		}
 	}
-	e.mu.Lock()
-	pools := make([]*storage.BufferPool, 0, len(e.spacePools))
-	for _, bp := range e.spacePools {
-		pools = append(pools, bp)
-	}
-	e.mu.Unlock()
-	for _, bp := range pools {
+	for _, bp := range e.pools() {
 		if err := bp.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -475,9 +590,6 @@ func (e *Engine) Close() error {
 			first = err
 		}
 	}
-	if err := e.cat.Save(); err != nil && first == nil {
-		first = err
-	}
 	if e.tmpd != "" {
 		os.RemoveAll(e.tmpd)
 	}
@@ -486,16 +598,16 @@ func (e *Engine) Close() error {
 
 // CrashForTesting simulates a crash in which every buffer pool was written
 // back: dirty pages of possibly-uncommitted transactions reach the pagers
-// (the worst case for undo), the log and catalog are made durable, and the
-// engine is abandoned WITHOUT transaction cleanup. The background daemons
+// (the worst case for undo), the log is made durable, and the engine is
+// abandoned WITHOUT transaction cleanup. The background daemons
 // are stopped so the abandoned engine does not keep flushing (or leak
 // goroutines), but no checkpoint is taken and no session state is cleaned
 // up. Only tests call this.
 func (e *Engine) CrashForTesting() { e.crash(true) }
 
 // CrashLosingPagesForTesting simulates a crash in which no dirty page was
-// written back: like CrashForTesting it makes the log and catalog durable,
-// but it drops every buffer pool unwritten, so the pagers keep only what
+// written back: like CrashForTesting it makes the log durable, but it drops
+// every buffer pool unwritten, so the pagers keep only what
 // eviction and checkpoints wrote (the worst case for redo). Only tests call
 // this.
 func (e *Engine) CrashLosingPagesForTesting() { e.crash(false) }
@@ -504,20 +616,17 @@ func (e *Engine) crash(writeBack bool) {
 	e.closed.Store(true) // a later Close must not checkpoint the "dead" engine
 	e.stopVacuum()
 	e.stopCheckpointer()
-	e.mu.Lock()
-	for _, bp := range e.spacePools {
+	for _, bp := range e.pools() {
 		if writeBack {
 			bp.FlushAll()
 		} else {
 			bp.Pager().Close()
 		}
 	}
-	e.mu.Unlock()
 	if e.log != nil {
 		e.log.Flush()
 		e.log.Close()
 	}
-	e.cat.Save()
 }
 
 // Clock returns the engine clock.
@@ -647,6 +756,17 @@ func (s *Session) amCall(fn, index string) {
 	s.ec.Slot(fn)
 }
 
+// pools lists every buffer pool.
+func (e *Engine) pools() []*storage.BufferPool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	pools := make([]*storage.BufferPool, 0, len(e.spacePools))
+	for _, bp := range e.spacePools {
+		pools = append(pools, bp)
+	}
+	return pools
+}
+
 // mapStores snapshots the space-id → pool mapping for recovery and
 // rollback.
 func (e *Engine) mapStores() map[uint32]wal.PageStore {
@@ -702,6 +822,12 @@ type Session struct {
 	// in-flight online index builds: flushed to the builds' logs at commit,
 	// dropped at rollback (see idxbuild.go).
 	pendingSide []pendingSideOp
+
+	// save is where the running statement of an explicit transaction began
+	// (undo); catDirty: the statement changed the catalog and writes its
+	// image at its end.
+	save     savepoint
+	catDirty bool
 
 	// Prepared-statement state (see prepared.go): prepared is the session's
 	// PREPARE registry by lower-cased name; boundArgs holds the parameter
@@ -804,29 +930,34 @@ func (s *Session) commitTx() error {
 	if len(s.pendingSide) > 0 {
 		s.flushSideOps()
 	}
-	s.ctx.EndTransaction(mi.TxCommit)
+	s.endTx(mi.TxCommit)
+	return nil
+}
+
+// endTx releases what the ended transaction held, and ends its
+// large-object drops in every sbspace: freed at commit (a failed free leaks
+// the pages; the commit stands), forgotten at rollback.
+func (s *Session) endTx(how mi.TxEvent) {
+	s.ctx.EndTransaction(how)
+	s.e.mu.Lock()
+	for _, sp := range s.e.spaces {
+		sp.EndTx(lock.TxID(s.tx), how == mi.TxCommit)
+	}
+	s.e.mu.Unlock()
 	s.e.lm.ReleaseAll(lock.TxID(s.tx))
 	s.tx = 0
 	s.explicit = false
 	s.writes = s.writes[:0]
-	return nil
 }
 
 // rollbackTx rolls back the current transaction, restoring page state from
-// the log.
+// the log and then, if the transaction changed it, the catalog from its
+// image, before any lock is released.
 func (s *Session) rollbackTx() error {
 	if s.tx == 0 {
 		return errf(CodeNoActiveTx, "no transaction to roll back")
 	}
-	var err error
-	if s.e.log != nil {
-		// Physical undo restores every version header and slot the
-		// transaction touched byte for byte, so the chains revert without
-		// MVCC-specific logic. (NoWAL engines leave the garbage versions
-		// behind: never stamped, they stay invisible to committed reads
-		// and the vacuum reclaims them.)
-		err = wal.Rollback(s.e.log, s.e.mapStores(), s.tx)
-	} else {
+	if s.e.log == nil {
 		// NoWAL abort: every version this transaction created is garbage —
 		// still in the heap, still carrying an index entry — until the
 		// vacuum reclaims both. Count it so the aggregate gate declines.
@@ -836,15 +967,45 @@ func (s *Session) rollbackTx() error {
 			}
 		}
 	}
+	// Physical undo restores every version header and slot the transaction
+	// touched byte for byte, so the chains revert without MVCC-specific
+	// logic. (NoWAL engines leave the garbage versions behind: never
+	// stamped, they stay invisible to committed reads and the vacuum
+	// reclaims them.)
+	err := s.undo(savepoint{})
+	if s.e.log != nil && err == nil {
+		_, err = s.e.log.Abort(s.tx)
+	}
 	s.e.mvccEnd(s.tx)
 	s.releaseTxSnap()
 	s.pendingSide = s.pendingSide[:0] // rolled back: captured side ops never happened
-	s.ctx.EndTransaction(mi.TxAbort)
-	s.e.lm.ReleaseAll(lock.TxID(s.tx))
-	s.tx = 0
-	s.explicit = false
-	s.writes = s.writes[:0]
+	s.endTx(mi.TxAbort)
 	return err
+}
+
+// savepoint is the transaction's last LSN and its counts of versions and
+// side-log ops when a statement began; the zero savepoint is its start.
+type savepoint struct {
+	lsn          wal.LSN
+	writes, side int
+}
+
+// undo takes back the transaction's work after sp and leaves it open: pages
+// through the log, versions and side-log ops recorded since, and the catalog
+// if the transaction holds its lock. A NoWAL engine cannot undo pages, so
+// only the catalog goes back; a crashed engine is left to the next Open.
+func (s *Session) undo(sp savepoint) error {
+	if s.e.log != nil {
+		if err := wal.RollbackTo(s.e.log, s.e.mapStores(), s.tx, sp.lsn); err != nil {
+			return err
+		}
+		s.writes = s.writes[:sp.writes]
+		s.pendingSide = s.pendingSide[:sp.side]
+	}
+	if _, locked := s.e.lm.Holding(lock.TxID(s.tx), catHandle.Resource()); !locked || s.e.closed.Load() {
+		return nil
+	}
+	return s.e.loadCatalog()
 }
 
 // Close ends the session, rolling back any open transaction.

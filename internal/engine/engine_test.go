@@ -308,9 +308,8 @@ func TestCreateTableSurvivesLostPages(t *testing.T) {
 	}
 }
 
-// TestRolledBackCreateTableReopens: the catalog is not logged, so a table
-// whose creating transaction rolled back stays catalogued. Its header page is
-// formatted redo-only, so the next Open still finds a heap there.
+// TestRolledBackCreateTableReopens: CREATE TABLE joins its transaction, so
+// a rolled-back one is gone, after a reopen too, and the name is free again.
 func TestRolledBackCreateTableReopens(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, Clock: chronon.NewVirtualClock(chronon.MustParse("9/97"))}
@@ -334,9 +333,13 @@ func TestRolledBackCreateTableReopens(t *testing.T) {
 	defer e2.Close()
 	s2 := e2.NewSession()
 	defer s2.Close()
+	if _, err := s2.Exec(`INSERT INTO x VALUES (1)`); err == nil {
+		t.Fatal("a rolled-back table is still there after a reopen")
+	}
+	exec(t, s2, `CREATE TABLE x (a INTEGER)`)
 	exec(t, s2, `INSERT INTO x VALUES (1)`)
 	if res := exec(t, s2, `SELECT COUNT(*) FROM x`); res.Rows[0][0] != int64(1) {
-		t.Fatalf("reopened table counts %v rows, want 1", res.Rows[0][0])
+		t.Fatalf("the recreated table counts %v rows, want 1", res.Rows[0][0])
 	}
 }
 

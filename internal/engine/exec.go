@@ -239,6 +239,15 @@ func (s *Session) show(t *sql.Show) (*Result, error) {
 }
 
 func (s *Session) run(st sql.Statement) (*Result, error) {
+	// This DDL takes the catalog lock before it reads the catalog; DROP
+	// INDEX, UPDATE STATISTICS and the index builds take it themselves.
+	switch st.(type) {
+	case *sql.CreateTable, *sql.DropTable, *sql.CreateFunction, *sql.CreateAccessMethod,
+		*sql.CreateOpClass, *sql.CreateSbspace:
+		if err := s.changeCatalog(); err != nil {
+			return nil, err
+		}
+	}
 	switch t := st.(type) {
 	case *sql.CreateTable:
 		return s.createTable(t)
@@ -278,40 +287,74 @@ func (s *Session) run(st sql.Statement) (*Result, error) {
 
 // DDL -------------------------------------------------------------------------
 
+// changeCatalog is the one way into a catalog change: it takes the catalog
+// lock, the image object's exclusive lock (held to transaction end, taken
+// before any table lock), and marks the statement dirty, so that it writes
+// the image once, at its end. A NoWAL memory engine does neither.
+func (s *Session) changeCatalog() error {
+	if s.e.catSpace == nil {
+		return nil
+	}
+	s.catDirty = true
+	return s.e.lm.Acquire(lock.TxID(s.tx), catHandle.Resource(), lock.Exclusive)
+}
+
+// writeCatalog is the one writer of the catalog image, under the session's
+// transaction; Edit journals only the 64-byte blocks that changed.
+func (s *Session) writeCatalog() error {
+	raw, err := s.e.cat.Image()
+	if err != nil {
+		return err
+	}
+	lo, err := s.e.catSpace.Open(lock.TxID(s.tx), catHandle, sbspace.ReadWrite, s.vars.Isolation())
+	if err != nil {
+		return err
+	}
+	defer lo.Close()
+	if _, err := lo.WriteAt(raw, 0); err != nil {
+		return err
+	}
+	return lo.Truncate(int64(len(raw)))
+}
+
 func (s *Session) createTable(t *sql.CreateTable) (*Result, error) {
-	tb := &catalog.Table{Name: t.Name, SpaceID: s.e.cat.AllocSpaceID()}
+	tb := &catalog.Table{Name: t.Name}
 	for _, c := range t.Cols {
 		if _, err := s.e.reg.TypeByName(c.TypeName); err != nil {
 			return nil, errf(CodeUndefinedObject, "%w", err)
 		}
 		tb.Columns = append(tb.Columns, catalog.Column{Name: c.Name, TypeName: c.TypeName})
 	}
+	var err error
+	if tb.SpaceID, _, err = s.e.newPool(anySpace); err != nil {
+		return nil, err
+	}
 	if err := s.e.cat.AddTable(tb); err != nil {
 		return nil, err
 	}
-	bp, err := s.e.newPool("table_"+tb.Name, tb.SpaceID)
-	if err != nil {
+	if err := s.e.attachTable(tb, true); err != nil {
 		return nil, err
 	}
-	if err := s.e.attachTable(tb, bp, true); err != nil {
-		return nil, err
-	}
-	if err := s.e.cat.Save(); err != nil {
+	// Other sessions see the cached table at once; its lock keeps their
+	// writes out until this CREATE commits or rolls back.
+	if _, _, err := s.writeTable(tb.Name); err != nil {
 		return nil, err
 	}
 	return &Result{Message: "table created"}, nil
 }
 
+// dropTable waits for the table's writers (writeTable) and keeps its space's
+// pages, for an undo to find.
 func (s *Session) dropTable(t *sql.DropTable) (*Result, error) {
+	if _, _, err := s.writeTable(t.Name); err != nil {
+		return nil, err
+	}
 	if err := s.e.cat.DropTable(t.Name); err != nil {
 		return nil, err
 	}
 	s.e.mu.Lock()
 	delete(s.e.tables, strings.ToLower(t.Name))
 	s.e.mu.Unlock()
-	if err := s.e.cat.Save(); err != nil {
-		return nil, err
-	}
 	return &Result{Message: "table dropped"}, nil
 }
 
@@ -324,9 +367,6 @@ func (s *Session) createFunction(t *sql.CreateFunction) (*Result, error) {
 		return nil, err
 	}
 	if err := s.e.cat.AddProcedure(p); err != nil {
-		return nil, err
-	}
-	if err := s.e.cat.Save(); err != nil {
 		return nil, err
 	}
 	return &Result{Message: "function created"}, nil
@@ -342,9 +382,6 @@ func (s *Session) createAccessMethod(t *sql.CreateAccessMethod) (*Result, error)
 	if err := s.e.cat.AddAccessMethod(meta); err != nil {
 		return nil, err
 	}
-	if err := s.e.cat.Save(); err != nil {
-		return nil, err
-	}
 	return &Result{Message: "access method created"}, nil
 }
 
@@ -358,23 +395,19 @@ func (s *Session) createOpClass(t *sql.CreateOpClass) (*Result, error) {
 	if err := s.e.cat.AddOpClass(oc); err != nil {
 		return nil, err
 	}
-	if err := s.e.cat.Save(); err != nil {
-		return nil, err
-	}
 	return &Result{Message: "operator class created"}, nil
 }
 
 func (s *Session) createSbspace(t *sql.CreateSbspace) (*Result, error) {
-	sp, err := s.e.cat.AddSbspace(t.Name)
+	id, _, err := s.e.newPool(anySpace)
 	if err != nil {
 		return nil, err
 	}
-	bp, err := s.e.newPool("sbspace_"+sp.Name, sp.ID)
+	sp, err := s.e.cat.AddSbspace(t.Name, id)
 	if err != nil {
 		return nil, err
 	}
-	s.e.attachSbspace(sp, bp)
-	if err := s.e.cat.Save(); err != nil {
+	if err := s.e.attachSbspace(sp); err != nil {
 		return nil, err
 	}
 	return &Result{Message: "sbspace created"}, nil
@@ -413,10 +446,8 @@ func (s *Session) createIndex(t *sql.CreateIndex) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// CREATE INDEX manages its own transactions (the online publish commits
-	// mid-statement) and the catalog is not transactional: inside an
-	// explicit transaction a rollback would revert the index pages but keep
-	// the catalog entry. Reject rather than corrupt.
+	// The online build releases its table latch mid-statement, which would
+	// release a table lock an explicit transaction's earlier writes hold.
 	if s.explicit {
 		return nil, errf(CodeActiveTx, "CREATE INDEX cannot run inside a transaction")
 	}
@@ -426,13 +457,36 @@ func (s *Session) createIndex(t *sql.CreateIndex) (*Result, error) {
 	return &Result{Message: "index created"}, nil
 }
 
-func (s *Session) dropIndex(t *sql.DropIndex) (*Result, error) {
-	ix, err := s.e.cat.IndexByName(t.Name)
+// readyIndex resolves an index the statement may use: a BUILDING one is
+// refused.
+func (s *Session) readyIndex(name string) (*catalog.Index, error) {
+	ix, err := s.e.cat.IndexByName(name)
 	if err != nil {
 		return nil, err
 	}
 	if !ix.Ready() {
 		return nil, errf(CodeActiveTx, "index %s is being built", ix.Name)
+	}
+	return ix, nil
+}
+
+func (s *Session) dropIndex(t *sql.DropIndex) (*Result, error) {
+	// Refuse a BUILDING index before waiting for the catalog lock its build
+	// holds; look again once the lock is ours.
+	if _, err := s.readyIndex(t.Name); err != nil {
+		return nil, err
+	}
+	if err := s.changeCatalog(); err != nil {
+		return nil, err
+	}
+	ix, err := s.readyIndex(t.Name)
+	if err != nil {
+		return nil, err
+	}
+	// The table's lock keeps writers out until the drop resolves: a rollback
+	// restores the index as it was, so it must have missed no committed row.
+	if _, _, err := s.writeTable(ix.TableName); err != nil {
+		return nil, err
 	}
 	desc, ps, err := s.indexDesc(ix)
 	if err != nil {
@@ -447,19 +501,13 @@ func (s *Session) dropIndex(t *sql.DropIndex) (*Result, error) {
 	if err := s.e.cat.DropIndex(t.Name); err != nil {
 		return nil, err
 	}
-	if err := s.e.cat.Save(); err != nil {
-		return nil, err
-	}
 	return &Result{Message: "index dropped"}, nil
 }
 
 func (s *Session) checkIndex(t *sql.CheckIndex) (*Result, error) {
-	ix, err := s.e.cat.IndexByName(t.Name)
+	ix, err := s.readyIndex(t.Name)
 	if err != nil {
 		return nil, err
-	}
-	if !ix.Ready() {
-		return nil, errf(CodeActiveTx, "index %s is being built", ix.Name)
 	}
 	desc, ps, err := s.indexDesc(ix)
 	if err != nil {
@@ -486,12 +534,9 @@ func (s *Session) updateStatistics(t *sql.UpdateStatistics) (*Result, error) {
 	// FOR INDEX form: run am_stats for one index and report, without
 	// publishing a SYSSTATS record — the inspection surface of the original
 	// contract.
-	ix, err := s.e.cat.IndexByName(t.Index)
+	ix, err := s.readyIndex(t.Index)
 	if err != nil {
 		return nil, err
-	}
-	if !ix.Ready() {
-		return nil, errf(CodeActiveTx, "index %s is being built", ix.Name)
 	}
 	stats, err := s.collectIndexStats(ix)
 	if err != nil {
@@ -512,6 +557,9 @@ func (s *Session) updateStatistics(t *sql.UpdateStatistics) (*Result, error) {
 // — so the record is age 0 right after collection and every cached plan
 // costed under the old statistics is invalidated.
 func (s *Session) updateTableStatistics(table string) (*Result, error) {
+	if err := s.changeCatalog(); err != nil {
+		return nil, err
+	}
 	tb, err := s.catTable(table)
 	if err != nil {
 		return nil, err
@@ -544,9 +592,6 @@ func (s *Session) updateTableStatistics(table string) (*Result, error) {
 		collected++
 	}
 	s.e.cat.StatsPut(tb.Name, ts)
-	if err := s.e.cat.Save(); err != nil {
-		return nil, err
-	}
 	return &Result{Message: fmt.Sprintf(
 		"statistics updated for %s: %d rows, %d pages, %d index(es)",
 		tb.Name, ts.Rows, ts.Pages, collected)}, nil
@@ -647,8 +692,11 @@ func (v services) Clock() chronon.Clock { return v.s.e.clock }
 
 // AMRecordPut implements am.Services.
 func (v services) AMRecordPut(amName, index string, data []byte) error {
-	v.s.e.cat.AMRecordPut(amName, index, data)
-	return v.s.e.cat.Save()
+	err := v.s.changeCatalog()
+	if err == nil {
+		v.s.e.cat.AMRecordPut(amName, index, data)
+	}
+	return err
 }
 
 // AMRecordGet implements am.Services.
@@ -659,8 +707,11 @@ func (v services) AMRecordGet(amName, index string) ([]byte, bool, error) {
 
 // AMRecordDelete implements am.Services.
 func (v services) AMRecordDelete(amName, index string) error {
-	v.s.e.cat.AMRecordDelete(amName, index)
-	return v.s.e.cat.Save()
+	err := v.s.changeCatalog()
+	if err == nil {
+		v.s.e.cat.AMRecordDelete(amName, index)
+	}
+	return err
 }
 
 // InvokeUDR implements am.Services: dynamic resolution and execution of a

@@ -3,16 +3,18 @@ package engine
 // Online index build (two-phase, PostgreSQL CREATE INDEX CONCURRENTLY
 // style, adapted to this engine's strict-2PL writers and MVCC readers):
 //
-//   Phase 0 (short table X latch): the index is entered into SYSINDICES in
-//   the BUILDING state (invisible to the planner, skipped by DML index
-//   maintenance), its storage is created via am_create/am_open under the
-//   building session's transaction, a side log is registered so every
-//   later writer statement captures its index-relevant changes, and an
-//   MVCC snapshot is taken. The latch makes the hand-off exact: a writer
-//   that committed before the latch is fully visible to the snapshot and
-//   never saw the side log; a writer that runs after it sees the side log
-//   registration before it touches any row. The two row sets are disjoint
-//   and their union is exactly the committed table.
+//   Phase 0 (the catalog lock, then a short table X latch: the building
+//   transaction's own table lock, so the deadlock detector sees both): the
+//   index is entered into the catalog cache in the BUILDING state
+//   (invisible to the planner, skipped by DML index maintenance), its
+//   storage is created via am_create/am_open, a side log is registered so
+//   every later writer statement captures its index-relevant changes, and
+//   an MVCC snapshot is taken. The latch waits out in-flight writers, which
+//   flush their side ops before releasing their locks, so the hand-off is
+//   exact: a writer that committed before the latch is fully visible to the
+//   snapshot and never saw the side log; a writer that runs after it sees
+//   the side log registration before it touches any row. The two row sets
+//   are disjoint and their union is exactly the committed table.
 //
 //   Phase 1 (no locks): the table is scanned under the snapshot in
 //   am_getmulti-style batches and bulk-loaded through the AM's optional
@@ -23,11 +25,12 @@ package engine
 //   transaction still holds its table X lock).
 //
 //   Publish (short table X latch again): the side-log tail is replayed,
-//   the log closes, the building transaction commits (making every index
-//   page durable), and the catalog entry flips to READY. A crash anywhere
-//   before that commit rolls back all index storage physically and leaves
-//   a BUILDING catalog entry that Open purges — no half-built index is
-//   ever visible.
+//   the log closes and the catalog entry flips to READY; the statement's
+//   end writes the catalog image and commits, making the index pages and
+//   the image durable together. BUILDING is never in the image, so a
+//   crash or a failure anywhere before that commit leaves nothing behind:
+//   the undo takes back the index storage and the catalog alike, and a
+//   REBUILD's old index comes back as it was.
 
 import (
 	"strings"
@@ -56,7 +59,6 @@ type sideOp struct {
 // identifiers writer statements need to find it.
 type indexBuild struct {
 	table string // lower-cased table name
-	index string // index name as created
 	desc  *am.IndexDesc
 
 	mu     sync.Mutex
@@ -169,22 +171,6 @@ func (s *Session) buildStage(stage string) error {
 		return h(stage)
 	}
 	return nil
-}
-
-// tableLatch takes a short table X latch under its own lock-only internal
-// transaction (the vacuumTable idiom: no WAL begin since no page is
-// written under it) and returns the release function. It blocks until
-// every in-flight writer transaction on the table has fully resolved —
-// and, because commitTx deactivates the transaction and flushes side ops
-// before releasing locks, everything those writers did is either visible
-// to a snapshot captured under the latch or already in the side log.
-func (e *Engine) tableLatch(spaceID uint32) func() {
-	tx := e.mvccBegin()
-	e.lm.Acquire(lock.TxID(tx), lock.Resource{Kind: lock.KindTable, A: uint64(spaceID)}, lock.Exclusive)
-	return func() {
-		e.lm.ReleaseAll(lock.TxID(tx))
-		e.mvccEnd(tx)
-	}
 }
 
 // buildFeed streams a snapshot scan of the table as am.ScanBatch batches:
@@ -312,27 +298,22 @@ func stripBuildMode(params map[string]string) (buildMode, error) {
 // CREATE INDEX (rebuild=false) or ALTER INDEX ... REBUILD (rebuild=true).
 // On entry the catalog Index must NOT yet be registered (create) or must
 // be registered READY (rebuild); the session transaction is the statement
-// auto-transaction and holds no locks.
-func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode buildMode, rebuild bool) (err error) {
-	table, err := s.e.Table(tb.Name)
-	if err != nil {
-		return err
-	}
+// auto-transaction and holds no locks (see createIndex).
+func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode buildMode, rebuild bool) error {
 	desc, ps, err := s.indexDesc(ix)
 	if err != nil {
 		return err
 	}
 
-	// Phase 0 — prepare under a short table X latch.
-	release := s.e.tableLatch(tb.SpaceID)
-	latched := true
-	unlatch := func() {
-		if latched {
-			release()
-			latched = false
-		}
+	// Phase 0 — prepare under the catalog lock and a short table X latch,
+	// both the transaction's: a failed build's rollback releases them.
+	if err := s.changeCatalog(); err != nil {
+		return err
 	}
-	defer unlatch()
+	_, table, err := s.writeTable(tb.Name)
+	if err != nil {
+		return err
+	}
 
 	if rebuild {
 		// The entry is live — other sessions are reading it — so the state
@@ -342,8 +323,7 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 		}
 		// Drop the old storage under the building transaction; the BUILDING
 		// state keeps the planner and DML maintenance away from the storage
-		// while it is gone. (A crash mid-rebuild therefore purges the index
-		// from the catalog — recreate it; see DESIGN.md.)
+		// while it is gone, and the undo of a failed rebuild restores it.
 		if err := s.callIndexFn("am_open", ps.Open, desc); err != nil {
 			return err
 		}
@@ -356,60 +336,26 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 			return err
 		}
 	}
-	catEntered := true
-	opened := false
-	b := &indexBuild{table: strings.ToLower(tb.Name), index: ix.Name, desc: desc}
-	registered := false
-	var snap *heldSnap
-
-	// cleanup tears down a failed build (crash-hook failures included): the
-	// side log closes, the catalog entry and AM records go away, and the
-	// index storage is dropped — the statement's rollback then physically
-	// undoes the page writes too (or, on a NoWAL engine, the drop already
-	// freed them). Best-effort on a crashed engine.
-	defer func() {
-		if err == nil {
-			return
-		}
-		if registered {
-			b.close()
-			s.e.unregisterBuild(b)
-		}
-		s.e.releaseSnapshot(snap)
-		if s.e.closed.Load() {
-			return // CrashForTesting abandoned the engine; recovery cleans up
-		}
-		if opened && ps.Drop != nil {
-			s.amCall("am_drop", desc.Name)
-			ps.Drop(s.ctx, desc)
-			s.ctx.EndFunction()
-		}
-		if catEntered {
-			s.e.cat.DropIndex(ix.Name)
-		}
-		s.e.cat.AMRecordsPurgeIndex(ix.Name)
-		s.e.cat.Save()
-	}()
-
-	if err = s.callIndexFn("am_create", ps.Create, desc); err != nil {
+	if err := s.callIndexFn("am_create", ps.Create, desc); err != nil {
 		return err
 	}
-	opened = true
-	if err = s.callIndexFn("am_open", ps.Open, desc); err != nil {
+	if err := s.callIndexFn("am_open", ps.Open, desc); err != nil {
 		return err
 	}
-	// Persist the BUILDING entry: from here a crash leaves a catalog row
-	// that Open purges together with the AM records am_create stored.
-	if err = s.e.cat.Save(); err != nil {
-		return err
-	}
+	b := &indexBuild{table: strings.ToLower(tb.Name), desc: desc}
 	s.e.registerBuild(b)
-	registered = true
-	snap = s.e.captureSnapshot(s.tx, false)
-	unlatch()
+	// A failed build (crash-hook failures included) closes its side log
+	// here; the statement's undo takes back the index storage and the
+	// catalog changes, and its end releases the snapshot.
+	defer func() {
+		b.close()
+		s.e.unregisterBuild(b)
+	}()
+	snap := s.stmtSnapshot(true)
+	s.e.lm.Release(lock.TxID(s.tx), lock.Resource{Kind: lock.KindTable, A: uint64(tb.SpaceID)})
 
 	// Phase 1 — bulk-load from the snapshot scan, no locks held.
-	if _, err = s.bulkPopulate(table, desc, ps, snap.snap, mode); err != nil {
+	if _, err = s.bulkPopulate(table, desc, ps, snap, mode); err != nil {
 		return err
 	}
 	if err = s.buildStage("bulk"); err != nil {
@@ -426,48 +372,30 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 	}
 
 	// Publish — final short latch: drain the side-log tail, stop capture,
-	// commit the building transaction (index storage becomes durable), flip
-	// the catalog entry to READY.
+	// flip the entry to READY. The statement's end then writes the catalog
+	// image and commits it with the index pages, releasing the latch and
+	// the catalog lock.
 	t0 := time.Now()
-	release = s.e.tableLatch(tb.SpaceID)
-	latched = true
+	if _, _, err = s.writeTable(tb.Name); err != nil {
+		return err
+	}
 	if _, err = s.replaySide(b, ps); err != nil {
 		return err
 	}
 	b.close()
 	s.e.unregisterBuild(b)
-	registered = false
 	if err = s.buildStage("prepublish"); err != nil {
 		return err
 	}
 	if err = s.callIndexFn("am_close", ps.Close, desc); err != nil {
-		opened = false // close failed mid-teardown; storage drop already unsafe
-		return err
-	}
-	opened = false
-	// Commit mid-statement: the building transaction holds no table locks
-	// (the latch is its own transaction), so committing here only stamps and
-	// publishes the index page writes. The fresh transaction keeps the
-	// statement scope's auto-commit protocol intact.
-	if err = s.commitTx(); err != nil {
 		return err
 	}
 	// A new READY index must retire cached plans planned without it: the
-	// state and the generation move together, under the catalog lock.
-	if err = s.e.cat.SetIndexState(ix.Name, catalog.IndexReady); err == nil {
-		err = s.e.cat.Save()
-	}
-	if err != nil {
-		s.beginTx(false)
+	// state and the generation move together, under the catalog's mutex.
+	if err = s.e.cat.SetIndexState(ix.Name, catalog.IndexReady); err != nil {
 		return err
 	}
-	if err = s.beginTx(false); err != nil {
-		return err
-	}
-	unlatch()
 	s.e.idxPublishNs.Add(uint64(time.Since(t0).Nanoseconds()))
-	s.e.releaseSnapshot(snap)
-	snap = nil
 	return nil
 }
 
@@ -476,12 +404,9 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 // condense story, and the remedy for an rstblade nowsub=asof index whose
 // frozen rectangles drifted stale.
 func (s *Session) alterIndexRebuild(t *sql.AlterIndexRebuild) (*Result, error) {
-	ix, err := s.e.cat.IndexByName(t.Name)
+	ix, err := s.readyIndex(t.Name)
 	if err != nil {
 		return nil, err
-	}
-	if !ix.Ready() {
-		return nil, errf(CodeActiveTx, "index %s is being built", ix.Name)
 	}
 	if s.explicit {
 		return nil, errf(CodeActiveTx, "ALTER INDEX ... REBUILD cannot run inside a transaction")
@@ -506,14 +431,4 @@ func (s *Session) alterIndexRebuild(t *sql.AlterIndexRebuild) (*Result, error) {
 // a non-nil return aborts the build. Pass nil to clear.
 func (e *Engine) SetBuildHookForTesting(h func(stage string) error) {
 	e.buildHook = h
-}
-
-// purgeBuildingIndexes is Open's crash cleanup: any BUILDING entry a
-// crashed build left behind is removed (with its AM records) before the
-// engine serves statements; recovery already rolled the storage back.
-func (e *Engine) purgeBuildingIndexes() error {
-	if purged := e.cat.PurgeBuildingIndexes(); len(purged) > 0 {
-		return e.cat.Save()
-	}
-	return nil
 }

@@ -307,61 +307,64 @@ func TestOnlineBuildSideLogCapture(t *testing.T) {
 }
 
 // TestOnlineBuildCrashMatrix crashes the engine at each named stage of an
-// online build and verifies recovery: no BUILDING (or half-built) index may
-// be visible after reopen, its AM records must be purged, and the table
-// must remain fully usable.
+// online build, in both crash modes, and verifies recovery: no BUILDING (or
+// half-built) index may be visible after reopen, it must leave no AM
+// records, and the table must remain fully usable.
 func TestOnlineBuildCrashMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix reopens file-backed engines; skipped in -short")
 	}
 	for _, stage := range []string{"bulk", "replay", "prepublish"} {
 		t.Run(stage, func(t *testing.T) {
-			dir := t.TempDir()
-			clock := chronon.NewVirtualClock(chronon.MustParse("9/97"))
-			e, err := Open(Options{Dir: dir, Clock: clock})
-			if err != nil {
-				t.Fatal(err)
-			}
-			registerMemEq(t, e)
-			registerBuildMemAM(t, e, "crasham", "crs", true)
-			s := e.NewSession()
-			exec(t, s, `CREATE TABLE crash_t (a INTEGER)`)
-			for i := 0; i < 20; i++ {
-				exec(t, s, fmt.Sprintf(`INSERT INTO crash_t VALUES (%d)`, i))
-			}
+			for _, mode := range crashModes {
+				t.Run(mode.name, func(t *testing.T) {
+					dir := t.TempDir()
+					clock := chronon.NewVirtualClock(chronon.MustParse("9/97"))
+					e, err := Open(Options{Dir: dir, Clock: clock})
+					if err != nil {
+						t.Fatal(err)
+					}
+					registerRecordingAM(t, e) // am_create stores an AM record
+					s := e.NewSession()
+					exec(t, s, `CREATE TABLE crash_t (a INTEGER)`)
+					for i := 0; i < 20; i++ {
+						exec(t, s, fmt.Sprintf(`INSERT INTO crash_t VALUES (%d)`, i))
+					}
 
-			e.SetBuildHookForTesting(func(at string) error {
-				if at == stage {
-					e.CrashForTesting()
-					return fmt.Errorf("simulated crash at %s", at)
-				}
-				return nil
-			})
-			if _, err := s.Exec(`CREATE INDEX crash_ix ON crash_t(a) USING crasham`); err == nil {
-				t.Fatalf("CREATE INDEX must fail when the engine crashes at %s", stage)
-			}
+					e.SetBuildHookForTesting(func(at string) error {
+						if at == stage {
+							mode.crash(e)
+							return fmt.Errorf("simulated crash at %s", at)
+						}
+						return nil
+					})
+					if _, err := s.Exec(`CREATE INDEX crash_ix ON crash_t(a) USING recam`); err == nil {
+						t.Fatalf("CREATE INDEX must fail when the engine crashes at %s", stage)
+					}
 
-			e2, err := Open(Options{Dir: dir, Clock: clock})
-			if err != nil {
-				t.Fatalf("reopen after crash at %s: %v", stage, err)
+					e2, err := Open(Options{Dir: dir, Clock: clock})
+					if err != nil {
+						t.Fatalf("reopen after crash at %s: %v", stage, err)
+					}
+					defer e2.Close()
+					if _, err := e2.Catalog().IndexByName("crash_ix"); err == nil {
+						t.Fatalf("half-built index visible after crash at %s", stage)
+					}
+					for rk := range e2.Catalog().AmRecords {
+						if strings.Contains(strings.ToLower(rk), "crash_ix") {
+							t.Fatalf("stale AM record %q after crash at %s", rk, stage)
+						}
+					}
+					s2 := e2.NewSession()
+					defer s2.Close()
+					res := exec(t, s2, `SELECT COUNT(*) FROM crash_t`)
+					if res.Rows[0][0] != int64(20) {
+						t.Fatalf("table rows after crash at %s: %v", stage, res.Rows[0][0])
+					}
+					exec(t, s2, `INSERT INTO crash_t VALUES (999)`)
+					exec(t, s2, `DELETE FROM crash_t WHERE a = 999`)
+				})
 			}
-			defer e2.Close()
-			if _, err := e2.Catalog().IndexByName("crash_ix"); err == nil {
-				t.Fatalf("half-built index visible after crash at %s", stage)
-			}
-			for rk := range e2.Catalog().AmRecords {
-				if strings.Contains(strings.ToLower(rk), "crash_ix") {
-					t.Fatalf("stale AM record %q after crash at %s", rk, stage)
-				}
-			}
-			s2 := e2.NewSession()
-			defer s2.Close()
-			res := exec(t, s2, `SELECT COUNT(*) FROM crash_t`)
-			if res.Rows[0][0] != int64(20) {
-				t.Fatalf("table rows after crash at %s: %v", stage, res.Rows[0][0])
-			}
-			exec(t, s2, `INSERT INTO crash_t VALUES (999)`)
-			exec(t, s2, `DELETE FROM crash_t WHERE a = 999`)
 		})
 	}
 }
@@ -423,10 +426,9 @@ func TestBuildModesAgree(t *testing.T) {
 }
 
 // TestCreateIndexInTransaction pins the explicit-transaction guard: the
-// catalog is not transactional and the online publish commits
-// mid-statement, so CREATE INDEX inside BEGIN ... COMMIT is rejected
-// outright (a rollback would otherwise revert the index pages but keep the
-// catalog entry).
+// online build releases its table latch mid-statement, which would release
+// a table lock the transaction's earlier writes hold, so CREATE INDEX
+// inside BEGIN ... COMMIT is rejected outright.
 func TestCreateIndexInTransaction(t *testing.T) {
 	e := memEngine(t)
 	registerMemEq(t, e)

@@ -320,6 +320,8 @@ func (s *Session) beginStmt(ctx context.Context) (*Stream, error) {
 			s.ec, s.stmtCtx = nil, nil
 			return nil, err
 		}
+	} else if s.e.log != nil {
+		s.save = savepoint{lsn: s.e.log.LastLSN(s.tx), writes: len(s.writes), side: len(s.pendingSide)}
 	}
 	s.stream = str
 	return str, nil
@@ -327,11 +329,12 @@ func (s *Session) beginStmt(ctx context.Context) (*Stream, error) {
 
 // end closes the statement scope — the one epilogue every statement runs,
 // whether it finished, failed, or was abandoned mid-scan: release the scan,
-// end the statement window, commit (or, after a failure, roll back) the
-// auto transaction, attach the profile (after the commit, so its WAL
-// activity lands in the statement), release the statement's read snapshot,
-// and drop the parameter binding. err is the statement's own failure; a
-// commit error is recorded without marking the statement aborted.
+// end the statement window, write a changed catalog's image, commit (or,
+// after a failure, roll back) the auto transaction or undo a failed
+// statement of an explicit one, attach the profile (after the commit, so
+// its WAL activity lands in the statement), release the statement's read
+// snapshot, and drop the parameter binding. err is the statement's own
+// failure; a commit error is recorded without marking the statement aborted.
 func (st *Stream) end(err error) {
 	s := st.s
 	if st.cur != nil {
@@ -339,12 +342,19 @@ func (st *Stream) end(err error) {
 		st.res.Affected = st.cur.count
 	}
 	s.ctx.EndStatement()
+	if err == nil && s.catDirty {
+		err = s.writeCatalog()
+	}
+	s.catDirty = false
 	st.aborted = err != nil
-	if st.auto {
-		if st.aborted {
-			s.rollbackTx()
-		} else {
-			err = s.commitTx()
+	switch {
+	case st.auto && st.aborted:
+		s.rollbackTx()
+	case st.auto:
+		err = s.commitTx()
+	case st.aborted:
+		if s.undo(s.save) != nil {
+			s.rollbackTx() // a half-undone statement must not commit
 		}
 	}
 	stats := s.ec.Finish()

@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -19,73 +20,50 @@ import (
 
 // virtualRows resolves a virtual table by name and materialises its rows.
 func (s *Session) virtualRows(name string) (*catalog.Table, [][]types.Datum, bool) {
-	var tb *catalog.Table
-	for _, vt := range catalog.VirtualTables() {
-		if strings.EqualFold(vt.Name, name) {
-			tb = vt
-			break
+	for _, tb := range catalog.VirtualTables() {
+		switch {
+		case !strings.EqualFold(tb.Name, name):
+		case tb.Name == "sysptprof":
+			return tb, s.e.ptprofRows(), true
+		default: // sysprofile
+			snap := s.e.obs.Snapshot()
+			rows := make([][]types.Datum, 0, len(snap))
+			for _, m := range snap {
+				rows = append(rows, []types.Datum{m.Name, int64(m.Value)})
+			}
+			return tb, rows, true
 		}
-	}
-	if tb == nil {
-		return nil, nil, false
-	}
-	switch strings.ToLower(tb.Name) {
-	case "sysprofile":
-		snap := s.e.obs.Snapshot()
-		rows := make([][]types.Datum, 0, len(snap))
-		for _, m := range snap {
-			rows = append(rows, []types.Datum{m.Name, int64(m.Value)})
-		}
-		return tb, rows, true
-	case "sysptprof":
-		return tb, s.e.ptprofRows(), true
 	}
 	return nil, nil, false
 }
 
-// ptprofRows snapshots every partition's buffer-pool counters (tables first,
-// then sbspaces, each sorted by name).
+// ptprofRows snapshots every partition's buffer-pool counters: tables, then
+// sbspaces, each sorted by name, then the catalog's system sbspace.
 func (e *Engine) ptprofRows() [][]types.Datum {
-	e.mu.Lock()
-	tableNames := make([]string, 0, len(e.tables))
-	for n := range e.tables {
-		tableNames = append(tableNames, n)
+	type part struct {
+		name, kind string
+		bp         *storage.BufferPool
 	}
-	spaceNames := make([]string, 0, len(e.spaces))
-	for n := range e.spaces {
-		spaceNames = append(spaceNames, n)
+	var parts []part
+	e.mu.Lock()
+	for _, t := range e.tables {
+		parts = append(parts, part{t.Name, "table", t.Pool()})
+	}
+	for _, sp := range e.spaces {
+		parts = append(parts, part{sp.Name, "sbspace", sp.Pool()})
 	}
 	e.mu.Unlock()
-	sort.Strings(tableNames)
-	sort.Strings(spaceNames)
-
-	var rows [][]types.Datum
-	add := func(name, kind string, bp *storage.BufferPool) {
-		if bp == nil {
-			return
-		}
-		st := bp.Stats()
-		rows = append(rows, []types.Datum{
-			name, kind,
-			int64(st.Fetches), int64(st.Hits), int64(st.Reads),
-			int64(st.Writes), int64(st.Evictions),
-		})
+	slices.SortFunc(parts, func(a, b part) int { // "table" sorts after "sbspace"
+		return cmp.Or(cmp.Compare(b.kind, a.kind), cmp.Compare(strings.ToLower(a.name), strings.ToLower(b.name)))
+	})
+	if e.catSpace != nil {
+		parts = append(parts, part{"catalog", "catalog", e.catSpace.Pool()})
 	}
-	for _, n := range tableNames {
-		if tb, err := e.cat.TableByName(n); err == nil {
-			e.mu.Lock()
-			bp := e.spacePools[tb.SpaceID]
-			e.mu.Unlock()
-			add(tb.Name, "table", bp)
-		}
-	}
-	for _, n := range spaceNames {
-		if sp, err := e.cat.SbspaceByName(n); err == nil {
-			e.mu.Lock()
-			bp := e.spacePools[sp.ID]
-			e.mu.Unlock()
-			add(sp.Name, "sbspace", bp)
-		}
+	rows := make([][]types.Datum, len(parts))
+	for i, p := range parts {
+		st := p.bp.Stats()
+		rows[i] = []types.Datum{p.name, p.kind, int64(st.Fetches), int64(st.Hits),
+			int64(st.Reads), int64(st.Writes), int64(st.Evictions)}
 	}
 	return rows
 }

@@ -192,8 +192,8 @@ type Table struct {
 }
 
 // Create initialises a table in an empty buffer pool. The header page is
-// formatted redo-only (transaction 0): a table whose creation is rolled
-// back keeps a valid header, because the catalog entry is not logged.
+// formatted redo-only (transaction 0), as page allocation is never undone
+// and the engine never reuses a table's space.
 func Create(name string, spaceID uint32, bp *storage.BufferPool, schema []types.Type) (*Table, error) {
 	f, err := bp.Allocate() // page 1: header
 	if err != nil {

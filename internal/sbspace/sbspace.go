@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/lock"
@@ -65,7 +66,8 @@ func DecodeHandle(buf []byte) Handle {
 
 func (h Handle) String() string { return fmt.Sprintf("lo(%d:%d#%d)", h.Space, h.Header, h.ID) }
 
-func (h Handle) resource() lock.Resource {
+// Resource is the lock the object's opens and drops take.
+func (h Handle) Resource() lock.Resource {
 	return lock.Resource{Kind: lock.KindLargeObject, A: uint64(h.Space), B: uint64(h.Header)}
 }
 
@@ -118,11 +120,12 @@ type Space struct {
 	ID   uint32
 	Name string
 
-	mu    sync.Mutex
-	bp    *storage.BufferPool
-	locks *lock.Manager
-	stats Stats
-	obs   ObsCounters
+	mu      sync.Mutex
+	bp      *storage.BufferPool
+	locks   *lock.Manager
+	stats   Stats
+	obs     ObsCounters
+	dropped map[lock.TxID][]Handle // drops waiting for their transaction's end
 }
 
 // ObsCounters mirrors the space's large-object operation counters into an
@@ -139,7 +142,7 @@ func (s *Space) SetObs(o ObsCounters) { s.obs = o }
 // Every page change goes through the pool's Edit, so the pool's journal, if
 // any, logs it.
 func New(id uint32, name string, bp *storage.BufferPool, locks *lock.Manager) *Space {
-	return &Space{ID: id, Name: name, bp: bp, locks: locks}
+	return &Space{ID: id, Name: name, bp: bp, locks: locks, dropped: make(map[lock.TxID][]Handle)}
 }
 
 // Pool returns the space's buffer pool (I/O statistics live there).
@@ -206,7 +209,7 @@ func (s *Space) Create(tx lock.TxID) (Handle, error) {
 		return NilHandle, err
 	}
 	h := Handle{Space: s.ID, Header: f.ID, ID: id}
-	if err := s.locks.Acquire(tx, h.resource(), lock.Exclusive); err != nil {
+	if err := s.locks.Acquire(tx, h.Resource(), lock.Exclusive); err != nil {
 		return NilHandle, err
 	}
 	s.mu.Lock()
@@ -228,7 +231,7 @@ func (s *Space) Open(tx lock.TxID, h Handle, mode OpenMode, iso lock.IsolationLe
 	}
 	locked := false
 	if mode == ReadWrite || iso != lock.DirtyRead {
-		if err := s.locks.Acquire(tx, h.resource(), lockMode); err != nil {
+		if err := s.locks.Acquire(tx, h.Resource(), lockMode); err != nil {
 			return nil, err
 		}
 		locked = true
@@ -237,7 +240,7 @@ func (s *Space) Open(tx lock.TxID, h Handle, mode OpenMode, iso lock.IsolationLe
 	f, err := s.bp.Fetch(h.Header)
 	if err != nil {
 		if locked {
-			s.locks.Release(tx, h.resource())
+			s.locks.Release(tx, h.Resource())
 		}
 		return nil, err
 	}
@@ -246,7 +249,7 @@ func (s *Space) Open(tx lock.TxID, h Handle, mode OpenMode, iso lock.IsolationLe
 	s.bp.Unpin(f, false)
 	if magic != loMagic || loID != h.ID {
 		if locked {
-			s.locks.Release(tx, h.resource())
+			s.locks.Release(tx, h.Resource())
 		}
 		return nil, fmt.Errorf("sbspace: %v is not a (live) large object", h)
 	}
@@ -257,12 +260,61 @@ func (s *Space) Open(tx lock.TxID, h Handle, mode OpenMode, iso lock.IsolationLe
 	return &LargeObject{space: s, h: h, tx: tx, mode: mode, iso: iso, locked: locked}, nil
 }
 
-// Drop deletes the large object and frees its pages.
+// Drop deletes the large object. Its header is unmarked through the pool's
+// Edit under tx, so undoing tx brings the object back. Without a journal
+// nothing can undo the drop, and the pages are freed at once; with one, they
+// are freed by EndTx when tx commits.
 func (s *Space) Drop(tx lock.TxID, h Handle) error {
-	if err := s.locks.Acquire(tx, h.resource(), lock.Exclusive); err != nil {
+	if err := s.locks.Acquire(tx, h.Resource(), lock.Exclusive); err != nil {
 		return err
 	}
-	lo := &LargeObject{space: s, h: h, tx: tx, mode: ReadWrite, iso: lock.RepeatableRead, locked: true}
+	lo := &LargeObject{space: s, h: h, tx: tx}
+	if err := lo.edit(h.Header, func(page []byte) { binary.BigEndian.PutUint32(page[0:4], 0) }); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.stats.Drops++
+	if !slices.Contains(s.dropped[tx], h) {
+		s.dropped[tx] = append(s.dropped[tx], h)
+	}
+	s.mu.Unlock()
+	s.obs.Drops.Inc()
+	if s.bp.Journal == nil {
+		return s.EndTx(tx, true)
+	}
+	return nil
+}
+
+// EndTx ends tx's drops: at commit it frees the pages of every object tx
+// dropped that an undo did not bring back; at rollback it forgets them.
+func (s *Space) EndTx(tx lock.TxID, commit bool) error {
+	s.mu.Lock()
+	hs := s.dropped[tx]
+	delete(s.dropped, tx)
+	s.mu.Unlock()
+	if !commit {
+		return nil
+	}
+	for _, h := range hs {
+		f, err := s.bp.Fetch(h.Header)
+		if err != nil {
+			return err
+		}
+		live := binary.BigEndian.Uint32(f.Data[0:4]) == loMagic
+		s.bp.Unpin(f, false)
+		if live {
+			continue
+		}
+		if err := s.free(h); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// free returns a dropped object's pages to the pager.
+func (s *Space) free(h Handle) error {
+	lo := &LargeObject{space: s, h: h, mode: ReadWrite}
 	pages, err := lo.dataPages()
 	if err != nil {
 		return err
@@ -291,14 +343,7 @@ func (s *Space) Drop(tx lock.TxID, h Handle) error {
 		}
 		next = following
 	}
-	if err := s.bp.Free(h.Header); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.stats.Drops++
-	s.mu.Unlock()
-	s.obs.Drops.Inc()
-	return nil
+	return s.bp.Free(h.Header)
 }
 
 // ReleaseTxLocks is invoked by the engine's transaction-end callback.
@@ -340,7 +385,7 @@ func (lo *LargeObject) Close() error {
 	// comes from MVCC visibility at rid resolution, and the LO lock only
 	// protects the physical traversal of the statement in progress.
 	if lo.locked && lo.mode == ReadOnly && lo.iso != lock.RepeatableRead {
-		s.locks.Release(lo.tx, lo.h.resource())
+		s.locks.Release(lo.tx, lo.h.Resource())
 	}
 	return nil
 }

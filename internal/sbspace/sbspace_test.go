@@ -257,6 +257,70 @@ func TestDropFreesPages(t *testing.T) {
 	}
 }
 
+// With a journal, a drop can be undone: its pages stay allocated until the
+// dropping transaction commits, a commit after an undo of the drop frees
+// nothing, and an undo restores the object.
+func TestJournaledDropFreesAtCommit(t *testing.T) {
+	s, lm := newTestSpace(t)
+	type edit struct {
+		page   storage.PageID
+		off    int
+		before []byte
+	}
+	var undo []edit
+	s.Pool().Journal = func(tx uint64, page storage.PageID, off int, before, after []byte) error {
+		undo = append(undo, edit{page, off, append([]byte(nil), before...)})
+		return nil
+	}
+	h, _ := s.Create(1)
+	lo, _ := s.Open(1, h, ReadWrite, lock.CommittedRead)
+	lo.WriteAt(bytes.Repeat([]byte("d"), 3*storage.PageSize), 0)
+	lo.Close()
+	lm.ReleaseAll(1)
+	pages := s.Pool().Pager().NumPages()
+
+	// Dropped, then undone: the object is back and its commit frees nothing.
+	undo = nil
+	if err := s.Drop(2, h); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Open(2, h, ReadOnly, lock.DirtyRead); err == nil {
+		t.Fatal("open of a dropped LO must fail")
+	}
+	for i := len(undo) - 1; i >= 0; i-- {
+		s.Pool().Apply(uint64(undo[i].page), uint16(undo[i].off), undo[i].before)
+	}
+	if err := s.EndTx(2, true); err != nil {
+		t.Fatal(err)
+	}
+	lm.ReleaseAll(2)
+	lo, err := s.Open(3, h, ReadOnly, lock.DirtyRead)
+	if err != nil {
+		t.Fatalf("undone drop: %v", err)
+	}
+	got := make([]byte, 3*storage.PageSize)
+	if n, _ := lo.ReadAt(got, 0); n != len(got) || !bytes.Equal(got, bytes.Repeat([]byte("d"), len(got))) {
+		t.Fatal("undone drop lost the object's data")
+	}
+	lo.Close()
+
+	// Dropped and committed: the pages are reused.
+	if err := s.Drop(4, h); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EndTx(4, true); err != nil {
+		t.Fatal(err)
+	}
+	lm.ReleaseAll(4)
+	h2, _ := s.Create(5)
+	lo2, _ := s.Open(5, h2, ReadWrite, lock.CommittedRead)
+	lo2.WriteAt(bytes.Repeat([]byte("e"), 3*storage.PageSize), 0)
+	lo2.Close()
+	if after := s.Pool().Pager().NumPages(); after > pages {
+		t.Fatalf("pages not reused after the commit: %d -> %d", pages, after)
+	}
+}
+
 func TestHandleEncoding(t *testing.T) {
 	h := Handle{Space: 7, Header: 1234}
 	buf := make([]byte, HandleSize)

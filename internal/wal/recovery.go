@@ -85,7 +85,7 @@ func Recover(l *Log, spaces map[uint32]PageStore) (RecoveryReport, error) {
 	// images and writing CLRs.
 	for tx := range losers {
 		rep.UndoneTx = append(rep.UndoneTx, tx)
-		n, err := undoChain(l, spaces, tx, undoNext[tx])
+		n, err := undoChain(l, spaces, tx, undoNext[tx], NilLSN)
 		if err != nil {
 			return rep, err
 		}
@@ -103,17 +103,26 @@ func Recover(l *Log, spaces map[uint32]PageStore) (RecoveryReport, error) {
 // Rollback undoes a live transaction at run time: applies before-images back
 // through the undo chain, writes CLRs, and appends ABORT.
 func Rollback(l *Log, spaces map[uint32]PageStore, tx uint64) error {
-	if _, err := undoChain(l, spaces, tx, l.LastLSN(tx)); err != nil {
+	if err := RollbackTo(l, spaces, tx, NilLSN); err != nil {
 		return err
 	}
 	_, err := l.Abort(tx)
 	return err
 }
 
-func undoChain(l *Log, spaces map[uint32]PageStore, tx uint64, from LSN) (int, error) {
+// RollbackTo undoes tx's records after stop (a LastLSN taken earlier),
+// writing CLRs, and leaves the transaction open.
+func RollbackTo(l *Log, spaces map[uint32]PageStore, tx uint64, stop LSN) error {
+	_, err := undoChain(l, spaces, tx, l.LastLSN(tx), stop)
+	return err
+}
+
+// undoChain walks tx's chain from LSN from down to, not including, stop. A
+// CLR's UndoNext skips work an earlier undo already compensated.
+func undoChain(l *Log, spaces map[uint32]PageStore, tx uint64, from, stop LSN) (int, error) {
 	undone := 0
 	lsn := from
-	for lsn != NilLSN {
+	for lsn > stop {
 		r, err := l.ReadRecord(lsn)
 		if err != nil {
 			return undone, fmt.Errorf("wal: undo tx %d at %d: %w", tx, lsn, err)

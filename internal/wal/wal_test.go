@@ -157,6 +157,62 @@ func TestRollbackRestoresBeforeImages(t *testing.T) {
 	}
 }
 
+// A statement's undo stops at the LSN the statement began at and leaves the
+// transaction open; the CLRs' UndoNext then carry a later rollback of the
+// whole transaction, and a crash recovery, past the compensated work.
+func TestRollbackToStopsAtTheStatement(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		l, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spaces, p := testSpaces(t)
+		id, _ := p.Allocate()
+		read := func() string {
+			got := make([]byte, storage.PageSize)
+			p.ReadPage(id, got)
+			return string(got[0:2]) + string(got[10:12])
+		}
+		write := func(off uint16, before, after string) {
+			l.Update(7, 1, uint64(id), off, []byte(before), []byte(after))
+			storage.WALStore{P: p}.Apply(uint64(id), off, []byte(after))
+		}
+		l.Begin(7)
+		write(0, "\x00\x00", "s1")
+		stop := l.LastLSN(7)
+		write(10, "\x00\x00", "s2")
+		write(0, "s1", "xx")
+		if err := RollbackTo(l, spaces, 7, stop); err != nil {
+			t.Fatal(err)
+		}
+		if got := read(); got != "s1\x00\x00" {
+			t.Fatalf("after the statement undo: %q", got)
+		}
+		write(10, "\x00\x00", "s3")
+		if crash {
+			l.Flush()
+			l.Close()
+			if l, err = Open(path); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Recover(l, spaces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.UndoneRecords != 2 {
+				t.Fatalf("recovery undid %d records, want 2 (s3 and s1)", rep.UndoneRecords)
+			}
+		} else if err := Rollback(l, spaces, 7); err != nil {
+			t.Fatal(err)
+		}
+		if got := read(); got != "\x00\x00\x00\x00" {
+			t.Fatalf("after the whole rollback (crash %v): %q", crash, got)
+		}
+		l.Close()
+	}
+}
+
 func TestRecoverRedoCommitted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, err := Open(path)

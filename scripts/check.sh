@@ -14,11 +14,19 @@
 # plan cache (LRU + generation invalidation under concurrent DDL), and the
 # aggregate-pushdown/vacuum batteries (am_aggregate agreement under
 # concurrent DML with interleaved VacuumNow, deferred index maintenance),
-# and recovery after a crash that writes no dirty page back (the lost-pages
+# recovery after a crash that writes no dirty page back (the lost-pages
 # battery TestLostPagesRecovery over all three access methods, cases
 # TestPushedCountAfterLostDelete and TestCreateTableSurvivesLostPages, and the
-# redo-only regression guards TestRolledBackCreateTableReopens and
-# TestFailedFirstBuildLeavesTheSpaceUsable). Tier-1
+# redo-only guard TestFailedFirstBuildLeavesTheSpaceUsable), and DDL under
+# the journal (the rollback and statement-undo cases TestRolledBack*,
+# TestFailedStatementUndoesItself and TestDDLRollbackRestoresCatalogImage,
+# the two-session lock cases TestDropTableWaitsForWriters and
+# TestCreateTableHoldsItsTable, the crash battery
+# TestCatalogSurvivesReopenAndCrashes, TestDroppedTableReopensAfterACrash,
+# TestCrashDuringBootstrap and TestOnlineBuildCrashMatrix in both crash
+# modes, grtblade's TestRolledBackDropIndexKeepsIndex,
+# TestDropIndexWaitsForWriters and TestCrashDuringRebuildKeepsIndex, and the
+# deadlock guard TestBuildLatchDeadlockIsDetected). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -92,11 +100,19 @@ go test -race -count=5 -timeout 120s -run TestCrashRecoveryWithASmallPool ./inte
 
 # A crash that writes no dirty page back must be recovered from the log alone:
 # every page edit is journaled, and Open recovers the pools before it opens
-# the heaps. Formatting a fresh page is redo-only, so a rolled-back CREATE
-# TABLE or a failed first CREATE INDEX in a fresh sbspace leaves usable pages.
-echo "== go test -race -count=3 lost-pages recovery + redo-only guards"
+# the heaps. Formatting a fresh page is redo-only, so a failed first CREATE
+# INDEX in a fresh sbspace leaves usable pages.
+echo "== go test -race -count=3 lost-pages recovery + redo-only guard"
 go test -race -count=3 -timeout 600s -run 'TestLostPagesRecovery|TestPushedCountAfterLostDelete|TestFailedFirstBuildLeavesTheSpaceUsable' ./internal/blades/treeblade
-go test -race -count=3 -timeout 120s -run 'TestCreateTableSurvivesLostPages|TestRolledBackCreateTableReopens' ./internal/engine
+go test -race -count=3 -timeout 120s -run 'TestCreateTableSurvivesLostPages' ./internal/engine
+
+# DDL joins its transaction: a rollback, a failed statement and crash
+# recovery restore the catalog with the pages, in both crash modes, and a
+# build waiting at its table latch while holding the catalog lock forms a
+# cycle the deadlock detector breaks instead of a hang.
+echo "== go test -race -count=3 DDL rollback + crash battery + deadlock guard"
+go test -race -count=3 -timeout 300s -run 'TestRolledBack|TestFailedStatementUndoesItself|TestDDLRollbackRestoresCatalogImage|TestDropTableWaitsForWriters|TestCreateTableHoldsItsTable|TestCatalogSurvivesReopenAndCrashes|TestDroppedTableReopensAfterACrash|TestCrashDuringBootstrap|TestOpenRefusesTheOldFormat|TestRecreateDroppedTable|TestOnlineBuildCrashMatrix|TestBuildLatchDeadlockIsDetected' ./internal/engine
+go test -race -count=3 -timeout 300s -run 'TestRolledBackDropIndexKeepsIndex|TestDropIndexWaitsForWriters|TestCrashDuringRebuildKeepsIndex' ./internal/blades/grtblade
 
 # No test runs P5 or the benchrunner CLI itself; this runs every registered
 # experiment at CI scale.

@@ -153,6 +153,32 @@ func TestAggregateMVCCGate(t *testing.T) {
 	}
 }
 
+// A checkpoint appends to the log but ends no transaction, so a view cut
+// before it has still seen every commit: COUNT(*) in a SNAPSHOT transaction
+// whose view predates a checkpoint keeps pushing down. (While the gate
+// compared the log's size, the checkpoint read as a commit since the cut.)
+func TestAggregatePushesAcrossACheckpoint(t *testing.T) {
+	e, _ := newDB(t)
+	s := e.NewSession()
+	defer s.Close()
+	setupEmpDep(t, s)
+	q := `SELECT COUNT(*) FROM Employees WHERE ` + aggQual
+	exec(t, s, `SET ISOLATION TO SNAPSHOT`)
+	exec(t, s, `BEGIN WORK`)
+	base := exec(t, s, q).Rows[0][0].(int64)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pushed, moved := e.Obs().Counter("agg.pushed").Load(), e.Obs().Counter("agg.fallback.gate_readpoint").Load()
+	if got := exec(t, s, q).Rows[0][0].(int64); got != base {
+		t.Fatalf("COUNT(*) after a checkpoint: %d, want %d", got, base)
+	}
+	if e.Obs().Counter("agg.pushed").Load() == pushed {
+		t.Fatalf("a checkpoint stopped the pushdown (gate_readpoint %d -> %d)", moved, e.Obs().Counter("agg.fallback.gate_readpoint").Load())
+	}
+	exec(t, s, `COMMIT WORK`)
+}
+
 // Agreement battery under concurrent DML: within one SNAPSHOT transaction,
 // COUNT(*) (pushed or drained, whatever the gate decides) must equal the
 // row count a plain SELECT sees — while writers churn. Run with -race this

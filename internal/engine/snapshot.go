@@ -81,6 +81,18 @@ func (e *Engine) readPointLocked() uint64 {
 	return e.mvccClock.Load() + 1
 }
 
+// txEndLocked returns the read point as transaction ends alone move it: with
+// a WAL the end of the last COMMIT or ABORT record, which a checkpoint or any
+// other append leaves alone; without one the logical clock's read point. A
+// view whose cut is at or past it has seen every transaction end. Caller
+// holds mvccMu.
+func (e *Engine) txEndLocked() uint64 {
+	if e.log != nil {
+		return uint64(e.log.TxEnd())
+	}
+	return e.readPointLocked()
+}
+
 // captureSnapshot builds the read view for tx: the cut point and the
 // transactions active right now, atomically against commits. Registered
 // views pin the vacuum horizon until released. dirty selects the
@@ -190,15 +202,16 @@ func (s *Session) releaseTxSnap() {
 // foreign transaction — commitTx appends the commit record (advancing the
 // read point) before deactivating, so a view captured inside that window
 // treats the committer's already-indexed rows as invisible while (c) and
-// (e) both pass; (e) the current read point equals the snapshot's cut —
-// nothing committed after the view was captured; and (f) the snapshot is a
-// real registered view (a DIRTY READ view proves nothing). The returned
-// fence is the transaction-id high-water mark; aggGateHolds re-checks it
-// after the index traversal, catching transactions that began (and possibly
-// inserted, or aborted leaving NoWAL residue) mid-walk — and the vacuum,
-// which runs under a transaction of its own, so the dead count checked here
-// cannot move unnoticed either. refused names the clause that failed (its
-// agg.fallback.<clause> counter), or is "" when the gate holds.
+// (e) both pass; (e) no transaction ended after the snapshot's cut —
+// nothing committed after the view was captured (txEndLocked: a checkpoint
+// appended since the cut moves the log's size but commits nothing); and (f)
+// the snapshot is a real registered view (a DIRTY READ view proves nothing).
+// The returned fence is the transaction-id high-water mark; aggGateHolds
+// re-checks it after the index traversal, catching transactions that began
+// (and possibly inserted, or aborted leaving NoWAL residue) mid-walk — and
+// the vacuum, which runs under a transaction of its own, so the dead count
+// checked here cannot move unnoticed either. refused names the clause that
+// failed (its agg.fallback.<clause> counter), or is "" when the gate holds.
 func (e *Engine) aggGate(s *Session, t *heap.Table, snap *heap.Snapshot) (fence uint64, refused string) {
 	if snap == nil || snap.Dirty || snap.ReadLSN == 0 {
 		return 0, fallbackGateView
@@ -223,16 +236,16 @@ func (e *Engine) aggGate(s *Session, t *heap.Table, snap *heap.Snapshot) (fence 
 			return 0, fallbackGateActive
 		}
 	}
-	if e.readPointLocked() != snap.ReadLSN {
+	if e.txEndLocked() > snap.ReadLSN {
 		return 0, fallbackGateReadPoint
 	}
 	return e.nextTx, ""
 }
 
 // aggGateHolds re-verifies the gate after the aggregate traversal: the
-// world must look exactly as it did at aggGate time — same read point, no
-// foreign activity, and no transaction allocated since the fence. It names
-// the refusing clause, or returns "".
+// world must look exactly as it did at aggGate time — no transaction ended
+// since the cut, no foreign activity, and no transaction allocated since
+// the fence. It names the refusing clause, or returns "".
 func (e *Engine) aggGateHolds(s *Session, snap *heap.Snapshot, fence uint64) string {
 	e.mvccMu.Lock()
 	defer e.mvccMu.Unlock()
@@ -241,7 +254,7 @@ func (e *Engine) aggGateHolds(s *Session, snap *heap.Snapshot, fence uint64) str
 			return fallbackHoldsActive
 		}
 	}
-	if e.nextTx != fence || e.readPointLocked() != snap.ReadLSN {
+	if e.nextTx != fence || e.txEndLocked() > snap.ReadLSN {
 		return fallbackHoldsMoved
 	}
 	return ""

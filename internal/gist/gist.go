@@ -82,14 +82,14 @@ func format(kc KeyClass) (*rtree.Format[string], error) {
 		NodeMagic: nodeMagic,
 		MetaMagic: h.Sum32(),
 		EntrySize: ks + 8,
-		Put: func(buf []byte, entries []Entry) {
+		Put: func(buf []byte, entries []Entry, _ bool) {
 			for _, e := range entries {
 				copy(buf, e.Bound)
 				binary.BigEndian.PutUint64(buf[ks:], e.Ref)
 				buf = buf[ks+8:]
 			}
 		},
-		Get: func(buf []byte, entries []Entry) {
+		Get: func(buf []byte, entries []Entry, _ bool) {
 			for i := range entries {
 				entries[i] = Entry{Bound: string(buf[:ks]), Ref: binary.BigEndian.Uint64(buf[ks:])}
 				buf = buf[ks+8:]

@@ -52,7 +52,12 @@ const (
 )
 
 // entrySize: TTBegin, TTEnd, VTBegin, VTEnd (int64 big-endian; sentinel
-// values carry UC/NOW), flags (bit0 Rectangle, bit1 Hidden), 7 pad, ref.
+// values carry UC/NOW), flags (bit0 Rectangle, bit1 Hidden), the start
+// maxima, 3 pad, ref. A bounding entry's maxima are LateTT at bytes 33–34
+// and LateVT at 35–36, each stored as delta+1 in 16 bits: LateUnknown wraps
+// to 0, and 0 (the pad of pages written before maxima were kept) wraps back
+// to LateUnknown. A leaf entry's bytes stay zero: its maxima are its own
+// begins.
 const entrySize = 48
 
 // Capacity is the maximum number of entries per node (one node per page,
@@ -64,7 +69,7 @@ var format = rtree.Format[temporal.Region]{
 	NodeMagic: 0x4752544E, // "GRTN"
 	MetaMagic: 0x47525452, // "GRTR"
 	EntrySize: entrySize,
-	Put: func(buf []byte, entries []Entry) {
+	Put: func(buf []byte, entries []Entry, leaf bool) {
 		for _, e := range entries {
 			binary.BigEndian.PutUint64(buf[0:], uint64(e.Bound.TTBegin))
 			binary.BigEndian.PutUint64(buf[8:], uint64(e.Bound.TTEnd))
@@ -76,23 +81,30 @@ var format = rtree.Format[temporal.Region]{
 			if e.Bound.Hidden {
 				buf[32] |= 2
 			}
+			if !leaf {
+				binary.BigEndian.PutUint16(buf[33:], e.Bound.LateTT+1)
+				binary.BigEndian.PutUint16(buf[35:], e.Bound.LateVT+1)
+			}
 			binary.BigEndian.PutUint64(buf[40:], e.Ref)
 			buf = buf[entrySize:]
 		}
 	},
-	Get: func(buf []byte, entries []Entry) {
+	Get: func(buf []byte, entries []Entry, leaf bool) {
 		for i := range entries {
-			entries[i] = Entry{
-				Bound: temporal.Region{
-					TTBegin: chronon.Instant(binary.BigEndian.Uint64(buf[0:])),
-					TTEnd:   chronon.Instant(binary.BigEndian.Uint64(buf[8:])),
-					VTBegin: chronon.Instant(binary.BigEndian.Uint64(buf[16:])),
-					VTEnd:   chronon.Instant(binary.BigEndian.Uint64(buf[24:])),
-					Rect:    buf[32]&1 != 0,
-					Hidden:  buf[32]&2 != 0,
-				},
-				Ref: binary.BigEndian.Uint64(buf[40:]),
+			e := &entries[i]
+			e.Bound = temporal.Region{
+				TTBegin: chronon.Instant(binary.BigEndian.Uint64(buf[0:])),
+				TTEnd:   chronon.Instant(binary.BigEndian.Uint64(buf[8:])),
+				VTBegin: chronon.Instant(binary.BigEndian.Uint64(buf[16:])),
+				VTEnd:   chronon.Instant(binary.BigEndian.Uint64(buf[24:])),
+				Rect:    buf[32]&1 != 0,
+				Hidden:  buf[32]&2 != 0,
 			}
+			if !leaf {
+				e.Bound.LateTT = binary.BigEndian.Uint16(buf[33:]) - 1
+				e.Bound.LateVT = binary.BigEndian.Uint16(buf[35:]) - 1
+			}
+			e.Ref = binary.BigEndian.Uint64(buf[40:])
 			buf = buf[entrySize:]
 		}
 	},
@@ -107,19 +119,26 @@ type keys struct {
 }
 
 func (k keys) Bound(es []Entry) temporal.Region {
-	regions := make([]temporal.Region, len(es))
-	for i, e := range es {
-		regions[i] = e.Bound
+	b := temporal.NewBounder(k.ct, k.pol)
+	for i := range es {
+		b.Add(es[i].Bound)
 	}
-	return temporal.Bound(regions, k.ct, k.pol)
+	return b.Bound()
 }
 
 func (k keys) Union(a, b temporal.Region) temporal.Region { return a.Union(b, k.ct, k.pol) }
 
-func (k keys) Contains(outer, inner temporal.Region) bool { return outer.Contains(inner, k.ct) }
+// Contains is the descent test of a deletion: the bound contains the target
+// now, and its start maxima reach the target's begins.
+func (k keys) Contains(outer, inner temporal.Region) bool {
+	return outer.Contains(inner, k.ct) && outer.StartsCover(inner)
+}
 
-// Covers: a child region must be covered by its parent now and in the future.
-func (k keys) Covers(parent, child temporal.Region) bool { return parent.CoversRegion(child, k.ct) }
+// Covers: a child region must be covered by its parent now and in the
+// future, and the parent's start maxima must be at least the child's.
+func (k keys) Covers(parent, child temporal.Region) bool {
+	return parent.CoversRegion(child, k.ct) && parent.StartsCover(child)
+}
 
 func (k keys) Resolve(r temporal.Region) temporal.Shape {
 	return r.Resolve(k.ct + chronon.Instant(k.pol.TimeParam))

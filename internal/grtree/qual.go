@@ -17,7 +17,7 @@ func (p Predicate) LeafMatch(r temporal.Region, ct chronon.Instant) bool {
 }
 
 func (p Predicate) InternalMatch(bound temporal.Region, ct chronon.Instant) bool {
-	return internalTest(p.Op, bound.Resolve(ct), p.Query.Region().Resolve(ct))
+	return internalTest(p.Op, bound.Resolve(ct), bound, p.Query.Region().Resolve(ct), ct)
 }
 
 // Compound is an AND/OR tree over predicates — the blade-side decomposition
@@ -149,7 +149,7 @@ func (p Predicate) compile(ct chronon.Instant) *Compiled {
 func (m *Compiled) Leaf(r temporal.Region) bool { return m.root.leaf(r.Resolve(m.ct)) }
 
 // Internal implements rtree.Matcher: internalTest on the resolved bound.
-func (m *Compiled) Internal(r temporal.Region) bool { return m.root.internal(r.Resolve(m.ct)) }
+func (m *Compiled) Internal(r temporal.Region) bool { return m.root.internal(r.Resolve(m.ct), r, m.ct) }
 
 // covers reports whether the query of a single predicate contains the bound.
 func (m *Compiled) covers(bound temporal.Region) bool {
@@ -177,12 +177,12 @@ func (c *clause) leaf(s temporal.Shape) bool {
 	return c.and
 }
 
-func (c *clause) internal(s temporal.Shape) bool {
+func (c *clause) internal(s temporal.Shape, r temporal.Region, ct chronon.Instant) bool {
 	if len(c.kids) == 0 {
-		return internalTest(c.op, s, c.query)
+		return internalTest(c.op, s, r, c.query, ct)
 	}
 	for i := range c.kids {
-		if m := c.kids[i].internal(s); m != c.and {
+		if m := c.kids[i].internal(s, r, ct); m != c.and {
 			return m
 		}
 	}

@@ -36,18 +36,42 @@ func leafTest(op rtree.Op, entry, query temporal.Shape) bool {
 // the "internal" companion of each strategy function that Section 5.2
 // discusses (OverlapsInternal() etc., hard-coded in the prototype): it must
 // hold whenever any descendant leaf could satisfy the strategy function.
-func internalTest(op rtree.Op, bound, query temporal.Shape) bool {
+// bound is the bounding region resolved at current time ct; starts is the
+// region itself, whose start maxima say how late the leaves under it begin.
+//
+// The maxima prune on one fact: a valid extent that is non-empty at ct has
+// its first cell at (TTBegin, VTBegin), because a valid stair has TTBegin >=
+// VTBegin. So a non-empty leaf equal to, or inside, a query starts no
+// earlier than the query does on either axis, and a bound none of whose
+// leaves starts that late holds no answer.
+func internalTest(op rtree.Op, bound temporal.Shape, starts temporal.Region, query temporal.Shape, ct chronon.Instant) bool {
 	switch op {
-	case rtree.OpOverlaps, rtree.OpContainedIn:
-		// A leaf overlapping (or inside) the query overlaps it, so its
-		// ancestors' bounds do too.
+	case rtree.OpOverlaps:
+		// A leaf overlapping the query overlaps it, so its ancestors'
+		// bounds do too.
 		return bound.Overlaps(query)
-	case rtree.OpEqual, rtree.OpContains:
-		// A leaf equal to (or containing) the query contains it, so its
-		// ancestors' bounds contain it as well.
+	case rtree.OpContainedIn:
+		// A leaf inside the query overlaps it, so its ancestors' bounds do
+		// too; and starts within it, unless the leaf is empty at ct. A valid
+		// leaf empty at ct grows and starts after ct, so the start test
+		// applies only where every leaf started by ct.
+		return bound.Overlaps(query) && (!starts.StartedBy(ct) || startsReach(starts, query))
+	case rtree.OpEqual:
+		// A leaf equal to the query contains it, so its ancestors' bounds
+		// contain it as well; a non-empty one starts where the query does.
+		return bound.ContainsShape(query) && (query.Empty() || startsReach(starts, query))
+	case rtree.OpContains:
+		// A leaf containing the query contains it, so its ancestors' bounds
+		// do too.
 		return bound.ContainsShape(query)
 	}
 	return false
+}
+
+// startsReach reports whether some leaf under the bound may start as late as
+// the query does, on both axes.
+func startsReach(starts temporal.Region, query temporal.Shape) bool {
+	return starts.StartsReach(chronon.Instant(query.TTBegin), chronon.Instant(query.VTBegin))
 }
 
 // Predicate is a search qualification: an operator and a query extent.

@@ -106,7 +106,7 @@ var format = rtree.Format[Rect]{
 	NodeMagic: 0x5253544E, // "RSTN"
 	MetaMagic: 0x52535452, // "RSTR"
 	EntrySize: entrySize,
-	Put: func(buf []byte, entries []Entry) {
+	Put: func(buf []byte, entries []Entry, _ bool) {
 		for _, e := range entries {
 			binary.BigEndian.PutUint64(buf[0:], uint64(e.Bound.XMin))
 			binary.BigEndian.PutUint64(buf[8:], uint64(e.Bound.XMax))
@@ -116,7 +116,7 @@ var format = rtree.Format[Rect]{
 			buf = buf[entrySize:]
 		}
 	},
-	Get: func(buf []byte, entries []Entry) {
+	Get: func(buf []byte, entries []Entry, _ bool) {
 		for i := range entries {
 			entries[i] = Entry{
 				Bound: Rect{

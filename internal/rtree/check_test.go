@@ -51,7 +51,8 @@ func first[B comparable](es []rtree.Entry[B]) B { return es[0].Bound }
 // key class's Covers, and a child its parent does not cover fails it, in
 // every key class. The GR-tree case is the one Contains would miss: a static
 // rectangle holding a growing child contains it now, but not once the child
-// has grown.
+// has grown; and a bound whose start maxima lie below a child's start, which
+// would let Equal prune a subtree holding its answer.
 func TestCheckCatchesAnEscapingChild(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	t.Run("grtree", func(t *testing.T) {
@@ -65,11 +66,16 @@ func TestCheckCatchesAnEscapingChild(t *testing.T) {
 			}
 		}
 		keys := g.Keys(grtCT)
+		// static keeps the honest bound's start maxima, so that the check
+		// under Contains below still asks only "contains now".
 		static := func(es []rtree.Entry[temporal.Region]) temporal.Region {
-			bb := keys.Bound(es).Resolve(grtCT).BoundingBox()
+			honest := keys.Bound(es)
+			bb := honest.Resolve(grtCT).BoundingBox()
 			return temporal.Region{
 				TTBegin: chronon.Instant(bb.TTBegin), TTEnd: chronon.Instant(bb.TTEnd),
 				VTBegin: chronon.Instant(bb.VTBegin), VTEnd: chronon.Instant(bb.VTEnd),
+				LateTT: uint16(int64(honest.TTBegin) + int64(honest.LateTT) - bb.TTBegin),
+				LateVT: uint16(int64(honest.VTBegin) + int64(honest.LateVT) - bb.VTBegin),
 			}
 		}
 		growing := temporal.Extent{TTBegin: 10, TTEnd: chronon.UC, VTBegin: 10, VTEnd: chronon.NOW}.Region()
@@ -80,6 +86,27 @@ func TestCheckCatchesAnEscapingChild(t *testing.T) {
 		if err := g.Tree.Check(keys.Contains); err != nil {
 			t.Fatalf("every parent contains its children now, yet: %v", err)
 		}
+	})
+	t.Run("grtree-maxima", func(t *testing.T) {
+		g, err := grtree.Create(nodestore.NewMem(), grtConfig(small))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 60; i++ {
+			if err := g.Insert(extentOf(grtRandom(rng)), rtree.Payload(i), grtCT); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A bound whose start maxima claim that nothing under it starts
+		// later than its lower corner: Equal would prune the entries that do.
+		keys := g.Keys(grtCT)
+		low := func(es []rtree.Entry[temporal.Region]) temporal.Region {
+			b := keys.Bound(es)
+			b.LateTT, b.LateVT = 0, 0
+			return b
+		}
+		late := temporal.Extent{TTBegin: grtCT, TTEnd: chronon.UC, VTBegin: grtCT, VTEnd: chronon.NOW}.Region()
+		escape(t, g.Tree, keys, low, rtree.Entry[temporal.Region]{Bound: late, Ref: 61})
 	})
 	t.Run("rstar", func(t *testing.T) {
 		r, err := rstar.Create(nodestore.NewMem(), rstConfig(small))

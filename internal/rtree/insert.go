@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -11,6 +13,9 @@ type writer[B comparable, S Shape[S]] struct {
 	*Tree[B]
 	k          Keys[B, S]
 	reinserted map[int]bool
+	// chooseSubtree's scratch, reused by every descent of the operation.
+	shapes, grown []S
+	cands         []cand
 }
 
 func newWriter[B comparable, S Shape[S]](t *Tree[B], k Keys[B, S]) *writer[B, S] {
@@ -120,41 +125,44 @@ func (w *writer[B, S]) growRoot(left, right *node[B]) error {
 // area enlargement — both on resolved shapes, which is where the GR-tree's
 // time parameter enters (Section 3: "a time parameter, capturing the
 // development over time of entries, is introduced in these algorithms").
+//
+// The overlap pass is an exact branch and bound. Every term of a candidate's
+// sum is non-negative, because the grown bound contains the bound, and float
+// addition of non-negative terms never decreases; so a partial sum that
+// reaches the best so far cannot win, and once a candidate scores zero no
+// later one can beat it. The pick is the exhaustive loop's, bit for bit.
 func (w *writer[B, S]) chooseSubtree(n *node[B], r B) int {
-	type cand struct {
-		idx     int
-		enlarge float64
-		area    float64
+	if cap(w.cands) < len(n.entries) {
+		size := max(len(n.entries), w.cfg.MaxEntries)
+		w.shapes, w.grown, w.cands = make([]S, 0, size), make([]S, 0, size), make([]cand, 0, size)
 	}
-	shapes := make([]S, len(n.entries)) // each entry's bound
-	grown := make([]S, len(n.entries))  // the same, enlarged to cover r
-	cands := make([]cand, len(n.entries))
+	w.shapes, w.grown = w.shapes[:0], w.grown[:0] // each entry's bound, and the same enlarged to cover r
+	w.cands = w.cands[:0]
 	for i, e := range n.entries {
-		shapes[i] = w.k.Resolve(e.Bound)
-		grown[i] = w.k.Resolve(w.k.Union(e.Bound, r))
-		area := shapes[i].Area()
-		cands[i] = cand{idx: i, enlarge: grown[i].Area() - area, area: area}
+		shape, grown := w.k.Resolve(e.Bound), w.k.Resolve(w.k.Union(e.Bound, r))
+		w.shapes, w.grown = append(w.shapes, shape), append(w.grown, grown)
+		area := shape.Area()
+		w.cands = append(w.cands, cand{idx: i, enlarge: grown.Area() - area, area: area})
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].enlarge != cands[b].enlarge {
-			return cands[a].enlarge < cands[b].enlarge
+	cands, shapes, grown := w.cands, w.shapes, w.grown
+	slices.SortFunc(cands, func(a, b cand) int {
+		if a.enlarge != b.enlarge {
+			return cmp.Compare(a.enlarge, b.enlarge)
 		}
-		return cands[a].area < cands[b].area
+		return cmp.Compare(a.area, b.area)
 	})
 	if n.level != 1 {
 		return cands[0].idx
 	}
 	// Leaf parent: among the (up to) 16 least-enlarging candidates, pick the
 	// one whose enlargement increases overlap with siblings the least (R*).
-	k := len(cands)
-	if k > 16 {
-		k = 16
-	}
+	k := min(len(cands), 16)
 	best, bestOverlap := 0, math.Inf(1)
-	for c := 0; c < k; c++ {
+	c := 0
+	for ; c < k && bestOverlap > 0; c++ {
 		i := cands[c].idx
 		var delta float64
-		for j := range shapes {
+		for j := 0; j < len(shapes) && delta < bestOverlap; j++ {
 			if j != i {
 				delta += grown[i].IntersectionArea(shapes[j]) - shapes[i].IntersectionArea(shapes[j])
 			}
@@ -163,8 +171,31 @@ func (w *writer[B, S]) chooseSubtree(n *node[B], r B) int {
 			bestOverlap, best = delta, c
 		}
 	}
+	if leafChoiceCheck != nil {
+		order := make([]int, len(cands))
+		for x := range order {
+			order[x] = cands[x].idx
+		}
+		leafChoiceCheck(order, k, c, func(i, j int) float64 {
+			return grown[i].IntersectionArea(shapes[j]) - shapes[i].IntersectionArea(shapes[j])
+		}, cands[best].idx)
+	}
 	return cands[best].idx
 }
+
+// cand is one child chooseSubtree scores: its index and its area before and
+// after enlargement.
+type cand struct {
+	idx     int
+	enlarge float64
+	area    float64
+}
+
+// leafChoiceCheck, set only by tests, sees every leaf-parent choice: every
+// entry in candidate order, how many lead candidates the R* pass considers
+// and how many it tried, the overlap term of entry i against sibling j, and
+// the pick.
+var leafChoiceCheck func(order []int, k, tried int, term func(i, j int) float64, pick int)
 
 // split performs the R* topological split: the axis is chosen by minimum
 // margin sum over the candidate distributions, the distribution by minimum

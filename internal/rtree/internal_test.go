@@ -63,13 +63,13 @@ func FuzzEvenPartition(f *testing.F) {
 // spans is the smallest key class: a bound is one int64.
 var spans = Format[int64]{
 	Name: "spans", NodeMagic: 0x5350414E, MetaMagic: 0x5350414D, EntrySize: 16,
-	Put: func(buf []byte, entries []Entry[int64]) {
+	Put: func(buf []byte, entries []Entry[int64], _ bool) {
 		for i, e := range entries {
 			binary.BigEndian.PutUint64(buf[16*i:], uint64(e.Bound))
 			binary.BigEndian.PutUint64(buf[16*i+8:], e.Ref)
 		}
 	},
-	Get: func(buf []byte, entries []Entry[int64]) {
+	Get: func(buf []byte, entries []Entry[int64], _ bool) {
 		for i := range entries {
 			entries[i] = Entry[int64]{Bound: int64(binary.BigEndian.Uint64(buf[16*i:])), Ref: binary.BigEndian.Uint64(buf[16*i+8:])}
 		}

@@ -126,10 +126,12 @@ type Format[B any] struct {
 	Name                 string // error-message prefix, e.g. "grtree"
 	NodeMagic, MetaMagic uint32
 	EntrySize            int
-	// Put encodes entries into buf, which is zeroed and exactly long enough.
-	Put func(buf []byte, entries []Entry[B])
+	// Put encodes entries into buf, which is zeroed and exactly long enough;
+	// leaf says whether they are a leaf's, which a class may code apart
+	// from bounding entries.
+	Put func(buf []byte, entries []Entry[B], leaf bool)
 	// Get decodes len(entries) entries from buf, which is long enough.
-	Get func(buf []byte, entries []Entry[B])
+	Get func(buf []byte, entries []Entry[B], leaf bool)
 }
 
 // HeaderSize is the length of the node page header.
@@ -289,7 +291,7 @@ func (t *Tree[B]) encode(n *node[B], buf []byte) {
 	}
 	buf[5] = byte(n.level)
 	binary.BigEndian.PutUint16(buf[6:8], uint16(len(n.entries)))
-	t.f.Put(buf[HeaderSize:HeaderSize+len(n.entries)*t.f.EntrySize], n.entries)
+	t.f.Put(buf[HeaderSize:HeaderSize+len(n.entries)*t.f.EntrySize], n.entries, n.level == 0)
 }
 
 // decode is the only reader of node pages: it decodes page's entries into
@@ -312,7 +314,7 @@ func (t *Tree[B]) decode(id nodestore.NodeID, page []byte, buf []Entry[B]) (int,
 		buf = make([]Entry[B], max(count, t.cfg.MaxEntries))
 	}
 	entries := buf[:count]
-	t.f.Get(page[HeaderSize:], entries)
+	t.f.Get(page[HeaderSize:], entries, level == 0)
 	return level, entries, nil
 }
 

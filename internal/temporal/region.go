@@ -18,6 +18,12 @@ import (
 // The "Hidden" flag marks a bounding rectangle with a fixed valid-time end
 // that encloses a growing stair-shape; one day the stair outgrows the
 // rectangle, and Adjust repairs the region per the paper's algorithm.
+//
+// LateTT and LateVT are a bound's start maxima: the latest TTBegin and
+// VTBegin among the regions it bounds, as deltas above its own TTBegin and
+// VTBegin. A bound's lower corner says how early its entries start; these say
+// how late, which a growing bound's upper corner never does. A leaf's are 0
+// (its latest begins are its own), and LateUnknown records nothing.
 type Region struct {
 	TTBegin chronon.Instant
 	TTEnd   chronon.Instant
@@ -25,6 +31,57 @@ type Region struct {
 	VTEnd   chronon.Instant
 	Rect    bool
 	Hidden  bool
+	LateTT  uint16
+	LateVT  uint16
+}
+
+// LateUnknown is the start-maximum delta that claims nothing: a delta too
+// large to keep (about 179 years of days) saturates to it, and it absorbs in
+// every bound above. It is the largest uint16: the deltas are 16 bits so
+// that a Region stays 40 bytes, the size a scan decodes per entry.
+const LateUnknown = 1<<16 - 1
+
+// lateDelta is the start-maximum delta of a latest begin late above begin,
+// saturated.
+func lateDelta(begin, late chronon.Instant) uint16 {
+	if d := int64(late) - int64(begin); d >= 0 && d < LateUnknown {
+		return uint16(d)
+	}
+	return LateUnknown
+}
+
+// late reports whether a start maximum, delta above begin, reaches at: it
+// lies at or after at, or is unknown.
+func late(begin chronon.Instant, delta uint16, at chronon.Instant) bool {
+	return delta == LateUnknown || begin+chronon.Instant(delta) >= at
+}
+
+// StartsReach reports whether the regions r bounds may start as late as tt
+// in transaction time and as late as vt in valid time: each of r's start
+// maxima reaches its bound, or is unknown. A region that fails it holds no
+// entry starting at (tt, vt).
+func (r Region) StartsReach(tt, vt chronon.Instant) bool {
+	return late(r.TTBegin, r.LateTT, tt) && late(r.VTBegin, r.LateVT, vt)
+}
+
+// StartedBy reports whether every region r bounds has started by ct in
+// transaction time: r's latest TTBegin is known and at most ct.
+func (r Region) StartedBy(ct chronon.Instant) bool {
+	return !late(r.TTBegin, r.LateTT, ct+1)
+}
+
+// StartsCover reports whether r's start maxima are at least o's on both
+// axes: an unknown maximum covers every other, and is covered only by an
+// unknown one.
+func (r Region) StartsCover(o Region) bool {
+	return lateCovers(r.TTBegin, r.LateTT, o.TTBegin, o.LateTT) &&
+		lateCovers(r.VTBegin, r.LateVT, o.VTBegin, o.LateVT)
+}
+
+// lateCovers reports whether the start maximum d above b is at least od
+// above ob.
+func lateCovers(b chronon.Instant, d uint16, ob chronon.Instant, od uint16) bool {
+	return d == LateUnknown || od != LateUnknown && late(b, d, ob+chronon.Instant(od))
 }
 
 // Growing reports whether the region still grows as time passes
@@ -178,48 +235,91 @@ var DefaultBoundPolicy = BoundPolicy{TimeParam: 365, AllowHidden: true}
 // The returned bound contains every child at ct and at every later time
 // (after Adjust), which is the GR-tree's structural invariant.
 func Bound(regions []Region, ct chronon.Instant, pol BoundPolicy) Region {
-	if len(regions) == 0 {
+	b := NewBounder(ct, pol)
+	for _, r := range regions {
+		b.Add(r)
+	}
+	return b.Bound()
+}
+
+// Bounder computes Bound as a fold, so a caller holding its regions in some
+// other slice bounds them without copying: Add each region, then Bound.
+type Bounder struct {
+	ct  chronon.Instant
+	pol BoundPolicy
+	n   int
+	ttb chronon.Instant
+	vtb chronon.Instant
+	// The start maxima: the latest known begins, and whether some region's
+	// is unknown.
+	lateT, lateV       chronon.Instant
+	unknownT, unknownV bool
+	growing            bool            // some child grows in transaction time
+	vtGrowing          bool            // some child grows in valid time without bound
+	stairOK            bool            // a stair bound is legal
+	maxTTE             chronon.Instant // max final TTEnd among non-growing
+	maxFixedVTE        chronon.Instant // max final VTEnd among vt-bounded
+}
+
+// NewBounder starts a bound as of current time ct.
+func NewBounder(ct chronon.Instant, pol BoundPolicy) Bounder {
+	return Bounder{
+		ct: ct, pol: pol, stairOK: true,
+		lateT: chronon.MinInstant, lateV: chronon.MinInstant,
+		maxTTE: chronon.MinInstant, maxFixedVTE: chronon.MinInstant,
+	}
+}
+
+// Add extends the bound to cover r.
+func (b *Bounder) Add(r Region) {
+	r = r.Adjust(b.ct)
+	if b.n == 0 || r.TTBegin < b.ttb {
+		b.ttb = r.TTBegin
+	}
+	if b.n == 0 || r.VTBegin < b.vtb {
+		b.vtb = r.VTBegin
+	}
+	if r.LateTT == LateUnknown {
+		b.unknownT = true
+	} else {
+		b.lateT = chronon.Max(b.lateT, r.TTBegin+chronon.Instant(r.LateTT))
+	}
+	if r.LateVT == LateUnknown {
+		b.unknownV = true
+	} else {
+		b.lateV = chronon.Max(b.lateV, r.VTBegin+chronon.Instant(r.LateVT))
+	}
+	b.n++
+	if r.TTEnd == chronon.UC {
+		b.growing = true
+	} else if r.TTEnd > b.maxTTE {
+		b.maxTTE = r.TTEnd
+	}
+	if !r.FitsUnderStair() {
+		b.stairOK = false
+	}
+	fv := r.finalVTEnd()
+	if fv == chronon.NOW || r.Hidden {
+		// A hidden child is a grower in disguise: it will outgrow its
+		// fixed top one day, so the bound must anticipate valid-time
+		// growth — while still covering the hidden top now.
+		b.vtGrowing = true
+	}
+	if fv != chronon.NOW && fv > b.maxFixedVTE {
+		b.maxFixedVTE = fv
+	}
+}
+
+// Bound returns the minimum bounding region of the regions added so far.
+func (b *Bounder) Bound() Region {
+	if b.n == 0 {
 		return Region{TTBegin: 0, TTEnd: 0, VTBegin: 0, VTEnd: 0, Rect: true}
 	}
-	ttb := regions[0].TTBegin
-	vtb := regions[0].VTBegin
-	growing := false                                     // some child grows in transaction time
-	vtGrowing := false                                   // some child grows in valid time without bound
-	stairOK := true                                      // a stair bound is legal
-	var maxTTE chronon.Instant = chronon.MinInstant      // max final TTEnd among non-growing
-	var maxFixedVTE chronon.Instant = chronon.MinInstant // max final VTEnd among vt-bounded
-	for _, r := range regions {
-		r = r.Adjust(ct)
-		if r.TTBegin < ttb {
-			ttb = r.TTBegin
-		}
-		if r.VTBegin < vtb {
-			vtb = r.VTBegin
-		}
-		if r.TTEnd == chronon.UC {
-			growing = true
-		} else if r.TTEnd > maxTTE {
-			maxTTE = r.TTEnd
-		}
-		if !r.FitsUnderStair() {
-			stairOK = false
-		}
-		fv := r.finalVTEnd()
-		if fv == chronon.NOW || r.Hidden {
-			// A hidden child is a grower in disguise: it will outgrow its
-			// fixed top one day, so the bound must anticipate valid-time
-			// growth — while still covering the hidden top now.
-			vtGrowing = true
-		}
-		if fv != chronon.NOW && fv > maxFixedVTE {
-			maxFixedVTE = fv
-		}
-	}
-	tte := maxTTE
-	if growing {
+	ct, pol, ttb, vtb, maxFixedVTE := b.ct, b.pol, b.ttb, b.vtb, b.maxFixedVTE
+	tte := b.maxTTE
+	if b.growing {
 		tte = chronon.UC
 	}
-
 	// Candidate validity is analytic:
 	//   - a stair bound is valid exactly when every child fits under v = t
 	//     (stairOK): its transaction range and floor cover by construction;
@@ -233,13 +333,14 @@ func Bound(regions []Region, ct chronon.Instant, pol BoundPolicy) Region {
 	//     outgrowth.
 	// (The randomized temporal tests verify these rules against shape
 	// containment over many future probe times.)
-	var candidates []Region
-	if stairOK {
+	var buf [3]Region
+	candidates := buf[:0]
+	if b.stairOK {
 		candidates = append(candidates, Region{
 			TTBegin: ttb, TTEnd: tte, VTBegin: vtb, VTEnd: chronon.NOW, Rect: false,
 		})
 	}
-	if !vtGrowing {
+	if !b.vtGrowing {
 		candidates = append(candidates, Region{
 			TTBegin: ttb, TTEnd: tte, VTBegin: vtb, VTEnd: maxFixedVTE, Rect: true,
 		})
@@ -260,10 +361,10 @@ func Bound(regions []Region, ct chronon.Instant, pol BoundPolicy) Region {
 	if len(candidates) == 0 {
 		// Mixed growing stairs and future fixed tops with hiding disabled by
 		// policy: hiding is the only legal encoding, so force it.
-		return Region{
+		return b.withMaxima(Region{
 			TTBegin: ttb, TTEnd: tte, VTBegin: vtb,
 			VTEnd: chronon.Max(maxFixedVTE, ct), Rect: true, Hidden: true,
-		}
+		})
 	}
 
 	horizon := ct + chronon.Instant(pol.TimeParam)
@@ -274,7 +375,19 @@ func Bound(regions []Region, ct chronon.Instant, pol BoundPolicy) Region {
 			best, bestArea = c, a
 		}
 	}
-	return best
+	return b.withMaxima(best)
+}
+
+// withMaxima sets a bound's start maxima from the regions added.
+func (b *Bounder) withMaxima(r Region) Region {
+	r.LateTT, r.LateVT = lateDelta(b.ttb, b.lateT), lateDelta(b.vtb, b.lateV)
+	if b.unknownT {
+		r.LateTT = LateUnknown
+	}
+	if b.unknownV {
+		r.LateVT = LateUnknown
+	}
+	return r
 }
 
 // Union returns the minimum bounding region of r and o as of ct.

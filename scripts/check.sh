@@ -26,7 +26,12 @@
 # TestCrashDuringBootstrap and TestOnlineBuildCrashMatrix in both crash
 # modes, grtblade's TestRolledBackDropIndexKeepsIndex,
 # TestDropIndexWaitsForWriters and TestCrashDuringRebuildKeepsIndex, and the
-# deadlock guard TestBuildLatchDeadlockIsDetected). Tier-1
+# deadlock guard TestBuildLatchDeadlockIsDetected), and the tree's pruning
+# and insertion shortcuts (TestChooseSubtreeIsExhaustive: the branch-and-bound
+# ChooseSubtree picks what the exhaustive loop picks in every key class;
+# TestStartMaximaAreSound and TestZeroPadReadsAsUnknown: start maxima never
+# prune an answer, and old pages read as unknown; TestCompiledMatchesReference:
+# the compiled matcher answers as the reference evaluation). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -83,6 +88,16 @@ go test -race -count=5 -run TestRecheckRunsUnlessTheAnswerIsExact ./internal/bla
 echo "== go test -race -count=3 check invariant + aggregate conformance"
 go test -race -count=3 -run TestCheckCatchesAnEscapingChild ./internal/rtree
 go test -race -count=3 -run 'TestCheckIndexCatchesAnEscapingChild|TestAggregateConformance' ./internal/blades/treeblade
+
+# The write path's branch-and-bound ChooseSubtree must pick exactly what the
+# exhaustive R* overlap loop picks, in every key class; a GR-tree bound's
+# start maxima must never prune a subtree holding an answer, and pages
+# written before they were kept must read as "unknown"; and the compiled
+# matcher must answer as the reference evaluation that carries the same
+# pruning tests.
+echo "== go test -race -count=3 exact ChooseSubtree + start maxima + compiled matcher"
+go test -race -count=3 -run TestChooseSubtreeIsExhaustive ./internal/rtree
+go test -race -count=3 -run 'TestStartMaximaAreSound|TestZeroPadReadsAsUnknown|TestCompiledMatchesReference' ./internal/grtree
 
 # Serial and parallel scans run one cursor: the serial one restarts on the
 # splits of inserts between its calls and releases every latch before it

@@ -83,6 +83,9 @@ type IndexDesc struct {
 	ColTypes  []types.Type
 	ColIdxs   []int // positions of the indexed columns in the table row
 	OpClass   string
+	// Support names the operator class's support functions (SYSOPCLASSES),
+	// which the access method may call through Services.InvokeUDR.
+	Support   []string
 	SpaceName string
 	Params    map[string]string
 	// ReadOnly tells the access method the statement will not mutate the

@@ -2,8 +2,8 @@
 // possible to implement such a generic access method as a DataBlade and use
 // specially designed operator classes to extend it." It registers one
 // access method, gist_am, whose behaviour is selected entirely by the
-// operator class named in CREATE INDEX: the opclass name resolves to a
-// registered gist.KeyClass, so adding a new tree-based index to the server
+// operator class named in CREATE INDEX: the opclass's SUPPORT function
+// yields its gist.KeyClass, so adding a new tree-based index to the server
 // means writing a key class and an opclass — no new purpose functions. The
 // purpose functions are the treeblade scaffold's, the tree is the kernel's
 // (internal/rtree), and this blade is the binding between them: a
@@ -19,9 +19,9 @@ package gistblade
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/am"
 	"repro/internal/blades/grtblade"
@@ -56,30 +56,29 @@ type KeyBinding struct {
 	QueryOf func(fn string, colFirst bool, constant types.Datum) (gist.Query, error)
 }
 
-// bindings maps opclass name -> binding factory (per engine, so key classes
-// can capture the engine clock).
-var (
-	bindingsMu sync.Mutex
-	bindings   = map[string]func(e *engine.Engine) (*KeyBinding, error){}
-)
+// ErrNoKeyBinding is returned when an index's operator class names no
+// support function yielding a *KeyBinding.
+var ErrNoKeyBinding = errors.New("gistblade: operator class has no key binding")
 
-// RegisterOpClassBinding makes an operator class available to gist_am.
-// Third parties extend the generic method by calling this plus CREATE
-// OPCLASS — the Section 7 extension story.
-func RegisterOpClassBinding(opclass string, mk func(e *engine.Engine) (*KeyBinding, error)) {
-	bindingsMu.Lock()
-	defer bindingsMu.Unlock()
-	bindings[strings.ToLower(opclass)] = mk
-}
-
-func bindingFor(e *engine.Engine, opclass string) (*KeyBinding, error) {
-	bindingsMu.Lock()
-	mk, ok := bindings[strings.ToLower(opclass)]
-	bindingsMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("gistblade: no key-class binding for operator class %q", opclass)
+// keyBinding calls the index's key-binding support function: the first
+// function in its operator class's SUPPORT list (SYSOPCLASSES), declared
+// over the indexed type and called without arguments, which returns the
+// *KeyBinding. Third parties extend the generic method with CREATE FUNCTION
+// for such a UDR plus CREATE OPCLASS ... SUPPORT(it) — the Section 7
+// extension story.
+func keyBinding(id *am.IndexDesc) (*KeyBinding, error) {
+	if len(id.Support) == 0 {
+		return nil, fmt.Errorf("%w: %q lists no SUPPORT function", ErrNoKeyBinding, id.OpClass)
 	}
-	return mk(e)
+	out, err := id.Services.InvokeUDR(id.Support[0], nil)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrNoKeyBinding, id.Support[0], err)
+	}
+	b, ok := out.(*KeyBinding)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s returned %T", ErrNoKeyBinding, id.Support[0], out)
+	}
+	return b, nil
 }
 
 // udrSQL is the blade's own registration SQL, run after the purpose functions
@@ -87,9 +86,11 @@ func bindingFor(e *engine.Engine, opclass string) (*KeyBinding, error) {
 const udrSQL = `
 CREATE FUNCTION IntvOverlaps(Interval_t, Interval_t) RETURNING boolean EXTERNAL NAME 'usr/functions/gist.bld(IntvOverlaps)' LANGUAGE c;
 CREATE FUNCTION IntvContains(Interval_t, Interval_t) RETURNING boolean EXTERNAL NAME 'usr/functions/gist.bld(IntvContains)' LANGUAGE c;
+CREATE FUNCTION gist_interval_keys(Interval_t) RETURNING pointer EXTERNAL NAME 'usr/functions/gist.bld(gist_interval_keys)' LANGUAGE c;
+CREATE FUNCTION gist_grt_keys(GRT_TimeExtent_t) RETURNING pointer EXTERNAL NAME 'usr/functions/gist.bld(gist_grt_keys)' LANGUAGE c;
 
-CREATE OPCLASS gist_interval_ops FOR gist_am STRATEGIES(IntvOverlaps, IntvContains);
-CREATE OPCLASS gist_grt_ops FOR gist_am STRATEGIES(Overlaps, Equal, Contains, ContainedIn);
+CREATE OPCLASS gist_interval_ops FOR gist_am STRATEGIES(IntvOverlaps, IntvContains) SUPPORT(gist_interval_keys);
+CREATE OPCLASS gist_grt_ops FOR gist_am STRATEGIES(Overlaps, Equal, Contains, ContainedIn) SUPPORT(gist_grt_keys);
 `
 
 // Register installs the blade. grtblade must already be registered (the
@@ -101,7 +102,6 @@ func Register(e *engine.Engine) error {
 	if err := RegisterTypes(e.Types()); err != nil {
 		return err
 	}
-	registerBuiltinBindings()
 	return grtblade.Install(e, "gistblade", AmName, "gist", LibraryPath, Library(e), udrSQL)
 }
 
@@ -133,75 +133,76 @@ func RegisterTypes(reg *types.Registry) error {
 	return err
 }
 
-func registerBuiltinBindings() {
-	RegisterOpClassBinding("gist_interval_ops", func(e *engine.Engine) (*KeyBinding, error) {
-		return &KeyBinding{
-			Class: gist.IntervalClass{},
-			KeyOf: func(d types.Datum) (string, error) {
-				op, ok := d.(types.Opaque)
-				if !ok || len(op.Data) != 16 {
-					return "", fmt.Errorf("gistblade: expected %s, got %T", IntervalTypeName, d)
+// intervalKeys is gist_interval_ops's key binding.
+func intervalKeys() *KeyBinding {
+	return &KeyBinding{
+		Class: gist.IntervalClass{},
+		KeyOf: func(d types.Datum) (string, error) {
+			op, ok := d.(types.Opaque)
+			if !ok || len(op.Data) != 16 {
+				return "", fmt.Errorf("gistblade: expected %s, got %T", IntervalTypeName, d)
+			}
+			return string(op.Data), nil
+		},
+		QueryOf: func(fn string, colFirst bool, c types.Datum) (gist.Query, error) {
+			op, ok := c.(types.Opaque)
+			if !ok || len(op.Data) != 16 {
+				return nil, fmt.Errorf("gistblade: interval query constant is %T", c)
+			}
+			lo := int64(binary.BigEndian.Uint64(op.Data[0:8]))
+			hi := int64(binary.BigEndian.Uint64(op.Data[8:16]))
+			switch strings.ToLower(fn) {
+			case "intvoverlaps":
+				return gist.IntervalOverlaps{Lo: lo, Hi: hi}, nil
+			case "intvcontains":
+				if colFirst {
+					return gist.IntervalContains{Lo: lo, Hi: hi}, nil
 				}
-				return string(op.Data), nil
-			},
-			QueryOf: func(fn string, colFirst bool, c types.Datum) (gist.Query, error) {
-				op, ok := c.(types.Opaque)
-				if !ok || len(op.Data) != 16 {
-					return nil, fmt.Errorf("gistblade: interval query constant is %T", c)
-				}
-				lo := int64(binary.BigEndian.Uint64(op.Data[0:8]))
-				hi := int64(binary.BigEndian.Uint64(op.Data[8:16]))
-				switch strings.ToLower(fn) {
-				case "intvoverlaps":
-					return gist.IntervalOverlaps{Lo: lo, Hi: hi}, nil
-				case "intvcontains":
-					if colFirst {
-						return gist.IntervalContains{Lo: lo, Hi: hi}, nil
-					}
-					// Contains(const, col): columns inside the constant —
-					// a range query by containment: use overlap pruning
-					// with exact re-filter by the engine.
-					return gist.IntervalOverlaps{Lo: lo, Hi: hi}, nil
-				}
-				return nil, fmt.Errorf("gistblade: %q is not a gist_interval_ops strategy", fn)
-			},
-		}, nil
-	})
-	RegisterOpClassBinding("gist_grt_ops", func(e *engine.Engine) (*KeyBinding, error) {
-		kc := gist.NewGRKeyClass(e.Clock())
-		return &KeyBinding{
-			Class: kc,
-			KeyOf: func(d types.Datum) (string, error) {
-				op, ok := d.(types.Opaque)
-				if !ok {
-					return "", fmt.Errorf("gistblade: expected %s, got %T", grtblade.TypeName, d)
-				}
-				ext, err := grtblade.DecodeExtent(op.Data)
-				if err != nil {
-					return "", err
-				}
-				if !ext.ValidAt(e.Clock().Now()) {
-					return "", fmt.Errorf("gistblade: extent %v violates the transaction-time constraints", ext)
-				}
-				return gist.GRExtentKey(ext), nil
-			},
-			QueryOf: func(fn string, colFirst bool, c types.Datum) (gist.Query, error) {
-				op, ok := c.(types.Opaque)
-				if !ok {
-					return nil, fmt.Errorf("gistblade: extent query constant is %T", c)
-				}
-				ext, err := grtblade.DecodeExtent(op.Data)
-				if err != nil {
-					return nil, err
-				}
-				gop, ok := treeblade.Strategy(fn, colFirst)
-				if !ok {
-					return nil, fmt.Errorf("gistblade: %q is not a gist_grt_ops strategy", fn)
-				}
-				return gist.GRQuery{Op: gop, Q: ext}, nil
-			},
-		}, nil
-	})
+				// Contains(const, col): columns inside the constant —
+				// a range query by containment: use overlap pruning
+				// with exact re-filter by the engine.
+				return gist.IntervalOverlaps{Lo: lo, Hi: hi}, nil
+			}
+			return nil, fmt.Errorf("gistblade: %q is not a gist_interval_ops strategy", fn)
+		},
+	}
+}
+
+// grtKeys is gist_grt_ops's key binding; its key class reads e's clock.
+func grtKeys(e *engine.Engine) *KeyBinding {
+	kc := gist.NewGRKeyClass(e.Clock())
+	return &KeyBinding{
+		Class: kc,
+		KeyOf: func(d types.Datum) (string, error) {
+			op, ok := d.(types.Opaque)
+			if !ok {
+				return "", fmt.Errorf("gistblade: expected %s, got %T", grtblade.TypeName, d)
+			}
+			ext, err := grtblade.DecodeExtent(op.Data)
+			if err != nil {
+				return "", err
+			}
+			if !ext.ValidAt(e.Clock().Now()) {
+				return "", fmt.Errorf("gistblade: extent %v violates the transaction-time constraints", ext)
+			}
+			return gist.GRExtentKey(ext), nil
+		},
+		QueryOf: func(fn string, colFirst bool, c types.Datum) (gist.Query, error) {
+			op, ok := c.(types.Opaque)
+			if !ok {
+				return nil, fmt.Errorf("gistblade: extent query constant is %T", c)
+			}
+			ext, err := grtblade.DecodeExtent(op.Data)
+			if err != nil {
+				return nil, err
+			}
+			gop, ok := treeblade.Strategy(fn, colFirst)
+			if !ok {
+				return nil, fmt.Errorf("gistblade: %q is not a gist_grt_ops strategy", fn)
+			}
+			return gist.GRQuery{Op: gop, Q: ext}, nil
+		},
+	}
 }
 
 // open is the per-open-index state; it is the index's treeblade.Binding.
@@ -230,7 +231,7 @@ func Library(e *engine.Engine) am.Library {
 			// The operator class selects the key class; the only parameter is
 			// the scaffold's storage placement.
 			Configure: func(ctx *mi.Context, id *am.IndexDesc, create bool) (*open, error) {
-				b, err := bindingFor(e, id.OpClass)
+				b, err := keyBinding(id)
 				if err != nil {
 					return nil, err
 				}
@@ -252,6 +253,8 @@ func Library(e *engine.Engine) am.Library {
 	lib := k.Library()
 	lib["IntvOverlaps"] = intervalUDR(func(a0, a1, b0, b1 int64) bool { return a0 <= b1 && b0 <= a1 })
 	lib["IntvContains"] = intervalUDR(func(a0, a1, b0, b1 int64) bool { return a0 <= b0 && b1 <= a1 })
+	lib["gist_interval_keys"] = am.UDRFunc(func(*mi.Context, []types.Datum) (types.Datum, error) { return intervalKeys(), nil })
+	lib["gist_grt_keys"] = am.UDRFunc(func(*mi.Context, []types.Datum) (types.Datum, error) { return grtKeys(e), nil })
 	return lib
 }
 

@@ -1,6 +1,7 @@
 package gistblade
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -166,6 +167,26 @@ func TestUnknownOpClassBinding(t *testing.T) {
 	if _, err := s.Exec(`CREATE INDEX ox ON T(R gist_orphan_ops) USING gist_am IN spc`); err == nil {
 		t.Fatal("index under an unbound opclass must fail")
 	}
+}
+
+// TestOpClassWithoutKeyBinding: gist_am learns its key class only from the
+// operator class's SUPPORT function, so an opclass listing none, or one that
+// yields no binding, fails CREATE INDEX with ErrNoKeyBinding.
+func TestOpClassWithoutKeyBinding(t *testing.T) {
+	e, _ := newDB(t)
+	s := e.NewSession()
+	defer s.Close()
+	exec(t, s, `CREATE SBSPACE spc`)
+	exec(t, s, `CREATE TABLE T (R Interval_t)`)
+	exec(t, s, `CREATE OPCLASS gist_bare_ops FOR gist_am STRATEGIES(IntvOverlaps)`)
+	exec(t, s, `CREATE OPCLASS gist_wrong_ops FOR gist_am STRATEGIES(IntvOverlaps) SUPPORT(IntvContains)`)
+	for _, oc := range []string{"gist_bare_ops", "gist_wrong_ops"} {
+		_, err := s.Exec(fmt.Sprintf(`CREATE INDEX ox ON T(R %s) USING gist_am IN spc`, oc))
+		if !errors.Is(err, ErrNoKeyBinding) {
+			t.Fatalf("CREATE INDEX under %s: %v, want ErrNoKeyBinding", oc, err)
+		}
+	}
+	exec(t, s, `CREATE INDEX ox ON T(R gist_interval_ops) USING gist_am IN spc`)
 }
 
 func rowInts(t *testing.T, res *engine.Result) []string {

@@ -112,8 +112,12 @@ func column(res *engine.Result) []string {
 
 // services is the server side of the VII for purpose functions the test
 // calls directly: the engine's catalog and sbspaces, under a transaction id
-// of the test's own.
-type services struct{ e *engine.Engine }
+// of the test's own, and the method's library for UDRs (an operator class's
+// support functions).
+type services struct {
+	e   *engine.Engine
+	lib am.Library
+}
 
 const testTx lock.TxID = 1 << 40
 
@@ -134,7 +138,19 @@ func (v services) AMRecordDelete(a, ix string) error {
 	return nil
 }
 func (v services) InvokeUDR(name string, args []types.Datum) (types.Datum, error) {
-	return nil, fmt.Errorf("conformance: no UDR dispatch (%s)", name)
+	p, err := v.e.Catalog().ProcByName(name)
+	if err != nil {
+		return nil, err
+	}
+	_, symbol, err := p.ParseExternal()
+	if err != nil {
+		return nil, err
+	}
+	fn, ok := v.lib[symbol].(am.UDRFunc)
+	if !ok {
+		return nil, fmt.Errorf("conformance: %s is not a UDR", name)
+	}
+	return fn(mi.NewContext(98, v.e.Tracer()), args)
 }
 
 // direct resolves the method's purpose set the way the server does — the
@@ -159,10 +175,14 @@ func direct(t *testing.T, e *engine.Engine, m method, name string) (*am.PurposeS
 		t.Fatal(err)
 	}
 	ot, _ := e.Types().Lookup(grtblade.TypeName)
+	oc, err := e.Catalog().OpClassByName(m.opclass)
+	if err != nil {
+		t.Fatal(err)
+	}
 	id := &am.IndexDesc{
 		Name: name, TableName: "T", AmName: m.am, Columns: []string{"X"}, ColIdxs: []int{1},
 		ColTypes: []types.Type{{Kind: types.KOpaque, Name: grtblade.TypeName, OpaqueID: ot.ID}},
-		OpClass:  m.opclass, SpaceName: "spc", Services: services{e},
+		OpClass:  m.opclass, Support: oc.Support, SpaceName: "spc", Services: services{e, lib},
 	}
 	t.Cleanup(func() { e.LockManager().ReleaseAll(testTx) })
 	return ps, id, mi.NewContext(99, e.Tracer())

@@ -50,8 +50,9 @@ type Options struct {
 	// scanner's unit (default am.DefaultBatchCap). 1 degenerates to
 	// row-at-a-time pulls (benchmark ablations).
 	ScanBatchSize int
-	// NoWAL disables logging (benchmark configurations; rollback and crash
-	// recovery are then unavailable).
+	// NoWAL disables logging (benchmark configurations): crash recovery is
+	// unavailable, and ROLLBACK or a failed statement takes back its rows
+	// but not its index pages or a memory engine's catalog.
 	NoWAL bool
 	// CheckpointInterval is how often the background checkpointer wakes to
 	// decide whether to checkpoint (default 250ms; negative disables the
@@ -523,7 +524,6 @@ func (e *Engine) attachTable(tb *catalog.Table, create bool) error {
 		VersionsSkipped: e.mvccSkipped,
 		Vacuumed:        e.mvccVacuumed,
 	})
-	t.SetTxLive(e.txLive)
 	e.mu.Lock()
 	e.tables[strings.ToLower(tb.Name)] = t
 	e.mu.Unlock()
@@ -957,21 +957,6 @@ func (s *Session) rollbackTx() error {
 	if s.tx == 0 {
 		return errf(CodeNoActiveTx, "no transaction to roll back")
 	}
-	if s.e.log == nil {
-		// NoWAL abort: every version this transaction created is garbage —
-		// still in the heap, still carrying an index entry — until the
-		// vacuum reclaims both. Count it so the aggregate gate declines.
-		for _, w := range s.writes {
-			if w.kind&heap.StampBegin != 0 {
-				w.table.AddDead(1)
-			}
-		}
-	}
-	// Physical undo restores every version header and slot the transaction
-	// touched byte for byte, so the chains revert without MVCC-specific
-	// logic. (NoWAL engines leave the garbage versions behind: never
-	// stamped, they stay invisible to committed reads and the vacuum
-	// reclaims them.)
 	err := s.undo(savepoint{})
 	if s.e.log != nil && err == nil {
 		_, err = s.e.log.Abort(s.tx)
@@ -990,18 +975,34 @@ type savepoint struct {
 	writes, side int
 }
 
-// undo takes back the transaction's work after sp and leaves it open: pages
-// through the log, versions and side-log ops recorded since, and the catalog
-// if the transaction holds its lock. A NoWAL engine cannot undo pages, so
-// only the catalog goes back; a crashed engine is left to the next Open.
+// undo takes back the transaction's work after sp and leaves it open: its
+// pages, its versions and side-log ops recorded since, and the catalog if
+// the transaction holds its lock. Physical undo through the log restores
+// every version header and slot byte for byte. A NoWAL engine takes back
+// its own versions from the write set instead (heap.Table.Unwrite), newest
+// first: the creations it leaves are garbage, still carrying index entries,
+// until the vacuum reclaims both, so they count as dead for the aggregate
+// gate. Index pages and a memory engine's catalog do not go back without a
+// log; a crashed engine is left to the next Open.
 func (s *Session) undo(sp savepoint) error {
 	if s.e.log != nil {
 		if err := wal.RollbackTo(s.e.log, s.e.mapStores(), s.tx, sp.lsn); err != nil {
 			return err
 		}
-		s.writes = s.writes[:sp.writes]
-		s.pendingSide = s.pendingSide[:sp.side]
+	} else {
+		for len(s.writes) > sp.writes {
+			w := s.writes[len(s.writes)-1]
+			if err := w.table.Unwrite(s.tx, w.rid, w.kind); err != nil {
+				return err
+			}
+			if w.kind&heap.StampBegin != 0 {
+				w.table.AddDead(1)
+			}
+			s.writes = s.writes[:len(s.writes)-1]
+		}
 	}
+	s.writes = s.writes[:sp.writes]
+	s.pendingSide = s.pendingSide[:sp.side]
 	if _, locked := s.e.lm.Holding(lock.TxID(s.tx), catHandle.Resource()); !locked || s.e.closed.Load() {
 		return nil
 	}

@@ -641,6 +641,9 @@ func (s *Session) indexDesc(ix *catalog.Index) (*am.IndexDesc, *am.PurposeSet, e
 	}
 	if len(ix.OpClasses) > 0 {
 		desc.OpClass = ix.OpClasses[0]
+		if oc, err := s.e.cat.OpClassByName(desc.OpClass); err == nil {
+			desc.Support = oc.Support
+		}
 	}
 	for _, col := range ix.Columns {
 		i, err := tb.ColumnIndex(col)

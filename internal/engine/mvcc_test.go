@@ -513,3 +513,87 @@ func TestNoWALRollbackStampRepair(t *testing.T) {
 		t.Fatalf("post-repair row: %+v", res.Rows)
 	}
 }
+
+// noWALEngine opens a log-less memory engine with the vacuum off, so every
+// version a rollback or failed statement leaves behind stays in the heap.
+func noWALEngine(t *testing.T) *Engine {
+	t.Helper()
+	e, err := Open(Options{
+		Clock:          chronon.NewVirtualClock(chronon.MustParse("9/97")),
+		NoWAL:          true,
+		VacuumInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+// TestNoWALUndoFailedStatement: without a log, a failed statement of an
+// explicit transaction still takes back the rows it wrote before failing,
+// its garbage counts as dead for the aggregate gate, and the transaction's
+// earlier work commits.
+func TestNoWALUndoFailedStatement(t *testing.T) {
+	e := noWALEngine(t)
+	s := e.NewSession()
+	defer s.Close()
+	exec(t, s, `CREATE TABLE t (a INTEGER, b VARCHAR(8))`)
+	exec(t, s, `INSERT INTO t VALUES (7, 'k')`)
+	exec(t, s, `BEGIN WORK`)
+	exec(t, s, `UPDATE t SET b = 'u' WHERE a = 7`)
+	if _, err := s.Exec(`INSERT INTO t VALUES (1, 'x'), ('bad', 'y')`); err == nil {
+		t.Fatal("a non-integer value must fail the INSERT")
+	}
+	if _, err := s.Exec(`UPDATE t SET a = 'bad' WHERE a = 7`); err == nil {
+		t.Fatal("a non-integer value must fail the UPDATE")
+	}
+	if got := e.tables["t"].DeadCount(); got != 1 {
+		t.Fatalf("dead count after the failed INSERT: %d, want 1 (its first row)", got)
+	}
+	if res := exec(t, s, `SELECT a, b FROM t`); fmt.Sprint(res.Rows) != "[[7 u]]" {
+		t.Fatalf("inside the transaction: %v, want [[7 u]]", res.Rows)
+	}
+	exec(t, s, `COMMIT WORK`)
+	if res := exec(t, s, `SELECT a, b FROM t`); fmt.Sprint(res.Rows) != "[[7 u]]" {
+		t.Fatalf("after COMMIT: %v, want [[7 u]]", res.Rows)
+	}
+	// The same failure outside BEGIN WORK rolls the whole statement back.
+	if _, err := s.Exec(`INSERT INTO t VALUES (1, 'x'), ('bad', 'y')`); err == nil {
+		t.Fatal("a non-integer value must fail the INSERT")
+	}
+	if res := exec(t, s, `SELECT COUNT(*) FROM t`); res.Rows[0][0] != int64(1) {
+		t.Fatalf("after a failed autocommit INSERT: %v rows, want 1", res.Rows[0][0])
+	}
+	if n, err := e.VacuumNow(); err != nil || n != 3 {
+		t.Fatalf("vacuum reclaimed %d versions (err %v), want 3: the old (7, k) and two taken-back (1, x)", n, err)
+	}
+	if got := e.tables["t"].DeadCount(); got != 0 {
+		t.Fatalf("dead count after the vacuum: %d, want 0", got)
+	}
+}
+
+// TestNoWALUndoDirtyRead: a log-less ROLLBACK takes back its own versions,
+// so even a DIRTY READ, which ignores commit stamps, sees the rows as they
+// were before the transaction: not its insert, and still the row it deleted.
+func TestNoWALUndoDirtyRead(t *testing.T) {
+	e := noWALEngine(t)
+	s := e.NewSession()
+	defer s.Close()
+	exec(t, s, `CREATE TABLE t (a INTEGER)`)
+	exec(t, s, `INSERT INTO t VALUES (1), (2)`)
+	exec(t, s, `BEGIN WORK`)
+	exec(t, s, `INSERT INTO t VALUES (3)`)
+	exec(t, s, `DELETE FROM t WHERE a = 1`)
+	exec(t, s, `ROLLBACK WORK`)
+
+	r := e.NewSession()
+	defer r.Close()
+	exec(t, r, `SET ISOLATION TO DIRTY READ`)
+	if res := exec(t, r, `SELECT a FROM t`); fmt.Sprint(res.Rows) != "[[1] [2]]" {
+		t.Fatalf("DIRTY READ after ROLLBACK: %v, want [[1] [2]]", res.Rows)
+	}
+	if res := exec(t, s, `SELECT a FROM t`); fmt.Sprint(res.Rows) != "[[1] [2]]" {
+		t.Fatalf("COMMITTED READ after ROLLBACK: %v, want [[1] [2]]", res.Rows)
+	}
+}

@@ -130,6 +130,28 @@ func TestSysprofileLive(t *testing.T) {
 	}
 }
 
+// TestVirtualTableAggregates: MIN, MAX and COUNT(col) over a virtual table
+// run the SELECT cursor's accumulator, on the columns that hold still between
+// statements: the metric names, and how many values there are.
+func TestVirtualTableAggregates(t *testing.T) {
+	e := memEngine(t)
+	s := e.NewSession()
+	defer s.Close()
+	scalar := func(q string) any { return exec(t, s, q).Rows[0][0] }
+	scalar(`SELECT MIN(name) FROM sysprofile`) // registers the statement's own counters
+	names := sortedCol(exec(t, s, `SELECT name FROM sysprofile`))
+	if got := scalar(`SELECT MIN(name) FROM sysprofile`); got != names[0] {
+		t.Fatalf("MIN(name) = %v, want %s", got, names[0])
+	}
+	if got := scalar(`SELECT MAX(name) FROM sysprofile`); got != names[len(names)-1] {
+		t.Fatalf("MAX(name) = %v, want %s", got, names[len(names)-1])
+	}
+	all, values := scalar(`SELECT COUNT(*) FROM sysprofile`), scalar(`SELECT COUNT(value) FROM sysprofile`)
+	if all != values || all != int64(len(names)) {
+		t.Fatalf("COUNT(*) = %v, COUNT(value) = %v, %d names", all, values, len(names))
+	}
+}
+
 // TestSysptprofBitIdentity sums SYSPTPROF's per-partition buffer-pool
 // counters and requires them to equal SYSPROFILE's engine-wide bufferpool.*
 // counters exactly: both views are incremented at the same sites, so the

@@ -60,17 +60,6 @@ func (e *Engine) mvccEnd(tx uint64) {
 	e.mvccMu.Unlock()
 }
 
-// txLive reports whether tx is currently active — the heap's probe for
-// telling an in-flight end stamp from an aborted NoWAL transaction's
-// residue (heap.Table.SetTxLive). Safe under page latches: mvccMu holders
-// never touch frames.
-func (e *Engine) txLive(tx uint64) bool {
-	e.mvccMu.Lock()
-	_, ok := e.mvccActive[tx]
-	e.mvccMu.Unlock()
-	return ok
-}
-
 // readPointLocked returns the current snapshot cut. Caller holds mvccMu.
 func (e *Engine) readPointLocked() uint64 {
 	if e.log != nil {

@@ -99,9 +99,6 @@ func (s *Session) openSelectCursor(t *sql.Select) (*selectCursor, error) {
 // one batch through the same WHERE filter and projection as a heap scan, with
 // no plan, snapshot or index.
 func (s *Session) openVirtualCursor(t *sql.Select, tb *catalog.Table, rows [][]types.Datum) (*selectCursor, error) {
-	if len(t.Items) == 1 && t.Items[0].Agg != "" {
-		return nil, errf(CodeFeature, "aggregates are not supported over virtual tables")
-	}
 	schema, err := s.e.tableSchema(tb)
 	if err != nil {
 		return nil, err
@@ -320,8 +317,11 @@ func (s *Session) beginStmt(ctx context.Context) (*Stream, error) {
 			s.ec, s.stmtCtx = nil, nil
 			return nil, err
 		}
-	} else if s.e.log != nil {
-		s.save = savepoint{lsn: s.e.log.LastLSN(s.tx), writes: len(s.writes), side: len(s.pendingSide)}
+	} else {
+		s.save = savepoint{writes: len(s.writes), side: len(s.pendingSide)}
+		if s.e.log != nil {
+			s.save.lsn = s.e.log.LastLSN(s.tx)
+		}
 	}
 	s.stream = str
 	return str, nil

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"repro/internal/chronon"
+	"repro/internal/grtree"
 	"repro/internal/rstar"
 	"repro/internal/rtree"
 	"repro/internal/temporal"
@@ -87,29 +88,23 @@ func (*GRKeyClass) Name() string { return grName }
 // KeySize implements KeyClass.
 func (*GRKeyClass) KeySize() int { return grKeySize }
 
-// Consistent implements KeyClass: exact strategy tests on leaves, the sound
-// internal-pruning tests on unions (Section 5.2's Internal variants).
+// Consistent implements KeyClass: on leaves, the GR-tree's own strategy
+// test (grtree.Predicate.LeafMatch, so both access methods answer one rule);
+// on unions, the sound internal-pruning tests (Section 5.2's Internal
+// variants).
 func (c *GRKeyClass) Consistent(key string, q Query, leaf bool) bool {
 	gq, ok := q.(GRQuery)
 	if !ok {
 		return false
 	}
-	r, qr, ct := decodeGRKey(key), gq.Q.Region(), c.Clock.Now()
+	r, ct := decodeGRKey(key), c.Clock.Now()
 	switch {
-	case !leaf && (gq.Op == rtree.OpOverlaps || gq.Op == rtree.OpContainedIn):
-		return r.Overlaps(qr, ct)
-	case !leaf:
-		return r.Contains(qr, ct)
-	case gq.Op == rtree.OpOverlaps:
-		return r.Overlaps(qr, ct)
-	case gq.Op == rtree.OpEqual:
-		return r.Equal(qr, ct)
-	case gq.Op == rtree.OpContains:
-		return r.Contains(qr, ct)
-	case gq.Op == rtree.OpContainedIn:
-		return r.ContainedIn(qr, ct)
+	case leaf:
+		return grtree.Predicate{Op: gq.Op, Query: gq.Q}.LeafMatch(r, ct)
+	case gq.Op == rtree.OpOverlaps || gq.Op == rtree.OpContainedIn:
+		return r.Overlaps(gq.Q.Region(), ct)
 	}
-	return false
+	return r.Contains(gq.Q.Region(), ct)
 }
 
 // Union implements KeyClass via the Section 3 minimum-bounding-region

@@ -157,12 +157,14 @@ func (m *Compiled) covers(bound temporal.Region) bool {
 }
 
 // Covered implements the kernel's covered-subtree probe for a single
-// Overlaps or ContainedIn predicate: when the query contains the bound, every
-// leaf under it lies inside, hence overlaps, the query. Equal and Contains
-// carry no such implication.
+// Overlaps or ContainedIn predicate: when the query contains the bound and
+// every leaf under it started by ct (so none is empty there), every leaf lies
+// inside, hence overlaps, the query. Equal and Contains carry no such
+// implication.
 func (m *Compiled) Covered(bound temporal.Region) bool {
 	op := m.root.op
-	return len(m.root.kids) == 0 && (op == rtree.OpOverlaps || op == rtree.OpContainedIn) && m.covers(bound)
+	return len(m.root.kids) == 0 && (op == rtree.OpOverlaps || op == rtree.OpContainedIn) &&
+		bound.StartedBy(m.ct) && m.covers(bound)
 }
 
 func (c *clause) leaf(s temporal.Shape) bool {

@@ -17,7 +17,12 @@ const (
 
 // leafTest evaluates the predicate against a leaf region — the strategy
 // function proper, operating on exact geometry: the entry and the query
-// resolved at the same current time.
+// resolved at the same current time. A region empty at ct (one that starts
+// after it) overlaps nothing, contains nothing and is contained in nothing;
+// only Equal matches it, to another empty region. An empty operand of
+// Contains or ContainedIn fails the geometric test already when the other
+// operand is non-empty, so each case checks only the operand that could be
+// vacuously contained.
 func leafTest(op rtree.Op, entry, query temporal.Shape) bool {
 	switch op {
 	case rtree.OpOverlaps:
@@ -25,9 +30,9 @@ func leafTest(op rtree.Op, entry, query temporal.Shape) bool {
 	case rtree.OpEqual:
 		return entry.EqualShape(query)
 	case rtree.OpContains:
-		return entry.ContainsShape(query)
+		return !query.Empty() && entry.ContainsShape(query)
 	case rtree.OpContainedIn:
-		return query.ContainsShape(entry)
+		return !entry.Empty() && query.ContainsShape(entry)
 	}
 	return false
 }
@@ -51,11 +56,9 @@ func internalTest(op rtree.Op, bound temporal.Shape, starts temporal.Region, que
 		// bounds do too.
 		return bound.Overlaps(query)
 	case rtree.OpContainedIn:
-		// A leaf inside the query overlaps it, so its ancestors' bounds do
-		// too; and starts within it, unless the leaf is empty at ct. A valid
-		// leaf empty at ct grows and starts after ct, so the start test
-		// applies only where every leaf started by ct.
-		return bound.Overlaps(query) && (!starts.StartedBy(ct) || startsReach(starts, query))
+		// A leaf inside the query is not empty at ct, so it overlaps the
+		// query, as its ancestors' bounds do, and starts within it.
+		return bound.Overlaps(query) && startsReach(starts, query)
 	case rtree.OpEqual:
 		// A leaf equal to the query contains it, so its ancestors' bounds
 		// contain it as well; a non-empty one starts where the query does.

@@ -178,7 +178,6 @@ type Table struct {
 	schema []types.Type
 	last   storage.PageID // insertion hint
 	obs    Obs
-	txLive func(uint64) bool // engine's active-transaction probe (nil = unknown)
 
 	// dead counts version cells that are reclaimable-in-principle: ended by
 	// a committed transaction, or garbage left by an aborted NoWAL creator.
@@ -247,7 +246,7 @@ func (t *Table) DeadCount() int64 { return t.dead.Load() }
 // with a commit stamp, or created without one by a finished transaction.
 // Open uses it to seed the dead count — after recovery no transaction is
 // in flight, so endLSN != 0 means a committed end and beginLSN == 0 means
-// abandoned garbage.
+// an aborted creation.
 func (t *Table) countDead() (int64, error) {
 	var dead int64
 	n := storage.PageID(t.bp.Pager().NumPages())
@@ -291,27 +290,6 @@ func (t *Table) readPage(id storage.PageID, fn func(buf []byte) error) error {
 
 // SetObs attaches version-chain counters. Call before concurrent use.
 func (t *Table) SetObs(o Obs) { t.obs = o }
-
-// SetTxLive attaches the engine's active-transaction probe. Writers use it
-// to distinguish an in-flight end stamp from one abandoned by an aborted
-// NoWAL transaction (endTx set, endLSN zero, transaction finished): the
-// abandoned stamp is repaired inline instead of reading as "already ended"
-// until the next vacuum pass. Nil leaves abandoned stamps to the vacuum.
-// Call before concurrent use.
-func (t *Table) SetTxLive(fn func(uint64) bool) { t.txLive = fn }
-
-// endedFor reports how a version's end stamp reads to writer tx: ended
-// (a live or committed deleter), or abandoned (an aborted NoWAL deleter's
-// residue that the caller may repair and overwrite).
-func (t *Table) endedFor(tx uint64, endTx, endLSN uint64) (ended, abandoned bool) {
-	if endTx == 0 {
-		return false, false
-	}
-	if endTx != tx && endLSN == 0 && t.txLive != nil && !t.txLive(endTx) {
-		return false, true
-	}
-	return true, false
-}
 
 // Schema returns the column types.
 func (t *Table) Schema() []types.Type { return t.schema }
@@ -472,25 +450,14 @@ func (t *Table) Get(rid RowID) ([]types.Datum, error) {
 
 // Delete ends the version at rid: the deleter's transaction id is stamped
 // onto the version (the slot stays until vacuum). It reports false when the
-// version is missing or already ended. An end stamp abandoned by an aborted
-// NoWAL deleter is overwritten (the next link it may have left is cleared),
-// matching Vacuum's repair path, so ROLLBACK does not shadow the row from
-// writers until the next vacuum tick.
+// version is missing or already ended.
 func (t *Table) Delete(tx uint64, rid RowID) (bool, error) {
 	deleted := false
 	err := t.bp.Edit(tx, rid.Page(), func(buf []byte) error {
 		p := storage.SlottedPage{Buf: buf}
 		raw, ok := p.Read(rid.Slot())
-		if !ok || len(raw) < verHeaderSize {
+		if !ok || len(raw) < verHeaderSize || parseHeader(raw).endTx != 0 {
 			return nil
-		}
-		h := parseHeader(raw)
-		ended, abandoned := t.endedFor(tx, h.endTx, h.endLSN)
-		if ended {
-			return nil
-		}
-		if abandoned {
-			binary.BigEndian.PutUint64(raw[32:40], 0)
 		}
 		binary.BigEndian.PutUint64(raw[16:24], tx)
 		deleted = true
@@ -508,9 +475,7 @@ func (t *Table) Update(tx uint64, rid RowID, row []types.Datum) (RowID, error) {
 	if err := t.readCell(rid, func(cell []byte) error { h = parseHeader(cell); return nil }); err != nil {
 		return 0, err
 	}
-	if ended, _ := t.endedFor(tx, h.endTx, h.endLSN); ended {
-		// An abandoned end stamp (aborted NoWAL deleter) is not "ended":
-		// the writer overwrites it below, like Delete's repair path.
+	if h.endTx != 0 {
 		return 0, fmt.Errorf("%w: %v", ErrNoSuchRow, rid)
 	}
 	newRid, err := t.Insert(tx, row)
@@ -555,6 +520,28 @@ func (t *Table) StampVersion(tx uint64, rid RowID, kind uint8, stamp uint64) err
 	})
 }
 
+// Unwrite takes back tx's own write to the version at rid, for an engine
+// without a log to undo from. A version tx created (kind StampBegin) gets tx
+// as its ender as well, so no read view sees it and the vacuum reclaims it
+// as an aborted creation; a version tx ended (StampEnd) loses its end stamp
+// and successor link.
+func (t *Table) Unwrite(tx uint64, rid RowID, kind uint8) error {
+	return t.bp.Edit(tx, rid.Page(), func(buf []byte) error {
+		p := storage.SlottedPage{Buf: buf}
+		raw, ok := p.Read(rid.Slot())
+		if !ok || len(raw) < verHeaderSize {
+			return fmt.Errorf("%w: %v", ErrNoSuchRow, rid)
+		}
+		if kind&StampBegin != 0 {
+			binary.BigEndian.PutUint64(raw[16:24], tx)
+		} else {
+			binary.BigEndian.PutUint64(raw[16:24], 0)
+			binary.BigEndian.PutUint64(raw[32:40], 0)
+		}
+		return nil
+	})
+}
+
 // Victim is one version cell the vacuum will reclaim: its rowid and decoded
 // row, handed to the caller before the slot is freed. Index maintenance is
 // deferred — DELETE and UPDATE leave entries in place so concurrent index
@@ -569,24 +556,19 @@ type Victim struct {
 
 // Vacuum reclaims version cells no snapshot at or above horizon can see:
 // versions ended with a commit stamp below horizon by a transaction that is
-// no longer active, and creations left behind by aborted transactions when
-// the engine runs without a WAL (beginLSN still zero, creator finished).
-// The caller serialises Vacuum against writers (table exclusive lock) and
-// guarantees horizon ≤ every live snapshot's ReadLSN; page edits run under
-// tx so they are WAL-logged like any other mutation.
+// no longer active, and creations of transactions that finished without
+// stamping them (beginLSN still zero: a NoWAL abort or failed statement, see
+// Unwrite). The caller serialises Vacuum against writers (table exclusive
+// lock) and guarantees horizon ≤ every live snapshot's ReadLSN; page edits
+// run under tx so they are WAL-logged like any other mutation.
 //
 // The pass runs in three phases: collect the victims under shared latches,
 // hand them to reclaim (no latches held — it performs index page edits of
-// its own), then free the slots and repair abandoned NoWAL end stamps. A
-// reclaim error aborts the pass before any slot is freed, so a WAL rollback
-// restores the already-removed index entries and nothing dangles.
+// its own), then free the slots. A reclaim error aborts the pass before any
+// slot is freed, so a WAL rollback restores the already-removed index
+// entries and nothing dangles.
 func (t *Table) Vacuum(tx uint64, horizon uint64, active func(uint64) bool, reclaim func([]Victim) error) (int, error) {
-	type slotRef struct {
-		page storage.PageID
-		slot int
-	}
 	var victims []Victim
-	var victimRefs, repairs []slotRef
 	n := storage.PageID(t.bp.Pager().NumPages())
 	for id := storage.PageID(2); id < n; id++ {
 		err := t.readPage(id, func(buf []byte) error {
@@ -602,22 +584,14 @@ func (t *Table) Vacuum(tx uint64, horizon uint64, active func(uint64) bool, recl
 				h := parseHeader(raw)
 				dead := h.endTx != 0 && h.endLSN != 0 && h.endLSN < horizon && !active(h.endTx)
 				aborted := h.beginLSN == 0 && !active(h.beginTx)
-				if dead || aborted {
-					row, err := types.DecodeRow(t.schema, raw[verHeaderSize:])
-					if err != nil {
-						return err
-					}
-					victims = append(victims, Victim{Rid: MakeRowID(id, s), Row: row})
-					victimRefs = append(victimRefs, slotRef{id, s})
+				if !dead && !aborted {
 					continue
 				}
-				if h.endTx != 0 && h.endLSN == 0 && !active(h.endTx) {
-					// Abandoned end stamp: the deleter finished without a
-					// commit stamp (a NoWAL abort — WAL engines undo the
-					// stamp physically). Un-end the version so head reads
-					// see it again.
-					repairs = append(repairs, slotRef{id, s})
+				row, err := types.DecodeRow(t.schema, raw[verHeaderSize:])
+				if err != nil {
+					return err
 				}
+				victims = append(victims, Victim{Rid: MakeRowID(id, s), Row: row})
 			}
 			return nil
 		})
@@ -630,36 +604,19 @@ func (t *Table) Vacuum(tx uint64, horizon uint64, active func(uint64) bool, recl
 			return 0, err
 		}
 	}
-	// Free the slots and repair abandoned stamps page by page. The caller's
+	// Free the slots page by page (victims are in page order). The caller's
 	// table lock excludes writers and commit stamping, so the headers read
 	// in phase one are still current.
-	edits := make(map[storage.PageID][]slotRef)
-	for _, r := range victimRefs {
-		edits[r.page] = append(edits[r.page], r)
-	}
-	for _, r := range repairs {
-		edits[r.page] = append(edits[r.page], slotRef{r.page, ^r.slot})
-	}
 	removed := 0
-	for id := storage.PageID(2); id < n; id++ {
-		refs := edits[id]
-		if len(refs) == 0 {
-			continue
+	for len(victims) > 0 {
+		id, k := victims[0].Rid.Page(), 1
+		for k < len(victims) && victims[k].Rid.Page() == id {
+			k++
 		}
 		err := t.bp.Edit(tx, id, func(buf []byte) error {
 			p := storage.SlottedPage{Buf: buf}
-			for _, r := range refs {
-				if r.slot < 0 { // repair marker
-					raw, ok := p.Read(^r.slot)
-					if !ok || len(raw) < verHeaderSize {
-						continue
-					}
-					binary.BigEndian.PutUint64(raw[16:24], 0)
-					binary.BigEndian.PutUint64(raw[24:32], 0)
-					binary.BigEndian.PutUint64(raw[32:40], 0)
-					continue
-				}
-				p.Delete(r.slot)
+			for _, v := range victims[:k] {
+				p.Delete(v.Rid.Slot())
 				removed++
 			}
 			return nil
@@ -667,6 +624,7 @@ func (t *Table) Vacuum(tx uint64, horizon uint64, active func(uint64) bool, recl
 		if err != nil {
 			return removed, err
 		}
+		victims = victims[k:]
 	}
 	t.obs.Vacuumed.Add(uint64(removed))
 	return removed, nil

@@ -31,7 +31,11 @@
 # ChooseSubtree picks what the exhaustive loop picks in every key class;
 # TestStartMaximaAreSound and TestZeroPadReadsAsUnknown: start maxima never
 # prune an answer, and old pages read as unknown; TestCompiledMatchesReference:
-# the compiled matcher answers as the reference evaluation). Tier-1
+# the compiled matcher answers as the reference evaluation), log-less undo
+# (TestNoWALUndoFailedStatement and TestNoWALUndoDirtyRead: a NoWAL failed
+# statement or ROLLBACK takes back its own row versions), and rows empty at a
+# transaction's current time (TestIndexAgreesOnRowsAfterTheCurrentTime: every
+# access method agrees with a sequential scan on them). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -98,6 +102,14 @@ go test -race -count=3 -run 'TestCheckIndexCatchesAnEscapingChild|TestAggregateC
 echo "== go test -race -count=3 exact ChooseSubtree + start maxima + compiled matcher"
 go test -race -count=3 -run TestChooseSubtreeIsExhaustive ./internal/rtree
 go test -race -count=3 -run 'TestStartMaximaAreSound|TestZeroPadReadsAsUnknown|TestCompiledMatchesReference' ./internal/grtree
+
+# Without a log, a failed statement and a ROLLBACK undo their row versions
+# from the session's write set; and rows committed after a transaction's
+# fixed current time, empty at it, must be answered alike by every access
+# method and a sequential scan, as rows and as pushed counts.
+echo "== go test -race -count=5 NoWAL undo + rows after the current time"
+go test -race -count=5 -run 'TestNoWALUndoFailedStatement|TestNoWALUndoDirtyRead' ./internal/engine
+go test -race -count=5 -run TestIndexAgreesOnRowsAfterTheCurrentTime ./internal/blades/treeblade
 
 # Serial and parallel scans run one cursor: the serial one restarts on the
 # splits of inserts between its calls and releases every latch before it

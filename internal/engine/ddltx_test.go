@@ -363,6 +363,50 @@ func TestDDLRollbackRestoresCatalogImage(t *testing.T) {
 	}
 }
 
+// TestNoWALRefusesDDLInATransaction: without a log nothing can undo a
+// catalog change, so a NoWAL engine refuses DDL inside BEGIN WORK, changing
+// nothing, and the transaction's own rows still roll back. Autocommit DDL
+// runs as before.
+func TestNoWALRefusesDDLInATransaction(t *testing.T) {
+	for _, ddl := range []string{
+		`CREATE TABLE n (a INTEGER)`,
+		`CREATE FUNCTION g(INTEGER) RETURNING INTEGER EXTERNAL NAME 'usr/functions/g.bld(g)' LANGUAGE c`,
+		`CREATE SECONDARY ACCESS_METHOD recam2 (am_open = rec_open, am_close = rec_close,
+			am_beginscan = rec_beginscan, am_endscan = rec_endscan, am_getnext = rec_getnext, am_sptype = 'S')`,
+		`CREATE OPCLASS rec_ops2 FOR recam STRATEGIES(MemEq)`,
+		`CREATE SBSPACE spc2`,
+		`DROP TABLE dt`,
+		`DROP INDEX base_ix`,
+		`UPDATE STATISTICS FOR TABLE base`,
+	} {
+		t.Run(strings.Fields(ddl)[0]+"_"+strings.Fields(ddl)[1], func(t *testing.T) {
+			e := noWALEngine(t)
+			registerRecordingAM(t, e)
+			s := e.NewSession()
+			defer s.Close()
+			exec(t, s, `CREATE TABLE base (a INTEGER)`)
+			exec(t, s, `INSERT INTO base VALUES (7)`)
+			exec(t, s, `CREATE INDEX base_ix ON base(a) USING recam`)
+			exec(t, s, `CREATE TABLE dt (a INTEGER)`)
+			exec(t, s, `INSERT INTO dt VALUES (1)`)
+			before := image(t, e)
+			exec(t, s, `BEGIN WORK`)
+			exec(t, s, `INSERT INTO dt VALUES (2)`)
+			if _, err := s.Exec(ddl); ErrorCode(err) != CodeActiveTx {
+				t.Fatalf("DDL inside BEGIN WORK: %v, want SQLSTATE %s", err, CodeActiveTx)
+			}
+			if after := image(t, e); !bytes.Equal(after, before) {
+				t.Fatalf("image after the refused statement:\n%s\nwant:\n%s", after, before)
+			}
+			exec(t, s, `ROLLBACK WORK`)
+			if res := exec(t, s, `SELECT a FROM dt`); fmt.Sprint(res.Rows) != "[[1]]" {
+				t.Fatalf("dt after ROLLBACK: %v, want [[1]]", res.Rows)
+			}
+			exec(t, s, ddl)
+		})
+	}
+}
+
 // TestCatalogSurvivesReopenAndCrashes: every catalog kind — tables,
 // functions, access methods, operator classes, sbspaces, indexes, AM records
 // and SYSSTATS — survives a clean reopen and both crash modes, and DDL left

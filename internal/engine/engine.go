@@ -51,8 +51,9 @@ type Options struct {
 	// row-at-a-time pulls (benchmark ablations).
 	ScanBatchSize int
 	// NoWAL disables logging (benchmark configurations): crash recovery is
-	// unavailable, and ROLLBACK or a failed statement takes back its rows
-	// but not its index pages or a memory engine's catalog.
+	// unavailable, ROLLBACK or a failed statement takes back its rows but
+	// not its index pages, and DDL inside BEGIN WORK is refused (SQLSTATE
+	// 25001), since nothing could take back its catalog change.
 	NoWAL bool
 	// CheckpointInterval is how often the background checkpointer wakes to
 	// decide whether to checkpoint (default 250ms; negative disables the
@@ -982,8 +983,9 @@ type savepoint struct {
 // its own versions from the write set instead (heap.Table.Unwrite), newest
 // first: the creations it leaves are garbage, still carrying index entries,
 // until the vacuum reclaims both, so they count as dead for the aggregate
-// gate. Index pages and a memory engine's catalog do not go back without a
-// log; a crashed engine is left to the next Open.
+// gate. Index pages do not go back without a log, and such an engine runs
+// no DDL inside an explicit transaction; a crashed engine is left to the
+// next Open.
 func (s *Session) undo(sp savepoint) error {
 	if s.e.log != nil {
 		if err := wal.RollbackTo(s.e.log, s.e.mapStores(), s.tx, sp.lsn); err != nil {

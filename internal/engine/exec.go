@@ -239,6 +239,15 @@ func (s *Session) show(t *sql.Show) (*Result, error) {
 }
 
 func (s *Session) run(st sql.Statement) (*Result, error) {
+	switch st.(type) {
+	case *sql.CreateTable, *sql.DropTable, *sql.CreateFunction, *sql.CreateAccessMethod,
+		*sql.CreateOpClass, *sql.CreateSbspace, *sql.DropIndex, *sql.UpdateStatistics:
+		// Nothing takes back a catalog change without a log, so a NoWAL
+		// engine runs DDL only as a transaction of its own.
+		if s.explicit && s.e.log == nil {
+			return nil, errf(CodeActiveTx, "DDL cannot run inside a transaction on an engine without a log")
+		}
+	}
 	// This DDL takes the catalog lock before it reads the catalog; DROP
 	// INDEX, UPDATE STATISTICS and the index builds take it themselves.
 	switch st.(type) {

@@ -124,6 +124,10 @@ func (k keys) Resolve(b string) rstar.Rect { return k.kc.Box(b) }
 
 func (keys) Centre(r rstar.Rect) (x, y float64) { return rstar.Keys().Centre(r) }
 
+func (keys) PackKeys(dst []float64, r rstar.Rect) []float64 {
+	return rstar.Keys().PackKeys(dst, r)
+}
+
 func (keys) SplitKeys(r rstar.Rect) [4]int64 { return rstar.Keys().SplitKeys(r) }
 
 // Tree is a generalized search tree over a node store; see rtree.Tree for

@@ -149,6 +149,14 @@ func (keys) Centre(s temporal.Shape) (x, y float64) {
 	return float64(bb.TTBegin+bb.TTEnd) / 2, float64(bb.VTBegin+bb.VTEnd) / 2
 }
 
+// PackKeys: STR packs on the start of transaction time first, since a
+// growing bound reaches to now and says nothing about how late its entries
+// start (Section 3), then on the end and the start of valid time.
+func (keys) PackKeys(dst []float64, s temporal.Shape) []float64 {
+	bb := s.BoundingBox()
+	return append(dst, float64(bb.TTBegin), float64(bb.VTEnd), float64(bb.VTBegin))
+}
+
 // SplitKeys: axis 0 is transaction time, axis 1 valid time.
 func (keys) SplitKeys(s temporal.Shape) [4]int64 {
 	return [4]int64{s.TTBegin, s.TTEnd, s.VTBegin, s.VTEnd}
@@ -273,8 +281,8 @@ type BulkItem struct {
 }
 
 // BulkLoad builds the tree from scratch by sort-tile-recursive packing on
-// the regions' centres at the time-parameter horizon. The tree must be
-// empty.
+// the regions' pack keys (start of transaction time, end and start of valid
+// time) at the time-parameter horizon. The tree must be empty.
 func (t *Tree) BulkLoad(items []BulkItem, ct chronon.Instant) error {
 	entries := make([]Entry, len(items))
 	for i, it := range items {

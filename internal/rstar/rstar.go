@@ -155,6 +155,12 @@ func (keys) Centre(r Rect) (x, y float64) {
 	return float64(r.XMin+r.XMax) / 2, float64(r.YMin+r.YMax) / 2
 }
 
+// PackKeys: STR packs on the centre, x first.
+func (k keys) PackKeys(dst []float64, r Rect) []float64 {
+	x, y := k.Centre(r)
+	return append(dst, x, y)
+}
+
 func (keys) SplitKeys(r Rect) [4]int64 { return [4]int64{r.XMin, r.XMax, r.YMin, r.YMax} }
 
 // Keys is the rectangle key class, for callers that drive the kernel's

@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"repro/internal/nodestore"
 )
 
 // writer is one mutating operation in flight: the tree, the key class the
@@ -16,10 +18,20 @@ type writer[B comparable, S Shape[S]] struct {
 	// chooseSubtree's scratch, reused by every descent of the operation.
 	shapes, grown []S
 	cands         []cand
+	// page is the buffer every node write of the operation encodes into.
+	page []byte
 }
 
 func newWriter[B comparable, S Shape[S]](t *Tree[B], k Keys[B, S]) *writer[B, S] {
 	return &writer[B, S]{Tree: t, k: k, reinserted: make(map[int]bool)}
+}
+
+// writeNode writes n through the writer's page buffer.
+func (w *writer[B, S]) writeNode(n *node[B]) error {
+	if w.page == nil {
+		w.page = make([]byte, nodestore.NodeSize)
+	}
+	return w.Tree.writeNode(n, w.page)
 }
 
 // Insert adds a leaf entry.

@@ -68,9 +68,11 @@ type Keys[B any, S Shape[S]] interface {
 	Covers(parent, child B) bool
 	// Resolve returns the shape a bound is scored by.
 	Resolve(b B) S
-	// Centre is the point forced reinsertion measures distances from and
-	// STR packing sorts by.
+	// Centre is the point forced reinsertion measures distances from.
 	Centre(s S) (x, y float64)
+	// PackKeys appends to dst the coordinates STR packing sorts by, most
+	// significant first; every shape of a key class has the same number.
+	PackKeys(dst []float64, s S) []float64
 	// SplitKeys returns the four split sort keys: low and high on the first
 	// axis, then low and high on the second.
 	SplitKeys(s S) [4]int64
@@ -221,7 +223,7 @@ func Create[B comparable](store nodestore.Store, f *Format[B], cfg Config) (*Tre
 		return nil, err
 	}
 	t.root = root
-	if err := t.writeNode(&node[B]{id: root}); err != nil {
+	if err := t.writeNode(&node[B]{id: root}, make([]byte, nodestore.NodeSize)); err != nil {
 		return nil, err
 	}
 	return t, t.saveMeta()
@@ -377,11 +379,13 @@ func (r *reader[B]) read(id nodestore.NodeID, depth int) (int, []Entry[B], error
 	return r.load(id, depth)
 }
 
-func (t *Tree[B]) writeNode(n *node[B]) error {
-	buf := make([]byte, nodestore.NodeSize)
-	t.encode(n, buf)
+// writeNode encodes n into page, zeroed first, and writes it. Both stores
+// copy what they are given, so the caller may reuse page.
+func (t *Tree[B]) writeNode(n *node[B], page []byte) error {
+	clear(page)
+	t.encode(n, page)
 	t.latches.Lock(n.id)
-	err := t.store.Write(n.id, buf)
+	err := t.store.Write(n.id, page)
 	t.latches.Unlock(n.id)
 	return err
 }

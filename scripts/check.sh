@@ -33,9 +33,14 @@
 # prune an answer, and old pages read as unknown; TestCompiledMatchesReference:
 # the compiled matcher answers as the reference evaluation), log-less undo
 # (TestNoWALUndoFailedStatement and TestNoWALUndoDirtyRead: a NoWAL failed
-# statement or ROLLBACK takes back its own row versions), and rows empty at a
-# transaction's current time (TestIndexAgreesOnRowsAfterTheCurrentTime: every
-# access method agrees with a sequential scan on them). Tier-1
+# statement or ROLLBACK takes back its own row versions;
+# TestNoWALRefusesDDLInATransaction: such an engine refuses DDL inside BEGIN
+# WORK and changes nothing), rows empty at a transaction's current time
+# (TestIndexAgreesOnRowsAfterTheCurrentTime: every access method agrees with a
+# sequential scan on them), and STR bulk packing
+# (TestStartOrderedPackingCutsTimesliceReads: a GR-tree packed on start time
+# reads at most 1.3 nodes per answer leaf on a timeslice; TestBulkLoad and
+# FuzzBulkLoad: packed trees at awkward sizes agree with an oracle). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -104,12 +109,20 @@ go test -race -count=3 -run TestChooseSubtreeIsExhaustive ./internal/rtree
 go test -race -count=3 -run 'TestStartMaximaAreSound|TestZeroPadReadsAsUnknown|TestCompiledMatchesReference' ./internal/grtree
 
 # Without a log, a failed statement and a ROLLBACK undo their row versions
-# from the session's write set; and rows committed after a transaction's
+# from the session's write set, and DDL inside BEGIN WORK is refused; and rows committed after a transaction's
 # fixed current time, empty at it, must be answered alike by every access
 # method and a sequential scan, as rows and as pushed counts.
 echo "== go test -race -count=5 NoWAL undo + rows after the current time"
 go test -race -count=5 -run 'TestNoWALUndoFailedStatement|TestNoWALUndoDirtyRead' ./internal/engine
+go test -race -count=3 -run TestNoWALRefusesDDLInATransaction ./internal/engine
 go test -race -count=5 -run TestIndexAgreesOnRowsAfterTheCurrentTime ./internal/blades/treeblade
+
+# STR packs a bulk build on each key class's pack keys in whole-node slabs:
+# the GR-tree's start-ordered packing must keep a timeslice's reads near the
+# leaves that hold its answers, and packed trees at awkward sizes must pass
+# Check and agree with an oracle in both key classes.
+echo "== go test -race -count=3 STR packing"
+go test -race -count=3 -run 'TestStartOrderedPackingCutsTimesliceReads|TestBulkLoad|FuzzBulkLoad' ./internal/rtree ./internal/grtree
 
 # Serial and parallel scans run one cursor: the serial one restarts on the
 # splits of inserts between its calls and releases every latch before it

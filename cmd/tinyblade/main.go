@@ -32,6 +32,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -51,87 +52,61 @@ func main() {
 		connect = flag.String("connect", "", "tinybladed address to connect to (instead of embedding the engine)")
 	)
 	flag.Parse()
-
+	var err error
 	if *connect != "" {
-		if err := remoteShell(*connect); err != nil {
-			fmt.Fprintln(os.Stderr, "tinyblade:", err)
-			os.Exit(1)
-		}
-		return
+		err = remoteShell(*connect)
+	} else {
+		err = embeddedShell(*dir, *start)
 	}
-
-	now := chronon.SystemClock{}.Now()
-	if *start != "" {
-		t, err := chronon.Parse(*start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tinyblade:", err)
-			os.Exit(1)
-		}
-		now = t
-	}
-	clock := chronon.NewVirtualClock(now)
-	e, err := engine.Open(engine.Options{Dir: *dir, Clock: clock, Types: grtblade.RegisterTypes, TraceWriter: os.Stdout})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tinyblade:", err)
 		os.Exit(1)
 	}
+}
+
+// embeddedShell opens the engine in-process, registers both blades, and runs
+// the REPL with the virtual clock's meta commands.
+func embeddedShell(dir, start string) error {
+	now := chronon.SystemClock{}.Now()
+	if start != "" {
+		t, err := chronon.Parse(start)
+		if err != nil {
+			return err
+		}
+		now = t
+	}
+	clock := chronon.NewVirtualClock(now)
+	e, err := engine.Open(engine.Options{Dir: dir, Clock: clock, Types: grtblade.RegisterTypes, TraceWriter: os.Stdout})
+	if err != nil {
+		return err
+	}
 	defer e.Close()
 	if err := grtblade.Register(e); err != nil {
-		fmt.Fprintln(os.Stderr, "tinyblade:", err)
-		os.Exit(1)
+		return err
 	}
 	if err := rstblade.Register(e); err != nil {
-		fmt.Fprintln(os.Stderr, "tinyblade:", err)
-		os.Exit(1)
+		return err
 	}
 	s := e.NewSession()
 	defer s.Close()
-
 	fmt.Printf("tinyblade — GR-tree DataBlade shell (current time %v)\n", clock.Now())
 	fmt.Println(`type SQL terminated by ';', or ".help" for meta commands`)
+	repl(os.Stdin, os.Stdout, embeddedExec(e, s), clockMeta(os.Stdout, clock))
+	return nil
+}
 
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var pending strings.Builder
-	profile := false
-	prompt := func() {
-		if pending.Len() == 0 {
-			fmt.Print("sql> ")
-		} else {
-			fmt.Print("...> ")
+// embeddedExec runs a script on an in-process session.
+func embeddedExec(e *engine.Engine, s *engine.Session) func(string) (string, string, error) {
+	return func(src string) (string, string, error) {
+		res, err := s.ExecScript(src)
+		if err != nil {
+			return "", "", err
 		}
-	}
-	prompt()
-	for scanner.Scan() {
-		line := scanner.Text()
-		trimmed := strings.TrimSpace(line)
-		if pending.Len() == 0 && strings.HasPrefix(trimmed, ".") {
-			if meta(trimmed, clock, &profile) {
-				return
-			}
-			prompt()
-			continue
+		profile := ""
+		if res != nil && res.Stats != nil {
+			profile = fmt.Sprint(res.Stats)
 		}
-		pending.WriteString(line)
-		pending.WriteString("\n")
-		if strings.HasSuffix(trimmed, ";") {
-			src := pending.String()
-			pending.Reset()
-			res, err := s.ExecScript(src)
-			if err != nil {
-				if code := engine.ErrorCode(err); code != "" {
-					fmt.Printf("error [SQLSTATE %s]: %v\n", code, err)
-				} else {
-					fmt.Println("error:", err)
-				}
-			} else {
-				fmt.Print(e.FormatResult(res))
-				if profile && res != nil && res.Stats != nil {
-					fmt.Println("profile:", res.Stats)
-				}
-			}
-		}
-		prompt()
+		return e.FormatResult(res), profile, nil
 	}
 }
 
@@ -148,114 +123,131 @@ func remoteShell(addr string) error {
 		return err
 	}
 	defer c.Close()
-
 	fmt.Printf("connected to %s — %s\n", addr, c.Banner())
 	fmt.Println(`type SQL terminated by ';', or ".help" for meta commands`)
-	scanner := bufio.NewScanner(os.Stdin)
+	exec := func(src string) (string, string, error) {
+		res, err := c.Exec(src)
+		if err != nil {
+			return "", "", err
+		}
+		return c.Format(res), res.Profile, nil
+	}
+	meta := func(fields []string) bool {
+		switch fields[0] {
+		case ".help":
+			fmt.Println("(.clock/.advance need an embedded shell: the clock is server-side)")
+		case ".clock", ".advance":
+			fmt.Println("the current time lives in the server; restart tinybladed with -clock to change it")
+		default:
+			return false
+		}
+		return true
+	}
+	repl(os.Stdin, os.Stdout, exec, meta)
+	return nil
+}
+
+// repl is the shell loop of both modes: it buffers lines until one ends in
+// ';', runs the buffer through exec, and prints the result text (plus the
+// statement profile under .profile on) or the error with its SQLSTATE code.
+// A line starting with '.' outside a statement is a meta command: .quit,
+// .profile [on|off] and .help are handled here, and every command, .help
+// included, goes to the mode's meta, which reports whether it knew it. The
+// loop ends at .quit or the end of in.
+func repl(in io.Reader, out io.Writer, exec func(src string) (text, profile string, err error), meta func(fields []string) bool) {
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var pending strings.Builder
 	profile := false
-	prompt := func() {
+	for {
 		if pending.Len() == 0 {
-			fmt.Print("sql> ")
+			fmt.Fprint(out, "sql> ")
 		} else {
-			fmt.Print("...> ")
+			fmt.Fprint(out, "...> ")
 		}
-	}
-	prompt()
-	for scanner.Scan() {
+		if !scanner.Scan() {
+			return
+		}
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
 		if pending.Len() == 0 && strings.HasPrefix(trimmed, ".") {
-			switch strings.Fields(trimmed)[0] {
+			fields := strings.Fields(trimmed)
+			switch fields[0] {
 			case ".quit", ".q", ".exit":
-				return nil
-			case ".help":
-				fmt.Println(".profile on|off | .quit  (.clock/.advance need an embedded shell: the clock is server-side)")
+				return
 			case ".profile":
-				profile = !profile
+				if len(fields) == 2 && (fields[1] == "on" || fields[1] == "off") {
+					profile = fields[1] == "on"
+				} else {
+					profile = !profile
+				}
 				state := "off"
 				if profile {
 					state = "on"
 				}
-				fmt.Println("statement profiling", state)
-			case ".clock", ".advance":
-				fmt.Println("the current time lives in the server; restart tinybladed with -clock to change it")
+				fmt.Fprintln(out, "statement profiling", state)
+			case ".help":
+				fmt.Fprintln(out, ".profile on|off | .quit")
+				meta(fields)
 			default:
-				fmt.Println("unknown meta command; .help lists them")
+				if !meta(fields) {
+					fmt.Fprintln(out, "unknown meta command; .help lists them")
+				}
 			}
-			prompt()
 			continue
 		}
 		pending.WriteString(line)
 		pending.WriteString("\n")
-		if strings.HasSuffix(trimmed, ";") {
-			src := pending.String()
-			pending.Reset()
-			res, err := c.Exec(src)
-			if err != nil {
-				if code := engine.ErrorCode(err); code != "" {
-					fmt.Printf("error [SQLSTATE %s]: %v\n", code, err)
-				} else {
-					fmt.Println("error:", err)
-				}
-			} else {
-				fmt.Print(c.Format(res))
-				if profile && res.Profile != "" {
-					fmt.Println("profile:", res.Profile)
-				}
+		if !strings.HasSuffix(trimmed, ";") {
+			continue
+		}
+		text, prof, err := exec(pending.String())
+		pending.Reset()
+		if code := engine.ErrorCode(err); code != "" {
+			fmt.Fprintf(out, "error [SQLSTATE %s]: %v\n", code, err)
+		} else if err != nil {
+			fmt.Fprintln(out, "error:", err)
+		} else {
+			fmt.Fprint(out, text)
+			if profile && prof != "" {
+				fmt.Fprintln(out, "profile:", prof)
 			}
 		}
-		prompt()
 	}
-	return nil
 }
 
-// meta handles dot-commands; it reports whether the shell should exit.
-func meta(cmd string, clock *chronon.VirtualClock, profile *bool) bool {
-	fields := strings.Fields(cmd)
-	switch fields[0] {
-	case ".quit", ".q", ".exit":
+// clockMeta is the embedded shell's meta commands: .clock and .advance read
+// and move the virtual clock.
+func clockMeta(out io.Writer, clock *chronon.VirtualClock) func([]string) bool {
+	return func(fields []string) bool {
+		switch fields[0] {
+		case ".help":
+			fmt.Fprintln(out, ".clock [date] | .advance <days>")
+		case ".clock":
+			if len(fields) > 1 {
+				t, err := chronon.Parse(fields[1])
+				if err != nil {
+					fmt.Fprintln(out, "error:", err)
+					break
+				}
+				clock.Set(t)
+			}
+			fmt.Fprintln(out, "current time:", clock.Now())
+		case ".advance":
+			if len(fields) != 2 {
+				fmt.Fprintln(out, "usage: .advance <days>")
+				break
+			}
+			n, err := strconv.ParseInt(fields[1], 10, 64)
+			if err != nil {
+				fmt.Fprintln(out, "error:", err)
+				break
+			}
+			clock.Advance(n)
+			fmt.Fprintln(out, "current time:", clock.Now())
+		default:
+			return false
+		}
 		return true
-	case ".help":
-		fmt.Println(".clock [date] | .advance <days> | .profile on|off | .quit")
-	case ".profile":
-		if len(fields) == 2 && (fields[1] == "on" || fields[1] == "off") {
-			*profile = fields[1] == "on"
-		} else {
-			*profile = !*profile
-		}
-		state := "off"
-		if *profile {
-			state = "on"
-		}
-		fmt.Println("statement profiling", state)
-	case ".clock":
-		if len(fields) == 1 {
-			fmt.Println("current time:", clock.Now())
-			break
-		}
-		t, err := chronon.Parse(fields[1])
-		if err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		clock.Set(t)
-		fmt.Println("current time:", clock.Now())
-	case ".advance":
-		if len(fields) != 2 {
-			fmt.Println("usage: .advance <days>")
-			break
-		}
-		n, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		clock.Advance(n)
-		fmt.Println("current time:", clock.Now())
-	default:
-		fmt.Println("unknown meta command; .help lists them")
 	}
-	return false
 }

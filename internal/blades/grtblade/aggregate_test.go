@@ -179,6 +179,33 @@ func TestAggregatePushesAcrossACheckpoint(t *testing.T) {
 	exec(t, s, `COMMIT WORK`)
 }
 
+// A read-only transaction stamps no version, so its commit leaves the commit
+// clock alone: a SNAPSHOT view cut before another session's autocommit
+// SELECT has still seen every commit, and COUNT(*) keeps pushing down.
+// (While the gate compared the log's last transaction end, the SELECT's
+// COMMIT record read as a commit since the cut.)
+func TestReadOnlyCommitKeepsAggregatePushdown(t *testing.T) {
+	e, _ := newDB(t)
+	s := e.NewSession()
+	defer s.Close()
+	setupEmpDep(t, s)
+	q := `SELECT COUNT(*) FROM Employees WHERE ` + aggQual
+	exec(t, s, `SET ISOLATION TO SNAPSHOT`)
+	exec(t, s, `BEGIN WORK`)
+	base := exec(t, s, q).Rows[0][0].(int64)
+	r := e.NewSession()
+	defer r.Close()
+	exec(t, r, `SELECT Name FROM Employees`)
+	pushed, moved := e.Obs().Counter("agg.pushed").Load(), e.Obs().Counter("agg.fallback.gate_readpoint").Load()
+	if got := exec(t, s, q).Rows[0][0].(int64); got != base {
+		t.Fatalf("COUNT(*) after a read-only commit: %d, want %d", got, base)
+	}
+	if e.Obs().Counter("agg.pushed").Load() == pushed {
+		t.Fatalf("a read-only commit stopped the pushdown (gate_readpoint %d -> %d)", moved, e.Obs().Counter("agg.fallback.gate_readpoint").Load())
+	}
+	exec(t, s, `COMMIT WORK`)
+}
+
 // Agreement battery under concurrent DML: within one SNAPSHOT transaction,
 // COUNT(*) (pushed or drained, whatever the gate decides) must equal the
 // row count a plain SELECT sees — while writers churn. Run with -race this

@@ -34,7 +34,7 @@ func TestExplainGoldenIndexScan(t *testing.T) {
 	setupEmpDep(t, s)
 
 	res := exec(t, s, `EXPLAIN SELECT Name FROM Employees WHERE Overlaps(Time_Extent, '12/10/95, UC, 12/10/95, NOW')`)
-	// The snapshot cut is the WAL's append position at EXPLAIN time — not a
+	// The snapshot cut is the commit clock's read point at EXPLAIN time — not a
 	// constant — so the golden takes it from the structured plan after
 	// asserting a read view was captured at all.
 	if res.Plan == nil || res.Plan.SnapshotLSN == 0 {

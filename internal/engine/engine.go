@@ -144,11 +144,13 @@ type Engine struct {
 	// MVCC state (see snapshot.go). mvccMu orders transaction-id
 	// allocation (nextTx), the active set, snapshot capture/release, and
 	// the vacuum horizon read against commit-time deactivation; mvccClock
-	// is the logical commit clock for NoWAL engines. nextTx is seeded from
-	// the WAL's logical size at Open so restarted engines never reuse a
-	// stamped transaction id (every transaction appends more than one log
-	// byte; a NoWAL engine over persistent files has no such guard and is
-	// not restart-safe — it was never crash-safe to begin with).
+	// is the commit clock every engine stamps versions with. Both nextTx
+	// and mvccClock are seeded from the WAL's logical size at Open so
+	// restarted engines never reuse a stamped transaction id or commit
+	// stamp (every transaction, and every tick of the clock, appends more
+	// than one log byte; a NoWAL engine over persistent files has no such
+	// guard and is not restart-safe — it was never crash-safe to begin
+	// with).
 	mvccMu                                 sync.Mutex
 	nextTx                                 uint64
 	mvccActive                             map[uint64]struct{}
@@ -249,11 +251,14 @@ func Open(opts Options) (*Engine, error) {
 			TruncatedBytes: e.obs.Counter("wal.truncated_bytes"),
 			GroupSize:      e.obs.Histogram("wal.group_size"),
 		})
-		// Seed the transaction-id space above every id a previous
-		// incarnation can have stamped into version headers: each
-		// transaction appends at least one multi-byte record, so the old
-		// maximum id is strictly below the log's logical size.
+		// Seed the transaction ids and the commit clock above every id and
+		// stamp a previous incarnation can have written into version
+		// headers: each transaction appends at least one multi-byte record,
+		// and a commit's records before its clock tick are durable before
+		// its stamps are, so both old maxima are strictly below the log's
+		// logical size.
 		e.nextTx = uint64(e.log.Size())
+		e.mvccClock.Store(e.nextTx)
 	}
 	if err := e.openStorage(); err != nil {
 		return nil, err
@@ -813,8 +818,8 @@ type Session struct {
 
 	// MVCC read views (see snapshot.go): curSnap is statement-scoped,
 	// txSnap transaction-scoped (REPEATABLE READ / SNAPSHOT); writes lists
-	// the versions the open transaction created or ended, stamped with the
-	// commit LSN at commitTx.
+	// the versions the open transaction created or ended, stamped from the
+	// commit clock at commitTx.
 	curSnap *heldSnap
 	txSnap  *heldSnap
 	writes  []verStamp
@@ -888,7 +893,7 @@ func (s *Session) beginTx(explicit bool) error {
 }
 
 // commitTx commits the current transaction: every version it created or
-// ended is stamped with the commit LSN (WAL-logged page edits, appended
+// ended is stamped from the commit clock (WAL-logged page edits, appended
 // before the commit record), the commit record is made durable, and only
 // then is the transaction deactivated — the ordering that makes all of its
 // versions turn visible atomically (snapshots captured before deactivation

@@ -350,5 +350,3 @@ func FormatResultWith(reg *types.Registry, r *Result) string {
 	}
 	return sb.String()
 }
-
-var _ = am.QAnd // keep the am import for qual construction elsewhere

@@ -6,18 +6,18 @@ import (
 	"repro/internal/am"
 	"repro/internal/heap"
 	"repro/internal/lock"
-	"repro/internal/wal"
 )
 
-// MVCC snapshot machinery. Commit stamps are the WAL's logical size (its
-// append position, monotone across truncation) or, without a WAL, a logical
-// clock. One mutex — mvccMu — orders the four operations whose interleaving
-// decides visibility: transaction-id allocation, snapshot capture,
-// commit-time deactivation, and the vacuum horizon read. The invariant it
-// buys: a snapshot's (ReadLSN, Active) pair is consistent — every
-// transaction that deactivated before capture has all of its commit stamps
-// strictly below ReadLSN (stamps are written to pages before the commit
-// record is appended, and deactivation happens after), and every
+// MVCC snapshot machinery. Commit stamps come from one logical clock on
+// every engine (mvccClock), seeded at Open above every stamp an earlier
+// incarnation can have written; the log records page changes and
+// transaction outcomes only. One mutex — mvccMu — orders the four
+// operations whose interleaving decides visibility: transaction-id
+// allocation, snapshot capture, commit-time deactivation, and the vacuum
+// horizon read. The invariant it buys: a snapshot's (ReadLSN, Active) pair
+// is consistent — every transaction that deactivated before capture has all
+// of its commit stamps strictly below ReadLSN (the clock ticks before the
+// stamps are written, and deactivation happens after), and every
 // transaction still stamping at capture time is in Active, so its
 // partially-stamped versions stay invisible as a unit. That makes commit
 // visibility atomic without any read-side locking.
@@ -50,36 +50,21 @@ func (e *Engine) mvccBegin() uint64 {
 	return tx
 }
 
-// mvccEnd deactivates a transaction. For commits this must run after the
-// commit record is appended: from that point every stamp the transaction
-// wrote sits below any future snapshot's ReadLSN, so dropping it from
-// Active flips all of its versions visible atomically.
+// mvccEnd deactivates a transaction. For commits this must run after its
+// stamps are written and its commit record appended: every stamp it wrote
+// sits below any future snapshot's ReadLSN, so dropping it from Active
+// flips all of its versions visible atomically.
 func (e *Engine) mvccEnd(tx uint64) {
 	e.mvccMu.Lock()
 	delete(e.mvccActive, tx)
 	e.mvccMu.Unlock()
 }
 
-// readPointLocked returns the current snapshot cut. Caller holds mvccMu.
+// readPointLocked returns the current snapshot cut: the last stamp handed
+// out is Load(), and +1 puts it strictly below the cut while the next
+// commit's stamp (Add(1)) is not. Caller holds mvccMu.
 func (e *Engine) readPointLocked() uint64 {
-	if e.log != nil {
-		return uint64(e.log.Size())
-	}
-	// Logical clock: the last committed stamp is Load(); +1 makes it
-	// strictly below the cut while the next commit (Add(1)) is not.
 	return e.mvccClock.Load() + 1
-}
-
-// txEndLocked returns the read point as transaction ends alone move it: with
-// a WAL the end of the last COMMIT or ABORT record, which a checkpoint or any
-// other append leaves alone; without one the logical clock's read point. A
-// view whose cut is at or past it has seen every transaction end. Caller
-// holds mvccMu.
-func (e *Engine) txEndLocked() uint64 {
-	if e.log != nil {
-		return uint64(e.log.TxEnd())
-	}
-	return e.readPointLocked()
 }
 
 // captureSnapshot builds the read view for tx: the cut point and the
@@ -114,14 +99,11 @@ func (e *Engine) releaseSnapshot(h *heldSnap) {
 	e.mvccMu.Unlock()
 }
 
-// nextStamp returns the commit stamp for a committing transaction. With a
-// WAL it is the log's current size: the stamping page updates and the
-// commit record append after it, so the stamp is strictly below the read
-// point of any snapshot captured after this commit deactivates.
+// nextStamp ticks the commit clock for a committing transaction that wrote
+// versions. The stamp is strictly below the read point of any snapshot
+// captured after this commit deactivates. Only writing commits tick, so a
+// read-only commit moves no snapshot's cut.
 func (e *Engine) nextStamp() uint64 {
-	if e.log != nil {
-		return uint64(e.log.Size())
-	}
 	return e.mvccClock.Add(1)
 }
 
@@ -188,12 +170,12 @@ func (s *Session) releaseTxSnap() {
 // versions; (c) no transaction other than the session's own is active —
 // nobody else's uncommitted index entries exist, and our own inserts are
 // visible to our own snapshot; (d) the snapshot's own Active set carries no
-// foreign transaction — commitTx appends the commit record (advancing the
+// foreign transaction — commitTx ticks the commit clock (advancing the
 // read point) before deactivating, so a view captured inside that window
 // treats the committer's already-indexed rows as invisible while (c) and
-// (e) both pass; (e) no transaction ended after the snapshot's cut —
-// nothing committed after the view was captured (txEndLocked: a checkpoint
-// appended since the cut moves the log's size but commits nothing); and (f)
+// (e) both pass; (e) the commit clock has not ticked since the snapshot's
+// cut — no writing transaction committed after the view was captured (a
+// read-only commit, an abort and a checkpoint leave it alone); and (f)
 // the snapshot is a real registered view (a DIRTY READ view proves nothing).
 // The returned fence is the transaction-id high-water mark; aggGateHolds
 // re-checks it after the index traversal, catching transactions that began
@@ -225,14 +207,14 @@ func (e *Engine) aggGate(s *Session, t *heap.Table, snap *heap.Snapshot) (fence 
 			return 0, fallbackGateActive
 		}
 	}
-	if e.txEndLocked() > snap.ReadLSN {
+	if e.readPointLocked() > snap.ReadLSN {
 		return 0, fallbackGateReadPoint
 	}
 	return e.nextTx, ""
 }
 
 // aggGateHolds re-verifies the gate after the aggregate traversal: the
-// world must look exactly as it did at aggGate time — no transaction ended
+// world must look exactly as it did at aggGate time — no commit stamped
 // since the cut, no foreign activity, and no transaction allocated since
 // the fence. It names the refusing clause, or returns "".
 func (e *Engine) aggGateHolds(s *Session, snap *heap.Snapshot, fence uint64) string {
@@ -243,7 +225,7 @@ func (e *Engine) aggGateHolds(s *Session, snap *heap.Snapshot, fence uint64) str
 			return fallbackHoldsActive
 		}
 	}
-	if e.nextTx != fence || e.txEndLocked() > snap.ReadLSN {
+	if e.nextTx != fence || e.readPointLocked() > snap.ReadLSN {
 		return fallbackHoldsMoved
 	}
 	return ""
@@ -315,12 +297,15 @@ func (e *Engine) VacuumNow() (int, error) {
 	return total, nil
 }
 
-// vacuumTable reclaims one table's dead versions under its own short
-// transaction: the table X lock keeps writers out (readers need nothing —
-// the horizon already proves no registered snapshot can see the victims,
-// and page latches keep concurrent decoding safe), and the page edits are
-// WAL-logged like any other mutation so recovery's physical redo stays
-// coherent. A busy table is skipped rather than waited on.
+// vacuumTable reclaims one table's dead versions in a short transaction of
+// its own session, run as a statement runs: beginTx, the indexes closed,
+// then commitTx; Close rolls back a failed or skipped pass. Ending the
+// transaction ends its mi context, so transaction-end callbacks run. The
+// table X lock keeps writers out (readers need nothing — the horizon
+// already proves no registered snapshot can see the victims, and page
+// latches keep concurrent decoding safe), and the page edits are WAL-logged
+// like any other mutation so recovery's physical redo stays coherent. A
+// busy table is skipped rather than waited on.
 //
 // Because index maintenance is deferred, the vacuum is also where index
 // entries die: it opens the table's READY indexes and removes each victim's
@@ -334,22 +319,17 @@ func (e *Engine) VacuumNow() (int, error) {
 // reclaim cells for.
 func (e *Engine) vacuumTable(t *heap.Table, horizon uint64, isActive func(uint64) bool) (int, error) {
 	vs := e.NewSession()
-	tx := e.mvccBegin()
-	vs.tx = tx
-	defer e.mvccEnd(tx)
-	defer e.lm.ReleaseAll(lock.TxID(tx))
+	defer vs.Close()
+	if err := vs.beginTx(false); err != nil {
+		return 0, err
+	}
 	idxs, closeAll, err := vs.openIndexes(t.Name, false, "")
 	if err != nil {
 		return 0, err
 	}
-	defer closeAll()
-	if !e.lm.TryAcquire(lock.TxID(tx), lock.Resource{Kind: lock.KindTable, A: uint64(t.SpaceID)}, lock.Exclusive) {
+	if !e.lm.TryAcquire(lock.TxID(vs.tx), lock.Resource{Kind: lock.KindTable, A: uint64(t.SpaceID)}, lock.Exclusive) {
+		closeAll()
 		return 0, nil
-	}
-	if e.log != nil {
-		if _, err := e.log.Begin(tx); err != nil {
-			return 0, err
-		}
 	}
 	reclaim := func(victims []heap.Victim) error {
 		for _, v := range victims {
@@ -371,18 +351,14 @@ func (e *Engine) vacuumTable(t *heap.Table, horizon uint64, isActive func(uint64
 		}
 		return nil
 	}
-	n, err := t.Vacuum(tx, horizon, isActive, reclaim)
-	if e.log == nil {
-		t.AddDead(-int64(n))
-		return n, err
+	n, err := t.Vacuum(vs.tx, horizon, isActive, reclaim)
+	closeAll()
+	if err == nil {
+		err = vs.commitTx()
 	}
-	if err != nil {
-		wal.Rollback(e.log, e.mapStores(), tx)
-		return 0, err
+	if err != nil && e.log != nil {
+		return 0, err // Close rolls the pass back
 	}
-	if _, err := e.log.CommitWith(tx, wal.CommitGroup); err != nil {
-		return n, err
-	}
-	t.AddDead(-int64(n))
-	return n, nil
+	t.AddDead(-int64(n)) // without a log, freed slots stay free
+	return n, err
 }

@@ -5,14 +5,13 @@
 // them to the server, which fetches the tuple here.
 //
 // Versioning: every slot holds one tuple VERSION — a fixed header (creator
-// and deleter transaction ids, their commit stamps, and a link to the
-// successor version) followed by the encoded row. Insert appends a new
-// version; Delete stamps the deleter onto the version instead of removing
-// the slot; Update stamps the old version, appends the replacement at a new
-// rowid, and links old→new. Readers carry a Snapshot and apply one
-// visibility predicate, so scans never block on writers and never take
-// locks; the engine stamps commit LSNs at transaction commit and a vacuum
-// pass reclaims versions no live snapshot can see.
+// and deleter transaction ids and their commit stamps) followed by the
+// encoded row. Insert appends a new version; Delete stamps the deleter onto
+// the version instead of removing the slot; Update ends the old version and
+// appends the replacement at a new rowid. Readers carry a Snapshot and apply
+// one visibility predicate, so scans never block on writers and never take
+// locks; the engine stamps its commit clock at transaction commit and a
+// vacuum pass reclaims versions no live snapshot can see.
 //
 // Concurrency: writers are serialised by the engine's table-level exclusive
 // locks (strict two-phase), but readers take no locks at all — page bytes
@@ -65,10 +64,11 @@ var ErrNoSuchRow = errors.New("heap: no such row")
 var ErrSlotOverflow = errors.New("heap: slot number exceeds rowid slot field")
 
 // Table header page (page 1): magic, version format marker. The magic
-// changed ("HEAP" → "HEA2") when slots became version cells; pre-MVCC pages
-// are not readable.
+// changed ("HEAP" → "HEA2") when slots became version cells and again
+// ("HEA3") when the version header lost its successor link; older pages are
+// not readable.
 const (
-	tableMagic = 0x48454132 // "HEA2"
+	tableMagic = 0x48454133 // "HEA3"
 )
 
 // Version cell layout: a fixed header followed by the encoded row.
@@ -77,15 +77,12 @@ const (
 //	[8:16)  beginLSN — creator's commit stamp (0 while uncommitted)
 //	[16:24) endTx    — deleter transaction id (0 = not ended)
 //	[24:32) endLSN   — deleter's commit stamp (0 while uncommitted)
-//	[32:40) next     — RowID of the successor version (Update's old→new
-//	                   link; 0 = none)
-const verHeaderSize = 40
+const verHeaderSize = 32
 
 // verHeader is a decoded version-cell header.
 type verHeader struct {
 	beginTx, beginLSN uint64
 	endTx, endLSN     uint64
-	next              RowID
 }
 
 func parseHeader(cell []byte) verHeader {
@@ -94,7 +91,6 @@ func parseHeader(cell []byte) verHeader {
 		beginLSN: binary.BigEndian.Uint64(cell[8:16]),
 		endTx:    binary.BigEndian.Uint64(cell[16:24]),
 		endLSN:   binary.BigEndian.Uint64(cell[24:32]),
-		next:     RowID(binary.BigEndian.Uint64(cell[32:40])),
 	}
 }
 
@@ -106,8 +102,8 @@ func parseHeader(cell []byte) verHeader {
 // not (index builds and row counts under the writers' table lock).
 type Snapshot struct {
 	// ReadLSN is the cut point: stamps strictly below it are committed for
-	// this snapshot (the WAL's logical append position, monotone across
-	// truncation; a logical clock when the engine runs without a WAL).
+	// this snapshot. Stamps are the engine's commit clock values, not log
+	// positions.
 	ReadLSN uint64
 	// Active holds the transactions that were uncommitted at capture; their
 	// stamps are ignored even when below ReadLSN.
@@ -468,8 +464,8 @@ func (t *Table) Delete(tx uint64, rid RowID) (bool, error) {
 
 // Update replaces the row at rid: the replacement is appended as a new
 // version (always at a new rowid — the engine drives am_update with
-// distinct old and new rowids, per Table 5), the old version is ended by
-// tx, and its next link points at the successor.
+// distinct old and new rowids, per Table 5) and the old version is ended
+// by tx.
 func (t *Table) Update(tx uint64, rid RowID, row []types.Datum) (RowID, error) {
 	var h verHeader
 	if err := t.readCell(rid, func(cell []byte) error { h = parseHeader(cell); return nil }); err != nil {
@@ -482,18 +478,10 @@ func (t *Table) Update(tx uint64, rid RowID, row []types.Datum) (RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	err = t.bp.Edit(tx, rid.Page(), func(buf []byte) error {
-		p := storage.SlottedPage{Buf: buf}
-		raw, ok := p.Read(rid.Slot())
-		if !ok || len(raw) < verHeaderSize {
-			return fmt.Errorf("%w: %v", ErrNoSuchRow, rid)
-		}
-		binary.BigEndian.PutUint64(raw[16:24], tx)
-		binary.BigEndian.PutUint64(raw[32:40], uint64(newRid))
-		return nil
-	})
-	if err != nil {
+	if ended, err := t.Delete(tx, rid); err != nil {
 		return 0, err
+	} else if !ended {
+		return 0, fmt.Errorf("%w: %v", ErrNoSuchRow, rid)
 	}
 	return newRid, nil
 }
@@ -523,8 +511,8 @@ func (t *Table) StampVersion(tx uint64, rid RowID, kind uint8, stamp uint64) err
 // Unwrite takes back tx's own write to the version at rid, for an engine
 // without a log to undo from. A version tx created (kind StampBegin) gets tx
 // as its ender as well, so no read view sees it and the vacuum reclaims it
-// as an aborted creation; a version tx ended (StampEnd) loses its end stamp
-// and successor link.
+// as an aborted creation; a version tx ended (StampEnd) loses its end
+// stamp.
 func (t *Table) Unwrite(tx uint64, rid RowID, kind uint8) error {
 	return t.bp.Edit(tx, rid.Page(), func(buf []byte) error {
 		p := storage.SlottedPage{Buf: buf}
@@ -536,7 +524,6 @@ func (t *Table) Unwrite(tx uint64, rid RowID, kind uint8) error {
 			binary.BigEndian.PutUint64(raw[16:24], tx)
 		} else {
 			binary.BigEndian.PutUint64(raw[16:24], 0)
-			binary.BigEndian.PutUint64(raw[32:40], 0)
 		}
 		return nil
 	})

@@ -65,8 +65,8 @@ func TestUpdateCreatesNewVersion(t *testing.T) {
 	if _, err := tb.Get(rid); err == nil {
 		t.Fatal("old rowid must be dead after update")
 	}
-	// The old version keeps its bytes and links to the successor, so a
-	// snapshot that predates the update still reads it.
+	// The old version keeps its bytes, so a snapshot that predates the
+	// update still reads it.
 	var h verHeader
 	var old []types.Datum
 	err = tb.readCell(rid, func(cell []byte) (err error) {
@@ -74,7 +74,7 @@ func TestUpdateCreatesNewVersion(t *testing.T) {
 		old, err = types.DecodeRow(tb.schema, cell[verHeaderSize:])
 		return err
 	})
-	if h.endTx != 1 || h.next != nrid {
+	if h.endTx != 1 {
 		t.Fatalf("old version header: %+v", h)
 	}
 	if err != nil || old[1] != "short" {

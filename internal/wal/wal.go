@@ -120,7 +120,6 @@ type Log struct {
 
 	base     LSN   // LSN of the first byte retained in the file
 	size     int64 // logical append point (next LSN)
-	txEnd    int64 // logical end of the last COMMIT or ABORT record
 	written  int64 // records below this are in the file
 	flushed  int64 // records below this are durable
 	pending  []byte
@@ -284,15 +283,6 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// TxEnd returns the logical end of the last COMMIT or ABORT record appended
-// since the log was opened (0 before the first): unlike Size, only a
-// transaction's end moves it, never a checkpoint or a page update.
-func (l *Log) TxEnd() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.txEnd
-}
-
 // Base returns the LSN of the oldest retained byte (advances on TruncateTo).
 func (l *Log) Base() LSN {
 	l.mu.Lock()
@@ -327,9 +317,6 @@ func (l *Log) appendLocked(r Record) LSN {
 	l.pending = appendRecord(l.pending, r)
 	n := len(l.pending) - n0
 	l.size += int64(n)
-	if r.Type == RecCommit || r.Type == RecAbort {
-		l.txEnd = l.size
-	}
 	l.obs.Appends.Inc()
 	l.obs.Bytes.Add(uint64(n))
 	l.chain(r)

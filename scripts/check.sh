@@ -40,7 +40,14 @@
 # sequential scan on them), and STR bulk packing
 # (TestStartOrderedPackingCutsTimesliceReads: a GR-tree packed on start time
 # reads at most 1.3 nodes per answer leaf on a timeslice; TestBulkLoad and
-# FuzzBulkLoad: packed trees at awkward sizes agree with an oracle). Tier-1
+# FuzzBulkLoad: packed trees at awkward sizes agree with an oracle), and one
+# transaction shape (TestVacuumEndsItsTransaction: the vacuum's transaction
+# ends like a statement's, so transaction-end callbacks run and its lock goes;
+# TestReadOnlyCommitKeepsAggregatePushdown and
+# TestAggregatePushesAcrossACheckpoint: only a writing commit moves the
+# aggregate gate's read point; TestAggregateConformance, run with the check
+# invariant above: every aggregate, pushed or declined, equals a sequential
+# scan). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -123,6 +130,14 @@ go test -race -count=5 -run TestIndexAgreesOnRowsAfterTheCurrentTime ./internal/
 # Check and agree with an oracle in both key classes.
 echo "== go test -race -count=3 STR packing"
 go test -race -count=3 -run 'TestStartOrderedPackingCutsTimesliceReads|TestBulkLoad|FuzzBulkLoad' ./internal/rtree ./internal/grtree
+
+# One commit clock stamps every engine's commits, and the vacuum commits as a
+# statement does: its transaction-end callbacks run and its lock is released,
+# and a read-only commit or a checkpoint leaves a view's aggregate pushdown
+# alone (TestAggregateConformance, the pushed = scanned table, runs above).
+echo "== go test -race -count=3 commit clock + vacuum transaction"
+go test -race -count=3 -run TestVacuumEndsItsTransaction ./internal/engine
+go test -race -count=3 -run 'TestReadOnlyCommitKeepsAggregatePushdown|TestAggregatePushesAcrossACheckpoint' ./internal/blades/grtblade
 
 # Serial and parallel scans run one cursor: the serial one restarts on the
 # splits of inserts between its calls and releases every latch before it

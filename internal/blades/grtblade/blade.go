@@ -58,6 +58,7 @@ var purpose = &treeblade.Kernel[temporal.Region, temporal.Shape, *open]{
 		return regionValue(id.ColTypes[0].OpaqueID, r)
 	},
 	Less: grtree.KeyLess,
+	Span: grtree.KeySpan,
 }
 
 // Library returns the blade's shared-library symbol table. The engine loads

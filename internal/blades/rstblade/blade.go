@@ -57,6 +57,7 @@ var purpose = &treeblade.Kernel[rstar.Rect, rstar.Rect, *open]{
 		})}
 	},
 	Less: rstar.KeyLess,
+	Span: rstar.KeySpan,
 }
 
 // Library returns the blade's symbol table.

@@ -49,9 +49,12 @@ type Kernel[B comparable, S rtree.Shape[S], T Binding[B, S]] struct {
 	Method[T]
 	// Value renders a stored bound as a value of the indexed column, and Less
 	// is the order of those values: the answer of an am_aggregate MIN or MAX.
-	// A blade whose Aggregable always declines sets neither.
+	// Span, optional, bounds Less's first key under a bound, so that MIN and
+	// MAX read only the subtrees that can hold the answer (rtree.Span). A
+	// blade whose Aggregable always declines sets none of them.
 	Value func(id *am.IndexDesc, b B) types.Datum
 	Less  func(a, b B) bool
+	Span  rtree.Span[B]
 }
 
 // MaxEntries parses the maxentries index parameter: the node fanout cap of a
@@ -393,7 +396,7 @@ func (k *Kernel[B, S, T]) Aggregate(ctx *mi.Context, id *am.IndexDesc, req *am.A
 		ctx.Tracer().Tracef(k.Prefix, 2, "aggregate %s: count=%d", id.Name, n)
 		return &am.AggResult{Count: n}, true, nil
 	case am.AggMin, am.AggMax:
-		b, found, ok, err := st.Tree().AggExtreme(m, k.Less, req.Kind == am.AggMax)
+		b, found, ok, err := st.Tree().AggExtreme(m, k.Less, k.Span, req.Kind == am.AggMax)
 		if err != nil || !ok {
 			return nil, false, err
 		}

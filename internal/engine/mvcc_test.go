@@ -597,3 +597,63 @@ func TestNoWALUndoDirtyRead(t *testing.T) {
 		t.Fatalf("COMMITTED READ after ROLLBACK: %v, want [[1] [2]]", res.Rows)
 	}
 }
+
+// TestTxIDsDoNotRepeatAfterReadOnlyTraffic: Open seeds the transaction ids
+// and the commit clock above every id and stamp a previous incarnation took,
+// including the ids of the read-only autocommit statements that ended its
+// run. The run takes more ids than the log holds bytes, so a seed that
+// counted only what the log grew by would repeat ids here if read-only
+// statements stopped appending BEGIN and COMMIT, and a version header could
+// name two transactions.
+func TestTxIDsDoNotRepeatAfterReadOnlyTraffic(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), Clock: chronon.NewVirtualClock(chronon.MustParse("9/97")),
+		CheckpointInterval: -1, VacuumInterval: -1}
+	// taken is the highest transaction id and commit stamp handed out.
+	taken := func(e *Engine) (tx, stamp uint64) {
+		e.mvccMu.Lock()
+		defer e.mvccMu.Unlock()
+		return e.nextTx, e.mvccClock.Load()
+	}
+	e, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.NewSession()
+	exec(t, s, `CREATE TABLE t (a INTEGER)`)
+	exec(t, s, `INSERT INTO t VALUES (1)`)
+	writeTx, writeStamp := taken(e)
+	logged := uint64(e.log.Size())
+	// ASYNC: the reads wait for no flush, which keeps the run short.
+	exec(t, s, `SET COMMIT TO ASYNC`)
+	for i := uint64(0); i < logged+1000; i++ {
+		exec(t, s, `SELECT a FROM t`)
+	}
+	s.Close()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lastTx, lastStamp := taken(e)
+	if lastTx <= logged || lastStamp != writeStamp {
+		t.Fatalf("the reads after the write (tx %d, stamp %d, %d log bytes) ended at tx %d, stamp %d: want ids past the log's size, no stamp",
+			writeTx, writeStamp, logged, lastTx, lastStamp)
+	}
+
+	e2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	seedTx, seedStamp := taken(e2)
+	if seedTx < lastTx || seedStamp < lastStamp {
+		t.Fatalf("reopened at tx %d, stamp %d: the last incarnation took tx %d, stamp %d", seedTx, seedStamp, lastTx, lastStamp)
+	}
+	s2 := e2.NewSession()
+	defer s2.Close()
+	exec(t, s2, `INSERT INTO t VALUES (2)`)
+	if tx, stamp := taken(e2); tx <= lastTx || stamp <= lastStamp {
+		t.Fatalf("a write after the reopen took tx %d, stamp %d: not above tx %d, stamp %d", tx, stamp, lastTx, lastStamp)
+	}
+	if res := exec(t, s2, `SELECT a FROM t`); len(res.Rows) != 2 {
+		t.Fatalf("after the reopen the table holds %v, want both rows", res.Rows)
+	}
+}

@@ -146,5 +146,13 @@ func (t *Tree) AggExtreme(pred Predicate, ct chronon.Instant, wantMax bool) (tem
 	if !pred.Query.Valid() {
 		return temporal.Region{}, false, false, nil
 	}
-	return t.Tree.AggExtreme(pred.compile(ct), KeyLess, wantMax)
+	return t.Tree.AggExtreme(pred.compile(ct), KeyLess, KeySpan, wantMax)
+}
+
+// KeySpan bounds KeyLess's first key, TTBegin, over the leaves under a
+// bound: none starts before the bound's TTBegin, and none after its start
+// maximum TTBegin+LateTT unless that is LateUnknown. A leaf decodes with
+// LateTT 0, so its span is its own TTBegin.
+func KeySpan(r temporal.Region) (lo, hi int64, hiKnown bool) {
+	return int64(r.TTBegin), int64(r.TTBegin) + int64(r.LateTT), r.LateTT != temporal.LateUnknown
 }

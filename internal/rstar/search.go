@@ -94,3 +94,9 @@ func KeyLess(a, b Rect) bool {
 	}
 	return a.YMax < b.YMax
 }
+
+// KeySpan bounds KeyLess's first key, XMin, over the leaves under a bound:
+// a union keeps the least XMin and the greatest XMax, and no stored
+// rectangle is empty (Insert, BulkLoad and rstblade's stored keys refuse
+// one), so every leaf's XMin lies in [XMin, XMax].
+func KeySpan(r Rect) (lo, hi int64, hiKnown bool) { return r.XMin, r.XMax, true }

@@ -133,8 +133,14 @@ type Cursor[B comparable] struct {
 	r     *reader[B]
 	stack []frame[B]
 	held  nodestore.NodeID // node whose read latch is currently held
-	// returned is kept by a serial cursor only, the one that owns its queue
-	// and restarts: the payloads a restart must not produce again.
+	// A serial cursor, the one that owns its queue and restarts, must not
+	// produce a payload again after a restart. Until its first restart it
+	// yields each entry once (every path that moves an entry between nodes
+	// — a split, a forced reinsertion, a condensation, a bulk load — bumps
+	// the epoch first), so it only lists what it produced; the restart turns
+	// the list into the returned set, which it consults from then on.
+	serial   bool
+	produced []Payload
 	returned map[Payload]bool
 	restarts int
 	one      [1]Entry[B] // Next's batch
@@ -152,7 +158,7 @@ type frame[B any] struct {
 func (t *Tree[B]) Search(m Matcher[B]) *Cursor[B] {
 	q := &ParallelScan[B]{t: t, match: m}
 	q.seedRoot()
-	return &Cursor[B]{q: q, r: t.newReader(), returned: make(map[Payload]bool)}
+	return &Cursor[B]{q: q, r: t.newReader(), serial: true}
 }
 
 // Matcher returns the qualification the cursor was created for, so that an
@@ -169,9 +175,9 @@ func (c *Cursor[B]) Restarts() int { return c.restarts }
 // ParallelScan's Reset re-seeds the queue.
 func (c *Cursor[B]) Reset() {
 	c.stack = c.stack[:0]
-	if c.returned != nil {
+	if c.serial {
 		c.q.seedRoot()
-		clear(c.returned)
+		c.produced, c.returned = c.produced[:0], nil
 		c.restarts = 0
 	}
 }
@@ -201,15 +207,17 @@ func (c *Cursor[B]) unlatch() {
 }
 
 // unseen reports whether a payload may be produced, recording it when the
-// cursor keeps a returned set.
+// cursor is serial.
 func (c *Cursor[B]) unseen(p Payload) bool {
-	if c.returned == nil {
-		return true
+	switch {
+	case c.returned != nil:
+		if c.returned[p] {
+			return false
+		}
+		c.returned[p] = true
+	case c.serial:
+		c.produced = append(c.produced, p)
 	}
-	if c.returned[p] {
-		return false
-	}
-	c.returned[p] = true
 	return true
 }
 
@@ -221,8 +229,15 @@ func (c *Cursor[B]) unseen(p Payload) bool {
 func (c *Cursor[B]) NextBatch(dst []Entry[B]) (int, error) {
 	q := c.q
 	if q.epoch != q.t.epoch {
-		if c.returned == nil {
+		if !c.serial {
 			return 0, q.t.errorf("tree reorganised under a parallel scan")
+		}
+		if c.returned == nil {
+			c.returned = make(map[Payload]bool, len(c.produced))
+			for _, p := range c.produced {
+				c.returned[p] = true
+			}
+			c.produced = c.produced[:0]
 		}
 		c.stack = c.stack[:0]
 		q.seedRoot()

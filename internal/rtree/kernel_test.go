@@ -184,7 +184,7 @@ func rstTree(t *rstar.Tree, err error) (tree[rstar.Rect], error) {
 		},
 		count: func(op int, q rstar.Rect) (int64, bool, error) { return t.Tree.AggCount(rstQuery(op, q)) },
 		extreme: func(op int, q rstar.Rect, wantMax bool) (rstar.Rect, bool, bool, error) {
-			return t.Tree.AggExtreme(rstQuery(op, q), rstar.KeyLess, wantMax)
+			return t.Tree.AggExtreme(rstQuery(op, q), rstar.KeyLess, rstar.KeySpan, wantMax)
 		},
 	}, nil
 }

@@ -47,7 +47,15 @@
 # TestAggregatePushesAcrossACheckpoint: only a writing commit moves the
 # aggregate gate's read point; TestAggregateConformance, run with the check
 # invariant above: every aggregate, pushed or declined, equals a sequential
-# scan). Tier-1
+# scan), MIN/MAX by branch and bound (TestExtremeReadsFewerNodesThanCount: on
+# benchmark-shaped windows MIN and MAX each read at most half of COUNT's
+# nodes and answer what a brute force answers; TestAggregatesAgreeWithDrain:
+# the kernel's aggregates equal a cursor drain in both key classes), the
+# serial cursor's lazy returned set (TestCursorRestartsWithoutDuplicates and
+# TestCursorRestartsOnSplits: a restart produces nothing twice), and the
+# transaction-id seed (TestTxIDsDoNotRepeatAfterReadOnlyTraffic: ids and
+# commit stamps taken after a reopen lie above those taken before it,
+# read-only statements included). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -145,6 +153,16 @@ go test -race -count=3 -run 'TestReadOnlyCommitKeepsAggregatePushdown|TestAggreg
 # partition cursors crab concurrently over one shared work queue.
 echo "== go test -race -count=5 cursor restarts + parallel partitions"
 go test -race -count=5 -run 'TestCursorRestartsOnSplits|TestParallelScanPartitions' ./internal/rtree
+
+# MIN and MAX branch and bound on the key order's first key, and the lazy
+# returned set a serial cursor builds at its first restart
+# (TestCursorRestartsOnSplits runs above at -count=5). The node-read bound
+# runs without -race: it is one goroutine, and the detector makes it four
+# times slower (~13 s a run).
+echo "== go test -count=3 MIN/MAX branch and bound + lazy returned set + transaction-id seed"
+go test -count=3 -run TestExtremeReadsFewerNodesThanCount ./internal/grtree
+go test -race -count=3 -run 'TestAggregatesAgreeWithDrain|TestCursorRestartsWithoutDuplicates' ./internal/rtree
+go test -race -count=3 -run TestTxIDsDoNotRepeatAfterReadOnlyTraffic ./internal/engine
 
 # Crash recovery: redo's page writes may evict dirty pages, whose flush hook
 # forces the log while the redo scan is reading it. Both regressions hung

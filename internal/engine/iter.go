@@ -152,13 +152,16 @@ func (s *Session) indexSource(oi *openIndex, table *heap.Table, sd *am.ScanDesc)
 // heap under the scan's snapshot: versions the snapshot cannot see are
 // dropped here (the index reflects write-time state; visibility is decided at
 // rid→row resolution), and so are entries whose cell the vacuum reclaimed.
+// The batch's rows are decoded into one fresh arena, which no later batch
+// touches, so a consumer may keep them.
 func resolveBatch(oi *openIndex, table *heap.Table, sd *am.ScanDesc, n int) (*rowBatch, error) {
 	rb := &rowBatch{
 		rids: make([]heap.RowID, 0, n),
 		rows: make([][]types.Datum, 0, n),
 	}
+	arena := types.NewArena(n)
 	for _, rid := range sd.Batch.RowIDs[:n] {
-		row, ok, err := table.GetVersion(rid, sd.Snapshot)
+		row, ok, err := table.GetVersion(rid, sd.Snapshot, arena)
 		if err != nil {
 			if errors.Is(err, heap.ErrNoSuchRow) {
 				continue // entry whose cell was reclaimed: dead by definition

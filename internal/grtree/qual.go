@@ -102,7 +102,8 @@ func (c *Compound) InternalMatch(bound temporal.Region, ct chronon.Instant) bool
 // to the same shape for every entry: Compile resolves it once, and Leaf,
 // Internal and Covered resolve only the entry. The answers are the reference
 // evaluation's by construction: both apply leafTest and internalTest to the
-// entry and the query resolved at ct.
+// entry and the query resolved at ct. Leaf first rejects on the entry's raw
+// times (clause.rejects) only where leafTest would reject as well.
 type Compiled struct {
 	ct   chronon.Instant
 	root clause
@@ -113,8 +114,12 @@ type Compiled struct {
 type clause struct {
 	op    rtree.Op
 	query temporal.Shape
-	and   bool
-	kids  []clause
+	// disjoint: every entry leafTest accepts overlaps query, so an entry
+	// that cannot overlap it is rejected unresolved. It holds for every
+	// operator but Equal with an empty query, which two empty shapes meet.
+	disjoint bool
+	and      bool
+	kids     []clause
 }
 
 // Compile validates the qualification and compiles it at ct.
@@ -137,7 +142,8 @@ func (c *Compound) clause(ct chronon.Instant) clause {
 }
 
 func (p Predicate) clause(ct chronon.Instant) clause {
-	return clause{op: p.Op, query: p.Query.Region().Resolve(ct)}
+	q := p.Query.Region().Resolve(ct)
+	return clause{op: p.Op, query: q, disjoint: p.Op != rtree.OpEqual || !q.Empty()}
 }
 
 // compile compiles a predicate whose query extent the caller has validated.
@@ -145,8 +151,11 @@ func (p Predicate) compile(ct chronon.Instant) *Compiled {
 	return &Compiled{ct: ct, root: p.clause(ct)}
 }
 
-// Leaf implements rtree.Matcher: leafTest on the resolved entry.
-func (m *Compiled) Leaf(r temporal.Region) bool { return m.root.leaf(r.Resolve(m.ct)) }
+// Leaf implements rtree.Matcher: leafTest on the resolved entry, unless the
+// entry's raw times already reject it.
+func (m *Compiled) Leaf(r temporal.Region) bool {
+	return !m.root.rejects(r) && m.root.leaf(r.Resolve(m.ct))
+}
 
 // Internal implements rtree.Matcher: internalTest on the resolved bound.
 func (m *Compiled) Internal(r temporal.Region) bool { return m.root.internal(r.Resolve(m.ct), r, m.ct) }
@@ -177,6 +186,26 @@ func (c *clause) leaf(s temporal.Shape) bool {
 		}
 	}
 	return c.and
+}
+
+// rejects reports, without resolving r, that r cannot satisfy the clause. A
+// disjoint predicate rejects an entry whose resolved shape misses its query
+// on one axis: resolution at ct keeps TTBegin and VTBegin and replaces only a
+// UC TTEnd, so an entry starting after the query ends, or ending at a ground
+// TTEnd before the query starts, has an empty intersection with it. (UC is
+// the largest instant, so a growing entry never ends before anything.) An AND
+// rejects when one conjunct does, an OR when every disjunct does.
+func (c *clause) rejects(r temporal.Region) bool {
+	if len(c.kids) == 0 {
+		return c.disjoint && (int64(r.TTBegin) > c.query.TTEnd || int64(r.VTBegin) > c.query.VTEnd ||
+			int64(r.TTEnd) < c.query.TTBegin)
+	}
+	for i := range c.kids {
+		if c.kids[i].rejects(r) == c.and {
+			return c.and
+		}
+	}
+	return !c.and
 }
 
 func (c *clause) internal(s temporal.Shape, r temporal.Region, ct chronon.Instant) bool {

@@ -411,14 +411,19 @@ func (t *Table) readCell(rid RowID, fn func(cell []byte) error) error {
 // visibility predicate: ok reports whether the version is part of the read
 // view (a rowid obtained from an index may resolve to a version the
 // snapshot cannot see — too new, uncommitted, or deleted). A missing slot
-// is ErrNoSuchRow. The row is decoded straight from the latched page;
-// DecodeRow copies whatever bytes it keeps.
-func (t *Table) GetVersion(rid RowID, snap *Snapshot) ([]types.Datum, bool, error) {
+// is ErrNoSuchRow. The row is decoded straight from the latched page into
+// arena, the caller's batch arena when it passes one (at most one), or
+// memory of the row's own; DecodeRow copies whatever bytes it keeps.
+func (t *Table) GetVersion(rid RowID, snap *Snapshot, arena ...*types.Arena) ([]types.Datum, bool, error) {
+	var a *types.Arena
+	if len(arena) > 0 {
+		a = arena[0]
+	}
 	var row []types.Datum
 	visible := false
 	err := t.readCell(rid, func(cell []byte) (err error) {
 		if visible = snap.visible(parseHeader(cell)); visible {
-			row, err = types.DecodeRow(t.schema, cell[verHeaderSize:])
+			row, err = types.DecodeRow(t.schema, cell[verHeaderSize:], a)
 		}
 		return err
 	})
@@ -563,6 +568,7 @@ func (t *Table) Vacuum(tx uint64, horizon uint64, active func(uint64) bool, recl
 				return nil // never-initialised page
 			}
 			p := storage.SlottedPage{Buf: buf}
+			first := len(victims)
 			for s := 0; s < p.NumSlots(); s++ {
 				raw, ok := p.Read(s)
 				if !ok || len(raw) < verHeaderSize {
@@ -571,14 +577,19 @@ func (t *Table) Vacuum(tx uint64, horizon uint64, active func(uint64) bool, recl
 				h := parseHeader(raw)
 				dead := h.endTx != 0 && h.endLSN != 0 && h.endLSN < horizon && !active(h.endTx)
 				aborted := h.beginLSN == 0 && !active(h.beginTx)
-				if !dead && !aborted {
-					continue
+				if dead || aborted {
+					victims = append(victims, Victim{Rid: MakeRowID(id, s)})
 				}
-				row, err := types.DecodeRow(t.schema, raw[verHeaderSize:])
+			}
+			page := victims[first:]
+			arena := types.NewArena(len(page))
+			for i := range page {
+				raw, _ := p.Read(page[i].Rid.Slot())
+				row, err := types.DecodeRow(t.schema, raw[verHeaderSize:], arena)
 				if err != nil {
 					return err
 				}
-				victims = append(victims, Victim{Rid: MakeRowID(id, s), Row: row})
+				page[i].Row = row
 			}
 			return nil
 		})
@@ -696,54 +707,51 @@ func (sc *Scanner) NextBatch(maxRows int) (*RowBatch, error) {
 }
 
 // fillPage decodes the next data page's visible versions into the pending
-// buffer (which may stay empty for pages without visible tuples). The page
-// is read under the frame's read latch, so concurrent writers never tear a
-// cell; the visibility predicate is the single point deciding what this
-// scan sees.
+// buffer (which may stay empty for pages without visible tuples), all into
+// one arena of the page's own. The page is read under the frame's read
+// latch, so concurrent writers never tear a cell; the visibility predicate
+// is the single point deciding what this scan sees.
 func (sc *Scanner) fillPage() error {
 	id := sc.next
 	sc.next++
 	sc.pendRids = sc.pendRids[:0]
 	sc.pendRows = sc.pendRows[:0]
 	sc.pos = 0
-	f, err := sc.t.bp.Fetch(id)
-	if err != nil {
-		return err
-	}
-	f.RLatch()
-	// Skip never-initialised pages (e.g., zero pages materialised by
-	// recovery): an initialised slotted page has a nonzero free end.
-	if binary.BigEndian.Uint16(f.Data[12:14]) == 0 {
-		f.RUnlatch()
-		sc.t.bp.Unpin(f, false)
-		return nil
-	}
-	p := storage.SlottedPage{Buf: f.Data}
-	var decodeErr error
 	skipped := 0
-	for s := 0; s < p.NumSlots(); s++ {
-		raw, ok := p.Read(s)
-		if !ok || len(raw) < verHeaderSize {
-			continue
+	err := sc.t.readPage(id, func(buf []byte) error {
+		// Skip never-initialised pages (e.g., zero pages materialised by
+		// recovery): an initialised slotted page has a nonzero free end.
+		if binary.BigEndian.Uint16(buf[12:14]) == 0 {
+			return nil
 		}
-		if !sc.snap.visible(parseHeader(raw)) {
-			skipped++
-			continue
+		p := storage.SlottedPage{Buf: buf}
+		for s := 0; s < p.NumSlots(); s++ {
+			raw, ok := p.Read(s)
+			if !ok || len(raw) < verHeaderSize {
+				continue
+			}
+			if !sc.snap.visible(parseHeader(raw)) {
+				skipped++
+				continue
+			}
+			sc.pendRids = append(sc.pendRids, MakeRowID(id, s))
 		}
-		row, err := types.DecodeRow(sc.t.schema, raw[verHeaderSize:])
-		if err != nil {
-			decodeErr = err
-			break
+		arena := types.NewArena(len(sc.pendRids))
+		for _, rid := range sc.pendRids {
+			raw, _ := p.Read(rid.Slot())
+			row, err := types.DecodeRow(sc.t.schema, raw[verHeaderSize:], arena)
+			if err != nil {
+				sc.pendRids, sc.pendRows = sc.pendRids[:0], sc.pendRows[:0]
+				return err
+			}
+			sc.pendRows = append(sc.pendRows, row)
 		}
-		sc.pendRids = append(sc.pendRids, MakeRowID(id, s))
-		sc.pendRows = append(sc.pendRows, row)
-	}
-	f.RUnlatch()
-	sc.t.bp.Unpin(f, false)
+		return nil
+	})
 	if skipped > 0 {
 		sc.t.obs.VersionsSkipped.Add(uint64(skipped))
 	}
-	return decodeErr
+	return err
 }
 
 // scanBatchRows is the internal batch size of the callback Scan.

@@ -71,7 +71,7 @@ func TestUpdateCreatesNewVersion(t *testing.T) {
 	var old []types.Datum
 	err = tb.readCell(rid, func(cell []byte) (err error) {
 		h = parseHeader(cell)
-		old, err = types.DecodeRow(tb.schema, cell[verHeaderSize:])
+		old, err = types.DecodeRow(tb.schema, cell[verHeaderSize:], nil)
 		return err
 	})
 	if h.endTx != 1 {

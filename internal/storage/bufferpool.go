@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -57,11 +56,12 @@ type Frame struct {
 	// the edit's journal record exists, while the flusher reads it under
 	// the shard mutex.
 	dirty atomic.Bool
-	// elem is the frame's place in its shard's LRU list, set at its first
-	// unpin. A frame stays listed while pinned again (eviction skips it), so
-	// an unpin moves an element instead of allocating one.
-	elem  *list.Element
-	latch sync.RWMutex
+	// prev and next link the frame into its shard's LRU ring from its first
+	// unpin until eviction or Free (next is nil while unlisted). A frame
+	// stays listed while pinned again (eviction skips it), so an unpin only
+	// relinks it. The shard mutex guards both.
+	prev, next *Frame
+	latch      sync.RWMutex
 }
 
 // Latch acquires the frame's write latch (exclusive access to Data).
@@ -83,7 +83,28 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[PageID]*Frame
-	lru      *list.List // frames by last unpin, most recent at front
+	// lru is the sentinel of the ring of frames by last unpin: lru.next is
+	// the most recent, lru.prev the least.
+	lru Frame
+}
+
+func newShard(capacity int) *shard {
+	sh := &shard{capacity: capacity, frames: make(map[PageID]*Frame)}
+	sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+	return sh
+}
+
+// unlink takes a listed frame out of the ring.
+func (sh *shard) unlink(f *Frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// pushFront links an unlisted frame in as the most recently unpinned.
+func (sh *shard) pushFront(f *Frame) {
+	f.prev, f.next = &sh.lru, sh.lru.next
+	sh.lru.next.prev = f
+	sh.lru.next = f
 }
 
 // BufferPool caches pages of one Pager with pin-counted LRU replacement.
@@ -170,11 +191,7 @@ func NewShardedBufferPool(pager Pager, capacity, shards int) *BufferPool {
 		if i < extra {
 			c++
 		}
-		bp.shards[i] = &shard{
-			capacity: c,
-			frames:   make(map[PageID]*Frame),
-			lru:      list.New(),
-		}
+		bp.shards[i] = newShard(c)
 	}
 	return bp
 }
@@ -281,14 +298,13 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 	if f.pins > 0 {
 		f.pins--
 	}
-	if f.pins > 0 {
+	if f.pins > 0 || sh.lru.next == f {
 		return
 	}
-	if f.elem == nil {
-		f.elem = sh.lru.PushFront(f)
-	} else {
-		sh.lru.MoveToFront(f.elem)
+	if f.next != nil {
+		sh.unlink(f)
 	}
+	sh.pushFront(f)
 }
 
 // Edit is the one way to change a page: it applies fn to page id's bytes
@@ -370,16 +386,14 @@ func diffRange(a, b []byte) (int, int) {
 // again when the shard is at capacity. Caller holds sh.mu.
 func (bp *BufferPool) ensureRoom(sh *shard) error {
 	for len(sh.frames) >= sh.capacity {
-		back := sh.lru.Back()
-		for back != nil && back.Value.(*Frame).pins > 0 {
-			back = back.Prev()
+		victim := sh.lru.prev
+		for victim != &sh.lru && victim.pins > 0 {
+			victim = victim.prev
 		}
-		if back == nil {
+		if victim == &sh.lru {
 			return ErrPoolFull
 		}
-		victim := back.Value.(*Frame)
-		sh.lru.Remove(back)
-		victim.elem = nil
+		sh.unlink(victim)
 		if victim.dirty.Load() {
 			if err := bp.flushLocked(victim); err != nil {
 				return err
@@ -451,8 +465,8 @@ func (bp *BufferPool) Free(id PageID) error {
 			sh.mu.Unlock()
 			return fmt.Errorf("storage: freeing pinned page %d", id)
 		}
-		if f.elem != nil {
-			sh.lru.Remove(f.elem)
+		if f.next != nil {
+			sh.unlink(f)
 		}
 		delete(sh.frames, id)
 	}

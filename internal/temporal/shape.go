@@ -108,9 +108,12 @@ func (s Shape) Intersect(o Shape) Shape {
 	return r
 }
 
-// Overlaps reports whether the two shapes share at least one cell.
+// Overlaps reports whether the two shapes share at least one cell: whether
+// their intersection is non-empty, tested without building it.
 func (s Shape) Overlaps(o Shape) bool {
-	return !s.Intersect(o).Empty()
+	tte, vtb := mini(s.TTEnd, o.TTEnd), maxi(s.VTBegin, o.VTBegin)
+	return maxi(s.TTBegin, o.TTBegin) <= tte && vtb <= mini(s.VTEnd, o.VTEnd) &&
+		(!s.Stair && !o.Stair || tte >= vtb)
 }
 
 // IntersectionArea returns the number of cells shared by the two shapes.

@@ -86,6 +86,32 @@ func TestShapeIntersectBruteForce(t *testing.T) {
 	}
 }
 
+// TestOverlapsIsANonEmptyIntersection: Overlaps, which tests the
+// intersection's bounds without building it, answers as the intersection's
+// own Empty (held to brute force above) on every pair of shapes with
+// coordinates in [0, 4], so every begin meets every end at, before and after
+// it.
+func TestOverlapsIsANonEmptyIntersection(t *testing.T) {
+	var shapes []Shape
+	for ttb := int64(0); ttb <= 4; ttb++ {
+		for tte := ttb - 1; tte <= 4; tte++ {
+			for vtb := int64(0); vtb <= 4; vtb++ {
+				for vte := vtb - 1; vte <= 4; vte++ {
+					shapes = append(shapes, Rect(ttb, tte, vtb, vte),
+						Shape{TTBegin: ttb, TTEnd: tte, VTBegin: vtb, VTEnd: vte, Stair: true})
+				}
+			}
+		}
+	}
+	for _, a := range shapes {
+		for _, b := range shapes {
+			if got, want := a.Overlaps(b), !a.Intersect(b).Empty(); got != want {
+				t.Fatalf("%v overlaps %v: %v, intersection non-empty: %v", a, b, got, want)
+			}
+		}
+	}
+}
+
 func TestStairShapeGeometry(t *testing.T) {
 	// A growing stair resolved at ct=8 starting at tt=3, floor vt=1:
 	// columns t=3..8 with v from 1..t.

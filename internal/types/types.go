@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/chronon"
 )
@@ -404,10 +405,65 @@ func appendDatum(out []byte, t Type, d Datum) ([]byte, error) {
 	return nil, fmt.Errorf("unencodable kind %v", t.Kind)
 }
 
-// DecodeRow deserialises a row encoded by EncodeRow. The row shares no memory
-// with data (VARCHAR and opaque values are copied), so data may be a page's
-// own bytes, read under its latch.
-func DecodeRow(schema []Type, data []byte) ([]Datum, error) {
+// Arena is the memory one batch of rows is decoded into: one []Datum array
+// that the rows' slices are carved from, and one byte array holding their
+// VARCHAR and opaque bytes, which strings alias through unsafe.String and
+// opaque values as capacity-capped sub-slices. Nothing is ever written to a
+// part of an arena once a row holds it, and an arena is used for one batch
+// and then dropped, never reset: so a row kept past its batch stays valid,
+// and its consumer owes no copy. A kept row keeps its whole arena alive.
+//
+// The nil *Arena gives each row memory of its own.
+type Arena struct {
+	left   int     // rows the arena may still be asked for after the current one
+	size   int     // bytes the current row's VARCHAR and opaque values hold
+	datums []Datum // unused tail of the datum array
+	bytes  []byte  // unused tail of the byte array
+}
+
+// NewArena returns an arena sized for rows rows (a hint: more rows get more
+// memory, fewer leave it unused).
+func NewArena(rows int) *Arena { return &Arena{left: rows} }
+
+// row carves the datums of one row of n columns.
+func (a *Arena) row(n int) []Datum {
+	if a == nil {
+		return make([]Datum, n)
+	}
+	if len(a.datums) < n {
+		a.datums = make([]Datum, n*max(a.left, 1))
+	}
+	r := a.datums[:n:n]
+	a.datums = a.datums[n:]
+	a.left = max(a.left-1, 0)
+	return r
+}
+
+// keep copies b, part of the current row, into bytes nothing else writes;
+// an empty b keeps as nil. The byte array is made at the first value that
+// does not fit, sized for this row and the rows still to come at this row's
+// size, so one array usually serves a whole batch.
+func (a *Arena) keep(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	if a == nil {
+		return append([]byte(nil), b...)
+	}
+	if len(a.bytes) < len(b) {
+		a.bytes = make([]byte, max(a.size, len(b))*(a.left+1))
+	}
+	c := a.bytes[:len(b):len(b)]
+	copy(c, b)
+	a.bytes = a.bytes[len(b):]
+	return c
+}
+
+// DecodeRow deserialises a row encoded by EncodeRow into arena a (nil: memory
+// of the row's own). The row shares no memory with data (VARCHAR and opaque
+// values are copied), so data may be a page's own bytes, read under its
+// latch.
+func DecodeRow(schema []Type, data []byte, a *Arena) ([]Datum, error) {
 	if len(data) < 1 {
 		return nil, errors.New("types: truncated row")
 	}
@@ -415,16 +471,22 @@ func DecodeRow(schema []Type, data []byte) ([]Datum, error) {
 	if n != len(schema) {
 		return nil, fmt.Errorf("types: row arity %d != schema arity %d", n, len(schema))
 	}
+	if len(data) < 1+(n+7)/8 {
+		return nil, errors.New("types: truncated row")
+	}
 	nulls := data[1 : 1+(n+7)/8]
 	pos := 1 + (n+7)/8
-	row := make([]Datum, n)
+	row := a.row(n)
+	if a != nil {
+		a.size = varBytes(schema, nulls, len(data)-pos)
+	}
 	for i := 0; i < n; i++ {
 		if nulls[i/8]&(1<<(i%8)) != 0 {
 			row[i] = nil
 			continue
 		}
 		var err error
-		row[i], pos, err = readDatum(schema[i], data, pos)
+		row[i], pos, err = readDatum(schema[i], data, pos, a)
 		if err != nil {
 			return nil, fmt.Errorf("types: column %d: %w", i, err)
 		}
@@ -432,7 +494,27 @@ func DecodeRow(schema []Type, data []byte) ([]Datum, error) {
 	return row, nil
 }
 
-func readDatum(t Type, data []byte, pos int) (Datum, int, error) {
+// varBytes is what a row's VARCHAR and opaque values hold: the rest bytes of
+// its encoding after the null bitmap, less the fixed-width values and the
+// length words. It only sizes the arena; readDatum catches a malformed row.
+func varBytes(schema []Type, nulls []byte, rest int) int {
+	for i, t := range schema {
+		if nulls[i/8]&(1<<(i%8)) != 0 {
+			continue
+		}
+		switch t.Kind {
+		case KBool:
+			rest--
+		case KVarchar, KOpaque:
+			rest -= 4
+		default:
+			rest -= 8
+		}
+	}
+	return rest
+}
+
+func readDatum(t Type, data []byte, pos int, a *Arena) (Datum, int, error) {
 	need := func(k int) error {
 		if pos+k > len(data) {
 			return errors.New("truncated value")
@@ -450,7 +532,7 @@ func readDatum(t Type, data []byte, pos int) (Datum, int, error) {
 			return nil, pos, err
 		}
 		return math.Float64frombits(binary.BigEndian.Uint64(data[pos:])), pos + 8, nil
-	case KVarchar:
+	case KVarchar, KOpaque:
 		if err := need(4); err != nil {
 			return nil, pos, err
 		}
@@ -459,7 +541,11 @@ func readDatum(t Type, data []byte, pos int) (Datum, int, error) {
 		if err := need(l); err != nil {
 			return nil, pos, err
 		}
-		return string(data[pos : pos+l]), pos + l, nil
+		b := a.keep(data[pos : pos+l])
+		if t.Kind == KOpaque {
+			return Opaque{TypeID: t.OpaqueID, Data: b}, pos + l, nil
+		}
+		return unsafe.String(unsafe.SliceData(b), len(b)), pos + l, nil
 	case KBool:
 		if err := need(1); err != nil {
 			return nil, pos, err
@@ -470,16 +556,6 @@ func readDatum(t Type, data []byte, pos int) (Datum, int, error) {
 			return nil, pos, err
 		}
 		return chronon.Instant(binary.BigEndian.Uint64(data[pos:])), pos + 8, nil
-	case KOpaque:
-		if err := need(4); err != nil {
-			return nil, pos, err
-		}
-		l := int(binary.BigEndian.Uint32(data[pos:]))
-		pos += 4
-		if err := need(l); err != nil {
-			return nil, pos, err
-		}
-		return Opaque{TypeID: t.OpaqueID, Data: append([]byte(nil), data[pos:pos+l]...)}, pos + l, nil
 	}
 	return nil, pos, fmt.Errorf("undecodable kind %v", t.Kind)
 }

@@ -161,7 +161,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeRow(schema, enc)
+	dec, err := DecodeRow(schema, enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestRowCodecNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeRow(schema, enc)
+	dec, err := DecodeRow(schema, enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +204,66 @@ func TestRowCodecErrors(t *testing.T) {
 	if _, err := EncodeRow(schema, []Datum{"not an int"}); err == nil {
 		t.Fatal("type mismatch must fail")
 	}
-	if _, err := DecodeRow(schema, nil); err == nil {
+	if _, err := DecodeRow(schema, nil, nil); err == nil {
 		t.Fatal("empty row must fail")
 	}
 	enc, _ := EncodeRow(schema, []Datum{int64(1)})
-	if _, err := DecodeRow(schema, enc[:len(enc)-2]); err == nil {
+	if _, err := DecodeRow(schema, enc[:len(enc)-2], nil); err == nil {
 		t.Fatal("truncated row must fail")
 	}
-	if _, err := DecodeRow([]Type{Builtin(KInt), Builtin(KInt)}, enc); err == nil {
+	if _, err := DecodeRow([]Type{Builtin(KInt), Builtin(KInt)}, enc, nil); err == nil {
 		t.Fatal("schema mismatch must fail")
 	}
 	// Opaque column mismatch.
 	opSchema := []Type{{Kind: KOpaque, OpaqueID: 1}}
 	if _, err := EncodeRow(opSchema, []Datum{Opaque{TypeID: 2}}); err == nil {
 		t.Fatal("opaque id mismatch must fail")
+	}
+}
+
+// TestArenaRowsAreTheirOwn decodes rows of mixed widths into one arena sized
+// for fewer rows than it gets, then appends to every row and to every opaque
+// value's bytes, as a consumer may: each row still equals its encoding
+// decoded afresh, so no append reached a neighbour's memory.
+func TestArenaRowsAreTheirOwn(t *testing.T) {
+	schema := []Type{Builtin(KInt), Builtin(KVarchar), {Kind: KOpaque, OpaqueID: 7}}
+	var encs [][]byte
+	for i := 0; i < 40; i++ {
+		row := []Datum{int64(1000 + i), strings.Repeat("s", i%9), Opaque{TypeID: 7, Data: []byte(strings.Repeat("o", 3*i))}}
+		if i%5 == 0 {
+			row[1] = nil
+		}
+		enc, err := EncodeRow(schema, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encs = append(encs, enc)
+	}
+	a := NewArena(8)
+	rows := make([][]Datum, len(encs))
+	for i, enc := range encs {
+		row, err := DecodeRow(schema, enc, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = row
+	}
+	for _, row := range rows {
+		_ = append(row, "appended")
+		if o := row[2].(Opaque); cap(o.Data) != len(o.Data) {
+			t.Fatalf("opaque bytes of capacity %d for length %d", cap(o.Data), len(o.Data))
+		} else {
+			_ = append(o.Data, 'x')
+		}
+	}
+	for i, enc := range encs {
+		want, err := DecodeRow(schema, enc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(rows[i]) != fmt.Sprint(want) {
+			t.Fatalf("row %d reads %v, decoded afresh %v", i, rows[i], want)
+		}
 	}
 }
 
@@ -228,7 +274,7 @@ func TestRowCodecPropertyInts(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := DecodeRow(schema, enc)
+		dec, err := DecodeRow(schema, enc, nil)
 		if err != nil {
 			return false
 		}

@@ -31,7 +31,8 @@
 # ChooseSubtree picks what the exhaustive loop picks in every key class;
 # TestStartMaximaAreSound and TestZeroPadReadsAsUnknown: start maxima never
 # prune an answer, and old pages read as unknown; TestCompiledMatchesReference:
-# the compiled matcher answers as the reference evaluation), log-less undo
+# the compiled matcher, with its raw-time leaf pre-check, answers as the
+# reference evaluation, also on entries at the pre-check's edges), log-less undo
 # (TestNoWALUndoFailedStatement and TestNoWALUndoDirtyRead: a NoWAL failed
 # statement or ROLLBACK takes back its own row versions;
 # TestNoWALRefusesDDLInATransaction: such an engine refuses DDL inside BEGIN
@@ -55,7 +56,10 @@
 # TestCursorRestartsOnSplits: a restart produces nothing twice), and the
 # transaction-id seed (TestTxIDsDoNotRepeatAfterReadOnlyTraffic: ids and
 # commit stamps taken after a reopen lie above those taken before it,
-# read-only statements included). Tier-1
+# read-only statements included), and the per-row path of a scan
+# (TestRowsOutliveTheirBatch: rows kept past their decode arena's batch, from
+# index and sequential scans, equal a fresh read after more scans;
+# TestLRUVictimOrder: the buffer pool's intrusive LRU evicts in exact order). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -117,8 +121,9 @@ go test -race -count=3 -run 'TestCheckIndexCatchesAnEscapingChild|TestAggregateC
 # exhaustive R* overlap loop picks, in every key class; a GR-tree bound's
 # start maxima must never prune a subtree holding an answer, and pages
 # written before they were kept must read as "unknown"; and the compiled
-# matcher must answer as the reference evaluation that carries the same
-# pruning tests.
+# matcher, which rejects leaf entries on their raw times before resolving
+# them, must answer as the reference evaluation that carries the same
+# pruning tests, on random entries and on entries at the pre-check's edges.
 echo "== go test -race -count=3 exact ChooseSubtree + start maxima + compiled matcher"
 go test -race -count=3 -run TestChooseSubtreeIsExhaustive ./internal/rtree
 go test -race -count=3 -run 'TestStartMaximaAreSound|TestZeroPadReadsAsUnknown|TestCompiledMatchesReference' ./internal/grtree
@@ -163,6 +168,16 @@ echo "== go test -count=3 MIN/MAX branch and bound + lazy returned set + transac
 go test -count=3 -run TestExtremeReadsFewerNodesThanCount ./internal/grtree
 go test -race -count=3 -run 'TestAggregatesAgreeWithDrain|TestCursorRestartsWithoutDuplicates' ./internal/rtree
 go test -race -count=3 -run TestTxIDsDoNotRepeatAfterReadOnlyTraffic ./internal/engine
+
+# The per-row path of a scan: each batch decodes into a fresh arena that no
+# later batch writes, so rows kept past their batch (an index scan over
+# several am_getmulti batches, a sequential scan over several pages, streamed
+# and materialised) equal a fresh read after more scans; and the buffer
+# pool's intrusive LRU list evicts in exact order of last unpin. The leaf
+# pre-check's edges are in TestCompiledMatchesReference, run above.
+echo "== go test -race -count=3 decode arenas + LRU victim order"
+go test -race -count=3 -run TestRowsOutliveTheirBatch ./internal/blades/grtblade
+go test -race -count=3 -run TestLRUVictimOrder ./internal/storage
 
 # Crash recovery: redo's page writes may evict dirty pages, whose flush hook
 # forces the log while the redo scan is reading it. Both regressions hung

@@ -13,7 +13,7 @@
 //	.clock            print the current time
 //	.clock 3/98       set the current time
 //	.advance 30       advance the clock by 30 days
-//	.profile on|off   print each statement's execution profile
+//	.profile on|off   print each statement's execution profile (SET EXPLAIN ON|OFF)
 //	.quit             exit
 //
 // Observability: EXPLAIN <stmt> prints the access plan, SET TRACE <class>
@@ -95,7 +95,8 @@ func embeddedShell(dir, start string) error {
 	return nil
 }
 
-// embeddedExec runs a script on an in-process session.
+// embeddedExec runs a script on an in-process session. The profile is
+// rendered, as the server renders it, only under SET EXPLAIN ON.
 func embeddedExec(e *engine.Engine, s *engine.Session) func(string) (string, string, error) {
 	return func(src string) (string, string, error) {
 		res, err := s.ExecScript(src)
@@ -103,8 +104,8 @@ func embeddedExec(e *engine.Engine, s *engine.Session) func(string) (string, str
 			return "", "", err
 		}
 		profile := ""
-		if res != nil && res.Stats != nil {
-			profile = fmt.Sprint(res.Stats)
+		if res != nil && res.Stats != nil && s.Vars().Explain() {
+			profile = res.Stats.String()
 		}
 		return e.FormatResult(res), profile, nil
 	}
@@ -125,35 +126,45 @@ func remoteShell(addr string) error {
 	defer c.Close()
 	fmt.Printf("connected to %s — %s\n", addr, c.Banner())
 	fmt.Println(`type SQL terminated by ';', or ".help" for meta commands`)
-	exec := func(src string) (string, string, error) {
+	repl(os.Stdin, os.Stdout, remoteExec(c), remoteMeta(os.Stdout))
+	return nil
+}
+
+// remoteExec runs a script over a client connection.
+func remoteExec(c *client.Conn) func(string) (string, string, error) {
+	return func(src string) (string, string, error) {
 		res, err := c.Exec(src)
 		if err != nil {
 			return "", "", err
 		}
 		return c.Format(res), res.Profile, nil
 	}
-	meta := func(fields []string) bool {
+}
+
+// remoteMeta is the remote shell's meta commands: the clock ones only say
+// that the clock is the server's.
+func remoteMeta(out io.Writer) func([]string) bool {
+	return func(fields []string) bool {
 		switch fields[0] {
 		case ".help":
-			fmt.Println("(.clock/.advance need an embedded shell: the clock is server-side)")
+			fmt.Fprintln(out, "(.clock/.advance need an embedded shell: the clock is server-side)")
 		case ".clock", ".advance":
-			fmt.Println("the current time lives in the server; restart tinybladed with -clock to change it")
+			fmt.Fprintln(out, "the current time lives in the server; restart tinybladed with -clock to change it")
 		default:
 			return false
 		}
 		return true
 	}
-	repl(os.Stdin, os.Stdout, exec, meta)
-	return nil
 }
 
 // repl is the shell loop of both modes: it buffers lines until one ends in
 // ';', runs the buffer through exec, and prints the result text (plus the
-// statement profile under .profile on) or the error with its SQLSTATE code.
-// A line starting with '.' outside a statement is a meta command: .quit,
-// .profile [on|off] and .help are handled here, and every command, .help
-// included, goes to the mode's meta, which reports whether it knew it. The
-// loop ends at .quit or the end of in.
+// statement profile, which exec returns under SET EXPLAIN ON) or the error
+// with its SQLSTATE code. A line starting with '.' outside a statement is a
+// meta command: .quit, .profile [on|off] (SET EXPLAIN ON|OFF through exec)
+// and .help are handled here, and every command, .help included, goes to the
+// mode's meta, which reports whether it knew it. The loop ends at .quit or
+// the end of in.
 func repl(in io.Reader, out io.Writer, exec func(src string) (text, profile string, err error), meta func(fields []string) bool) {
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -176,15 +187,19 @@ func repl(in io.Reader, out io.Writer, exec func(src string) (text, profile stri
 			case ".quit", ".q", ".exit":
 				return
 			case ".profile":
+				on := !profile
 				if len(fields) == 2 && (fields[1] == "on" || fields[1] == "off") {
-					profile = fields[1] == "on"
-				} else {
-					profile = !profile
+					on = fields[1] == "on"
 				}
 				state := "off"
-				if profile {
+				if on {
 					state = "on"
 				}
+				if _, _, err := exec("SET EXPLAIN " + state + ";"); err != nil {
+					fmt.Fprintln(out, "error:", err)
+					continue
+				}
+				profile = on
 				fmt.Fprintln(out, "statement profiling", state)
 			case ".help":
 				fmt.Fprintln(out, ".profile on|off | .quit")
@@ -209,7 +224,7 @@ func repl(in io.Reader, out io.Writer, exec func(src string) (text, profile stri
 			fmt.Fprintln(out, "error:", err)
 		} else {
 			fmt.Fprint(out, text)
-			if profile && prof != "" {
+			if prof != "" {
 				fmt.Fprintln(out, "profile:", prof)
 			}
 		}

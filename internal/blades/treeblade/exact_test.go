@@ -16,6 +16,9 @@ import (
 // whole WHERE pushed down, under a registered snapshot. Everywhere else the
 // filter still runs, and engine.recheck_skipped stays flat. In every case the
 // index answer equals a sequential scan of an unindexed twin and an oracle.
+// The statement's plan says what the counter says, and EXPLAIN, which opens
+// no scan, says the re-check runs unless am_beginscan reports an exact answer
+// wherever the whole WHERE is pushed down under a registered snapshot.
 func TestRecheckRunsUnlessTheAnswerIsExact(t *testing.T) {
 	const (
 		q     = `1/91, 1/95, 1/91, 1/95`
@@ -85,10 +88,67 @@ func TestRecheckRunsUnlessTheAnswerIsExact(t *testing.T) {
 				if strings.Join(got, ",") != strings.Join(oracle, ",") {
 					t.Fatalf("%s: %v, oracle %v", table, got, oracle)
 				}
-				if want := tc.skip && table == "TI"; moved != want {
+				want := tc.skip && table == "TI"
+				if moved != want {
 					t.Fatalf("%s: engine.recheck_skipped moved %v, want %v", table, moved, want)
+				}
+				if skippedLine := strings.Contains(res.Plan.String(), "WHERE re-check skipped"); (res.Plan.Recheck == engine.RecheckSkipped) != want || skippedLine != want {
+					t.Fatalf("%s: plan records re-check %d, want skipped=%v:\n%s", table, res.Plan.Recheck, want, res.Plan)
+				}
+				ex := exec(t, s, fmt.Sprintf(`EXPLAIN SELECT N FROM %s WHERE %s`, table, tc.where))
+				unless := table == "TI" && tc.where == whole && tc.isolation != "DIRTY READ"
+				if got := strings.Contains(ex.Plan.String(), "re-checked per row unless am_beginscan reports an exact answer"); got != unless {
+					t.Fatalf("%s: EXPLAIN says the re-check may be skipped: %v, want %v:\n%s", table, got, unless, ex.Plan)
 				}
 			}
 		})
+	}
+}
+
+// Sessions executing one prepared statement share its cached plan, and each
+// records whether its own re-check ran on its own Plan: a SNAPSHOT session's
+// exact scans skip it while a DIRTY READ session's keep it, at the same time.
+func TestPlanRecordsTheRecheckPerStatement(t *testing.T) {
+	e := open(t, engine.Options{})
+	setup := e.NewSession()
+	defer setup.Close()
+	exec(t, setup, `CREATE SBSPACE spc`)
+	exec(t, setup, `CREATE TABLE T (N INTEGER, X GRT_TimeExtent_t)`)
+	exec(t, setup, `INSERT INTO T VALUES (1, '1/91, 1/95, 1/91, 1/95'), (2, '1/92, UC, 1/92, NOW'), (3, '1/80, 1/81, 1/80, 1/81')`)
+	exec(t, setup, `CREATE INDEX ix ON T(X grt_opclass) USING grtree_am IN spc`)
+
+	const rounds = 50
+	errs := make(chan error, 2)
+	for _, iso := range []string{"SNAPSHOT", "DIRTY READ"} {
+		s := e.NewSession()
+		defer s.Close()
+		exec(t, s, `SET ISOLATION TO `+iso)
+		exec(t, s, `PREPARE q AS SELECT N FROM T WHERE Overlaps(X, '1/93, 1/94, 1/93, 1/94')`)
+		want := engine.RecheckSkipped
+		if iso == "DIRTY READ" {
+			want = engine.RecheckPerRow
+		}
+		go func(s *engine.Session, iso string, want engine.Recheck) {
+			for i := 0; i < rounds; i++ {
+				res, err := s.Exec(`EXECUTE q`)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(res.Rows) != 2 || res.Plan.Recheck != want {
+					errs <- fmt.Errorf("%s round %d: %d rows, re-check %d, want %d:\n%s", iso, i, len(res.Rows), res.Plan.Recheck, want, res.Plan)
+					return
+				}
+			}
+			errs <- nil
+		}(s, iso, want)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Obs().Counter("plan_cache.hits").Load() == 0 {
+		t.Fatal("the sessions never shared a cached plan")
 	}
 }

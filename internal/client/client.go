@@ -4,7 +4,9 @@
 // ports to the network with the same result shapes and the same error
 // dispatch. Opaque datums are decoded through the local type registry's
 // Receive support function — a client that registers the same blades as the
-// server gets identical values; one that doesn't still gets display text.
+// server gets identical values; one that doesn't still gets display text,
+// which the server sends for exactly the types the client's Hello did not
+// list.
 package client
 
 import (
@@ -18,7 +20,8 @@ import (
 
 // Result is a fully materialized statement outcome — the network analogue
 // of engine.Result, with the plan and profile already rendered to text
-// (the wire carries them rendered; the structures stay server-side).
+// (the wire carries them rendered; the structures stay server-side). Plan
+// and Profile are empty unless the connection ran SET EXPLAIN ON.
 type Result struct {
 	Columns  []string
 	ColTypes []types.Type
@@ -42,14 +45,15 @@ type Conn struct {
 
 // Dial connects and performs the handshake. The registry (may be nil)
 // supplies the opaque-type support functions for datum decode; register the
-// same blades as the server for full-fidelity values.
+// same blades as the server for full-fidelity values. The Hello lists the
+// registry's opaque types, so the server omits their display text.
 func Dial(addr string, reg *types.Registry) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	c := &Conn{nc: nc, wc: wire.NewConn(nc, reg), reg: reg}
-	if err := c.wc.Send(&wire.Hello{Version: wire.Version, Banner: "tinyblade client"}); err != nil {
+	if err := c.wc.Send(&wire.Hello{Version: wire.Version, Banner: "tinyblade client", Types: reg.Names()}); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -257,7 +261,8 @@ func (r *Rows) Columns() []string { return r.res.Columns }
 // client's registry (available immediately).
 func (r *Rows) ColTypes() []types.Type { return r.res.ColTypes }
 
-// Plan returns the statement's rendered access plan ("" when none).
+// Plan returns the statement's rendered access plan: "" when the statement
+// has none, or the connection has not run SET EXPLAIN ON.
 func (r *Rows) Plan() string { return r.res.Plan }
 
 // NextBatch returns the next batch of rows, or nil once the stream is

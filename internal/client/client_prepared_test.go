@@ -49,7 +49,11 @@ func TestClientPreparedRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A streaming prepared Query delivers a plan and keeps the busy check.
+	// A streaming prepared Query delivers a plan, under SET EXPLAIN ON, and
+	// keeps the busy check.
+	if _, err := c.Exec(`SET EXPLAIN ON`); err != nil {
+		t.Fatal(err)
+	}
 	rows, err := stmt.Query("Rita")
 	if err != nil {
 		t.Fatal(err)

@@ -120,11 +120,13 @@ func TestClientEmbeddedAgreement(t *testing.T) {
 }
 
 // Opaque datums must arrive as true types.Opaque values on a bladed client
-// (decodable by the blade) and as display text on a blade-less one.
+// (decodable by the blade) and as display text on a blade-less one: the
+// bladed client's Hello listed the type, the blade-less one's did not.
 func TestClientOpaqueRoundTrip(t *testing.T) {
 	_, addr := startServer(t)
 
-	bladed, err := Dial(addr, bladedRegistry(t))
+	reg := bladedRegistry(t)
+	bladed, err := Dial(addr, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +163,13 @@ func TestClientOpaqueRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ok := res.Rows[0][0].(string)
-	if !ok || s == "" {
-		t.Fatalf("blade-less client datum: %#v", res.Rows[0][0])
+	ot, _ := reg.Lookup(grtblade.TypeName)
+	want, err := ot.Support.Output(op.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := res.Rows[0][0].(string); !ok || s != want {
+		t.Fatalf("blade-less client datum: %#v, want the Output text %q", res.Rows[0][0], want)
 	}
 }
 

@@ -267,10 +267,9 @@ func (s *Session) planAccess(tb *catalog.Table, schema []types.Type, where sql.E
 		return accessPath{}, nil, err
 	}
 	plan := &Plan{
-		Table:     tb.Name,
-		SeqCost:   float64(table.Pages()),
-		BatchCap:  s.e.opts.ScanBatchSize,
-		HasFilter: where != nil,
+		Table:    tb.Name,
+		SeqCost:  float64(table.Pages()),
+		BatchCap: s.e.opts.ScanBatchSize,
 	}
 	// Collected statistics (UPDATE STATISTICS, exec.go) refine the
 	// sequential alternative: page fetches plus a per-row CPU charge,
@@ -289,6 +288,7 @@ func (s *Session) planAccess(tb *catalog.Table, schema []types.Type, where sql.E
 	if where == nil {
 		return accessPath{}, plan, nil
 	}
+	plan.Recheck = RecheckPerRow
 
 	best := accessPath{}
 	bestCost := plan.SeqCost
@@ -346,6 +346,9 @@ func (s *Session) planAccess(tb *catalog.Table, schema []types.Type, where sql.E
 			return accessPath{}, plan, nil
 		}
 		plan.Choices[bestIdx].Chosen = true
+		if best.full {
+			plan.Recheck = RecheckUnlessExact
+		}
 	}
 	return best, plan, nil
 }
@@ -490,7 +493,7 @@ func (s *Session) scanRows(tb *catalog.Table, table *heap.Table, where sql.Expr,
 	snap := s.stmtSnapshot(true)
 	plan.SnapshotLSN = snap.ReadLSN
 	s.ec.SetSnapshot(snap.ReadLSN)
-	it, err := s.openBatchScan(tb, table, table.Schema(), where, path, 1, snap)
+	it, err := s.openBatchScan(tb, table, table.Schema(), where, path, plan, 1, snap)
 	if err != nil {
 		return nil, err
 	}

@@ -243,9 +243,10 @@ func (it *filterBatchIter) close() { it.src.close() }
 // openBatchScan assembles the pipeline for a planned access path: source
 // (virtual index or heap sequential scan, fanned out to workers when the
 // statement was planned with a parallel degree > 1) plus the WHERE
-// re-filter, which an exact index answer does without (exactAnswer).
+// re-filter, which an exact index answer does without (exactAnswer). It
+// records on plan, the statement's own, whether the re-check runs.
 func (s *Session) openBatchScan(tb *catalog.Table, table *heap.Table, schema []types.Type,
-	where sql.Expr, path accessPath, workers int, snap *heap.Snapshot) (batchIterator, error) {
+	where sql.Expr, path accessPath, plan *Plan, workers int, snap *heap.Snapshot) (batchIterator, error) {
 	batch := s.e.opts.ScanBatchSize
 	var src batchIterator
 	if path.index != nil {
@@ -258,6 +259,7 @@ func (s *Session) openBatchScan(tb *catalog.Table, table *heap.Table, schema []t
 		}
 		if exactAnswer(path, sd, snap) {
 			s.e.recheckSkipped.Inc()
+			plan.Recheck = RecheckSkipped
 			return src, nil
 		}
 	} else {
@@ -266,6 +268,7 @@ func (s *Session) openBatchScan(tb *catalog.Table, table *heap.Table, schema []t
 	if where == nil {
 		return src, nil
 	}
+	plan.Recheck = RecheckPerRow
 	return &filterBatchIter{src: src, s: s, tb: tb, schema: schema, where: where}, nil
 }
 

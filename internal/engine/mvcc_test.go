@@ -63,7 +63,7 @@ func runMidScanCommit(t *testing.T, workers int) {
 	defer e.releaseSnapshot(h)
 
 	before := lockAcquires(e)
-	it, err := r.openBatchScan(tb, table, table.Schema(), nil, accessPath{}, workers, h.snap)
+	it, err := r.openBatchScan(tb, table, table.Schema(), nil, accessPath{}, &Plan{}, workers, h.snap)
 	if err != nil {
 		t.Fatal(err)
 	}

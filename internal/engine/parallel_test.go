@@ -307,7 +307,7 @@ func TestParallelEarlyCloseNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
 		s.ec = obs.NewExecContext(e.Obs())
-		it, err := s.openBatchScan(tb, table, table.Schema(), nil, accessPath{}, 4, nil)
+		it, err := s.openBatchScan(tb, table, table.Schema(), nil, accessPath{}, &Plan{}, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

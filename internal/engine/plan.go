@@ -24,10 +24,11 @@ type Plan struct {
 	// am_beginscan (subject to negotiation); <= 1 means the row-at-a-time
 	// am_getnext protocol.
 	BatchCap int
-	// HasFilter reports whether a WHERE clause is re-checked per row. It is
-	// decided before am_beginscan: an index scan whose access method then
-	// reports an exact answer skips the re-check (exactAnswer, iter.go).
-	HasFilter bool
+	// Recheck says whether the WHERE clause is re-checked on each row. The
+	// planner decides RecheckPerRow or RecheckUnlessExact; opening the scan
+	// settles the second into RecheckSkipped or RecheckPerRow once
+	// am_beginscan has answered (exactAnswer, iter.go).
+	Recheck Recheck
 	// Workers is the degree of parallelism the executor will offer the scan
 	// (SET PARALLEL capped by GOMAXPROCS and the access path's support);
 	// <= 1 means a serial scan. The access method may still decline or
@@ -51,6 +52,37 @@ type Plan struct {
 	// catalog-generation distance since UPDATE STATISTICS collected them),
 	// "default" when the planner fell back to built-in constants.
 	CostSource string
+}
+
+// Recheck is how a statement's WHERE clause is applied to the rows its scan
+// returns.
+type Recheck uint8
+
+const (
+	// RecheckNone: the statement has no WHERE clause.
+	RecheckNone Recheck = iota
+	// RecheckPerRow: every row is re-checked.
+	RecheckPerRow
+	// RecheckUnlessExact: planned, scan not opened. The chosen index's
+	// qualification is the whole WHERE clause, so an exact answer reported
+	// at am_beginscan would skip the re-check.
+	RecheckUnlessExact
+	// RecheckSkipped: the access method reported an exact answer at
+	// am_beginscan, and no row is re-checked.
+	RecheckSkipped
+)
+
+// filterLine renders the plan's filter: line, "" when there is none.
+func (r Recheck) filterLine() string {
+	switch r {
+	case RecheckPerRow:
+		return "       filter:      WHERE re-checked per row"
+	case RecheckUnlessExact:
+		return "       filter:      WHERE re-checked per row unless am_beginscan reports an exact answer"
+	case RecheckSkipped:
+		return "       filter:      WHERE re-check skipped (exact index answer)"
+	}
+	return ""
 }
 
 // PlanChoice is one candidate index the planner considered.
@@ -85,8 +117,8 @@ func (p *Plan) Lines() []string {
 		if p.Workers > 1 {
 			out = append(out, fmt.Sprintf("       parallel:    workers=%d (page-range partitions)", p.Workers))
 		}
-		if p.HasFilter {
-			out = append(out, "       filter:      WHERE re-checked per row")
+		if ln := p.Recheck.filterLine(); ln != "" {
+			out = append(out, ln)
 		}
 		out = append(out, "       plan:        "+p.cacheLine())
 		if p.SnapshotLSN > 0 {
@@ -113,8 +145,8 @@ func (p *Plan) Lines() []string {
 	if p.Workers > 1 {
 		out = append(out, fmt.Sprintf("       parallel:    workers=%d (am_parallelscan offer)", p.Workers))
 	}
-	if p.HasFilter {
-		out = append(out, "       filter:      WHERE re-checked per row")
+	if ln := p.Recheck.filterLine(); ln != "" {
+		out = append(out, ln)
 	}
 	out = append(out, "       plan:        "+p.cacheLine())
 	if p.SnapshotLSN > 0 {
@@ -213,6 +245,9 @@ func (s *Session) explain(t *sql.Explain) (*Result, error) {
 		snap := s.stmtSnapshot(false)
 		plan.SnapshotLSN = snap.ReadLSN
 		s.ec.SetSnapshot(snap.ReadLSN)
+		if snap.Dirty && plan.Recheck == RecheckUnlessExact {
+			plan.Recheck = RecheckPerRow // exactAnswer never trusts a DIRTY READ
+		}
 	}
 	res := &Result{
 		Columns:  []string{"QUERY PLAN"},

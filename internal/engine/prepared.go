@@ -74,9 +74,9 @@ type cachedPlan struct {
 	seqCost    float64
 	cost       float64
 	costed     bool
-	hasFilter  bool
-	full       bool   // the qual covers the whole WHERE (aggregate pushdown gate)
-	costSource string // estimate family the plan was costed from (EXPLAIN)
+	recheck    Recheck // as planned: RecheckPerRow or RecheckUnlessExact when there is a WHERE
+	full       bool    // the qual covers the whole WHERE (aggregate pushdown gate)
+	costSource string  // estimate family the plan was costed from (EXPLAIN)
 }
 
 // registerPrepared validates and registers a statement under name. Only DML
@@ -369,7 +369,7 @@ func (s *Session) bindCached(cp *cachedPlan, tb *catalog.Table, idxs []openIndex
 		Table:      tb.Name,
 		SeqCost:    cp.seqCost,
 		BatchCap:   s.e.opts.ScanBatchSize,
-		HasFilter:  cp.hasFilter,
+		Recheck:    cp.recheck,
 		Cached:     true,
 		CostSource: cp.costSource,
 	}
@@ -398,7 +398,7 @@ func (s *Session) bindCached(cp *cachedPlan, tb *catalog.Table, idxs []openIndex
 // cacheEntry converts a freshly planned access path into its shared-cache
 // form.
 func (s *Session) cacheEntry(op string, path accessPath, plan *Plan) *cachedPlan {
-	cp := &cachedPlan{op: op, seqCost: plan.SeqCost, hasFilter: plan.HasFilter,
+	cp := &cachedPlan{op: op, seqCost: plan.SeqCost, recheck: plan.Recheck,
 		full: path.full, costSource: plan.CostSource}
 	if path.index != nil {
 		cp.index = path.index.desc.Name

@@ -84,7 +84,7 @@ func (s *Session) openSelectCursor(t *sql.Select) (*selectCursor, error) {
 		}
 	}
 
-	it, err := s.openBatchScan(tb, table, schema, t.Where, path, plan.Workers, snap)
+	it, err := s.openBatchScan(tb, table, schema, t.Where, path, plan, plan.Workers, snap)
 	if err != nil {
 		closeAll()
 		return nil, err

@@ -29,11 +29,13 @@ type SessionVars struct {
 	commit    wal.CommitMode
 	parallel  int
 	planCache bool
+	explain   bool
 	trace     map[string]int // by lower-cased trace class
 }
 
 // NewSessionVars returns the default session state: COMMITTED READ
-// isolation, GROUP commit, serial scans, plan cache on, no tracing.
+// isolation, GROUP commit, serial scans, plan cache on, EXPLAIN off, no
+// tracing.
 func NewSessionVars() *SessionVars {
 	return &SessionVars{iso: lock.CommittedRead, commit: wal.CommitGroup, planCache: true}
 }
@@ -87,6 +89,15 @@ func (v *SessionVars) PlanCache() bool {
 	return v.planCache
 }
 
+// Explain reports whether the session asked for each statement's plan and
+// profile text (SET EXPLAIN ON, Informix's statement): the network server
+// renders and sends them only then.
+func (v *SessionVars) Explain() bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.explain
+}
+
 // TraceLevel returns the session's requested level for a trace class (0
 // when the class was never set).
 func (v *SessionVars) TraceLevel(class string) int {
@@ -130,6 +141,17 @@ var sessionVars = []sessionVar{
 			v.mu.Unlock()
 			return "commit mode set to " + m.String(), nil
 		}},
+	{"explain", func(v *SessionVars) string { return onOff(v.Explain()) },
+		func(v *SessionVars, value string) (string, error) {
+			on, err := parseOnOff("explain", value)
+			if err != nil {
+				return "", err
+			}
+			v.mu.Lock()
+			v.explain = on
+			v.mu.Unlock()
+			return "explain " + strings.ToLower(onOff(on)), nil
+		}},
 	{"isolation", func(v *SessionVars) string { return v.Isolation().String() },
 		func(v *SessionVars, value string) (string, error) {
 			l, ok := ParseIsolation(value)
@@ -162,15 +184,24 @@ var sessionVars = []sessionVar{
 	// EXECUTE — the A/B knob for measuring planning cost.
 	{"plan_cache", func(v *SessionVars) string { return onOff(v.PlanCache()) },
 		func(v *SessionVars, value string) (string, error) {
-			on := strings.EqualFold(value, "ON")
-			if !on && !strings.EqualFold(value, "OFF") {
-				return "", errf(CodeInvalidParameter, "bad plan_cache value %q (want ON or OFF)", value)
+			on, err := parseOnOff("plan_cache", value)
+			if err != nil {
+				return "", err
 			}
 			v.mu.Lock()
 			v.planCache = on
 			v.mu.Unlock()
 			return "plan cache " + strings.ToLower(onOff(on)), nil
 		}},
+}
+
+// parseOnOff reads a switch variable's value.
+func parseOnOff(name, value string) (bool, error) {
+	on := strings.EqualFold(value, "ON")
+	if !on && !strings.EqualFold(value, "OFF") {
+		return false, errf(CodeInvalidParameter, "bad %s value %q (want ON or OFF)", name, value)
+	}
+	return on, nil
 }
 
 func onOff(on bool) string {

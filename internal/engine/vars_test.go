@@ -21,6 +21,8 @@ func TestSessionVarsGetSet(t *testing.T) {
 		{"commit", "async", "ASYNC"},
 		{"commit", "SYNC", "SYNC"},
 		{"parallel", "0", "0"},
+		{"explain", "ON", "ON"},
+		{"EXPLAIN", "off", "OFF"},
 		{"trace.grt", "2", "2"},
 		{"TRACE.GRT", "3", "3"}, // names are case-insensitive
 	}
@@ -40,6 +42,7 @@ func TestSessionVarsGetSet(t *testing.T) {
 		{"isolation", "CHAOS"},
 		{"commit", "EVENTUALLY"},
 		{"parallel", "many"},
+		{"explain", "1"},
 		{"trace.grt", "-1"},
 		{"bogus", "1"},
 	} {
@@ -58,14 +61,14 @@ func TestSessionVarsList(t *testing.T) {
 	v := NewSessionVars()
 	v.SetTrace("GRT", 2)
 	kvs := v.List()
-	if len(kvs) != 5 {
+	if len(kvs) != 6 {
 		t.Fatalf("List: %v", kvs)
 	}
 	names := make([]string, len(kvs))
 	for i, kv := range kvs {
 		names[i] = kv.Name
 	}
-	want := "commit isolation parallel plan_cache trace.grt"
+	want := "commit explain isolation parallel plan_cache trace.grt"
 	if strings.Join(names, " ") != want {
 		t.Fatalf("List order %q, want %q", strings.Join(names, " "), want)
 	}
@@ -124,6 +127,8 @@ func TestSetStatementMessages(t *testing.T) {
 		{`SET PARALLEL 1`, "parallel scans disabled"},
 		{`SET PLAN_CACHE OFF`, "plan cache off"},
 		{`SET PLAN_CACHE TO on`, "plan cache on"},
+		{`SET EXPLAIN ON`, "explain on"},
+		{`SET EXPLAIN TO off`, "explain off"},
 		{`SET TRACE grt TO 2`, `trace class "grt" set to level 2`},
 		{`SET TRACE Idx 0`, `trace class "Idx" set to level 0`},
 	} {
@@ -138,6 +143,7 @@ func TestSetStatementMessages(t *testing.T) {
 		`SET ISOLATION TO bogus`,
 		`SET COMMIT EVENTUALLY`,
 		`SET PLAN_CACHE maybe`,
+		`SET EXPLAIN sometimes`,
 		`SET TRACE grt TO high`,
 	} {
 		if _, err := s.Exec(bad); ErrorCode(err) != CodeInvalidParameter {

@@ -241,8 +241,9 @@ func (c *conn) serve() {
 	}
 }
 
-// handshake validates the Hello and answers Welcome. Only the current
-// protocol version is spoken: every client in the tree sends it.
+// handshake validates the Hello and answers Welcome, listing the server's
+// opaque types as the Hello listed the client's. Only the current protocol
+// version is spoken: every client in the tree sends it.
 func (c *conn) handshake() bool {
 	m, err := c.wc.Recv()
 	if err != nil {
@@ -258,7 +259,7 @@ func (c *conn) handshake() bool {
 		})
 		return false
 	}
-	return c.wc.Send(&wire.Welcome{Version: wire.Version, Banner: c.srv.opts.Banner}) == nil
+	return c.wc.Send(&wire.Welcome{Version: wire.Version, Banner: c.srv.opts.Banner, Types: c.srv.e.Types().Names()}) == nil
 }
 
 // parse registers a named prepared statement on the session and acks with
@@ -332,7 +333,7 @@ func (c *conn) runExec(sess *engine.Session, ctx context.Context, src string) bo
 	if err != nil {
 		return c.sendErr(err)
 	}
-	return c.streamResult(str)
+	return c.streamResult(sess, str)
 }
 
 // runPrepared executes a prepared statement — the zero-parse hot path.
@@ -342,19 +343,21 @@ func (c *conn) runPrepared(sess *engine.Session, ctx context.Context, t *wire.Ex
 	if err != nil {
 		return c.sendErr(err)
 	}
-	return c.streamResult(str)
+	return c.streamResult(sess, str)
 }
 
 // streamResult drains a statement stream to the client as
-// Header/RowBatch.../Done.
-func (c *conn) streamResult(str *engine.Stream) bool {
+// Header/RowBatch.../Done. The plan and profile text are rendered only for a
+// session that asked for them (SET EXPLAIN ON).
+func (c *conn) streamResult(sess *engine.Session, str *engine.Stream) bool {
 	defer str.Close()
 
+	explain := sess.Vars().Explain()
 	hdr := &wire.Header{Columns: str.Columns()}
 	for _, t := range str.ColTypes() {
 		hdr.Types = append(hdr.Types, wire.KindOf(t))
 	}
-	if p := str.Plan(); p != nil {
+	if p := str.Plan(); explain && p != nil {
 		hdr.Plan = p.String()
 	}
 	if c.wc.Send(hdr) != nil {
@@ -376,7 +379,7 @@ func (c *conn) streamResult(str *engine.Stream) bool {
 	}
 	res := str.Result()
 	done := &wire.Done{Affected: int64(res.Affected), Message: res.Message}
-	if res.Stats != nil {
+	if explain && res.Stats != nil {
 		done.Profile = res.Stats.String()
 	}
 	return c.wc.Send(done) == nil

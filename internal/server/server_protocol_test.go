@@ -31,11 +31,12 @@ func recvMsg(t *testing.T, wc *wire.Conn) wire.Message {
 	return m
 }
 
-// A client speaking any other protocol version — the retired version 1,
-// or one from the future — is refused with an Error frame.
+// A client speaking any other protocol version — the retired versions 1
+// and 3 (whose Hello has no type list), or one from the future — is refused
+// with an Error frame.
 func TestServerRefusesUnknownVersion(t *testing.T) {
 	h := startServer(t, Options{})
-	for _, v := range []uint16{1, 99} {
+	for _, v := range []uint16{1, 3, 99} {
 		wc := rawDial(t, h)
 		if err := wc.Send(&wire.Hello{Version: v}); err != nil {
 			t.Fatal(err)

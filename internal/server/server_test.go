@@ -27,13 +27,19 @@ type harness struct {
 
 func startServer(t *testing.T, opts Options) *harness {
 	t.Helper()
-	e, err := engine.Open(engine.Options{Clock: chronon.NewVirtualClock(chronon.MustParse("9/97"))})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return serve(t, opts, ln)
+}
+
+// serve boots an in-memory engine and a server accepting on ln.
+func serve(t *testing.T, opts Options, ln net.Listener) *harness {
+	t.Helper()
+	e, err := engine.Open(engine.Options{Clock: chronon.NewVirtualClock(chronon.MustParse("9/97"))})
 	if err != nil {
-		e.Close()
+		ln.Close()
 		t.Fatal(err)
 	}
 	h := &harness{e: e, srv: New(e, opts), addr: ln.Addr().String(), done: make(chan error, 1)}
@@ -90,6 +96,8 @@ func TestServerRoundTrip(t *testing.T) {
 	if res.Affected != 3 {
 		t.Fatalf("insert affected %d", res.Affected)
 	}
+	// Plan and profile text travel only to a session that asked for them.
+	mustExec(t, c, `SET EXPLAIN ON`)
 	res = mustExec(t, c, `SELECT id, name FROM t WHERE id >= 2`)
 	if len(res.Rows) != 2 || res.Rows[0][0] != int64(2) || res.Rows[1][1] != nil {
 		t.Fatalf("select rows: %v", res.Rows)

@@ -176,6 +176,23 @@ func (r *Registry) LookupID(id uint32) (*OpaqueType, bool) {
 	return ot, ok
 }
 
+// Names lists the registered opaque type names, in registration order. A nil
+// registry has none.
+func (r *Registry) Names() []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, 0, len(r.byID))
+	for id := uint32(1); id < r.nextID; id++ {
+		if ot, ok := r.byID[id]; ok {
+			out = append(out, ot.Name)
+		}
+	}
+	return out
+}
+
 // TypeByName resolves a type name: built-ins first, then opaque types.
 // VARCHAR(n) collapses to VARCHAR.
 func (r *Registry) TypeByName(name string) (Type, error) {

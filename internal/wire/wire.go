@@ -3,6 +3,11 @@
 //
 //	uint32 payload length (big-endian) | 1 byte message type | payload
 //
+// A connection opens with
+//
+//	C: Hello{version, banner, opaque type names}
+//	S: Welcome{version, banner, opaque type names}  (or Error)
+//
 // and a statement round trip is
 //
 //	C: Exec{sql}
@@ -11,12 +16,22 @@
 //	S: Done{affected, message, profile}
 //	S: Error{sqlstate, message}            (instead, at any point)
 //
+// The plan and the profile are empty unless the session asked for them
+// (SET EXPLAIN ON).
+//
 // Datums travel in a tagged binary form. Values of opaque (user-defined)
 // types go through the type's Send support function on the way out and
 // Receive on the way in — exactly the client/server transformation the
-// support-function table in the paper reserves send/receive for — plus the
-// Output-rendered text, so a client that has not loaded the type's blade
-// still gets a displayable value.
+// support-function table in the paper reserves send/receive for. The
+// handshake tells each side which opaque types the other has registered;
+// for a type the peer lacks, the value also carries its Output text, so a
+// client that has not loaded the type's blade still gets a displayable
+// value. For a type the peer has, the text field is sent empty.
+//
+// Frames that end the sender's turn are flushed (Done, Error, Welcome,
+// Prepared, and every client frame); Header and RowBatch are not, so a
+// one-batch statement leaves the server in one write, and a longer stream
+// reaches the peer whenever the write buffer fills.
 package wire
 
 import (
@@ -33,8 +48,10 @@ import (
 // Version is the protocol revision sent in Hello/Welcome; the server speaks
 // only this one. Version 2 added the prepared-statement frames; version 3
 // passes EXECUTE arguments only inline (the Bind frame and the Welcome
-// capability bitmask are gone, which renumbers the frames after Prepared).
-const Version = 3
+// capability bitmask are gone, which renumbers the frames after Prepared);
+// version 4 lists each side's opaque types in Hello and Welcome and sends
+// an opaque value's Output text only to a peer that lacks its type.
+const Version = 4
 
 // MaxFrame bounds a frame payload (defense against corrupt length words).
 const MaxFrame = 64 << 20
@@ -92,16 +109,22 @@ func (t MsgType) String() string {
 // Message is any frame payload.
 type Message interface{ msgType() MsgType }
 
-// Hello opens a connection (client → server).
+// Hello opens a connection (client → server). Types names the opaque types
+// in the client's registry; the list is part of the frame only at the
+// current Version, so a Hello of any other version still decodes, and is
+// refused by its version.
 type Hello struct {
 	Version uint16
 	Banner  string
+	Types   []string
 }
 
-// Welcome acknowledges a Hello (server → client).
+// Welcome acknowledges a Hello (server → client). Types names the opaque
+// types in the server's registry, as in Hello.
 type Welcome struct {
 	Version uint16
 	Banner  string
+	Types   []string
 }
 
 // Exec submits SQL text — one statement or a semicolon-separated script
@@ -183,12 +206,19 @@ func (*ExecutePrepared) msgType() MsgType { return MsgExecutePrepared }
 func (*CloseStmt) msgType() MsgType       { return MsgCloseStmt }
 
 // Conn frames messages over a byte stream. Reads and writes are buffered;
-// Send flushes after every frame. A Conn is not safe for concurrent use on
-// the same direction, matching the strictly alternating protocol.
+// Send flushes every frame that ends the sender's turn, and leaves Header
+// and RowBatch in the buffer. A Conn is not safe for concurrent use on the
+// same direction, matching the strictly alternating protocol.
+//
+// A Conn keeps the opaque types its peer listed in the Hello or Welcome it
+// received, as local type ids; until then, and for a type the peer did not
+// list, opaque values carry their Output text.
 type Conn struct {
-	r   *bufio.Reader
-	w   *bufio.Writer
-	reg *types.Registry
+	r    *bufio.Reader
+	w    *bufio.Writer
+	reg  *types.Registry
+	peer map[uint32]bool // local opaque type ids the peer has registered
+	out  []byte          // the frame being encoded, reused across Sends
 }
 
 // NewConn wraps a stream. The registry drives opaque-datum send/receive;
@@ -198,16 +228,27 @@ func NewConn(rw io.ReadWriter, reg *types.Registry) *Conn {
 	return &Conn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw), reg: reg}
 }
 
-// Send encodes and flushes one message.
+// maxKeptFrame bounds the encode buffer a Conn keeps between Sends.
+const maxKeptFrame = 64 << 10
+
+// Send encodes one message, and flushes it unless it is a Header or a
+// RowBatch: those are followed by more of the same statement's frames, and
+// the Done or Error that ends it flushes them all.
 func (c *Conn) Send(m Message) error {
-	var e enc
+	e := enc{buf: append(c.out[:0], 0, 0, 0, 0, byte(m.msgType()))}
 	switch t := m.(type) {
 	case *Hello:
 		e.u16(t.Version)
 		e.str(t.Banner)
+		if t.Version == Version {
+			e.strs(t.Types)
+		}
 	case *Welcome:
 		e.u16(t.Version)
 		e.str(t.Banner)
+		if t.Version == Version {
+			e.strs(t.Types)
+		}
 	case *Exec:
 		e.str(t.SQL)
 	case *Parse:
@@ -218,7 +259,7 @@ func (c *Conn) Send(m Message) error {
 		e.u16(t.NParams)
 	case *ExecutePrepared:
 		e.str(t.Name)
-		if err := e.args(c.reg, t.Args); err != nil {
+		if err := e.args(c, t.Args); err != nil {
 			return err
 		}
 	case *CloseStmt:
@@ -239,7 +280,7 @@ func (c *Conn) Send(m Message) error {
 		for _, row := range t.Rows {
 			e.u32(uint32(len(row)))
 			for _, d := range row {
-				if err := e.datum(c.reg, d); err != nil {
+				if err := e.datum(c, d); err != nil {
 					return err
 				}
 			}
@@ -255,17 +296,19 @@ func (c *Conn) Send(m Message) error {
 	default:
 		return fmt.Errorf("wire: unsendable message %T", m)
 	}
-	if len(e.buf) > MaxFrame {
+	if cap(e.buf) <= maxKeptFrame {
+		c.out = e.buf
+	}
+	size := len(e.buf) - 5
+	if size > MaxFrame {
 		return fmt.Errorf("wire: %v frame exceeds %d bytes", m.msgType(), MaxFrame)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(e.buf)))
-	hdr[4] = byte(m.msgType())
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return err
-	}
+	binary.BigEndian.PutUint32(e.buf, uint32(size))
 	if _, err := c.w.Write(e.buf); err != nil {
 		return err
+	}
+	if t := m.msgType(); t == MsgHeader || t == MsgRowBatch {
+		return nil
 	}
 	return c.w.Flush()
 }
@@ -292,9 +335,19 @@ func (c *Conn) Recv() (Message, error) {
 	var m Message
 	switch MsgType(hdr[4]) {
 	case MsgHello:
-		m = &Hello{Version: d.u16(), Banner: d.str()}
+		h := &Hello{Version: d.u16(), Banner: d.str()}
+		if h.Version == Version {
+			h.Types = d.strs()
+			c.setPeer(h.Types)
+		}
+		m = h
 	case MsgWelcome:
-		m = &Welcome{Version: d.u16(), Banner: d.str()}
+		w := &Welcome{Version: d.u16(), Banner: d.str()}
+		if w.Version == Version {
+			w.Types = d.strs()
+			c.setPeer(w.Types)
+		}
+		m = w
 	case MsgExec:
 		m = &Exec{SQL: d.str()}
 	case MsgParse:
@@ -338,6 +391,20 @@ func (c *Conn) Recv() (Message, error) {
 		return nil, fmt.Errorf("wire: bad %v frame: %w", MsgType(hdr[4]), d.err)
 	}
 	return m, nil
+}
+
+// setPeer records the opaque types the peer listed, as local type ids. A
+// name this side has not registered needs no entry: no value of it is sent.
+func (c *Conn) setPeer(names []string) {
+	c.peer = make(map[uint32]bool, len(names))
+	if c.reg == nil {
+		return
+	}
+	for _, n := range names {
+		if ot, ok := c.reg.Lookup(n); ok {
+			c.peer[ot.ID] = true
+		}
+	}
 }
 
 // datum tags -------------------------------------------------------------------
@@ -388,9 +455,18 @@ func (e *enc) u64(v uint64)  { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 func (e *enc) str(s string)  { e.u32(uint32(len(s))); e.buf = append(e.buf, s...) }
 func (e *enc) blob(b []byte) { e.u32(uint32(len(b))); e.buf = append(e.buf, b...) }
 
+// strs encodes a string list as a count plus the strings.
+func (e *enc) strs(ss []string) {
+	e.u32(uint32(len(ss)))
+	for _, s := range ss {
+		e.str(s)
+	}
+}
+
 // datum encodes one tagged value. Opaque values carry the type name, the
-// Send-transformed wire bytes, and the Output text fallback.
-func (e *enc) datum(reg *types.Registry, d types.Datum) error {
+// Send-transformed wire bytes, and the Output text: the rendered value for a
+// peer that lacks the type, empty for one that listed it.
+func (e *enc) datum(c *Conn, d types.Datum) error {
 	switch v := d.(type) {
 	case nil:
 		e.u8(tagNull)
@@ -414,7 +490,7 @@ func (e *enc) datum(reg *types.Registry, d types.Datum) error {
 		e.u8(tagDate)
 		e.u64(uint64(v))
 	case types.Opaque:
-		ot, ok := reg.LookupID(v.TypeID)
+		ot, ok := c.reg.LookupID(v.TypeID)
 		if !ok {
 			return fmt.Errorf("wire: unregistered opaque type id %d", v.TypeID)
 		}
@@ -422,9 +498,11 @@ func (e *enc) datum(reg *types.Registry, d types.Datum) error {
 		if err != nil {
 			return fmt.Errorf("wire: %s send: %w", ot.Name, err)
 		}
-		text, err := ot.Support.Output(v.Data)
-		if err != nil {
-			return fmt.Errorf("wire: %s output: %w", ot.Name, err)
+		var text string
+		if !c.peer[v.TypeID] {
+			if text, err = ot.Support.Output(v.Data); err != nil {
+				return fmt.Errorf("wire: %s output: %w", ot.Name, err)
+			}
 		}
 		e.u8(tagOpaque)
 		e.str(ot.Name)
@@ -437,10 +515,10 @@ func (e *enc) datum(reg *types.Registry, d types.Datum) error {
 }
 
 // args encodes an argument vector as a count plus tagged datums.
-func (e *enc) args(reg *types.Registry, args []types.Datum) error {
+func (e *enc) args(c *Conn, args []types.Datum) error {
 	e.u32(uint32(len(args)))
 	for _, a := range args {
-		if err := e.datum(reg, a); err != nil {
+		if err := e.datum(c, a); err != nil {
 			return err
 		}
 	}
@@ -522,16 +600,35 @@ func (d *dec) blob() []byte {
 	return v
 }
 
-// args decodes an argument vector. Every datum takes at least its tag byte,
-// so a count beyond the bytes left is a bad frame, refused before it sizes
-// an allocation.
-func (d *dec) args(reg *types.Registry) []types.Datum {
+// count reads a list's element count. Every element takes at least one
+// byte, so a count beyond the bytes left is a bad frame, refused before it
+// sizes an allocation.
+func (d *dec) count(what string) uint32 {
 	n := d.u32()
-	if n == 0 || d.err != nil {
+	if d.err == nil && uint64(n) > uint64(len(d.buf)-d.pos) {
+		d.err = fmt.Errorf("%s count %d exceeds the %d bytes left", what, n, len(d.buf)-d.pos)
+		return 0
+	}
+	return n
+}
+
+// strs decodes a string list.
+func (d *dec) strs() []string {
+	n := d.count("string")
+	if n == 0 {
 		return nil
 	}
-	if uint64(n) > uint64(len(d.buf)-d.pos) {
-		d.err = fmt.Errorf("argument count %d exceeds the %d bytes left", n, len(d.buf)-d.pos)
+	out := make([]string, 0, n)
+	for ; n > 0 && d.err == nil; n-- {
+		out = append(out, d.str())
+	}
+	return out
+}
+
+// args decodes an argument vector.
+func (d *dec) args(reg *types.Registry) []types.Datum {
+	n := d.count("argument")
+	if n == 0 {
 		return nil
 	}
 	out := make([]types.Datum, 0, n)
@@ -544,7 +641,7 @@ func (d *dec) args(reg *types.Registry) []types.Datum {
 // datum decodes one tagged value. An opaque value resolves against the
 // local registry through Receive; if the type is not registered here the
 // Output text stands in as a plain string, so results stay displayable on
-// blade-less clients.
+// blade-less clients (the sender, told so by the handshake, sent the text).
 func (d *dec) datum(reg *types.Registry) types.Datum {
 	switch tag := d.u8(); tag {
 	case tagNull:

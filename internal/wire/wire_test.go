@@ -51,13 +51,22 @@ func registerPair(t testing.TB) (srv, cli *types.Registry) {
 	return srv, cli
 }
 
+// roundTrip sends m and returns what the receiver decodes. It flushes after
+// the Send, since Header and RowBatch frames stay buffered until a frame that
+// ends the sender's turn.
 func roundTrip(t *testing.T, sendReg, recvReg *types.Registry, m Message) Message {
 	t.Helper()
 	cn, sn := pipeConn(t)
 	sender := NewConn(sn, sendReg)
 	receiver := NewConn(cn, recvReg)
 	errc := make(chan error, 1)
-	go func() { errc <- sender.Send(m) }()
+	go func() {
+		err := sender.Send(m)
+		if err == nil {
+			err = sender.w.Flush()
+		}
+		errc <- err
+	}()
 	got, err := receiver.Recv()
 	if err != nil {
 		t.Fatalf("Recv: %v", err)
@@ -70,7 +79,9 @@ func roundTrip(t *testing.T, sendReg, recvReg *types.Registry, m Message) Messag
 
 func TestControlFrames(t *testing.T) {
 	for _, m := range []Message{
-		&Hello{Version: Version, Banner: "tinyblade"},
+		&Hello{Version: Version, Banner: "tinyblade", Types: []string{"period", "GRT_TimeExtent_t"}},
+		&Hello{Version: 3, Banner: "an older client"},
+		&Welcome{Version: Version, Banner: "tinybladed 0.1", Types: []string{"period"}},
 		&Welcome{Version: Version, Banner: "tinybladed 0.1"},
 		&Exec{SQL: "SELECT * FROM t; SELECT count(*) FROM t"},
 		&Header{
@@ -171,6 +182,63 @@ func TestOpaqueFallbackWithoutBlade(t *testing.T) {
 	}
 }
 
+// Once the peer has listed an opaque type in its handshake, values of that
+// type travel without their Output text; values of a type it did not list
+// keep it. The frame layout is the same either way: the text field is empty.
+func TestOpaqueTextOnlyForTypesThePeerLacks(t *testing.T) {
+	srv, _ := registerPair(t)
+	ot, _ := srv.Lookup("period")
+	secret, err := srv.RegisterOpaque("secret", types.SupportFuncs{
+		Input:  func(text string) ([]byte, error) { return []byte(text), nil },
+		Output: func(data []byte) (string, error) { return "<" + string(data) + ">", nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := &RowBatch{Rows: [][]types.Datum{{
+		types.Opaque{TypeID: ot.ID, Data: []byte("5/97-9/97")},
+		types.Opaque{TypeID: secret.ID, Data: []byte("x")},
+	}}}
+	// The server side of a connection whose client listed "PERIOD" (names
+	// match case-insensitively, like registry lookups) and a type the
+	// server does not have.
+	hello, err := encodeFrame(nil, &Hello{Version: Version, Types: []string{"PERIOD", "mystery"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	sc := NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(hello), &out}, srv)
+	if _, err := sc.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Send(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// A decoder without either type shows what travelled as text.
+	got, err := decodeFrame(types.NewRegistry(), out.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := got.(*RowBatch).Rows[0]
+	if row[0] != "" || row[1] != "<x>" {
+		t.Fatalf("text fields: %#v, want the listed type's empty and the other's rendered", row)
+	}
+	// Before any handshake every opaque value carries its text.
+	full, err := encodeFrame(srv, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := decodeFrame(types.NewRegistry(), full); got.(*RowBatch).Rows[0][0] != "5/97-9/97" {
+		t.Fatalf("no handshake: %#v", got.(*RowBatch).Rows[0])
+	}
+}
+
 func TestResolveColTypes(t *testing.T) {
 	_, cli := registerPair(t)
 	cliOT, _ := cli.Lookup("period")
@@ -215,6 +283,24 @@ func TestMalformedFrames(t *testing.T) {
 			0, 0, 0, 4, 's', 't', 'm', 't',
 			0xff, 0xff, 0xff, 0xff,
 		}},
+		// A handshake whose opaque type list claims 0xFFFFFFFF names, with no
+		// bytes after the count: refused before the list is sized.
+		{"Hello type count overflow", []byte{
+			0, 0, 0, 10, byte(MsgHello),
+			0, Version, 0, 0, 0, 0,
+			0xff, 0xff, 0xff, 0xff,
+		}},
+		{"Welcome type count overflow", []byte{
+			0, 0, 0, 10, byte(MsgWelcome),
+			0, Version, 0, 0, 0, 0,
+			0xff, 0xff, 0xff, 0xff,
+		}},
+		// Two names claimed, one present.
+		{"Hello type list truncated", []byte{
+			0, 0, 0, 15, byte(MsgHello),
+			0, Version, 0, 0, 0, 0,
+			0, 0, 0, 2, 0, 0, 0, 1, 'p',
+		}},
 	} {
 		if _, err := decodeFrame(nil, c.frame); err == nil {
 			t.Errorf("%s must error", c.name)
@@ -233,10 +319,14 @@ func decodeFrame(reg *types.Registry, frame []byte) (Message, error) {
 // encodeFrame returns the bytes Conn.Send writes for m.
 func encodeFrame(reg *types.Registry, m Message) ([]byte, error) {
 	var buf bytes.Buffer
-	err := NewConn(struct {
+	c := NewConn(struct {
 		io.Reader
 		io.Writer
-	}{bytes.NewReader(nil), &buf}, reg).Send(m)
+	}{bytes.NewReader(nil), &buf}, reg)
+	err := c.Send(m)
+	if err == nil {
+		err = c.w.Flush()
+	}
 	return buf.Bytes(), err
 }
 
@@ -249,8 +339,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	period, _ := reg.Lookup("period")
 	opaque := types.Opaque{TypeID: period.ID, Data: []byte("1/97-3/97")}
 	for _, m := range []Message{
-		&Hello{Version: Version, Banner: "tinyblade"},
-		&Welcome{Version: Version, Banner: "tinybladed"},
+		&Hello{Version: Version, Banner: "tinyblade", Types: []string{"period"}},
+		&Welcome{Version: Version, Banner: "tinybladed", Types: []string{"period", "mystery"}},
+		&Hello{Version: 3, Banner: "tinyblade"},
 		&Exec{SQL: "SELECT * FROM t"},
 		&Header{
 			Columns: []string{"id", "p"},

@@ -59,7 +59,15 @@
 # read-only statements included), and the per-row path of a scan
 # (TestRowsOutliveTheirBatch: rows kept past their decode arena's batch, from
 # index and sequential scans, equal a fresh read after more scans;
-# TestLRUVictimOrder: the buffer pool's intrusive LRU evicts in exact order). Tier-1
+# TestLRUVictimOrder: the buffer pool's intrusive LRU evicts in exact order),
+# and a remote statement's fixed cost (TestPreparedProbeIsOneWrite: a
+# one-row prepared probe is one server write of at most 400 bytes a statement;
+# TestLongStreamReachesTheClientBeforeDone: a stream larger than the write
+# buffer delivers its first batch while the statement is still open;
+# TestPlanAndProfileOnlyUnderExplain and TestOpaqueTextOnlyForTypesThePeerLacks:
+# plan, profile and display text travel only when asked for or needed;
+# TestPlanRecordsTheRecheckPerStatement: each statement records its own
+# re-check on its own plan, also when sessions share a cached one). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -107,7 +115,7 @@ go test -race -count=5 -run TestDeleteAgreesOnTheBatchPath ./internal/blades/tre
 # access methods) must agree with a sequential scan and an oracle.
 echo "== go test -race -count=5 exactness"
 go test -race -count=5 -run TestExactFlagIsTrustedOnlyWhereTrue ./internal/engine
-go test -race -count=5 -run TestRecheckRunsUnlessTheAnswerIsExact ./internal/blades/treeblade
+go test -race -count=5 -run 'TestRecheckRunsUnlessTheAnswerIsExact|TestPlanRecordsTheRecheckPerStatement' ./internal/blades/treeblade
 
 # am_check holds every entry to its key class's Covers, and am_aggregate pushes
 # exactly where each binding's Aggregable says: a child escaping its parent
@@ -178,6 +186,16 @@ go test -race -count=3 -run TestTxIDsDoNotRepeatAfterReadOnlyTraffic ./internal/
 echo "== go test -race -count=3 decode arenas + LRU victim order"
 go test -race -count=3 -run TestRowsOutliveTheirBatch ./internal/blades/grtblade
 go test -race -count=3 -run TestLRUVictimOrder ./internal/storage
+
+# A statement's reply is flushed once, at Done or Error: a one-row prepared
+# probe must leave the server in a single write, and a stream larger than the
+# write buffer must still reach the client batch by batch, before Done, or a
+# long result would sit in memory and the client would see nothing until its
+# end. Plan, profile and opaque display text travel only to a session that
+# asked for them or a peer that lacks the type.
+echo "== go test -race -count=3 single flush + first-batch delivery"
+go test -race -count=3 -run 'TestPreparedProbeIsOneWrite|TestLongStreamReachesTheClientBeforeDone|TestPlanAndProfileOnlyUnderExplain' ./internal/server
+go test -race -count=3 -run 'TestOpaqueTextOnlyForTypesThePeerLacks|TestControlFrames|TestMalformedFrames' ./internal/wire
 
 # Crash recovery: redo's page writes may evict dirty pages, whose flush hook
 # forces the log while the redo scan is reading it. Both regressions hung

@@ -4,6 +4,7 @@ import (
 	"repro/internal/am"
 	"repro/internal/catalog"
 	"repro/internal/heap"
+	"repro/internal/obs"
 	"repro/internal/types"
 )
 
@@ -69,25 +70,23 @@ func (a *aggAcc) row() []types.Datum {
 // refused a pushdown: one per refusal in tryAggPushdown, aggGate and
 // aggGateHolds. The gate clauses are lettered as in aggGate's comment.
 const (
-	fallbackPath          = "agg.fallback.path"           // no index path, or a residual predicate
-	fallbackSlot          = "agg.fallback.slot"           // no am_aggregate, or no am_delete
-	fallbackColumn        = "agg.fallback.column"         // the aggregate's column is not the key
-	fallbackGateView      = "agg.fallback.gate_view"      // (f) no registered snapshot
-	fallbackGateDead      = "agg.fallback.gate_dead"      // (a) dead cells pending reclamation
-	fallbackGateOwnEnds   = "agg.fallback.gate_own_ends"  // (b) the session's own pending ends
-	fallbackGateViewTx    = "agg.fallback.gate_view_tx"   // (d) a foreign transaction in the view
-	fallbackGateActive    = "agg.fallback.gate_active"    // (c) a foreign transaction is active
-	fallbackGateReadPoint = "agg.fallback.gate_readpoint" // (e) a commit since the view's cut
-	fallbackDeclined      = "agg.fallback.declined"       // am_aggregate said no
-	fallbackHoldsActive   = "agg.fallback.holds_active"   // a foreign transaction began mid-walk
-	fallbackHoldsMoved    = "agg.fallback.holds_moved"    // a transaction or commit mid-walk
-)
+	fallbackPath          = obs.AggFallbackPath          // no index path, or a residual predicate
+	fallbackSlot          = obs.AggFallbackSlot          // no am_aggregate, or no am_delete
+	fallbackColumn        = obs.AggFallbackColumn        // the aggregate's column is not the key
+	fallbackGateView      = obs.AggFallbackGateView      // (f) no registered snapshot
+	fallbackGateDead      = obs.AggFallbackGateDead      // (a) dead cells pending reclamation
+	fallbackGateOwnEnds   = obs.AggFallbackGateOwnEnds   // (b) the session's own pending ends
+	fallbackGateViewTx    = obs.AggFallbackGateViewTx    // (d) a foreign transaction in the view
+	fallbackGateActive    = obs.AggFallbackGateActive    // (c) a foreign transaction is active
+	fallbackGateReadPoint = obs.AggFallbackGateReadPoint // (e) a commit since the view's cut
+	fallbackDeclined      = obs.AggFallbackDeclined      // am_aggregate said no
+	fallbackHoldsActive   = obs.AggFallbackHoldsActive   // a foreign transaction began mid-walk
+	fallbackHoldsMoved    = obs.AggFallbackHoldsMoved    // a transaction or commit mid-walk
 
-// aggFallbacks lists the clause counters, so SYSPROFILE shows each from the
-// start.
-var aggFallbacks = []string{fallbackPath, fallbackSlot, fallbackColumn, fallbackGateView,
-	fallbackGateDead, fallbackGateOwnEnds, fallbackGateViewTx, fallbackGateActive,
-	fallbackGateReadPoint, fallbackDeclined, fallbackHoldsActive, fallbackHoldsMoved}
+	// gateHolds is what the gates return when no clause refused: plain
+	// agg.fallback, which names no clause.
+	gateHolds = obs.AggFallback
+)
 
 // tryAggPushdown offers the aggregate to the chosen index's am_aggregate
 // slot. (nil, false, nil) means the offer was declined somewhere along the
@@ -98,9 +97,9 @@ var aggFallbacks = []string{fallbackPath, fallbackSlot, fallbackColumn, fallback
 // window invalidate the answer, because the index holds one entry per row
 // with no version stamps.
 func (s *Session) tryAggPushdown(a *aggAcc, tb *catalog.Table, table *heap.Table, path accessPath, snap *heap.Snapshot) ([]types.Datum, bool, error) {
-	refuse := func(clause string) ([]types.Datum, bool, error) {
-		s.e.aggFallback.Inc()
-		s.e.obs.Counter(clause).Inc()
+	refuse := func(clause obs.ID) ([]types.Datum, bool, error) {
+		s.e.obs.Inc(obs.AggFallback)
+		s.e.obs.Inc(clause)
 		return nil, false, nil
 	}
 	oi := path.index
@@ -123,10 +122,10 @@ func (s *Session) tryAggPushdown(a *aggAcc, tb *catalog.Table, table *heap.Table
 		}
 	}
 	fence, refused := s.e.aggGate(s, table, snap)
-	if refused != "" {
+	if refused != gateHolds {
 		return refuse(refused)
 	}
-	s.amCall("am_aggregate", oi.desc.Name)
+	s.amCall(obs.AmAggregate, oi.desc.Name)
 	res, ok, err := oi.ps.Aggregate(s.ctx, oi.desc, &am.AggRequest{Kind: a.kind, Qual: path.qual})
 	s.ctx.EndFunction()
 	if err != nil {
@@ -135,10 +134,10 @@ func (s *Session) tryAggPushdown(a *aggAcc, tb *catalog.Table, table *heap.Table
 	if !ok {
 		return refuse(fallbackDeclined)
 	}
-	if refused := s.e.aggGateHolds(s, snap, fence); refused != "" {
+	if refused := s.e.aggGateHolds(s, snap, fence); refused != gateHolds {
 		return refuse(refused)
 	}
-	s.e.aggPushed.Inc()
+	s.e.obs.Inc(obs.AggPushed)
 	if a.kind == am.AggCount {
 		return []types.Datum{res.Count}, true, nil
 	}

@@ -3,6 +3,8 @@ package engine
 import (
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Checkpoint takes a fuzzy checkpoint and truncates the log: it appends a
@@ -32,7 +34,7 @@ func (e *Engine) Checkpoint() error {
 	if _, err := e.log.TruncateTo(cutoff); err != nil {
 		return err
 	}
-	e.walCheckpoints.Inc()
+	e.obs.Inc(obs.WalCheckpoints)
 	e.cpLast.Store(e.log.Size())
 	return nil
 }

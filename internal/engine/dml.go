@@ -10,6 +10,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/lock"
+	"repro/internal/obs"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -57,7 +58,7 @@ func (s *Session) openIndexes(table string, readOnly bool, only string) ([]openI
 	var opened []openIndex
 	closeAll := func() {
 		for i := len(opened) - 1; i >= 0; i-- {
-			s.callIndexFn("am_close", opened[i].ps.Close, opened[i].desc)
+			s.callIndexFn(obs.AmClose, opened[i].ps.Close, opened[i].desc)
 		}
 	}
 	for _, ix := range s.e.cat.IndexesOn(table) {
@@ -75,7 +76,7 @@ func (s *Session) openIndexes(table string, readOnly bool, only string) ([]openI
 			return nil, nil, err
 		}
 		desc.ReadOnly = readOnly
-		if err := s.callIndexFn("am_open", ps.Open, desc); err != nil {
+		if err := s.callIndexFn(obs.AmOpen, ps.Open, desc); err != nil {
 			closeAll()
 			return nil, nil, err
 		}
@@ -174,7 +175,7 @@ func (s *Session) indexInsert(idxs []openIndex, builds []*indexBuild, rid heap.R
 		if oi.ps.Insert == nil {
 			return errf(CodeFeature, "access method %s cannot insert", oi.ix.AmName)
 		}
-		s.amCall("am_insert", oi.desc.Name)
+		s.amCall(obs.AmInsert, oi.desc.Name)
 		err := oi.ps.Insert(s.ctx, oi.desc, projectIndexed(oi.desc, row), rid)
 		s.ctx.EndFunction()
 		if err != nil {
@@ -280,9 +281,9 @@ func (s *Session) planAccess(tb *catalog.Table, schema []types.Type, where sql.E
 		age := s.e.cat.Generation() - ts.Collected
 		plan.CostSource = fmt.Sprintf("stats(age %d)", age)
 		if age == 0 {
-			s.e.statsHits.Inc()
+			s.e.obs.Inc(obs.PlannerStatsHits)
 		} else {
-			s.e.statsStale.Inc()
+			s.e.obs.Inc(obs.PlannerStatsStale)
 		}
 	}
 	if where == nil {
@@ -313,7 +314,7 @@ func (s *Session) planAccess(tb *catalog.Table, schema []types.Type, where sql.E
 		cost := 1.0
 		costed := false
 		if oi.ps.ScanCost != nil {
-			s.amCall("am_scancost", oi.desc.Name)
+			s.amCall(obs.AmScancost, oi.desc.Name)
 			c, err := oi.ps.ScanCost(s.ctx, oi.desc, qual)
 			s.ctx.EndFunction()
 			if err != nil {

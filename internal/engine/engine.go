@@ -93,45 +93,23 @@ type Engine struct {
 	log      *wal.Log
 	tmpd     string // temp dir holding the WAL for memory engines
 
-	// obs is the engine-wide metrics registry; every subsystem counter
-	// (bufferpool.*, wal.*, lock.*, sbspace.*, am.*) lives here and SYSPROFILE
-	// serves it. amCounters maps purpose-function slot names to their
-	// registry counters; read-only after Open.
-	obs        *obs.Registry
-	amCounters map[string]*obs.Counter
-	bpObs      storage.ObsCounters
-	parObs     parallelObs
-	tracer     *mi.Tracer
+	// obs is the engine-wide metrics registry, which SYSPROFILE serves: the
+	// engine, the heaps, the log and the lock manager count into it by ID,
+	// and every buffer pool and user sbspace is summed into it (AddSum).
+	obs    *obs.Registry
+	tracer *mi.Tracer
 
 	// planCache is the engine-wide shared plan cache, keyed by normalized
 	// (deparsed, $n-parameterized) SQL text and stamped with the catalog
-	// generation that planned each entry. sqlParses/sqlParseNs count parser
-	// invocations and time; planNs counts planning time (fresh and cached
-	// bind alike) — bench/'s engine.plan_us_per_stmt reads planning cost per
-	// statement from these.
-	planCache  *plancache.Cache
-	sqlParses  *obs.Counter
-	sqlParseNs *obs.Counter
-	planNs     *obs.Counter
-
-	// Statistics and aggregate-pushdown counters: statsHits/statsStale
-	// count fresh plans costed from SYSSTATS (age zero vs aged by later
-	// DDL); aggPushed/aggFallback count aggregate queries answered from
-	// index internal nodes (am_aggregate) vs drained tuple by tuple.
-	statsHits, statsStale  *obs.Counter
-	aggPushed, aggFallback *obs.Counter
-	// recheckSkipped counts index scans whose rows skipped the WHERE
-	// re-check because the access method's answer was exact (exactAnswer).
-	recheckSkipped *obs.Counter
+	// generation that planned each entry.
+	planCache *plancache.Cache
 
 	// Checkpointer state: cpMu serialises checkpoints (daemon, Close, and
 	// explicit calls), cpLast is the log size at the last checkpoint (the
-	// threshold baseline), walCheckpoints/commitLat feed SYSPROFILE.
-	cpMu           sync.Mutex
-	cpLast         atomic.Int64
-	walCheckpoints *obs.Counter
-	commitLat      *obs.Histogram
-	closed         atomic.Bool
+	// threshold baseline).
+	cpMu   sync.Mutex
+	cpLast atomic.Int64
+	closed atomic.Bool
 
 	mu          sync.Mutex
 	spaces      map[string]*sbspace.Space // by lower name
@@ -151,13 +129,12 @@ type Engine struct {
 	// than one log byte; a NoWAL engine over persistent files has no such
 	// guard and is not restart-safe — it was never crash-safe to begin
 	// with).
-	mvccMu                                 sync.Mutex
-	nextTx                                 uint64
-	mvccActive                             map[uint64]struct{}
-	mvccSnaps                              map[uint64]*heap.Snapshot // registered snapshot id -> read view
-	mvccSnapSeq                            uint64
-	mvccClock                              atomic.Uint64
-	mvccCreated, mvccSkipped, mvccVacuumed *obs.Counter
+	mvccMu      sync.Mutex
+	nextTx      uint64
+	mvccActive  map[uint64]struct{}
+	mvccSnaps   map[uint64]*heap.Snapshot // registered snapshot id -> read view
+	mvccSnapSeq uint64
+	mvccClock   atomic.Uint64
 
 	// The background daemons (see daemon): every CheckpointInterval, a
 	// checkpoint once the log grew past CheckpointThreshold; every
@@ -167,15 +144,11 @@ type Engine struct {
 	stopCheckpointer, stopVacuum func()
 
 	// Online index builds (see idxbuild.go): the registry writer statements
-	// consult (after their table X lock) to capture side-log ops, the
-	// idxbuild.* observability counters, and the test-only crash hook
-	// invoked at the build's named stages.
-	buildsMu     sync.Mutex
-	builds       []*indexBuild
-	idxRowsBulk  *obs.Counter
-	idxReplayed  *obs.Counter
-	idxPublishNs *obs.Counter
-	buildHook    func(stage string) error
+	// consult (after their table X lock) to capture side-log ops, and the
+	// test-only crash hook invoked at the build's named stages.
+	buildsMu  sync.Mutex
+	builds    []*indexBuild
+	buildHook func(stage string) error
 
 	traceOn     atomic.Bool
 	traceMu     sync.Mutex
@@ -224,7 +197,12 @@ func Open(opts Options) (*Engine, error) {
 		tw = io.Discard
 	}
 	e.tracer = mi.NewTracer(tw)
-	e.registerCoreCounters()
+	e.lm.SetObs(e.obs)
+	e.planCache = plancache.New(plancache.DefaultCap, plancache.Stats{
+		Hit:        func() { e.obs.Inc(obs.PlanCacheHits) },
+		Miss:       func() { e.obs.Inc(obs.PlanCacheMisses) },
+		Invalidate: func() { e.obs.Inc(obs.PlanCacheInvalidations) },
+	})
 	if opts.Types != nil {
 		if err := opts.Types(e.reg); err != nil {
 			return nil, err
@@ -244,13 +222,7 @@ func Open(opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.log.SetObs(wal.Obs{
-			Appends:        e.obs.Counter("wal.appends"),
-			Flushes:        e.obs.Counter("wal.flushes"),
-			Bytes:          e.obs.Counter("wal.bytes"),
-			TruncatedBytes: e.obs.Counter("wal.truncated_bytes"),
-			GroupSize:      e.obs.Histogram("wal.group_size"),
-		})
+		e.log.SetObs(e.obs)
 		// Seed the transaction ids and the commit clock above every id and
 		// stamp a previous incarnation can have written into version
 		// headers: each transaction appends at least one multi-byte record,
@@ -271,63 +243,6 @@ func Open(opts Options) (*Engine, error) {
 	// Busy tables are skipped, and errors retried at the next tick.
 	e.stopVacuum = daemon(e.opts.VacuumInterval, func() { e.VacuumNow() })
 	return e, nil
-}
-
-// registerCoreCounters pre-registers every engine counter so SYSPROFILE
-// always shows the full set (zeros included, onstat-style), and wires the
-// subsystems that exist from construction. All buffer pools share one
-// engine-wide counter set; SYSPTPROF covers the per-partition split.
-func (e *Engine) registerCoreCounters() {
-	e.bpObs = storage.ObsCounters{
-		Fetches:   e.obs.Counter("bufferpool.fetches"),
-		Hits:      e.obs.Counter("bufferpool.hits"),
-		Reads:     e.obs.Counter("bufferpool.reads"),
-		Writes:    e.obs.Counter("bufferpool.writes"),
-		Evictions: e.obs.Counter("bufferpool.evictions"),
-	}
-	e.lm.SetObs(e.obs.Counter("lock.acquires"), e.obs.Counter("lock.waits"), e.obs.Counter("lock.deadlocks"))
-	for _, n := range []string{"wal.appends", "wal.flushes", "wal.bytes",
-		"wal.checkpoints", "wal.truncated_bytes",
-		"sbspace.lo_creates", "sbspace.lo_opens", "sbspace.lo_closes", "sbspace.lo_drops"} {
-		e.obs.Counter(n)
-	}
-	e.walCheckpoints = e.obs.Counter("wal.checkpoints")
-	e.commitLat = e.obs.Histogram("wal.commit_latency")
-	e.obs.Histogram("wal.group_size")
-	e.mvccCreated = e.obs.Counter("mvcc.versions_created")
-	e.mvccSkipped = e.obs.Counter("mvcc.versions_skipped")
-	e.mvccVacuumed = e.obs.Counter("mvcc.vacuumed")
-	e.idxRowsBulk = e.obs.Counter("idxbuild.rows_bulk")
-	e.idxReplayed = e.obs.Counter("idxbuild.sidelog_replayed")
-	e.idxPublishNs = e.obs.Counter("idxbuild.publish_latch_ns")
-	e.amCounters = make(map[string]*obs.Counter, len(am.PurposeSlots))
-	for _, slot := range am.PurposeSlots {
-		e.amCounters[slot] = e.obs.Counter("am." + slot)
-	}
-	e.parObs = parallelObs{
-		Scans:      e.obs.Counter("parallel.scans"),
-		Workers:    e.obs.Counter("parallel.workers"),
-		Batches:    e.obs.Counter("parallel.batches"),
-		Rows:       e.obs.Counter("parallel.rows"),
-		BusyNs:     e.obs.Counter("parallel.busy_ns"),
-		SendWaitNs: e.obs.Counter("parallel.send_wait_ns"),
-	}
-	e.sqlParses = e.obs.Counter("sql.parses")
-	e.sqlParseNs = e.obs.Counter("sql.parse_ns")
-	e.planNs = e.obs.Counter("sql.plan_ns")
-	e.planCache = plancache.New(plancache.DefaultCap, plancache.Stats{
-		Hit:        e.obs.Counter("plan_cache.hits").Inc,
-		Miss:       e.obs.Counter("plan_cache.misses").Inc,
-		Invalidate: e.obs.Counter("plan_cache.invalidations").Inc,
-	})
-	e.statsHits = e.obs.Counter("planner.stats_hits")
-	e.statsStale = e.obs.Counter("planner.stats_stale")
-	e.aggPushed = e.obs.Counter("agg.pushed")
-	e.aggFallback = e.obs.Counter("agg.fallback")
-	for _, clause := range aggFallbacks {
-		e.obs.Counter(clause)
-	}
-	e.recheckSkipped = e.obs.Counter("engine.recheck_skipped")
 }
 
 // Obs exposes the engine-wide metrics registry (SYSPROFILE's source;
@@ -493,7 +408,14 @@ func (e *Engine) newPool(id uint32) (uint32, *storage.BufferPool, error) {
 		pager = p
 	}
 	bp := storage.NewBufferPool(pager, e.opts.PoolPages)
-	bp.SetObs(e.bpObs)
+	e.obs.AddSum(func(v *obs.Values) {
+		st := bp.Stats()
+		v[obs.BufferpoolEvictions] += st.Evictions
+		v[obs.BufferpoolFetches] += st.Fetches
+		v[obs.BufferpoolHits] += st.Hits
+		v[obs.BufferpoolReads] += st.Reads
+		v[obs.BufferpoolWrites] += st.Writes
+	})
 	if e.log != nil {
 		bp.FlushHook = func(storage.PageID, []byte) error { return e.log.Flush() }
 		bp.Journal = func(tx uint64, page storage.PageID, off int, before, after []byte) error {
@@ -525,11 +447,7 @@ func (e *Engine) attachTable(tb *catalog.Table, create bool) error {
 	if err != nil {
 		return err
 	}
-	t.SetObs(heap.Obs{
-		VersionsCreated: e.mvccCreated,
-		VersionsSkipped: e.mvccSkipped,
-		Vacuumed:        e.mvccVacuumed,
-	})
+	t.SetObs(e.obs)
 	e.mu.Lock()
 	e.tables[strings.ToLower(tb.Name)] = t
 	e.mu.Unlock()
@@ -544,11 +462,12 @@ func (e *Engine) attachSbspace(sp *catalog.Sbspace) error {
 		return err
 	}
 	s := sbspace.New(sp.ID, sp.Name, bp, e.lm)
-	s.SetObs(sbspace.ObsCounters{
-		Creates: e.obs.Counter("sbspace.lo_creates"),
-		Opens:   e.obs.Counter("sbspace.lo_opens"),
-		Closes:  e.obs.Counter("sbspace.lo_closes"),
-		Drops:   e.obs.Counter("sbspace.lo_drops"),
+	e.obs.AddSum(func(v *obs.Values) {
+		st := s.Stats()
+		v[obs.SbspaceLoCloses] += st.Closes
+		v[obs.SbspaceLoCreates] += st.Creates
+		v[obs.SbspaceLoDrops] += st.Drops
+		v[obs.SbspaceLoOpens] += st.Opens
 	})
 	e.mu.Lock()
 	e.spaces[strings.ToLower(sp.Name)] = s
@@ -742,24 +661,18 @@ func (e *Engine) TakeCallTrace() []string {
 	return out
 }
 
-func (e *Engine) traceCall(fn, index string) {
-	if !e.traceOn.Load() {
-		return
+// amCall records one purpose-function dispatch, slot being its am.<slot>
+// counter: in the F6 call trace and in the registry, whose movement is the
+// running statement's per-slot profile. Every dispatch site funnels through
+// here.
+func (s *Session) amCall(slot obs.ID, index string) {
+	if s.e.traceOn.Load() {
+		fn := strings.TrimPrefix(obs.Name(slot), "am.")
+		s.e.traceMu.Lock()
+		s.e.traceEvents = append(s.e.traceEvents, fmt.Sprintf("%s(%s)", fn, index))
+		s.e.traceMu.Unlock()
 	}
-	e.traceMu.Lock()
-	e.traceEvents = append(e.traceEvents, fmt.Sprintf("%s(%s)", fn, index))
-	e.traceMu.Unlock()
-}
-
-// amCall records one purpose-function dispatch three ways: the F6 call
-// trace, the engine-wide am.* counters, and the running statement's profile
-// slot counts. Every dispatch site funnels through here.
-func (s *Session) amCall(fn, index string) {
-	s.e.traceCall(fn, index)
-	if c, ok := s.e.amCounters[fn]; ok {
-		c.Inc()
-	}
-	s.ec.Slot(fn)
+	s.e.obs.Inc(slot)
 }
 
 // pools lists every buffer pool.
@@ -915,7 +828,7 @@ func (s *Session) commitTx() error {
 		if _, err := s.e.log.CommitWith(s.tx, s.vars.Commit()); err != nil {
 			return err
 		}
-		s.e.commitLat.Observe(time.Since(start))
+		s.e.obs.Observe(obs.WalCommitLatency, time.Since(start))
 	}
 	// Every version this transaction ended is now a committed-dead cell
 	// whose index entries linger until the vacuum (deferred maintenance).

@@ -17,9 +17,11 @@ import (
 )
 
 // StmtStats is the per-statement execution profile: elapsed time, rows
-// scanned/returned, purpose-function call counts by slot, and the statement's
-// delta over the engine-wide subsystem counters. It replaces ad-hoc
-// BufferPool.Stats() bookkeeping in clients and benchmarks.
+// scanned/returned, and the rows of the engine's one counter table that
+// moved in the statement's window, purpose-function calls (am.<slot>)
+// included. Each event is counted once, in that table, so the profile is
+// exact when one session runs; under concurrent sessions it also holds what
+// the others counted in the same window.
 type StmtStats = obs.Profile
 
 // Result is the outcome of one statement.
@@ -62,8 +64,8 @@ func (s *Session) ExecCtx(ctx context.Context, src string) (*Result, error) {
 func (e *Engine) ParseSQL(src string) (sql.Statement, error) {
 	start := time.Now()
 	st, err := sql.Parse(src)
-	e.sqlParses.Inc()
-	e.sqlParseNs.Add(uint64(time.Since(start)))
+	e.obs.Inc(obs.SQLParses)
+	e.obs.Add(obs.SQLParseNs, uint64(time.Since(start)))
 	return st, err
 }
 
@@ -73,11 +75,11 @@ func (e *Engine) ParseScript(src string) ([]sql.Statement, error) {
 	start := time.Now()
 	stmts, err := sql.ParseScript(src)
 	if n := len(stmts); n > 0 {
-		e.sqlParses.Add(uint64(n))
+		e.obs.Add(obs.SQLParses, uint64(n))
 	} else {
-		e.sqlParses.Inc()
+		e.obs.Inc(obs.SQLParses)
 	}
-	e.sqlParseNs.Add(uint64(time.Since(start)))
+	e.obs.Add(obs.SQLParseNs, uint64(time.Since(start)))
 	return stmts, err
 }
 
@@ -501,10 +503,10 @@ func (s *Session) dropIndex(t *sql.DropIndex) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.callIndexFn("am_open", ps.Open, desc); err != nil {
+	if err := s.callIndexFn(obs.AmOpen, ps.Open, desc); err != nil {
 		return nil, err
 	}
-	if err := s.callIndexFn("am_drop", ps.Drop, desc); err != nil {
+	if err := s.callIndexFn(obs.AmDrop, ps.Drop, desc); err != nil {
 		return nil, err
 	}
 	if err := s.e.cat.DropIndex(t.Name); err != nil {
@@ -525,11 +527,11 @@ func (s *Session) checkIndex(t *sql.CheckIndex) (*Result, error) {
 	if ps.Check == nil {
 		return nil, errf(CodeFeature, "access method %s has no am_check", ix.AmName)
 	}
-	if err := s.callIndexFn("am_open", ps.Open, desc); err != nil {
+	if err := s.callIndexFn(obs.AmOpen, ps.Open, desc); err != nil {
 		return nil, err
 	}
-	defer s.callIndexFn("am_close", ps.Close, desc)
-	s.amCall("am_check", desc.Name)
+	defer s.callIndexFn(obs.AmClose, ps.Close, desc)
+	s.amCall(obs.AmCheck, desc.Name)
 	if err := ps.Check(s.ctx, desc); err != nil {
 		return nil, err
 	}
@@ -616,11 +618,11 @@ func (s *Session) collectIndexStats(ix *catalog.Index) (*am.IndexStats, error) {
 	if ps.Stats == nil {
 		return nil, nil
 	}
-	if err := s.callIndexFn("am_open", ps.Open, desc); err != nil {
+	if err := s.callIndexFn(obs.AmOpen, ps.Open, desc); err != nil {
 		return nil, err
 	}
-	defer s.callIndexFn("am_close", ps.Close, desc)
-	s.amCall("am_stats", desc.Name)
+	defer s.callIndexFn(obs.AmClose, ps.Close, desc)
+	s.amCall(obs.AmStats, desc.Name)
 	stats, err := ps.Stats(s.ctx, desc)
 	s.ctx.EndFunction()
 	return stats, err
@@ -677,11 +679,11 @@ func projectIndexed(desc *am.IndexDesc, row []types.Datum) []types.Datum {
 	return vals
 }
 
-func (s *Session) callIndexFn(name string, fn am.AmIndexFunc, desc *am.IndexDesc) error {
+func (s *Session) callIndexFn(slot obs.ID, fn am.AmIndexFunc, desc *am.IndexDesc) error {
 	if fn == nil {
 		return nil
 	}
-	s.amCall(name, desc.Name)
+	s.amCall(slot, desc.Name)
 	err := fn(s.ctx, desc)
 	s.ctx.EndFunction()
 	return err

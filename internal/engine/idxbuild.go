@@ -41,6 +41,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/lock"
+	"repro/internal/obs"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -214,11 +215,11 @@ func (s *Session) bulkPopulate(table *heap.Table, desc *am.IndexDesc, ps *am.Pur
 	}
 	next := s.buildFeed(table, desc, snap)
 	if ps.Build != nil && mode != buildInsert {
-		s.amCall("am_build", desc.Name)
+		s.amCall(obs.AmBuild, desc.Name)
 		n, err := ps.Build(s.ctx, desc, next)
 		s.ctx.EndFunction()
 		if err == nil {
-			s.e.idxRowsBulk.Add(uint64(n))
+			s.e.obs.Add(obs.IdxbuildRowsBulk, uint64(n))
 		}
 		return n, err
 	}
@@ -232,11 +233,11 @@ func (s *Session) bulkPopulate(table *heap.Table, desc *am.IndexDesc, ps *am.Pur
 			return n, err
 		}
 		if b == nil {
-			s.e.idxRowsBulk.Add(uint64(n))
+			s.e.obs.Add(obs.IdxbuildRowsBulk, uint64(n))
 			return n, nil
 		}
 		for i := 0; i < b.N; i++ {
-			s.amCall("am_insert", desc.Name)
+			s.amCall(obs.AmInsert, desc.Name)
 			err := ps.Insert(s.ctx, desc, b.Rows[i], b.RowIDs[i])
 			s.ctx.EndFunction()
 			if err != nil {
@@ -261,7 +262,7 @@ func (s *Session) replaySide(b *indexBuild, ps *am.PurposeSet) (int, error) {
 			if ps.Insert == nil {
 				return n, errf(CodeFeature, "access method %s cannot insert", b.desc.AmName)
 			}
-			s.amCall("am_insert", b.desc.Name)
+			s.amCall(obs.AmInsert, b.desc.Name)
 			err := ps.Insert(s.ctx, b.desc, op.vals, op.rid)
 			s.ctx.EndFunction()
 			if err != nil {
@@ -269,7 +270,7 @@ func (s *Session) replaySide(b *indexBuild, ps *am.PurposeSet) (int, error) {
 			}
 			n++
 		}
-		s.e.idxReplayed.Add(uint64(len(ops)))
+		s.e.obs.Add(obs.IdxbuildSidelogReplayed, uint64(len(ops)))
 	}
 }
 
@@ -324,10 +325,10 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 		// Drop the old storage under the building transaction; the BUILDING
 		// state keeps the planner and DML maintenance away from the storage
 		// while it is gone, and the undo of a failed rebuild restores it.
-		if err := s.callIndexFn("am_open", ps.Open, desc); err != nil {
+		if err := s.callIndexFn(obs.AmOpen, ps.Open, desc); err != nil {
 			return err
 		}
-		if err := s.callIndexFn("am_drop", ps.Drop, desc); err != nil {
+		if err := s.callIndexFn(obs.AmDrop, ps.Drop, desc); err != nil {
 			return err
 		}
 	} else {
@@ -336,10 +337,10 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 			return err
 		}
 	}
-	if err := s.callIndexFn("am_create", ps.Create, desc); err != nil {
+	if err := s.callIndexFn(obs.AmCreate, ps.Create, desc); err != nil {
 		return err
 	}
-	if err := s.callIndexFn("am_open", ps.Open, desc); err != nil {
+	if err := s.callIndexFn(obs.AmOpen, ps.Open, desc); err != nil {
 		return err
 	}
 	b := &indexBuild{table: strings.ToLower(tb.Name), desc: desc}
@@ -387,7 +388,7 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 	if err = s.buildStage("prepublish"); err != nil {
 		return err
 	}
-	if err = s.callIndexFn("am_close", ps.Close, desc); err != nil {
+	if err = s.callIndexFn(obs.AmClose, ps.Close, desc); err != nil {
 		return err
 	}
 	// A new READY index must retire cached plans planned without it: the
@@ -395,7 +396,7 @@ func (s *Session) buildIndexOnline(tb *catalog.Table, ix *catalog.Index, mode bu
 	if err = s.e.cat.SetIndexState(ix.Name, catalog.IndexReady); err != nil {
 		return err
 	}
-	s.e.idxPublishNs.Add(uint64(time.Since(t0).Nanoseconds()))
+	s.e.obs.Add(obs.IdxbuildPublishLatchNs, uint64(time.Since(t0).Nanoseconds()))
 	return nil
 }
 

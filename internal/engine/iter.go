@@ -86,7 +86,7 @@ func rowsSource(rows [][]types.Datum, ec *obs.ExecContext) source {
 func (s *Session) beginScan(oi *openIndex, qual *am.Qual, batch int, snap *heap.Snapshot) (*am.ScanDesc, error) {
 	sd := &am.ScanDesc{Index: oi.desc, Qual: qual, BatchCap: batch, Obs: s.ec, Snapshot: snap}
 	if oi.ps.BeginScan != nil {
-		s.amCall("am_beginscan", oi.desc.Name)
+		s.amCall(obs.AmBeginscan, oi.desc.Name)
 		err := oi.ps.BeginScan(s.ctx, sd)
 		s.ctx.EndFunction()
 		if err != nil {
@@ -107,7 +107,7 @@ func (s *Session) indexSource(oi *openIndex, table *heap.Table, sd *am.ScanDesc)
 	var fill am.AmGetMultiFunc
 	if getMulti := oi.ps.GetMulti; getMulti != nil {
 		fill = func(ctx *mi.Context, sd *am.ScanDesc) (int, error) {
-			s.amCall("am_getmulti", name)
+			s.amCall(obs.AmGetmulti, name)
 			n, err := getMulti(ctx, sd)
 			ctx.EndFunction()
 			return n, err
@@ -117,7 +117,7 @@ func (s *Session) indexSource(oi *openIndex, table *heap.Table, sd *am.ScanDesc)
 		// adapter fills the batch by repeated am_getnext calls, each traced
 		// individually so the legacy Figure 6(b) sequence stays observable.
 		fill = am.AdaptGetNext(oi.ps.GetNext,
-			func() { s.amCall("am_getnext", name) },
+			func() { s.amCall(obs.AmGetnext, name) },
 			func() { s.ctx.EndFunction() })
 	}
 	done := false
@@ -180,7 +180,7 @@ func resolveBatch(oi *openIndex, table *heap.Table, sd *am.ScanDesc, n int) (*ro
 // descriptor of a parallel scan after its workers have exited).
 func (s *Session) endScan(oi *openIndex, sd *am.ScanDesc) {
 	if oi.ps.EndScan != nil {
-		s.amCall("am_endscan", oi.desc.Name)
+		s.amCall(obs.AmEndscan, oi.desc.Name)
 		oi.ps.EndScan(s.ctx, sd)
 		s.ctx.EndFunction()
 	}
@@ -258,7 +258,7 @@ func (s *Session) openBatchScan(tb *catalog.Table, table *heap.Table, schema []t
 			return nil, err
 		}
 		if exactAnswer(path, sd, snap) {
-			s.e.recheckSkipped.Inc()
+			s.e.obs.Inc(obs.EngineRecheckSkipped)
 			plan.Recheck = RecheckSkipped
 			return src, nil
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/chronon"
@@ -14,7 +15,8 @@ import (
 // reports the same rows-scanned count for a native am_getmulti scan and a
 // getnext-only adapter scan (both are counted at the single shared point in
 // am.FillFrom), and the SYSPROFILE/SYSPTPROF virtual tables serve live
-// counters that stay bit-identical to the raw storage.Stats they mirror.
+// counters: SYSPROFILE's bufferpool.* rows are the sums of the pools' own
+// storage.Stats that SYSPTPROF lists one by one.
 
 func TestRowsScannedAgreement(t *testing.T) {
 	e := memEngine(t)
@@ -197,6 +199,112 @@ func TestSysptprofBitIdentity(t *testing.T) {
 	for name, sum := range sums {
 		if got := int64(snap.Get(name)); got != sum {
 			t.Fatalf("%s: registry %d != sysptprof sum %d", name, got, sum)
+		}
+	}
+}
+
+// TestSysprofileAgreesWithSysptprofUnderLoad: while four sessions probe and
+// insert through an index, each on a table of its own, a fifth reads
+// SYSPROFILE and SYSPTPROF in a loop. The registry's buffer-pool
+// and sbspace rows are sums of the pools' and spaces' own counters, read at
+// each snapshot, so every SYSPROFILE row must only grow between reads; once
+// the sessions stop, each bufferpool.* row must equal the sum of its
+// SYSPTPROF column.
+func TestSysprofileAgreesWithSysptprofUnderLoad(t *testing.T) {
+	// No daemons: a checkpoint between the two final reads would write pages.
+	e, err := Open(Options{Clock: chronon.NewVirtualClock(chronon.MustParse("9/97")),
+		CheckpointInterval: -1, VacuumInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	registerMemEq(t, e)
+	registerMemAM(t, e, "mem_am", "mem", true)
+	setup := e.NewSession()
+	defer setup.Close()
+	const workers, rounds = 4, 60
+	for w := 0; w < workers; w++ {
+		fillMemTable(t, setup, fmt.Sprintf("load%d", w), "mem_am", 20, 5)
+	}
+
+	profile := func(s *Session) (map[string]int64, error) {
+		res, err := s.Exec(`SELECT name, value FROM sysprofile`)
+		if err != nil {
+			return nil, err
+		}
+		vals := make(map[string]int64, len(res.Rows))
+		for _, r := range res.Rows {
+			vals[r[0].(string)] = r[1].(int64)
+		}
+		return vals, nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers+1)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := e.NewSession()
+			defer s.Close()
+			for i := 0; i < rounds; i++ {
+				for _, q := range []string{
+					fmt.Sprintf(`INSERT INTO load%d VALUES (%d, 'more%d')`, w, 7+i%2, i),
+					fmt.Sprintf(`SELECT b FROM load%d WHERE MemEq(a, 7)`, w),
+				} {
+					if _, err := s.Exec(q); err != nil {
+						errs <- fmt.Errorf("session %d: %s: %w", w, q, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	reader := e.NewSession()
+	defer reader.Close()
+	prev, reads := map[string]int64{}, 0
+	for running := true; running; reads++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		vals, err := profile(reader)
+		if err == nil {
+			_, err = reader.Exec(`SELECT * FROM sysptprof`)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range vals {
+			if v < prev[name] {
+				t.Fatalf("read %d: %s went back from %d to %d", reads, name, prev[name], v)
+			}
+		}
+		prev = vals
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if prev["bufferpool.fetches"] == 0 || prev["am.am_getmulti"] == 0 {
+		t.Fatalf("the load moved too little to test: %v", prev)
+	}
+
+	pt := exec(t, reader, `SELECT * FROM sysptprof`)
+	vals, err := profile(reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for col, name := range []string{"fetches", "hits", "reads", "writes", "evictions"} {
+		var sum int64
+		for _, r := range pt.Rows {
+			sum += r[2+col].(int64)
+		}
+		if got := vals["bufferpool."+name]; got != sum {
+			t.Errorf("bufferpool.%s = %d, SYSPTPROF's %s column sums to %d", name, got, name, sum)
 		}
 	}
 }

@@ -24,19 +24,6 @@ import (
 // projection, row-at-a-time spill) is unchanged. Only SELECT parallelises:
 // the target scans of DELETE and UPDATE run serially.
 
-// parallelObs caches the parallel.* counters (registered in
-// registerCoreCounters so SYSPROFILE always lists them): fan-out volume,
-// worker utilisation (busy_ns vs send_wait_ns — time filling batches vs time
-// blocked on a full merge queue), and merged throughput.
-type parallelObs struct {
-	Scans      *obs.Counter // parallel scans executed
-	Workers    *obs.Counter // workers launched across all parallel scans
-	Batches    *obs.Counter // batches merged from workers
-	Rows       *obs.Counter // rows produced by workers
-	BusyNs     *obs.Counter // worker time spent filling/resolving batches
-	SendWaitNs *obs.Counter // worker time blocked sending into the merge queue
-}
-
 // scanDegree decides how many workers to offer a SELECT scan: the SET
 // PARALLEL knob, capped by GOMAXPROCS, gated by what the access path can
 // support — an index must bind am_parallelscan and the batch protocol, and
@@ -115,8 +102,8 @@ func (s *Session) startParallel(srcs []source, cleanup func()) *parallelBatchIte
 		stop:    make(chan struct{}),
 		cleanup: cleanup,
 	}
-	s.e.parObs.Scans.Inc()
-	s.e.parObs.Workers.Add(uint64(len(srcs)))
+	s.e.obs.Inc(obs.ParallelScans)
+	s.e.obs.Add(obs.ParallelWorkers, uint64(len(srcs)))
 	for _, src := range srcs {
 		it.wg.Add(1)
 		go it.work(src, mi.NewContext(s.id, s.e.tracer))
@@ -132,7 +119,7 @@ func (s *Session) startParallel(srcs []source, cleanup func()) *parallelBatchIte
 // or the scan stopping, and sends every batch to the merger.
 func (it *parallelBatchIter) work(src source, ctx *mi.Context) {
 	defer it.wg.Done()
-	po := &it.s.e.parObs
+	reg := it.s.e.obs
 	for {
 		select {
 		case <-it.stop:
@@ -141,7 +128,7 @@ func (it *parallelBatchIter) work(src source, ctx *mi.Context) {
 		}
 		t0 := time.Now()
 		rb, err := src(ctx)
-		po.BusyNs.Add(uint64(time.Since(t0)))
+		reg.Add(obs.ParallelBusyNs, uint64(time.Since(t0)))
 		if err != nil {
 			it.send(parMsg{err: err})
 			return
@@ -149,13 +136,13 @@ func (it *parallelBatchIter) work(src source, ctx *mi.Context) {
 		if rb == nil {
 			return
 		}
-		po.Rows.Add(uint64(len(rb.rows)))
-		po.Batches.Inc()
+		reg.Add(obs.ParallelRows, uint64(len(rb.rows)))
+		reg.Inc(obs.ParallelBatches)
 		ts := time.Now()
 		if !it.send(parMsg{rb: rb}) {
 			return
 		}
-		po.SendWaitNs.Add(uint64(time.Since(ts)))
+		reg.Add(obs.ParallelSendWaitNs, uint64(time.Since(ts)))
 	}
 }
 
@@ -220,7 +207,7 @@ func (it *parallelBatchIter) close() {
 func (s *Session) indexScan(oi *openIndex, table *heap.Table, sd *am.ScanDesc, workers int) (batchIterator, error) {
 	end := func() { s.endScan(oi, sd) }
 	if workers > 1 {
-		s.amCall("am_parallelscan", oi.desc.Name)
+		s.amCall(obs.AmParallelscan, oi.desc.Name)
 		parts, err := oi.ps.ParallelScan(s.ctx, sd, workers)
 		s.ctx.EndFunction()
 		if err != nil {

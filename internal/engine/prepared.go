@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/am"
 	"repro/internal/catalog"
+	"repro/internal/obs"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -193,7 +194,7 @@ func (s *Session) ExecutePreparedStream(ctx context.Context, name string, args [
 func (s *Session) planStmt(op string, st sql.Statement, tb *catalog.Table, schema []types.Type, where sql.Expr, write bool) ([]openIndex, func(), accessPath, *Plan, error) {
 	start := time.Now()
 	var opening time.Duration
-	defer func() { s.e.planNs.Add(uint64(time.Since(start) - opening)) }()
+	defer func() { s.e.obs.Add(obs.SQLPlanNs, uint64(time.Since(start)-opening)) }()
 	var idxs []openIndex
 	var closeIdx func()
 	openIdx := func(cp *cachedPlan) (err error) {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/am"
 	"repro/internal/heap"
 	"repro/internal/lock"
+	"repro/internal/obs"
 )
 
 // MVCC snapshot machinery. Commit stamps come from one logical clock on
@@ -182,8 +183,8 @@ func (s *Session) releaseTxSnap() {
 // (and possibly inserted, or aborted leaving NoWAL residue) mid-walk — and
 // the vacuum, which runs under a transaction of its own, so the dead count
 // checked here cannot move unnoticed either. refused names the clause that
-// failed (its agg.fallback.<clause> counter), or is "" when the gate holds.
-func (e *Engine) aggGate(s *Session, t *heap.Table, snap *heap.Snapshot) (fence uint64, refused string) {
+// failed (its agg.fallback.<clause> counter), or is gateHolds.
+func (e *Engine) aggGate(s *Session, t *heap.Table, snap *heap.Snapshot) (fence uint64, refused obs.ID) {
 	if snap == nil || snap.Dirty || snap.ReadLSN == 0 {
 		return 0, fallbackGateView
 	}
@@ -210,14 +211,14 @@ func (e *Engine) aggGate(s *Session, t *heap.Table, snap *heap.Snapshot) (fence 
 	if e.readPointLocked() > snap.ReadLSN {
 		return 0, fallbackGateReadPoint
 	}
-	return e.nextTx, ""
+	return e.nextTx, gateHolds
 }
 
 // aggGateHolds re-verifies the gate after the aggregate traversal: the
 // world must look exactly as it did at aggGate time — no commit stamped
 // since the cut, no foreign activity, and no transaction allocated since
-// the fence. It names the refusing clause, or returns "".
-func (e *Engine) aggGateHolds(s *Session, snap *heap.Snapshot, fence uint64) string {
+// the fence. It names the refusing clause, or returns gateHolds.
+func (e *Engine) aggGateHolds(s *Session, snap *heap.Snapshot, fence uint64) obs.ID {
 	e.mvccMu.Lock()
 	defer e.mvccMu.Unlock()
 	for id := range e.mvccActive {
@@ -228,7 +229,7 @@ func (e *Engine) aggGateHolds(s *Session, snap *heap.Snapshot, fence uint64) str
 	if e.nextTx != fence || e.readPointLocked() > snap.ReadLSN {
 		return fallbackHoldsMoved
 	}
-	return ""
+	return gateHolds
 }
 
 // recordWrite remembers a version the transaction created or ended, for
@@ -341,7 +342,7 @@ func (e *Engine) vacuumTable(t *heap.Table, horizon uint64, isActive func(uint64
 					// am_aggregate (agg.go), so nothing over-counts.
 					continue
 				}
-				vs.amCall("am_delete", oi.desc.Name)
+				vs.amCall(obs.AmDelete, oi.desc.Name)
 				err := oi.ps.Delete(vs.ctx, oi.desc, projectIndexed(oi.desc, v.Row), v.Rid)
 				vs.ctx.EndFunction()
 				if err != nil && !errors.Is(err, am.ErrNoEntry) {

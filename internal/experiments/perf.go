@@ -12,7 +12,6 @@ import (
 	"repro/internal/grtree"
 	"repro/internal/lock"
 	"repro/internal/nodestore"
-	"repro/internal/obs"
 	"repro/internal/rstar"
 	"repro/internal/rtree"
 	"repro/internal/sbspace"
@@ -197,27 +196,9 @@ func RunP3(w io.Writer, tuples int) ([]P3Row, error) {
 	cfg.Tuples = tuples
 	wl := Generate(cfg)
 	for _, p := range placements {
-		// Measurement goes through the obs registry (snapshot deltas over the
-		// query phase) rather than raw storage/sbspace stats; the counters are
-		// incremented at the same sites, so the numbers are bit-identical
-		// (asserted by TestP3ObsMatchesRawStats).
-		reg := obs.NewRegistry()
 		bp := storage.NewBufferPool(storage.NewMemPager(), 64)
-		bp.SetObs(storage.ObsCounters{
-			Fetches:   reg.Counter("bufferpool.fetches"),
-			Hits:      reg.Counter("bufferpool.hits"),
-			Reads:     reg.Counter("bufferpool.reads"),
-			Writes:    reg.Counter("bufferpool.writes"),
-			Evictions: reg.Counter("bufferpool.evictions"),
-		})
 		lm := lock.New()
 		space := sbspace.New(1, "spc", bp, lm)
-		space.SetObs(sbspace.ObsCounters{
-			Creates: reg.Counter("sbspace.lo_creates"),
-			Opens:   reg.Counter("sbspace.lo_opens"),
-			Closes:  reg.Counter("sbspace.lo_closes"),
-			Drops:   reg.Counter("sbspace.lo_drops"),
-		})
 		store, _, err := nodestore.CreateLO(space, 1, lock.CommittedRead, p.pl)
 		if err != nil {
 			return nil, err
@@ -235,17 +216,16 @@ func RunP3(w io.Writer, tuples int) ([]P3Row, error) {
 			}
 		}
 		// Measure the query phase only.
-		base := reg.Snapshot()
+		pool0, space0 := bp.Stats(), space.Stats()
 		for _, q := range wl.Queries[:100] {
 			if _, err := tree.SearchAll(grtree.Predicate{Op: grtree.OpOverlaps, Query: q}, wl.EndCT); err != nil {
 				return nil, err
 			}
 		}
-		delta := reg.Snapshot().Delta(base)
 		row := P3Row{
 			Placement:   p.name,
-			LOOpens:     delta.Get("sbspace.lo_opens"),
-			PageFetches: delta.Get("bufferpool.fetches"),
+			LOOpens:     space.Stats().Opens - space0.Opens,
+			PageFetches: bp.Stats().Sub(pool0).Fetches,
 			HandleBytes: sbspace.HandleSize,
 		}
 		rows = append(rows, row)

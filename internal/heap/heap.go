@@ -154,17 +154,6 @@ const (
 	StampEnd
 )
 
-// Obs mirrors version-chain activity into engine counters. Nil fields are
-// no-ops (obs.Counter is nil-safe).
-type Obs struct {
-	// VersionsCreated counts versions appended by Insert and Update.
-	VersionsCreated *obs.Counter
-	// VersionsSkipped counts versions a snapshot read rejected.
-	VersionsSkipped *obs.Counter
-	// Vacuumed counts versions reclaimed by Vacuum.
-	Vacuumed *obs.Counter
-}
-
 // Table is one heap table over its own pager.
 type Table struct {
 	Name    string
@@ -173,7 +162,7 @@ type Table struct {
 	bp     *storage.BufferPool
 	schema []types.Type
 	last   storage.PageID // insertion hint
-	obs    Obs
+	obs    *obs.Registry
 
 	// dead counts version cells that are reclaimable-in-principle: ended by
 	// a committed transaction, or garbage left by an aborted NoWAL creator.
@@ -284,8 +273,10 @@ func (t *Table) readPage(id storage.PageID, fn func(buf []byte) error) error {
 	return err
 }
 
-// SetObs attaches version-chain counters. Call before concurrent use.
-func (t *Table) SetObs(o Obs) { t.obs = o }
+// SetObs attaches the registry that counts version-chain activity: versions
+// created by Insert and Update, rejected by a snapshot read, and reclaimed
+// by Vacuum. Call before concurrent use.
+func (t *Table) SetObs(reg *obs.Registry) { t.obs = reg }
 
 // Schema returns the column types.
 func (t *Table) Schema() []types.Type { return t.schema }
@@ -345,7 +336,7 @@ func (t *Table) Insert(tx uint64, row []types.Datum) (RowID, error) {
 			return 0, err
 		}
 		if ok {
-			t.obs.VersionsCreated.Inc()
+			t.obs.Inc(obs.MvccVersionsCreated)
 			return rid, nil
 		}
 	}
@@ -360,7 +351,7 @@ func (t *Table) Insert(tx uint64, row []types.Datum) (RowID, error) {
 		}
 		if ok {
 			t.last = id
-			t.obs.VersionsCreated.Inc()
+			t.obs.Inc(obs.MvccVersionsCreated)
 			return rid, nil
 		}
 		break // only probe the most recent page before extending
@@ -383,7 +374,7 @@ func (t *Table) Insert(tx uint64, row []types.Datum) (RowID, error) {
 	if !ok {
 		return 0, fmt.Errorf("heap: fresh page rejected %d-byte tuple", len(data))
 	}
-	t.obs.VersionsCreated.Inc()
+	t.obs.Inc(obs.MvccVersionsCreated)
 	return rid, nil
 }
 
@@ -431,7 +422,7 @@ func (t *Table) GetVersion(rid RowID, snap *Snapshot, arena ...*types.Arena) ([]
 		return nil, false, err
 	}
 	if !visible {
-		t.obs.VersionsSkipped.Inc()
+		t.obs.Inc(obs.MvccVersionsSkipped)
 	}
 	return row, visible, nil
 }
@@ -624,7 +615,7 @@ func (t *Table) Vacuum(tx uint64, horizon uint64, active func(uint64) bool, recl
 		}
 		victims = victims[k:]
 	}
-	t.obs.Vacuumed.Add(uint64(removed))
+	t.obs.Add(obs.MvccVacuumed, uint64(removed))
 	return removed, nil
 }
 
@@ -749,7 +740,7 @@ func (sc *Scanner) fillPage() error {
 		return nil
 	})
 	if skipped > 0 {
-		sc.t.obs.VersionsSkipped.Add(uint64(skipped))
+		sc.t.obs.Add(obs.MvccVersionsSkipped, uint64(skipped))
 	}
 	return err
 }

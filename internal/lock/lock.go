@@ -121,15 +121,12 @@ type Manager struct {
 	held  map[TxID]map[Resource]Mode
 	waits map[TxID]Resource // which resource each blocked tx waits for
 
-	obsAcquires, obsWaits, obsDeadlocks *obs.Counter
+	obs *obs.Registry
 }
 
-// SetObs attaches observability counters: granted lock acquisitions, blocked
-// waits, and deadlock victims. Nil counters are no-ops; call before
-// concurrent use.
-func (m *Manager) SetObs(acquires, waits, deadlocks *obs.Counter) {
-	m.obsAcquires, m.obsWaits, m.obsDeadlocks = acquires, waits, deadlocks
-}
+// SetObs attaches the registry that counts granted lock acquisitions,
+// blocked waits, and deadlock victims. Call before concurrent use.
+func (m *Manager) SetObs(reg *obs.Registry) { m.obs = reg }
 
 // New returns an empty lock manager.
 func New() *Manager {
@@ -161,7 +158,7 @@ func (m *Manager) Acquire(tx TxID, res Resource, mode Mode) error {
 		// Upgrade S → X: legal once no other transaction holds the lock.
 		if m.wouldDeadlock(tx, res) {
 			m.mu.Unlock()
-			m.obsDeadlocks.Inc()
+			m.obs.Inc(obs.LockDeadlocks)
 			return ErrDeadlock
 		}
 		req := &request{tx: tx, mode: Exclusive, ready: make(chan error, 1)}
@@ -170,12 +167,12 @@ func (m *Manager) Acquire(tx TxID, res Resource, mode Mode) error {
 		if req.granted {
 			m.recordLocked(tx, res, Exclusive)
 			m.mu.Unlock()
-			m.obsAcquires.Inc()
+			m.obs.Inc(obs.LockAcquires)
 			return nil
 		}
 		m.waits[tx] = res
 		m.mu.Unlock()
-		m.obsWaits.Inc()
+		m.obs.Inc(obs.LockWaits)
 		err := <-req.ready
 		m.mu.Lock()
 		delete(m.waits, tx)
@@ -184,9 +181,9 @@ func (m *Manager) Acquire(tx TxID, res Resource, mode Mode) error {
 		}
 		m.mu.Unlock()
 		if err == nil {
-			m.obsAcquires.Inc()
+			m.obs.Inc(obs.LockAcquires)
 		} else if err == ErrDeadlock {
-			m.obsDeadlocks.Inc()
+			m.obs.Inc(obs.LockDeadlocks)
 		}
 		return err
 	}
@@ -197,19 +194,19 @@ func (m *Manager) Acquire(tx TxID, res Resource, mode Mode) error {
 	if req.granted {
 		m.recordLocked(tx, res, mode)
 		m.mu.Unlock()
-		m.obsAcquires.Inc()
+		m.obs.Inc(obs.LockAcquires)
 		return nil
 	}
 	if m.wouldDeadlock(tx, res) {
 		// Remove our request and fail.
 		m.removeRequestLocked(res, req)
 		m.mu.Unlock()
-		m.obsDeadlocks.Inc()
+		m.obs.Inc(obs.LockDeadlocks)
 		return ErrDeadlock
 	}
 	m.waits[tx] = res
 	m.mu.Unlock()
-	m.obsWaits.Inc()
+	m.obs.Inc(obs.LockWaits)
 	err := <-req.ready
 	m.mu.Lock()
 	delete(m.waits, tx)
@@ -218,9 +215,9 @@ func (m *Manager) Acquire(tx TxID, res Resource, mode Mode) error {
 	}
 	m.mu.Unlock()
 	if err == nil {
-		m.obsAcquires.Inc()
+		m.obs.Inc(obs.LockAcquires)
 	} else if err == ErrDeadlock {
-		m.obsDeadlocks.Inc()
+		m.obs.Inc(obs.LockDeadlocks)
 	}
 	return err
 }
@@ -251,7 +248,7 @@ func (m *Manager) TryAcquire(tx TxID, res Resource, mode Mode) bool {
 			}
 		}
 		m.recordLocked(tx, res, Exclusive)
-		m.obsAcquires.Inc()
+		m.obs.Inc(obs.LockAcquires)
 		return true
 	}
 	for _, r := range st.queue {
@@ -265,7 +262,7 @@ func (m *Manager) TryAcquire(tx TxID, res Resource, mode Mode) bool {
 	req := &request{tx: tx, mode: mode, granted: true}
 	st.queue = append(st.queue, req)
 	m.recordLocked(tx, res, mode)
-	m.obsAcquires.Inc()
+	m.obs.Inc(obs.LockAcquires)
 	return true
 }
 

@@ -24,9 +24,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lock"
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -123,20 +123,12 @@ type Space struct {
 	mu      sync.Mutex
 	bp      *storage.BufferPool
 	locks   *lock.Manager
-	stats   Stats
-	obs     ObsCounters
 	dropped map[lock.TxID][]Handle // drops waiting for their transaction's end
-}
 
-// ObsCounters mirrors the space's large-object operation counters into an
-// obs registry. Nil fields are no-ops; increments happen at exactly the
-// sites that feed Stats, so the two views stay bit-identical.
-type ObsCounters struct {
-	Creates, Opens, Closes, Drops *obs.Counter
+	// The operation counters are atomic, so Stats takes no lock that a
+	// statement's opens and closes contend on.
+	creates, opens, closes, drops atomic.Uint64
 }
-
-// SetObs attaches mirror counters (call before concurrent use).
-func (s *Space) SetObs(o ObsCounters) { s.obs = o }
 
 // New creates a space over the buffer pool with the given lock manager.
 // Every page change goes through the pool's Edit, so the pool's journal, if
@@ -150,9 +142,7 @@ func (s *Space) Pool() *storage.BufferPool { return s.bp }
 
 // Stats returns a snapshot of the operation counters.
 func (s *Space) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{Creates: s.creates.Load(), Opens: s.opens.Load(), Closes: s.closes.Load(), Drops: s.drops.Load()}
 }
 
 // nextLOID mints a space-unique large-object id, persisted in the space
@@ -212,10 +202,7 @@ func (s *Space) Create(tx lock.TxID) (Handle, error) {
 	if err := s.locks.Acquire(tx, h.Resource(), lock.Exclusive); err != nil {
 		return NilHandle, err
 	}
-	s.mu.Lock()
-	s.stats.Creates++
-	s.mu.Unlock()
-	s.obs.Creates.Inc()
+	s.creates.Add(1)
 	return h, nil
 }
 
@@ -253,10 +240,7 @@ func (s *Space) Open(tx lock.TxID, h Handle, mode OpenMode, iso lock.IsolationLe
 		}
 		return nil, fmt.Errorf("sbspace: %v is not a (live) large object", h)
 	}
-	s.mu.Lock()
-	s.stats.Opens++
-	s.mu.Unlock()
-	s.obs.Opens.Inc()
+	s.opens.Add(1)
 	return &LargeObject{space: s, h: h, tx: tx, mode: mode, iso: iso, locked: locked}, nil
 }
 
@@ -272,13 +256,12 @@ func (s *Space) Drop(tx lock.TxID, h Handle) error {
 	if err := lo.edit(h.Header, func(page []byte) { binary.BigEndian.PutUint32(page[0:4], 0) }); err != nil {
 		return err
 	}
+	s.drops.Add(1)
 	s.mu.Lock()
-	s.stats.Drops++
 	if !slices.Contains(s.dropped[tx], h) {
 		s.dropped[tx] = append(s.dropped[tx], h)
 	}
 	s.mu.Unlock()
-	s.obs.Drops.Inc()
 	if s.bp.Journal == nil {
 		return s.EndTx(tx, true)
 	}
@@ -374,10 +357,7 @@ func (lo *LargeObject) Close() error {
 	}
 	lo.closed = true
 	s := lo.space
-	s.mu.Lock()
-	s.stats.Closes++
-	s.mu.Unlock()
-	s.obs.Closes.Inc()
+	s.closes.Add(1)
 	// Read locks release at close except under REPEATABLE READ, which keeps
 	// them to transaction end so a re-traversal sees the same tree
 	// (Section 5.3: "it is not possible to unlock a large object ... while

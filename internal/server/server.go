@@ -29,25 +29,11 @@ type Options struct {
 	Banner string
 }
 
-// counters are the server's obs counters, registered in the engine's
-// registry so SYSPROFILE serves them — over the wire included.
-type counters struct {
-	accepted  *obs.Counter // connections accepted
-	closed    *obs.Counter // connections closed
-	refused   *obs.Counter // connections refused (handshake/version)
-	stmts     *obs.Counter // statements executed
-	errs      *obs.Counter // statements that returned an error frame
-	batches   *obs.Counter // row batches sent
-	rows      *obs.Counter // rows sent
-	slotWaits *obs.Counter // Execs that had to wait for an executor slot
-}
-
 // Server owns the acceptor, the connection set, and the executor pool.
 type Server struct {
 	e     *engine.Engine
 	opts  Options
 	slots chan struct{}
-	c     counters
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -65,22 +51,11 @@ func New(e *engine.Engine, opts Options) *Server {
 	if opts.Banner == "" {
 		opts.Banner = "tinybladed"
 	}
-	reg := e.Obs()
 	return &Server{
 		e:     e,
 		opts:  opts,
 		slots: make(chan struct{}, opts.MaxExecutors),
 		conns: make(map[*conn]struct{}),
-		c: counters{
-			accepted:  reg.Counter("server.conns.accepted"),
-			closed:    reg.Counter("server.conns.closed"),
-			refused:   reg.Counter("server.conns.refused"),
-			stmts:     reg.Counter("server.statements"),
-			errs:      reg.Counter("server.errors"),
-			batches:   reg.Counter("server.batches.sent"),
-			rows:      reg.Counter("server.rows.sent"),
-			slotWaits: reg.Counter("server.slot.waits"),
-		},
 	}
 }
 
@@ -116,7 +91,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns[c] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		s.c.accepted.Inc()
+		s.e.Obs().Inc(obs.ServerConnsAccepted)
 		go c.serve()
 	}
 }
@@ -203,7 +178,7 @@ func (c *conn) serve() {
 		c.srv.mu.Lock()
 		delete(c.srv.conns, c)
 		c.srv.mu.Unlock()
-		c.srv.c.closed.Inc()
+		c.srv.e.Obs().Inc(obs.ServerConnsClosed)
 		c.srv.wg.Done()
 	}()
 
@@ -247,12 +222,12 @@ func (c *conn) serve() {
 func (c *conn) handshake() bool {
 	m, err := c.wc.Recv()
 	if err != nil {
-		c.srv.c.refused.Inc()
+		c.srv.e.Obs().Inc(obs.ServerConnsRefused)
 		return false
 	}
 	h, ok := m.(*wire.Hello)
 	if !ok || h.Version != wire.Version {
-		c.srv.c.refused.Inc()
+		c.srv.e.Obs().Inc(obs.ServerConnsRefused)
 		c.wc.Send(&wire.Error{
 			Code:    engine.CodeFeature,
 			Message: fmt.Sprintf("unsupported protocol (server speaks version %d)", wire.Version),
@@ -289,7 +264,7 @@ func (c *conn) execute(run func(ctx context.Context) bool) bool {
 	case c.srv.slots <- struct{}{}:
 	default:
 		// Pool exhausted: count the wait, then block for a slot.
-		c.srv.c.slotWaits.Inc()
+		c.srv.e.Obs().Inc(obs.ServerSlotWaits)
 		c.srv.slots <- struct{}{}
 	}
 	defer func() { <-c.srv.slots }()
@@ -316,7 +291,7 @@ func (c *conn) execute(run func(ctx context.Context) bool) bool {
 // executing. Scripts run like Session.ExecScript: every statement executes
 // until the first error; the last statement's result streams back.
 func (c *conn) runExec(sess *engine.Session, ctx context.Context, src string) bool {
-	c.srv.c.stmts.Inc()
+	c.srv.e.Obs().Inc(obs.ServerStatements)
 	stmts, err := c.srv.e.ParseScript(src)
 	if err != nil {
 		return c.sendErr(err)
@@ -338,7 +313,7 @@ func (c *conn) runExec(sess *engine.Session, ctx context.Context, src string) bo
 
 // runPrepared executes a prepared statement — the zero-parse hot path.
 func (c *conn) runPrepared(sess *engine.Session, ctx context.Context, t *wire.ExecutePrepared) bool {
-	c.srv.c.stmts.Inc()
+	c.srv.e.Obs().Inc(obs.ServerStatements)
 	str, err := sess.ExecutePreparedStream(ctx, t.Name, t.Args)
 	if err != nil {
 		return c.sendErr(err)
@@ -371,8 +346,8 @@ func (c *conn) streamResult(sess *engine.Session, str *engine.Stream) bool {
 		if rows == nil {
 			break
 		}
-		c.srv.c.batches.Inc()
-		c.srv.c.rows.Add(uint64(len(rows)))
+		c.srv.e.Obs().Inc(obs.ServerBatchesSent)
+		c.srv.e.Obs().Add(obs.ServerRowsSent, uint64(len(rows)))
 		if c.wc.Send(&wire.RowBatch{Rows: rows}) != nil {
 			return false
 		}
@@ -388,7 +363,7 @@ func (c *conn) streamResult(sess *engine.Session, str *engine.Stream) bool {
 // sendErr converts err into an Error frame, preserving the engine's
 // SQLSTATE code. The connection survives statement errors.
 func (c *conn) sendErr(err error) bool {
-	c.srv.c.errs.Inc()
+	c.srv.e.Obs().Inc(obs.ServerErrors)
 	msg := err.Error()
 	var ee *engine.Error
 	if errors.As(err, &ee) {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Stats counts page-level I/O through a buffer pool. All benchmark numbers
@@ -118,7 +116,6 @@ type BufferPool struct {
 	shards []*shard
 
 	reads, writes, hits, fetches, evictions atomic.Uint64
-	obs                                     ObsCounters
 
 	// unsynced is set when a page write reached the pager without a
 	// following Sync (evictions write lazily); FlushAll uses it to skip the
@@ -138,17 +135,6 @@ type BufferPool struct {
 	// page). Set it before the pool sees concurrent use.
 	Journal func(tx uint64, id PageID, off int, before, after []byte) error
 }
-
-// ObsCounters mirrors the pool's I/O counters into an obs registry, so an
-// engine aggregates all of its pools under one set of metrics. Nil fields
-// are no-ops (obs.Counter is nil-safe); the mirrored counts are incremented
-// at exactly the sites that feed Stats, so the two views stay bit-identical.
-type ObsCounters struct {
-	Fetches, Hits, Reads, Writes, Evictions *obs.Counter
-}
-
-// SetObs attaches mirror counters. Call before the pool sees concurrent use.
-func (bp *BufferPool) SetObs(o ObsCounters) { bp.obs = o }
 
 // defaultShards picks the shard count for a capacity: pools below 128
 // frames stay single-shard (exact global-LRU semantics, which the
@@ -224,15 +210,6 @@ func (bp *BufferPool) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the I/O counters (benchmark harness use).
-func (bp *BufferPool) ResetStats() {
-	bp.reads.Store(0)
-	bp.writes.Store(0)
-	bp.hits.Store(0)
-	bp.fetches.Store(0)
-	bp.evictions.Store(0)
-}
-
 // Allocate allocates a fresh page and returns it pinned and dirty.
 func (bp *BufferPool) Allocate() (*Frame, error) {
 	id, err := bp.pager.Allocate()
@@ -257,11 +234,9 @@ func (bp *BufferPool) Allocate() (*Frame, error) {
 func (bp *BufferPool) Fetch(id PageID) (*Frame, error) {
 	sh := bp.shardFor(id)
 	bp.fetches.Add(1)
-	bp.obs.Fetches.Inc()
 	sh.mu.Lock()
 	if f, ok := sh.frames[id]; ok {
 		bp.hits.Add(1)
-		bp.obs.Hits.Inc()
 		f.pins++
 		sh.mu.Unlock()
 		return f, nil
@@ -271,7 +246,6 @@ func (bp *BufferPool) Fetch(id PageID) (*Frame, error) {
 		return nil, err
 	}
 	bp.reads.Add(1)
-	bp.obs.Reads.Inc()
 	f := &Frame{ID: id, Data: make([]byte, PageSize), pins: 1}
 	sh.frames[id] = f
 	// Read inside the shard lock: releasing it here would race with a
@@ -401,7 +375,6 @@ func (bp *BufferPool) ensureRoom(sh *shard) error {
 		}
 		delete(sh.frames, victim.ID)
 		bp.evictions.Add(1)
-		bp.obs.Evictions.Inc()
 	}
 	return nil
 }
@@ -420,7 +393,6 @@ func (bp *BufferPool) flushLocked(f *Frame) error {
 		}
 	}
 	bp.writes.Add(1)
-	bp.obs.Writes.Inc()
 	if err := bp.pager.WritePage(f.ID, f.Data); err != nil {
 		return err
 	}

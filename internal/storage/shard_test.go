@@ -51,7 +51,7 @@ func TestShardedPoolConcurrentFetch(t *testing.T) {
 		ids = append(ids, f.ID)
 		bp.Unpin(f, true)
 	}
-	bp.ResetStats()
+	before := bp.Stats()
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -79,7 +79,7 @@ func TestShardedPoolConcurrentFetch(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("concurrent fetch: %v", err)
 	}
-	st := bp.Stats()
+	st := bp.Stats().Sub(before)
 	if st.Fetches != workers*500 {
 		t.Fatalf("fetches = %d, want %d", st.Fetches, workers*500)
 	}
@@ -88,9 +88,9 @@ func TestShardedPoolConcurrentFetch(t *testing.T) {
 	}
 }
 
-// TestStatsConcurrentWithFetch: the satellite race fix — Stats() and
-// ResetStats() are atomic snapshots, callable while other sessions fetch
-// (the benchmark harness reads counters mid-run).
+// TestStatsConcurrentWithFetch: Stats() is an atomic snapshot, callable
+// while other sessions fetch (SYSPROFILE and the benchmark harness read the
+// counters mid-run), and a fetch counts itself before its hit.
 func TestStatsConcurrentWithFetch(t *testing.T) {
 	bp := NewBufferPool(NewMemPager(), 256)
 	f, err := bp.Allocate()
@@ -122,19 +122,6 @@ func TestStatsConcurrentWithFetch(t *testing.T) {
 	}
 
 	stop := fetching()
-	for i := 0; i < 1000; i++ {
-		_ = bp.Stats()
-		if i%100 == 0 {
-			bp.ResetStats()
-		}
-	}
-	stop()
-
-	// A reset that lands inside a fetch can zero the fetch count after the
-	// fetch counted itself and before it counted its hit, so the snapshot
-	// order is checked on a pool that is not being reset.
-	bp.ResetStats()
-	stop = fetching()
 	defer stop()
 	for i := 0; i < 1000; i++ {
 		if st := bp.Stats(); st.Fetches < st.Hits {

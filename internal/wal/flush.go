@@ -6,6 +6,8 @@ import (
 	"os"
 	"runtime"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // CommitMode selects how a committing session waits for durability.
@@ -73,7 +75,7 @@ func (l *Log) CommitWith(tx uint64, mode CommitMode) (LSN, error) {
 		// The classic baseline: this commit issues its own fsync, always —
 		// even when a concurrent flush already covered its record. SYNC
 		// commits therefore serialise on the log I/O, one fsync each.
-		return lsn, l.doFlush(forceSync)
+		return lsn, l.doFlush(obs.WalFlushesSync)
 	default:
 		return lsn, l.waitDurable(target)
 	}
@@ -144,7 +146,7 @@ func (l *Log) flusher() {
 	for {
 		select {
 		case <-l.quit:
-			l.doFlush(skipIfClean) // final drain: ASYNC commits become durable on clean shutdown
+			l.doFlush(obs.WalFlushesForced) // final drain: ASYNC commits become durable on clean shutdown
 			return
 		case <-l.flushC:
 		case <-tick.C:
@@ -154,7 +156,7 @@ func (l *Log) flusher() {
 		dirty := l.flushed < l.size
 		l.mu.Unlock()
 		if dirty {
-			if err := l.doFlush(skipIfClean); err != nil {
+			if err := l.doFlush(obs.WalFlushesTick); err != nil {
 				l.mu.Lock()
 				if l.ioErr == nil {
 					l.ioErr = err
@@ -182,7 +184,7 @@ func (l *Log) flushTo(target int64) error {
 			return nil
 		}
 		l.mu.Unlock()
-		if err := l.doFlush(skipIfClean); err != nil {
+		if err := l.doFlush(obs.WalFlushesForced); err != nil {
 			l.mu.Lock()
 			if l.ioErr == nil {
 				l.ioErr = err
@@ -194,22 +196,20 @@ func (l *Log) flushTo(target int64) error {
 	}
 }
 
-// doFlush modes: skipIfClean returns without I/O when everything appended
-// is already durable (the flusher and Flush paths); forceSync issues the
-// fsync regardless, giving SYNC commits their private per-commit fsync.
-const (
-	skipIfClean = false
-	forceSync   = true
-)
-
 // doFlush writes and fsyncs whatever is pending. ioMu serialises the file
 // I/O; mu is only held to swap buffers and publish results, so appends
 // proceed while the fsync runs — the next group forms during this one.
-func (l *Log) doFlush(force bool) error {
+//
+// cause is the wal.flushes.* counter of whoever asked: the flusher
+// (WalFlushesTick, counted as WalFlushesGroup when committers are parked), a
+// SYNC commit (WalFlushesSync), or Flush and Close (WalFlushesForced). Only
+// a SYNC commit fsyncs when everything appended is already durable: it gets
+// its private per-commit fsync.
+func (l *Log) doFlush(cause obs.ID) error {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	l.mu.Lock()
-	if !force && l.flushed >= l.size {
+	if cause != obs.WalFlushesSync && l.flushed >= l.size {
 		l.mu.Unlock()
 		return nil
 	}
@@ -242,10 +242,14 @@ func (l *Log) doFlush(force bool) error {
 	}
 	l.written = start + int64(len(chunk))
 	l.flushed = target
-	l.obs.Flushes.Inc()
 	if group > 0 {
-		l.obs.GroupSize.ObserveCount(uint64(group))
+		l.obs.ObserveCount(obs.WalGroupSize, uint64(group))
+		if cause == obs.WalFlushesTick {
+			cause = obs.WalFlushesGroup
+		}
 	}
+	l.obs.Inc(obs.WalFlushes)
+	l.obs.Inc(cause)
 	l.cond.Broadcast()
 	l.mu.Unlock()
 	if chunk != nil && cap(chunk) <= maxPooledBuf {
@@ -319,6 +323,6 @@ func (l *Log) TruncateTo(cutoff LSN) (int64, error) {
 	l.f = tmp
 	l.base = cutoff
 	old.Close()
-	l.obs.TruncatedBytes.Add(uint64(dropped))
+	l.obs.Add(obs.WalTruncatedBytes, uint64(dropped))
 	return dropped, nil
 }

@@ -28,20 +28,16 @@ func durableImage(t *testing.T, l *Log) []byte {
 	return img
 }
 
-func TestGroupCommitCoalescesFsyncs(t *testing.T) {
-	l, _ := openTestLog(t)
-	reg := obs.NewRegistry()
-	flushes := reg.Counter("flushes")
-	group := reg.Histogram("group")
-	l.SetObs(Obs{Flushes: flushes, GroupSize: group})
-
-	// Stall the flusher so every committer parks before any fsync runs.
+// parkCommits starts a GROUP commit for each of n fresh transactions from
+// tx while the flusher is stalled, and returns once all n are parked. The
+// returned release lets the flusher run and waits for the commits.
+func parkCommits(t *testing.T, l *Log, tx uint64, n int) (release func()) {
+	t.Helper()
 	l.ioMu.Lock()
-	const N = 8
 	var wg sync.WaitGroup
-	errs := make([]error, N)
-	for i := 0; i < N; i++ {
-		tx := uint64(i + 1)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		tx := tx + uint64(i)
 		if _, err := l.Begin(tx); err != nil {
 			l.ioMu.Unlock()
 			t.Fatal(err)
@@ -61,23 +57,37 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 		l.mu.Lock()
 		parked := l.nparked
 		l.mu.Unlock()
-		if parked == N {
+		if parked == n {
 			break
 		}
 		if time.Now().After(deadline) {
 			l.ioMu.Unlock()
-			t.Fatalf("only %d/%d commits parked", parked, N)
+			t.Fatalf("only %d/%d commits parked", parked, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	before := flushes.Load()
-	l.ioMu.Unlock()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("commit %d: %v", i, err)
+	return func() {
+		l.ioMu.Unlock()
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("commit %d: %v", i, err)
+			}
 		}
 	}
+}
+
+func TestGroupCommitCoalescesFsyncs(t *testing.T) {
+	l, _ := openTestLog(t)
+	reg := obs.NewRegistry()
+	l.SetObs(reg)
+	flushes, group := reg.Counter("wal.flushes"), reg.Histogram("wal.group_size")
+
+	// Stall the flusher so every committer parks before any fsync runs.
+	const N = 8
+	release := parkCommits(t, l, 1, N)
+	before := flushes.Load()
+	release()
 	if d := flushes.Load() - before; d > 2 {
 		t.Fatalf("%d parked commits took %d fsyncs, want coalescing", N, d)
 	}
@@ -85,6 +95,68 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 		t.Fatalf("group_size histogram: n=%d sum=%dus, want one group of %d",
 			group.Count(), group.Sum()/time.Microsecond, N)
 	}
+}
+
+// TestFlushCausesAddUp drives each reason for an fsync once: a SYNC commit's
+// own, the flusher's for parked committers and for an ASYNC tail, and a
+// forced Flush. Each moves its wal.flushes.* counter, and the four always
+// sum to wal.flushes.
+func TestFlushCausesAddUp(t *testing.T) {
+	l, _ := openTestLog(t)
+	reg := obs.NewRegistry()
+	l.SetObs(reg)
+	cause := func(name string) uint64 { return reg.Counter("wal.flushes." + name).Load() }
+	addsUp := func() {
+		t.Helper()
+		s := reg.Snapshot()
+		sum := s.Get("wal.flushes.group") + s.Get("wal.flushes.tick") + s.Get("wal.flushes.sync") + s.Get("wal.flushes.forced")
+		if sum != s.Get("wal.flushes") {
+			t.Fatalf("wal.flushes = %d, its causes sum to %d", s.Get("wal.flushes"), sum)
+		}
+	}
+
+	l.Begin(1)
+	if _, err := l.CommitWith(1, CommitSync); err != nil {
+		t.Fatal(err)
+	}
+	if got := cause("sync"); got != 1 {
+		t.Fatalf("a SYNC commit counted %d sync flushes, want 1", got)
+	}
+	addsUp()
+
+	parkCommits(t, l, 2, 2)()
+	if cause("group") == 0 {
+		t.Fatal("the flusher served parked commits without a group flush")
+	}
+	addsUp()
+
+	l.Begin(10)
+	lsn, err := l.CommitWith(10, CommitAsync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !l.FlushedTo(lsn); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("async commit never became durable")
+		}
+	}
+	if cause("tick") == 0 {
+		t.Fatal("the flusher made an ASYNC tail durable without a tick flush")
+	}
+	addsUp()
+
+	// The flusher's tick may beat Flush to a pending record; a forced flush
+	// needs one that is still pending when Flush runs.
+	for tx := uint64(20); cause("forced") == 0; tx++ {
+		if tx == 1000 {
+			t.Fatal("Flush never forced a pending record")
+		}
+		l.Begin(tx)
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addsUp()
 }
 
 func TestAsyncCommitDurableWithoutWait(t *testing.T) {

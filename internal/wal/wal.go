@@ -94,20 +94,6 @@ type Record struct {
 	Active map[uint64]LSN
 }
 
-// Obs is the set of observability hooks a Log mirrors its activity into.
-// Nil fields are no-ops (the obs types are nil-safe); set before concurrent
-// use.
-type Obs struct {
-	// Appends counts appended records, Flushes counts fsyncs, Bytes counts
-	// appended bytes, TruncatedBytes counts log-prefix bytes dropped by
-	// rotation.
-	Appends, Flushes, Bytes, TruncatedBytes *obs.Counter
-	// GroupSize records, per fsync, how many parked commits it made durable
-	// (via Histogram.ObserveCount: .n = fsyncs that served commits, .us =
-	// total commits served).
-	GroupSize *obs.Histogram
-}
-
 // Log is an append-only write-ahead log backed by one file.
 //
 // Logical layout: LSNs [base, written) live in the file, [written,
@@ -140,11 +126,13 @@ type Log struct {
 	quit   chan struct{}
 	done   chan struct{}
 
-	obs Obs
+	obs *obs.Registry
 }
 
-// SetObs attaches observability hooks; call before concurrent use.
-func (l *Log) SetObs(o Obs) { l.obs = o }
+// SetObs attaches the registry that counts the log's appends, bytes, fsyncs
+// (wal.flushes, split by cause), commit groups and truncated bytes. Call
+// before concurrent use.
+func (l *Log) SetObs(reg *obs.Registry) { l.obs = reg }
 
 // Log file header: magic, format version, base LSN of the first record.
 const logHeaderSize = 16
@@ -317,8 +305,8 @@ func (l *Log) appendLocked(r Record) LSN {
 	l.pending = appendRecord(l.pending, r)
 	n := len(l.pending) - n0
 	l.size += int64(n)
-	l.obs.Appends.Inc()
-	l.obs.Bytes.Add(uint64(n))
+	l.obs.Inc(obs.WalAppends)
+	l.obs.Add(obs.WalBytes, uint64(n))
 	l.chain(r)
 	return r.LSN
 }

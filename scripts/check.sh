@@ -67,7 +67,11 @@
 # TestPlanAndProfileOnlyUnderExplain and TestOpaqueTextOnlyForTypesThePeerLacks:
 # plan, profile and display text travel only when asked for or needed;
 # TestPlanRecordsTheRecheckPerStatement: each statement records its own
-# re-check on its own plan, also when sessions share a cached one). Tier-1
+# re-check on its own plan, also when sessions share a cached one), and the
+# registry's sums (TestSysprofileAgreesWithSysptprofUnderLoad: under four
+# loading sessions every SYSPROFILE row only grows, and at rest each
+# bufferpool.* row equals the sum of its SYSPTPROF column, as
+# TestSysptprofBitIdentity holds for one session). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -196,6 +200,14 @@ go test -race -count=3 -run TestLRUVictimOrder ./internal/storage
 echo "== go test -race -count=3 single flush + first-batch delivery"
 go test -race -count=3 -run 'TestPreparedProbeIsOneWrite|TestLongStreamReachesTheClientBeforeDone|TestPlanAndProfileOnlyUnderExplain' ./internal/server
 go test -race -count=3 -run 'TestOpaqueTextOnlyForTypesThePeerLacks|TestControlFrames|TestMalformedFrames' ./internal/wire
+
+# SYSPROFILE's bufferpool.* and sbspace.lo_* rows are the sums of the pools'
+# and spaces' own counters, read at each snapshot rather than mirrored at each
+# event: a sum that lost an object or read a reset one would go backwards
+# under concurrent sessions, and one that missed a pool would disagree with
+# SYSPTPROF's per-partition rows at rest.
+echo "== go test -race -count=5 registry sums vs SYSPTPROF"
+go test -race -count=5 -run 'TestSysprofileAgreesWithSysptprofUnderLoad|TestSysptprofBitIdentity' ./internal/engine
 
 # Crash recovery: redo's page writes may evict dirty pages, whose flush hook
 # forces the log while the redo scan is reading it. Both regressions hung

@@ -418,8 +418,8 @@ func (e *Engine) newPool(id uint32) (uint32, *storage.BufferPool, error) {
 	})
 	if e.log != nil {
 		bp.FlushHook = func(storage.PageID, []byte) error { return e.log.Flush() }
-		bp.Journal = func(tx uint64, page storage.PageID, off int, before, after []byte) error {
-			_, err := e.log.Update(tx, id, uint64(page), uint16(off), before, after)
+		bp.JournalRuns = func(tx uint64, page storage.PageID, runs []storage.Run) error {
+			_, err := e.log.UpdateRuns(tx, id, uint64(page), runs)
 			return err
 		}
 	}

@@ -81,10 +81,14 @@ func TestStartOrderedPackingCutsTimesliceReads(t *testing.T) {
 	}
 }
 
-// TestInsertAllocations: an insert into a 20k-entry tree encodes every node
-// it writes into one page buffer of its own, so its allocations do not grow
-// with the nodes it writes. The bound is the count measured when the buffer
-// went in (a fresh page per node write measured 33).
+// TestInsertAllocations: an insert into a 20k-entry tree reuses a pooled
+// writer, whose node, entry, path, page and reinsertion buffers the earlier
+// inserts grew, so it allocates neither per node read nor per node write. It
+// measures 1 allocation (the key class handed to the kernel), plus a split's
+// sort buffers on the inserts that split; the bound is that plus 2. A fresh
+// node per read measured 28, and a fresh page per node write 33. Under -race
+// it measures 6, since the detector drops pooled writers; the bound there is
+// 8.
 func TestInsertAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const start, days, n = chronon.Instant(10000), 60, 20000
@@ -103,7 +107,11 @@ func TestInsertAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per insert", allocs)
-	if allocs > 28 {
-		t.Fatalf("%.0f allocations per insert, want at most 28", allocs)
+	limit := 3.0
+	if raceEnabled {
+		limit = 8
+	}
+	if allocs > limit {
+		t.Fatalf("%.0f allocations per insert, want at most %.0f", allocs, limit)
 	}
 }

@@ -168,7 +168,7 @@ func (m *MemStore) SetMeta(b []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.meta = append([]byte(nil), b...)
+	m.meta = append(m.meta[:0], b...) // Meta hands out copies
 	return nil
 }
 

@@ -23,6 +23,7 @@ func BulkLoad[B comparable, S Shape[S]](t *Tree[B], k Keys[B, S], entries []Entr
 		fill = 2
 	}
 	w := newWriter(t, k)
+	defer w.done()
 	oldRoot, size := t.root, len(entries)
 	for level := 0; ; level++ {
 		parents, err := w.packLevel(entries, level, fill)

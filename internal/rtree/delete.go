@@ -7,12 +7,16 @@ package rtree
 // step 5).
 func Delete[B comparable, S Shape[S]](t *Tree[B], k Keys[B, S], target B, payload Payload) (removed, condensed bool, err error) {
 	w := newWriter(t, k)
-	root, err := t.readNode(t.root)
+	defer w.done()
+	root, err := w.readNode(t.root)
 	if err != nil {
 		return false, false, err
 	}
-	path, leaf, at, err := w.findLeaf(root, nil, Entry[B]{Bound: target, Ref: uint64(payload)})
+	path, leaf, at, err := w.findLeaf(root, w.path[:0], Entry[B]{Bound: target, Ref: uint64(payload)})
 	if err != nil || leaf == nil {
+		if err == nil {
+			w.free = append(w.free, root)
+		}
 		return false, false, err
 	}
 	leaf.entries = append(leaf.entries[:at], leaf.entries[at+1:]...)
@@ -29,7 +33,8 @@ func Delete[B comparable, S Shape[S]](t *Tree[B], k Keys[B, S], target B, payloa
 
 // findLeaf locates the leaf holding the target entry and its index there,
 // descending only into children whose bounds contain the target's. The leaf
-// is nil when no such entry exists.
+// is nil when no such entry exists. A child whose subtree does not hold the
+// entry goes back to the free list.
 func (w *writer[B, S]) findLeaf(n *node[B], path []pathStep[B], target Entry[B]) ([]pathStep[B], *node[B], int, error) {
 	for idx, e := range n.entries {
 		if n.level == 0 {
@@ -49,6 +54,7 @@ func (w *writer[B, S]) findLeaf(n *node[B], path []pathStep[B], target Entry[B])
 		if err != nil || leaf != nil {
 			return p, leaf, at, err
 		}
+		w.free = append(w.free, child)
 	}
 	return nil, nil, 0, nil
 }
@@ -65,6 +71,7 @@ func (w *writer[B, S]) condense(path []pathStep[B], n *node[B]) (bool, error) {
 	var orphans []orphan
 	structural := false
 
+	leaf := n
 	for i := len(path); n.id != w.root; i-- {
 		parent := path[i-1].n
 		under := len(n.entries) < w.minFill()
@@ -111,9 +118,11 @@ func (w *writer[B, S]) condense(path []pathStep[B], n *node[B]) (bool, error) {
 			return structural, err
 		}
 		if root.level == 0 || len(root.entries) != 1 {
+			w.free = append(w.free, root)
 			break
 		}
 		w.root = root.entries[0].Child()
+		w.free = append(w.free, root)
 		w.height--
 		if err := w.store.Free(root.id); err != nil {
 			return structural, err
@@ -124,6 +133,9 @@ func (w *writer[B, S]) condense(path []pathStep[B], n *node[B]) (bool, error) {
 	if structural {
 		w.epoch++
 	}
+	// The descent is dead: the orphans' re-insertions reuse its nodes (and
+	// the path's steps, which are w.path's).
+	w.release(path, leaf)
 
 	// Re-insert orphans at their original levels, as one R* operation.
 	for _, o := range orphans {

@@ -10,33 +10,114 @@ import (
 )
 
 // writer is one mutating operation in flight: the tree, the key class the
-// caller built for it, and the R* once-per-level reinsertion record.
+// caller built for it, the R* once-per-level reinsertion record, and the
+// buffers its node reads and writes reuse. Writers are pooled per key-class
+// format (newWriter, done), so an operation allocates little once its
+// buffers have grown.
 type writer[B comparable, S Shape[S]] struct {
 	*Tree[B]
-	k          Keys[B, S]
-	reinserted map[int]bool
+	k Keys[B, S]
+	// reinserted has bit l set once level l has had its forced
+	// reinsertion in this operation.
+	reinserted uint64
 	// chooseSubtree's scratch, reused by every descent of the operation.
 	shapes, grown []S
 	cands         []cand
 	// page is the buffer every node write of the operation encodes into.
 	page []byte
+	// path is insertAtLevel's descent: a descent's path is dead once
+	// adjustPath has rewritten it, so the next descent reuses it.
+	path []pathStep[B]
+	// free holds nodes the operation has finished with; readNode decodes
+	// into them before it allocates.
+	free []*node[B]
+	// forcedReinsert's scratch. ds and drop are used before its
+	// re-insertions; removed is a stack, each call's entries above those of
+	// the calls it runs within.
+	ds      []dist
+	drop    []bool
+	removed []Entry[B]
+	// reading is the node readNode is decoding, for decodeFn, which is
+	// built once so that passing it to Store.View allocates nothing.
+	reading  *node[B]
+	decodeFn func(page []byte) error
 }
 
+// dist is a forced-reinsertion candidate: an entry's index and its squared
+// distance from the node's centre.
+type dist struct {
+	idx int
+	d   float64
+}
+
+// newWriter takes a writer for t and k from t's format pool, or builds one.
 func newWriter[B comparable, S Shape[S]](t *Tree[B], k Keys[B, S]) *writer[B, S] {
-	return &writer[B, S]{Tree: t, k: k, reinserted: make(map[int]bool)}
+	w, ok := t.f.writers.Get().(*writer[B, S])
+	if !ok {
+		w = &writer[B, S]{page: make([]byte, nodestore.NodeSize)}
+		w.decodeFn = func(page []byte) (err error) {
+			n := w.reading
+			n.level, n.entries, err = w.decode(n.id, page, n.entries)
+			return err
+		}
+	}
+	w.Tree, w.k, w.reinserted = t, k, 0
+	return w
+}
+
+// done returns w to its format's pool; the operation must not use it again.
+func (w *writer[B, S]) done() {
+	f := w.f
+	w.Tree, w.k = nil, nil
+	w.removed = w.removed[:0] // a failed operation may leave its stack
+	f.writers.Put(w)
+}
+
+// readNode decodes node id into a node the writer owns until it releases
+// it: one from the free list when there is one, with room for an overflow
+// entry.
+func (w *writer[B, S]) readNode(id nodestore.NodeID) (*node[B], error) {
+	var n *node[B]
+	if k := len(w.free); k > 0 {
+		n, w.free = w.free[k-1], w.free[:k-1]
+	} else {
+		n = new(node[B])
+	}
+	if cap(n.entries) <= w.cfg.MaxEntries {
+		n.entries = make([]Entry[B], 0, w.cfg.MaxEntries+1)
+	}
+	n.id, w.reading = id, n
+	w.latches.RLock(id)
+	err := w.store.View(id, w.decodeFn)
+	w.latches.RUnlock(id)
+	w.reading = nil
+	if err != nil {
+		w.free = append(w.free, n)
+		return nil, err
+	}
+	return n, nil
+}
+
+// release hands a finished descent's nodes, the path's and n, to the free
+// list. Nothing may hold them afterwards: their entries are rewritten by the
+// next readNode.
+func (w *writer[B, S]) release(path []pathStep[B], n *node[B]) {
+	for _, step := range path {
+		w.free = append(w.free, step.n)
+	}
+	w.free = append(w.free, n)
 }
 
 // writeNode writes n through the writer's page buffer.
 func (w *writer[B, S]) writeNode(n *node[B]) error {
-	if w.page == nil {
-		w.page = make([]byte, nodestore.NodeSize)
-	}
 	return w.Tree.writeNode(n, w.page)
 }
 
 // Insert adds a leaf entry.
 func Insert[B comparable, S Shape[S]](t *Tree[B], k Keys[B, S], e Entry[B]) error {
-	if err := newWriter(t, k).insertAtLevel(e, 0); err != nil {
+	w := newWriter(t, k)
+	defer w.done()
+	if err := w.insertAtLevel(e, 0); err != nil {
 		return err
 	}
 	t.size++
@@ -59,7 +140,7 @@ func (w *writer[B, S]) parentEntry(n *node[B]) Entry[B] {
 // insertion, then splitting).
 func (w *writer[B, S]) insertAtLevel(e Entry[B], level int) error {
 	// Descend to a node at `level`, recording the path.
-	var path []pathStep[B]
+	path := w.path[:0]
 	n, err := w.readNode(w.root)
 	if err != nil {
 		return err
@@ -71,6 +152,7 @@ func (w *writer[B, S]) insertAtLevel(e Entry[B], level int) error {
 			return err
 		}
 	}
+	w.path = path
 	n.entries = append(n.entries, e)
 
 	// Overflow treatment, bubbling up the path.
@@ -79,17 +161,23 @@ func (w *writer[B, S]) insertAtLevel(e Entry[B], level int) error {
 			if err := w.writeNode(n); err != nil {
 				return err
 			}
-			return w.adjustPath(path, n)
+			if err := w.adjustPath(path, n); err != nil {
+				return err
+			}
+			w.release(path, n)
+			return nil
 		}
 		isRoot := n.id == w.root
-		if !isRoot && !w.reinserted[n.level] && w.cfg.ReinsertPct > 0 {
-			w.reinserted[n.level] = true
+		bit := uint64(1) << n.level
+		if !isRoot && w.reinserted&bit == 0 && w.cfg.ReinsertPct > 0 {
+			w.reinserted |= bit
 			return w.forcedReinsert(path, n)
 		}
 		left, right, err := w.split(n)
 		if err != nil {
 			return err
 		}
+		w.free = append(w.free, n) // split copied its entries out
 		w.epoch++
 		if isRoot {
 			return w.growRoot(left, right)
@@ -290,23 +378,21 @@ func (w *writer[B, S]) forcedReinsert(path []pathStep[B], n *node[B]) error {
 		k = 1
 	}
 	cx, cy := w.k.Centre(w.k.Resolve(w.k.Bound(n.entries)))
-	type dist struct {
-		idx int
-		d   float64
-	}
-	ds := make([]dist, len(n.entries))
+	ds := w.ds[:0]
 	for i, e := range n.entries {
 		ex, ey := w.k.Centre(w.k.Resolve(e.Bound))
-		ds[i] = dist{idx: i, d: (ex-cx)*(ex-cx) + (ey-cy)*(ey-cy)}
+		ds = append(ds, dist{idx: i, d: (ex-cx)*(ex-cx) + (ey-cy)*(ey-cy)})
 	}
-	sort.Slice(ds, func(a, b int) bool { return ds[a].d > ds[b].d })
-	removed := make([]Entry[B], 0, k)
-	drop := make(map[int]bool, k)
+	slices.SortFunc(ds, func(a, b dist) int { return cmp.Compare(b.d, a.d) })
+	w.ds = ds
+	drop := append(w.drop[:0], make([]bool, len(n.entries))...)
+	w.drop = drop
+	base := len(w.removed)
 	for _, d := range ds[:k] {
-		removed = append(removed, n.entries[d.idx])
+		w.removed = append(w.removed, n.entries[d.idx])
 		drop[d.idx] = true
 	}
-	kept := n.entries[:0:0]
+	kept := n.entries[:0]
 	for i, e := range n.entries {
 		if !drop[i] {
 			kept = append(kept, e)
@@ -319,12 +405,17 @@ func (w *writer[B, S]) forcedReinsert(path []pathStep[B], n *node[B]) error {
 	if err := w.adjustPath(path, n); err != nil {
 		return err
 	}
+	level := n.level
+	w.release(path, n)
 	w.epoch++
-	// Close reinsert: nearest first.
-	for i := len(removed) - 1; i >= 0; i-- {
-		if err := w.insertAtLevel(removed[i], n.level); err != nil {
+	// Close reinsert: nearest first. A re-insertion may run a forced
+	// reinsertion of its own, which pushes its entries above these and pops
+	// them before it returns.
+	for i := base + k - 1; i >= base; i-- {
+		if err := w.insertAtLevel(w.removed[i], level); err != nil {
 			return err
 		}
 	}
+	w.removed = w.removed[:base]
 	return nil
 }

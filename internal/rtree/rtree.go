@@ -21,6 +21,7 @@ package rtree
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/nodestore"
 )
@@ -134,6 +135,10 @@ type Format[B any] struct {
 	Put func(buf []byte, entries []Entry[B], leaf bool)
 	// Get decodes len(entries) entries from buf, which is long enough.
 	Get func(buf []byte, entries []Entry[B], leaf bool)
+
+	// writers pools the spare writers of this format's trees, so a
+	// mutating operation reuses the buffers an earlier one grew.
+	writers sync.Pool
 }
 
 // HeaderSize is the length of the node page header.
@@ -212,6 +217,7 @@ type Tree[B comparable] struct {
 	height  int // number of levels; a lone leaf root has height 1
 	size    int // live leaf entries
 	epoch   uint64
+	meta    [32]byte // saveMeta's buffer
 }
 
 // Create initialises a new, empty tree in the store.
@@ -247,8 +253,10 @@ func Open[B comparable](store nodestore.Store, f *Format[B], cfg Config) (*Tree[
 	}, nil
 }
 
+// saveMeta writes the meta blob through the tree's own buffer (both stores
+// copy what they are given).
 func (t *Tree[B]) saveMeta() error {
-	meta := make([]byte, 32)
+	meta := t.meta[:]
 	binary.BigEndian.PutUint32(meta[0:4], t.f.MetaMagic)
 	binary.BigEndian.PutUint64(meta[8:16], uint64(t.root))
 	binary.BigEndian.PutUint64(meta[16:24], uint64(t.height))
@@ -320,8 +328,8 @@ func (t *Tree[B]) decode(id nodestore.NodeID, page []byte, buf []Entry[B]) (int,
 	return level, entries, nil
 }
 
-// readNode decodes node id into a node its caller owns: the mutators edit
-// and rewrite what they read.
+// readNode decodes node id into a new node its caller owns (a cursor's
+// root, Check's walk); a writer reads through its own free list instead.
 func (t *Tree[B]) readNode(id nodestore.NodeID) (*node[B], error) {
 	n := &node[B]{id: id}
 	t.latches.RLock(id)

@@ -262,7 +262,7 @@ func (s *Space) Drop(tx lock.TxID, h Handle) error {
 		s.dropped[tx] = append(s.dropped[tx], h)
 	}
 	s.mu.Unlock()
-	if s.bp.Journal == nil {
+	if !s.bp.Journaled() {
 		return s.EndTx(tx, true)
 	}
 	return nil
@@ -486,8 +486,12 @@ func (lo *LargeObject) WriteAt(buf []byte, off int64) (int, error) {
 		}
 		written += chunk
 	}
-	// Extend the logical size.
+	// Extend the logical size. A write inside the object, a node rewrite's,
+	// leaves the header alone rather than pay an edit that changes nothing.
 	end := uint64(off + int64(len(buf)))
+	if size, err := lo.Size(); err != nil || end <= uint64(size) {
+		return written, err
+	}
 	return written, lo.edit(lo.h.Header, func(page []byte) {
 		if end > binary.BigEndian.Uint64(page[4:12]) {
 			binary.BigEndian.PutUint64(page[4:12], end)

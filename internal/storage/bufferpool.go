@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -128,12 +129,27 @@ type BufferPool struct {
 	// ordering. Set it before the pool sees concurrent use.
 	FlushHook func(id PageID, data []byte) error
 
-	// Journal, when set, receives every change Edit makes: the editing
-	// transaction, the page, and the changed byte range with its before and
-	// after images. The engine attaches the WAL here for the pool's space.
-	// Transaction 0 marks a redo-only edit (formatting a freshly allocated
-	// page). Set it before the pool sees concurrent use.
+	// Journal, when set, receives every change Edit makes, one call per
+	// changed run: the editing transaction, the page, and the run's offset
+	// with its before and after images. Both images are valid only during
+	// the call (the before image is a pooled buffer, the after image the
+	// page itself); a journal that keeps them must copy them. Transaction 0
+	// marks a redo-only edit (formatting a freshly allocated page). Set it
+	// before the pool sees concurrent use.
 	Journal func(tx uint64, id PageID, off int, before, after []byte) error
+
+	// JournalRuns, when set, is called instead of Journal, once per edit
+	// with all of the edit's runs in page order, so that a log can append
+	// them together. The engine attaches the WAL here for the pool's space.
+	// The runs and their images are valid only during the call.
+	JournalRuns func(tx uint64, id PageID, runs []Run) error
+}
+
+// Run is one changed run of an edited page: the bytes at Off held Before
+// and now hold After. Each run starts and ends on a changed byte.
+type Run struct {
+	Off           int
+	Before, After []byte
 }
 
 // defaultShards picks the shard count for a capacity: pools below 128
@@ -283,12 +299,15 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 
 // Edit is the one way to change a page: it applies fn to page id's bytes
 // under the frame's write latch, so lock-free readers never see a
-// half-applied edit, journals the changed byte range under tx, and leaves
-// the page dirty. fn must return its error before it touches the page: a
-// failed edit changes nothing and journals nothing.
+// half-applied edit, journals each changed run under tx, and leaves the page
+// dirty. fn must return its error before it touches the page: a failed edit
+// changes nothing and journals nothing.
 func (bp *BufferPool) Edit(tx uint64, id PageID, fn func(page []byte) error) error {
-	return bp.edit(tx, id, bp.Journal, fn)
+	return bp.edit(tx, id, bp.Journaled(), fn)
 }
+
+// Journaled reports whether the pool journals its edits.
+func (bp *BufferPool) Journaled() bool { return bp.Journal != nil || bp.JournalRuns != nil }
 
 // Apply writes img at off of page id, extending the pager when the page's
 // allocation was lost in a crash. It is redo and undo's page write and
@@ -297,7 +316,7 @@ func (bp *BufferPool) Apply(id uint64, off uint16, img []byte) error {
 	if err := bp.pager.EnsurePages(id + 1); err != nil {
 		return err
 	}
-	return bp.edit(0, PageID(id), nil, func(page []byte) error { return applyImage(page, id, off, img) })
+	return bp.edit(0, PageID(id), false, func(page []byte) error { return applyImage(page, id, off, img) })
 }
 
 // applyImage copies a logged image into page. The image is input read from
@@ -310,50 +329,157 @@ func applyImage(page []byte, id uint64, off uint16, img []byte) error {
 	return nil
 }
 
-func (bp *BufferPool) edit(tx uint64, id PageID, journal func(uint64, PageID, int, []byte, []byte) error, fn func([]byte) error) error {
+// editScratch is a journaled edit's before image and run list. It is pooled,
+// so an edit allocates neither, and returned when the edit ends: the images
+// a journal receives are valid only during its call.
+type editScratch struct {
+	before [PageSize]byte
+	runs   []Run
+}
+
+var editScratchPool = sync.Pool{New: func() any { return new(editScratch) }}
+
+func (bp *BufferPool) edit(tx uint64, id PageID, journaled bool, fn func([]byte) error) error {
 	f, err := bp.Fetch(id)
 	if err != nil {
 		return err
 	}
 	f.Latch()
-	var before []byte
-	if journal != nil {
-		before = append([]byte(nil), f.Data...)
+	var s *editScratch
+	if journaled {
+		s = editScratchPool.Get().(*editScratch)
+		copy(s.before[:], f.Data)
 	}
 	if err = fn(f.Data); err == nil {
 		// Dirty before the record exists: a checkpoint cut after the record
 		// then finds the page dirty and writes it before truncating the log.
 		f.dirty.Store(true)
-		if journal != nil {
-			if lo, hi := diffRange(before, f.Data); lo < hi {
-				err = journal(tx, id, lo, before[lo:hi], f.Data[lo:hi])
-			}
+		if s != nil {
+			err = bp.journal(tx, id, s, f.Data)
 		}
 	}
 	f.Unlatch()
 	bp.Unpin(f, false)
+	if s != nil {
+		clear(s.runs) // keep no page reachable from the pool
+		s.runs = s.runs[:0]
+		editScratchPool.Put(s)
+	}
 	return err
 }
 
-// diffRange returns the smallest [lo, hi) outside which a and b agree. Most
-// edits change a few bytes of a page, so equal 64-byte blocks are skipped
-// with bytes.Equal before the byte loops.
-func diffRange(a, b []byte) (int, int) {
-	const block = 64
-	lo, hi := 0, len(a)
-	for lo+block <= hi && bytes.Equal(a[lo:lo+block], b[lo:lo+block]) {
-		lo += block
+// journal hands the changed runs of one edit, diffed against s's before
+// image, to the pool's journal.
+func (bp *BufferPool) journal(tx uint64, id PageID, s *editScratch, page []byte) error {
+	s.runs = changedRuns(s.runs[:0], s.before[:len(page)], page)
+	runs := s.runs
+	if tx == 0 && len(runs) > 1 {
+		// A redo-only edit is never undone, so it stays one record: a torn
+		// tail between two of its runs would leave half of it redone.
+		lo, last := runs[0].Off, runs[len(runs)-1]
+		hi := last.Off + len(last.After)
+		runs = append(runs[:0], Run{Off: lo, Before: s.before[lo:hi], After: page[lo:hi]})
+	}
+	if len(runs) == 0 {
+		return nil
+	}
+	if bp.JournalRuns != nil {
+		return bp.JournalRuns(tx, id, runs)
+	}
+	for _, r := range runs {
+		if err := bp.Journal(tx, id, r.Off, r.Before, r.After); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mergeGap is the fewest unchanged bytes between two changes of one edit
+// that puts them in separate runs, and so in separate log records. A record
+// carries about 59 bytes besides its images (length and CRC, type,
+// transaction, prevLSN, space, page, offset, two image lengths, undoNext,
+// active count), so a gap shorter than that is not worth a record, an
+// append and an undo step of its own; 64 rounds it up to the diff's block.
+const mergeGap = 64
+
+// diffBlock is the unit the diff compares with bytes.Equal.
+const diffBlock = 64
+
+// changedRuns appends to runs the changed runs of after against before
+// (pages of equal length), in page order. Two changes share a run unless at
+// least mergeGap unchanged bytes lie between them. The diff finds each
+// changed 64-byte block with bytes.Equal over growing spans (nextChanged),
+// and searches only a changed block, a word at a time from each end, for its
+// first and last changed byte; no byte loop runs over a page.
+func changedRuns(runs []Run, before, after []byte) []Run {
+	lo, hi := -1, 0 // the open run, [lo, hi)
+	n := len(after)
+	for off := nextChanged(before, after, 0); off < n; off = nextChanged(before, after, off+diffBlock) {
+		end := min(off+diffBlock, n)
+		first := firstDiff(before, after, off, end)
+		if lo >= 0 && first-hi >= mergeGap {
+			runs = append(runs, Run{Off: lo, Before: before[lo:hi], After: after[lo:hi]})
+			lo = -1
+		}
+		if lo < 0 {
+			lo = first
+		}
+		hi = lastDiff(before, after, first, end)
+	}
+	if lo >= 0 {
+		runs = append(runs, Run{Off: lo, Before: before[lo:hi], After: after[lo:hi]})
+	}
+	return runs
+}
+
+// nextChanged returns the start of the first diffBlock-aligned block at or
+// after off (itself aligned) in which a and b differ, or len(a). It gallops:
+// equal spans of 64, 128, 256, ... bytes are skipped with one bytes.Equal
+// each, and the first unequal span is halved down to its changed block, so
+// finding a change d bytes on costs O(log d) calls.
+func nextChanged(a, b []byte, off int) int {
+	n := len(a)
+	for span := diffBlock; off < n; span *= 2 {
+		end := min(off+span, n)
+		if bytes.Equal(a[off:end], b[off:end]) {
+			off = end
+			continue
+		}
+		for end-off > diffBlock {
+			mid := off + max(diffBlock, (end-off)/2/diffBlock*diffBlock)
+			if bytes.Equal(a[off:mid], b[off:mid]) {
+				off = mid
+			} else {
+				end = mid
+			}
+		}
+		return off
+	}
+	return n
+}
+
+// firstDiff returns the first index in [lo, hi) at which a and b differ, or
+// hi.
+func firstDiff(a, b []byte, lo, hi int) int {
+	for lo+8 <= hi && binary.LittleEndian.Uint64(a[lo:]) == binary.LittleEndian.Uint64(b[lo:]) {
+		lo += 8
 	}
 	for lo < hi && a[lo] == b[lo] {
 		lo++
 	}
-	for hi-block >= lo && bytes.Equal(a[hi-block:hi], b[hi-block:hi]) {
-		hi -= block
+	return lo
+}
+
+// lastDiff returns one past the last index in [lo, hi) at which a and b
+// differ, or lo.
+func lastDiff(a, b []byte, lo, hi int) int {
+	for hi-8 >= lo && binary.LittleEndian.Uint64(a[hi-8:]) == binary.LittleEndian.Uint64(b[hi-8:]) {
+		hi -= 8
 	}
 	for hi > lo && a[hi-1] == b[hi-1] {
 		hi--
 	}
-	return lo, hi
+	return hi
 }
 
 // ensureRoom evicts the least recently unpinned frame that is not pinned

@@ -530,15 +530,17 @@ func TestEditJournalsTheChangedRange(t *testing.T) {
 	}
 }
 
-// diffRange finds the exact changed range wherever the change falls relative
-// to its 64-byte blocks.
+// changedRuns finds the exact changed bytes wherever a change falls relative
+// to its 64-byte blocks: a page changed at lo and at hi-1 only is one run
+// [lo, hi) while fewer than mergeGap equal bytes lie between the two changes,
+// and two one-byte runs otherwise.
 func TestDiffRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := make([]byte, PageSize)
 	rng.Read(a)
 	b := append([]byte(nil), a...)
-	if lo, hi := diffRange(a, b); lo != hi {
-		t.Fatalf("equal pages: [%d, %d)", lo, hi)
+	if runs := changedRuns(nil, a, b); len(runs) != 0 {
+		t.Fatalf("equal pages: %d runs", len(runs))
 	}
 	for i := 0; i < 2000; i++ {
 		lo := rng.Intn(PageSize)
@@ -546,8 +548,163 @@ func TestDiffRange(t *testing.T) {
 		copy(b, a)
 		b[lo] ^= 1
 		b[hi-1] ^= 0x80
-		if l, h := diffRange(a, b); l != lo || h != hi {
-			t.Fatalf("change [%d, %d): got [%d, %d)", lo, hi, l, h)
+		want := [][2]int{{lo, hi}}
+		if hi-lo-2 >= mergeGap {
+			want = [][2]int{{lo, lo + 1}, {hi - 1, hi}}
 		}
+		var got [][2]int
+		for _, r := range changedRuns(nil, a, b) {
+			got = append(got, [2]int{r.Off, r.Off + len(r.After)})
+			if !bytes.Equal(r.Before, a[r.Off:r.Off+len(r.Before)]) || !bytes.Equal(r.After, b[r.Off:r.Off+len(r.After)]) {
+				t.Fatalf("run at %d carries the wrong images", r.Off)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("change at %d and %d: runs %v, want %v", lo, hi-1, got, want)
+		}
+	}
+}
+
+// TestEditJournalsEachChangedRun holds Edit's split rule: each changed run is
+// journaled apart, two changes share a record only while fewer than mergeGap
+// equal bytes lie between them, and the journaled images take the page from
+// before the edit to after it and back.
+func TestEditJournalsEachChangedRun(t *testing.T) {
+	bp := NewBufferPool(NewMemPager(), 8)
+	var log []loggedEdit
+	bp.Journal = func(tx uint64, id PageID, off int, before, after []byte) error {
+		log = append(log, loggedEdit{tx, id, off, string(before), string(after)})
+		return nil
+	}
+	f, err := bp.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.ID
+	bp.Unpin(f, true)
+	page := func() []byte {
+		f, err := bp.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bp.Unpin(f, false)
+		return append([]byte(nil), f.Data...)
+	}
+	apply := func(p []byte, images func(loggedEdit) (int, string)) []byte {
+		p = append([]byte(nil), p...)
+		for _, e := range log {
+			off, img := images(e)
+			copy(p[off:], img)
+		}
+		return p
+	}
+	afterImage := func(e loggedEdit) (int, string) { return e.off, e.after }
+	beforeImage := func(e loggedEdit) (int, string) { return e.off, e.before }
+
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		// 1-4 disjoint changes at random gaps, some under the merge gap.
+		type change struct{ off, n int }
+		var changes []change
+		at := rng.Intn(200)
+		for c := 1 + rng.Intn(4); c > 0 && at < PageSize; c-- {
+			n := 1 + rng.Intn(min(100, PageSize-at))
+			changes = append(changes, change{at, n})
+			at += n + 1 + rng.Intn(2*mergeGap)
+		}
+		before := page()
+		log = log[:0]
+		if err := bp.Edit(9, id, func(p []byte) error {
+			for _, c := range changes {
+				for j := c.off; j < c.off+c.n; j++ {
+					p[j] ^= byte(1 + rng.Intn(255))
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		after := page()
+		if got := apply(before, afterImage); !bytes.Equal(got, after) {
+			t.Fatalf("edit %d: after images do not rebuild the page (%d records)", i, len(log))
+		}
+		if got := apply(after, beforeImage); !bytes.Equal(got, before) {
+			t.Fatalf("edit %d: before images do not restore the page (%d records)", i, len(log))
+		}
+		want := 1
+		for c := 1; c < len(changes); c++ {
+			if changes[c].off-(changes[c-1].off+changes[c-1].n) >= mergeGap {
+				want++
+			}
+		}
+		if len(log) != want {
+			t.Fatalf("edit %d: changes %v journaled %d records, want %d", i, changes, len(log), want)
+		}
+		for j, e := range log {
+			if e.tx != 9 || e.id != id || len(e.before) != len(e.after) || e.before == e.after ||
+				e.before[0] == e.after[0] || e.before[len(e.before)-1] == e.after[len(e.after)-1] {
+				t.Fatalf("edit %d: record %d is not a changed run: %+v", i, j, e)
+			}
+			if j > 0 && e.off-(log[j-1].off+len(log[j-1].after)) < mergeGap {
+				t.Fatalf("edit %d: records %d and %d lie closer than the merge gap", i, j-1, j)
+			}
+		}
+	}
+
+	// The split point: mergeGap equal bytes between two changes split them,
+	// one fewer does not.
+	for _, gap := range []int{mergeGap - 1, mergeGap} {
+		log = log[:0]
+		if err := bp.Edit(9, id, func(p []byte) error { p[1000] ^= 1; p[1001+gap] ^= 1; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 + gap/mergeGap; len(log) != want {
+			t.Fatalf("gap of %d equal bytes: %d records, want %d", gap, len(log), want)
+		}
+	}
+
+	// An edit that changes nothing, or fails, journals nothing.
+	log = log[:0]
+	if err := bp.Edit(9, id, func(p []byte) error { copy(p[5:6], p[5:6]); return nil }); err != nil || len(log) != 0 {
+		t.Fatalf("an edit that changes nothing journaled %d records (%v)", len(log), err)
+	}
+	failure := fmt.Errorf("refused")
+	if err := bp.Edit(9, id, func(p []byte) error { return failure }); err != failure || len(log) != 0 {
+		t.Fatalf("a failed edit journaled %d records (%v)", len(log), err)
+	}
+
+	// A redo-only edit (transaction 0) stays one record, however many runs
+	// it changes. A heap-shaped insert (slot near the page's start, cell
+	// near its end) into a page that already holds 20 slots journals the
+	// header, the slot and the cell, not the page between them.
+	log = log[:0]
+	if err := bp.Edit(0, id, func(p []byte) error {
+		clear(p)
+		sp := InitSlotted(p)
+		for i := 0; i < 20; i++ {
+			if _, err := sp.Insert(bytes.Repeat([]byte{byte(i + 1)}, 40)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 1 || log[0].tx != 0 {
+		t.Fatalf("a redo-only edit of many runs journaled %d records", len(log))
+	}
+	log = log[:0]
+	if err := bp.Edit(9, id, func(p []byte) error {
+		_, err := SlottedPage{Buf: p}.Insert(append(make([]byte, 8, 48), bytes.Repeat([]byte("r"), 40)...))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	logged := 0
+	for _, e := range log {
+		logged += len(e.after)
+	}
+	if len(log) > 3 || logged > 200 {
+		t.Fatalf("a slotted insert journaled %d records, %d image bytes", len(log), logged)
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // LSN is a log sequence number: the logical byte offset of a record in the
@@ -342,6 +343,27 @@ func (l *Log) Update(tx uint64, space uint32, page uint64, offset uint16, before
 		Type: RecUpdate, Tx: tx, Space: space, Page: page, Offset: offset,
 		Before: before, After: after,
 	})
+}
+
+// UpdateRuns appends one update record per changed run of a single page
+// edit, all under one hold of the log's mutex, so the flusher never writes
+// part of an edit. Each record chains to the one before it, so undo restores
+// every run. The images are copied once, as Update's are. It returns the last
+// record's LSN.
+func (l *Log) UpdateRuns(tx uint64, space uint32, page uint64, runs []storage.Run) (LSN, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return NilLSN, errClosed
+	}
+	lsn := NilLSN
+	for _, r := range runs {
+		lsn = l.appendLocked(Record{
+			Type: RecUpdate, Tx: tx, Space: space, Page: page, Offset: uint16(r.Off),
+			Before: r.Before, After: r.After,
+		})
+	}
+	return lsn, nil
 }
 
 // Commit appends a COMMIT record and returns once it is durable, riding the

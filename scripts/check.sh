@@ -71,7 +71,12 @@
 # registry's sums (TestSysprofileAgreesWithSysptprofUnderLoad: under four
 # loading sessions every SYSPROFILE row only grows, and at rest each
 # bufferpool.* row equals the sum of its SYSPTPROF column, as
-# TestSysptprofBitIdentity holds for one session). Tier-1
+# TestSysptprofBitIdentity holds for one session), and the log's record per
+# changed run (TestEditJournalsEachChangedRun: the split rule, 64 equal bytes
+# between two changes of one edit; TestRecoveryAcrossASplitEdit and
+# TestSplitEditsSurviveCrashes: recovery across a split edit, with a torn
+# tail between its records and in both crash modes;
+# TestOneRowInsertLogBytes: a one-row INSERT logs at most 1 KiB). Tier-1
 # (`go build ./... && go test ./...`) is assumed to run separately; this
 # is the concurrency-focused gate (`make check`).
 set -eu
@@ -231,6 +236,18 @@ go test -race -count=3 -timeout 120s -run 'TestCreateTableSurvivesLostPages' ./i
 echo "== go test -race -count=3 DDL rollback + crash battery + deadlock guard"
 go test -race -count=3 -timeout 300s -run 'TestRolledBack|TestFailedStatementUndoesItself|TestDDLRollbackRestoresCatalogImage|TestDropTableWaitsForWriters|TestCreateTableHoldsItsTable|TestCatalogSurvivesReopenAndCrashes|TestDroppedTableReopensAfterACrash|TestCrashDuringBootstrap|TestOpenRefusesTheOldFormat|TestRecreateDroppedTable|TestOnlineBuildCrashMatrix|TestBuildLatchDeadlockIsDetected' ./internal/engine
 go test -race -count=3 -timeout 300s -run 'TestRolledBackDropIndexKeepsIndex|TestDropIndexWaitsForWriters|TestCrashDuringRebuildKeepsIndex' ./internal/blades/grtblade
+
+# A page edit journals each changed run apart: two changes share a record
+# only while fewer than 64 equal bytes lie between them, and the images take
+# the page from before to after and back (the split rule). An uncommitted
+# edit split over two records recovers byte for byte, whole or with a torn
+# tail between its records, and committed split edits survive both crash
+# modes (recovery across a split edit). A one-row INSERT grows the log by at
+# most 1 KiB, where one span per edit logged 5-8 KiB (log bytes per insert).
+echo "== go test -race -count=3 split rule + recovery across a split edit + log bytes per insert"
+go test -race -count=3 -run 'TestEditJournalsEachChangedRun|TestEditJournalsTheChangedRange|TestDiffRange' ./internal/storage
+go test -race -count=3 -run TestRecoveryAcrossASplitEdit ./internal/wal
+go test -race -count=3 -run 'TestSplitEditsSurviveCrashes|TestOneRowInsertLogBytes' ./internal/engine
 
 # No test runs P5 or the benchrunner CLI itself; this runs every registered
 # experiment at CI scale.

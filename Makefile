@@ -6,8 +6,9 @@ build:
 test:
 	go test ./...
 
-# Vet + race-detector tests for the concurrency-sensitive packages
-# (sharded buffer pool, access-method framework, batched scan pipeline).
+# gofmt, vet, the race-sensitive packages under the race detector, repeated
+# -race runs of targeted tests, benchrunner -quick, two short fuzz runs and
+# the bench module's tests (scripts/check.sh).
 check:
 	sh scripts/check.sh
 

@@ -273,8 +273,8 @@ func TestCrashDuringBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := storage.NewBufferPool(pager, 16)
-	bp.Journal = func(tx uint64, page storage.PageID, off int, before, after []byte) error {
-		_, err := log.Update(tx, 0, uint64(page), uint16(off), before, after)
+	bp.Journal = func(tx uint64, page storage.PageID, runs []storage.Run) error {
+		_, err := log.Update(tx, 0, uint64(page), runs)
 		return err
 	}
 	const tx = 5

@@ -48,7 +48,8 @@ type Options struct {
 	// ScanBatchSize is the number of rows the executor pulls per batch —
 	// the am_getmulti capacity it proposes to access methods and the heap
 	// scanner's unit (default am.DefaultBatchCap). 1 degenerates to
-	// row-at-a-time pulls (benchmark ablations).
+	// row-at-a-time pulls. No benchmark sets it; the treeblade tests sweep
+	// capacities 1, 7, 64 and 128.
 	ScanBatchSize int
 	// NoWAL disables logging (benchmark configurations): crash recovery is
 	// unavailable, ROLLBACK or a failed statement takes back its rows but
@@ -198,11 +199,7 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e.tracer = mi.NewTracer(tw)
 	e.lm.SetObs(e.obs)
-	e.planCache = plancache.New(plancache.DefaultCap, plancache.Stats{
-		Hit:        func() { e.obs.Inc(obs.PlanCacheHits) },
-		Miss:       func() { e.obs.Inc(obs.PlanCacheMisses) },
-		Invalidate: func() { e.obs.Inc(obs.PlanCacheInvalidations) },
-	})
+	e.planCache = plancache.New(plancache.DefaultCap, e.obs)
 	if opts.Types != nil {
 		if err := opts.Types(e.reg); err != nil {
 			return nil, err
@@ -417,9 +414,9 @@ func (e *Engine) newPool(id uint32) (uint32, *storage.BufferPool, error) {
 		v[obs.BufferpoolWrites] += st.Writes
 	})
 	if e.log != nil {
-		bp.FlushHook = func(storage.PageID, []byte) error { return e.log.Flush() }
-		bp.JournalRuns = func(tx uint64, page storage.PageID, runs []storage.Run) error {
-			_, err := e.log.UpdateRuns(tx, id, uint64(page), runs)
+		bp.FlushHook = e.log.Flush
+		bp.Journal = func(tx uint64, page storage.PageID, runs []storage.Run) error {
+			_, err := e.log.Update(tx, id, uint64(page), runs)
 			return err
 		}
 	}

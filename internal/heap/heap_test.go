@@ -373,10 +373,12 @@ func TestRandomisedAgainstModel(t *testing.T) {
 
 type countJournal struct{ n int }
 
-func (c *countJournal) LogUpdate(tx uint64, page storage.PageID, off int, before, after []byte) error {
-	c.n++
-	if len(before) != len(after) {
-		return fmt.Errorf("image length mismatch")
+func (c *countJournal) LogUpdate(tx uint64, page storage.PageID, runs []storage.Run) error {
+	for _, r := range runs {
+		c.n++
+		if len(r.Before) != len(r.After) {
+			return fmt.Errorf("image length mismatch")
+		}
 	}
 	return nil
 }

@@ -9,15 +9,9 @@ package plancache
 import (
 	"container/list"
 	"sync"
-)
 
-// Stats receives cache traffic. The engine passes obs counters; tests can
-// pass nil functions.
-type Stats struct {
-	Hit        func()
-	Miss       func()
-	Invalidate func()
-}
+	"repro/internal/obs"
+)
 
 type entry struct {
 	key string
@@ -31,14 +25,15 @@ type Cache struct {
 	cap   int
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
-	stats Stats
+	obs   *obs.Registry
 }
 
 // DefaultCap is the cache capacity when the caller passes cap <= 0.
 const DefaultCap = 256
 
-// New builds a cache holding at most cap entries.
-func New(cap int, stats Stats) *Cache {
+// New builds a cache holding at most cap entries that counts its hits,
+// misses and invalidations in reg (a nil registry counts nothing).
+func New(cap int, reg *obs.Registry) *Cache {
 	if cap <= 0 {
 		cap = DefaultCap
 	}
@@ -46,7 +41,7 @@ func New(cap int, stats Stats) *Cache {
 		cap:   cap,
 		ll:    list.New(),
 		items: make(map[string]*list.Element, cap),
-		stats: stats,
+		obs:   reg,
 	}
 }
 
@@ -58,19 +53,19 @@ func (c *Cache) Get(key string, gen uint64) (any, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.count(c.stats.Miss)
+		c.obs.Inc(obs.PlanCacheMisses)
 		return nil, false
 	}
 	en := el.Value.(*entry)
 	if en.gen != gen {
 		c.ll.Remove(el)
 		delete(c.items, key)
-		c.count(c.stats.Invalidate)
-		c.count(c.stats.Miss)
+		c.obs.Inc(obs.PlanCacheInvalidations)
+		c.obs.Inc(obs.PlanCacheMisses)
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	c.count(c.stats.Hit)
+	c.obs.Inc(obs.PlanCacheHits)
 	return en.val, true
 }
 
@@ -107,7 +102,7 @@ func (c *Cache) Invalidate(gen uint64) {
 		if en.gen != gen {
 			c.ll.Remove(el)
 			delete(c.items, en.key)
-			c.count(c.stats.Invalidate)
+			c.obs.Inc(obs.PlanCacheInvalidations)
 		}
 	}
 }
@@ -117,10 +112,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-func (c *Cache) count(f func()) {
-	if f != nil {
-		f()
-	}
 }

@@ -4,22 +4,22 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-func counters() (Stats, *int, *int, *int) {
-	var hits, misses, invals int
-	var mu sync.Mutex
-	st := Stats{
-		Hit:        func() { mu.Lock(); hits++; mu.Unlock() },
-		Miss:       func() { mu.Lock(); misses++; mu.Unlock() },
-		Invalidate: func() { mu.Lock(); invals++; mu.Unlock() },
+// counters returns a registry and a reader of the cache's three counters in it.
+func counters() (*obs.Registry, func() (hits, misses, invals uint64)) {
+	reg := obs.NewRegistry()
+	return reg, func() (uint64, uint64, uint64) {
+		s := reg.Snapshot()
+		return s.Get("plan_cache.hits"), s.Get("plan_cache.misses"), s.Get("plan_cache.invalidations")
 	}
-	return st, &hits, &misses, &invals
 }
 
 func TestHitMiss(t *testing.T) {
-	st, hits, misses, _ := counters()
-	c := New(4, st)
+	reg, read := counters()
+	c := New(4, reg)
 	if _, ok := c.Get("k", 1); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
@@ -28,20 +28,20 @@ func TestHitMiss(t *testing.T) {
 	if !ok || v.(string) != "plan" {
 		t.Fatalf("want hit with plan, got %v %v", v, ok)
 	}
-	if *hits != 1 || *misses != 1 {
-		t.Fatalf("hits=%d misses=%d", *hits, *misses)
+	if hits, misses, _ := read(); hits != 1 || misses != 1 {
+		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
 }
 
 func TestGenerationInvalidation(t *testing.T) {
-	st, _, misses, invals := counters()
-	c := New(4, st)
+	reg, read := counters()
+	c := New(4, reg)
 	c.Put("k", 1, "old")
 	if _, ok := c.Get("k", 2); ok {
 		t.Fatal("stale-generation entry must not hit")
 	}
-	if *invals != 1 || *misses != 1 {
-		t.Fatalf("invals=%d misses=%d", *invals, *misses)
+	if _, misses, invals := read(); invals != 1 || misses != 1 {
+		t.Fatalf("invals=%d misses=%d", invals, misses)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("stale entry not evicted, len=%d", c.Len())
@@ -49,7 +49,7 @@ func TestGenerationInvalidation(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(2, Stats{})
+	c := New(2, nil)
 	c.Put("a", 1, 1)
 	c.Put("b", 1, 2)
 	c.Get("a", 1) // a is now most recent
@@ -66,8 +66,8 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestInvalidateSweep(t *testing.T) {
-	st, _, _, invals := counters()
-	c := New(8, st)
+	reg, read := counters()
+	c := New(8, reg)
 	c.Put("a", 1, 1)
 	c.Put("b", 2, 2)
 	c.Put("c", 2, 3)
@@ -75,13 +75,13 @@ func TestInvalidateSweep(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("want 2 surviving entries, got %d", c.Len())
 	}
-	if *invals != 1 {
-		t.Fatalf("invals=%d", *invals)
+	if _, _, invals := read(); invals != 1 {
+		t.Fatalf("invals=%d", invals)
 	}
 }
 
 func TestPutReplace(t *testing.T) {
-	c := New(2, Stats{})
+	c := New(2, nil)
 	c.Put("k", 1, "one")
 	c.Put("k", 2, "two")
 	if c.Len() != 1 {
@@ -94,8 +94,7 @@ func TestPutReplace(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	st, _, _, _ := counters()
-	c := New(32, st)
+	c := New(32, obs.NewRegistry())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

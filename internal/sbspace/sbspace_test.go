@@ -268,8 +268,10 @@ func TestJournaledDropFreesAtCommit(t *testing.T) {
 		before []byte
 	}
 	var undo []edit
-	s.Pool().Journal = func(tx uint64, page storage.PageID, off int, before, after []byte) error {
-		undo = append(undo, edit{page, off, append([]byte(nil), before...)})
+	s.Pool().Journal = func(tx uint64, page storage.PageID, runs []storage.Run) error {
+		for _, r := range runs {
+			undo = append(undo, edit{page, r.Off, append([]byte(nil), r.Before...)})
+		}
 		return nil
 	}
 	h, _ := s.Create(1)
@@ -347,8 +349,8 @@ func TestStatsCounting(t *testing.T) {
 
 type captureJournal struct{ records int }
 
-func (c *captureJournal) LogUpdate(tx uint64, page storage.PageID, off int, before, after []byte) error {
-	c.records++
+func (c *captureJournal) LogUpdate(tx uint64, page storage.PageID, runs []storage.Run) error {
+	c.records += len(runs)
 	return nil
 }
 
@@ -403,8 +405,10 @@ func TestJournalAfterImagesRebuildTheSpace(t *testing.T) {
 		img  []byte
 	}
 	var log []image
-	s.Pool().Journal = func(tx uint64, page storage.PageID, off int, before, after []byte) error {
-		log = append(log, image{uint64(page), uint16(off), append([]byte(nil), after...)})
+	s.Pool().Journal = func(tx uint64, page storage.PageID, runs []storage.Run) error {
+		for _, r := range runs {
+			log = append(log, image{uint64(page), uint16(r.Off), append([]byte(nil), r.After...)})
+		}
 		return nil
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -434,13 +438,13 @@ func TestJournalAfterImagesRebuildTheSpace(t *testing.T) {
 		handles = append(handles, h)
 	}
 
-	replayed := storage.NewMemPager()
+	replayed := storage.NewBufferPool(storage.NewMemPager(), 256)
 	for _, r := range log {
-		if err := (storage.WALStore{P: replayed}).Apply(r.page, r.off, r.img); err != nil {
+		if err := replayed.Apply(r.page, r.off, r.img); err != nil {
 			t.Fatal(err)
 		}
 	}
-	twin := New(1, "spc", storage.NewBufferPool(replayed, 256), lm)
+	twin := New(1, "spc", replayed, lm)
 	for _, h := range handles {
 		want, got := readAll(t, s, h), readAll(t, twin, h)
 		if !bytes.Equal(got, want) {

@@ -124,25 +124,21 @@ type BufferPool struct {
 	// checkpointer's sweep over idle pools free.
 	unsynced atomic.Bool
 
-	// FlushHook, when set, is called with (id, data) before a dirty page is
-	// written back; the WAL installs itself here to honour write-ahead
-	// ordering. Set it before the pool sees concurrent use.
-	FlushHook func(id PageID, data []byte) error
+	// FlushHook, when set, is called before a dirty page is written back,
+	// and the write waits for it: the engine forces the whole log here, so
+	// no page on disk holds a change the log lost (write-ahead ordering).
+	// Set it before the pool sees concurrent use.
+	FlushHook func() error
 
-	// Journal, when set, receives every change Edit makes, one call per
-	// changed run: the editing transaction, the page, and the run's offset
-	// with its before and after images. Both images are valid only during
-	// the call (the before image is a pooled buffer, the after image the
-	// page itself); a journal that keeps them must copy them. Transaction 0
-	// marks a redo-only edit (formatting a freshly allocated page). Set it
-	// before the pool sees concurrent use.
-	Journal func(tx uint64, id PageID, off int, before, after []byte) error
-
-	// JournalRuns, when set, is called instead of Journal, once per edit
-	// with all of the edit's runs in page order, so that a log can append
-	// them together. The engine attaches the WAL here for the pool's space.
-	// The runs and their images are valid only during the call.
-	JournalRuns func(tx uint64, id PageID, runs []Run) error
+	// Journal, when set, receives every change Edit makes, once per edit:
+	// the editing transaction, the page, and the edit's changed runs in page
+	// order, so that a log can append them together. The runs and their
+	// images are valid only during the call (the before images are a pooled
+	// buffer, the after images the page itself); a journal that keeps them
+	// must copy them. Transaction 0 marks a redo-only edit (formatting a
+	// freshly allocated page). The engine attaches the WAL here for the
+	// pool's space. Set it before the pool sees concurrent use.
+	Journal func(tx uint64, id PageID, runs []Run) error
 }
 
 // Run is one changed run of an edited page: the bytes at Off held Before
@@ -307,7 +303,7 @@ func (bp *BufferPool) Edit(tx uint64, id PageID, fn func(page []byte) error) err
 }
 
 // Journaled reports whether the pool journals its edits.
-func (bp *BufferPool) Journaled() bool { return bp.Journal != nil || bp.JournalRuns != nil }
+func (bp *BufferPool) Journaled() bool { return bp.Journal != nil }
 
 // Apply writes img at off of page id, extending the pager when the page's
 // allocation was lost in a crash. It is redo and undo's page write and
@@ -383,15 +379,7 @@ func (bp *BufferPool) journal(tx uint64, id PageID, s *editScratch, page []byte)
 	if len(runs) == 0 {
 		return nil
 	}
-	if bp.JournalRuns != nil {
-		return bp.JournalRuns(tx, id, runs)
-	}
-	for _, r := range runs {
-		if err := bp.Journal(tx, id, r.Off, r.Before, r.After); err != nil {
-			return err
-		}
-	}
-	return nil
+	return bp.Journal(tx, id, runs)
 }
 
 // mergeGap is the fewest unchanged bytes between two changes of one edit
@@ -514,7 +502,7 @@ func (bp *BufferPool) flushLocked(f *Frame) error {
 	f.latch.RLock()
 	defer f.latch.RUnlock()
 	if bp.FlushHook != nil {
-		if err := bp.FlushHook(f.ID, f.Data); err != nil {
+		if err := bp.FlushHook(); err != nil {
 			return err
 		}
 	}

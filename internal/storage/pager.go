@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -120,6 +121,21 @@ func (m *MemPager) NumPages() uint64 {
 	return uint64(len(m.pages))
 }
 
+// EnsurePages implements Pager.
+func (m *MemPager) EnsurePages(n uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for uint64(len(m.pages)) < n {
+		m.pages = append(m.pages, make([]byte, PageSize))
+	}
+	for i := uint64(1); i < n; i++ {
+		if m.pages[i] == nil {
+			m.pages[i] = make([]byte, PageSize)
+		}
+	}
+	return nil
+}
+
 // Sync implements Pager (a no-op in memory).
 func (m *MemPager) Sync() error { return nil }
 
@@ -152,7 +168,11 @@ func OpenFilePager(path string) (*FilePager, error) {
 	}
 	if st.Size() == 0 {
 		p.numPages = 1
-		if err := p.writeHeader(); err != nil {
+		err := p.writeHeader()
+		if err == nil {
+			err = syncDir(filepath.Dir(path))
+		}
+		if err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -251,6 +271,23 @@ func (p *FilePager) NumPages() uint64 {
 	return p.numPages
 }
 
+// EnsurePages implements Pager.
+func (p *FilePager) EnsurePages(n uint64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.numPages >= n {
+		return nil
+	}
+	zero := make([]byte, PageSize)
+	for p.numPages < n {
+		if _, err := p.f.WriteAt(zero, int64(p.numPages)*PageSize); err != nil {
+			return err
+		}
+		p.numPages++
+	}
+	return p.writeHeader()
+}
+
 // Sync implements Pager.
 func (p *FilePager) Sync() error { return p.f.Sync() }
 
@@ -263,6 +300,18 @@ func (p *FilePager) Close() error {
 		return err
 	}
 	return p.f.Close()
+}
+
+// syncDir makes dir's entries durable: a file created in it survives a crash
+// only once the directory is fsynced (fsync(2)). Tests replace it to see
+// where it is called.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	return err
 }
 
 func be32(b []byte) uint32 {

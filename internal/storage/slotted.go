@@ -4,7 +4,7 @@ import "fmt"
 
 // Slotted page layout, used by heap tables and the catalog:
 //
-//	[0:8)   page LSN (WAL recovery)
+//	[0:8)   reserved (unused: recovery repeats history without page LSNs)
 //	[8:10)  number of slots
 //	[10:12) free-space start (end of slot array)
 //	[12:14) free-space end (start of cell area)
@@ -30,12 +30,6 @@ func InitSlotted(buf []byte) SlottedPage {
 	p.setFreeEnd(uint16(len(buf)))
 	return p
 }
-
-// PageLSN returns the recovery LSN stored in the page header.
-func (p SlottedPage) PageLSN() uint64 { return be64(p.Buf[0:8]) }
-
-// SetPageLSN stores the recovery LSN.
-func (p SlottedPage) SetPageLSN(lsn uint64) { putBE64(p.Buf[0:8], lsn) }
 
 func (p SlottedPage) numSlots() int       { return int(be16(p.Buf[8:10])) }
 func (p SlottedPage) setNumSlots(n int)   { putBE16(p.Buf[8:10], uint16(n)) }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -205,21 +206,49 @@ func TestBufferPoolFlushAll(t *testing.T) {
 	}
 }
 
+// The flush hook runs before a dirty page's write-back, and the write waits
+// for it: inside the hook the pager still holds the page's old bytes, and a
+// hook that fails leaves the pager unwritten and the page dirty.
 func TestBufferPoolFlushHookOrdering(t *testing.T) {
 	mp := NewMemPager()
 	bp := NewBufferPool(mp, 8)
-	var hooked []PageID
-	bp.FlushHook = func(id PageID, data []byte) error {
-		hooked = append(hooked, id)
-		return nil
-	}
 	f, _ := bp.Allocate()
 	bp.Unpin(f, true)
 	if err := bp.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if len(hooked) != 1 || hooked[0] != f.ID {
-		t.Fatalf("flush hook calls: %v", hooked)
+	onDisk := func() string {
+		raw := make([]byte, PageSize)
+		if err := mp.ReadPage(f.ID, raw); err != nil {
+			t.Fatal(err)
+		}
+		return string(raw[:3])
+	}
+	if err := bp.Edit(1, f.ID, func(p []byte) error { copy(p, "new"); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	var hookErr error
+	bp.FlushHook = func() error {
+		calls++
+		if got := onDisk(); got != "\x00\x00\x00" {
+			t.Errorf("hook call %d: the pager already holds %q", calls, got)
+		}
+		return hookErr
+	}
+	hookErr = errors.New("log unavailable")
+	if err := bp.FlushAll(); err != hookErr {
+		t.Fatalf("FlushAll with a failing hook: %v", err)
+	}
+	if got := onDisk(); got != "\x00\x00\x00" || !f.dirty.Load() {
+		t.Fatalf("a failed hook let the write through: pager holds %q, dirty %v", got, f.dirty.Load())
+	}
+	hookErr = nil
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := onDisk(); calls != 2 || got != "new" || f.dirty.Load() {
+		t.Fatalf("after %d hook calls the pager holds %q, dirty %v", calls, got, f.dirty.Load())
 	}
 }
 
@@ -419,22 +448,6 @@ func TestEndianHelpersProperty(t *testing.T) {
 	}
 }
 
-func TestPageLSN(t *testing.T) {
-	buf := make([]byte, PageSize)
-	p := InitSlotted(buf)
-	p.SetPageLSN(0xDEADBEEF)
-	if p.PageLSN() != 0xDEADBEEF {
-		t.Fatal("page LSN round trip")
-	}
-	// LSN must survive inserts.
-	if _, err := p.Insert([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if p.PageLSN() != 0xDEADBEEF {
-		t.Fatal("insert clobbered page LSN")
-	}
-}
-
 func BenchmarkBufferPoolFetchHit(b *testing.B) {
 	bp := NewBufferPool(NewMemPager(), 64)
 	f, _ := bp.Allocate()
@@ -466,7 +479,7 @@ func BenchmarkSlottedInsert(b *testing.B) {
 
 var _ = fmt.Sprintf // keep fmt import if unused in some build configs
 
-// loggedEdit is one Journal call.
+// loggedEdit is one journaled run.
 type loggedEdit struct {
 	tx            uint64
 	id            PageID
@@ -474,15 +487,22 @@ type loggedEdit struct {
 	before, after string
 }
 
+// journalTo sets bp's journal to record every run of every edit in log.
+func journalTo(bp *BufferPool, log *[]loggedEdit) {
+	bp.Journal = func(tx uint64, id PageID, runs []Run) error {
+		for _, r := range runs {
+			*log = append(*log, loggedEdit{tx, id, r.Off, string(r.Before), string(r.After)})
+		}
+		return nil
+	}
+}
+
 // Edit journals exactly the changed byte range with both images, nothing for
 // an edit that changes nothing or fails, and Apply journals nothing.
 func TestEditJournalsTheChangedRange(t *testing.T) {
 	bp := NewBufferPool(NewMemPager(), 8)
 	var log []loggedEdit
-	bp.Journal = func(tx uint64, id PageID, off int, before, after []byte) error {
-		log = append(log, loggedEdit{tx, id, off, string(before), string(after)})
-		return nil
-	}
+	journalTo(bp, &log)
 	f, err := bp.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -572,10 +592,7 @@ func TestDiffRange(t *testing.T) {
 func TestEditJournalsEachChangedRun(t *testing.T) {
 	bp := NewBufferPool(NewMemPager(), 8)
 	var log []loggedEdit
-	bp.Journal = func(tx uint64, id PageID, off int, before, after []byte) error {
-		log = append(log, loggedEdit{tx, id, off, string(before), string(after)})
-		return nil
-	}
+	journalTo(bp, &log)
 	f, err := bp.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -706,5 +723,26 @@ func TestEditJournalsEachChangedRun(t *testing.T) {
 	}
 	if len(log) > 3 || logged > 200 {
 		t.Fatalf("a slotted insert journaled %d records, %d image bytes", len(log), logged)
+	}
+}
+
+// Creating a pager's file syncs its directory, so the file's name is as
+// durable as the pages later synced into it; opening an existing one does
+// not.
+func TestFilePagerSyncsItsDirectoryOnCreate(t *testing.T) {
+	defer func(f func(string) error) { syncDir = f }(syncDir)
+	var synced []string
+	syncDir = func(d string) error { synced = append(synced, d); return nil }
+	dir := t.TempDir()
+	path := filepath.Join(dir, "space_1.dat")
+	for i := 0; i < 2; i++ {
+		p, err := OpenFilePager(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+	}
+	if len(synced) != 1 || synced[0] != dir {
+		t.Fatalf("creating and reopening a pager synced %q, want [%s]", synced, dir)
 	}
 }

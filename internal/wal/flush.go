@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
@@ -157,12 +158,7 @@ func (l *Log) flusher() {
 		l.mu.Unlock()
 		if dirty {
 			if err := l.doFlush(obs.WalFlushesTick); err != nil {
-				l.mu.Lock()
-				if l.ioErr == nil {
-					l.ioErr = err
-				}
-				l.cond.Broadcast()
-				l.mu.Unlock()
+				l.fail(err)
 			}
 		}
 	}
@@ -185,15 +181,21 @@ func (l *Log) flushTo(target int64) error {
 		}
 		l.mu.Unlock()
 		if err := l.doFlush(obs.WalFlushesForced); err != nil {
-			l.mu.Lock()
-			if l.ioErr == nil {
-				l.ioErr = err
-			}
-			l.cond.Broadcast()
-			l.mu.Unlock()
+			l.fail(err)
 			return err
 		}
 	}
+}
+
+// fail makes err the log's sticky I/O error, which every later flush and
+// waiting commit reports, and wakes the waiters.
+func (l *Log) fail(err error) {
+	l.mu.Lock()
+	if l.ioErr == nil {
+		l.ioErr = err
+	}
+	l.cond.Broadcast()
+	l.mu.Unlock()
 }
 
 // doFlush writes and fsyncs whatever is pending. ioMu serialises the file
@@ -266,12 +268,29 @@ func (l *Log) doFlush(cause obs.ID) error {
 // durable boundary and every live transaction's first record); the caller
 // must have forced dirty pages whose updates sit below cutoff (the engine's
 // checkpointer does). Returns the number of bytes dropped.
+//
+// The rename is durable only once the directory is synced: until then a
+// crash can bring back the old file and lose what was appended to the new
+// one. The sync runs under ioMu but not mu, so appends go on while no flush
+// can report the new file durable first; if it fails, no flush ever does.
 func (l *Log) TruncateTo(cutoff LSN) (int64, error) {
 	if err := l.Flush(); err != nil {
 		return 0, err
 	}
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
+	dropped, err := l.rotate(cutoff)
+	if err == nil && dropped > 0 {
+		if err = syncDir(filepath.Dir(l.path)); err != nil {
+			l.fail(err)
+		}
+	}
+	return dropped, err
+}
+
+// rotate copies the log from cutoff on into a new file renamed over the log,
+// and switches appends to it. Caller holds ioMu.
+func (l *Log) rotate(cutoff LSN) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -325,4 +344,16 @@ func (l *Log) TruncateTo(cutoff LSN) (int64, error) {
 	old.Close()
 	l.obs.Add(obs.WalTruncatedBytes, uint64(dropped))
 	return dropped, nil
+}
+
+// syncDir makes dir's entries durable: a file created in it, or renamed into
+// it, survives a crash only once the directory is fsynced (fsync(2)). Tests
+// replace it to see where it is called.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	return err
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -42,7 +43,7 @@ func parkCommits(t *testing.T, l *Log, tx uint64, n int) (release func()) {
 			l.ioMu.Unlock()
 			t.Fatal(err)
 		}
-		if _, err := l.Update(tx, 1, uint64(i), 0, []byte("a"), []byte("b")); err != nil {
+		if _, err := update(l, tx, 1, uint64(i), 0, []byte("a"), []byte("b")); err != nil {
 			l.ioMu.Unlock()
 			t.Fatal(err)
 		}
@@ -162,7 +163,7 @@ func TestFlushCausesAddUp(t *testing.T) {
 func TestAsyncCommitDurableWithoutWait(t *testing.T) {
 	l, _ := openTestLog(t)
 	l.Begin(1)
-	l.Update(1, 1, 2, 0, []byte("x"), []byte("y"))
+	update(l, 1, 1, 2, 0, []byte("x"), []byte("y"))
 	lsn, err := l.CommitWith(1, CommitAsync)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +186,7 @@ func TestCloseDrainsAsyncTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Begin(1)
-	l.Update(1, 1, 2, 0, []byte("x"), []byte("y"))
+	update(l, 1, 1, 2, 0, []byte("x"), []byte("y"))
 	if _, err := l.CommitWith(1, CommitAsync); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestUpdateCopiesImagesOnce(t *testing.T) {
 	l.Begin(1)
 	before := []byte("aaaa")
 	after := []byte("bbbb")
-	lsn, err := l.Update(1, 1, 2, 0, before, after)
+	lsn, err := update(l, 1, 1, 2, 0, before, after)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,16 +232,16 @@ func TestTornCommitClassifiedLoser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaces, p := testSpaces(t)
-	id, _ := p.Allocate()
+	spaces, bp := testSpaces(t)
+	id := allocPage(t, bp)
 	page := make([]byte, storage.PageSize)
 	copy(page, []byte("orig"))
-	p.WritePage(id, page)
+	bp.Apply(uint64(id), 0, page)
 
 	l.Begin(1)
-	l.Update(1, 1, uint64(id), 0, []byte("orig"), []byte("torn"))
+	update(l, 1, 1, uint64(id), 0, []byte("orig"), []byte("torn"))
 	copy(page, []byte("torn")) // the update reached the page store
-	p.WritePage(id, page)
+	bp.Apply(uint64(id), 0, page)
 	commitLSN, err := l.CommitWith(1, CommitSync)
 	if err != nil {
 		t.Fatal(err)
@@ -267,8 +268,7 @@ func TestTornCommitClassifiedLoser(t *testing.T) {
 	if len(rep.UndoneTx) != 1 || rep.UndoneTx[0] != 1 {
 		t.Fatalf("torn commit must make tx 1 a loser: %+v", rep)
 	}
-	got := make([]byte, storage.PageSize)
-	p.ReadPage(id, got)
+	got := readPage(t, bp, id)
 	if !bytes.Equal(got[:4], []byte("orig")) {
 		t.Fatalf("before image not restored: %q", got[:4])
 	}
@@ -295,14 +295,14 @@ func TestCrashPointMatrix(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l, _ := openTestLog(t)
-			spaces, p := testSpaces(t)
-			id, _ := p.Allocate()
+			spaces, bp := testSpaces(t)
+			id := allocPage(t, bp)
 
 			// Hold the I/O lock across append (and optional inline flush)
 			// so the background flusher cannot move the boundary under us.
 			l.ioMu.Lock()
 			l.Begin(1)
-			l.Update(1, 1, uint64(id), 0, make([]byte, 4), []byte("data"))
+			update(l, 1, 1, uint64(id), 0, make([]byte, 4), []byte("data"))
 			if _, err := l.CommitWith(1, CommitAsync); err != nil {
 				l.ioMu.Unlock()
 				t.Fatal(err)
@@ -330,8 +330,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([]byte, storage.PageSize)
-			p.ReadPage(id, got)
+			got := readPage(t, bp, id)
 			if tc.wantCommit {
 				if rep.Redone == 0 || !bytes.Equal(got[:4], []byte("data")) {
 					t.Fatalf("flushed commit lost: %+v page=%q", rep, got[:4])
@@ -354,7 +353,7 @@ func TestCheckpointTruncateShrinksLog(t *testing.T) {
 	img := make([]byte, 100)
 	for tx := uint64(1); tx <= 20; tx++ {
 		l.Begin(tx)
-		l.Update(tx, 1, tx, 0, img, img)
+		update(l, tx, 1, tx, 0, img, img)
 		if _, err := l.CommitWith(tx, CommitSync); err != nil {
 			t.Fatal(err)
 		}
@@ -384,8 +383,8 @@ func TestCheckpointTruncateShrinksLog(t *testing.T) {
 	// The rotated log must keep working: append, reopen, scan from the new
 	// base, and still refuse reads below it.
 	l.Begin(30)
-	l.Update(30, 1, 1, 0, []byte("x"), []byte("y"))
-	if _, err := l.Commit(30); err != nil {
+	update(l, 30, 1, 1, 0, []byte("x"), []byte("y"))
+	if _, err := l.CommitWith(30, CommitGroup); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -409,23 +408,23 @@ func TestCheckpointTruncateShrinksLog(t *testing.T) {
 
 func TestTruncateRespectsLiveTx(t *testing.T) {
 	l, _ := openTestLog(t)
-	spaces, p := testSpaces(t)
-	id, _ := p.Allocate()
+	spaces, bp := testSpaces(t)
+	id := allocPage(t, bp)
 	page := make([]byte, storage.PageSize)
 	copy(page, []byte("base"))
-	p.WritePage(id, page)
+	bp.Apply(uint64(id), 0, page)
 
 	// Committed ballast first, then a transaction left open across the
 	// checkpoint.
 	for tx := uint64(1); tx <= 5; tx++ {
 		l.Begin(tx)
-		l.Update(tx, 1, 99, 0, make([]byte, 64), make([]byte, 64))
+		update(l, tx, 1, 99, 0, make([]byte, 64), make([]byte, 64))
 		l.CommitWith(tx, CommitSync)
 	}
 	l.Begin(7)
-	l.Update(7, 1, uint64(id), 0, []byte("base"), []byte("live"))
+	update(l, 7, 1, uint64(id), 0, []byte("base"), []byte("live"))
 	copy(page, []byte("live"))
-	p.WritePage(id, page)
+	bp.Apply(uint64(id), 0, page)
 
 	cp, cutoff, err := l.CheckpointCut()
 	if err != nil {
@@ -438,11 +437,13 @@ func TestTruncateRespectsLiveTx(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tx 7's undo chain must have survived the truncation.
-	if err := Rollback(l, spaces, 7); err != nil {
+	if err := RollbackTo(l, spaces, 7, NilLSN); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, storage.PageSize)
-	p.ReadPage(id, got)
+	if _, err := l.Abort(7); err != nil {
+		t.Fatal(err)
+	}
+	got := readPage(t, bp, id)
 	if !bytes.Equal(got[:4], []byte("base")) {
 		t.Fatalf("live tx not undoable after truncation: %q", got[:4])
 	}
@@ -457,13 +458,17 @@ func TestRecoverIgnoresStaleCheckpointEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaces, p := testSpaces(t)
-	id, _ := p.Allocate()
+	spaces, bp := testSpaces(t)
+	id := allocPage(t, bp)
 
 	l.Begin(1)
-	lsn, _ := l.Update(1, 1, uint64(id), 0, make([]byte, 4), []byte("keep"))
-	l.Commit(1)
-	if _, err := l.Checkpoint(map[uint64]LSN{1: lsn}); err != nil {
+	lsn, _ := update(l, 1, 1, uint64(id), 0, make([]byte, 4), []byte("keep"))
+	l.CommitWith(1, CommitGroup)
+	stale := Record{Type: RecCheckpoint, Active: map[uint64]LSN{1: lsn}}
+	if _, err := l.Append(stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -480,8 +485,7 @@ func TestRecoverIgnoresStaleCheckpointEntry(t *testing.T) {
 	if len(rep.UndoneTx) != 0 {
 		t.Fatalf("committed tx resurrected as loser: %+v", rep)
 	}
-	got := make([]byte, storage.PageSize)
-	p.ReadPage(id, got)
+	got := readPage(t, bp, id)
 	if !bytes.Equal(got[:4], []byte("keep")) {
 		t.Fatalf("committed data undone: %q", got[:4])
 	}
@@ -511,5 +515,66 @@ func TestCommitModeStrings(t *testing.T) {
 	}
 	if _, ok := ParseCommitMode("BOGUS"); ok {
 		t.Fatal("BOGUS parsed")
+	}
+}
+
+// The log's directory is synced when Open creates the log file and when a
+// rotation renames the new file over it, inside ioMu, so no flush reports
+// the new file durable before its name is; a failed sync fails the log.
+func TestLogSyncsItsDirectory(t *testing.T) {
+	defer func(f func(string) error) { syncDir = f }(syncDir)
+	dir := t.TempDir()
+	var l *Log
+	var synced []string
+	var syncErr error
+	syncDir = func(d string) error {
+		if l != nil && l.ioMu.TryLock() {
+			l.ioMu.Unlock()
+			t.Error("directory synced outside ioMu")
+		}
+		synced = append(synced, d)
+		return syncErr
+	}
+	path := filepath.Join(dir, "wal.log")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 1 || synced[0] != dir {
+		t.Fatalf("creating the log synced %q, want [%s]", synced, dir)
+	}
+	l.Close()
+	if l, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(synced) != 1 {
+		t.Fatalf("reopening an existing log synced %q", synced[1:])
+	}
+	rotate := func(tx uint64) error {
+		l.Begin(tx)
+		update(l, tx, 1, 1, 0, []byte("x"), []byte("y"))
+		if _, err := l.CommitWith(tx, CommitSync); err != nil {
+			t.Fatal(err)
+		}
+		_, cutoff, err := l.CheckpointCut()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = l.TruncateTo(cutoff)
+		return err
+	}
+	if err := rotate(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 2 || synced[1] != dir {
+		t.Fatalf("rotating the log synced %q, want a second %s", synced, dir)
+	}
+	syncErr = errors.New("directory sync failed")
+	if err := rotate(2); err != syncErr {
+		t.Fatalf("rotation with a failing directory sync: %v", err)
+	}
+	if _, err := l.CommitWith(3, CommitGroup); err != syncErr {
+		t.Fatalf("a commit after a failed directory sync: %v, want the sync's error", err)
 	}
 }

@@ -100,18 +100,10 @@ func Recover(l *Log, spaces map[uint32]PageStore) (RecoveryReport, error) {
 	return rep, nil
 }
 
-// Rollback undoes a live transaction at run time: applies before-images back
-// through the undo chain, writes CLRs, and appends ABORT.
-func Rollback(l *Log, spaces map[uint32]PageStore, tx uint64) error {
-	if err := RollbackTo(l, spaces, tx, NilLSN); err != nil {
-		return err
-	}
-	_, err := l.Abort(tx)
-	return err
-}
-
-// RollbackTo undoes tx's records after stop (a LastLSN taken earlier),
-// writing CLRs, and leaves the transaction open.
+// RollbackTo undoes tx's records after stop (a LastLSN taken earlier, or
+// NilLSN for the whole transaction) at run time, applying before images back
+// through the undo chain and writing CLRs, and leaves the transaction open:
+// the caller appends ABORT (Abort) when it rolls the whole transaction back.
 func RollbackTo(l *Log, spaces map[uint32]PageStore, tx uint64, stop LSN) error {
 	_, err := undoChain(l, spaces, tx, l.LastLSN(tx), stop)
 	return err

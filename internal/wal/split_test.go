@@ -31,8 +31,8 @@ func TestRecoveryAcrossASplitEdit(t *testing.T) {
 			}
 			pager := storage.NewMemPager()
 			bp := storage.NewBufferPool(pager, 8)
-			bp.JournalRuns = func(tx uint64, id storage.PageID, runs []storage.Run) error {
-				_, err := l.UpdateRuns(tx, 1, uint64(id), runs)
+			bp.Journal = func(tx uint64, id storage.PageID, runs []storage.Run) error {
+				_, err := l.Update(tx, 1, uint64(id), runs)
 				return err
 			}
 			f, err := bp.Allocate()
@@ -95,7 +95,8 @@ func TestRecoveryAcrossASplitEdit(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l2.Close()
-			rep, err := Recover(l2, map[uint32]PageStore{1: storage.WALStore{P: pager}})
+			replayed := storage.NewBufferPool(pager, 8) // the crash lost bp's cache
+			rep, err := Recover(l2, map[uint32]PageStore{1: replayed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,10 +107,7 @@ func TestRecoveryAcrossASplitEdit(t *testing.T) {
 			if rep.UndoneRecords != want || len(rep.UndoneTx) != 1 {
 				t.Fatalf("recovery undid %d records of %v, want %d of tx 1", rep.UndoneRecords, rep.UndoneTx, want)
 			}
-			got := make([]byte, storage.PageSize)
-			if err := pager.ReadPage(id, got); err != nil {
-				t.Fatal(err)
-			}
+			got := readPage(t, replayed, id)
 			if !bytes.Equal(got, before) {
 				lo, hi := 0, len(got)
 				for lo < hi && got[lo] == before[lo] {

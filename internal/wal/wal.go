@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/obs"
@@ -177,7 +178,11 @@ func Open(path string) (*Log, error) {
 	}
 	if st.Size() == 0 {
 		l.base = logHeaderSize
-		if err := writeHeader(f, l.base); err != nil {
+		err := writeHeader(f, l.base)
+		if err == nil {
+			err = syncDir(filepath.Dir(path))
+		}
+		if err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -335,22 +340,13 @@ func (l *Log) Begin(tx uint64) (LSN, error) {
 	return l.Append(Record{Type: RecBegin, Tx: tx})
 }
 
-// Update appends a physical byte-range update record. The images are copied
-// exactly once, into the tail buffer, before Update returns — callers may
-// reuse their slices immediately. Transaction 0 marks a redo-only update.
-func (l *Log) Update(tx uint64, space uint32, page uint64, offset uint16, before, after []byte) (LSN, error) {
-	return l.Append(Record{
-		Type: RecUpdate, Tx: tx, Space: space, Page: page, Offset: offset,
-		Before: before, After: after,
-	})
-}
-
-// UpdateRuns appends one update record per changed run of a single page
-// edit, all under one hold of the log's mutex, so the flusher never writes
-// part of an edit. Each record chains to the one before it, so undo restores
-// every run. The images are copied once, as Update's are. It returns the last
-// record's LSN.
-func (l *Log) UpdateRuns(tx uint64, space uint32, page uint64, runs []storage.Run) (LSN, error) {
+// Update appends one physical byte-range update record per changed run of a
+// single page edit, all under one hold of the log's mutex, so the flusher
+// never writes part of an edit. Each record chains to the one before it, so
+// undo restores every run. The images are copied exactly once, into the tail
+// buffer, before Update returns — callers may reuse the runs immediately.
+// Transaction 0 marks a redo-only update. It returns the last record's LSN.
+func (l *Log) Update(tx uint64, space uint32, page uint64, runs []storage.Run) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -366,49 +362,27 @@ func (l *Log) UpdateRuns(tx uint64, space uint32, page uint64, runs []storage.Ru
 	return lsn, nil
 }
 
-// Commit appends a COMMIT record and returns once it is durable, riding the
-// flusher's group commit (CommitGroup). Use CommitWith to pick the mode.
-func (l *Log) Commit(tx uint64) (LSN, error) {
-	return l.CommitWith(tx, CommitGroup)
-}
-
 // Abort appends an ABORT record (the caller must already have applied the
-// undo, normally via Rollback).
+// undo, normally via RollbackTo).
 func (l *Log) Abort(tx uint64) (LSN, error) {
 	return l.Append(Record{Type: RecAbort, Tx: tx})
 }
 
-// Checkpoint appends a checkpoint record carrying the active-transaction
-// table and makes it durable. Pass nil to snapshot the log's own
-// live-transaction table atomically with the append (the engine's
-// checkpointer does; tests may pass an explicit table).
-func (l *Log) Checkpoint(active map[uint64]LSN) (LSN, error) {
-	lsn, _, err := l.checkpoint(active)
-	return lsn, err
-}
-
-// CheckpointCut appends a checkpoint record (snapshotting the live
-// transactions atomically) and also returns the truncation cutoff: the
-// oldest LSN recovery still needs, i.e. the minimum of the checkpoint LSN
-// and every live transaction's first record. Any transaction whose page
-// writes might still be in flight is live at the moment the record is
-// appended, so forcing dirty pages after this call and truncating to the
-// cutoff is safe.
+// CheckpointCut appends a checkpoint record carrying the live transactions
+// (snapshotted atomically with the append), makes it durable, and returns
+// its LSN with the truncation cutoff: the oldest LSN recovery still needs,
+// i.e. the minimum of the checkpoint LSN and every live transaction's first
+// record. Any transaction whose page writes might still be in flight is live
+// at the moment the record is appended, so forcing dirty pages after this
+// call and truncating to the cutoff is safe.
 func (l *Log) CheckpointCut() (lsn, cutoff LSN, err error) {
-	return l.checkpoint(nil)
-}
-
-func (l *Log) checkpoint(active map[uint64]LSN) (lsn, cutoff LSN, err error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return NilLSN, NilLSN, errClosed
 	}
-	if active == nil {
-		active = l.lastLSN
-	}
-	cp := Record{Type: RecCheckpoint, Active: make(map[uint64]LSN, len(active))}
-	for tx, at := range active {
+	cp := Record{Type: RecCheckpoint, Active: make(map[uint64]LSN, len(l.lastLSN))}
+	for tx, at := range l.lastLSN {
 		cp.Active[tx] = at
 	}
 	lsn = l.appendLocked(cp)

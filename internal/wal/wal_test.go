@@ -21,10 +21,39 @@ func openTestLog(t *testing.T) (*Log, string) {
 	return l, path
 }
 
-func testSpaces(t *testing.T) (map[uint32]PageStore, *storage.MemPager) {
+// testSpaces returns space 1 wired as the engine wires its spaces: a buffer
+// pool, whose Apply is the PageStore recovery and rollback write through.
+func testSpaces(t *testing.T) (map[uint32]PageStore, *storage.BufferPool) {
 	t.Helper()
-	p := storage.NewMemPager()
-	return map[uint32]PageStore{1: storage.WALStore{P: p}}, p
+	bp := storage.NewBufferPool(storage.NewMemPager(), 16)
+	return map[uint32]PageStore{1: bp}, bp
+}
+
+// allocPage allocates a zeroed page in bp.
+func allocPage(t *testing.T, bp *storage.BufferPool) storage.PageID {
+	t.Helper()
+	f, err := bp.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(f, true)
+	return f.ID
+}
+
+// readPage returns a copy of page id as bp holds it.
+func readPage(t *testing.T, bp *storage.BufferPool, id storage.PageID) []byte {
+	t.Helper()
+	f, err := bp.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bp.Unpin(f, false)
+	return append([]byte(nil), f.Data...)
+}
+
+// update appends the record of an edit that changed one run.
+func update(l *Log, tx uint64, space uint32, page uint64, off uint16, before, after []byte) (LSN, error) {
+	return l.Update(tx, space, page, []storage.Run{{Off: int(off), Before: before, After: after}})
 }
 
 func TestAppendScanRoundTrip(t *testing.T) {
@@ -32,11 +61,11 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	if _, err := l.Begin(7); err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := l.Update(7, 1, 3, 16, []byte("old"), []byte("new"))
+	lsn, err := update(l, 7, 1, 3, 16, []byte("old"), []byte("new"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Commit(7); err != nil {
+	if _, err := l.CommitWith(7, CommitGroup); err != nil {
 		t.Fatal(err)
 	}
 	var recs []Record
@@ -71,7 +100,7 @@ func TestReopenFindsAppendPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Begin(1)
-	l.Update(1, 1, 2, 0, []byte("a"), []byte("b"))
+	update(l, 1, 1, 2, 0, []byte("a"), []byte("b"))
 	l.Flush()
 	l.Close()
 
@@ -83,7 +112,7 @@ func TestReopenFindsAppendPoint(t *testing.T) {
 	if l2.LastLSN(1) == NilLSN {
 		t.Fatal("reopen must rebuild undo chains for live transactions")
 	}
-	if _, err := l2.Commit(1); err != nil {
+	if _, err := l2.CommitWith(1, CommitGroup); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
@@ -100,7 +129,7 @@ func TestTornTailIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Begin(1)
-	l.Update(1, 1, 2, 0, []byte("aaaa"), []byte("bbbb"))
+	update(l, 1, 1, 2, 0, []byte("aaaa"), []byte("bbbb"))
 	l.Flush()
 	l.Close()
 
@@ -128,24 +157,26 @@ func TestTornTailIgnored(t *testing.T) {
 
 func TestRollbackRestoresBeforeImages(t *testing.T) {
 	l, _ := openTestLog(t)
-	spaces, p := testSpaces(t)
-	id, _ := p.Allocate()
+	spaces, bp := testSpaces(t)
+	id := allocPage(t, bp)
 	page := make([]byte, storage.PageSize)
 	copy(page[100:], []byte("original"))
-	p.WritePage(id, page)
+	bp.Apply(uint64(id), 0, page)
 
 	l.Begin(9)
 	// Mutate and log.
 	before := append([]byte(nil), page[100:108]...)
 	copy(page[100:], []byte("mutated!"))
-	l.Update(9, 1, uint64(id), 100, before, page[100:108])
-	p.WritePage(id, page)
+	update(l, 9, 1, uint64(id), 100, before, page[100:108])
+	bp.Apply(uint64(id), 0, page)
 
-	if err := Rollback(l, spaces, 9); err != nil {
+	if err := RollbackTo(l, spaces, 9, NilLSN); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, storage.PageSize)
-	p.ReadPage(id, got)
+	if _, err := l.Abort(9); err != nil {
+		t.Fatal(err)
+	}
+	got := readPage(t, bp, id)
 	if !bytes.Equal(got[100:108], []byte("original")) {
 		t.Fatalf("rollback left %q", got[100:108])
 	}
@@ -167,16 +198,15 @@ func TestRollbackToStopsAtTheStatement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spaces, p := testSpaces(t)
-		id, _ := p.Allocate()
+		spaces, bp := testSpaces(t)
+		id := allocPage(t, bp)
 		read := func() string {
-			got := make([]byte, storage.PageSize)
-			p.ReadPage(id, got)
+			got := readPage(t, bp, id)
 			return string(got[0:2]) + string(got[10:12])
 		}
 		write := func(off uint16, before, after string) {
-			l.Update(7, 1, uint64(id), off, []byte(before), []byte(after))
-			storage.WALStore{P: p}.Apply(uint64(id), off, []byte(after))
+			update(l, 7, 1, uint64(id), off, []byte(before), []byte(after))
+			bp.Apply(uint64(id), off, []byte(after))
 		}
 		l.Begin(7)
 		write(0, "\x00\x00", "s1")
@@ -203,7 +233,9 @@ func TestRollbackToStopsAtTheStatement(t *testing.T) {
 			if rep.UndoneRecords != 2 {
 				t.Fatalf("recovery undid %d records, want 2 (s3 and s1)", rep.UndoneRecords)
 			}
-		} else if err := Rollback(l, spaces, 7); err != nil {
+		} else if err := RollbackTo(l, spaces, 7, NilLSN); err != nil {
+			t.Fatal(err)
+		} else if _, err := l.Abort(7); err != nil {
 			t.Fatal(err)
 		}
 		if got := read(); got != "\x00\x00\x00\x00" {
@@ -219,14 +251,14 @@ func TestRecoverRedoCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaces, p := testSpaces(t)
-	id, _ := p.Allocate()
+	spaces, bp := testSpaces(t)
+	id := allocPage(t, bp)
 
 	// Committed transaction whose page write never reached the pager
 	// (simulating a crash before buffer-pool flush).
 	l.Begin(1)
-	l.Update(1, 1, uint64(id), 10, make([]byte, 9), []byte("committed"))
-	l.Commit(1)
+	update(l, 1, 1, uint64(id), 10, make([]byte, 9), []byte("committed"))
+	l.CommitWith(1, CommitGroup)
 	l.Close()
 
 	l2, err := Open(path)
@@ -241,8 +273,7 @@ func TestRecoverRedoCommitted(t *testing.T) {
 	if rep.Redone != 1 || len(rep.UndoneTx) != 0 {
 		t.Fatalf("report: %+v", rep)
 	}
-	got := make([]byte, storage.PageSize)
-	p.ReadPage(id, got)
+	got := readPage(t, bp, id)
 	if !bytes.Equal(got[10:19], []byte("committed")) {
 		t.Fatalf("redo missing: %q", got[10:19])
 	}
@@ -254,19 +285,19 @@ func TestRecoverUndoLoser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaces, p := testSpaces(t)
-	id, _ := p.Allocate()
+	spaces, bp := testSpaces(t)
+	id := allocPage(t, bp)
 	page := make([]byte, storage.PageSize)
 	copy(page[0:], []byte("keep"))
-	p.WritePage(id, page)
+	bp.Apply(uint64(id), 0, page)
 
 	// Winner commits, loser doesn't.
 	l.Begin(1)
-	l.Update(1, 1, uint64(id), 50, make([]byte, 6), []byte("winner"))
-	l.Commit(1)
+	update(l, 1, 1, uint64(id), 50, make([]byte, 6), []byte("winner"))
+	l.CommitWith(1, CommitGroup)
 	l.Begin(2)
-	l.Update(2, 1, uint64(id), 0, []byte("keep"), []byte("lose"))
-	l.Update(2, 1, uint64(id), 60, make([]byte, 5), []byte("loser"))
+	update(l, 2, 1, uint64(id), 0, []byte("keep"), []byte("lose"))
+	update(l, 2, 1, uint64(id), 60, make([]byte, 5), []byte("loser"))
 	l.Flush()
 	l.Close()
 
@@ -282,8 +313,7 @@ func TestRecoverUndoLoser(t *testing.T) {
 	if len(rep.UndoneTx) != 1 || rep.UndoneTx[0] != 2 || rep.UndoneRecords != 2 {
 		t.Fatalf("report: %+v", rep)
 	}
-	got := make([]byte, storage.PageSize)
-	p.ReadPage(id, got)
+	got := readPage(t, bp, id)
 	if !bytes.Equal(got[0:4], []byte("keep")) {
 		t.Fatalf("loser not undone: %q", got[0:4])
 	}
@@ -304,12 +334,12 @@ func TestRedoOnlyUpdatesAreNeverUndone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaces, p := testSpaces(t)
-	id, _ := p.Allocate()
-	l.Update(0, 1, uint64(id), 0, make([]byte, 6), []byte("format"))
+	spaces, bp := testSpaces(t)
+	id := allocPage(t, bp)
+	update(l, 0, 1, uint64(id), 0, make([]byte, 6), []byte("format"))
 	l.Begin(2)
-	l.Update(2, 1, uint64(id), 10, make([]byte, 5), []byte("loser"))
-	l.Update(0, 1, uint64(id), 20, make([]byte, 7), []byte("counter"))
+	update(l, 2, 1, uint64(id), 10, make([]byte, 5), []byte("loser"))
+	update(l, 0, 1, uint64(id), 20, make([]byte, 7), []byte("counter"))
 	cp, cutoff, err := l.CheckpointCut()
 	if err != nil {
 		t.Fatal(err)
@@ -331,8 +361,7 @@ func TestRedoOnlyUpdatesAreNeverUndone(t *testing.T) {
 	if len(rep.UndoneTx) != 1 || rep.UndoneTx[0] != 2 || rep.UndoneRecords != 1 {
 		t.Fatalf("report: %+v", rep)
 	}
-	got := make([]byte, storage.PageSize)
-	p.ReadPage(id, got)
+	got := readPage(t, bp, id)
 	if string(got[0:6]) != "format" || string(got[20:27]) != "counter" {
 		t.Fatalf("redo-only images undone: %q %q", got[0:6], got[20:27])
 	}
@@ -347,10 +376,10 @@ func TestRecoverIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaces, p := testSpaces(t)
-	id, _ := p.Allocate()
+	spaces, bp := testSpaces(t)
+	id := allocPage(t, bp)
 	l.Begin(1)
-	l.Update(1, 1, uint64(id), 0, make([]byte, 4), []byte("data"))
+	update(l, 1, 1, uint64(id), 0, make([]byte, 4), []byte("data"))
 	l.Flush()
 	l.Close()
 
@@ -366,8 +395,7 @@ func TestRecoverIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	got := make([]byte, storage.PageSize)
-	p.ReadPage(id, got)
+	got := readPage(t, bp, id)
 	if !bytes.Equal(got[0:4], make([]byte, 4)) {
 		t.Fatalf("double recovery corrupted page: %q", got[0:4])
 	}
@@ -381,11 +409,11 @@ func TestRecoverExtendsSpace(t *testing.T) {
 	}
 	// Log an update to page 5 of a pager that has no pages yet.
 	l.Begin(1)
-	l.Update(1, 1, 5, 0, make([]byte, 3), []byte("hi!"))
-	l.Commit(1)
+	update(l, 1, 1, 5, 0, make([]byte, 3), []byte("hi!"))
+	l.CommitWith(1, CommitGroup)
 	l.Close()
 
-	spaces, p := testSpaces(t)
+	spaces, bp := testSpaces(t)
 	l2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -394,10 +422,7 @@ func TestRecoverExtendsSpace(t *testing.T) {
 	if _, err := Recover(l2, spaces); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, storage.PageSize)
-	if err := p.ReadPage(5, got); err != nil {
-		t.Fatal(err)
-	}
+	got := readPage(t, bp, 5)
 	if !bytes.Equal(got[0:3], []byte("hi!")) {
 		t.Fatalf("redo to unallocated page: %q", got[0:3])
 	}
@@ -406,8 +431,8 @@ func TestRecoverExtendsSpace(t *testing.T) {
 func TestCheckpointCarriesActiveTx(t *testing.T) {
 	l, _ := openTestLog(t)
 	l.Begin(3)
-	lsn, _ := l.Update(3, 1, 1, 0, []byte("x"), []byte("y"))
-	if _, err := l.Checkpoint(map[uint64]LSN{3: lsn}); err != nil {
+	lsn, _ := update(l, 3, 1, 1, 0, []byte("x"), []byte("y"))
+	if _, _, err := l.CheckpointCut(); err != nil {
 		t.Fatal(err)
 	}
 	var cp *Record
@@ -426,7 +451,7 @@ func TestCheckpointCarriesActiveTx(t *testing.T) {
 func TestUnknownSpaceError(t *testing.T) {
 	l, _ := openTestLog(t)
 	l.Begin(1)
-	l.Update(1, 42, 1, 0, []byte("x"), []byte("y"))
+	update(l, 1, 42, 1, 0, []byte("x"), []byte("y"))
 	l.Flush()
 	if _, err := Recover(l, map[uint32]PageStore{}); err == nil {
 		t.Fatal("recovery with unknown space must fail")
@@ -463,18 +488,18 @@ func TestRecoverRedoMayFlushTheLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, p := testSpaces(t)
-	id, _ := p.Allocate()
+	_, bp := testSpaces(t)
+	id := allocPage(t, bp)
 	l.Begin(1)
-	l.Update(1, 1, uint64(id), 10, make([]byte, 9), []byte("committed"))
-	l.Commit(1)
+	update(l, 1, 1, uint64(id), 10, make([]byte, 9), []byte("committed"))
+	l.CommitWith(1, CommitGroup)
 	l.Close()
 
 	l2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaces := map[uint32]PageStore{1: flushingStore{PageStore: storage.WALStore{P: p}, l: l2}}
+	spaces := map[uint32]PageStore{1: flushingStore{PageStore: bp, l: l2}}
 	done := make(chan error, 1)
 	go func() {
 		_, err := Recover(l2, spaces)
@@ -489,8 +514,7 @@ func TestRecoverRedoMayFlushTheLog(t *testing.T) {
 		t.Fatal("recovery deadlocked: a page write's log flush waited on the scan")
 	}
 	defer l2.Close()
-	got := make([]byte, storage.PageSize)
-	p.ReadPage(id, got)
+	got := readPage(t, bp, id)
 	if !bytes.Equal(got[10:19], []byte("committed")) {
 		t.Fatalf("redo missing: %q", got[10:19])
 	}

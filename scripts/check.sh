@@ -1,84 +1,10 @@
 #!/bin/sh
-# A gofmt gate, then static checks plus the race-sensitive packages under the
-# race detector: the sharded buffer pool, the version-chained heap and its page
-# latches, sbspace's latched large-object pages, the node stores (concurrent
-# views), the lock manager's deadlock detection, the purpose-function framework,
-# the batched scan pipeline, the shared R-tree kernel (parallel walk and
-# latch crabbing) and the three key classes on it (GR-tree, R*-tree, GiST),
-# the blades and the purpose-function scaffold under them
-# (./internal/blades/... includes treeblade and its conformance table), the
-# WAL group-commit flusher, the network
-# stack (wire framing, the session-multiplexing server, the client
-# library), the online index build (side-log capture, the tree blades'
-# STR bulk loaders, and the concurrent-DML/crash battery), the shared
-# plan cache (LRU + generation invalidation under concurrent DDL), and the
-# aggregate-pushdown/vacuum batteries (am_aggregate agreement under
-# concurrent DML with interleaved VacuumNow, deferred index maintenance),
-# recovery after a crash that writes no dirty page back (the lost-pages
-# battery TestLostPagesRecovery over all three access methods, cases
-# TestPushedCountAfterLostDelete and TestCreateTableSurvivesLostPages, and the
-# redo-only guard TestFailedFirstBuildLeavesTheSpaceUsable), and DDL under
-# the journal (the rollback and statement-undo cases TestRolledBack*,
-# TestFailedStatementUndoesItself and TestDDLRollbackRestoresCatalogImage,
-# the two-session lock cases TestDropTableWaitsForWriters and
-# TestCreateTableHoldsItsTable, the crash battery
-# TestCatalogSurvivesReopenAndCrashes, TestDroppedTableReopensAfterACrash,
-# TestCrashDuringBootstrap and TestOnlineBuildCrashMatrix in both crash
-# modes, grtblade's TestRolledBackDropIndexKeepsIndex,
-# TestDropIndexWaitsForWriters and TestCrashDuringRebuildKeepsIndex, and the
-# deadlock guard TestBuildLatchDeadlockIsDetected), and the tree's pruning
-# and insertion shortcuts (TestChooseSubtreeIsExhaustive: the branch-and-bound
-# ChooseSubtree picks what the exhaustive loop picks in every key class;
-# TestStartMaximaAreSound and TestZeroPadReadsAsUnknown: start maxima never
-# prune an answer, and old pages read as unknown; TestCompiledMatchesReference:
-# the compiled matcher, with its raw-time leaf pre-check, answers as the
-# reference evaluation, also on entries at the pre-check's edges), log-less undo
-# (TestNoWALUndoFailedStatement and TestNoWALUndoDirtyRead: a NoWAL failed
-# statement or ROLLBACK takes back its own row versions;
-# TestNoWALRefusesDDLInATransaction: such an engine refuses DDL inside BEGIN
-# WORK and changes nothing), rows empty at a transaction's current time
-# (TestIndexAgreesOnRowsAfterTheCurrentTime: every access method agrees with a
-# sequential scan on them), and STR bulk packing
-# (TestStartOrderedPackingCutsTimesliceReads: a GR-tree packed on start time
-# reads at most 1.3 nodes per answer leaf on a timeslice; TestBulkLoad and
-# FuzzBulkLoad: packed trees at awkward sizes agree with an oracle), and one
-# transaction shape (TestVacuumEndsItsTransaction: the vacuum's transaction
-# ends like a statement's, so transaction-end callbacks run and its lock goes;
-# TestReadOnlyCommitKeepsAggregatePushdown and
-# TestAggregatePushesAcrossACheckpoint: only a writing commit moves the
-# aggregate gate's read point; TestAggregateConformance, run with the check
-# invariant above: every aggregate, pushed or declined, equals a sequential
-# scan), MIN/MAX by branch and bound (TestExtremeReadsFewerNodesThanCount: on
-# benchmark-shaped windows MIN and MAX each read at most half of COUNT's
-# nodes and answer what a brute force answers; TestAggregatesAgreeWithDrain:
-# the kernel's aggregates equal a cursor drain in both key classes), the
-# serial cursor's lazy returned set (TestCursorRestartsWithoutDuplicates and
-# TestCursorRestartsOnSplits: a restart produces nothing twice), and the
-# transaction-id seed (TestTxIDsDoNotRepeatAfterReadOnlyTraffic: ids and
-# commit stamps taken after a reopen lie above those taken before it,
-# read-only statements included), and the per-row path of a scan
-# (TestRowsOutliveTheirBatch: rows kept past their decode arena's batch, from
-# index and sequential scans, equal a fresh read after more scans;
-# TestLRUVictimOrder: the buffer pool's intrusive LRU evicts in exact order),
-# and a remote statement's fixed cost (TestPreparedProbeIsOneWrite: a
-# one-row prepared probe is one server write of at most 400 bytes a statement;
-# TestLongStreamReachesTheClientBeforeDone: a stream larger than the write
-# buffer delivers its first batch while the statement is still open;
-# TestPlanAndProfileOnlyUnderExplain and TestOpaqueTextOnlyForTypesThePeerLacks:
-# plan, profile and display text travel only when asked for or needed;
-# TestPlanRecordsTheRecheckPerStatement: each statement records its own
-# re-check on its own plan, also when sessions share a cached one), and the
-# registry's sums (TestSysprofileAgreesWithSysptprofUnderLoad: under four
-# loading sessions every SYSPROFILE row only grows, and at rest each
-# bufferpool.* row equals the sum of its SYSPTPROF column, as
-# TestSysptprofBitIdentity holds for one session), and the log's record per
-# changed run (TestEditJournalsEachChangedRun: the split rule, 64 equal bytes
-# between two changes of one edit; TestRecoveryAcrossASplitEdit and
-# TestSplitEditsSurviveCrashes: recovery across a split edit, with a torn
-# tail between its records and in both crash modes;
-# TestOneRowInsertLogBytes: a one-row INSERT logs at most 1 KiB). Tier-1
-# (`go build ./... && go test ./...`) is assumed to run separately; this
-# is the concurrency-focused gate (`make check`).
+# The concurrency-focused gate behind `make check`: gofmt and go vet over the
+# module, the race-sensitive packages under the race detector, then repeated
+# -race runs of the tests that once caught a race, a hang or a regression
+# (each block says what it holds), every experiment at CI scale, two short
+# fuzz runs, and the nested bench module's vet and tests. Tier-1 (`go build
+# ./... && go test ./...`) runs separately.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -244,9 +170,12 @@ go test -race -count=3 -timeout 300s -run 'TestRolledBackDropIndexKeepsIndex|Tes
 # tail between its records, and committed split edits survive both crash
 # modes (recovery across a split edit). A one-row INSERT grows the log by at
 # most 1 KiB, where one span per edit logged 5-8 KiB (log bytes per insert).
-echo "== go test -race -count=3 split rule + recovery across a split edit + log bytes per insert"
-go test -race -count=3 -run 'TestEditJournalsEachChangedRun|TestEditJournalsTheChangedRange|TestDiffRange' ./internal/storage
-go test -race -count=3 -run TestRecoveryAcrossASplitEdit ./internal/wal
+# A dirty page's write waits for the flush hook, which sees the old page on
+# the pager (flush-hook order), and creating or rotating a file syncs its
+# directory, the rotation inside the log's I/O lock (directory syncs).
+echo "== go test -race -count=3 split rule + recovery across a split edit + log bytes per insert + flush-hook order + directory syncs"
+go test -race -count=3 -run 'TestEditJournalsEachChangedRun|TestEditJournalsTheChangedRange|TestDiffRange|TestBufferPoolFlushHookOrdering|TestFilePagerSyncsItsDirectoryOnCreate' ./internal/storage
+go test -race -count=3 -run 'TestRecoveryAcrossASplitEdit|TestLogSyncsItsDirectory' ./internal/wal
 go test -race -count=3 -run 'TestSplitEditsSurviveCrashes|TestOneRowInsertLogBytes' ./internal/engine
 
 # No test runs P5 or the benchrunner CLI itself; this runs every registered
